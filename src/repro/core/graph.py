@@ -20,11 +20,12 @@ This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
 
 from repro.core.bits import direct_neighbors, indirect_neighbors
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    import networkx as nx
 
 __all__ = [
     "disk_assignment_graph",
@@ -62,6 +63,10 @@ def disk_assignment_graph(dimension: int) -> nx.Graph:
     """
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
+    # Deferred: networkx costs ~20 MB and ~0.13 s per process, and every
+    # spawned disk worker imports this package.
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(range(1 << dimension))
     for bucket, other, kind in neighbor_edges(dimension):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.core.declustering import BucketDeclusterer
@@ -31,6 +30,8 @@ _MAX_DIMENSION = 16
 
 def greedy_coloring_colors(dimension: int, strategy: str = "DSATUR") -> int:
     """Number of colors a greedy heuristic needs for ``G_d``."""
+    import networkx as nx
+
     graph = disk_assignment_graph(dimension)
     coloring = nx.coloring.greedy_color(graph, strategy=strategy)
     return max(coloring.values()) + 1
@@ -70,6 +71,8 @@ class GraphColoringDeclusterer(BucketDeclusterer):
                 f"{dimension} > {_MAX_DIMENSION} is impractical — "
                 f"use NearOptimalDeclusterer instead"
             )
+        import networkx as nx
+
         graph = disk_assignment_graph(dimension)
         coloring = nx.coloring.greedy_color(graph, strategy=strategy)
         self.colors_used = max(coloring.values()) + 1

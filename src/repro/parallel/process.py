@@ -3,12 +3,19 @@
 The in-process engines *count* what a disk farm would do; this engine
 actually does it.  Each disk of an out-of-core
 :class:`~repro.storage.mmap_store.MmapStore` gets a dedicated worker
-process that maps only its own page file, walks the shared RAM
-directory best-first, reads and scores only its own disk's data pages,
-and cooperates with its siblings through a **shared monotonically
+process that maps only its own page file and answers a query with a
+**page-major frontier scan** of its own disk's data pages: one
+``mindist_many`` over the disk's flat leaf table
+(:meth:`MmapStore.disk_table`), one stable ``argsort``, then that
+ascending-``mindist`` order — the order HS 95 best-first visits the
+disk's leaves in — is walked in chunks that double (1, 2, 4, ... up to
+:data:`_MAX_CHUNK_PAGES`).  A chunk is fetched with one multi-slot
+gather, scored with one ``point_keys`` call and folded into an array
+top-k, so what a worker pays per page is numpy arithmetic, not
+interpreter time.  Workers cooperate through a **shared monotonically
 tightening kNN pruning bound** (a ``multiprocessing`` top-k distance
-array): every candidate distance a worker finds tightens the bound all
-workers prune with.
+array): every chunk's best candidate distances tighten the bound all
+workers cut their scans with.
 
 Determinism contract (see ``docs/performance.md``): the returned
 neighbors and per-disk page counts are **bit-for-bit identical** to
@@ -38,30 +45,34 @@ generic-position (e.g. random float) data never produces them.
 
 from __future__ import annotations
 
-import heapq
+import functools
 import itertools
+import math
 import multiprocessing
 import os
 import queue as queue_module
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.index import kernels
-from repro.index.knn import SearchStats, _CandidateSet
+from repro.index.knn import Neighbor
 from repro.index.metrics import Euclidean
-from repro.index.node import Node
 from repro.obs.context import current_tracer
 from repro.obs.tracer import Tracer
 from repro.parallel.disks import DiskArray, DiskParameters
 from repro.parallel.engine import BatchQueryResult, ParallelQueryResult
+from repro.storage.pagefile import split_rows
 
 __all__ = ["ProcessParallelEngine"]
 
 _EUCLIDEAN = Euclidean()
 
-#: How many queue pops a worker waits between shared-bound refreshes.
-_BOUND_REFRESH_POPS = 8
+#: Most pages one chunk of a worker's frontier scan fetches and scores
+#: together.  Chunks start at one page (which almost always yields k
+#: candidates and a finite bound) and double up to this; every page of
+#: a chunk that a mid-chunk bound would have cut is a speculative read,
+#: so the cap trades interpreter time against those.
+_MAX_CHUNK_PAGES = 32
 
 #: Seconds the coordinator waits for a worker reply before giving up.
 _REPLY_TIMEOUT_S = 120.0
@@ -74,7 +85,11 @@ _REPLY_TIMEOUT_S = 120.0
 #: other's bounds or results.
 _PIPELINE_DEPTH = 2
 
-_CandidateItems = List[Tuple[float, int, np.ndarray]]
+#: A candidate set as arrays: ``(keys, oids, points)``, squared keys.
+_Candidates = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+#: ``pages -> (rows, counts)``: :meth:`MmapStore.read_pages` of one disk.
+_PageReader = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
 def _arena_stride(dimension: int) -> int:
@@ -89,44 +104,33 @@ def _arena_base(
     return (bank * num_disks + disk) * max_k * stride
 
 
-def _pack_items(
-    arena: np.ndarray,
-    base: int,
-    items: _CandidateItems,
-    dimension: int,
+def _pack_candidates(
+    arena: np.ndarray, base: int, found: _Candidates, dimension: int
 ) -> None:
-    """Serialize a worker's top-k candidates into its arena cell.
+    """Write a worker's top-k candidates into its arena cell (lock held).
 
     Keys and coordinates are float64 already; oids are int64 *bit-cast*
     into the float lane (``view``, not a value conversion), so the
     round trip is exact for every representable oid.
     """
-    if not items:
-        return
+    keys, oids, points = found
     stride = _arena_stride(dimension)
-    block = np.empty((len(items), stride), dtype=np.float64)
-    block[:, 0] = [item[0] for item in items]
-    block[:, 1] = np.array(
-        [item[1] for item in items], dtype=np.int64
-    ).view(np.float64)
-    block[:, 2:] = np.vstack([item[2] for item in items])
-    arena[base : base + block.size] = block.ravel()
+    cell = arena[base : base + len(keys) * stride].reshape(-1, stride)
+    cell[:, 0] = keys
+    cell[:, 1] = oids.view(np.float64)
+    cell[:, 2:] = points
 
 
-def _unpack_items(
+def _unpack_candidates(
     arena: np.ndarray, base: int, count: int, dimension: int
-) -> _CandidateItems:
-    """Read one arena cell back into ``(key, oid, point)`` candidates."""
-    if not count:
-        return []
+) -> _Candidates:
+    """Copy one arena cell back out as candidate arrays (lock held)."""
     stride = _arena_stride(dimension)
-    block = arena[base : base + count * stride].reshape(count, stride)
-    keys = block[:, 0]
-    oids = np.ascontiguousarray(block[:, 1]).view(np.int64)
-    return [
-        (float(keys[row]), int(oids[row]), block[row, 2:].copy())
-        for row in range(count)
-    ]
+    cell = arena[base : base + count * stride].reshape(count, stride)
+    return (
+        cell[:, 0].copy(), cell[:, 1].copy().view(np.int64),
+        cell[:, 2:].copy(),
+    )
 
 
 def _merge_shared(view: np.ndarray, k: int, keys: np.ndarray) -> None:
@@ -141,125 +145,151 @@ def _merge_shared(view: np.ndarray, k: int, keys: np.ndarray) -> None:
     view[:k] = merged
 
 
+def _top_k(found: Sequence[_Candidates], k: int) -> _Candidates:
+    """The k best of several candidate sets, in ``(key, oid)`` order —
+    the one merge both the workers' fold and the coordinator's reduce
+    use."""
+    keys, oids, points = (np.concatenate(column) for column in zip(*found))
+    best = np.lexsort((oids, keys))[:k]
+    return keys[best], oids[best], points[best]
+
+
 class _BatchPageMemo:
-    """Batch-scoped read-through page memo over a worker's store.
+    """Batch-scoped read-through page memo over one disk of a store.
 
     Within one ``query_batch`` a worker streams its queries
     sequentially, and consecutive kNN spheres overlap heavily, so a
-    page faulted for query ``j`` is very likely visited again by query
-    ``j + 1``.  The memo serves those repeat visits from the payloads
-    already materialized — no mmap re-slice, no repeated simulated disk
+    page fetched for query ``j`` is very likely wanted again by query
+    ``j + 1``.  The memo serves those repeat visits from the rows
+    already fetched — no mmap gather, no repeated simulated disk
     service time — which the per-call path structurally cannot do (its
     unit of work is a single query).  This intra-batch reuse is a large
     part of the batch fast path's throughput edge.
 
-    Correctness is untouched: repeat visits return the exact arrays the
-    first read produced, and the *charged* per-disk page counts are
-    derived post hoc by the coordinator from the RAM directory, never
-    from what workers physically read.  Entries are capped (read-through
-    without insertion once full — no eviction bookkeeping) to bound the
-    worker's memory; the memo dies with the batch.
+    The rows live in one buffer indexed by :meth:`MmapStore.disk_table`
+    row, so a chunk's memo hits are one gather too.  The buffer really
+    holds the payloads: service time is owed for every fetch, and only
+    a resident payload excuses one.  Correctness is untouched either
+    way — repeat visits return the exact rows the first read produced,
+    and the *charged* per-disk page counts are derived post hoc by the
+    coordinator from the RAM directory, never from what workers
+    physically read.  The buffer is capped (pages past the cap are read
+    through every time — no eviction bookkeeping) to bound the worker's
+    memory; the memo dies with the batch.
     """
 
-    __slots__ = ("_store", "_pages", "tree", "disk_of")
+    __slots__ = ("_store", "_disk", "_held", "_rows", "_counts")
 
     #: Max memoized pages per worker per batch (~64 MB at 4 KB pages —
     #: covers a 1M-point disk's full batch working set; beyond the cap
     #: the memo degrades to read-through, never evicts).
     _CAP = 16384
 
-    def __init__(self, store: Any):
+    def __init__(self, store: Any, disk: int):
         self._store = store
-        self._pages: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self.tree = store.tree
-        self.disk_of = store.disk_of
+        self._disk = disk
+        pages = len(store.disk_table(disk)[2])
+        #: Per page of the disk; never set for pages past the cap.
+        self._held = np.zeros(pages, dtype=bool)
+        self._rows: Optional[np.ndarray] = None
+        self._counts = np.zeros(min(pages, self._CAP), dtype=np.uint32)
 
-    def read_page(self, node: Node) -> Tuple[np.ndarray, np.ndarray]:
-        key = id(node)
-        payload = self._pages.get(key)
-        if payload is None:
-            payload = self._store.read_page(node)
-            if len(self._pages) < self._CAP:
-                self._pages[key] = payload
-        return payload
+    def read_pages(self, pages: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`MmapStore.read_pages` of this disk, through the memo."""
+        fresh = ~self._held[pages]
+        if not fresh.any():
+            assert self._rows is not None
+            return self._rows[pages], self._counts[pages]
+        wanted = pages[fresh]
+        rows, counts = self._store.read_pages(self._disk, wanted)
+        if self._rows is None:
+            # Untouched buffer rows cost no RSS until written.
+            self._rows = np.empty(
+                (len(self._counts), rows.shape[1]), dtype=rows.dtype
+            )
+        room = wanted < len(self._counts)
+        kept = wanted[room]
+        self._rows[kept] = rows[room]
+        self._counts[kept] = counts[room]
+        self._held[kept] = True
+        if fresh.all():
+            return rows, counts
+        # Memoized and fetched rows, back in ``pages`` order.
+        mixed = np.empty((len(pages), rows.shape[1]), dtype=rows.dtype)
+        mixed_counts = np.empty(len(pages), dtype=counts.dtype)
+        mixed[fresh], mixed_counts[fresh] = rows, counts
+        mixed[~fresh] = self._rows[pages[~fresh]]
+        mixed_counts[~fresh] = self._counts[pages[~fresh]]
+        return mixed, mixed_counts
 
 
 def _worker_query(
-    store: Any,
-    disk: int,
+    read_pages: _PageReader,
+    table: Tuple[np.ndarray, ...],
     query: np.ndarray,
     k: int,
-    vectorized: bool,
     view: np.ndarray,
     lock: Any,
-) -> Tuple[_CandidateItems, int]:
-    """One kNN query on one disk's worker: own-disk pages only.
+) -> Tuple[_Candidates, int]:
+    """One kNN query on one disk's worker: a page-major frontier scan.
+
+    ``table`` is the disk's :meth:`MmapStore.disk_table`; ``read_pages``
+    fetches rows of it.  Pages are taken in ascending ``mindist`` — the
+    order best-first search pops a disk's leaves in — one doubling
+    chunk at a time: a chunk is the next pages whose ``mindist`` does
+    not exceed ``min(local k-th key, shared bound)`` as of the chunk's
+    start, fetched with one gather and scored with one ``point_keys``
+    call (``einsum`` rows are bit-identical whatever block they are
+    scored in).  The scan ends at the first chunk the bound cuts short:
+    every later page is farther still, and bounds only tighten.
 
     Returns the worker's local top-k candidates (squared keys) and the
-    number of pages it actually faulted in (its speculative read count).
+    number of page blocks it visited (its speculative read count).
     """
-    tree = store.tree
-    candidates = _CandidateSet(k)
-    faults = 0
-    if tree.size == 0:
-        return [], 0
-    with lock:
-        shared_bound = float(view[k - 1])
-    stats = SearchStats()
-    tiebreak = itertools.count()
-    root = tree.root
-    # A single-page tree has a leaf root; it never flows through the
-    # interior-node disk filter below, so filter it here.
-    if root.is_leaf and store.disk_of(root) != disk:
-        return [], 0
-    heap: List[Tuple[float, int, Node]] = [(0.0, next(tiebreak), root)]
-    pops = 0
-    while heap:
-        mindist, _, node = heapq.heappop(heap)
-        pops += 1
-        if pops % _BOUND_REFRESH_POPS == 0:
-            with lock:
-                shared_bound = float(view[k - 1])
-        bound = min(candidates.bound, shared_bound)
-        if mindist > bound:
+    lows, highs, _slots, _counts, blocks = table
+    dimension = len(query)
+    found: _Candidates = (
+        np.empty(0), np.empty(0, dtype=np.int64), np.empty((0, dimension))
+    )
+    mindists = _EUCLIDEAN.mindist_many(lows, highs, query)
+    order = np.argsort(mindists, kind="stable")
+    mindists = mindists[order]
+    local_bound = math.inf
+    start, size = 0, 1
+    while start < len(order):
+        with lock:
+            shared_bound = float(view[k - 1])
+        chunk = mindists[start : start + size]
+        take = int(np.searchsorted(
+            chunk, min(local_bound, shared_bound), side="right"
+        ))
+        if not take:
             break
-        if node.is_leaf:
-            points, oids = store.read_page(node)
-            faults += node.blocks
-            if len(oids):
-                if vectorized:
-                    kernels.offer_payload(
-                        candidates, points, oids, query, stats
-                    )
-                    keys = _EUCLIDEAN.point_keys(points, query)
-                else:
-                    keys = _EUCLIDEAN.point_keys(points, query)
-                    for index in range(len(oids)):
-                        candidates.offer(
-                            float(keys[index]), int(oids[index]),
-                            points[index],
-                        )
-                publishable = np.sort(keys)[:k]
-                if publishable[0] < shared_bound:
-                    with lock:
-                        _merge_shared(view, k, publishable)
-                        shared_bound = float(view[k - 1])
-        else:
-            if vectorized:
-                child_keys = kernels.child_mindists(node, query)
-            else:
-                child_keys = np.array(
-                    [child.mbr.mindist(query) for child in node.entries]
-                )
-            for index in np.nonzero(child_keys <= bound)[0]:
-                child = node.entries[index]
-                if child.is_leaf and store.disk_of(child) != disk:
-                    continue
-                heapq.heappush(
-                    heap,
-                    (float(child_keys[index]), next(tiebreak), child),
-                )
-    return candidates.items(), faults
+        pages = order[start : start + take]
+        start += take
+        size = min(2 * size, _MAX_CHUNK_PAGES)
+        rows, counts = read_pages(pages)
+        # STR stores have two distinct entry counts; decode per count.
+        payloads = [
+            split_rows(rows[counts == count], count, dimension)
+            for count in sorted(set(counts.tolist()))
+        ]
+        chunk_points = np.concatenate([payload[0] for payload in payloads])
+        chunk_oids = np.concatenate([payload[1] for payload in payloads])
+        chunk_keys = _EUCLIDEAN.point_keys(chunk_points, query)
+        better = np.flatnonzero(chunk_keys < local_bound)
+        if len(better):
+            fresh = (
+                chunk_keys[better], chunk_oids[better], chunk_points[better]
+            )
+            found = _top_k((found, fresh), k)
+            if len(found[0]) == k:
+                local_bound = float(found[0][-1])
+            with lock:
+                _merge_shared(view, k, np.sort(fresh[0])[:k])
+        if take < len(chunk):
+            break
+    return found, int(blocks[order[:start]].sum())
 
 
 def _worker_main(
@@ -280,11 +310,11 @@ def _worker_main(
     worker maps only its own disk's page file on first read — then
     serves tasks until it receives ``None``:
 
-    ``("one", query_id, query, k, vectorized)``
-        One query against pruning-bound bank 0; candidates travel back
-        through the reply queue (pickled) as before.
+    ``("one", query_id, query, k)``
+        One query against pruning-bound bank 0; the candidate arrays
+        travel back through the reply queue.
 
-    ``("batch", queries, k, vectorized)``
+    ``("batch", queries, k)``
         The pipelined fast path: the whole batch arrives in a single
         message, and the worker streams through it in order.  Query
         ``j`` uses bank ``j % depth``; ``gate`` (this worker's own
@@ -294,10 +324,10 @@ def _worker_main(
         always been fully read and re-armed.  The worker writes its
         top-k into its shared-arena cell and replies with only
         ``(j, disk, count, faults)`` — no payload pickling on the hot
-        path.  Page payloads are served through a batch-scoped
-        :class:`_BatchPageMemo`, so a page visited by several of the
-        batch's queries is materialized (and pays any simulated disk
-        service time) once.
+        path.  Pages are fetched through a batch-scoped
+        :class:`_BatchPageMemo`, so a page wanted by several of the
+        batch's queries is fetched (and pays any simulated disk service
+        time) once.
     """
     from repro.storage.mmap_store import MmapStore
 
@@ -308,39 +338,41 @@ def _worker_main(
         num_disks = store.num_disks
         dimension = store.tree.dimension
         stride = _arena_stride(dimension)
+        table = store.disk_table(disk)
+        read_direct = functools.partial(store.read_pages, disk)
         while True:
             task = tasks.get()
             if task is None:
                 break
             if task[0] == "one":
-                _, query_id, query, k, vectorized = task
+                _, query_id, query, k = task
                 lock = locks[0]
                 with lock:
                     view = bounds[:max_k]
-                items, faults = _worker_query(
-                    store, disk, query, k, vectorized, view, lock,
+                found, faults = _worker_query(
+                    read_direct, table, query, k, view, lock,
                 )
-                replies.put((query_id, disk, items, faults))
+                replies.put((query_id, disk, found, faults))
                 continue
-            _, queries, k, vectorized = task
-            memo = _BatchPageMemo(store)
+            _, queries, k = task
+            memo = _BatchPageMemo(store, disk)
             for index in range(len(queries)):
                 bank = index % depth
                 gate.acquire()
                 lock = locks[bank]
                 with lock:
                     view = bounds[bank * max_k : (bank + 1) * max_k]
-                items, faults = _worker_query(
-                    memo, disk, queries[index], k, vectorized, view, lock,
+                found, faults = _worker_query(
+                    memo.read_pages, table, queries[index], k, view, lock,
                 )
                 with lock:
-                    _pack_items(
+                    _pack_candidates(
                         arena_view,
                         _arena_base(bank, disk, num_disks, max_k, stride),
-                        items,
+                        found,
                         dimension,
                     )
-                replies.put((index, disk, len(items), faults))
+                replies.put((index, disk, len(found[0]), faults))
     finally:
         store.close()
 
@@ -362,6 +394,11 @@ class ProcessParallelEngine:
         Must be ``None``: the OS page cache serves warm mmap reads, and
         simulated buffer-pool semantics belong to the in-process
         engines.
+    use_kernels:
+        Accepted for signature parity with the in-process engines and
+        kept as an attribute for callers that forward it; the workers'
+        page-major scan has no scalar twin, and results are identical
+        under either setting.
     max_k:
         Capacity of the shared bound array; queries may use any
         ``k <= max_k``.
@@ -521,38 +558,25 @@ class ProcessParallelEngine:
     def _leaf_table(self) -> Tuple[np.ndarray, ...]:
         """Flat per-leaf geometry/ownership arrays, built once.
 
-        ``(lows, highs, disks, blocks, entries)`` over every data page in
-        store leaf order.  The mmap store's directory is immutable for
-        the engine's lifetime, so one traversal at first use replaces a
-        Python node walk per query.
+        ``(lows, highs, disks, blocks, entries)`` over every data page,
+        disk by disk, from the store's own per-disk directory tables.
+        The mmap store's directory is immutable for the engine's
+        lifetime, so this replaces a Python node walk per query.
         """
         table = self._leaves
         if table is None:
             store = self.store
-            lows: List[np.ndarray] = []
-            highs: List[np.ndarray] = []
-            disks: List[int] = []
-            blocks: List[int] = []
-            entries: List[int] = []
-            stack: List[Node] = [store.tree.root]
-            while stack:
-                node = stack.pop()
-                if node.is_leaf:
-                    lows.append(node.mbr.low)
-                    highs.append(node.mbr.high)
-                    disks.append(store.disk_of(node))
-                    blocks.append(node.blocks)
-                    entries.append(store.entry_count(node))
-                else:
-                    stack.extend(node.entries)
-            table = (
-                np.vstack(lows),
-                np.vstack(highs),
-                np.asarray(disks, dtype=np.int64),
-                np.asarray(blocks, dtype=np.int64),
-                np.asarray(entries, dtype=np.int64),
+            per_disk = [
+                store.disk_table(disk) for disk in range(store.num_disks)
+            ]
+            lows, highs, _slots, entries, blocks = (
+                np.concatenate(column) for column in zip(*per_disk)
             )
-            self._leaves = table
+            disks = np.repeat(
+                np.arange(store.num_disks),
+                [len(disk_table[2]) for disk_table in per_disk],
+            )
+            table = self._leaves = (lows, highs, disks, blocks, entries)
         return table
 
     def _exact_counts(
@@ -622,7 +646,7 @@ class ProcessParallelEngine:
         self,
         query: np.ndarray,
         k: int,
-        items: _CandidateItems,
+        found: List[_Candidates],
         tracer: Tracer,
         traced: bool,
         span: int,
@@ -634,12 +658,9 @@ class ProcessParallelEngine:
         the per-call path and the pipelined batch path, which is what
         keeps their results bit-for-bit identical.
         """
-        merged = _CandidateSet(k)
-        for key, oid, point in sorted(
-            items, key=lambda item: (item[0], item[1])
-        ):
-            merged.offer(key, oid, point)
-        counts, computations = self._exact_counts(query, merged.bound)
+        keys, oids, points = _top_k(found, k)
+        bound = float(keys[-1]) if len(keys) == k else math.inf
+        counts, computations = self._exact_counts(query, bound)
         disks = DiskArray.from_counts(counts, self.parameters)
         if traced:
             for disk in range(self.store.num_disks):
@@ -650,7 +671,12 @@ class ProcessParallelEngine:
                 distance_computations=computations,
             )
         return ParallelQueryResult(
-            neighbors=merged.neighbors(),
+            neighbors=[
+                Neighbor(_EUCLIDEAN.key_to_distance(key), oid, point)
+                for key, oid, point in zip(
+                    keys.tolist(), oids.tolist(), points
+                )
+            ],
             pages_per_disk=disks.pages_per_disk,
             parallel_time_ms=disks.parallel_time_ms,
             distance_computations=computations,
@@ -669,7 +695,6 @@ class ProcessParallelEngine:
         """
         self._check_k(k)
         query = np.asarray(query, dtype=float)
-        vectorized = kernels.kernels_enabled(self.use_kernels)
         tracer = self._active_tracer()
         traced = tracer.enabled
         span = -1
@@ -690,21 +715,21 @@ class ProcessParallelEngine:
             bound_view[: self.max_k] = np.inf
         query_id = next(self._query_ids)
         for tasks in self._tasks:
-            tasks.put(("one", query_id, query, k, vectorized))
+            tasks.put(("one", query_id, query, k))
 
-        items: _CandidateItems = []
+        found: List[_Candidates] = []
         speculative = 0
         for _ in range(self.store.num_disks):
-            reply_id, _disk, worker_items, faults = self._collect_reply()
+            reply_id, _disk, worker_found, faults = self._collect_reply()
             if reply_id != query_id:  # pragma: no cover - defensive
                 raise RuntimeError(
                     f"out-of-order worker reply: query {reply_id} "
                     f"while waiting for {query_id}"
                 )
-            items.extend(worker_items)
+            found.append(worker_found)
             speculative += faults
         self.last_speculative_pages = speculative
-        return self._reduce(query, k, items, tracer, traced, span)
+        return self._reduce(query, k, found, tracer, traced, span)
 
     def query_batch(
         self, queries: np.ndarray, k: int = 1
@@ -738,7 +763,6 @@ class ProcessParallelEngine:
         if queries.size == 0:
             return BatchQueryResult([], self.store.num_disks)
         queries = np.atleast_2d(queries)
-        vectorized = kernels.kernels_enabled(self.use_kernels)
         tracer = self._active_tracer()
         traced = tracer.enabled
         if self.store.tree.size == 0:
@@ -766,10 +790,10 @@ class ProcessParallelEngine:
             with bank_lock:
                 bounds[bank * self.max_k : (bank + 1) * self.max_k] = np.inf
         for tasks in self._tasks:
-            tasks.put(("batch", queries, k, vectorized))
+            tasks.put(("batch", queries, k))
 
         results: List[ParallelQueryResult] = []
-        staged: List[_CandidateItems] = []
+        staged: List[List[_Candidates]] = []
         pending: Dict[int, List[Tuple[int, int, int]]] = {}
         speculative = 0
         for index in range(len(queries)):
@@ -790,12 +814,12 @@ class ProcessParallelEngine:
                     "process", k=k, num_disks=num_disks,
                     service_ms=self.parameters.page_service_time_ms,
                 )
-            items: _CandidateItems = []
+            found: List[_Candidates] = []
             for disk, count, faults in replies:
                 speculative += faults
                 with bank_lock:
-                    items.extend(
-                        _unpack_items(
+                    found.append(
+                        _unpack_candidates(
                             arena,
                             _arena_base(
                                 bank, disk, num_disks, self.max_k, stride
@@ -811,11 +835,11 @@ class ProcessParallelEngine:
                 # golden traces and the sanitizer pin.
                 results.append(
                     self._reduce(
-                        queries[index], k, items, tracer, traced, span,
+                        queries[index], k, found, tracer, traced, span,
                     )
                 )
             else:
-                staged.append(items)
+                staged.append(found)
             # The bank is consumed: re-arm its bound, then let every
             # worker advance one query (into this bank at
             # ``index + depth``).
@@ -830,9 +854,9 @@ class ProcessParallelEngine:
         # time-slice against them on a busy machine (identical results,
         # worse wall clock), so the loop above only unpacks arena cells
         # and keeps the workers fed.
-        for index, items in enumerate(staged):
+        for index, found in enumerate(staged):
             results.append(
-                self._reduce(queries[index], k, items, tracer, False, -1)
+                self._reduce(queries[index], k, found, tracer, False, -1)
             )
         self.last_speculative_pages = speculative
         return BatchQueryResult(results, num_disks)

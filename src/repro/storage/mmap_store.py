@@ -271,10 +271,13 @@ class MmapStore:
     Exposes the :class:`~repro.parallel.paged.PagedStore` query surface
     plus :meth:`read_page` / :meth:`entry_count`; engines detect the
     ``read_page`` hook and score mmap-served payloads instead of
-    in-memory entries.  Page files are opened lazily per disk, so a
-    per-disk worker process maps only its own disk's file.  Reopening
-    a directory that another process (or store) currently maps is safe:
-    mappings are read-only and the files are immutable once written.
+    in-memory entries.  :meth:`disk_table` / :meth:`read_pages` are the
+    same directory and payloads one disk at a time, as flat arrays and
+    multi-page gathers — what the per-disk worker processes use.  Page
+    files are opened lazily per disk, so a per-disk worker process maps
+    only its own disk's file.  Reopening a directory that another
+    process (or store) currently maps is safe: mappings are read-only
+    and the files are immutable once written.
     """
 
     #: Marks stores whose leaf payloads are not held in RAM.
@@ -346,6 +349,13 @@ class MmapStore:
         self.page_disks = np.asarray(page_disks, dtype=np.int64)
         self.declusterer = FrozenAssignment(self.page_disks, name=self.scheme)
         self._counts = np.asarray(leaf_counts, dtype=np.int64)
+        self._leaf_low = np.asarray(leaf_low, dtype=np.float64)
+        self._leaf_high = np.asarray(leaf_high, dtype=np.float64)
+        self._page_slots = np.asarray(page_slots, dtype=np.int64)
+        self._blocks = np.array(
+            [leaf.blocks for leaf in leaves], dtype=np.int64
+        )
+        self._tables: Dict[int, Tuple[np.ndarray, ...]] = {}
         self._disk_of = {
             id(leaf): int(disk) for leaf, disk in zip(leaves, page_disks)
         }
@@ -405,6 +415,39 @@ class MmapStore:
         )
         if self.simulated_disk_ms:
             time.sleep(self.simulated_disk_ms * leaf.blocks / 1000.0)
+        return payload
+
+    def disk_table(self, disk: int) -> Tuple[np.ndarray, ...]:
+        """One disk's data pages as flat directory arrays, store leaf
+        order: ``(lows, highs, slots, counts, blocks)`` — MBR bounds,
+        page-file slot, directory entry count, blocks per page.  No
+        payload is touched; rows of this table name pages to
+        :meth:`read_pages`."""
+        table = self._tables.get(disk)
+        if table is None:
+            own = np.flatnonzero(self.page_disks == disk)
+            table = self._tables[disk] = (
+                self._leaf_low[own], self._leaf_high[own],
+                self._page_slots[own], self._counts[own], self._blocks[own],
+            )
+        return table
+
+    def read_pages(
+        self, disk: int, pages: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Fetch several of one disk's data pages with a single gather.
+
+        ``pages`` indexes rows of :meth:`disk_table`; the result is
+        :meth:`PageFile.read_slots`' ``(rows, counts)``.  The simulated
+        service time of every block fetched is owed in full and slept
+        once, by the caller that issued the gather.
+        """
+        _, _, slots, _, blocks = self.disk_table(disk)
+        payload = self._page_file(disk).read_slots(slots[pages])
+        if self.simulated_disk_ms:
+            time.sleep(
+                self.simulated_disk_ms * int(blocks[pages].sum()) / 1000.0
+            )
         return payload
 
     def __len__(self) -> int:

@@ -52,6 +52,7 @@ __all__ = [
     "PageFormatError",
     "SlotOverflowError",
     "payload_bytes",
+    "split_rows",
     "PageFileWriter",
     "PageFile",
 ]
@@ -84,6 +85,23 @@ class SlotOverflowError(PageFormatError):
 def payload_bytes(num_entries: int, dimension: int) -> int:
     """Bytes needed to store ``num_entries`` (oid, point) pairs."""
     return num_entries * (_OID_BYTES + _COORD_BYTES * dimension)
+
+
+def split_rows(
+    rows: np.ndarray, count: int, dimension: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Decode :meth:`PageFile.read_slots` rows that hold ``count`` entries
+    each into their stacked ``(points, oids)``, in row order."""
+    words = count * (1 + dimension)
+    if rows.dtype != np.float64:
+        # Byte rows (``slot_bytes % 8 != 0``): realign, then view as
+        # words.
+        rows = np.ascontiguousarray(
+            rows[:, : _COORD_BYTES * words]
+        ).view(np.float64)
+    oids = rows[:, :count].view(np.int64).reshape(-1)
+    points = rows[:, count:words].reshape(-1, dimension)
+    return points, oids
 
 
 def _counts_end(num_slots: int) -> int:
@@ -260,6 +278,14 @@ class PageFile:
             self._mmap, dtype=np.uint32, count=self.num_slots,
             offset=HEADER_BYTES,
         )
+        # The data region as one row per slot, for multi-slot gathers:
+        # float64 words (oids ride bit-cast) unless the slot size forbids.
+        row_type = np.float64 if self.slot_bytes % 8 == 0 else np.uint8
+        width = self.slot_bytes // np.dtype(row_type).itemsize
+        self._rows = np.frombuffer(
+            self._mmap, dtype=row_type, count=self.num_slots * width,
+            offset=self._start,
+        ).reshape(self.num_slots, width)
         limit = self.slot_bytes // (_OID_BYTES + _COORD_BYTES * self.dimension)
         if self.num_slots and int(self._counts.max(initial=0)) > limit:
             self.close()
@@ -300,9 +326,31 @@ class PageFile:
         ).reshape(count, self.dimension).copy()
         return points, oids
 
+    def read_slots(self, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Several page payloads with one gather: ``(rows, counts)``.
+
+        ``rows[i]`` is an owned copy of slot ``slots[i]``'s raw words
+        (bytes when ``slot_bytes % 8 != 0``) and ``counts[i]`` its entry
+        count; :func:`split_rows` decodes rows of equal count to exactly
+        what :meth:`read_slot` returns per slot.
+        """
+        if self._mmap is None:
+            raise PageFormatError(f"page file {self.path!r} already closed")
+        slots = np.asarray(slots, dtype=np.intp)
+        if slots.size and not (
+            0 <= slots.min() and slots.max() < self.num_slots
+        ):
+            raise ValueError(
+                f"slots outside [0, {self.num_slots}) in {self.path!r}"
+            )
+        return self._rows[slots], self._counts[slots]
+
     def close(self) -> None:
         """Drop the mapping and close the file handle."""
+        # Views export the mapping's buffer; mmap.close() raises
+        # BufferError while one is alive.
         self._counts = np.zeros(0, dtype=np.uint32)
+        self._rows = np.zeros((0, 0))
         if self._mmap is not None:
             self._mmap.close()
             self._mmap = None

@@ -13,6 +13,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines import RoundRobinDeclusterer
 from repro.index import kernels
@@ -23,7 +24,7 @@ from repro.index.knn import (
     knn_linear_scan,
     pages_intersecting_radius,
 )
-from repro.index.metrics import LpMetric, WeightedEuclidean
+from repro.index.metrics import Euclidean, LpMetric, WeightedEuclidean
 from repro.index.node import LeafEntry
 from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
@@ -157,6 +158,43 @@ def test_child_mindists_kernel_matches_scalar():
         batched = kernels.child_mindists(node, query)
         for value, child in zip(batched, node.entries):
             assert float(value) == child.mbr.mindist(query)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(1, 160),
+    dimension=st.integers(1, 24),
+    cuts=st.lists(st.integers(1, 159), max_size=8),
+    misaligned=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_point_keys_of_a_block_match_per_page_calls(
+    rows, dimension, cuts, misaligned, seed
+):
+    """The process workers score a whole frontier step — many pages
+    concatenated — with one ``point_keys`` call; the in-process engines
+    score page by page.  ``einsum("ij,ij->i")`` reduces each row on its
+    own, so the keys must agree bit for bit wherever the block is cut
+    and however its buffer is aligned."""
+    rng = np.random.default_rng(seed)
+    points = rng.random((rows, dimension))
+    query = rng.random(dimension)
+    block = points
+    if misaligned:
+        # Start the block one word into its buffer: off the 16-byte
+        # boundary vector loads prefer.
+        block = np.empty(points.size + 1)[1:].reshape(rows, dimension)
+        block[:] = points
+    metric = Euclidean()
+    edges = sorted({0, rows, *(cut for cut in cuts if cut < rows)})
+    per_page = [
+        metric.point_keys(points[low:high].copy(), query)
+        for low, high in zip(edges, edges[1:])
+    ]
+    assert (
+        metric.point_keys(block, query).tobytes()
+        == np.concatenate(per_page).tobytes()
+    )
 
 
 def test_offer_many_matches_sequential_offers():

@@ -21,6 +21,7 @@ from repro.parallel.cache import CacheConfig
 from repro.parallel.paged import PagedEngine, PagedStore
 from repro.parallel.process import ProcessParallelEngine, _BatchPageMemo
 from repro.storage import MmapStore, save_mmap_store
+from repro.storage.pagefile import split_rows
 
 
 @pytest.fixture(scope="module")
@@ -77,12 +78,9 @@ class TestParity:
         )
 
     def test_scalar_kernel_parity(self, engine, reference, monkeypatch):
-        """REPRO_SCALAR_KERNELS=1 must flow through to the workers.
-
-        The vectorized flag is resolved per query in the parent and
-        shipped with each task, so flipping the environment variable
-        after the workers have spawned still takes effect.
-        """
+        """REPRO_SCALAR_KERNELS=1 switches the reference engine to its
+        scalar twin; the workers' page-major scan has none, and must
+        keep matching it bit for bit."""
         monkeypatch.setenv("REPRO_SCALAR_KERNELS", "1")
         rng = np.random.default_rng(13)
         for query in rng.random((4, 6)):
@@ -136,56 +134,140 @@ class TestParity:
         assert result.pages_per_disk.sum() > 0
 
 
+def _assert_parity(paged_store, directory, queries, ks, max_k=64):
+    """``query`` and ``query_batch`` of a process engine over
+    ``paged_store`` (saved to ``directory``) match ``PagedEngine``;
+    returns the last per-call result and its speculative page count."""
+    save_mmap_store(paged_store, directory)
+    with MmapStore(directory) as store:
+        reference = PagedEngine(store, cache=None)
+        with ProcessParallelEngine(store, max_k=max_k) as engine:
+            for k in ks:
+                batch = engine.query_batch(queries, k)
+                for query, batched in zip(queries, batch.results):
+                    want = reference.query(query, k)
+                    _assert_bit_identical(batched, want)
+                    result = engine.query(query, k)
+                    _assert_bit_identical(result, want)
+            return result, engine.last_speculative_pages
+
+
+class TestFlatTableShapes:
+    """Store shapes the workers' flat per-disk leaf table must get
+    right (the heap walk got them from the tree)."""
+
+    def test_supernode_pages_and_k_beyond_n(self, tmp_path):
+        """Leaf supernodes are charged — and counted as faults — by
+        ``blocks``; ``k > N`` (here also ``k = max_k``) returns every
+        point and reads every page."""
+        rng = np.random.default_rng(5)
+        store = PagedStore(
+            points=rng.random((150, 5)),
+            declusterer=NearOptimalDeclusterer(5, 3),
+        )
+        for leaf in store.leaves[::2]:
+            leaf.blocks = 2
+        total_blocks = sum(leaf.blocks for leaf in store.leaves)
+        assert total_blocks > len(store.leaves)
+        result, speculative = _assert_parity(
+            store, tmp_path / "super", rng.random((3, 5)), (3, 160),
+            max_k=160,
+        )
+        assert len(result.neighbors) == 150
+        assert result.pages_per_disk.sum() == speculative == total_blocks
+
+    def test_all_pages_empty(self, tmp_path):
+        """Pages with no entries: nothing to find, every page charged
+        (the bound never becomes finite)."""
+        rng = np.random.default_rng(6)
+        store = PagedStore(
+            points=rng.random((120, 4)),
+            declusterer=NearOptimalDeclusterer(4, 2),
+        )
+        for leaf in store.leaves:
+            leaf.entries = []
+        result, _ = _assert_parity(
+            store, tmp_path / "empty", rng.random((2, 4)), (2,)
+        )
+        assert result.neighbors == []
+        assert result.pages_per_disk.sum() == len(store.leaves)
+
+    def test_disk_without_pages_and_duplicate_points(self, tmp_path):
+        """Disk 1 of 3 owns nothing (its worker answers with no
+        candidates); every point is stored twice, so equal keys meet in
+        the local top-k, the shared bound and the merge."""
+        rng = np.random.default_rng(8)
+        points = np.repeat(rng.random((90, 4)), 2, axis=0)
+        store = PagedStore(
+            points=points,
+            declusterer=lambda centers: 2 * (np.arange(len(centers)) % 2),
+            num_disks=3,
+        )
+        assert list(store.disk_loads() > 0) == [True, False, True]
+        # Even k: no duplicate pair straddles the k-th place (ties at
+        # the boundary are outside the contract).
+        result, _ = _assert_parity(
+            store, tmp_path / "sparse", rng.random((4, 4)), (2, 6)
+        )
+        assert result.pages_per_disk[1] == 0
+
+
 class _CountingStore:
-    """Store facade that counts ``read_page`` pass-throughs."""
+    """Store facade that counts the pages ``read_pages`` passes through."""
 
     def __init__(self, inner):
         self._inner = inner
-        self.tree = inner.tree
-        self.disk_of = inner.disk_of
-        self.reads = 0
+        self.disk_table = inner.disk_table
+        self.pages_read = 0
 
-    def read_page(self, node):
-        self.reads += 1
-        return self._inner.read_page(node)
+    def read_pages(self, disk, pages):
+        self.pages_read += len(pages)
+        return self._inner.read_pages(disk, pages)
 
 
 class TestBatchPageMemo:
     """The batch-scoped page memo behind ``query_batch``'s worker loop."""
 
-    def _leaves(self, mmap_store):
-        stack, leaves = [mmap_store.tree.root], []
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                leaves.append(node)
-            else:
-                stack.extend(node.entries)
-        return leaves
+    def _assert_payloads(self, mmap_store, disk, pages, rows, counts):
+        """Memo rows decode to exactly ``MmapStore.read_page``."""
+        leaves = [
+            leaf for leaf in mmap_store.leaves
+            if mmap_store.disk_of(leaf) == disk
+        ]
+        dimension = mmap_store.tree.dimension
+        for row, count, page in zip(rows, counts, pages):
+            points, oids = split_rows(row[None], int(count), dimension)
+            want_points, want_oids = mmap_store.read_page(leaves[page])
+            assert np.array_equal(points, want_points)
+            assert np.array_equal(oids, want_oids)
 
     def test_repeat_visits_served_from_memo(self, mmap_store):
         counting = _CountingStore(mmap_store)
-        memo = _BatchPageMemo(counting)
-        leaf = self._leaves(mmap_store)[0]
-        first = memo.read_page(leaf)
-        second = memo.read_page(leaf)
-        assert counting.reads == 1
-        assert first[0] is second[0] and first[1] is second[1]
+        memo = _BatchPageMemo(counting, 1)
+        first = memo.read_pages(np.array([2, 0]))
+        assert counting.pages_read == 2
+        # A step mixing held and new pages fetches only the new one.
+        second = memo.read_pages(np.array([0, 3, 2]))
+        assert counting.pages_read == 3
+        third = memo.read_pages(np.array([3, 0]))
+        assert counting.pages_read == 3
+        assert np.array_equal(first[0], second[0][[2, 0]])
+        assert np.array_equal(second[0][[1, 0]], third[0])
+        self._assert_payloads(mmap_store, 1, [0, 3, 2], *second)
 
     def test_cap_disables_insertion_not_reads(self, mmap_store, monkeypatch):
         monkeypatch.setattr(_BatchPageMemo, "_CAP", 1)
         counting = _CountingStore(mmap_store)
-        memo = _BatchPageMemo(counting)
-        first_leaf, second_leaf = self._leaves(mmap_store)[:2]
-        memo.read_page(first_leaf)
-        memo.read_page(second_leaf)
-        memo.read_page(second_leaf)  # over cap: read-through every time
-        memo.read_page(first_leaf)   # still memoized
-        assert counting.reads == 3
-        points, oids = memo.read_page(second_leaf)
-        want_points, want_oids = mmap_store.read_page(second_leaf)
-        assert np.array_equal(points, want_points)
-        assert np.array_equal(oids, want_oids)
+        memo = _BatchPageMemo(counting, 0)
+        memo.read_pages(np.array([0]))
+        memo.read_pages(np.array([1]))
+        memo.read_pages(np.array([1]))  # over cap: read-through every time
+        memo.read_pages(np.array([0]))  # still memoized
+        assert counting.pages_read == 3
+        # A step straddling the cap comes back in request order.
+        rows, counts = memo.read_pages(np.array([1, 0, 2]))
+        assert counting.pages_read == 5
+        self._assert_payloads(mmap_store, 0, [1, 0, 2], rows, counts)
 
 
 class TestLifecycle:

@@ -1,5 +1,8 @@
 """Tests for the top-level package surface."""
 
+import subprocess
+import sys
+
 import numpy as np
 
 import repro
@@ -12,6 +15,20 @@ class TestPublicAPI:
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_query_path_does_not_import_networkx(self):
+        """Every spawned disk worker imports the package; networkx
+        (~20 MB, ~0.13 s per process) may load only where ``G_d`` is
+        built or coloured."""
+        code = (
+            "import sys, repro, repro.parallel.process, repro.serve; "
+            "sys.exit('networkx' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_docstring_quickstart_runs(self):
         points = np.random.default_rng(0).random((5000, 8))

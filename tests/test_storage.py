@@ -31,6 +31,7 @@ from repro.storage import (
     payload_bytes,
     save_mmap_store,
 )
+from repro.storage.pagefile import split_rows
 
 
 def _results_equal(a, b):
@@ -164,6 +165,75 @@ class TestPageFile:
             assert handle.entry_count(1) == 1
 
 
+    @pytest.mark.parametrize(
+        "slot_bytes",
+        [4096, payload_bytes(12, 3) + 8, payload_bytes(12, 3) + 5],
+        ids=["page-sized", "snug", "not-a-multiple-of-8"],
+    )
+    def test_read_slots_matches_read_slot(self, rng, tmp_path, slot_bytes):
+        """One gather decodes to exactly the per-slot reads, whatever
+        the slot size, entry-count mix, order or repetition."""
+        path = tmp_path / "disk.pages"
+        self._write(
+            path,
+            [
+                (rng.integers(-2**62, 2**62, count), rng.random((count, 3)))
+                for count in (5, 0, 12, 5)
+            ],
+            slot_bytes=slot_bytes,
+        )
+        slots = [3, 0, 2, 1, 0]
+        with PageFile(path) as handle:
+            rows, counts = handle.read_slots(slots)
+            assert list(counts) == [5, 5, 12, 0, 5]
+            for row, count, slot in zip(rows, counts, slots):
+                points, oids = split_rows(row[None], int(count), 3)
+                want_points, want_oids = handle.read_slot(slot)
+                assert points.tobytes() == want_points.tobytes()
+                assert oids.tobytes() == want_oids.tobytes()
+                assert points.shape == want_points.shape
+            # Rows of one entry count decode together, in row order.
+            points, oids = split_rows(rows[counts == 5], 5, 3)
+            assert np.array_equal(
+                oids,
+                np.concatenate([handle.read_slot(s)[1] for s in (3, 0, 0)]),
+            )
+            assert points.shape == (15, 3)
+            empty_rows, empty_counts = handle.read_slots([])
+            assert empty_rows.shape == (0, rows.shape[1])
+            assert empty_counts.shape == (0,)
+
+    def test_read_slots_of_a_crashed_writer_file_are_empty(self, tmp_path):
+        """Counts were never committed: every gathered row decodes to an
+        empty page, like ``read_slot``."""
+        path = tmp_path / "crashed.pages"
+        writer = PageFileWriter(
+            path, disk_id=0, num_slots=3, slot_bytes=256, dimension=2,
+        )
+        writer.write_slot(0, np.array([7], dtype=np.int64), np.ones((1, 2)))
+        writer._file.close()  # the crash: close() never commits counts
+        writer._file = None
+        with PageFile(path) as handle:
+            rows, counts = handle.read_slots([0, 1, 2])
+            assert not counts.any()
+            points, oids = split_rows(rows, 0, 2)
+            assert points.shape == (0, 2) and oids.shape == (0,)
+
+    def test_read_slots_range_check_and_owned_rows(self, rng, tmp_path):
+        path = tmp_path / "disk.pages"
+        points = rng.random((4, 3))
+        self._write(path, [(np.arange(4, dtype=np.int64), points)] * 2)
+        handle = PageFile(path)
+        for bad in ([0, 2], [-1]):
+            with pytest.raises(ValueError, match="slot"):
+                handle.read_slots(bad)
+        rows, counts = handle.read_slots([1, 0])
+        handle.close()  # no BufferError: the gather holds no mapping view
+        got_points, got_oids = split_rows(rows, 4, 3)  # owned copies
+        assert np.array_equal(got_points, np.vstack([points, points]))
+        assert got_oids.sum() == 12
+
+
 class TestMmapStoreRoundTrip:
     def test_surface_matches_paged_store(self, paged_store, store_dir):
         store = load_mmap_store(store_dir)
@@ -188,6 +258,61 @@ class TestMmapStoreRoundTrip:
                 )
                 assert points.tobytes() == expected.tobytes()
                 assert list(oids) == [e.oid for e in theirs.entries]
+
+    def test_disk_table_and_read_pages_match_per_leaf_surface(
+        self, store_dir
+    ):
+        """The flat per-disk table is the directory, and a multi-page
+        read is the per-leaf ``read_page``, bit for bit."""
+        with MmapStore(store_dir) as store:
+            dimension = store.tree.dimension
+            for disk in range(store.num_disks):
+                leaves = [
+                    leaf for leaf in store.leaves
+                    if store.disk_of(leaf) == disk
+                ]
+                lows, highs, slots, counts, blocks = store.disk_table(disk)
+                assert len(slots) == len(leaves) == store.disk_loads()[disk]
+                pages = np.arange(len(leaves))[::-1]
+                rows, got_counts = store.read_pages(disk, pages)
+                for row, page in zip(rows, pages):
+                    leaf = leaves[page]
+                    assert lows[page].tobytes() == leaf.mbr.low.tobytes()
+                    assert highs[page].tobytes() == leaf.mbr.high.tobytes()
+                    assert counts[page] == store.entry_count(leaf)
+                    assert blocks[page] == leaf.blocks
+                    points, oids = split_rows(
+                        row[None], int(counts[page]), dimension
+                    )
+                    want_points, want_oids = store.read_page(leaf)
+                    assert points.tobytes() == want_points.tobytes()
+                    assert oids.tobytes() == want_oids.tobytes()
+                assert np.array_equal(got_counts, counts[pages])
+        with pytest.raises(ValueError, match="closed"):
+            store.read_pages(0, np.array([0]))
+
+    def test_read_pages_sleeps_once_for_every_block(
+        self, paged_store, tmp_path, monkeypatch
+    ):
+        """Service time is per block fetched (supernode pages count
+        ``blocks``) and slept once per gather."""
+        for leaf in paged_store.leaves[::3]:
+            leaf.blocks = 2
+        directory = tmp_path / "supernodes"
+        save_mmap_store(paged_store, directory)
+        slept = []
+        monkeypatch.setattr(
+            "repro.storage.mmap_store.time.sleep", slept.append
+        )
+        owed = []
+        with MmapStore(directory, simulated_disk_ms=2.0) as store:
+            for disk in np.flatnonzero(store.disk_loads()):
+                blocks = store.disk_table(disk)[4]
+                store.read_pages(disk, np.arange(len(blocks)))
+                store.read_pages(disk, np.array([0]))
+                owed += [int(blocks.sum()), int(blocks[0])]
+            assert sum(owed[::2]) > len(store.leaves)  # supernodes counted
+        assert slept == [2.0 * blocks / 1000.0 for blocks in owed]
 
     def test_zero_page_disks_get_valid_files(self, small_uniform,
                                              tmp_path):

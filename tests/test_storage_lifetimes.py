@@ -91,6 +91,12 @@ class TestPostCloseReads:
         with pytest.raises(ValueError, match="already closed"):
             handle.read_slot(0)
 
+    def test_pagefile_read_slots_after_close(self, store_dir):
+        handle = PageFile(store_dir / "disk0000.pages")
+        handle.close()
+        with pytest.raises(PageFormatError, match="already closed"):
+            handle.read_slots([0])
+
     def test_pagefile_entry_count_after_close(self, store_dir):
         handle = PageFile(store_dir / "disk0000.pages")
         assert handle.entry_count(0) >= 0
@@ -154,6 +160,21 @@ class TestExceptionPathLifetimes:
                     store.read_page(leaf)
                 store._slot_of.clear()
                 store.read_page(store.leaves[0])
+        assert _open_fds() == before_fds
+        assert _live_mmaps() == before_maps
+
+    def test_gathers_leave_no_mapping_behind(self, store_dir):
+        """Multi-slot gathers go through a cached view of the mapping;
+        close() must drop it first (an exported buffer makes
+        ``mmap.close()`` raise ``BufferError``) and leak nothing."""
+        before_fds = _open_fds()
+        before_maps = _live_mmaps()
+        for _ in range(5):
+            with PageFile(store_dir / "disk0000.pages") as handle:
+                rows, _ = handle.read_slots(np.arange(handle.num_slots))
+            with MmapStore(store_dir) as store:
+                store.read_pages(1, np.arange(store.disk_loads()[1]))
+        assert rows.size  # owned copy, outlives the mapping
         assert _open_fds() == before_fds
         assert _live_mmaps() == before_maps
 
