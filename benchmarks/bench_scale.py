@@ -16,8 +16,8 @@ end:
 * **Query** — the built store is served by the pipelined
   :class:`~repro.parallel.process.ProcessParallelEngine`: cold and warm
   ms/query for the per-call dispatch path, then the same pass through
-  the ``query_batch`` fast path (one task message, shared-memory result
-  arena, depth-2 bank pipelining).  Batch results are re-checked
+  the ``query_batch`` fast path (the same shared-memory query ring
+  with two queries in flight and a batch-scoped page memo).  Batch results are re-checked
   bit-for-bit against the per-call results at every rung, and the run
   **fails** unless batch pages/sec strictly beats per-call pages/sec on
   every 4-disk rung — the throughput claim the pipelining exists for.
@@ -362,12 +362,11 @@ def run(
         "at every rung."
     )
     table.add_note(
-        "per-call = one queue round-trip per query with pickled "
-        "candidate payloads; batch = pipelined query_batch (one task "
-        "message, shared-memory result arena, depth-2 banks, and "
-        "batch-scoped page reuse: a page visited by several of the "
-        "batch's queries is materialized once per worker, not once "
-        "per query)."
+        "per-call = one post/collect through the shared-memory query "
+        "ring per query; batch = pipelined query_batch (the same ring "
+        "with depth-2 banks in flight, and batch-scoped page reuse: a "
+        "page visited by several of the batch's queries is "
+        "materialized once per worker, not once per query)."
     )
 
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -32,9 +32,18 @@ of visit interleaving.  So the coordinator
    candidate, because the shared bound never drops below ``B*``),
 2. merges the workers' candidate sets into the exact global top-k
    (squared keys, no sqrt round trip), and
-3. derives the charged page set *post hoc* by filtering the directory
-   against ``B*`` — the identical arithmetic the single-process engine
-   applies incrementally.
+3. derives the charged page set *post hoc* by cutting each worker's
+   **page ledger** — the ascending ``mindist`` prefix it visited, with
+   running block and entry totals — at ``B*``: the same ``mindist``
+   values, the same comparison the single-process engine applies
+   incrementally.
+
+Coordinator and workers talk through one **shared-memory query ring**
+(no queues, nothing pickled): per pipeline bank a board slot the
+coordinator posts a query in, the bank's bound array, and per disk an
+arena cell (candidates), a tally cell and a ledger the worker deposits;
+a ``go`` semaphore per worker and a ``done`` semaphore per bank carry
+the wake-ups.  Every shared read and write holds the bank's lock.
 
 The engine is cacheless by design: the OS page cache plays the buffer
 pool's role for mmap'd pages, and simulated-pool semantics belong to
@@ -50,8 +59,7 @@ import itertools
 import math
 import multiprocessing
 import os
-import queue as queue_module
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,16 +82,36 @@ _EUCLIDEAN = Euclidean()
 #: so the cap trades interpreter time against those.
 _MAX_CHUNK_PAGES = 32
 
-#: Seconds the coordinator waits for a worker reply before giving up.
+#: Seconds the coordinator waits for a worker deposit before giving up.
 _REPLY_TIMEOUT_S = 120.0
+
+#: Longest single wait on a ring semaphore.  Between slices the
+#: coordinator checks that every worker is alive (a dead one surfaces
+#: in about a slice, not after :data:`_REPLY_TIMEOUT_S`), and an idle
+#: worker that its parent is (an orphan exits instead of waiting on a
+#: semaphore nobody is left to release).
+_LIVENESS_SLICE_S = 1.0
 
 #: Queries in flight during a pipelined ``query_batch``: while the
 #: coordinator reduces query ``j``, every worker is already faulting and
 #: scoring pages for query ``j + 1``.  Each in-flight query owns a
-#: *bank* — its own shared pruning-bound array and its own slice of the
-#: shared result arena — so concurrent queries never contaminate each
-#: other's bounds or results.
+#: *bank* of the ring — its own board slot, pruning-bound array, arena
+#: cells, tallies and ledgers — so concurrent queries never contaminate
+#: each other's bounds or results.  Post ``p`` (counted from 0 since
+#: the workers started) uses bank ``p % depth`` on both sides.
 _PIPELINE_DEPTH = 2
+
+#: Board slot: ``[serial, k, batch serial]`` + query coordinates.
+#: ``k == 0`` is the stop message; batch serial 0 means per-call.
+_SLOT_HEADER = 3
+
+#: Tally cell: ``[serial echo, candidate count, ledger pages]``.  Cell
+#: ``bank * num_disks + disk`` of the arena, the tallies and the
+#: ledgers belongs to that bank's query on that disk's worker.
+_TALLY = 3
+
+#: Ledger rows: ``mindist``, running blocks, running entries.
+_LEDGER_ROWS = 3
 
 #: A candidate set as arrays: ``(keys, oids, points)``, squared keys.
 _Candidates = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -95,13 +123,6 @@ _PageReader = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 def _arena_stride(dimension: int) -> int:
     """Arena floats per candidate row: key, oid (bit-cast), coords."""
     return 2 + dimension
-
-
-def _arena_base(
-    bank: int, disk: int, num_disks: int, max_k: int, stride: int
-) -> int:
-    """Start offset of one ``(bank, disk)`` result cell in the arena."""
-    return (bank * num_disks + disk) * max_k * stride
 
 
 def _pack_candidates(
@@ -133,6 +154,16 @@ def _unpack_candidates(
     )
 
 
+def _ledger_cell(
+    ledgers: np.ndarray, cell: int, max_pages: int, pages: int
+) -> np.ndarray:
+    """The first ``pages`` columns of ledger cell number ``cell``, as a
+    ``(3, pages)`` view (lock held)."""
+    size = _LEDGER_ROWS * max_pages
+    rows = ledgers[cell * size : (cell + 1) * size]
+    return rows.reshape(_LEDGER_ROWS, max_pages)[:, :pages]
+
+
 def _merge_shared(view: np.ndarray, k: int, keys: np.ndarray) -> None:
     """Fold candidate keys into the shared top-k array (lock held).
 
@@ -154,6 +185,37 @@ def _top_k(found: Sequence[_Candidates], k: int) -> _Candidates:
     return keys[best], oids[best], points[best]
 
 
+def _exact_counts(
+    ledgers: Sequence[np.ndarray], bound: float
+) -> Tuple[np.ndarray, int]:
+    """Per-disk pages + distance computations of the charged set.
+
+    The charged set is every data page with ``mindist <= bound`` (ties
+    included — the single-process engine reads them too, since its
+    break condition is strictly greater).  A worker's ledger holds its
+    disk's pages in ascending ``mindist`` up to the first one beyond
+    ``min(local, shared) >= B*``, so the charged pages are a prefix of
+    it: one ``searchsorted`` per disk, then the running block and entry
+    totals at the cut.  (``bound`` is ``inf`` when fewer than k points
+    exist; every worker then visited all its pages.)
+
+    A leaf is charged iff its own mindist passes: every ancestor MBR
+    contains the leaf's, so ancestor mindists are lower bounds and a
+    tree walk's interior filter can never exclude a passing leaf.  And
+    ``mindist_many``'s row-wise ``add.reduce`` is bit-identical to the
+    scalar ``MBR.mindist`` (see that docstring), so the charged set
+    matches both kernel modes of the in-process engines.
+    """
+    counts = np.zeros(len(ledgers), dtype=np.int64)
+    computations = 0
+    for disk, ledger in enumerate(ledgers):
+        charged = int(np.searchsorted(ledger[0], bound, side="right"))
+        if charged:
+            counts[disk] = int(ledger[1, charged - 1])
+            computations += int(ledger[2, charged - 1])
+    return counts, computations
+
+
 class _BatchPageMemo:
     """Batch-scoped read-through page memo over one disk of a store.
 
@@ -172,10 +234,11 @@ class _BatchPageMemo:
     a resident payload excuses one.  Correctness is untouched either
     way — repeat visits return the exact rows the first read produced,
     and the *charged* per-disk page counts are derived post hoc by the
-    coordinator from the RAM directory, never from what workers
-    physically read.  The buffer is capped (pages past the cap are read
-    through every time — no eviction bookkeeping) to bound the worker's
-    memory; the memo dies with the batch.
+    coordinator from the ledgers' ``mindist`` values, never from what
+    workers physically fetched.  The buffer is capped (pages past the
+    cap are read through every time — no eviction bookkeeping) to bound
+    the worker's memory; a memo serves one batch only (the worker
+    releases it when the next batch starts).
     """
 
     __slots__ = ("_store", "_disk", "_held", "_rows", "_counts")
@@ -230,7 +293,7 @@ def _worker_query(
     k: int,
     view: np.ndarray,
     lock: Any,
-) -> Tuple[_Candidates, int]:
+) -> Tuple[_Candidates, np.ndarray]:
     """One kNN query on one disk's worker: a page-major frontier scan.
 
     ``table`` is the disk's :meth:`MmapStore.disk_table`; ``read_pages``
@@ -243,10 +306,12 @@ def _worker_query(
     scored in).  The scan ends at the first chunk the bound cuts short:
     every later page is farther still, and bounds only tighten.
 
-    Returns the worker's local top-k candidates (squared keys) and the
-    number of page blocks it visited (its speculative read count).
+    Returns the worker's local top-k candidates (squared keys) and its
+    page ledger: a ``(3, visited)`` array of the visited pages'
+    ``mindist`` (ascending), running block total (the last one is the
+    worker's speculative read count) and running entry total.
     """
-    lows, highs, _slots, _counts, blocks = table
+    lows, highs, _slots, entries, blocks = table
     dimension = len(query)
     found: _Candidates = (
         np.empty(0), np.empty(0, dtype=np.int64), np.empty((0, dimension))
@@ -289,7 +354,12 @@ def _worker_query(
                 _merge_shared(view, k, np.sort(fresh[0])[:k])
         if take < len(chunk):
             break
-    return found, int(blocks[order[:start]].sum())
+    visited = order[:start]
+    ledger = np.empty((_LEDGER_ROWS, start))
+    ledger[0] = mindists[:start]
+    ledger[1] = np.cumsum(blocks[visited])
+    ledger[2] = np.cumsum(entries[visited])
+    return found, ledger
 
 
 def _worker_main(
@@ -297,82 +367,85 @@ def _worker_main(
     disk: int,
     max_k: int,
     depth: int,
-    tasks: Any,
-    replies: Any,
-    shared: Any,
-    locks: Any,
+    board: Any,
+    bounds: Any,
     arena: Any,
-    gate: Any,
+    tallies: Any,
+    ledgers: Any,
+    locks: Any,
+    go: Any,
+    done: Any,
 ) -> None:
     """Worker process entry point (spawn-safe, module level).
 
     Opens its own :class:`MmapStore` handle over ``directory`` — each
     worker maps only its own disk's page file on first read — then
-    serves tasks until it receives ``None``:
+    serves the ring: wait on ``go`` (this worker's semaphore, one
+    permit per post), read the next bank's board slot, scan, deposit
+    the top-k in its arena cell, the page ledger in its ledger cell and
+    ``[serial echo, candidate count, ledger pages]`` in its tally cell,
+    release the bank's ``done``.  The coordinator posts at most
+    ``depth`` queries ahead and re-arms a bank only after collecting
+    it, so a bank a worker enters has always been fully read.
 
-    ``("one", query_id, query, k)``
-        One query against pruning-bound bank 0; the candidate arrays
-        travel back through the reply queue.
-
-    ``("batch", queries, k)``
-        The pipelined fast path: the whole batch arrives in a single
-        message, and the worker streams through it in order.  Query
-        ``j`` uses bank ``j % depth``; ``gate`` (this worker's own
-        semaphore, ``depth`` permits, one released per query the
-        coordinator consumes) stops the worker from running more than
-        ``depth`` queries ahead — so the bank it is about to reuse has
-        always been fully read and re-armed.  The worker writes its
-        top-k into its shared-arena cell and replies with only
-        ``(j, disk, count, faults)`` — no payload pickling on the hot
-        path.  Pages are fetched through a batch-scoped
-        :class:`_BatchPageMemo`, so a page wanted by several of the
-        batch's queries is fetched (and pays any simulated disk service
-        time) once.
+    The slot's batch serial scopes the page memo: 0 is a per-call
+    query (direct reads — every fetch pays its simulated service
+    time); a new non-zero serial starts a fresh :class:`_BatchPageMemo`,
+    so a page wanted by several of a batch's queries is fetched once.
+    A finished batch's memo is never read again but is only released
+    when the next batch replaces it: its buffer can be tens of MB, and
+    handing that back to the OS after every batch makes the next one
+    fault it all in again (0.5-1 s on a 16k-page disk).  ``k == 0``
+    stops the worker.
     """
     from repro.storage.mmap_store import MmapStore
 
-    bounds = np.frombuffer(shared, dtype=np.float64)
+    board_view = np.frombuffer(board, dtype=np.float64)
+    bounds_view = np.frombuffer(bounds, dtype=np.float64)
     arena_view = np.frombuffer(arena, dtype=np.float64)
+    tallies_view = np.frombuffer(tallies, dtype=np.float64)
+    ledgers_view = np.frombuffer(ledgers, dtype=np.float64)
+    parent = os.getppid()
     store = MmapStore(directory)
     try:
         num_disks = store.num_disks
         dimension = store.tree.dimension
-        stride = _arena_stride(dimension)
+        width = _SLOT_HEADER + dimension
+        arena_cell = max_k * _arena_stride(dimension)
+        max_pages = int(store.disk_loads().max())
         table = store.disk_table(disk)
         read_direct = functools.partial(store.read_pages, disk)
-        while True:
-            task = tasks.get()
-            if task is None:
-                break
-            if task[0] == "one":
-                _, query_id, query, k = task
-                lock = locks[0]
-                with lock:
-                    view = bounds[:max_k]
-                found, faults = _worker_query(
-                    read_direct, table, query, k, view, lock,
+        memo_batch, memo_read = 0, read_direct
+        for taken in itertools.count():
+            while not go.acquire(timeout=_LIVENESS_SLICE_S):
+                if os.getppid() != parent:
+                    return
+            bank = taken % depth
+            lock = locks[bank]
+            with lock:
+                slot = board_view[bank * width : (bank + 1) * width].copy()
+                view = bounds_view[bank * max_k : (bank + 1) * max_k]
+            serial, k, batch = (int(x) for x in slot[:_SLOT_HEADER])
+            if k == 0:
+                return
+            if batch and batch != memo_batch:
+                memo_batch = batch
+                memo_read = _BatchPageMemo(store, disk).read_pages
+            found, ledger = _worker_query(
+                memo_read if batch else read_direct,
+                table, slot[_SLOT_HEADER:], k, view, lock,
+            )
+            cell = bank * num_disks + disk
+            pages = ledger.shape[1]
+            with lock:
+                _pack_candidates(
+                    arena_view, cell * arena_cell, found, dimension
                 )
-                replies.put((query_id, disk, found, faults))
-                continue
-            _, queries, k = task
-            memo = _BatchPageMemo(store, disk)
-            for index in range(len(queries)):
-                bank = index % depth
-                gate.acquire()
-                lock = locks[bank]
-                with lock:
-                    view = bounds[bank * max_k : (bank + 1) * max_k]
-                found, faults = _worker_query(
-                    memo.read_pages, table, queries[index], k, view, lock,
+                _ledger_cell(ledgers_view, cell, max_pages, pages)[:] = ledger
+                tallies_view[cell * _TALLY : (cell + 1) * _TALLY] = (
+                    serial, len(found[0]), pages,
                 )
-                with lock:
-                    _pack_candidates(
-                        arena_view,
-                        _arena_base(bank, disk, num_disks, max_k, stride),
-                        found,
-                        dimension,
-                    )
-                replies.put((index, disk, len(found[0]), faults))
+            done[bank].release()
     finally:
         store.close()
 
@@ -449,14 +522,23 @@ class ProcessParallelEngine:
         self._start_method = start_method
         self._ctx = multiprocessing.get_context(start_method)
         self._procs: List[Any] = []
-        self._tasks: List[Any] = []
-        self._replies: Optional[Any] = None
-        self._shared: Optional[Any] = None
-        self._locks: List[Any] = []
+        #: The ring (see the module docstring): shared float64 arrays,
+        #: a lock and a ``done`` semaphore per bank, a ``go`` semaphore
+        #: per worker; ``None`` / empty while no workers run.
+        self._board: Optional[Any] = None
+        self._bounds: Optional[Any] = None
         self._arena: Optional[Any] = None
-        self._gates: List[Any] = []
-        self._query_ids = itertools.count()
-        self._leaves: Optional[Tuple[np.ndarray, ...]] = None
+        self._tallies: Optional[Any] = None
+        self._ledgers: Optional[Any] = None
+        self._locks: List[Any] = []
+        self._go: List[Any] = []
+        self._done: List[Any] = []
+        #: Posts made / collected since the workers started; a post's
+        #: serial is its 1-based number, its bank ``number % depth``.
+        self._posted = 0
+        self._collected = 0
+        #: Ledger capacity: the most data pages any one disk owns.
+        self._max_pages = 0
         #: Pages speculatively faulted by the workers on the last query
         #: (diagnostic only — always >= the charged count, varies run
         #: to run; the charged counts do not).
@@ -470,34 +552,34 @@ class ProcessParallelEngine:
         ctx = self._ctx
         depth = _PIPELINE_DEPTH
         num_disks = self.store.num_disks
-        stride = _arena_stride(self.store.tree.dimension)
-        # One pruning-bound bank + one arena slice + one gate per
-        # in-flight pipeline slot; bank 0 doubles as the single-query
-        # path's bound array.
-        self._shared = ctx.Array("d", depth * self.max_k, lock=False)
-        self._locks = [ctx.Lock() for _ in range(depth)]
-        self._arena = ctx.Array(
-            "d", depth * num_disks * self.max_k * stride, lock=False
+        dimension = self.store.tree.dimension
+        cells = depth * num_disks
+        self._max_pages = int(self.store.disk_loads().max())
+        self._board = ctx.Array(
+            "d", depth * (_SLOT_HEADER + dimension), lock=False
         )
-        # One gate per worker, ``depth`` permits each: worker ``w`` may
-        # start batch query ``j`` only after the coordinator consumed
-        # query ``j - depth``, so arena cells and bound banks are never
-        # reused while still live.
-        self._gates = [ctx.Semaphore(depth) for _ in range(num_disks)]
-        self._replies = ctx.Queue()
-        self._tasks = []
+        self._bounds = ctx.Array("d", depth * self.max_k, lock=False)
+        self._arena = ctx.Array(
+            "d", cells * self.max_k * _arena_stride(dimension), lock=False
+        )
+        self._tallies = ctx.Array("d", cells * _TALLY, lock=False)
+        self._ledgers = ctx.Array(
+            "d", cells * _LEDGER_ROWS * self._max_pages, lock=False
+        )
+        self._locks = [ctx.Lock() for _ in range(depth)]
+        self._done = [ctx.Semaphore(0) for _ in range(depth)]
+        self._go = [ctx.Semaphore(0) for _ in range(num_disks)]
         self._procs = []
         directory = os.fspath(self.store.directory)
         try:
             for disk in range(num_disks):
-                tasks = ctx.Queue()
-                self._tasks.append(tasks)
                 proc = ctx.Process(
                     target=_worker_main,
                     args=(
-                        directory, disk, self.max_k, depth, tasks,
-                        self._replies, self._shared, self._locks,
-                        self._arena, self._gates[disk],
+                        directory, disk, self.max_k, depth, self._board,
+                        self._bounds, self._arena, self._tallies,
+                        self._ledgers, self._locks, self._go[disk],
+                        self._done,
                     ),
                     daemon=True,
                 )
@@ -505,34 +587,39 @@ class ProcessParallelEngine:
                 self._procs.append(proc)
         except (OSError, RuntimeError, ValueError):
             # A worker failed to spawn mid-start: tear down the workers
-            # and queues that did start (close() handles partial state)
-            # so nothing leaks into the caller's error path.
+            # that did start (close() handles partial state) so nothing
+            # leaks into the caller's error path.
             self.close()
             raise
 
     def close(self) -> None:
-        """Stop the worker processes (idempotent)."""
-        for tasks in self._tasks:
-            try:
-                tasks.put(None)
-            except (ValueError, OSError):  # pragma: no cover - teardown
-                pass
+        """Stop the worker processes (idempotent).
+
+        Posts the stop message (``k = 0``) in the next bank's slot; a
+        worker reaches it after whatever is still posted ahead of it.
+        A worker killed *while holding a bank lock* is out of scope:
+        this would block on that lock.
+        """
+        if self._procs:
+            assert self._board is not None
+            board = np.frombuffer(self._board, dtype=np.float64)
+            bank = self._posted % _PIPELINE_DEPTH
+            width = _SLOT_HEADER + self.store.tree.dimension
+            lock = self._locks[bank]
+            with lock:
+                board[bank * width + 1] = 0
+            for go in self._go:
+                go.release()
         for proc in self._procs:
             proc.join(timeout=10.0)
             if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.terminate()
                 proc.join(timeout=5.0)
-        for tasks in self._tasks:
-            tasks.close()
-        if self._replies is not None:
-            self._replies.close()
         self._procs = []
-        self._tasks = []
-        self._replies = None
-        self._shared = None
-        self._locks = []
-        self._arena = None
-        self._gates = []
+        self._board = self._bounds = self._arena = None
+        self._tallies = self._ledgers = None
+        self._locks, self._go, self._done = [], [], []
+        self._posted = self._collected = 0
 
     def __enter__(self) -> "ProcessParallelEngine":
         return self
@@ -545,7 +632,7 @@ class ProcessParallelEngine:
             if self._procs:
                 self.close()
         except (OSError, ValueError, RuntimeError, AttributeError):
-            # Interpreter teardown: queues/processes may already be gone.
+            # Interpreter teardown: semaphores/processes may be gone.
             pass
 
     # ----------------------------------------------------------- queries
@@ -555,98 +642,91 @@ class ProcessParallelEngine:
         tracer."""
         return self.tracer if self.tracer is not None else current_tracer()
 
-    def _leaf_table(self) -> Tuple[np.ndarray, ...]:
-        """Flat per-leaf geometry/ownership arrays, built once.
-
-        ``(lows, highs, disks, blocks, entries)`` over every data page,
-        disk by disk, from the store's own per-disk directory tables.
-        The mmap store's directory is immutable for the engine's
-        lifetime, so this replaces a Python node walk per query.
-        """
-        table = self._leaves
-        if table is None:
-            store = self.store
-            per_disk = [
-                store.disk_table(disk) for disk in range(store.num_disks)
-            ]
-            lows, highs, _slots, entries, blocks = (
-                np.concatenate(column) for column in zip(*per_disk)
-            )
-            disks = np.repeat(
-                np.arange(store.num_disks),
-                [len(disk_table[2]) for disk_table in per_disk],
-            )
-            table = self._leaves = (lows, highs, disks, blocks, entries)
-        return table
-
-    def _exact_counts(
-        self, query: np.ndarray, bound: float
-    ) -> Tuple[np.ndarray, int]:
-        """Per-disk pages + distance computations of the charged set.
-
-        Filters the RAM directory for data pages with
-        ``mindist <= bound`` (ties included — the single-process engine
-        reads them too, since its break condition is strictly greater).
-        Entry counts come from the store's slot table, so no payload is
-        touched.
-
-        A leaf is charged iff its own mindist passes: every ancestor
-        MBR contains the leaf's, so ancestor mindists are lower bounds
-        and the tree walk's interior filter can never exclude a passing
-        leaf.  That makes one vectorized pass over the flat leaf table
-        exactly equivalent to the walk — and ``mindist_many``'s row-wise
-        ``add.reduce`` is bit-identical to the scalar ``MBR.mindist``
-        (see that docstring), so the charged set matches both kernel
-        modes.
-        """
-        store = self.store
-        if store.tree.size == 0:
-            return np.zeros(store.num_disks, dtype=np.int64), 0
-        lows, highs, disks, blocks, entries = self._leaf_table()
-        keys = _EUCLIDEAN.mindist_many(lows, highs, query)
-        charged = keys <= bound
-        counts = np.bincount(
-            disks[charged],
-            weights=blocks[charged],
-            minlength=store.num_disks,
-        ).astype(np.int64)
-        return counts, int(entries[charged].sum())
-
     def _check_k(self, k: int) -> None:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         if k > self.max_k:
             raise ValueError(
                 f"k={k} exceeds this engine's max_k={self.max_k}; "
                 f"construct the engine with a larger max_k"
             )
 
-    def _empty_result(self) -> ParallelQueryResult:
-        return ParallelQueryResult(
-            [],
-            np.zeros(self.store.num_disks, dtype=np.int64),
-            0.0,
-            0,
-            cache_stats=None,
-        )
+    def _post(self, query: np.ndarray, k: int, batch: int) -> None:
+        """Arm the next bank with one query and wake every worker."""
+        assert self._board is not None and self._bounds is not None
+        board = np.frombuffer(self._board, dtype=np.float64)
+        bounds = np.frombuffer(self._bounds, dtype=np.float64)
+        bank = self._posted % _PIPELINE_DEPTH
+        self._posted += 1
+        width = _SLOT_HEADER + len(query)
+        lock = self._locks[bank]
+        with lock:
+            bounds[bank * self.max_k : (bank + 1) * self.max_k] = np.inf
+            board[bank * width : bank * width + _SLOT_HEADER] = (
+                self._posted, k, batch,
+            )
+            board[bank * width + _SLOT_HEADER : (bank + 1) * width] = query
+        for go in self._go:
+            go.release()
 
-    def _collect_reply(self) -> Tuple[int, int, Any, int]:
-        """One worker reply, or a clean teardown on a dead worker."""
-        assert self._replies is not None
-        try:
-            reply = self._replies.get(timeout=_REPLY_TIMEOUT_S)
-        except queue_module.Empty:
-            self.close()
-            raise RuntimeError(
-                "a disk worker did not reply; the worker process "
-                "likely died (see stderr)"
-            ) from None
-        reply_id, disk, payload, faults = reply
-        return int(reply_id), int(disk), payload, int(faults)
+    def _collect(self) -> Tuple[List[_Candidates], List[np.ndarray]]:
+        """Every worker's candidates and ledger for the oldest post.
+
+        Waits on the bank's ``done`` once per disk, in slices: a worker
+        that died (even while idle, before this query) raises within
+        about :data:`_LIVENESS_SLICE_S`, a hung one after
+        :data:`_REPLY_TIMEOUT_S`.  Each tally must echo the post's
+        serial.  The caller closes the engine on any error here.
+        """
+        assert self._arena is not None and self._tallies is not None
+        assert self._ledgers is not None
+        num_disks = self.store.num_disks
+        bank = self._collected % _PIPELINE_DEPTH
+        serial = self._collected + 1
+        done = self._done[bank]
+        slices = math.ceil(_REPLY_TIMEOUT_S / _LIVENESS_SLICE_S)
+        for _ in range(num_disks):
+            while not done.acquire(timeout=_LIVENESS_SLICE_S):
+                slices -= 1
+                if slices <= 0 or not all(p.is_alive() for p in self._procs):
+                    raise RuntimeError(
+                        "a disk worker did not reply; the worker process "
+                        "likely died (see stderr)"
+                    )
+        arena = np.frombuffer(self._arena, dtype=np.float64)
+        tallies = np.frombuffer(self._tallies, dtype=np.float64)
+        ledgers = np.frombuffer(self._ledgers, dtype=np.float64)
+        dimension = self.store.tree.dimension
+        arena_cell = self.max_k * _arena_stride(dimension)
+        found: List[_Candidates] = []
+        pages_seen: List[np.ndarray] = []
+        lock = self._locks[bank]
+        with lock:
+            for disk in range(num_disks):
+                cell = bank * num_disks + disk
+                echo, count, pages = (
+                    int(x)
+                    for x in tallies[cell * _TALLY : (cell + 1) * _TALLY]
+                )
+                if echo != serial:
+                    raise RuntimeError(
+                        f"ring out of step: disk {disk} answered post "
+                        f"{echo} in the bank of post {serial}"
+                    )
+                found.append(_unpack_candidates(
+                    arena, cell * arena_cell, count, dimension
+                ))
+                pages_seen.append(_ledger_cell(
+                    ledgers, cell, self._max_pages, pages
+                ).copy())
+        self._collected += 1
+        return found, pages_seen
 
     def _reduce(
         self,
-        query: np.ndarray,
         k: int,
         found: List[_Candidates],
+        ledgers: List[np.ndarray],
         tracer: Tracer,
         traced: bool,
         span: int,
@@ -654,13 +734,13 @@ class ProcessParallelEngine:
         """Merge worker candidates into the exact global result.
 
         Deterministic merge — squared keys, ``(key, oid)`` order — then
-        the post-hoc charged page set from the RAM directory.  Shared by
-        the per-call path and the pipelined batch path, which is what
-        keeps their results bit-for-bit identical.
+        the post-hoc charged page set from the ledgers.  Shared by the
+        per-call and the pipelined batch path, which is what keeps
+        their results bit-for-bit identical.
         """
         keys, oids, points = _top_k(found, k)
         bound = float(keys[-1]) if len(keys) == k else math.inf
-        counts, computations = self._exact_counts(query, bound)
+        counts, computations = _exact_counts(ledgers, bound)
         disks = DiskArray.from_counts(counts, self.parameters)
         if traced:
             for disk in range(self.store.num_disks):
@@ -683,183 +763,115 @@ class ProcessParallelEngine:
             cache_stats=None,
         )
 
+    def _run(
+        self, queries: np.ndarray, k: int, batched: bool
+    ) -> List[ParallelQueryResult]:
+        """Answer ``queries`` in order through the ring.
+
+        Keeps :data:`_PIPELINE_DEPTH` queries posted ahead: query
+        ``j + depth`` is posted right after query ``j`` is collected, so
+        the workers scan the next queries while the coordinator reduces
+        this one.  ``batched`` gives the posts a fresh batch serial (the
+        workers' page-memo scope); per-call posts carry 0.  Under an
+        enabled tracer each query emits ``query_start``, one aggregate
+        ``page_read`` per disk (the exact charged counts — per-page
+        order inside a worker is not deterministic and is not traced)
+        and ``query_end``, in query order.
+        """
+        store = self.store
+        num_disks = store.num_disks
+        if queries.shape[1:] != (store.tree.dimension,):
+            raise ValueError(
+                f"query shape {queries.shape[1:]} does not match the "
+                f"store's dimension {store.tree.dimension}"
+            )
+        tracer = self._active_tracer()
+        traced = tracer.enabled
+        service_ms = self.parameters.page_service_time_ms
+        total = len(queries)
+        results: List[ParallelQueryResult] = []
+        if store.tree.size == 0:
+            for _ in range(total):
+                if traced:
+                    tracer.end_query(tracer.begin_query(
+                        "process", k=k, num_disks=num_disks,
+                        service_ms=service_ms,
+                    ))
+                results.append(ParallelQueryResult(
+                    [], np.zeros(num_disks, dtype=np.int64), 0.0, 0,
+                    cache_stats=None,
+                ))
+            return results
+        self._ensure_workers()
+        batch = self._posted + 1 if batched else 0
+        speculative = 0
+        try:
+            for query in queries[:_PIPELINE_DEPTH]:
+                self._post(query, k, batch)
+            for ahead in range(_PIPELINE_DEPTH, total + _PIPELINE_DEPTH):
+                found, ledgers = self._collect()
+                if ahead < total:
+                    self._post(queries[ahead], k, batch)
+                span = -1
+                if traced:
+                    span = tracer.begin_query(
+                        "process", k=k, num_disks=num_disks,
+                        service_ms=service_ms,
+                    )
+                speculative += sum(
+                    int(ledger[1, -1]) for ledger in ledgers if ledger.size
+                )
+                results.append(
+                    self._reduce(k, found, ledgers, tracer, traced, span)
+                )
+        finally:
+            if self._posted != self._collected:
+                # A post without its collect would leave the ring out
+                # of step: reset it (workers respawn lazily, as after
+                # any close()).
+                self.close()
+        self.last_speculative_pages = speculative
+        return results
+
     def query(
         self, query: Sequence[float], k: int = 1
     ) -> ParallelQueryResult:
-        """Run one kNN query across all disk workers in parallel.
-
-        Under an enabled tracer this emits a ``query_start`` ...
-        ``query_end`` span with one aggregate ``page_read`` per disk
-        (the exact charged counts — per-page event order inside a
-        worker is not deterministic and is not traced).
-        """
+        """Run one kNN query across all disk workers in parallel: one
+        post, one collect (see :meth:`_run` for the traced events)."""
         self._check_k(k)
-        query = np.asarray(query, dtype=float)
-        tracer = self._active_tracer()
-        traced = tracer.enabled
-        span = -1
-        if traced:
-            span = tracer.begin_query(
-                "process", k=k, num_disks=self.store.num_disks,
-                service_ms=self.parameters.page_service_time_ms,
-            )
-        if self.store.tree.size == 0:
-            if traced:
-                tracer.end_query(span)
-            return self._empty_result()
-        self._ensure_workers()
-        assert self._shared is not None and self._locks
-        bound_view = np.frombuffer(self._shared, dtype=np.float64)
-        lock = self._locks[0]
-        with lock:
-            bound_view[: self.max_k] = np.inf
-        query_id = next(self._query_ids)
-        for tasks in self._tasks:
-            tasks.put(("one", query_id, query, k))
-
-        found: List[_Candidates] = []
-        speculative = 0
-        for _ in range(self.store.num_disks):
-            reply_id, _disk, worker_found, faults = self._collect_reply()
-            if reply_id != query_id:  # pragma: no cover - defensive
-                raise RuntimeError(
-                    f"out-of-order worker reply: query {reply_id} "
-                    f"while waiting for {query_id}"
-                )
-            found.append(worker_found)
-            speculative += faults
-        self.last_speculative_pages = speculative
-        return self._reduce(query, k, found, tracer, traced, span)
+        queries = np.asarray(query, dtype=float)[None]
+        return self._run(queries, k, batched=False)[0]
 
     def query_batch(
         self, queries: np.ndarray, k: int = 1
     ) -> BatchQueryResult:
         """Run a batch of queries over the persistent worker pool,
-        pipelined across the pipeline banks.
+        pipelined across the ring's banks.
 
-        The whole batch ships to every worker in **one** task message.
-        Workers stream through the queries in order — query ``j`` prunes
-        against bank ``j % depth``'s shared bound and deposits its local
-        top-k in its shared-memory arena cell, so per-query replies
-        carry only four small integers (no payload pickling).  With
-        depth 2, workers fault and score pages for query ``j + 1`` while
-        the coordinator is still merging query ``j`` — the page I/O of
-        the next query overlaps the reduction of the current one.  Each
-        worker also reuses page payloads *across* the batch's queries
-        (:class:`_BatchPageMemo`): a page whose MBR intersects several
-        of the batch's kNN spheres is faulted and materialized once, not
-        once per query — the structural throughput edge over per-call
-        dispatch, whose unit of work is a single query.
+        The same post / collect / reduce as :meth:`query`, with
+        :data:`_PIPELINE_DEPTH` queries in flight: workers fault and
+        score pages for query ``j + 1`` while the coordinator is still
+        merging query ``j``.  Each worker also reuses page payloads
+        *across* the batch's queries (:class:`_BatchPageMemo`): a page
+        whose MBR intersects several of the batch's kNN spheres is
+        faulted and materialized once, not once per query — the
+        structural throughput edge over per-call dispatch, whose unit
+        of work is a single query.
 
         Results are bit-for-bit identical to calling :meth:`query` per
-        query (and to ``PagedEngine``): each query's merge and post-hoc
-        charged-page derivation are exactly the per-call path's, and the
-        bank discipline (a gate per bank, released only after the
-        coordinator consumes the bank) keeps concurrent queries from
-        sharing pruning state.
+        query (and to ``PagedEngine``): the merge and the post-hoc
+        charged-page derivation are the same code, and the bank
+        discipline (a bank is re-armed only after it was collected)
+        keeps concurrent queries from sharing pruning state.
         """
         self._check_k(k)
         queries = np.asarray(queries, dtype=float)
         if queries.size == 0:
             return BatchQueryResult([], self.store.num_disks)
-        queries = np.atleast_2d(queries)
-        tracer = self._active_tracer()
-        traced = tracer.enabled
-        if self.store.tree.size == 0:
-            results = []
-            for _query in queries:
-                if traced:
-                    span = tracer.begin_query(
-                        "process", k=k, num_disks=self.store.num_disks,
-                        service_ms=self.parameters.page_service_time_ms,
-                    )
-                    tracer.end_query(span)
-                results.append(self._empty_result())
-            return BatchQueryResult(results, self.store.num_disks)
-        self._ensure_workers()
-        assert self._shared is not None and self._arena is not None
-        num_disks = self.store.num_disks
-        dimension = self.store.tree.dimension
-        stride = _arena_stride(dimension)
-        depth = _PIPELINE_DEPTH
-        bounds = np.frombuffer(self._shared, dtype=np.float64)
-        arena = np.frombuffer(self._arena, dtype=np.float64)
-        # All banks are idle between batches; reset every bound.
-        for bank in range(depth):
-            bank_lock = self._locks[bank]
-            with bank_lock:
-                bounds[bank * self.max_k : (bank + 1) * self.max_k] = np.inf
-        for tasks in self._tasks:
-            tasks.put(("batch", queries, k))
-
-        results: List[ParallelQueryResult] = []
-        staged: List[List[_Candidates]] = []
-        pending: Dict[int, List[Tuple[int, int, int]]] = {}
-        speculative = 0
-        for index in range(len(queries)):
-            replies = pending.pop(index, [])
-            while len(replies) < num_disks:
-                reply_id, disk, count, faults = self._collect_reply()
-                if reply_id == index:
-                    replies.append((disk, count, faults))
-                else:
-                    pending.setdefault(reply_id, []).append(
-                        (disk, count, faults)
-                    )
-            bank = index % depth
-            bank_lock = self._locks[bank]
-            span = -1
-            if traced:
-                span = tracer.begin_query(
-                    "process", k=k, num_disks=num_disks,
-                    service_ms=self.parameters.page_service_time_ms,
-                )
-            found: List[_Candidates] = []
-            for disk, count, faults in replies:
-                speculative += faults
-                with bank_lock:
-                    found.append(
-                        _unpack_candidates(
-                            arena,
-                            _arena_base(
-                                bank, disk, num_disks, self.max_k, stride
-                            ),
-                            count,
-                            dimension,
-                        )
-                    )
-            if traced:
-                # Keep the per-query reduce inline so the span's
-                # page_read/end_query events land between this query's
-                # begin_query and the next one's — the event order the
-                # golden traces and the sanitizer pin.
-                results.append(
-                    self._reduce(
-                        queries[index], k, found, tracer, traced, span,
-                    )
-                )
-            else:
-                staged.append(found)
-            # The bank is consumed: re-arm its bound, then let every
-            # worker advance one query (into this bank at
-            # ``index + depth``).
-            with bank_lock:
-                bounds[bank * self.max_k : (bank + 1) * self.max_k] = np.inf
-            for gate in self._gates:
-                gate.release()
-        # Untraced hot path: the merge + post-hoc charged-page sweep
-        # runs per query *after* the pipeline drains.  The directory
-        # sweep is the coordinator's one big numpy pass; doing it while
-        # the workers are still crunching the next queries would just
-        # time-slice against them on a busy machine (identical results,
-        # worse wall clock), so the loop above only unpacks arena cells
-        # and keeps the workers fed.
-        for index, found in enumerate(staged):
-            results.append(
-                self._reduce(queries[index], k, found, tracer, False, -1)
-            )
-        self.last_speculative_pages = speculative
-        return BatchQueryResult(results, num_disks)
+        return BatchQueryResult(
+            self._run(np.atleast_2d(queries), k, batched=True),
+            self.store.num_disks,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "running" if self._procs else "idle"

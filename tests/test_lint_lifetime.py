@@ -3,10 +3,10 @@
 
 Every rule gets bad fixtures (must fire) and good fixtures (must stay
 silent), written into tmp trees mirroring the real ``src/repro`` layout
-so the default scopes apply.  The acceptance meta-tests inject the two
-headline bugs — a leaked ``PageFile`` and an unlocked shared-memory
-write in spawned-worker code — and prove the committed-baseline CLI run
-turns red.
+so the default scopes apply.  The acceptance meta-tests inject the
+headline bugs — a leaked ``PageFile``, an unlocked shared-memory write
+in spawned-worker code, the live worker's ring deposit outside its bank
+lock — and prove the committed-baseline CLI run turns red.
 """
 
 from __future__ import annotations
@@ -634,6 +634,26 @@ class TestAcceptanceMetaTests:
         committed = REPO_ROOT / "lint-baseline.json"
         assert main([str(tmp_path), f"--baseline={committed}"]) == 1
         assert "shared-state-without-lock" in capsys.readouterr().out
+
+    def test_ring_deposit_outside_bank_lock_turns_baseline_red(
+        self, tmp_path, capsys
+    ):
+        """The rule covers the query ring's arrays: the live worker
+        with its arena / ledger / tally deposit moved out of the bank
+        lock is caught, each array by name."""
+        source = (REPO_SRC / "parallel" / "process.py").read_text()
+        locked = "            with lock:\n                _pack_candidates("
+        assert source.count(locked) == 1
+        write_snippet(
+            tmp_path, "src/repro/parallel/process.py",
+            source.replace(locked, locked.replace("with lock", "if lock")),
+        )
+        committed = REPO_ROOT / "lint-baseline.json"
+        assert main([str(tmp_path), f"--baseline={committed}"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("shared-state-without-lock") == 3
+        for shared in ("'arena'", "'ledgers'", "'tallies_view'"):
+            assert shared in out
 
 
 class TestBaselineFreshnessSelect:

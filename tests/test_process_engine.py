@@ -13,15 +13,34 @@ Worker startup is the expensive part (spawn + mmap open per disk), so
 the parity tests share one module-scoped store and engine.
 """
 
+import math
+import os
+import subprocess
+import sys
+import tempfile
+import threading
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import NearOptimalDeclusterer
+from repro.index.metrics import Euclidean
 from repro.parallel.cache import CacheConfig
 from repro.parallel.paged import PagedEngine, PagedStore
-from repro.parallel.process import ProcessParallelEngine, _BatchPageMemo
+from repro.parallel.process import (
+    _PIPELINE_DEPTH,
+    ProcessParallelEngine,
+    _BatchPageMemo,
+    _exact_counts,
+    _top_k,
+    _worker_main,
+    _worker_query,
+)
 from repro.storage import MmapStore, save_mmap_store
 from repro.storage.pagefile import split_rows
+from tests.test_storage_lifetimes import _open_fds
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +289,417 @@ class TestBatchPageMemo:
         self._assert_payloads(mmap_store, 0, [1, 0, 2], rows, counts)
 
 
+class TestRing:
+    """The shared-memory query ring: bank alternation, serial
+    alignment, the page memo's batch scope."""
+
+    def test_mixed_sequences_keep_banks_and_serials_aligned(
+        self, engine, reference
+    ):
+        """One engine, per-call and batched queries interleaved: every
+        post lands in the bank its collect reads, whatever the parity
+        the previous call left the ring in."""
+        rng = np.random.default_rng(21)
+        steps = [
+            ("one", 3), ("batch", 1, 3), ("one", 5), ("batch", 2, 5),
+            ("batch", 3, 1), ("one", 1), ("batch", 0, 4), ("one", 4),
+            ("batch", 2 * _PIPELINE_DEPTH + 3, 7), ("one", 7),
+            ("batch", _PIPELINE_DEPTH + 1, 2), ("batch", 1, 64),
+        ]
+        for kind, *sizes in steps:
+            if kind == "one":
+                query = rng.random(6)
+                _assert_bit_identical(
+                    engine.query(query, sizes[0]),
+                    reference.query(query, sizes[0]),
+                )
+                continue
+            count, k = sizes
+            queries = rng.random((count, 6))
+            batch = engine.query_batch(queries, k)
+            assert len(batch.results) == count
+            for query, result in zip(queries, batch.results):
+                _assert_bit_identical(result, reference.query(query, k))
+
+    def test_serial_echo_mismatch_raises_and_closes(
+        self, mmap_store, reference
+    ):
+        query = np.full(6, 0.3)
+        with ProcessParallelEngine(mmap_store) as engine:
+            engine.query(query, 2)
+            # Same bank parity, wrong serial: the workers echo what was
+            # posted, the collect expects its own count.
+            engine._posted += _PIPELINE_DEPTH
+            with pytest.raises(RuntimeError, match="out of step"):
+                engine.query(query, 2)
+            assert engine._procs == []
+            assert engine._posted == engine._collected == 0
+            _assert_bit_identical(
+                engine.query(query, 2), reference.query(query, 2)
+            )
+
+    def test_bad_requests_never_reach_the_ring(self, engine, reference):
+        """``k = 0`` is the ring's stop message and a query of the
+        wrong width would not fit its slot: both are refused before
+        anything is posted, and the workers keep running."""
+        engine.query(np.full(6, 0.5), 1)
+        workers = list(engine._procs)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            engine.query(np.full(6, 0.5), 0)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            engine.query_batch(np.full((2, 6), 0.5), 0)
+        with pytest.raises(ValueError, match="dimension"):
+            engine.query(np.full(5, 0.5), 1)
+        with pytest.raises(ValueError, match="dimension"):
+            engine.query_batch(np.full((2, 7), 0.5), 1)
+        assert engine._procs == workers
+        query = np.full(6, 0.5)
+        _assert_bit_identical(
+            engine.query(query, 2), reference.query(query, 2)
+        )
+
+    def test_memo_scope_follows_the_batch_serial(
+        self, store_dir, mmap_store, monkeypatch
+    ):
+        """``_worker_main`` on a thread over plain arrays: a page wanted
+        twice in one batch is fetched once, the per-call query after
+        the batch fetches it again, a new batch starts empty."""
+        fetched = []
+        real_read_pages = MmapStore.read_pages
+
+        def counting_read_pages(self, disk, pages):
+            fetched.append(len(pages))
+            return real_read_pages(self, disk, pages)
+
+        monkeypatch.setattr(MmapStore, "read_pages", counting_read_pages)
+        depth, max_k, disk, dimension = _PIPELINE_DEPTH, 4, 1, 6
+        num_disks = mmap_store.num_disks
+        max_pages = int(mmap_store.disk_loads().max())
+        width = 3 + dimension
+        cells = depth * num_disks
+        board = np.zeros(depth * width)
+        bounds = np.zeros(depth * max_k)
+        arena = np.zeros(cells * max_k * (2 + dimension))
+        tallies = np.zeros(cells * 3)
+        ledgers = np.zeros(cells * 3 * max_pages)
+        locks = [threading.Lock() for _ in range(depth)]
+        go = threading.Semaphore(0)
+        done = [threading.Semaphore(0) for _ in range(depth)]
+        worker = threading.Thread(
+            target=_worker_main,
+            args=(
+                os.fspath(store_dir), disk, max_k, depth, board, bounds,
+                arena, tallies, ledgers, locks, go, done,
+            ),
+            daemon=True,
+        )
+        worker.start()
+        query = np.full(dimension, 0.5)
+        posts = 0
+
+        def ask(k, batch):
+            """Post one query, wait for the deposit; returns how many
+            pages the worker fetched from the store for it."""
+            nonlocal posts
+            bank = posts % depth
+            posts += 1
+            before = sum(fetched)
+            with locks[bank]:
+                bounds[bank * max_k : (bank + 1) * max_k] = np.inf
+                board[bank * width : bank * width + 3] = posts, k, batch
+                board[bank * width + 3 : (bank + 1) * width] = query
+            go.release()
+            if k:
+                assert done[bank].acquire(timeout=30.0)
+                cell = bank * num_disks + disk
+                with locks[bank]:
+                    assert tallies[cell * 3] == posts
+            return sum(fetched) - before
+
+        try:
+            first = ask(3, batch=7)
+            assert first > 0
+            assert ask(3, batch=7) == 0
+            assert ask(3, batch=7) == 0
+            # Per-call straight after the batch: direct reads again.
+            assert ask(3, batch=0) == first
+            assert ask(3, batch=0) == first
+            # A new batch starts with an empty memo.
+            assert ask(3, batch=11) == first
+            assert ask(3, batch=11) == 0
+        finally:
+            ask(0, batch=0)
+            worker.join(timeout=30.0)
+        assert not worker.is_alive()
+
+
+class TestDeadWorker:
+    def test_killed_idle_worker_raises_fast_then_recovers(
+        self, mmap_store, reference
+    ):
+        """A worker that dies between queries surfaces as the usual
+        ``RuntimeError`` in about a liveness slice, the engine closes,
+        and the next call respawns and answers bit for bit.  (A worker
+        killed while holding a bank lock is out of scope.)"""
+        rng = np.random.default_rng(17)
+        queries = rng.random((5, 6))
+        want = [reference.query(query, 3) for query in queries]
+        with ProcessParallelEngine(mmap_store) as engine:
+            _assert_bit_identical(engine.query(queries[0], 3), want[0])
+            for run in (
+                lambda: engine.query(queries[0], 3),
+                lambda: engine.query_batch(queries, 3),
+            ):
+                engine._procs[1].kill()
+                engine._procs[1].join(timeout=10.0)
+                started = time.monotonic()
+                with pytest.raises(RuntimeError, match="did not reply"):
+                    run()
+                assert time.monotonic() - started < 5.0
+                assert engine._procs == []
+                batch = engine.query_batch(queries, 3)
+                for result, expected in zip(batch.results, want):
+                    _assert_bit_identical(result, expected)
+                _assert_bit_identical(engine.query(queries[0], 3), want[0])
+
+
+_ORPHAN_SCRIPT = """
+import os, signal, sys
+import numpy as np
+from repro.parallel.process import ProcessParallelEngine
+from repro.storage import MmapStore
+
+engine = ProcessParallelEngine(MmapStore(sys.argv[1]))
+engine.query(np.full(6, 0.5), 1)
+print(*(proc.pid for proc in engine._procs), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _run_script(script, store_dir, *flags):
+    """``python [flags] -c script store_dir`` in this process's
+    environment; waits until every process holding its stdout is gone."""
+    return subprocess.run(
+        [sys.executable, *flags, "-c", script, os.fspath(store_dir)],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_orphaned_workers_exit_when_the_coordinator_is_killed(store_dir):
+    """Idle workers wait on their ``go`` semaphore in slices and leave
+    once their parent is gone (``run`` returns only after the last
+    holder of the captured stdout — a worker — has exited)."""
+    started = time.monotonic()
+    done = _run_script(_ORPHAN_SCRIPT, store_dir)
+    assert time.monotonic() - started < 30.0
+    workers = [int(pid) for pid in done.stdout.split()]
+    assert len(workers) == 4
+    for pid in workers:
+        try:
+            with open(f"/proc/{pid}/stat") as stat:
+                assert stat.read().rpartition(")")[2].split()[0] == "Z"
+        except FileNotFoundError:
+            pass
+
+
+def _page_mindists(store, query):
+    """``(mindists, disks, blocks, entries)`` over every data page of
+    every disk: one ``mindist_many`` over the whole directory."""
+    per_disk = [store.disk_table(disk) for disk in range(store.num_disks)]
+    lows, highs, _slots, entries, blocks = (
+        np.concatenate(column) for column in zip(*per_disk)
+    )
+    disks = np.repeat(
+        np.arange(store.num_disks), [len(table[2]) for table in per_disk]
+    )
+    return Euclidean().mindist_many(lows, highs, query), disks, blocks, entries
+
+
+def _sweep_counts(store, query, bound):
+    """The directory sweep the ledgers replaced, kept as the oracle:
+    every page filtered against ``bound`` (ties included)."""
+    mindists, disks, blocks, entries = _page_mindists(store, query)
+    charged = mindists <= bound
+    counts = np.bincount(
+        disks[charged], weights=blocks[charged], minlength=store.num_disks
+    ).astype(np.int64)
+    return counts, int(entries[charged].sum())
+
+
+def _ledgers_and_bound(store, query, k):
+    """Each disk's ``_worker_query`` in turn over one shared bound (a
+    serial run of what the workers do), then the coordinator's merge:
+    ``(ledgers, B*)``."""
+    view = np.full(k, np.inf)
+    lock = threading.Lock()
+    found, ledgers = [], []
+    for disk in range(store.num_disks):
+
+        def read_pages(pages, disk=disk):
+            return store.read_pages(disk, pages)
+
+        candidates, ledger = _worker_query(
+            read_pages, store.disk_table(disk), query, k, view, lock
+        )
+        found.append(candidates)
+        ledgers.append(ledger)
+    keys = _top_k(found, k)[0]
+    return ledgers, float(keys[-1]) if len(keys) == k else math.inf
+
+
+@st.composite
+def _ledger_cases(draw):
+    """``(points, num_disks, supernodes, emptied, idle_disk, queries,
+    k)`` over the store shapes the flat leaf table must get right."""
+    dimension = draw(st.integers(2, 5))
+    distinct = draw(st.integers(1, 160))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    points = rng.random((distinct, dimension))
+    if draw(st.booleans()):
+        points = np.repeat(points, 2, axis=0)  # duplicate points
+    return {
+        "points": points,
+        "num_disks": draw(st.integers(1, 4)),
+        "supernodes": draw(st.booleans()),
+        "emptied": draw(st.sampled_from(("none", "some", "all"))),
+        "idle_disk": draw(st.booleans()),
+        "queries": rng.random((2, dimension)) * 1.4 - 0.2,
+        # Even beyond-N and at-N values of k; max_k is k itself.
+        "k": draw(st.sampled_from((1, 2, 4, len(points), 2 * len(points)))),
+    }
+
+
+class TestLedgerOracle:
+    """The per-worker page ledgers reproduce the directory sweep (and
+    ``PagedEngine``) exactly."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_ledger_cases())
+    def test_ledger_counts_equal_directory_sweep(self, case):
+        points, num_disks = case["points"], case["num_disks"]
+        # The last disk owns nothing when asked to idle.
+        owners = max(1, num_disks - case["idle_disk"])
+        paged = PagedStore(
+            points=points,
+            declusterer=lambda centers: np.arange(len(centers)) % owners,
+            num_disks=num_disks,
+        )
+        if case["supernodes"]:
+            for leaf in paged.leaves[::2]:
+                leaf.blocks = 3
+        if case["emptied"] != "none":
+            step = 1 if case["emptied"] == "all" else 3
+            for leaf in paged.leaves[::step]:
+                leaf.entries = []
+        with tempfile.TemporaryDirectory() as scratch:
+            save_mmap_store(paged, os.path.join(scratch, "store"))
+            with MmapStore(os.path.join(scratch, "store")) as store:
+                reference = PagedEngine(store, cache=None)
+                for query in case["queries"]:
+                    ledgers, bound = _ledgers_and_bound(
+                        store, query, case["k"]
+                    )
+                    counts, computations = _exact_counts(ledgers, bound)
+                    swept, swept_computations = _sweep_counts(
+                        store, query, bound
+                    )
+                    assert np.array_equal(counts, swept)
+                    assert computations == swept_computations
+                    mindists = _page_mindists(store, query)[0]
+                    inside = mindists[mindists <= bound]
+                    # A point on its page's MBR corner (always so on a
+                    # one-point page) has key == mindist up to rounding:
+                    # a boundary tie at B*, outside the PagedEngine
+                    # contract.  The sweep comparison needs no such
+                    # exemption — it is the same arithmetic.
+                    if not np.isclose(mindists, bound, rtol=1e-9).any():
+                        want = reference.query(query, case["k"])
+                        assert np.array_equal(counts, want.pages_per_disk)
+                        assert computations == want.distance_computations
+                    # A bound that ties a page's mindist exactly: the
+                    # nearest and the farthest charged page's.
+                    ties = {inside.min(), inside.max()} if len(inside) else ()
+                    for tie in ties:
+                        tied, tied_computations = _exact_counts(ledgers, tie)
+                        assert tied.sum() > 0
+                        swept, swept_computations = _sweep_counts(
+                            store, query, tie
+                        )
+                        assert np.array_equal(tied, swept)
+                        assert tied_computations == swept_computations
+
+    def test_single_leaf_root(self, tmp_path):
+        store = PagedStore(
+            points=np.random.default_rng(2).random((20, 3)),
+            declusterer=NearOptimalDeclusterer(3, 2),
+        )
+        save_mmap_store(store, tmp_path / "leaf")
+        with MmapStore(tmp_path / "leaf") as tiny:
+            assert tiny.tree.root.is_leaf
+            query = np.full(3, 0.5)
+            ledgers, bound = _ledgers_and_bound(tiny, query, 4)
+            counts, computations = _exact_counts(ledgers, bound)
+            assert (counts.sum(), computations) == (1, 20)
+            assert np.array_equal(
+                counts, _sweep_counts(tiny, query, bound)[0]
+            )
+
+
+_LEAK_SCRIPT = """
+import sys
+import numpy as np
+from repro.parallel.process import ProcessParallelEngine
+from repro.storage import MmapStore
+
+with MmapStore(sys.argv[1]) as store:
+    queries = np.random.default_rng(0).random((5, 6))
+    with ProcessParallelEngine(store) as engine:
+        engine.query(queries[0], 3)
+        engine.query_batch(queries, 3)
+        engine._procs[0].kill()
+        try:
+            engine.query(queries[0], 3)
+        except RuntimeError:
+            pass
+        else:
+            raise SystemExit("a killed worker went unnoticed")
+        assert len(engine.query(queries[0], 3).neighbors) == 3
+        engine.query_batch(queries, 3)
+print("clean exit")
+"""
+
+
+class TestNoLeakedKernelObjects:
+    def test_no_semaphore_outlives_the_interpreter(self, store_dir):
+        """Query, batch, a killed-worker recovery and ``close()`` under
+        ``-W error``: the resource tracker has nothing to report."""
+        done = _run_script(_LEAK_SCRIPT, store_dir, "-W", "error")
+        assert done.returncode == 0, done.stderr
+        assert "clean exit" in done.stdout
+        for word in ("leaked", "resource_tracker", "Warning"):
+            assert word not in done.stderr, done.stderr
+
+    def test_fds_return_to_the_pre_engine_count(self, mmap_store):
+        """No pipe per queue any more: an open engine holds only its
+        workers' process handles, and ``close()`` returns every fd."""
+
+        def cycle():
+            before = _open_fds()
+            with ProcessParallelEngine(mmap_store) as engine:
+                engine.query(np.full(6, 0.5), 2)
+                engine.query_batch(np.full((3, 6), 0.25), 2)
+                during = _open_fds()
+            return before, during, _open_fds()
+
+        # The first engine of a process starts multiprocessing's
+        # resource tracker and shared-memory heap, which stay.
+        cycle()
+        before, during, after = cycle()
+        assert after == before
+        assert 0 < during - before <= 2 * mmap_store.num_disks
+
+
 class TestLifecycle:
     def test_close_is_idempotent_and_reusable_api(self, mmap_store):
         engine = ProcessParallelEngine(mmap_store)
@@ -325,12 +755,12 @@ class TestStartupFailure:
                     engine.query(np.full(6, 0.5), 2)
                 # close() ran: partial worker/queue state is fully reset.
                 assert engine._procs == []
-                assert engine._tasks == []
-                assert engine._replies is None
-                assert engine._shared is None
+                assert engine._go == []
+                assert engine._board is None
+                assert engine._bounds is None
                 assert engine._locks == []
                 assert engine._arena is None
-                assert engine._gates == []
+                assert engine._done == []
                 # The engine recovers once spawning works again.
                 engine._ctx = real_ctx
                 result = engine.query(np.full(6, 0.5), 2)
