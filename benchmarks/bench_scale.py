@@ -12,15 +12,23 @@ end:
   ``max_ram_bytes``.  The child reports its own high-water RSS
   (``getrusage``), and the run **fails** if the build's incremental RSS
   (peak minus the post-import baseline) exceeds the configured bound —
-  the "bounded-RAM construction" claim, enforced, not asserted.
-* **Query** — the built store is served by the pipelined
-  :class:`~repro.parallel.process.ProcessParallelEngine`: cold and warm
-  ms/query for the per-call dispatch path, then the same pass through
-  the ``query_batch`` fast path (the same shared-memory query ring
-  with two queries in flight and a batch-scoped page memo).  Batch results are re-checked
+  the "bounded-RAM construction" claim, enforced, not asserted
+  (``build_rss_ok``: a gate on the build-phase *delta*, which is why it
+  can read ``true`` beside an absolute ``peak_rss_mb`` above the bound).
+* **Query** — the built store is served, in a second fresh child, by the
+  pipelined :class:`~repro.parallel.process.ProcessParallelEngine`: cold
+  and warm ms/query for the per-call dispatch path, then the same pass
+  through the ``query_batch`` fast path (the same shared-memory query
+  ring with two queries in flight, and every page decoded once per
+  batch into the worker's page buffer).  Batch results are re-checked
   bit-for-bit against the per-call results at every rung, and the run
   **fails** unless batch pages/sec strictly beats per-call pages/sec on
   every 4-disk rung — the throughput claim the pipelining exists for.
+  The child also reports the query phase's own high-water marks — the
+  coordinator's and the largest disk worker's, interpreter, mapped
+  page-file pages and page buffer included — and the run **fails** if
+  the largest process of the phase exceeds the same bound
+  (``query_rss_ok``).
 
 Timed passes run with ``REPRO_SIMULATED_DISK_MS`` switched on (see
 ``bench_wallclock.py`` for why: the page files sit in the OS page
@@ -144,28 +152,24 @@ def build_child(
     return 0
 
 
-def run_build(
-    npy_path: pathlib.Path,
-    store_dir: pathlib.Path,
-    num_disks: int,
-    max_ram_bytes: int,
-) -> dict:
-    """Stream-build one rung's store in a fresh child; returns its RSS
-    report plus the derived incremental footprint."""
+def _run_child(phase: str, *args: object) -> dict:
+    """Run one phase of a rung (``build`` or ``query``) in a fresh child
+    process of this script, so its ``getrusage`` marks are that phase's
+    alone; returns the JSON report it printed."""
     completed = subprocess.run(
         [
             sys.executable, os.fspath(pathlib.Path(__file__).resolve()),
-            "--build-child", os.fspath(npy_path), os.fspath(store_dir),
-            str(num_disks), str(max_ram_bytes),
+            "--child", phase, *(str(arg) for arg in args),
         ],
         check=True, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": os.fspath(REPO_ROOT / "src")},
     )
-    report = json.loads(completed.stdout)
-    report["build_rss_bytes"] = (
-        report["peak_rss_bytes"] - report["baseline_rss_bytes"]
-    )
-    return report
+    return json.loads(completed.stdout)
+
+
+def _queries() -> np.ndarray:
+    """The seeded query set every rung answers."""
+    return np.random.default_rng(SEED + 1).random((NUM_QUERIES, DIMENSION))
 
 
 def _time_per_call(engine, queries: np.ndarray, k: int) -> float:
@@ -183,20 +187,19 @@ def _time_batch(engine, queries: np.ndarray, k: int) -> float:
     return time.perf_counter() - start
 
 
-def measure_rung(
-    rung: Rung,
-    queries: np.ndarray,
-    workdir: pathlib.Path,
-    max_ram_bytes: int,
-    disk_ms: float,
-) -> dict:
-    """Build + query one ladder rung; returns its result record."""
-    npy_path = workdir / f"points_{rung.num_points}.npy"
-    if not npy_path.exists():
-        write_npy(npy_path, rung.num_points, DIMENSION, SEED)
-    store_dir = workdir / f"store_{rung.num_points}_{rung.num_disks}"
-    build = run_build(npy_path, store_dir, rung.num_disks, max_ram_bytes)
+def query_child(store_dir: str, disk_ms: float) -> int:
+    """Child-process entry: one rung's query phase, reported as JSON.
 
+    Emits the timed passes, the charged page total and the phase's RSS
+    high-water marks: ``RUSAGE_SELF`` is the coordinator,
+    ``RUSAGE_CHILDREN`` the largest disk worker (the engines' ``close()``
+    reaps them; nothing else is spawned here).  A spawned worker's mark
+    starts at its parent's at spawn time (the kernel folds the pre-exec
+    image into the child's), so the worker figure can overstate a
+    worker smaller than the coordinator — never the larger of the two,
+    which is what the run gates.
+    """
+    queries = _queries()
     with MmapStore(store_dir) as store:
         with ProcessParallelEngine(store, max_k=K) as engine:
             # Exactness first: the batch fast path must return exactly
@@ -217,57 +220,105 @@ def measure_rung(
             charged_pages = sum(
                 int(result.pages_per_disk.sum()) for result in percall
             )
-        # Timed passes: simulated per-block disk service time — the
-        # I/O-bound deployment this engine exists for.  cold/warm
-        # ms/query show the declustering speedup across disk counts;
-        # pages/sec compares the two dispatch paths in the same regime
-        # (charged pages over the best timed pass of each).  The modes
-        # are interleaved so run-to-run drift (page-cache state, CPU
-        # frequency) hits both equally.
-        os.environ[SIMULATED_DISK_MS_ENV] = str(disk_ms)
-        try:
-            with MmapStore(store_dir) as cold_store:
-                with ProcessParallelEngine(
-                    cold_store, max_k=K
-                ) as engine:
-                    engine.query(queries[0], 1)  # spawn warm-up
-                    cold_s = _time_per_call(engine, queries, K)
-                    warm_s = batch_warm_s = math.inf
-                    for _ in range(REPEATS):
-                        warm_s = min(
-                            warm_s, _time_per_call(engine, queries, K)
-                        )
-                        batch_warm_s = min(
-                            batch_warm_s, _time_batch(engine, queries, K)
-                        )
-        finally:
-            os.environ.pop(SIMULATED_DISK_MS_ENV, None)
+    # Timed passes: simulated per-block disk service time — the
+    # I/O-bound deployment this engine exists for.  cold/warm ms/query
+    # show the declustering speedup across disk counts; pages/sec
+    # compares the two dispatch paths in the same regime (charged pages
+    # over the best timed pass of each).  The modes are interleaved so
+    # run-to-run drift (page-cache state, CPU frequency) hits both
+    # equally.
+    os.environ[SIMULATED_DISK_MS_ENV] = str(disk_ms)
+    with MmapStore(store_dir) as cold_store:
+        with ProcessParallelEngine(cold_store, max_k=K) as engine:
+            engine.query(queries[0], 1)  # spawn warm-up
+            cold_s = _time_per_call(engine, queries, K)
+            warm_s = batch_warm_s = math.inf
+            for _ in range(REPEATS):
+                warm_s = min(warm_s, _time_per_call(engine, queries, K))
+                batch_warm_s = min(
+                    batch_warm_s, _time_batch(engine, queries, K)
+                )
+    print(json.dumps({
+        "cold_s": cold_s, "warm_s": warm_s, "batch_warm_s": batch_warm_s,
+        "charged_pages": charged_pages,
+        "coordinator_peak_rss_bytes": 1024 * resource.getrusage(
+            resource.RUSAGE_SELF
+        ).ru_maxrss,
+        "worker_peak_rss_bytes": 1024 * resource.getrusage(
+            resource.RUSAGE_CHILDREN
+        ).ru_maxrss,
+    }))
+    return 0
 
+
+def measure_rung(
+    rung: Rung,
+    workdir: pathlib.Path,
+    max_ram_bytes: int,
+    disk_ms: float,
+) -> dict:
+    """Build + query one ladder rung, each phase in its own child;
+    returns the rung's result record."""
+    npy_path = workdir / f"points_{rung.num_points}.npy"
+    if not npy_path.exists():
+        write_npy(npy_path, rung.num_points, DIMENSION, SEED)
+    store_dir = workdir / f"store_{rung.num_points}_{rung.num_disks}"
+    build = _run_child(
+        "build", npy_path, store_dir, rung.num_disks, max_ram_bytes
+    )
+    build_rss_bytes = build["peak_rss_bytes"] - build["baseline_rss_bytes"]
+    query = _run_child("query", store_dir, disk_ms)
+    query_peak_bytes = max(
+        query["coordinator_peak_rss_bytes"], query["worker_peak_rss_bytes"]
+    )
+    megabyte = 1024 * 1024
+    per_query_ms = 1000.0 / NUM_QUERIES
     return {
         "num_points": rung.num_points,
         "disks": rung.num_disks,
         "build_s": round(build["build_s"], 2),
-        "build_rss_mb": round(
-            build["build_rss_bytes"] / (1024 * 1024), 1
+        "build_rss_mb": round(build_rss_bytes / megabyte, 1),
+        "peak_rss_mb": round(build["peak_rss_bytes"] / megabyte, 1),
+        "rss_bound_mb": round(max_ram_bytes / megabyte, 1),
+        "build_rss_ok": build_rss_bytes <= max_ram_bytes,
+        "coordinator_peak_rss_mb": round(
+            query["coordinator_peak_rss_bytes"] / megabyte, 1
         ),
-        "peak_rss_mb": round(
-            build["peak_rss_bytes"] / (1024 * 1024), 1
+        "worker_peak_rss_mb": round(
+            query["worker_peak_rss_bytes"] / megabyte, 1
         ),
-        "rss_bound_mb": round(max_ram_bytes / (1024 * 1024), 1),
-        "rss_ok": build["build_rss_bytes"] <= max_ram_bytes,
-        "cold_ms_per_query": round(
-            cold_s / len(queries) * 1000.0, 3
-        ),
-        "warm_ms_per_query": round(
-            warm_s / len(queries) * 1000.0, 3
-        ),
+        "query_peak_rss_mb": round(query_peak_bytes / megabyte, 1),
+        "query_rss_ok": query_peak_bytes <= max_ram_bytes,
+        "cold_ms_per_query": round(query["cold_s"] * per_query_ms, 3),
+        "warm_ms_per_query": round(query["warm_s"] * per_query_ms, 3),
         "batch_ms_per_query": round(
-            batch_warm_s / len(queries) * 1000.0, 3
+            query["batch_warm_s"] * per_query_ms, 3
         ),
-        "charged_pages": charged_pages,
-        "percall_pages_per_sec": round(charged_pages / warm_s, 1),
-        "batch_pages_per_sec": round(charged_pages / batch_warm_s, 1),
+        "charged_pages": query["charged_pages"],
+        "percall_pages_per_sec": round(
+            query["charged_pages"] / query["warm_s"], 1
+        ),
+        "batch_pages_per_sec": round(
+            query["charged_pages"] / query["batch_warm_s"], 1
+        ),
     }
+
+
+def build_rss_ok(record: dict) -> bool:
+    """A rung record's build-phase RSS gate; trajectory runs 1-3
+    recorded it under the name ``rss_ok``."""
+    return bool(record.get("build_rss_ok", record.get("rss_ok")))
+
+
+def previous_ladder(path: Optional[pathlib.Path], mode: str) -> List[dict]:
+    """The ladder of the trajectory's latest run of ``mode`` (``[]``
+    when there is none): what this run's numbers are read against."""
+    if path is None or not path.exists():
+        return []
+    runs = json.loads(path.read_text(encoding="utf-8")).get("runs", [])
+    return next(
+        (run["ladder"] for run in reversed(runs) if run["mode"] == mode), []
+    )
 
 
 def append_trajectory(
@@ -312,25 +363,34 @@ def run(
     trajectory: Optional[pathlib.Path],
 ) -> int:
     """Execute the N ladder; 0 on success, 1 on a gate failure."""
-    rng = np.random.default_rng(SEED + 1)
-    queries = rng.random((NUM_QUERIES, DIMENSION))
-
+    before = {
+        (record["num_points"], record["disks"]): record
+        for record in previous_ladder(trajectory, mode)
+    }
     rungs: List[dict] = []
     with tempfile.TemporaryDirectory(prefix="repro-scale-") as tmp:
         workdir = pathlib.Path(tmp)
         for rung in ladder:
-            record = measure_rung(
-                rung, queries, workdir, MAX_RAM_BYTES, DISK_MS
-            )
+            record = measure_rung(rung, workdir, MAX_RAM_BYTES, DISK_MS)
             rungs.append(record)
             print(
                 f"  N={rung.num_points} disks={rung.num_disks}: "
                 f"build {record['build_s']}s "
-                f"(+{record['build_rss_mb']} MB RSS), warm "
+                f"(+{record['build_rss_mb']} MB RSS), query phase peak "
+                f"{record['query_peak_rss_mb']} MB, warm "
                 f"{record['warm_ms_per_query']} ms/query per-call, "
                 f"{record['batch_ms_per_query']} ms/query batch",
                 file=sys.stderr,
             )
+            earlier = before.get((rung.num_points, rung.num_disks))
+            if earlier is not None:
+                print(
+                    f"    previous run: "
+                    f"{earlier['batch_ms_per_query']} ms/query batch, "
+                    f"build gate "
+                    f"{'ok' if build_rss_ok(earlier) else 'FAILED'}",
+                    file=sys.stderr,
+                )
 
     table = ResultTable(
         title=(
@@ -340,7 +400,8 @@ def run(
         ),
         columns=[
             "num_points", "disks", "build_s", "build_rss_mb",
-            "rss_ok", "cold_ms_per_query", "warm_ms_per_query",
+            "build_rss_ok", "query_peak_rss_mb", "query_rss_ok",
+            "cold_ms_per_query", "warm_ms_per_query",
             "batch_ms_per_query", "percall_pages_per_sec",
             "batch_pages_per_sec",
         ],
@@ -351,7 +412,15 @@ def run(
         "stores built out-of-core by stream_bulk_load_mmap from a "
         ".npy file in a child process; build_rss_mb is the child's "
         "high-water RSS minus its post-import baseline and must stay "
-        "under the max_ram_bytes bound (rss_ok)."
+        "under the max_ram_bytes bound (build_rss_ok — a gate on the "
+        "build-phase delta, not on the child's absolute peak)."
+    )
+    table.add_note(
+        "the query phase runs in a second fresh child; "
+        "query_peak_rss_mb is the high-water RSS of its largest "
+        "process (coordinator or one disk worker: interpreter, mapped "
+        "page-file pages and the decoded page buffer) and must stay "
+        "under the same bound (query_rss_ok)."
     )
     table.add_note(
         f"all timed passes simulate {DISK_MS} ms of disk service time "
@@ -365,8 +434,8 @@ def run(
         "per-call = one post/collect through the shared-memory query "
         "ring per query; batch = pipelined query_batch (the same ring "
         "with depth-2 banks in flight, and batch-scoped page reuse: a "
-        "page visited by several of the batch's queries is "
-        "materialized once per worker, not once per query)."
+        "page visited by several of the batch's queries is fetched "
+        "and decoded once per worker, not once per query)."
     )
 
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -381,11 +450,18 @@ def run(
 
     failures: List[str] = []
     for record in rungs:
-        if not record["rss_ok"]:
+        if not build_rss_ok(record):
             failures.append(
-                f"RSS FAILURE: N={record['num_points']} build used "
+                f"BUILD RSS FAILURE: N={record['num_points']} build used "
                 f"{record['build_rss_mb']} MB, bound "
                 f"{record['rss_bound_mb']} MB"
+            )
+        if not record["query_rss_ok"]:
+            failures.append(
+                f"QUERY RSS FAILURE: N={record['num_points']} "
+                f"disks={record['disks']} query phase peaked at "
+                f"{record['query_peak_rss_mb']} MB in one process, "
+                f"bound {record['rss_bound_mb']} MB"
             )
         if record["disks"] >= 4 and (
             record["batch_pages_per_sec"]
@@ -419,14 +495,18 @@ def main(argv: Optional[List[str]] = None) -> int:
              "at the repo root for full runs, none for --smoke)",
     )
     parser.add_argument(
-        "--build-child", nargs=4, default=None, dest="build_child",
-        metavar=("NPY", "STORE", "DISKS", "MAX_RAM"),
+        "--child", nargs="+", default=None, metavar="PHASE",
         help=argparse.SUPPRESS,
     )
     options = parser.parse_args(argv)
-    if options.build_child is not None:
-        npy, store, disks, max_ram = options.build_child
-        return build_child(npy, store, int(disks), int(max_ram))
+    if options.child is not None:
+        # A rung's phase, re-entered in a fresh process by _run_child.
+        phase, *args = options.child
+        if phase == "build":
+            npy, store, disks, max_ram = args
+            return build_child(npy, store, int(disks), int(max_ram))
+        store, disk_ms = args
+        return query_child(store, float(disk_ms))
     if options.smoke:
         return run(SMOKE_LADDER, "smoke", options.trajectory)
     ladder = tuple(

@@ -10,12 +10,13 @@ process that maps only its own page file and answers a query with a
 ascending-``mindist`` order — the order HS 95 best-first visits the
 disk's leaves in — is walked in chunks that double (1, 2, 4, ... up to
 :data:`_MAX_CHUNK_PAGES`).  A chunk is fetched with one multi-slot
-gather, scored with one ``point_keys`` call and folded into an array
-top-k, so what a worker pays per page is numpy arithmetic, not
-interpreter time.  Workers cooperate through a **shared monotonically
-tightening kNN pruning bound** (a ``multiprocessing`` top-k distance
-array): every chunk's best candidate distances tighten the bound all
-workers cut their scans with.
+gather and decoded (once per batch: :class:`_DiskPages`), scored with
+one ``point_keys`` call and folded into an array top-k, so what a
+worker pays per page is numpy arithmetic, not interpreter time.
+Workers cooperate through a **shared monotonically tightening kNN
+pruning bound** (a ``multiprocessing`` top-k distance array): every
+chunk's best candidate distances tighten the bound all workers cut
+their scans with.
 
 Determinism contract (see ``docs/performance.md``): the returned
 neighbors and per-disk page counts are **bit-for-bit identical** to
@@ -54,12 +55,11 @@ generic-position (e.g. random float) data never produces them.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import multiprocessing
 import os
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,7 +69,7 @@ from repro.obs.context import current_tracer
 from repro.obs.tracer import Tracer
 from repro.parallel.disks import DiskArray, DiskParameters
 from repro.parallel.engine import BatchQueryResult, ParallelQueryResult
-from repro.storage.pagefile import split_rows
+from repro.storage.pagefile import PageFormatError, split_rows
 
 __all__ = ["ProcessParallelEngine"]
 
@@ -115,9 +115,6 @@ _LEDGER_ROWS = 3
 
 #: A candidate set as arrays: ``(keys, oids, points)``, squared keys.
 _Candidates = Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-#: ``pages -> (rows, counts)``: :meth:`MmapStore.read_pages` of one disk.
-_PageReader = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
 def _arena_stride(dimension: int) -> int:
@@ -216,78 +213,108 @@ def _exact_counts(
     return counts, computations
 
 
-class _BatchPageMemo:
-    """Batch-scoped read-through page memo over one disk of a store.
+def _decode(
+    rows: np.ndarray, counts: np.ndarray, dimension: int
+) -> Iterator[Tuple[Any, ...]]:
+    """Fetched rows decoded per distinct entry count (STR stores have
+    two): yields ``(points, oids, row mask, count)``."""
+    for count in sorted(set(counts.tolist())):
+        same = counts == count
+        yield (*split_rows(rows[same], count, dimension), same, count)
 
-    Within one ``query_batch`` a worker streams its queries
-    sequentially, and consecutive kNN spheres overlap heavily, so a
-    page fetched for query ``j`` is very likely wanted again by query
-    ``j + 1``.  The memo serves those repeat visits from the rows
-    already fetched — no mmap gather, no repeated simulated disk
-    service time — which the per-call path structurally cannot do (its
-    unit of work is a single query).  This intra-batch reuse is a large
-    part of the batch fast path's throughput edge.
 
-    The rows live in one buffer indexed by :meth:`MmapStore.disk_table`
-    row, so a chunk's memo hits are one gather too.  The buffer really
-    holds the payloads: service time is owed for every fetch, and only
-    a resident payload excuses one.  Correctness is untouched either
-    way — repeat visits return the exact rows the first read produced,
-    and the *charged* per-disk page counts are derived post hoc by the
-    coordinator from the ledgers' ``mindist`` values, never from what
-    workers physically fetched.  The buffer is capped (pages past the
-    cap are read through every time — no eviction bookkeeping) to bound
-    the worker's memory; a memo serves one batch only (the worker
-    releases it when the next batch starts).
+class _DiskPages:
+    """One disk's data pages, decoded: the page source of a worker.
+
+    Consecutive kNN spheres of a batch overlap heavily, so inside a
+    batch scope (:meth:`scope`) a page is fetched (one ``read_pages``
+    gather, its simulated service time slept) and decoded the first
+    time it is wanted, into its row of one worker-lifetime buffer;
+    afterwards a chunk is one gather of decoded points.  Per-call
+    queries hold nothing: every fetch pays.  Rows are as wide as the
+    disk's largest one-block page; shorter pages are padded with
+    ``+inf`` points, whose ``inf`` keys never pass ``key < bound``.
+    Multi-block pages (one would widen every row) and pages past
+    :attr:`_CAP` are read through: fetched and decoded every time,
+    nothing evicted.  ``np.empty`` rows cost no RSS until written, and
+    *charged* page counts come from the ledgers, not from here.
     """
 
-    __slots__ = ("_store", "_disk", "_held", "_rows", "_counts")
-
-    #: Max memoized pages per worker per batch (~64 MB at 4 KB pages —
-    #: covers a 1M-point disk's full batch working set; beyond the cap
-    #: the memo degrades to read-through, never evicts).
+    #: Most pages held (~44 MB of twenty-point d=16 pages).
     _CAP = 16384
 
     def __init__(self, store: Any, disk: int):
-        self._store = store
-        self._disk = disk
-        pages = len(store.disk_table(disk)[2])
-        #: Per page of the disk; never set for pages past the cap.
+        self._store, self._disk = store, disk
+        _, _, _, self._entries, blocks = store.disk_table(disk)
+        pages = len(blocks)
+        stride = int(self._entries[blocks == 1].max(initial=0))
+        self._keep = (blocks == 1) & (np.arange(pages) < self._CAP)
         self._held = np.zeros(pages, dtype=bool)
-        self._rows: Optional[np.ndarray] = None
-        self._counts = np.zeros(min(pages, self._CAP), dtype=np.uint32)
+        rows = min(pages, self._CAP)
+        self._points = np.empty((rows, stride, store.tree.dimension))
+        self._oids = np.empty((rows, stride), dtype=np.int64)
+        #: ``read_pages`` gathers into this: a fetch allocates nothing.
+        self._scratch: Optional[np.ndarray] = None
+        self._batch = 0
 
-    def read_pages(self, pages: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`MmapStore.read_pages` of this disk, through the memo."""
-        fresh = ~self._held[pages]
-        if not fresh.any():
-            assert self._rows is not None
-            return self._rows[pages], self._counts[pages]
-        wanted = pages[fresh]
-        rows, counts = self._store.read_pages(self._disk, wanted)
-        if self._rows is None:
-            # Untouched buffer rows cost no RSS until written.
-            self._rows = np.empty(
-                (len(self._counts), rows.shape[1]), dtype=rows.dtype
+    def scope(self, batch: int) -> None:
+        """Enter batch ``batch`` (0: per-call); a new serial holds nothing."""
+        if batch != self._batch:
+            self._batch = batch
+            self._held[:] = False
+
+    def _fetch(self, pages: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        rows, counts = self._store.read_pages(
+            self._disk, pages, out=self._scratch
+        )
+        if self._scratch is None:
+            self._scratch = np.empty(
+                (_MAX_CHUNK_PAGES, rows.shape[1]), dtype=rows.dtype
             )
-        room = wanted < len(self._counts)
-        kept = wanted[room]
-        self._rows[kept] = rows[room]
-        self._counts[kept] = counts[room]
-        self._held[kept] = True
-        if fresh.all():
-            return rows, counts
-        # Memoized and fetched rows, back in ``pages`` order.
-        mixed = np.empty((len(pages), rows.shape[1]), dtype=rows.dtype)
-        mixed_counts = np.empty(len(pages), dtype=counts.dtype)
-        mixed[fresh], mixed_counts[fresh] = rows, counts
-        mixed[~fresh] = self._rows[pages[~fresh]]
-        mixed_counts[~fresh] = self._counts[pages[~fresh]]
-        return mixed, mixed_counts
+        return rows, counts
+
+    def chunk(self, pages: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The stacked ``(points, oids)`` of table rows ``pages`` (in no
+        particular order; held pages come with their padding rows)."""
+        dimension = self._points.shape[2]
+        if not self._batch:
+            parts = list(_decode(*self._fetch(pages), dimension))
+        else:
+            parts = []
+            held = self._held[pages]
+            if not held.all():
+                fresh = pages[~held]
+                rows, counts = self._fetch(fresh)
+                if (counts > self._entries[fresh]).any():
+                    raise PageFormatError(
+                        f"disk {self._disk}: a slot holds more entries than "
+                        f"the store directory records for its page"
+                    )
+                keep = self._keep[fresh]
+                if not keep.all():
+                    parts += _decode(rows[~keep], counts[~keep], dimension)
+                    fresh, rows, counts = fresh[keep], rows[keep], counts[keep]
+                    pages = np.concatenate((pages[held], fresh))
+                decoded = _decode(rows, counts, dimension)
+                for points, oids, same, count in decoded:
+                    into = fresh[same]
+                    shape = (len(into), count, dimension)
+                    self._points[into, :count] = points.reshape(shape)
+                    self._points[into, count:] = np.inf
+                    self._oids[into, :count] = oids.reshape(shape[:2])
+                    self._held[into] = True
+            parts.append((
+                self._points[pages].reshape(-1, dimension),
+                self._oids[pages].reshape(-1),
+            ))
+        if len(parts) == 1:
+            return parts[0][:2]
+        points, oids = zip(*(part[:2] for part in parts))
+        return np.concatenate(points), np.concatenate(oids)
 
 
 def _worker_query(
-    read_pages: _PageReader,
+    source: _DiskPages,
     table: Tuple[np.ndarray, ...],
     query: np.ndarray,
     k: int,
@@ -296,15 +323,16 @@ def _worker_query(
 ) -> Tuple[_Candidates, np.ndarray]:
     """One kNN query on one disk's worker: a page-major frontier scan.
 
-    ``table`` is the disk's :meth:`MmapStore.disk_table`; ``read_pages``
-    fetches rows of it.  Pages are taken in ascending ``mindist`` — the
+    ``table`` is the disk's :meth:`MmapStore.disk_table`; ``source``
+    decodes rows of it.  Pages are taken in ascending ``mindist`` — the
     order best-first search pops a disk's leaves in — one doubling
     chunk at a time: a chunk is the next pages whose ``mindist`` does
     not exceed ``min(local k-th key, shared bound)`` as of the chunk's
-    start, fetched with one gather and scored with one ``point_keys``
-    call (``einsum`` rows are bit-identical whatever block they are
-    scored in).  The scan ends at the first chunk the bound cuts short:
-    every later page is farther still, and bounds only tighten.
+    start, taken from the source at once and scored with one
+    ``point_keys`` call (``einsum`` rows are bit-identical whatever
+    block they are scored in).  The scan ends at the first chunk the
+    bound cuts short: every later page is farther still, and bounds
+    only tighten.
 
     Returns the worker's local top-k candidates (squared keys) and its
     page ledger: a ``(3, visited)`` array of the visited pages'
@@ -333,14 +361,7 @@ def _worker_query(
         pages = order[start : start + take]
         start += take
         size = min(2 * size, _MAX_CHUNK_PAGES)
-        rows, counts = read_pages(pages)
-        # STR stores have two distinct entry counts; decode per count.
-        payloads = [
-            split_rows(rows[counts == count], count, dimension)
-            for count in sorted(set(counts.tolist()))
-        ]
-        chunk_points = np.concatenate([payload[0] for payload in payloads])
-        chunk_oids = np.concatenate([payload[1] for payload in payloads])
+        chunk_points, chunk_oids = source.chunk(pages)
         chunk_keys = _EUCLIDEAN.point_keys(chunk_points, query)
         better = np.flatnonzero(chunk_keys < local_bound)
         if len(better):
@@ -388,15 +409,10 @@ def _worker_main(
     ``depth`` queries ahead and re-arms a bank only after collecting
     it, so a bank a worker enters has always been fully read.
 
-    The slot's batch serial scopes the page memo: 0 is a per-call
-    query (direct reads — every fetch pays its simulated service
-    time); a new non-zero serial starts a fresh :class:`_BatchPageMemo`,
-    so a page wanted by several of a batch's queries is fetched once.
-    A finished batch's memo is never read again but is only released
-    when the next batch replaces it: its buffer can be tens of MB, and
-    handing that back to the OS after every batch makes the next one
-    fault it all in again (0.5-1 s on a 16k-page disk).  ``k == 0``
-    stops the worker.
+    The slot's batch serial scopes the worker's :class:`_DiskPages`: 0
+    is a per-call query (nothing held: every fetch pays); within one
+    non-zero serial a page is fetched and decoded once, into a buffer
+    that lives as long as the worker.  ``k == 0`` stops the worker.
     """
     from repro.storage.mmap_store import MmapStore
 
@@ -406,6 +422,11 @@ def _worker_main(
     tallies_view = np.frombuffer(tallies, dtype=np.float64)
     ledgers_view = np.frombuffer(ledgers, dtype=np.float64)
     parent = os.getppid()
+    # glibc maps every block above its mmap threshold (128 KB at start)
+    # afresh, faults it in and unmaps it on free, and trims the heap top
+    # likewise; one freed large block raises both thresholds for good,
+    # so the scan's directory-sized temporaries come from a warm heap.
+    np.empty(1 << 24, dtype=np.uint8)
     store = MmapStore(directory)
     try:
         num_disks = store.num_disks
@@ -414,8 +435,7 @@ def _worker_main(
         arena_cell = max_k * _arena_stride(dimension)
         max_pages = int(store.disk_loads().max())
         table = store.disk_table(disk)
-        read_direct = functools.partial(store.read_pages, disk)
-        memo_batch, memo_read = 0, read_direct
+        source = _DiskPages(store, disk)
         for taken in itertools.count():
             while not go.acquire(timeout=_LIVENESS_SLICE_S):
                 if os.getppid() != parent:
@@ -428,12 +448,9 @@ def _worker_main(
             serial, k, batch = (int(x) for x in slot[:_SLOT_HEADER])
             if k == 0:
                 return
-            if batch and batch != memo_batch:
-                memo_batch = batch
-                memo_read = _BatchPageMemo(store, disk).read_pages
+            source.scope(batch)
             found, ledger = _worker_query(
-                memo_read if batch else read_direct,
-                table, slot[_SLOT_HEADER:], k, view, lock,
+                source, table, slot[_SLOT_HEADER:], k, view, lock
             )
             cell = bank * num_disks + disk
             pages = ledger.shape[1]
@@ -772,7 +789,7 @@ class ProcessParallelEngine:
         ``j + depth`` is posted right after query ``j`` is collected, so
         the workers scan the next queries while the coordinator reduces
         this one.  ``batched`` gives the posts a fresh batch serial (the
-        workers' page-memo scope); per-call posts carry 0.  Under an
+        workers' page-holding scope); per-call posts carry 0.  Under an
         enabled tracer each query emits ``query_start``, one aggregate
         ``page_read`` per disk (the exact charged counts — per-page
         order inside a worker is not deterministic and is not traced)
@@ -851,12 +868,12 @@ class ProcessParallelEngine:
         The same post / collect / reduce as :meth:`query`, with
         :data:`_PIPELINE_DEPTH` queries in flight: workers fault and
         score pages for query ``j + 1`` while the coordinator is still
-        merging query ``j``.  Each worker also reuses page payloads
-        *across* the batch's queries (:class:`_BatchPageMemo`): a page
-        whose MBR intersects several of the batch's kNN spheres is
-        faulted and materialized once, not once per query — the
-        structural throughput edge over per-call dispatch, whose unit
-        of work is a single query.
+        merging query ``j``.  Each worker also reuses pages *across*
+        the batch's queries (:class:`_DiskPages`): a page whose MBR
+        intersects several of the batch's kNN spheres is fetched and
+        decoded once, not once per query — the structural throughput
+        edge over per-call dispatch, whose unit of work is a single
+        query.
 
         Results are bit-for-bit identical to calling :meth:`query` per
         query (and to ``PagedEngine``): the merge and the post-hoc

@@ -433,17 +433,18 @@ class MmapStore:
         return table
 
     def read_pages(
-        self, disk: int, pages: np.ndarray
+        self, disk: int, pages: np.ndarray, out: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Fetch several of one disk's data pages with a single gather.
 
         ``pages`` indexes rows of :meth:`disk_table`; the result is
-        :meth:`PageFile.read_slots`' ``(rows, counts)``.  The simulated
-        service time of every block fetched is owed in full and slept
-        once, by the caller that issued the gather.
+        :meth:`PageFile.read_slots`' ``(rows, counts)``, gathered into
+        the caller's ``out`` when one is given.  The simulated service
+        time of every block fetched is owed in full and slept once, by
+        the caller that issued the gather.
         """
         _, _, slots, _, blocks = self.disk_table(disk)
-        payload = self._page_file(disk).read_slots(slots[pages])
+        payload = self._page_file(disk).read_slots(slots[pages], out)
         if self.simulated_disk_ms:
             time.sleep(
                 self.simulated_disk_ms * int(blocks[pages].sum()) / 1000.0

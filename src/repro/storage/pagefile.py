@@ -326,13 +326,18 @@ class PageFile:
         ).reshape(count, self.dimension).copy()
         return points, oids
 
-    def read_slots(self, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def read_slots(
+        self, slots: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Several page payloads with one gather: ``(rows, counts)``.
 
         ``rows[i]`` is an owned copy of slot ``slots[i]``'s raw words
         (bytes when ``slot_bytes % 8 != 0``) and ``counts[i]`` its entry
         count; :func:`split_rows` decodes rows of equal count to exactly
-        what :meth:`read_slot` returns per slot.
+        what :meth:`read_slot` returns per slot.  ``out``, a caller-owned
+        array of the rows' dtype and width and at least ``len(slots)``
+        long, receives the rows in its head (which is returned): a fetch
+        then allocates nothing (32 rows of 4 KB are a fresh mapping).
         """
         if self._mmap is None:
             raise PageFormatError(f"page file {self.path!r} already closed")
@@ -343,7 +348,18 @@ class PageFile:
             raise ValueError(
                 f"slots outside [0, {self.num_slots}) in {self.path!r}"
             )
-        return self._rows[slots], self._counts[slots]
+        if out is None:
+            return self._rows[slots], self._counts[slots]
+        rows = out[: len(slots)]
+        width = self._rows.shape[1]
+        if (rows.dtype, rows.shape) != (self._rows.dtype, (len(slots), width)):
+            raise ValueError(
+                f"out must be {self._rows.dtype} of shape (>= {len(slots)}, "
+                f"{width}), got {out.dtype} {out.shape}"
+            )
+        # In range already; "raise" would stage through a temporary.
+        np.take(self._rows, slots, axis=0, out=rows, mode="clip")
+        return rows, self._counts[slots]
 
     def close(self) -> None:
         """Drop the mapping and close the file handle."""

@@ -197,6 +197,47 @@ def test_point_keys_of_a_block_match_per_page_calls(
     )
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    counts=st.lists(st.integers(0, 24), min_size=1, max_size=12),
+    slack=st.integers(0, 3),
+    dimension=st.integers(1, 24),
+    misaligned=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_point_keys_of_a_padded_block_match_per_page_calls(
+    counts, slack, dimension, misaligned, seed
+):
+    """Inside a batch the process workers gather pages from a decoded
+    buffer whose rows are ``stride`` entries wide, short pages padded
+    with ``+inf`` points.  The real rows of such a block must score bit
+    for bit as their pages do alone, every padding row must score
+    ``inf`` (never ``nan``: it may not pass ``key < bound``), and a
+    finite query must raise no floating-point flag on the way."""
+    rng = np.random.default_rng(seed)
+    stride = max(counts) + slack
+    pages = [rng.random((count, dimension)) * 4.0 - 2.0 for count in counts]
+    query = rng.random(dimension) * 4.0 - 2.0
+    size = len(pages) * stride * dimension
+    # Optionally start one word into the buffer, off the 16-byte
+    # boundary vector loads prefer.
+    block = np.empty(size + 1)[int(misaligned):][:size].reshape(
+        len(pages), stride, dimension
+    )
+    block[:] = np.inf
+    for row, page in zip(block, pages):
+        row[: len(page)] = page
+    metric = Euclidean()
+    with np.errstate(all="raise"):
+        keys = metric.point_keys(block.reshape(-1, dimension), query)
+    keys = keys.reshape(len(pages), stride)
+    for row, page in zip(keys, pages):
+        alone = metric.point_keys(page.copy(), query)
+        assert row[: len(page)].tobytes() == alone.tobytes()
+        assert np.isposinf(row[len(page):]).all()
+        assert not (row[len(page):] < np.inf).any()
+
+
 def test_offer_many_matches_sequential_offers():
     rng = np.random.default_rng(9)
     for k in (1, 4, 32):

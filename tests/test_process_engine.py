@@ -32,14 +32,14 @@ from repro.parallel.paged import PagedEngine, PagedStore
 from repro.parallel.process import (
     _PIPELINE_DEPTH,
     ProcessParallelEngine,
-    _BatchPageMemo,
+    _DiskPages,
     _exact_counts,
     _top_k,
     _worker_main,
     _worker_query,
 )
 from repro.storage import MmapStore, save_mmap_store
-from repro.storage.pagefile import split_rows
+from repro.storage.pagefile import PageFormatError
 from tests.test_storage_lifetimes import _open_fds
 
 
@@ -237,56 +237,146 @@ class _CountingStore:
     def __init__(self, inner):
         self._inner = inner
         self.disk_table = inner.disk_table
+        self.tree = inner.tree
         self.pages_read = 0
 
-    def read_pages(self, disk, pages):
+    def read_pages(self, disk, pages, out=None):
         self.pages_read += len(pages)
-        return self._inner.read_pages(disk, pages)
+        return self._inner.read_pages(disk, pages, out)
+
+
+def _assert_chunk(store, disk, pages, chunk):
+    """A chunk's real rows are exactly ``MmapStore.read_page`` of its
+    pages (in any page order); every other row is ``+inf`` padding."""
+    points, oids = chunk
+    leaves = [leaf for leaf in store.leaves if store.disk_of(leaf) == disk]
+    want = [store.read_page(leaves[page]) for page in pages]
+    want_points = np.concatenate([payload[0] for payload in want])
+    want_oids = np.concatenate([payload[1] for payload in want])
+    real = np.isfinite(points).all(axis=1)
+    assert np.isposinf(points[~real]).all()
+    order, want_order = np.argsort(oids[real]), np.argsort(want_oids)
+    assert np.array_equal(oids[real][order], want_oids[want_order])
+    assert np.array_equal(points[real][order], want_points[want_order])
 
 
 class TestBatchPageMemo:
-    """The batch-scoped page memo behind ``query_batch``'s worker loop."""
-
-    def _assert_payloads(self, mmap_store, disk, pages, rows, counts):
-        """Memo rows decode to exactly ``MmapStore.read_page``."""
-        leaves = [
-            leaf for leaf in mmap_store.leaves
-            if mmap_store.disk_of(leaf) == disk
-        ]
-        dimension = mmap_store.tree.dimension
-        for row, count, page in zip(rows, counts, pages):
-            points, oids = split_rows(row[None], int(count), dimension)
-            want_points, want_oids = mmap_store.read_page(leaves[page])
-            assert np.array_equal(points, want_points)
-            assert np.array_equal(oids, want_oids)
+    """The worker's page source: the decoded page buffer behind
+    ``query_batch``'s worker loop (it replaced the raw-row memo)."""
 
     def test_repeat_visits_served_from_memo(self, mmap_store):
         counting = _CountingStore(mmap_store)
-        memo = _BatchPageMemo(counting, 1)
-        first = memo.read_pages(np.array([2, 0]))
+        source = _DiskPages(counting, 1)
+        source.scope(3)
+        first = source.chunk(np.array([2, 0]))
         assert counting.pages_read == 2
         # A step mixing held and new pages fetches only the new one.
-        second = memo.read_pages(np.array([0, 3, 2]))
+        second = source.chunk(np.array([0, 3, 2]))
         assert counting.pages_read == 3
-        third = memo.read_pages(np.array([3, 0]))
+        third = source.chunk(np.array([3, 0]))
         assert counting.pages_read == 3
-        assert np.array_equal(first[0], second[0][[2, 0]])
-        assert np.array_equal(second[0][[1, 0]], third[0])
-        self._assert_payloads(mmap_store, 1, [0, 3, 2], *second)
+        _assert_chunk(mmap_store, 1, [2, 0], first)
+        _assert_chunk(mmap_store, 1, [0, 3, 2], second)
+        _assert_chunk(mmap_store, 1, [3, 0], third)
+        # Held pages come as whole buffer rows: one gather, no decode.
+        stride = int(mmap_store.disk_table(1)[3].max())
+        assert len(third[1]) == 2 * stride
 
     def test_cap_disables_insertion_not_reads(self, mmap_store, monkeypatch):
-        monkeypatch.setattr(_BatchPageMemo, "_CAP", 1)
+        monkeypatch.setattr(_DiskPages, "_CAP", 1)
         counting = _CountingStore(mmap_store)
-        memo = _BatchPageMemo(counting, 0)
-        memo.read_pages(np.array([0]))
-        memo.read_pages(np.array([1]))
-        memo.read_pages(np.array([1]))  # over cap: read-through every time
-        memo.read_pages(np.array([0]))  # still memoized
+        source = _DiskPages(counting, 0)
+        source.scope(1)
+        source.chunk(np.array([0]))
+        source.chunk(np.array([1]))
+        source.chunk(np.array([1]))  # over cap: read-through every time
+        source.chunk(np.array([0]))  # still held
         assert counting.pages_read == 3
-        # A step straddling the cap comes back in request order.
-        rows, counts = memo.read_pages(np.array([1, 0, 2]))
+        # A step straddling the cap comes back right.
+        chunk = source.chunk(np.array([1, 0, 2]))
         assert counting.pages_read == 5
-        self._assert_payloads(mmap_store, 0, [1, 0, 2], rows, counts)
+        _assert_chunk(mmap_store, 0, [1, 0, 2], chunk)
+
+    def test_scopes_hold_nothing_across_serials(self, mmap_store):
+        """Per-call (serial 0) holds nothing and decodes without
+        padding; a new serial starts empty over the same buffer."""
+        counting = _CountingStore(mmap_store)
+        source = _DiskPages(counting, 1)
+        pages = np.array([1, 3, 0])
+        entries = int(mmap_store.disk_table(1)[3][pages].sum())
+        for serial, reads in ((0, 3), (0, 6), (5, 9), (5, 9), (6, 12), (0, 15)):
+            source.scope(serial)
+            chunk = source.chunk(pages)
+            assert counting.pages_read == reads
+            _assert_chunk(mmap_store, 1, pages, chunk)
+            if not serial:
+                assert len(chunk[1]) == entries
+
+    def test_padding_shapes(self, tmp_path):
+        """All-empty pages (``stride`` 0), a zero-page disk, and a
+        multi-block supernode page beside one-block pages: the wide page
+        is read through, so a chunk holds ``sum(counts)`` real points
+        and its rows stay one-block wide."""
+        rng = np.random.default_rng(12)
+        paged = PagedStore(
+            points=rng.random((400, 3)),
+            declusterer=lambda centers: 2 * (np.arange(len(centers)) % 2),
+            num_disks=3, page_bytes=1024,
+        )
+        disk0 = [leaf for leaf in paged.leaves if paged.disk_of(leaf) == 0]
+        narrow = max(len(leaf.entries) for leaf in disk0[1:])
+        # One supernode, fuller than every one-block page of its disk.
+        for leaf in disk0[1:]:
+            leaf.entries = leaf.entries[: max(1, narrow - 2)]
+        disk0[0].blocks = 4
+        for leaf in paged.leaves:
+            if paged.disk_of(leaf) == 2:
+                leaf.entries = []
+        save_mmap_store(paged, tmp_path / "shapes")
+        with MmapStore(tmp_path / "shapes") as store:
+            counting = _CountingStore(store)
+            counts, blocks = store.disk_table(0)[3:]
+            assert blocks[0] == 4 and counts[0] > counts[1:].max()
+            source = _DiskPages(counting, 0)
+            pages = np.arange(6)
+            # (serial, pages fetched): the supernode is never held.
+            for serial, fetched in ((4, 6), (4, 1), (0, 6)):
+                source.scope(serial)
+                before = counting.pages_read
+                points, oids = chunk = source.chunk(pages)
+                assert counting.pages_read - before == fetched
+                _assert_chunk(store, 0, pages, chunk)
+                real = np.isfinite(points).all(axis=1)
+                assert real.sum() == counts[pages].sum()
+                # Padded to the widest one-block page, never to the
+                # supernode's count.
+                assert len(oids) <= counts[0] + 5 * counts[1:].max()
+
+            idle = _DiskPages(counting, 1)
+            assert idle._points.shape[0] == 0
+            empty = _DiskPages(counting, 2)
+            assert empty._points.shape[1] == 0
+            empty.scope(2)
+            for _ in range(2):
+                points, oids = empty.chunk(np.array([1, 0]))
+                assert points.shape == (0, 3) and oids.shape == (0,)
+
+    def test_file_count_above_directory_count_is_refused(self, tmp_path):
+        """A slot claiming more entries than its page's directory row
+        could overrun a buffer row: ``PageFormatError``, no write."""
+        rng = np.random.default_rng(4)
+        paged = PagedStore(
+            points=rng.random((80, 3)),
+            declusterer=NearOptimalDeclusterer(3, 2),
+        )
+        save_mmap_store(paged, tmp_path / "skew")
+        with MmapStore(tmp_path / "skew") as store:
+            store.disk_table(0)[3][0] -= 1
+            source = _DiskPages(store, 0)
+            source.scope(1)
+            with pytest.raises(PageFormatError, match="more entries"):
+                source.chunk(np.array([0]))
+            assert not source._held.any()
 
 
 class TestRing:
@@ -367,9 +457,9 @@ class TestRing:
         fetched = []
         real_read_pages = MmapStore.read_pages
 
-        def counting_read_pages(self, disk, pages):
+        def counting_read_pages(self, disk, pages, out=None):
             fetched.append(len(pages))
-            return real_read_pages(self, disk, pages)
+            return real_read_pages(self, disk, pages, out)
 
         monkeypatch.setattr(MmapStore, "read_pages", counting_read_pages)
         depth, max_k, disk, dimension = _PIPELINE_DEPTH, 4, 1, 6
@@ -535,11 +625,9 @@ def _ledgers_and_bound(store, query, k):
     found, ledgers = [], []
     for disk in range(store.num_disks):
 
-        def read_pages(pages, disk=disk):
-            return store.read_pages(disk, pages)
-
         candidates, ledger = _worker_query(
-            read_pages, store.disk_table(disk), query, k, view, lock
+            _DiskPages(store, disk), store.disk_table(disk), query, k, view,
+            lock,
         )
         found.append(candidates)
         ledgers.append(ledger)

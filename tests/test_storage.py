@@ -57,6 +57,14 @@ def store_dir(paged_store, tmp_path):
     return directory
 
 
+#: Slot sizes the multi-slot gathers must get right (byte rows last).
+_SLOT_SIZES = pytest.mark.parametrize(
+    "slot_bytes",
+    [4096, payload_bytes(12, 3) + 8, payload_bytes(12, 3) + 5],
+    ids=["page-sized", "snug", "not-a-multiple-of-8"],
+)
+
+
 class TestPageFile:
     def _write(self, path, payloads, dimension=3, slot_bytes=4096):
         writer = PageFileWriter(
@@ -165,11 +173,7 @@ class TestPageFile:
             assert handle.entry_count(1) == 1
 
 
-    @pytest.mark.parametrize(
-        "slot_bytes",
-        [4096, payload_bytes(12, 3) + 8, payload_bytes(12, 3) + 5],
-        ids=["page-sized", "snug", "not-a-multiple-of-8"],
-    )
+    @_SLOT_SIZES
     def test_read_slots_matches_read_slot(self, rng, tmp_path, slot_bytes):
         """One gather decodes to exactly the per-slot reads, whatever
         the slot size, entry-count mix, order or repetition."""
@@ -218,6 +222,9 @@ class TestPageFile:
             assert not counts.any()
             points, oids = split_rows(rows, 0, 2)
             assert points.shape == (0, 2) and oids.shape == (0,)
+            # The same through a caller-owned array.
+            into, counts = handle.read_slots([0, 1, 2], out=np.empty((4, 32)))
+            assert into.tobytes() == rows.tobytes() and not counts.any()
 
     def test_read_slots_range_check_and_owned_rows(self, rng, tmp_path):
         path = tmp_path / "disk.pages"
@@ -233,6 +240,56 @@ class TestPageFile:
         assert np.array_equal(got_points, np.vstack([points, points]))
         assert got_oids.sum() == 12
 
+
+    @_SLOT_SIZES
+    def test_read_slots_into_out_matches_the_allocating_form(
+        self, rng, tmp_path, slot_bytes
+    ):
+        """``out=`` returns the head of the caller's array holding the
+        same rows and counts, for random slot lists with repeats, and
+        touches nothing past that head."""
+        path = tmp_path / "disk.pages"
+        self._write(
+            path,
+            [
+                (rng.integers(-2**62, 2**62, count), rng.random((count, 3)))
+                for count in (5, 0, 12, 5, 7)
+            ],
+            slot_bytes=slot_bytes,
+        )
+        with PageFile(path) as handle:
+            want_rows = handle.read_slots(np.arange(5))[0]
+            out = np.full((9, want_rows.shape[1]), 7, dtype=want_rows.dtype)
+            for length in (0, 1, 4, 9):
+                slots = rng.integers(0, 5, size=length)
+                want_rows, want_counts = handle.read_slots(slots)
+                out[:] = 7
+                rows, counts = handle.read_slots(slots, out=out)
+                assert np.shares_memory(rows, out) or not length
+                assert rows.tobytes() == want_rows.tobytes()
+                assert rows.shape == want_rows.shape
+                assert np.array_equal(counts, want_counts)
+                assert (out[length:] == 7).all()
+            # Errors are the allocating form's, raised before any write.
+            out[:] = 7
+            for bad in ([0, 5], [-1]):
+                with pytest.raises(ValueError, match="slot"):
+                    handle.read_slots(bad, out=out)
+            refused = [
+                out[:2],                                   # too short
+                out[:, :-1],                               # too narrow
+                np.zeros((9, out.shape[1] + 1), out.dtype),  # too wide
+                out.astype(np.float32),                    # wrong dtype
+                np.zeros(out.size, out.dtype),             # not 2-D
+            ]
+            for wrong in refused:
+                before = wrong.copy()
+                with pytest.raises(ValueError, match="out must be"):
+                    handle.read_slots([0, 1, 2], out=wrong)
+                assert np.array_equal(wrong, before)
+            assert (out == 7).all()
+        with pytest.raises(PageFormatError, match="closed"):
+            handle.read_slots([0], out=out)
 
 class TestMmapStoreRoundTrip:
     def test_surface_matches_paged_store(self, paged_store, store_dir):
@@ -290,6 +347,33 @@ class TestMmapStoreRoundTrip:
                 assert np.array_equal(got_counts, counts[pages])
         with pytest.raises(ValueError, match="closed"):
             store.read_pages(0, np.array([0]))
+
+    def test_read_pages_into_out_matches_the_allocating_form(
+        self, rng, store_dir, monkeypatch
+    ):
+        """``read_pages(disk, pages, out=)`` is the allocating read into
+        the caller's rows — same rows, counts, errors and service time."""
+        slept = []
+        monkeypatch.setattr(
+            "repro.storage.mmap_store.time.sleep", slept.append
+        )
+        with MmapStore(store_dir, simulated_disk_ms=1.0) as store:
+            for disk in range(store.num_disks):
+                loads = int(store.disk_loads()[disk])
+                pages = rng.integers(0, loads, size=2 * loads)
+                want_rows, want_counts = store.read_pages(disk, pages)
+                out = np.empty((2 * loads + 3, want_rows.shape[1]))
+                rows, counts = store.read_pages(disk, pages, out=out)
+                assert np.shares_memory(rows, out)
+                assert rows.tobytes() == want_rows.tobytes()
+                assert np.array_equal(counts, want_counts)
+                assert slept[-1] == slept[-2] > 0
+                with pytest.raises(ValueError, match="out must be"):
+                    store.read_pages(disk, pages, out=out[:1])
+                with pytest.raises((ValueError, IndexError)):
+                    store.read_pages(disk, np.array([loads]), out=out)
+        with pytest.raises(ValueError, match="closed"):
+            store.read_pages(0, np.array([0]), out=out)
 
     def test_read_pages_sleeps_once_for_every_block(
         self, paged_store, tmp_path, monkeypatch

@@ -178,6 +178,40 @@ class TestExceptionPathLifetimes:
         assert _open_fds() == before_fds
         assert _live_mmaps() == before_maps
 
+    def test_gathers_into_a_caller_array_leave_no_mapping_behind(
+        self, store_dir
+    ):
+        """``out=`` gathers copy into the caller's rows and export
+        nothing: ``close()`` unmaps while the caller keeps ``out`` (and
+        the returned head of it), whose contents stay valid; a refused
+        or out-of-range gather leaks nothing either."""
+        before_fds = _open_fds()
+        before_maps = _live_mmaps()
+        for _ in range(5):
+            with PageFile(store_dir / "disk0000.pages") as handle:
+                slots = np.arange(handle.num_slots)
+                want = handle.read_slots(slots)[0]
+                out = np.empty((handle.num_slots + 2, want.shape[1]))
+                rows, _ = handle.read_slots(slots, out=out)
+                with pytest.raises(ValueError, match="out must be"):
+                    handle.read_slots(slots, out=out[:, 1:])
+                with pytest.raises(ValueError, match="slot"):
+                    handle.read_slots([handle.num_slots], out=out)
+            assert rows.tobytes() == want.tobytes()
+            with MmapStore(store_dir) as store:
+                pages = np.arange(store.disk_loads()[1])
+                want = store.read_pages(1, pages)[0]
+                out = np.empty_like(want)
+                kept, _ = store.read_pages(1, pages, out=out)
+            assert kept.tobytes() == want.tobytes()
+            with pytest.raises(PageFormatError, match="closed"):
+                handle.read_slots(slots, out=out)
+            with pytest.raises(ValueError, match="closed"):
+                store.read_pages(1, pages, out=out)
+        assert np.shares_memory(kept, out)
+        assert _open_fds() == before_fds
+        assert _live_mmaps() == before_maps
+
     def test_open_close_cycles_leak_nothing(self, store_dir):
         before = _open_fds()
         for _ in range(10):
