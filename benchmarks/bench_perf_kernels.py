@@ -5,12 +5,16 @@ Runs the seeded workloads behind the kernel layer's two performance
 claims and records them as a ``repro.result_table/v1`` table plus a
 root-level ``BENCH_kernels.json`` trajectory file:
 
-1. **Kernel speedup** — coordinated kNN on a cold cache, vectorized
-   (:mod:`repro.index.kernels`) vs. the ``REPRO_SCALAR_KERNELS`` scalar
-   path, on the *same* store.  Answers and every counter must agree
-   bit-for-bit (re-checked here, not just in the oracle suite); the run
-   fails if the vectorized path's throughput drops below the mode's
-   floor (2x in ``--smoke``, 3x in the full d=16 / N=50k workload).
+1. **Kernel speedup** — coordinated kNN on a cold cache, as shipped
+   (:mod:`repro.index.kernels`) vs. the same engine under
+   ``tests.scalar_oracle.scalar_kernels()`` (every kernel swapped for
+   its per-entry loop), on the *same* store.  Both runs share the one
+   best-first loop, so the ratio isolates the kernels.  Answers and
+   every counter must agree bit-for-bit (re-checked here, not just in
+   the oracle suite); the run fails if the ratio drops below the mode's
+   floor: 2.5x in ``--smoke`` (ten runs of this code: 3.29-3.66x,
+   median 3.5x) and 2.75x in the full d=16 / N=50k workload (ten runs:
+   2.91-4.48x, median 4.15x, on a shared 2-vCPU box).
 2. **Batch API** — ``ParallelEngine.query_batch`` with a warm buffer
    pool (and warm per-node kernel caches) vs. the same queries issued
    as N sequential ``query`` calls against a cold engine; neighbors
@@ -30,6 +34,7 @@ committed trajectory untouched unless ``--trajectory`` is given.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import pathlib
 import sys
@@ -46,6 +51,10 @@ from repro.parallel.engine import ParallelEngine
 from repro.parallel.store import DeclusteredStore
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT))
+
+from tests.scalar_oracle import scalar_kernels  # noqa: E402
+
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 TRAJECTORY_SCHEMA = "repro.bench-trajectory/v1"
 
@@ -67,11 +76,11 @@ class Workload:
 
 SMOKE = Workload(
     mode="smoke", num_points=6_000, dimension=16, k=10,
-    num_queries=8, num_disks=8, cache_pages=512, min_speedup=2.0,
+    num_queries=8, num_disks=8, cache_pages=512, min_speedup=2.5,
 )
 FULL = Workload(
     mode="full", num_points=50_000, dimension=16, k=10,
-    num_queries=32, num_disks=16, cache_pages=1024, min_speedup=3.0,
+    num_queries=32, num_disks=16, cache_pages=1024, min_speedup=2.75,
 )
 
 
@@ -104,32 +113,33 @@ def _time_queries(engine, queries, k: int) -> float:
 
 
 def measure_kernel_speedup(workload: Workload, table: ResultTable) -> float:
-    """Cold-cache coordinated kNN: vectorized vs. scalar wall-clock."""
+    """Cold-cache coordinated kNN: kernels vs. their scalar loops."""
     _, queries, fresh_store = _build(workload)
     timings = {}
     answers = {}
-    for use_kernels in (True, False):
-        engine = ParallelEngine(
-            fresh_store(), cache=None, use_kernels=use_kernels
-        )
-        engine.query(queries[0], workload.k)  # compile/import warm-up
-        elapsed = _time_queries(engine, queries, workload.k)
-        timings[use_kernels] = elapsed / len(queries) * 1000.0
-        answers[use_kernels] = [
-            engine.query(query, workload.k) for query in queries
-        ]
-    for fast, slow in zip(answers[True], answers[False]):
+    for path, patch in (
+        ("kernels", contextlib.nullcontext), ("scalar", scalar_kernels)
+    ):
+        engine = ParallelEngine(fresh_store(), cache=None)
+        with patch():
+            engine.query(queries[0], workload.k)  # compile/import warm-up
+            elapsed = _time_queries(engine, queries, workload.k)
+            timings[path] = elapsed / len(queries) * 1000.0
+            answers[path] = [
+                engine.query(query, workload.k) for query in queries
+            ]
+    for fast, slow in zip(answers["kernels"], answers["scalar"]):
         assert fast.neighbors == slow.neighbors, "kernel answers diverged"
         assert fast.distance_computations == slow.distance_computations
         assert np.array_equal(fast.pages_per_disk, slow.pages_per_disk)
-    speedup = timings[False] / timings[True]
+    speedup = timings["scalar"] / timings["kernels"]
     table.add_row(
         "knn_coordinated_cold", "scalar", len(queries),
-        round(timings[False], 3), 1.0,
+        round(timings["scalar"], 3), 1.0,
     )
     table.add_row(
         "knn_coordinated_cold", "kernels", len(queries),
-        round(timings[True], 3), round(speedup, 2),
+        round(timings["kernels"], 3), round(speedup, 2),
     )
     return speedup
 
@@ -271,7 +281,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",
-        help="small fixed workload with a 2x floor (the CI perf-smoke "
+        help="small fixed workload with a 2.5x floor (the CI perf-smoke "
              "job)",
     )
     parser.add_argument(

@@ -19,7 +19,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.index.knn import Neighbor, SearchStats, _leaf_distances
+from repro.index import kernels
+from repro.index.knn import _EUCLIDEAN, Neighbor, SearchStats
 from repro.index.node import Node
 from repro.index.rstar import RStarTree
 
@@ -72,20 +73,16 @@ def incremental_nearest(
         stats.record(node)
         if node.is_leaf:
             if node.entries:
-                sq, entries = _leaf_distances(node, query, stats)
-                for distance, entry in zip(sq, entries):
+                sq = _EUCLIDEAN.point_keys(kernels.leaf_arrays(node)[0], query)
+                stats.distance_computations += len(node.entries)
+                for distance, entry in zip(sq, node.entries):
                     heapq.heappush(
                         heap,
                         (float(distance), _POINT, next(tiebreak), entry),
                     )
         else:
-            for child in node.entries:
+            child_keys = kernels.child_mindists(node, query)
+            for mindist, child in zip(child_keys, node.entries):
                 heapq.heappush(
-                    heap,
-                    (
-                        child.mbr.mindist(query),
-                        _NODE,
-                        next(tiebreak),
-                        child,
-                    ),
+                    heap, (float(mindist), _NODE, next(tiebreak), child)
                 )

@@ -1,17 +1,17 @@
 """Vectorized traversal kernels over contiguous per-node entry arrays.
 
-The scalar hot path of every kNN engine computes ``MBR.mindist`` one
-child at a time and re-stacks leaf points on every visit — a Python loop
-per node.  This module replaces both with single NumPy calls over
-*cached contiguous arrays*:
+Computing ``MBR.mindist`` one child at a time and re-stacking leaf
+points on every visit is a Python loop per node.  Every traversal in
+the package instead makes single NumPy calls over *cached contiguous
+arrays*:
 
 * :func:`child_bounds` — stacked ``(C, d)`` ``low``/``high`` matrices of
   a directory node's children, built lazily on first visit and
   invalidated by :meth:`~repro.index.node.Node.recompute_mbr` /
   :meth:`~repro.index.node.Node.extend_mbr` (every entry mutation in the
   tree code runs through one of the two);
-* :func:`leaf_points` — the stacked ``(N, d)`` point matrix of a leaf,
-  same lifecycle;
+* :func:`leaf_arrays` — the stacked ``(N, d)`` point matrix and the
+  ``(N,)`` oids of a leaf, same lifecycle;
 * :func:`child_mindists` / :func:`child_minmaxdists` — one call yields
   the pruning bound for *all* children of a node;
 * :func:`offer_leaf` — fused leaf kernel: ranking keys, bound filtering,
@@ -19,25 +19,24 @@ per node.  This module replaces both with single NumPy calls over
 * :func:`child_intersects` / :func:`leaf_window_mask` — batched window
   predicates for range/partial-match queries.
 
-**Exactness contract.**  Every kernel reproduces the scalar path
-bit-for-bit: same neighbor sets, same pruning decisions, and therefore
-the same page/disk/cache/``distance_computations`` counters (the oracle
-suite in ``tests/test_kernels_oracle.py`` asserts this with no
-float-tolerance waivers).  This works because the scalar reductions in
-:mod:`repro.index.mbr` / :mod:`repro.index.metrics` use
+**Exactness contract.**  Every kernel reproduces the per-entry loop
+its docstring names bit-for-bit: same neighbor sets, same pruning
+decisions, and therefore the same page/disk/cache/
+``distance_computations`` counters.  This works because the scalar
+reductions in :mod:`repro.index.mbr` / :mod:`repro.index.metrics` use
 ``np.add.reduce``, whose row-wise 2-D form is bit-identical to the 1-D
-case (a BLAS dot product is not).
-
-**Fallback.**  Setting the environment variable ``REPRO_SCALAR_KERNELS``
-to a non-empty value other than ``0`` (or passing ``use_kernels=False``
-to the engines) selects the original scalar path; see
-``docs/performance.md``.
+case (a BLAS dot product is not).  The loops themselves live in
+``tests/scalar_oracle.py``; ``tests/test_kernels_oracle.py`` runs every
+traversal and engine twice — once as shipped, once with the loops
+swapped in for the kernels — and asserts equality with no
+float-tolerance waivers.  Callers therefore reach the kernels through
+the module (``kernels.offer_leaf(...)``), never by importing the
+functions; see ``docs/performance.md``.
 """
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
@@ -48,10 +47,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.index.node import Node
 
 __all__ = [
-    "SCALAR_ENV",
-    "kernels_enabled",
     "child_bounds",
-    "leaf_points",
+    "leaf_arrays",
     "child_mindists",
     "child_minmaxdists",
     "child_intersects",
@@ -60,27 +57,11 @@ __all__ = [
     "offer_payload",
 ]
 
-#: Environment variable selecting the scalar fallback path.
-SCALAR_ENV = "REPRO_SCALAR_KERNELS"
-
 _EUCLIDEAN = Euclidean()
 
 #: Tags distinguishing the two cache layouts sharing ``_kernel_cache``.
 _DIR_CACHE = "dir"
 _LEAF_CACHE = "leaf"
-
-
-def kernels_enabled(override: Optional[bool] = None) -> bool:
-    """Whether the vectorized kernels are active.
-
-    ``override`` (an engine's ``use_kernels`` argument) wins when given;
-    otherwise the :data:`SCALAR_ENV` environment variable decides —
-    unset, empty, or ``"0"`` means kernels on, anything else selects the
-    scalar fallback.
-    """
-    if override is not None:
-        return override
-    return os.environ.get(SCALAR_ENV, "").strip() in ("", "0")
 
 
 def child_bounds(node: "Node") -> Tuple[np.ndarray, np.ndarray]:
@@ -104,11 +85,12 @@ def child_bounds(node: "Node") -> Tuple[np.ndarray, np.ndarray]:
     return lows, highs
 
 
-def leaf_points(node: "Node") -> np.ndarray:
-    """The stacked ``(N, d)`` point matrix of a leaf node (memoized).
+def leaf_arrays(node: "Node") -> Tuple[np.ndarray, np.ndarray]:
+    """A leaf's stacked ``(N, d)`` point matrix and ``(N,)`` oids
+    (memoized, same lifecycle as :func:`child_bounds`).
 
-    Identical (values and C-contiguous layout) to the ``np.vstack`` the
-    scalar ``_leaf_distances`` performs on every visit, so
+    The matrix is identical (values and C-contiguous layout) to an
+    ``np.vstack`` of the entries' points on every visit, so
     ``metric.point_keys`` returns bit-identical ranking keys.
     """
     cache = node._kernel_cache
@@ -118,10 +100,11 @@ def leaf_points(node: "Node") -> np.ndarray:
         and cache[0] == _LEAF_CACHE
         and cache[1] == count
     ):
-        return cache[2]
+        return cache[2], cache[3]
     points = np.vstack([entry.point for entry in node.entries])
-    node._kernel_cache = (_LEAF_CACHE, count, points)
-    return points
+    oids = np.array([entry.oid for entry in node.entries])
+    node._kernel_cache = (_LEAF_CACHE, count, points, oids)
+    return points, oids
 
 
 def child_mindists(
@@ -171,7 +154,7 @@ def leaf_window_mask(
 
     Entry ``i`` equals ``window.contains_point(entries[i].point)``.
     """
-    points = leaf_points(node)
+    points, _ = leaf_arrays(node)
     return (low <= points).all(axis=1) & (points <= high).all(axis=1)
 
 
@@ -182,17 +165,16 @@ def offer_leaf(
     stats: "SearchStats",
     metric: Metric = _EUCLIDEAN,
 ) -> None:
-    """Fused leaf kernel: keys + bound filter + bulk candidate insertion.
+    """Fused leaf kernel: :func:`offer_payload` over the leaf's cached
+    arrays.
 
-    Equivalent to the scalar ``_leaf_distances`` + per-entry
-    ``_CandidateSet.offer`` loop: charges ``len(entries)`` distance
-    computations and leaves ``candidates`` in exactly the state the
-    ordered scalar offers would (see ``_CandidateSet.offer_many``).
+    Equivalent to ``metric.point_keys`` over the stacked points and a
+    per-entry ``_CandidateSet.offer`` loop: charges ``len(entries)``
+    distance computations and leaves ``candidates`` in exactly the state
+    the ordered scalar offers would (see ``_CandidateSet.offer_many``).
     """
-    points = leaf_points(node)
-    keys = metric.point_keys(points, query)
-    stats.distance_computations += len(node.entries)
-    candidates.offer_many(keys, node.entries)
+    points, oids = leaf_arrays(node)
+    offer_payload(candidates, points, oids, query, stats, metric)
 
 
 def offer_payload(
@@ -215,4 +197,4 @@ def offer_payload(
     """
     keys = metric.point_keys(points, query)
     stats.distance_computations += len(oids)
-    candidates.offer_many_arrays(keys, oids, points)
+    candidates.offer_many(keys, oids, points)

@@ -3,9 +3,15 @@
 Two traversal strategies from the literature (both discussed in Section 2
 of the paper):
 
-* :func:`knn_best_first` — Hjaltason & Samet [HS 95]: a global priority
-  queue ordered by ``mindist`` visits partitions in increasing distance
-  order; optimal in the number of accessed pages for a given tree.
+* :func:`best_first` / :func:`knn_best_first` — Hjaltason & Samet
+  [HS 95]: a global priority queue ordered by ``mindist`` visits
+  partitions in increasing distance order; optimal in the number of
+  accessed pages for a given tree.  :func:`best_first` is the one such
+  loop in the package: it searches a forest of tagged roots and exposes
+  three hooks (node visit, prune, page payload) through which the query
+  engines of :mod:`repro.parallel` charge disks, feed buffer pools, emit
+  trace events and read out-of-core pages; :func:`knn_best_first` is its
+  single-tree form.
 * :func:`knn_branch_and_bound` — Roussopoulos et al. [RKV 95]: depth-first
   traversal with ``mindist`` ordering and ``minmaxdist``/``mindist``
   pruning; the algorithm the paper ran on the X-tree.
@@ -21,13 +27,13 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.index import kernels
 from repro.index.metrics import Euclidean, Metric
-from repro.index.node import LeafEntry, Node
+from repro.index.node import Node
 from repro.index.rstar import RStarTree
 
 #: Default metric: L2 with squared-distance ranking keys.
@@ -36,6 +42,7 @@ _EUCLIDEAN = Euclidean()
 __all__ = [
     "Neighbor",
     "SearchStats",
+    "best_first",
     "knn_best_first",
     "knn_branch_and_bound",
     "knn_linear_scan",
@@ -101,43 +108,17 @@ class _CandidateSet:
             heapq.heapreplace(self._heap, (-sq_distance, oid, point))
 
     def offer_many(
-        self, keys: np.ndarray, entries: Sequence[LeafEntry]
+        self, keys: np.ndarray, oids: np.ndarray, points: np.ndarray
     ) -> None:
-        """Offer a whole leaf's entries at once (vectorized bound filter).
+        """Offer a whole page at once: ``(N,)`` keys and oids, ``(N, d)``
+        points (vectorized bound filter).
 
-        Exactly equivalent to calling :meth:`offer` per entry in order:
+        Exactly equivalent to calling :meth:`offer` per row in order:
         after warming the heap to ``k`` elements, a single NumPy mask
         drops every key that fails the *current* bound — exact because
         the bound only tightens during the loop, so a key rejected
         against the bound at mask time could never be accepted later.
         Survivors are re-checked in order against the live bound.
-        """
-        heap = self._heap
-        start = 0
-        total = len(entries)
-        while len(heap) < self.k and start < total:
-            entry = entries[start]
-            heapq.heappush(heap, (-float(keys[start]), entry.oid, entry.point))
-            start += 1
-        if start >= total:
-            return
-        bound = -heap[0][0]
-        for offset in np.nonzero(keys[start:] < bound)[0]:
-            index = start + int(offset)
-            key = float(keys[index])
-            if key < -heap[0][0]:
-                entry = entries[index]
-                heapq.heapreplace(heap, (-key, entry.oid, entry.point))
-
-    def offer_many_arrays(
-        self, keys: np.ndarray, oids: np.ndarray, points: np.ndarray
-    ) -> None:
-        """Array-payload twin of :meth:`offer_many`.
-
-        Same semantics over ``(N,)`` key/oid arrays and ``(N, d)``
-        points — used by the out-of-core path, where a page arrives as
-        raw arrays instead of :class:`LeafEntry` objects.  Exactly
-        equivalent to calling :meth:`offer` per row in order.
         """
         heap = self._heap
         start = 0
@@ -158,20 +139,6 @@ class _CandidateSet:
                     heap, (-key, int(oids[index]), points[index])
                 )
 
-    def items(self) -> List[Tuple[float, int, np.ndarray]]:
-        """Current candidates as ``(squared key, oid, point)``, best
-        first.
-
-        Unlike :meth:`neighbors` this keeps the *exact* squared ranking
-        keys, so candidate sets merged across processes reproduce the
-        single-process pruning bound bit-for-bit (a sqrt round trip
-        would not).
-        """
-        return sorted(
-            ((-neg, oid, point) for neg, oid, point in self._heap),
-            key=lambda item: (item[0], item[1]),
-        )
-
     def neighbors(self, metric: Metric = _EUCLIDEAN) -> List[Neighbor]:
         ordered = sorted(
             ((-neg, oid, point) for neg, oid, point in self._heap)
@@ -182,17 +149,89 @@ class _CandidateSet:
         ]
 
 
-def _leaf_distances(
-    leaf: Node,
+def best_first(
+    roots: Iterable[Tuple[int, Node]],
     query: np.ndarray,
-    stats: SearchStats,
+    k: int,
     metric: Metric = _EUCLIDEAN,
-) -> Tuple[np.ndarray, List[LeafEntry]]:
-    entries: List[LeafEntry] = leaf.entries  # type: ignore[assignment]
-    points = np.vstack([entry.point for entry in entries])
-    keys = metric.point_keys(points, query)
-    stats.distance_computations += len(entries)
-    return keys, entries
+    on_node: Optional[Callable[[int, Node], None]] = None,
+    on_prune: Optional[Callable[[int, int], None]] = None,
+    payload: Optional[
+        Callable[[Node], Tuple[np.ndarray, np.ndarray]]
+    ] = None,
+) -> Tuple[List[Neighbor], SearchStats]:
+    """HS 95 best-first kNN over a forest of tagged roots.
+
+    One priority queue of tree nodes keyed by ``mindist`` to the query,
+    shared by every root; the search stops once the nearest unvisited
+    node is farther than the current k-th candidate, so it reads exactly
+    the pages whose MBR intersects the kNN sphere (page-optimal for the
+    given trees).  ``roots`` yields ``(tag, root)`` pairs; every node
+    inherits its root's tag (the disk of a per-disk tree, ``-1`` for a
+    shared directory), which the search never compares.
+
+    Three hooks, all optional:
+
+    * ``on_node(tag, node)`` fires for every visited node in traversal
+      order — where callers charge a disk, look a page up in a buffer
+      pool and emit ``node_visit`` / ``page_read`` / ``cache_*`` events;
+    * ``on_prune(tag, count)`` fires once per child rejected by the
+      bound (``count=1``) and once for the final cut (the popped node
+      plus everything still queued);
+    * ``payload(leaf) -> (points, oids)`` is an out-of-core page source;
+      without it a leaf's own entries are scored.
+    """
+    candidates = _CandidateSet(k)
+    stats = SearchStats()
+    nodes = leaves = pages = 0  # ``stats.record`` per visit, in locals
+    tiebreak = itertools.count()
+    # Tiebreaks ascend in root order, so this list is already a heap.
+    queue: List[Tuple[float, int, int, Node]] = [
+        (0.0, next(tiebreak), tag, root) for tag, root in roots
+    ]
+    while queue:
+        mindist, _, tag, node = heapq.heappop(queue)
+        if mindist > candidates.bound:
+            if on_prune is not None:
+                on_prune(tag, len(queue) + 1)
+            break
+        nodes += 1
+        pages += node.blocks
+        if on_node is not None:
+            on_node(tag, node)
+        if node.is_leaf:
+            leaves += 1
+            if payload is not None:
+                points, oids = payload(node)
+                if len(oids):
+                    kernels.offer_payload(
+                        candidates, points, oids, query, stats, metric
+                    )
+            elif node.entries:
+                kernels.offer_leaf(candidates, node, query, stats, metric)
+            continue
+        # The bound cannot change while expanding a directory node, so
+        # one mask reproduces the per-child test — including which
+        # children consume a tiebreak value, in the same order.
+        child_keys = kernels.child_mindists(node, query, metric)
+        accepted = np.nonzero(child_keys <= candidates.bound)[0]
+        for index in accepted:
+            heapq.heappush(
+                queue,
+                (
+                    float(child_keys[index]),
+                    next(tiebreak),
+                    tag,
+                    node.entries[index],
+                ),
+            )
+        if on_prune is not None:
+            for _ in range(len(child_keys) - len(accepted)):
+                on_prune(tag, 1)
+    stats.node_accesses, stats.leaf_accesses, stats.page_accesses = (
+        nodes, leaves, pages
+    )
+    return candidates.neighbors(metric), stats
 
 
 def knn_best_first(
@@ -201,70 +240,22 @@ def knn_best_first(
     k: int = 1,
     metric: Optional[Metric] = None,
     on_node: Optional[Callable[[Node], None]] = None,
-    use_kernels: Optional[bool] = None,
 ) -> Tuple[List[Neighbor], SearchStats]:
-    """HS 95 incremental best-first kNN.
+    """HS 95 incremental best-first kNN over one tree.
 
-    Maintains a priority queue of tree nodes keyed by ``mindist`` to the
-    query; terminates once the nearest unvisited node is farther than the
-    current k-th candidate — i.e. it reads exactly the pages whose MBR
-    intersects the kNN sphere (page-optimal for the given tree).
-
-    ``metric`` selects the distance (default Euclidean); see
-    :mod:`repro.index.metrics`.  ``on_node`` is invoked for every visited
-    node in traversal order — callers that need the page-level access
-    trace (e.g. a buffer pool) hook in here instead of re-deriving it from
-    the aggregate :class:`SearchStats`.  ``use_kernels`` selects the
-    vectorized traversal kernels (:mod:`repro.index.kernels`); ``None``
-    defers to the ``REPRO_SCALAR_KERNELS`` environment variable.  Both
-    paths produce bit-identical results and counters.
+    :func:`best_first` with a single root.  ``metric`` selects the
+    distance (default Euclidean); see :mod:`repro.index.metrics`.
+    ``on_node`` is invoked for every visited node in traversal order —
+    callers that need the page-level access trace hook in here instead
+    of re-deriving it from the aggregate :class:`SearchStats`.
     """
-    metric = metric or _EUCLIDEAN
-    vectorized = kernels.kernels_enabled(use_kernels)
-    query = np.asarray(query, dtype=float)
-    stats = SearchStats()
-    candidates = _CandidateSet(k)
-    if tree.size == 0:
-        return [], stats
-    tiebreak = itertools.count()
-    queue: List[Tuple[float, int, Node]] = [(0.0, next(tiebreak), tree.root)]
-    while queue:
-        mindist, _, node = heapq.heappop(queue)
-        if mindist > candidates.bound:
-            break
-        stats.record(node)
-        if on_node is not None:
-            on_node(node)
-        if node.is_leaf:
-            if node.entries:
-                if vectorized:
-                    kernels.offer_leaf(candidates, node, query, stats, metric)
-                else:
-                    keys, entries = _leaf_distances(node, query, stats, metric)
-                    for key, entry in zip(keys, entries):
-                        candidates.offer(float(key), entry.oid, entry.point)
-        elif vectorized:
-            # The bound cannot change while expanding a directory node, so
-            # one mask reproduces the per-child test — including which
-            # children consume a tiebreak value, in the same order.
-            child_keys = kernels.child_mindists(node, query, metric)
-            for index in np.nonzero(child_keys <= candidates.bound)[0]:
-                heapq.heappush(
-                    queue,
-                    (
-                        float(child_keys[index]),
-                        next(tiebreak),
-                        node.entries[index],
-                    ),
-                )
-        else:
-            for child in node.entries:
-                child_mindist = metric.mindist(child.mbr, query)
-                if child_mindist <= candidates.bound:
-                    heapq.heappush(
-                        queue, (child_mindist, next(tiebreak), child)
-                    )
-    return candidates.neighbors(metric), stats
+    return best_first(
+        [(0, tree.root)] if tree.size else [],
+        np.asarray(query, dtype=float),
+        k,
+        metric or _EUCLIDEAN,
+        None if on_node is None else lambda _, node: on_node(node),
+    )
 
 
 def knn_branch_and_bound(
@@ -272,7 +263,6 @@ def knn_branch_and_bound(
     query: Sequence[float],
     k: int = 1,
     metric: Optional[Metric] = None,
-    use_kernels: Optional[bool] = None,
 ) -> Tuple[List[Neighbor], SearchStats]:
     """RKV 95 depth-first branch-and-bound kNN.
 
@@ -280,12 +270,10 @@ def knn_branch_and_bound(
     their ``mindist`` exceeds the current k-th distance, and (for k = 1
     under the default Euclidean metric) when it exceeds the smallest
     sibling ``minmaxdist`` — the "all partition lists may be pruned" rule
-    of the paper's Section 2.  ``use_kernels`` selects the vectorized
-    kernels as in :func:`knn_best_first`.
+    of the paper's Section 2.
     """
     custom_metric = metric is not None
     metric = metric or _EUCLIDEAN
-    vectorized = kernels.kernels_enabled(use_kernels)
     query = np.asarray(query, dtype=float)
     stats = SearchStats()
     candidates = _CandidateSet(k)
@@ -296,37 +284,21 @@ def knn_branch_and_bound(
         stats.record(node)
         if node.is_leaf:
             if node.entries:
-                if vectorized:
-                    kernels.offer_leaf(candidates, node, query, stats, metric)
-                else:
-                    keys, entries = _leaf_distances(node, query, stats, metric)
-                    for key, entry in zip(keys, entries):
-                        candidates.offer(float(key), entry.oid, entry.point)
+                kernels.offer_leaf(candidates, node, query, stats, metric)
             return
-        if vectorized:
-            child_keys = kernels.child_mindists(node, query, metric)
-            branches = sorted(
-                (float(child_keys[index]), index, child)
-                for index, child in enumerate(node.entries)
-            )
-        else:
-            branches = sorted(
-                ((metric.mindist(child.mbr, query), index, child)
-                 for index, child in enumerate(node.entries)),
-            )
+        child_keys = kernels.child_mindists(node, query, metric)
+        branches = sorted(
+            (float(child_keys[index]), index, child)
+            for index, child in enumerate(node.entries)
+        )
         if k == 1 and not custom_metric:
             # MM-pruning: some sibling guarantees a point within its
             # minmaxdist, so children farther than the best guarantee can
             # never host the nearest neighbor.  (The bound is derived for
             # squared Euclidean keys, so it is skipped for custom metrics.)
-            if vectorized:
-                best_guarantee = float(
-                    kernels.child_minmaxdists(node, query).min()
-                )
-            else:
-                best_guarantee = min(
-                    child.mbr.minmaxdist(query) for _, _, child in branches
-                )
+            best_guarantee = float(
+                kernels.child_minmaxdists(node, query).min()
+            )
         else:
             best_guarantee = float("inf")
         for mindist, _, child in branches:
@@ -367,7 +339,6 @@ def pages_intersecting_radius(
     tree: RStarTree,
     query: Sequence[float],
     radius: float,
-    use_kernels: Optional[bool] = None,
 ) -> int:
     """Pages any correct NN algorithm must read for the given kNN radius.
 
@@ -375,13 +346,11 @@ def pages_intersecting_radius(
     (Euclidean) ``radius`` around ``query`` — the paper's "data pages
     intersecting the NN-sphere" (Section 3.1).  The sphere test is
     applied when a child is pushed (one batched ``mindist`` call per
-    directory node under the vectorized kernels); children of a
-    non-empty directory always have an MBR, so only the root needs the
-    ``None`` guard.
+    directory node); children of a non-empty directory always have an
+    MBR, so only the root needs the ``None`` guard.
     """
     query = np.asarray(query, dtype=float)
     sq_radius = radius * radius
-    vectorized = kernels.kernels_enabled(use_kernels)
     root = tree.root
     if root.mbr is None or root.mbr.mindist(query) > sq_radius:
         return 0
@@ -389,19 +358,9 @@ def pages_intersecting_radius(
     stack: List[Node] = [] if root.is_leaf else [root]
     while stack:
         node = stack.pop()
-        if vectorized:
-            child_keys = kernels.child_mindists(node, query)
-            hits = [
-                node.entries[index]
-                for index in np.nonzero(child_keys <= sq_radius)[0]
-            ]
-        else:
-            hits = [
-                child
-                for child in node.entries
-                if child.mbr.mindist(query) <= sq_radius
-            ]
-        for child in hits:
+        child_keys = kernels.child_mindists(node, query)
+        for index in np.nonzero(child_keys <= sq_radius)[0]:
+            child = node.entries[index]
             pages += child.blocks
             if not child.is_leaf:
                 stack.append(child)

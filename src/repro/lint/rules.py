@@ -593,81 +593,6 @@ class NoMissingPublicDocstring(Rule):
             yield found
 
 
-class PreferKernelMindist(Rule):
-    """PR 5 vectorized the traversal hot path: one
-    ``repro.index.kernels.child_mindists`` call replaces a Python loop
-    of per-entry ``mindist`` calls.  New per-entry loops reintroduce the
-    O(children) interpreter overhead the kernels removed — advisory so
-    prototypes are not blocked, with the sanctioned scalar fallbacks
-    grandfathered in ``lint-baseline.json``."""
-
-    name = "prefer-kernel-mindist"
-    summary = ("per-entry mbr.mindist loop; use "
-               "repro.index.kernels.child_mindists")
-    severity = "warn"
-    default_scope = ("repro",)
-    default_exempt = ("repro.index.kernels",)
-    example_bad = (
-        "dists = [entry.mbr.mindist(query) for entry in node.entries]"
-    )
-    example_good = (
-        "from repro.index.kernels import child_mindists\n"
-        "dists = child_mindists(query, node.entries)"
-    )
-
-    @staticmethod
-    def _iterates_entries(iterable: ast.AST) -> bool:
-        """True when the loop iterable draws from a node's ``entries``."""
-        return any(
-            isinstance(node, ast.Attribute) and node.attr == "entries"
-            for node in ast.walk(iterable)
-        )
-
-    @staticmethod
-    def _mindist_calls(body: Sequence[ast.AST]) -> Iterator[ast.Call]:
-        for root in body:
-            for node in ast.walk(root):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "mindist"
-                ):
-                    yield node
-
-    def check_module(
-        self, module: ModuleInfo, config: LintConfig
-    ) -> Iterator[Finding]:
-        """Flag ``mindist`` calls inside loops over node entries."""
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.For):
-                iterables = [node.iter]
-                body: List[ast.AST] = [*node.body]
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)
-            ):
-                iterables = [gen.iter for gen in node.generators]
-                body = [
-                    node.elt,
-                    *(
-                        test
-                        for gen in node.generators
-                        for test in gen.ifs
-                    ),
-                ]
-            else:
-                continue
-            if not any(self._iterates_entries(it) for it in iterables):
-                continue
-            for call in self._mindist_calls(body):
-                yield self.finding(
-                    module, call,
-                    "per-entry mindist loop over node entries; one "
-                    "repro.index.kernels.child_mindists call computes the "
-                    "whole batch (bit-identically) without the Python "
-                    "loop",
-                )
-
-
 #: Registered rule classes, in reporting order.
 RULES: Tuple[Type[Rule], ...] = (
     SeededRngOnly,
@@ -678,7 +603,6 @@ RULES: Tuple[Type[Rule], ...] = (
     NoBroadExcept,
     RegistryCompleteness,
     NoMissingPublicDocstring,
-    PreferKernelMindist,
 )
 
 

@@ -7,59 +7,60 @@ determined the disk which accesses most pages during query processing [and]
 used the search time of this disk as the search time of the whole parallel
 X-tree").
 
-Two execution modes:
+Every in-process engine — :class:`ParallelEngine`,
+:class:`SequentialEngine` and
+:class:`~repro.parallel.paged.PagedEngine` — is a constructor over the
+one best-first search, :func:`repro.index.knn.best_first`: it names the
+roots to search and inherits the rest from a shared shell — argument
+validation, the trace span, the ``on_node`` hook with its **single
+charge site** (buffer pool → ``cache_hit`` | ``cache_miss`` →
+:meth:`DiskArray.charge` → ``page_read``), ``query_batch`` and
+``reset_cache``.
 
-* ``"coordinated"`` (default) — one global best-first search (HS 95) over
-  the forest of per-disk trees with a shared pruning bound: every disk reads
-  exactly the pages whose MBR intersects the global kNN sphere.  This
-  models the paper's parallel X-tree, where the coordinating workstation
-  tightens the candidate bound across all disks as results stream in.
-* ``"independent"`` — every disk answers the kNN query on its local tree
-  with only local pruning, and the coordinator merges the per-disk
-  candidate lists.  One round-trip, but more pages read; kept as an
-  ablation of the coordination benefit.
+:class:`ParallelEngine` has two execution modes:
+
+* ``"coordinated"`` (default) — one best-first search over the forest of
+  per-disk trees with a shared pruning bound: every disk reads exactly
+  the pages whose MBR intersects the global kNN sphere.  This models the
+  paper's parallel X-tree, where the coordinating workstation tightens
+  the candidate bound across all disks as results stream in.
+* ``"independent"`` — one search per disk over its local tree with only
+  local pruning, and the coordinator merges the per-disk candidate
+  lists.  One round-trip, but more pages read; kept as an ablation of
+  the coordination benefit.
 
 :class:`SequentialEngine` provides the single-disk baseline used for
 speed-up numbers.
 
-Both engines accept a ``cache`` (page count, :class:`CacheConfig`, or a
+The engines accept a ``cache`` (page count, :class:`CacheConfig`, or a
 prebuilt :class:`BufferPool`): hot pages are then served from the pool —
 which persists across queries — and only misses are charged to the disks.
 With no cache (or capacity 0) the cold page counts of the paper's
 measurement are reproduced exactly.
 
-Both engines are instrumented for :mod:`repro.obs`: pass a
-``tracer`` (or wrap the run in :func:`repro.obs.observe`) to receive
-``query_start`` / ``node_visit`` / ``page_read`` / ``cache_hit`` /
-``cache_miss`` / ``prune`` / ``query_end`` events whose per-disk
-``page_read`` totals equal the returned ``pages_per_disk`` counters
-bit-for-bit.  The default :data:`~repro.obs.tracer.NULL_TRACER` emits
-nothing and leaves every counter untouched.
+They are instrumented for :mod:`repro.obs`: pass a ``tracer`` (or wrap
+the run in :func:`repro.obs.observe`) to receive ``query_start`` /
+``node_visit`` / ``page_read`` / ``cache_hit`` / ``cache_miss`` /
+``prune`` / ``query_end`` events whose per-disk ``page_read`` totals
+equal the returned ``pages_per_disk`` counters bit-for-bit.  The default
+:data:`~repro.obs.tracer.NULL_TRACER` emits nothing and leaves every
+counter untouched.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Type, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
-from repro.index import kernels
-from repro.index.knn import (
-    Neighbor,
-    SearchStats,
-    _CandidateSet,
-    _leaf_distances,
-    knn_best_first,
-)
+from repro.index.knn import Neighbor, SearchStats, _CandidateSet, best_first
 from repro.index.node import DEFAULT_PAGE_BYTES, Node
 from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
 from repro.index.bulk import bulk_load
 from repro.obs.context import current_tracer
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import Tracer
 from repro.parallel.cache import (
     BufferPool,
     CacheConfig,
@@ -199,7 +200,211 @@ class BatchQueryResult:
         )
 
 
-class ParallelEngine:
+#: ``on_node`` / ``on_prune`` as :func:`repro.index.knn.best_first`
+#: takes them.
+NodeHook = Callable[[int, Node], None]
+PruneHook = Callable[[int, int], None]
+
+
+class _BestFirstEngine:
+    """The shell the in-process engines share (see the module docstring).
+
+    A subclass names its span and says which roots to search
+    (:meth:`_roots`).
+    """
+
+    _span_name: str
+    #: One index on one disk (:class:`SequentialEngine`): the baseline
+    #: traces no ``prune`` events, and an unwatched query is charged
+    #: from its ``SearchStats``, not node by node.
+    _single_disk = False
+    #: Disk of a data page, for a store that spreads the leaves of one
+    #: tree over the disks; ``None``: a node lives on its root's tag.
+    _disk_of: Optional[Callable[[Node], int]] = None
+    #: Out-of-core page source handed to the search as ``payload``.
+    _read_page: Optional[
+        Callable[[Node], Tuple[np.ndarray, np.ndarray]]
+    ] = None
+    #: Each engine's public single-query entry point
+    #: (:class:`ParallelEngine`'s also takes ``mode``).
+    query: Callable[..., Any]
+
+    def __init__(
+        self,
+        num_disks: int,
+        dimension: int,
+        page_bytes: int,
+        parameters: Optional[DiskParameters],
+        cache: CacheSpec,
+        tracer: Optional[Tracer],
+        count_directory: bool = False,
+    ):
+        self.num_disks = num_disks
+        self.dimension = dimension
+        self.parameters = parameters or DiskParameters(page_bytes=page_bytes)
+        self.cache = as_buffer_pool(cache, num_disks, page_bytes)
+        self.tracer = tracer
+        #: Charge directory pages too (data pages are always charged).
+        self.count_directory = count_directory
+
+    def reset_cache(self) -> None:
+        """Drop every cached page (next query runs cold)."""
+        if self.cache is not None:
+            self.cache.reset()
+
+    def _active_tracer(self) -> Tracer:
+        """This engine's tracer, else the ambient one, else the null
+        tracer."""
+        return self.tracer if self.tracer is not None else current_tracer()
+
+    def query_batch(
+        self, queries: np.ndarray, k: int = 1, **options: Any
+    ) -> BatchQueryResult:
+        """Run a batch of kNN queries sharing this engine's buffer pool.
+
+        The query matrix is converted to float64 once up front (each
+        query is then a zero-copy row view), and the buffer pool — when
+        one is attached — stays warm across the batch, so later queries
+        hit the pages earlier ones pulled in.  ``options`` are forwarded
+        to :meth:`query` (``mode`` on :class:`ParallelEngine`).  The
+        returned aggregate iterates as one per-query result in input
+        order, each identical to an individual :meth:`query` call, and
+        exposes the batch-level ``max_pages`` / ``total_pages`` / merged
+        ``cache_stats``.
+        """
+        queries = np.asarray(queries, dtype=float)
+        if queries.size == 0:
+            return BatchQueryResult([], self.num_disks)
+        return BatchQueryResult(
+            [self.query(query, k, **options)
+             for query in np.atleast_2d(queries)],
+            self.num_disks,
+        )
+
+    def _roots(self) -> List[Tuple[int, Node]]:
+        """The non-empty trees to search, each root tagged with its disk
+        (``-1``: the leaves carry their own, see ``_disk_of``)."""
+        raise NotImplementedError
+
+    def _search(
+        self,
+        query: np.ndarray,
+        k: int,
+        on_node: Optional[NodeHook],
+        on_prune: Optional[PruneHook],
+    ) -> Tuple[List[Neighbor], SearchStats]:
+        """One search over all the roots: a shared bound."""
+        return best_first(
+            self._roots(), query, k, on_node=on_node, on_prune=on_prune,
+            payload=self._read_page,
+        )
+
+    def _run(
+        self,
+        query: Sequence[float],
+        k: int,
+        mode: Optional[str] = None,
+        search: Optional[Callable[..., Any]] = None,
+    ) -> Tuple[List[Neighbor], SearchStats, DiskArray, Optional[CacheStats]]:
+        """One query through the shell: validate, open the span, search
+        (:meth:`_search` unless told otherwise) with the charging hooks,
+        close the span; the caller assembles its result type.
+
+        Arguments are refused before the span opens, so a rejected
+        query emits nothing and leaves pool and counters untouched.
+        """
+        query = np.asarray(query, dtype=float)
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if query.shape != (self.dimension,):
+            raise ValueError(
+                f"query shape {query.shape} does not match the "
+                f"engine's dimension {self.dimension}"
+            )
+        tracer = self._active_tracer()
+        traced = tracer.enabled
+        span = -1
+        if traced:
+            span = tracer.begin_query(
+                self._span_name, k=k, num_disks=self.num_disks, mode=mode,
+                service_ms=self.parameters.page_service_time_ms,
+            )
+        disks = DiskArray(self.num_disks, self.parameters)
+        cache = self.cache
+        cache_before = cache.stats() if cache else None
+        disk_of = self._disk_of
+        count_directory = self.count_directory
+
+        def on_node(tag: int, node: Node) -> None:
+            # The one place a kNN query pays for a page: served from the
+            # pool, or charged to its disk.
+            leaf = node.is_leaf
+            disk = disk_of(node) if leaf and disk_of is not None else tag
+            if traced:
+                tracer.node_visit(span, disk, leaf=leaf)
+            if not (leaf or count_directory):
+                return
+            pages = node.blocks
+            if cache is not None:
+                if cache.access(disk, id(node), pages):
+                    if traced:
+                        tracer.cache_hit(span, disk, pages)
+                    return
+                if traced:
+                    tracer.cache_miss(span, disk, pages)
+            disks.charge(disk, pages)
+            if traced:
+                tracer.page_read(span, disk, pages)
+
+        def on_prune(tag: int, count: int) -> None:
+            if traced:
+                tracer.prune(span, tag, count)
+
+        search = search or self._search
+        # One disk and nobody watching the visits (no pool, no tracer):
+        # ``SearchStats`` already holds the charge, and skipping the hook
+        # saves ~0.7 us a node, 7-9 % of a query.  (A leaf counts as one
+        # page there, which holds for every tree the builders produce:
+        # X-tree data nodes always split.)
+        watched = not self._single_disk or cache is not None or traced
+        neighbors, stats = search(
+            query, k, on_node if watched else None,
+            on_prune if traced and not self._single_disk else None,
+        )
+        if not watched:
+            disks.charge(
+                0,
+                stats.page_accesses if count_directory
+                else stats.leaf_accesses,
+            )
+        if traced:
+            tracer.end_query(
+                span, time_ms=disks.parallel_time_ms,
+                distance_computations=stats.distance_computations,
+            )
+        return (
+            neighbors, stats, disks,
+            cache.delta_since(cache_before) if cache else None,
+        )
+
+    @staticmethod
+    def _parallel_result(
+        neighbors: List[Neighbor],
+        stats: SearchStats,
+        disks: DiskArray,
+        cache_stats: Optional[CacheStats],
+    ) -> ParallelQueryResult:
+        """:meth:`_run`'s outcome as a :class:`ParallelQueryResult`."""
+        return ParallelQueryResult(
+            neighbors=neighbors,
+            pages_per_disk=disks.pages_per_disk,
+            parallel_time_ms=disks.parallel_time_ms,
+            distance_computations=stats.distance_computations,
+            cache_stats=cache_stats,
+        )
+
+
+class ParallelEngine(_BestFirstEngine):
     """kNN execution over a :class:`DeclusteredStore`.
 
     ``count_directory=False`` (default) charges only data (leaf) pages to
@@ -214,12 +419,9 @@ class ParallelEngine:
     ``tracer`` attaches an observability tracer (see :mod:`repro.obs`);
     when omitted, the ambient :func:`repro.obs.observe` tracer — if any —
     is used, and otherwise the zero-overhead null tracer.
-
-    ``use_kernels`` selects the vectorized traversal kernels
-    (:mod:`repro.index.kernels`); the default ``None`` defers to the
-    ``REPRO_SCALAR_KERNELS`` environment variable at query time.  Both
-    paths produce bit-identical results and counters.
     """
+
+    _span_name = "parallel"
 
     def __init__(
         self,
@@ -228,49 +430,12 @@ class ParallelEngine:
         count_directory: bool = False,
         cache: CacheSpec = None,
         tracer: Optional[Tracer] = None,
-        use_kernels: Optional[bool] = None,
     ):
+        super().__init__(
+            store.num_disks, store.dimension, store.page_bytes,
+            parameters, cache, tracer, count_directory,
+        )
         self.store = store
-        self.parameters = parameters or DiskParameters(
-            page_bytes=store.page_bytes
-        )
-        self.count_directory = count_directory
-        self.cache = as_buffer_pool(
-            cache, store.num_disks, store.page_bytes
-        )
-        self.tracer = tracer
-        self.use_kernels = use_kernels
-
-    def reset_cache(self) -> None:
-        """Drop every cached page (next query runs cold)."""
-        if self.cache is not None:
-            self.cache.reset()
-
-    def _active_tracer(self) -> Tracer:
-        """This engine's tracer, else the ambient one, else the null
-        tracer."""
-        return self.tracer if self.tracer is not None else current_tracer()
-
-    def _fetch(self, disks: DiskArray, disk: int, node: Node, pages: int,
-               tracer: Tracer = NULL_TRACER, span: int = -1) -> None:
-        """Serve ``pages`` pages of ``node`` from cache or charge the
-        disk.
-
-        Emits ``cache_hit``/``cache_miss`` (when a pool is attached) and
-        ``page_read`` for every disk charge.
-        """
-        if pages == 0:
-            return
-        if self.cache is not None:
-            if self.cache.access(disk, id(node), pages):
-                if tracer.enabled:
-                    tracer.cache_hit(span, disk, pages)
-                return
-            if tracer.enabled:
-                tracer.cache_miss(span, disk, pages)
-        disks.charge(disk, pages)
-        if tracer.enabled:
-            tracer.page_read(span, disk, pages)
 
     def query(
         self, query: Sequence[float], k: int = 1, mode: str = "coordinated"
@@ -279,219 +444,56 @@ class ParallelEngine:
 
         Under an enabled tracer this emits a full query span
         (``query_start`` ... ``query_end``) with per-disk ``page_read``
-        events matching the returned ``pages_per_disk`` exactly.
+        events matching the returned ``pages_per_disk`` exactly; the
+        coordinated search also emits ``prune`` when the shared bound
+        cuts the queue or skips a child subtree.
         """
-        if mode == "coordinated":
-            return self._query_coordinated(query, k)
-        if mode == "independent":
-            return self._query_independent(query, k)
-        raise ValueError(
-            f"mode must be 'coordinated' or 'independent', got {mode!r}"
-        )
+        if mode not in ("coordinated", "independent"):
+            raise ValueError(
+                f"mode must be 'coordinated' or 'independent', got {mode!r}"
+            )
+        return self._parallel_result(*self._run(
+            query, k, mode,
+            self._independent if mode == "independent" else None,
+        ))
 
-    def query_batch(
+    def _roots(self) -> List[Tuple[int, Node]]:
+        return [
+            (disk, tree.root)
+            for disk, tree in enumerate(self.store.trees)
+            if tree.size
+        ]
+
+    def _independent(
         self,
-        queries: np.ndarray,
-        k: int = 1,
-        mode: str = "coordinated",
-    ) -> BatchQueryResult:
-        """Run a batch of kNN queries sharing this engine's buffer pool.
-
-        The query matrix is converted to float64 once up front (each
-        query is then a zero-copy row view), and the buffer pool — when
-        one is attached — stays warm across the batch, so later queries
-        hit the pages earlier ones pulled in.  Per-query results are
-        identical to issuing :meth:`query` calls one by one.
-        """
-        queries = np.asarray(queries, dtype=float)
-        if queries.size == 0:
-            return BatchQueryResult([], self.store.num_disks)
-        queries = np.atleast_2d(queries)
-        return BatchQueryResult(
-            [self.query(query, k, mode) for query in queries],
-            self.store.num_disks,
-        )
-
-    # ----------------------------------------------------- coordinated
-
-    def _query_coordinated(
-        self, query: Sequence[float], k: int
-    ) -> ParallelQueryResult:
-        query = np.asarray(query, dtype=float)
-        vectorized = kernels.kernels_enabled(self.use_kernels)
-        disks = DiskArray(self.store.num_disks, self.parameters)
-        cache_before = self.cache.stats() if self.cache else None
-        tracer = self._active_tracer()
-        span = -1
-        if tracer.enabled:
-            span = tracer.begin_query(
-                "parallel", k=k, num_disks=self.store.num_disks,
-                mode="coordinated",
-                service_ms=self.parameters.page_service_time_ms,
-            )
-        candidates = _CandidateSet(k)
-        stats = SearchStats()
-        tiebreak = itertools.count()
-        queue: List[Tuple[float, int, int, Node]] = []
-        for disk, tree in enumerate(self.store.trees):
-            if tree.size:
-                heapq.heappush(queue, (0.0, next(tiebreak), disk, tree.root))
-        while queue:
-            mindist, _, disk, node = heapq.heappop(queue)
-            if mindist > candidates.bound:
-                if tracer.enabled:
-                    # Everything still queued is outside the kNN sphere.
-                    tracer.prune(span, disk, count=len(queue) + 1)
-                break
-            if tracer.enabled:
-                tracer.node_visit(span, disk, leaf=node.is_leaf)
-            if node.is_leaf or self.count_directory:
-                self._fetch(disks, disk, node, node.blocks, tracer, span)
-            if node.is_leaf:
-                if node.entries:
-                    if vectorized:
-                        kernels.offer_leaf(candidates, node, query, stats)
-                    else:
-                        sq, entries = _leaf_distances(node, query, stats)
-                        for distance, entry in zip(sq, entries):
-                            candidates.offer(
-                                float(distance), entry.oid, entry.point
-                            )
-            elif vectorized:
-                child_keys = kernels.child_mindists(node, query)
-                if tracer.enabled:
-                    # Walk every child in order so the per-child prune
-                    # events match the scalar trace exactly.
-                    for index, child in enumerate(node.entries):
-                        child_mindist = float(child_keys[index])
-                        if child_mindist <= candidates.bound:
-                            heapq.heappush(
-                                queue,
-                                (child_mindist, next(tiebreak), disk, child),
-                            )
-                        else:
-                            tracer.prune(span, disk)
-                else:
-                    # The bound cannot change while expanding a node, so
-                    # one mask reproduces the per-child test — including
-                    # which children consume a tiebreak value, in order.
-                    for index in np.nonzero(
-                        child_keys <= candidates.bound
-                    )[0]:
-                        heapq.heappush(
-                            queue,
-                            (
-                                float(child_keys[index]),
-                                next(tiebreak),
-                                disk,
-                                node.entries[index],
-                            ),
-                        )
-            else:
-                for child in node.entries:
-                    child_mindist = child.mbr.mindist(query)
-                    if child_mindist <= candidates.bound:
-                        heapq.heappush(
-                            queue,
-                            (child_mindist, next(tiebreak), disk, child),
-                        )
-                    elif tracer.enabled:
-                        tracer.prune(span, disk)
-        if tracer.enabled:
-            tracer.end_query(
-                span, time_ms=disks.parallel_time_ms,
-                distance_computations=stats.distance_computations,
-            )
-        return ParallelQueryResult(
-            neighbors=candidates.neighbors(),
-            pages_per_disk=disks.pages_per_disk,
-            parallel_time_ms=disks.parallel_time_ms,
-            distance_computations=stats.distance_computations,
-            cache_stats=(
-                self.cache.delta_since(cache_before) if self.cache else None
-            ),
-        )
-
-    # ----------------------------------------------------- independent
-
-    def _node_pages(self, node: Node) -> int:
-        """Pages this mode's accounting charges for one node visit."""
-        if self.count_directory:
-            return node.blocks
-        return 1 if node.is_leaf else 0
-
-    def _query_independent(
-        self, query: Sequence[float], k: int
-    ) -> ParallelQueryResult:
-        query = np.asarray(query, dtype=float)
-        disks = DiskArray(self.store.num_disks, self.parameters)
-        cache_before = self.cache.stats() if self.cache else None
-        tracer = self._active_tracer()
-        span = -1
-        if tracer.enabled:
-            span = tracer.begin_query(
-                "parallel", k=k, num_disks=self.store.num_disks,
-                mode="independent",
-                service_ms=self.parameters.page_service_time_ms,
-            )
+        query: np.ndarray,
+        k: int,
+        on_node: Optional[NodeHook],
+        on_prune: Optional[PruneHook],
+    ) -> Tuple[List[Neighbor], SearchStats]:
+        """One search per disk (local bounds, no ``prune`` events); the
+        coordinator merges the per-disk answers."""
         merged = _CandidateSet(k)
-        distance_computations = 0
-        for disk, tree in enumerate(self.store.trees):
-            if not tree.size:
-                continue
-            if self.cache is None and not tracer.enabled:
-                neighbors, stats = knn_best_first(
-                    tree, query, k, use_kernels=self.use_kernels
-                )
-                pages = (
-                    stats.page_accesses
-                    if self.count_directory
-                    else stats.leaf_accesses
-                )
-                disks.charge(disk, pages)
-            else:
-                # Per-node trace so each page can be looked up in the
-                # pool (and traced); the aggregate equals the uncached
-                # charge above.
-                def on_node(node: Node, disk: int = disk) -> None:
-                    if tracer.enabled:
-                        tracer.node_visit(span, disk, leaf=node.is_leaf)
-                    self._fetch(
-                        disks, disk, node, self._node_pages(node),
-                        tracer, span,
-                    )
-
-                neighbors, stats = knn_best_first(
-                    tree, query, k, on_node=on_node,
-                    use_kernels=self.use_kernels,
-                )
-            distance_computations += stats.distance_computations
+        total = SearchStats()
+        for root in self._roots():
+            neighbors, stats = best_first([root], query, k, on_node=on_node)
+            total.merge(stats)
             for neighbor in neighbors:
                 merged.offer(
                     neighbor.distance**2, neighbor.oid, neighbor.point
                 )
-        if tracer.enabled:
-            tracer.end_query(
-                span, time_ms=disks.parallel_time_ms,
-                distance_computations=distance_computations,
-            )
-        return ParallelQueryResult(
-            neighbors=merged.neighbors(),
-            pages_per_disk=disks.pages_per_disk,
-            parallel_time_ms=disks.parallel_time_ms,
-            distance_computations=distance_computations,
-            cache_stats=(
-                self.cache.delta_since(cache_before) if self.cache else None
-            ),
-        )
+        return merged.neighbors(), total
 
 
-class SequentialEngine:
+class SequentialEngine(_BestFirstEngine):
     """Single-disk baseline: one index over the whole data set.
 
     Charges data (leaf) pages only, matching :class:`ParallelEngine`'s
     default accounting, unless ``count_directory=True``.
     """
+
+    _span_name = "sequential"
+    _single_disk = True
 
     def __init__(
         self,
@@ -504,35 +506,17 @@ class SequentialEngine:
         count_directory: bool = False,
         cache: CacheSpec = None,
         tracer: Optional[Tracer] = None,
-        use_kernels: Optional[bool] = None,
     ):
-        self.parameters = parameters or DiskParameters(page_bytes=page_bytes)
-        self.count_directory = count_directory
         if tree is not None:
             self.tree = tree
         else:
             self.tree = bulk_load(
                 points, oids=oids, tree_cls=tree_cls, page_bytes=page_bytes
             )
-        self.cache = as_buffer_pool(cache, 1, page_bytes)
-        self.tracer = tracer
-        self.use_kernels = use_kernels
-
-    def reset_cache(self) -> None:
-        """Drop every cached page (next query runs cold)."""
-        if self.cache is not None:
-            self.cache.reset()
-
-    def _active_tracer(self) -> Tracer:
-        """This engine's tracer, else the ambient one, else the null
-        tracer."""
-        return self.tracer if self.tracer is not None else current_tracer()
-
-    def _node_pages(self, node: Node) -> int:
-        """Pages this engine's accounting charges for one node visit."""
-        if self.count_directory:
-            return node.blocks
-        return 1 if node.is_leaf else 0
+        super().__init__(
+            1, self.tree.dimension, page_bytes, parameters, cache, tracer,
+            count_directory,
+        )
 
     def query(self, query: Sequence[float], k: int = 1) -> SequentialQueryResult:
         """Run one kNN query against the single-disk index.
@@ -542,75 +526,11 @@ class SequentialEngine:
         total exactly ``result.pages``; cache lookups additionally emit
         ``cache_hit``/``cache_miss``.
         """
-        tracer = self._active_tracer()
-        span = -1
-        if tracer.enabled:
-            span = tracer.begin_query(
-                "sequential", k=k, num_disks=1,
-                service_ms=self.parameters.page_service_time_ms,
-            )
-        if self.cache is None and not tracer.enabled:
-            neighbors, stats = knn_best_first(
-                self.tree, query, k, use_kernels=self.use_kernels
-            )
-            pages = (
-                stats.page_accesses
-                if self.count_directory
-                else stats.leaf_accesses
-            )
-            cache_stats = None
-        else:
-            cache_before = self.cache.stats() if self.cache else None
-            charged = [0]
-
-            def on_node(node: Node) -> None:
-                node_pages = self._node_pages(node)
-                if tracer.enabled:
-                    tracer.node_visit(span, 0, leaf=node.is_leaf)
-                if not node_pages:
-                    return
-                if self.cache is not None:
-                    if self.cache.access(0, id(node), node_pages):
-                        if tracer.enabled:
-                            tracer.cache_hit(span, 0, node_pages)
-                        return
-                    if tracer.enabled:
-                        tracer.cache_miss(span, 0, node_pages)
-                charged[0] += node_pages
-                if tracer.enabled:
-                    tracer.page_read(span, 0, node_pages)
-
-            neighbors, stats = knn_best_first(
-                self.tree, query, k, on_node=on_node,
-                use_kernels=self.use_kernels,
-            )
-            pages = charged[0]
-            cache_stats = (
-                self.cache.delta_since(cache_before) if self.cache else None
-            )
-        time_ms = pages * self.parameters.page_service_time_ms
-        if tracer.enabled:
-            tracer.end_query(
-                span, time_ms=time_ms,
-                distance_computations=stats.distance_computations,
-            )
+        neighbors, stats, disks, cache_stats = self._run(query, k)
         return SequentialQueryResult(
-            neighbors, stats, time_ms, pages, cache_stats
+            neighbors, stats, disks.parallel_time_ms, disks.max_pages,
+            cache_stats,
         )
 
-    def query_batch(
-        self, queries: np.ndarray, k: int = 1
-    ) -> BatchQueryResult:
-        """Run a batch of kNN queries sharing this engine's buffer pool.
-
-        Same contract as :meth:`ParallelEngine.query_batch`: one up-front
-        float64 conversion, a pool that stays warm across the batch, and
-        per-query results identical to individual :meth:`query` calls.
-        """
-        queries = np.asarray(queries, dtype=float)
-        if queries.size == 0:
-            return BatchQueryResult([], 1)
-        queries = np.atleast_2d(queries)
-        return BatchQueryResult(
-            [self.query(query, k) for query in queries], 1
-        )
+    def _roots(self) -> List[Tuple[int, Node]]:
+        return [(0, self.tree.root)] if self.tree.size else []

@@ -119,15 +119,13 @@ class EventDrivenSimulator:
         parameters: Optional[DiskParameters] = None,
         cache: CacheSpec = None,
         tracer: Optional[Tracer] = None,
-        use_kernels: Optional[bool] = None,
     ):
         self.store = store
         self.parameters = parameters or DiskParameters(
             page_bytes=store.page_bytes
         )
         self._engine = PagedEngine(
-            store, self.parameters, cache=cache, tracer=tracer,
-            use_kernels=use_kernels,
+            store, self.parameters, cache=cache, tracer=tracer
         )
         self.tracer = tracer
 

@@ -12,36 +12,31 @@ grown indexes is uncorrelated with space.  :func:`arrival_order_assignment`
 implements that; :func:`striped_assignment` (pages striped in spatial STR
 order) is kept as an ablation of how much arrival order costs.
 
-A kNN query runs one best-first (HS 95) traversal of the shared directory;
-each visited data page is charged to its disk; the query's elapsed time is
-the busiest disk's page count times the page service time — exactly the
-paper's measurement.
+A kNN query runs one best-first (HS 95) traversal of the shared directory
+(:func:`repro.index.knn.best_first` from the single root); each visited
+data page is charged to its disk; the query's elapsed time is the busiest
+disk's page count times the page service time — exactly the paper's
+measurement.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.declustering import BucketDeclusterer, Declusterer
-from repro.index import kernels
 from repro.index.bulk import bulk_load
-from repro.index.knn import SearchStats, _CandidateSet, _leaf_distances
-from repro.index.metrics import Euclidean
 from repro.index.node import DEFAULT_PAGE_BYTES, Node
 from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
-from repro.obs.context import current_tracer
 from repro.obs.tracer import Tracer
-from repro.parallel.cache import CacheConfig, as_buffer_pool
-from repro.parallel.disks import DiskArray, DiskParameters
+from repro.parallel.cache import CacheConfig
+from repro.parallel.disks import DiskParameters
 from repro.parallel.engine import (
-    BatchQueryResult,
     CacheSpec,
     ParallelQueryResult,
+    _BestFirstEngine,
 )
 
 __all__ = [
@@ -52,8 +47,6 @@ __all__ = [
 ]
 
 AssignmentFunction = Callable[[np.ndarray, np.random.Generator], np.ndarray]
-
-_EUCLIDEAN = Euclidean()
 
 
 def arrival_order_assignment(num_disks: int, seed: int = 0) -> AssignmentFunction:
@@ -191,7 +184,7 @@ class PagedStore:
         )
 
 
-class PagedEngine:
+class PagedEngine(_BestFirstEngine):
     """Parallel kNN over a :class:`PagedStore` (shared directory model).
 
     ``cache`` attaches a buffer pool for the data pages (the directory is
@@ -203,9 +196,11 @@ class PagedEngine:
     :class:`~repro.storage.mmap_store.MmapStore`: stores exposing a
     ``read_page(leaf) -> (points, oids)`` hook have their leaf payloads
     fetched through it (an mmap page fault on a cold page) and scored
-    via the payload kernels — results, counters, and charging are
+    via the payload kernel — results, counters, and charging are
     bit-for-bit identical to the in-memory path.
     """
+
+    _span_name = "paged"
 
     def __init__(
         self,
@@ -213,49 +208,15 @@ class PagedEngine:
         parameters: Optional[DiskParameters] = None,
         cache: CacheSpec = None,
         tracer: Optional[Tracer] = None,
-        use_kernels: Optional[bool] = None,
     ):
+        super().__init__(
+            store.num_disks, store.tree.dimension, store.page_bytes,
+            parameters, store.cache_config if cache is None else cache,
+            tracer,
+        )
         self.store = store
-        self.parameters = parameters or DiskParameters(
-            page_bytes=store.page_bytes
-        )
-        if cache is None:
-            cache = store.cache_config
-        self.cache = as_buffer_pool(cache, store.num_disks, store.page_bytes)
-        self.tracer = tracer
-        self.use_kernels = use_kernels
+        self._disk_of = store.disk_of
         self._read_page = getattr(store, "read_page", None)
-
-    def reset_cache(self) -> None:
-        """Drop every cached page (next query runs cold)."""
-        if self.cache is not None:
-            self.cache.reset()
-
-    def _active_tracer(self) -> Tracer:
-        """This engine's tracer, else the ambient one, else the null
-        tracer."""
-        return self.tracer if self.tracer is not None else current_tracer()
-
-    def query_batch(
-        self, queries: np.ndarray, k: int = 1
-    ) -> BatchQueryResult:
-        """Run a batch of kNN queries sharing this engine's buffer pool.
-
-        Same contract as
-        :meth:`~repro.parallel.engine.ParallelEngine.query_batch`: the
-        returned aggregate iterates as one
-        :class:`~repro.parallel.engine.ParallelQueryResult` per query
-        (in input order) and exposes the batch-level ``max_pages`` /
-        ``total_pages`` / merged ``cache_stats``.
-        """
-        queries = np.asarray(queries, dtype=float)
-        if queries.size == 0:
-            return BatchQueryResult([], self.store.num_disks)
-        queries = np.atleast_2d(queries)
-        return BatchQueryResult(
-            [self.query(query, k) for query in queries],
-            self.store.num_disks,
-        )
 
     def query(self, query: Sequence[float], k: int = 1) -> ParallelQueryResult:
         """Run one kNN query over the shared directory.
@@ -267,138 +228,8 @@ class PagedEngine:
         data page, and ``prune`` when the best-first bound cuts the
         queue or skips a child subtree.
         """
-        query = np.asarray(query, dtype=float)
-        vectorized = kernels.kernels_enabled(self.use_kernels)
-        tracer = self._active_tracer()
-        traced = tracer.enabled
-        span = -1
-        if traced:
-            span = tracer.begin_query(
-                "paged", k=k, num_disks=self.store.num_disks,
-                service_ms=self.parameters.page_service_time_ms,
-            )
-        disks = DiskArray(self.store.num_disks, self.parameters)
-        cache_before = self.cache.stats() if self.cache else None
-        candidates = _CandidateSet(k)
-        stats = SearchStats()
+        return self._parallel_result(*self._run(query, k))
+
+    def _roots(self) -> List[Tuple[int, Node]]:
         tree = self.store.tree
-        if tree.size == 0:
-            if traced:
-                tracer.end_query(span)
-            return ParallelQueryResult(
-                [], disks.pages_per_disk, 0.0, 0,
-                cache_stats=(
-                    self.cache.delta_since(cache_before)
-                    if self.cache else None
-                ),
-            )
-        tiebreak = itertools.count()
-        queue: List[Tuple[float, int, Node]] = [
-            (0.0, next(tiebreak), tree.root)
-        ]
-        while queue:
-            mindist, _, node = heapq.heappop(queue)
-            if mindist > candidates.bound:
-                if traced:
-                    tracer.prune(span, count=len(queue) + 1)
-                break
-            if node.is_leaf:
-                # Data page: served from the pool if hot, else fetched
-                # from its disk.
-                disk = self.store.disk_of(node)
-                if traced:
-                    tracer.node_visit(span, disk, leaf=True)
-                if self.cache is not None and self.cache.access(
-                    disk, id(node), node.blocks
-                ):
-                    if traced:
-                        tracer.cache_hit(span, disk, node.blocks)
-                else:
-                    if traced:
-                        if self.cache is not None:
-                            tracer.cache_miss(span, disk, node.blocks)
-                        tracer.page_read(span, disk, node.blocks)
-                    disks.charge(disk, node.blocks)
-                if self._read_page is not None:
-                    # Out-of-core store: the payload is decoded from the
-                    # page file's memory map (cold read = page fault,
-                    # warm read = OS page cache) and scored as arrays.
-                    points, oids = self._read_page(node)
-                    if len(oids):
-                        if vectorized:
-                            kernels.offer_payload(
-                                candidates, points, oids, query, stats
-                            )
-                        else:
-                            keys = _EUCLIDEAN.point_keys(points, query)
-                            stats.distance_computations += len(oids)
-                            for index in range(len(oids)):
-                                candidates.offer(
-                                    float(keys[index]),
-                                    int(oids[index]),
-                                    points[index],
-                                )
-                elif node.entries:
-                    if vectorized:
-                        kernels.offer_leaf(candidates, node, query, stats)
-                    else:
-                        sq, entries = _leaf_distances(node, query, stats)
-                        for distance, entry in zip(sq, entries):
-                            candidates.offer(
-                                float(distance), entry.oid, entry.point
-                            )
-            else:
-                # Directory page: served from the shared cached directory.
-                if traced:
-                    tracer.node_visit(span, -1, leaf=False)
-                if vectorized:
-                    child_keys = kernels.child_mindists(node, query)
-                    if traced:
-                        # Walk every child in order so the per-child
-                        # prune events match the scalar trace exactly.
-                        for index, child in enumerate(node.entries):
-                            child_mindist = float(child_keys[index])
-                            if child_mindist <= candidates.bound:
-                                heapq.heappush(
-                                    queue,
-                                    (child_mindist, next(tiebreak), child),
-                                )
-                            else:
-                                tracer.prune(span)
-                    else:
-                        # The bound cannot change while expanding a node,
-                        # so one mask reproduces the per-child test.
-                        for index in np.nonzero(
-                            child_keys <= candidates.bound
-                        )[0]:
-                            heapq.heappush(
-                                queue,
-                                (
-                                    float(child_keys[index]),
-                                    next(tiebreak),
-                                    node.entries[index],
-                                ),
-                            )
-                else:
-                    for child in node.entries:
-                        child_mindist = child.mbr.mindist(query)
-                        if child_mindist <= candidates.bound:
-                            heapq.heappush(
-                                queue, (child_mindist, next(tiebreak), child)
-                            )
-                        elif traced:
-                            tracer.prune(span)
-        if traced:
-            tracer.end_query(
-                span, time_ms=disks.parallel_time_ms,
-                distance_computations=stats.distance_computations,
-            )
-        return ParallelQueryResult(
-            neighbors=candidates.neighbors(),
-            pages_per_disk=disks.pages_per_disk,
-            parallel_time_ms=disks.parallel_time_ms,
-            distance_computations=stats.distance_computations,
-            cache_stats=(
-                self.cache.delta_since(cache_before) if self.cache else None
-            ),
-        )
+        return [(-1, tree.root)] if tree.size else []

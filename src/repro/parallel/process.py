@@ -484,11 +484,6 @@ class ProcessParallelEngine:
         Must be ``None``: the OS page cache serves warm mmap reads, and
         simulated buffer-pool semantics belong to the in-process
         engines.
-    use_kernels:
-        Accepted for signature parity with the in-process engines and
-        kept as an attribute for callers that forward it; the workers'
-        page-major scan has no scalar twin, and results are identical
-        under either setting.
     max_k:
         Capacity of the shared bound array; queries may use any
         ``k <= max_k``.
@@ -508,7 +503,6 @@ class ProcessParallelEngine:
         parameters: Optional[DiskParameters] = None,
         cache: None = None,
         tracer: Optional[Tracer] = None,
-        use_kernels: Optional[bool] = None,
         max_k: int = 64,
         start_method: str = "spawn",
     ):
@@ -534,7 +528,6 @@ class ProcessParallelEngine:
         )
         self.cache = None
         self.tracer = tracer
-        self.use_kernels = use_kernels
         self.max_k = max_k
         self._start_method = start_method
         self._ctx = multiprocessing.get_context(start_method)

@@ -56,7 +56,6 @@ def parallel_window_query(
     high: Sequence[float],
     parameters: Optional[DiskParameters] = None,
     tracer: Optional[Tracer] = None,
-    use_kernels: Optional[bool] = None,
 ) -> WindowQueryResult:
     """All points in ``[low, high]``, with per-disk page accounting.
 
@@ -69,10 +68,6 @@ def parallel_window_query(
     ``query_start`` ... ``query_end`` span with ``node_visit`` per
     intersecting node (directory nodes carry ``disk=-1``), ``page_read``
     per data page, and ``prune`` per non-intersecting subtree.
-
-    ``use_kernels`` selects the vectorized intersection kernels
-    (:mod:`repro.index.kernels`); both paths return identical entries,
-    page counts, and — when traced — identical event streams.
     """
     window = MBR(low, high)
     parameters = parameters or DiskParameters(page_bytes=store.page_bytes)
@@ -86,11 +81,21 @@ def parallel_window_query(
         )
     disks = DiskArray(store.num_disks, parameters)
     entries: List[LeafEntry] = []
-    if store.tree.size and not kernels.kernels_enabled(use_kernels):
-        stack = [store.tree.root]
-        while stack:
-            node = stack.pop()
-            if node.mbr is None or not node.mbr.intersects(window):
+    if store.tree.size:
+        root = store.tree.root
+        # Intersection is decided in batch when a node is expanded (the
+        # root's here).  Under a tracer, rejected children are still
+        # pushed (with a False flag) so their ``prune`` events fire at
+        # pop time, in depth-first order among the visits.
+        flagged: List[Tuple[Node, bool]] = [
+            (root, root.mbr is not None and root.mbr.intersects(window))
+        ]
+        while flagged:
+            node, intersecting = flagged.pop()
+            if not intersecting:
+                # Only the root arrives here untraced, but guard
+                # explicitly so the null tracer provably stays
+                # zero-overhead.
                 if traced:
                     active.prune(span)
                 continue
@@ -100,63 +105,29 @@ def parallel_window_query(
                     active.node_visit(span, disk, leaf=True)
                     active.page_read(span, disk, node.blocks)
                 disks.charge(disk, node.blocks)
+                mask = kernels.leaf_window_mask(
+                    node, window.low, window.high
+                )
                 entries.extend(
-                    entry
-                    for entry in node.entries
-                    if window.contains_point(entry.point)
+                    node.entries[index]  # type: ignore[misc]
+                    for index in np.nonzero(mask)[0]
                 )
             else:
                 if traced:
                     active.node_visit(span, -1, leaf=False)
-                stack.extend(node.entries)
-    elif store.tree.size:
-        root = store.tree.root
-        if root.mbr is None or not root.mbr.intersects(window):
-            if traced:
-                active.prune(span)
-        else:
-            # Intersection is decided in batch when a node is expanded.
-            # Under a tracer, rejected children are still pushed (with a
-            # False flag) so their ``prune`` events fire at pop time —
-            # exactly where the scalar path emits them.
-            flagged: List[Tuple[Node, bool]] = [(root, True)]
-            while flagged:
-                node, intersecting = flagged.pop()
-                if not intersecting:
-                    # Only pushed when traced, but guard explicitly so
-                    # the null tracer provably stays zero-overhead.
-                    if traced:
-                        active.prune(span)
-                    continue
-                if node.is_leaf:
-                    disk = store.disk_of(node)
-                    if traced:
-                        active.node_visit(span, disk, leaf=True)
-                        active.page_read(span, disk, node.blocks)
-                    disks.charge(disk, node.blocks)
-                    mask = kernels.leaf_window_mask(
-                        node, window.low, window.high
-                    )
-                    entries.extend(
-                        node.entries[index]  # type: ignore[misc]
-                        for index in np.nonzero(mask)[0]
+                mask = kernels.child_intersects(
+                    node, window.low, window.high
+                )
+                if traced:
+                    flagged.extend(
+                        (child, bool(flag))  # type: ignore[misc]
+                        for child, flag in zip(node.entries, mask)
                     )
                 else:
-                    if traced:
-                        active.node_visit(span, -1, leaf=False)
-                    mask = kernels.child_intersects(
-                        node, window.low, window.high
+                    flagged.extend(
+                        (node.entries[index], True)  # type: ignore[misc]
+                        for index in np.nonzero(mask)[0]
                     )
-                    if traced:
-                        flagged.extend(
-                            (child, bool(flag))  # type: ignore[misc]
-                            for child, flag in zip(node.entries, mask)
-                        )
-                    else:
-                        flagged.extend(
-                            (node.entries[index], True)  # type: ignore[misc]
-                            for index in np.nonzero(mask)[0]
-                        )
     if traced:
         active.end_query(span, time_ms=disks.parallel_time_ms)
     return WindowQueryResult(

@@ -451,9 +451,6 @@ class QueryService:
                             request.high,
                             parameters=self.engine.parameters,
                             tracer=self.tracer,
-                            use_kernels=getattr(
-                                self.engine, "use_kernels", None
-                            ),
                         )
                     )
         pages = np.zeros(self.num_disks, dtype=np.int64)

@@ -1,14 +1,19 @@
-"""Oracle tests: vectorized traversal kernels vs. the scalar path.
+"""Oracle tests: vectorized traversal kernels vs. their scalar loops.
 
 The contract of :mod:`repro.index.kernels` is *bit-for-bit* equivalence:
-across seeded dimensions, k values, engines, and execution modes, the
-vectorized and scalar paths must agree exactly on neighbors,
-``SearchStats``, per-disk page counts, and cache stats — no
-float-tolerance waivers on any counter.  These tests pin that contract,
-plus the ``REPRO_SCALAR_KERNELS`` environment fallback and the lazily
-cached per-node arrays surviving tree mutation.
+across seeded dimensions, k values, engines, and execution modes, a run
+as shipped and a run under ``tests.scalar_oracle.scalar_kernels()``
+(every kernel swapped for its per-entry loop) must agree exactly on
+neighbors, ``SearchStats``, per-disk page counts, and cache stats — no
+float-tolerance waivers on any counter.  Both runs share the one
+best-first loop of ``repro.index.knn``, so :func:`textbook_hs95` — its
+own heap, a per-child ``mindist`` test, a per-entry offer — referees
+visit order and ``SearchStats`` independently, on uniform data and on an
+integer lattice where equal keys and ``mindist == bound`` do occur.
+Also pinned: the lazily cached per-node arrays surviving tree mutation.
 """
 
+import heapq
 import itertools
 
 import numpy as np
@@ -18,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines import RoundRobinDeclusterer
 from repro.index import kernels
 from repro.index.knn import (
+    SearchStats,
     _CandidateSet,
     knn_best_first,
     knn_branch_and_bound,
@@ -25,13 +31,15 @@ from repro.index.knn import (
     pages_intersecting_radius,
 )
 from repro.index.metrics import Euclidean, LpMetric, WeightedEuclidean
-from repro.index.node import LeafEntry
 from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
 from repro.parallel.engine import ParallelEngine, SequentialEngine
 from repro.parallel.paged import PagedEngine, PagedStore
+from repro.parallel.process import ProcessParallelEngine
 from repro.parallel.store import DeclusteredStore
 from repro.parallel.window import parallel_window_query
+from repro.storage import MmapStore, save_mmap_store
+from tests.scalar_oracle import scalar_kernels
 
 DIMENSIONS = (2, 8, 16, 32)
 KS = (1, 10, 20)
@@ -90,6 +98,33 @@ def _assert_same_parallel_result(vectorized, scalar):
     _assert_same_cache_stats(vectorized.cache_stats, scalar.cache_stats)
 
 
+def textbook_hs95(roots, query, k, metric=Euclidean()):
+    """HS 95 as the paper states it, over ``(tag, root)`` pairs.
+
+    Returns the neighbors, the ``SearchStats`` and the visited
+    ``(tag, node)`` pairs in order.
+    """
+    candidates, stats, visited = _CandidateSet(k), SearchStats(), []
+    count = itertools.count()
+    heap = [(0.0, next(count), tag, root) for tag, root in roots]
+    while heap:
+        mindist, _, tag, node = heapq.heappop(heap)
+        if mindist > candidates.bound:
+            break
+        stats.record(node)
+        visited.append((tag, node))
+        for entry in node.entries:
+            if node.is_leaf:
+                key = metric.point_keys(entry.point[None], query)[0]
+                stats.distance_computations += 1
+                candidates.offer(float(key), entry.oid, entry.point)
+                continue
+            key = metric.mindist(entry.mbr, query)
+            if key <= candidates.bound:
+                heapq.heappush(heap, (key, next(count), tag, entry))
+    return candidates.neighbors(metric), stats, visited
+
+
 # ------------------------------------------------------- traversal level
 
 
@@ -103,17 +138,24 @@ def test_knn_traversals_match_scalar_bit_for_bit(dimension, k, tree_cls):
     for query in rng.random((3, dimension)):
         oracle = [n.oid for n in knn_linear_scan(points, query, k)]
         for search in (knn_best_first, knn_branch_and_bound):
-            fast, fast_stats = search(tree, query, k, use_kernels=True)
-            slow, slow_stats = search(tree, query, k, use_kernels=False)
+            fast, fast_stats = search(tree, query, k)
+            with scalar_kernels():
+                slow, slow_stats = search(tree, query, k)
             assert fast == slow
             assert fast_stats == slow_stats  # every counter, exactly
             assert [n.oid for n in fast] == oracle
         radius = fast[-1].distance * 1.25 if fast else 0.5
-        assert pages_intersecting_radius(
-            tree, query, radius, use_kernels=True
-        ) == pages_intersecting_radius(
-            tree, query, radius, use_kernels=False
-        )
+        pages = pages_intersecting_radius(tree, query, radius)
+        with scalar_kernels():
+            assert pages == pages_intersecting_radius(tree, query, radius)
+        order = []
+        best, best_stats = knn_best_first(tree, query, k, on_node=order.append)
+        book, book_stats, visited = textbook_hs95([(0, tree.root)], query, k)
+        assert best == book
+        assert best_stats == book_stats
+        assert [id(node) for node in order] == [
+            id(node) for _, node in visited
+        ]
 
 
 @pytest.mark.parametrize("dimension", DIMENSIONS)
@@ -128,14 +170,14 @@ def test_custom_metrics_match_scalar(dimension):
     for metric in metrics:
         for query in rng.random((2, dimension)):
             for search in (knn_best_first, knn_branch_and_bound):
-                fast, fast_stats = search(
-                    tree, query, 5, metric=metric, use_kernels=True
-                )
-                slow, slow_stats = search(
-                    tree, query, 5, metric=metric, use_kernels=False
-                )
+                fast, fast_stats = search(tree, query, 5, metric=metric)
+                with scalar_kernels():
+                    slow, slow_stats = search(tree, query, 5, metric=metric)
                 assert fast == slow
                 assert fast_stats == slow_stats
+            assert knn_best_first(tree, query, 5, metric=metric) == (
+                textbook_hs95([(0, tree.root)], query, 5, metric)[:2]
+            )
 
 
 def test_minmaxdist_kernel_matches_scalar():
@@ -244,14 +286,12 @@ def test_offer_many_matches_sequential_offers():
         for trial in range(20):
             # Duplicate keys on purpose: ties must resolve identically.
             keys = rng.integers(0, 10, size=50).astype(float)
-            entries = [
-                LeafEntry(rng.random(3), oid) for oid in range(len(keys))
-            ]
+            oids, points = np.arange(len(keys)), rng.random((len(keys), 3))
             bulk = _CandidateSet(k)
-            bulk.offer_many(keys, entries)
+            bulk.offer_many(keys, oids, points)
             one_by_one = _CandidateSet(k)
-            for key, entry in zip(keys, entries):
-                one_by_one.offer(float(key), entry.oid, entry.point)
+            for key, oid, point in zip(keys, oids, points):
+                one_by_one.offer(float(key), int(oid), point)
             assert bulk.neighbors() == one_by_one.neighbors()
             assert bulk.bound == one_by_one.bound
 
@@ -264,7 +304,7 @@ def test_kernel_cache_survives_tree_mutation():
     for oid, point in enumerate(points[:400]):
         tree.insert(point, oid)
     query = rng.random(dimension)
-    knn_best_first(tree, query, 5, use_kernels=True)  # populate caches
+    knn_best_first(tree, query, 5)  # populate caches
     for oid, point in enumerate(points[400:], start=400):
         tree.insert(point, oid)  # splits/extends must invalidate
     for oid in range(0, 120, 11):
@@ -272,8 +312,9 @@ def test_kernel_cache_survives_tree_mutation():
     removed = set(range(0, 120, 11))
     alive = [oid for oid in range(len(points)) if oid not in removed]
     for query in rng.random((5, dimension)):
-        fast, fast_stats = knn_best_first(tree, query, 8, use_kernels=True)
-        slow, slow_stats = knn_best_first(tree, query, 8, use_kernels=False)
+        fast, fast_stats = knn_best_first(tree, query, 8)
+        with scalar_kernels():
+            slow, slow_stats = knn_best_first(tree, query, 8)
         assert fast == slow
         assert fast_stats == slow_stats
         oracle = knn_linear_scan(
@@ -297,11 +338,12 @@ def test_parallel_engine_matches_scalar(dimension, k, mode):
     points, store, _ = _stores(dimension)
     rng = np.random.default_rng(77 * dimension + k)
     for cache in (None, 64):
-        fast_engine = ParallelEngine(store, cache=cache, use_kernels=True)
-        slow_engine = ParallelEngine(store, cache=cache, use_kernels=False)
+        fast_engine = ParallelEngine(store, cache=cache)
+        slow_engine = ParallelEngine(store, cache=cache)
         for query in rng.random((2, dimension)):
             fast = fast_engine.query(query, k, mode=mode)
-            slow = slow_engine.query(query, k, mode=mode)
+            with scalar_kernels():
+                slow = slow_engine.query(query, k, mode=mode)
             _assert_same_parallel_result(fast, slow)
             oracle = knn_linear_scan(points, query, k)
             assert [n.oid for n in fast.neighbors] == [
@@ -316,24 +358,18 @@ def test_paged_and_sequential_engines_match_scalar(dimension, k):
     points, _, paged_store = _stores(dimension)
     rng = np.random.default_rng(88 * dimension + k)
     for cache in (None, 64):
-        fast_paged = PagedEngine(
-            paged_store, cache=cache, use_kernels=True
-        )
-        slow_paged = PagedEngine(
-            paged_store, cache=cache, use_kernels=False
-        )
-        fast_seq = SequentialEngine(
-            points, cache=cache, use_kernels=True
-        )
-        slow_seq = SequentialEngine(
-            points, cache=cache, use_kernels=False
-        )
+        fast_paged = PagedEngine(paged_store, cache=cache)
+        slow_paged = PagedEngine(paged_store, cache=cache)
+        fast_seq = SequentialEngine(points, cache=cache)
+        slow_seq = SequentialEngine(points, cache=cache)
         for query in rng.random((2, dimension)):
-            _assert_same_parallel_result(
-                fast_paged.query(query, k), slow_paged.query(query, k)
-            )
+            paged = fast_paged.query(query, k)
             fast = fast_seq.query(query, k)
-            slow = slow_seq.query(query, k)
+            with scalar_kernels():
+                _assert_same_parallel_result(
+                    paged, slow_paged.query(query, k)
+                )
+                slow = slow_seq.query(query, k)
             assert fast.neighbors == slow.neighbors
             assert fast.stats == slow.stats
             assert fast.pages == slow.pages
@@ -347,42 +383,94 @@ def test_window_query_matches_scalar(dimension):
     for center in rng.random((4, dimension)):
         low = np.maximum(center - 0.3, 0.0)
         high = np.minimum(center + 0.3, 1.0)
-        fast = parallel_window_query(
-            paged_store, low, high, use_kernels=True
-        )
-        slow = parallel_window_query(
-            paged_store, low, high, use_kernels=False
-        )
+        fast = parallel_window_query(paged_store, low, high)
+        with scalar_kernels():
+            slow = parallel_window_query(paged_store, low, high)
         assert [e.oid for e in fast.entries] == [
             e.oid for e in slow.entries
         ]
         assert np.array_equal(fast.pages_per_disk, slow.pages_per_disk)
 
 
-# ------------------------------------------------------ env-var fallback
+# ----------------------------------------------------------------- ties
 
 
-def test_scalar_env_selects_fallback(monkeypatch):
-    monkeypatch.delenv(kernels.SCALAR_ENV, raising=False)
-    assert kernels.kernels_enabled() is True
-    monkeypatch.setenv(kernels.SCALAR_ENV, "0")
-    assert kernels.kernels_enabled() is True
-    monkeypatch.setenv(kernels.SCALAR_ENV, "1")
-    assert kernels.kernels_enabled() is False
-    # An explicit engine/function flag always wins over the environment.
-    assert kernels.kernels_enabled(True) is True
-    monkeypatch.delenv(kernels.SCALAR_ENV)
-    assert kernels.kernels_enabled(False) is False
+def _ranked(neighbors):
+    return [(n.distance, n.oid) for n in neighbors]
 
 
-def test_env_fallback_runs_scalar_path_with_same_answers(monkeypatch):
-    points, tree = _tree(8, XTree)
-    rng = np.random.default_rng(21)
-    query = rng.random(8)
-    reference, reference_stats = knn_best_first(
-        tree, query, 10, use_kernels=True
+def _facts(result):
+    return (
+        _ranked(result.neighbors),
+        result.distance_computations,
+        result.pages_per_disk.tolist(),
     )
-    monkeypatch.setenv(kernels.SCALAR_ENV, "1")
-    fallback, fallback_stats = knn_best_first(tree, query, 10)
-    assert fallback == reference
-    assert fallback_stats == reference_stats
+
+
+def _referee(roots, query, k, disks=3, disk_of=lambda tag, leaf: tag):
+    """The textbook's ``_facts``: leaf blocks charged to ``disk_of``."""
+    neighbors, stats, visited = textbook_hs95(roots, query, k)
+    pages = [0] * disks
+    for tag, node in visited:
+        if node.is_leaf:
+            pages[disk_of(tag, node)] += node.blocks
+    return (_ranked(neighbors), stats.distance_computations, pages), stats
+
+
+@pytest.mark.parametrize("dimension", (2, 3))
+def test_lattice_ties_match_textbook(dimension, tmp_path):
+    """Points and queries on ``{0..5}^d`` with duplicates: equal keys,
+    ``mindist == bound`` and full leaves of one distance all occur, so
+    the cut ``mindist > bound`` (not ``>=``) and the strict ``offer``
+    are each observable in ``SearchStats`` and the page counts."""
+    rng = np.random.default_rng(41 * dimension)
+    points = rng.integers(0, 6, size=(300, dimension)).astype(float)
+    queries = rng.integers(0, 6, size=(6, dimension)).astype(float)
+    declusterer = RoundRobinDeclusterer(dimension, 3)
+    item = ParallelEngine(DeclusteredStore(points, declusterer))
+    forest = list(enumerate(tree.root for tree in item.store.trees))
+    sequential = SequentialEngine(points)
+    paged_store = PagedStore(points, declusterer=declusterer)
+    save_mmap_store(paged_store, tmp_path / "store")
+    with MmapStore(tmp_path / "store") as mmap_store, \
+            ProcessParallelEngine(mmap_store) as process:
+        for query, k in itertools.product(queries, (1, 5, 20)):
+            scan = [n.distance for n in knn_linear_scan(points, query, k)]
+
+            book, stats = _referee([(0, sequential.tree.root)], query, k, 1)
+            assert [distance for distance, _ in book[0]] == scan
+            best, best_stats = knn_best_first(sequential.tree, query, k)
+            assert (_ranked(best), best_stats) == (book[0], stats)
+            result = sequential.query(query, k)
+            assert (_ranked(result.neighbors), result.stats) == (
+                book[0], stats
+            )
+            assert [result.pages] == book[2]
+
+            book, _ = _referee(forest, query, k)
+            assert _facts(item.query(query, k)) == book
+            assert [distance for distance, _ in book[0]] == scan
+
+            # Independent mode merges per-disk answers through a
+            # sqrt/square round trip: distances to the last ulp only.
+            result = item.query(query, k, mode="independent")
+            assert [n.distance for n in result.neighbors] == pytest.approx(
+                scan, rel=1e-12
+            )
+            local = [_referee([root], query, k)[0] for root in forest]
+            assert _facts(result)[1:] == (
+                sum(book[1] for book in local),
+                np.sum([book[2] for book in local], 0).tolist(),
+            )
+
+            book, _ = _referee(
+                [(-1, paged_store.tree.root)], query, k,
+                disk_of=lambda tag, leaf: paged_store.disk_of(leaf),
+            )
+            assert _facts(PagedEngine(paged_store).query(query, k)) == book
+            # The workers keep the smallest oids among candidates tied at
+            # the k-th distance, the heap walk the first offered: same
+            # distances and charges, not always the same tied oids.
+            ranked, *charges = _facts(process.query(query, k))
+            assert [distance for distance, _ in ranked] == scan
+            assert charges == list(book[1:])

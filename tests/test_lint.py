@@ -594,70 +594,6 @@ class TestNoUnvalidatedSchemeString:
         assert findings == []
 
 
-class TestPreferKernelMindist:
-    RULE = "prefer-kernel-mindist"
-    BAD_LOOP = """\
-        def expand(node, query, queue):
-            for child in node.entries:
-                key = child.mbr.mindist(query)
-                queue.append((key, child))
-    """
-    BAD_COMPREHENSION = """\
-        def expand(node, query):
-            return [child.mbr.mindist(query) for child in node.entries]
-    """
-    GOOD_NOT_ENTRIES = """\
-        def expand(boxes, query):
-            return [box.mindist(query) for box in boxes]
-    """
-    GOOD_NO_MINDIST = """\
-        def widths(node):
-            return [child.mbr.margin() for child in node.entries]
-    """
-
-    def test_fires_on_per_entry_loop(self, tmp_path):
-        findings = lint_rule(
-            tmp_path, "src/repro/parallel/fixture.py", self.BAD_LOOP,
-            self.RULE,
-        )
-        assert rules_of(findings) == [self.RULE]
-        assert findings[0].line == 3  # anchored at the mindist call
-        assert findings[0].severity == "warn"
-        assert "child_mindists" in findings[0].message
-
-    def test_fires_on_comprehension(self, tmp_path):
-        findings = lint_rule(
-            tmp_path, "src/repro/index/fixture.py",
-            self.BAD_COMPREHENSION, self.RULE,
-        )
-        assert rules_of(findings) == [self.RULE]
-
-    def test_silent_on_non_entries_iterable(self, tmp_path):
-        assert lint_rule(
-            tmp_path, "src/repro/parallel/fixture.py",
-            self.GOOD_NOT_ENTRIES, self.RULE,
-        ) == []
-
-    def test_silent_without_mindist_call(self, tmp_path):
-        assert lint_rule(
-            tmp_path, "src/repro/parallel/fixture.py",
-            self.GOOD_NO_MINDIST, self.RULE,
-        ) == []
-
-    def test_kernels_module_is_exempt(self, tmp_path):
-        assert lint_rule(
-            tmp_path, "src/repro/index/kernels.py", self.BAD_LOOP,
-            self.RULE,
-        ) == []
-
-    def test_warn_severity_does_not_fail_cli(self, tmp_path, capsys):
-        write_snippet(
-            tmp_path, "src/repro/parallel/fixture.py", self.BAD_LOOP
-        )
-        assert main([str(tmp_path)]) == 0
-        assert self.RULE in capsys.readouterr().out
-
-
 class TestSarifOutput:
     def test_sarif_document_shape(self, tmp_path, capsys):
         write_snippet(
@@ -795,7 +731,6 @@ class TestEngineAndCli:
             "no-print-outside-cli",
             "no-broad-except",
             "registry-completeness",
-            "prefer-kernel-mindist",
         ):
             assert rule in out
 
@@ -805,9 +740,8 @@ def test_live_tree_is_lint_clean(tree):
     """The shipped repository must uphold its own invariants.
 
     Mirrors CI's ``--baseline lint-baseline.json`` invocation: the
-    committed baseline's grandfathered findings (e.g. the sanctioned
-    scalar-fallback ``prefer-kernel-mindist`` sites) are subtracted, and
-    anything new fails.
+    committed baseline's grandfathered findings (none today) are
+    subtracted, and anything new fails.
     """
     import dataclasses
 

@@ -8,6 +8,8 @@ attaching any tracer (null or recording) never changes the query results
 themselves.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.parallel.paged import PagedEngine, PagedStore
 from repro.parallel.store import DeclusteredStore
 from repro.parallel.throughput import ThroughputSimulator
 from repro.registry import make_declusterer
+from repro.storage import MmapStore, save_mmap_store
 
 DIMENSION = 4
 DISKS = 5
@@ -133,6 +136,63 @@ class TestSequentialEngineOracle:
             assert traced.query(query, k=5).pages == plain.query(
                 query, k=5
             ).pages
+
+
+def test_rejected_query_opens_no_span(tmp_path):
+    """``k < 1`` or a query of the wrong width is refused before the
+    span opens: no event, no open span, pool and counters untouched —
+    so the next valid query traces exactly as on a fresh engine."""
+    points, queries = workload(seed=5)
+    store = PagedStore(points, declusterer())
+    items = DeclusteredStore(points, declusterer())
+    save_mmap_store(store, tmp_path / "store")
+    with MmapStore(tmp_path / "store") as mmap_store:
+        for make_engine, mode in (
+            (partial(PagedEngine, store), {}),
+            (partial(PagedEngine, mmap_store), {}),
+            (partial(ParallelEngine, items), {"mode": "coordinated"}),
+            (partial(ParallelEngine, items), {"mode": "independent"}),
+            (partial(SequentialEngine, points), {}),
+        ):
+            tracer, fresh = RecordingTracer(), RecordingTracer()
+            engine = make_engine(cache=16, tracer=tracer)
+            for query, k in (
+                (queries[0], 0), (queries[0][:-1], 3), (queries[:2], 3)
+            ):
+                with pytest.raises(ValueError):
+                    engine.query(query, k, **mode)
+            assert tracer.events == [] and tracer._spans == {}
+            assert engine.cache.stats().accesses == 0
+            engine.query(queries[1], 3, **mode)
+            make_engine(cache=16, tracer=fresh).query(queries[1], 3, **mode)
+            assert tracer.events == fresh.events
+
+
+@pytest.mark.parametrize("cache", (None, 16))
+def test_two_block_leaf_charged_alike_in_both_modes(cache):
+    """One charge site: a hand-built two-block data page costs two
+    pages in either mode, pool on or off, and the ``page_read`` totals
+    still equal ``pages_per_disk``."""
+    points, queries = workload(seed=6)
+    store = DeclusteredStore(points, declusterer())
+    query = queries[0]
+    fat = min(
+        (leaf for tree in store.trees for leaf in tree.leaves()),
+        key=lambda leaf: leaf.mbr.mindist(query),
+    )
+    charged = {}
+    for blocks in (1, 2):
+        fat.blocks = blocks
+        for mode in ("coordinated", "independent"):
+            tracer = RecordingTracer()
+            engine = ParallelEngine(store, cache=cache, tracer=tracer)
+            result = engine.query(query, k=5, mode=mode)
+            assert tracer.pages_per_disk(DISKS) == (
+                result.pages_per_disk.tolist()
+            )
+            charged[blocks, mode] = result.total_pages
+    for mode in ("coordinated", "independent"):
+        assert charged[2, mode] == charged[1, mode] + 1
 
 
 class TestAmbientContextOracle:

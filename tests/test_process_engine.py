@@ -40,6 +40,7 @@ from repro.parallel.process import (
 )
 from repro.storage import MmapStore, save_mmap_store
 from repro.storage.pagefile import PageFormatError
+from tests.scalar_oracle import scalar_kernels
 from tests.test_storage_lifetimes import _open_fds
 
 
@@ -96,16 +97,15 @@ class TestParity:
             engine.query(query, 3), reference.query(query, 3)
         )
 
-    def test_scalar_kernel_parity(self, engine, reference, monkeypatch):
-        """REPRO_SCALAR_KERNELS=1 switches the reference engine to its
-        scalar twin; the workers' page-major scan has none, and must
-        keep matching it bit for bit."""
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "1")
+    def test_scalar_kernel_parity(self, engine, reference):
+        """``scalar_kernels()`` runs the reference engine over the
+        per-entry loops; the workers' page-major scan (another process,
+        untouched by the patch) must keep matching it bit for bit."""
         rng = np.random.default_rng(13)
         for query in rng.random((4, 6)):
-            _assert_bit_identical(
-                engine.query(query, 6), reference.query(query, 6)
-            )
+            with scalar_kernels():
+                expected = reference.query(query, 6)
+            _assert_bit_identical(engine.query(query, 6), expected)
 
     def test_query_batch(self, engine, reference, rng):
         queries = rng.random((5, 6))

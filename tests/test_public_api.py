@@ -1,5 +1,6 @@
 """Tests for the top-level package surface."""
 
+import inspect
 import subprocess
 import sys
 
@@ -29,6 +30,34 @@ class TestPublicAPI:
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
+
+    def test_traversal_signatures_carry_no_kernel_switch(self):
+        """The ten callables that once took a scalar/vectorized switch
+        keep exactly their other parameters, in order."""
+        from repro.index import knn
+        from repro.parallel import events, process, throughput, window
+
+        expected = {
+            knn.knn_best_first: "tree query k metric on_node",
+            knn.knn_branch_and_bound: "tree query k metric",
+            knn.pages_intersecting_radius: "tree query radius",
+            repro.ParallelEngine:
+                "store parameters count_directory cache tracer",
+            repro.SequentialEngine:
+                "points oids tree_cls page_bytes parameters tree "
+                "count_directory cache tracer",
+            repro.PagedEngine: "store parameters cache tracer",
+            process.ProcessParallelEngine:
+                "store parameters cache tracer max_k start_method",
+            throughput.ThroughputSimulator: "store parameters cache tracer",
+            events.EventDrivenSimulator: "store parameters cache tracer",
+            window.parallel_window_query:
+                "store low high parameters tracer",
+        }
+        for function, names in expected.items():
+            assert list(inspect.signature(function).parameters) == (
+                names.split()
+            ), function
 
     def test_docstring_quickstart_runs(self):
         points = np.random.default_rng(0).random((5000, 8))

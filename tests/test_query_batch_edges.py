@@ -2,19 +2,19 @@
 
 Gaps left by the PR 5 oracle suite: empty batches, ``k`` larger than
 the store, duplicate queries inside one batch, single-point trees, and
-``REPRO_SCALAR_KERNELS=1`` parity through the batch path.  All three
+scalar-kernel parity through the batch path.  All three
 implementations (item-level, paged, sequential) are covered.
 """
 
 import numpy as np
 import pytest
 
-from repro.index import kernels
 from repro.index.knn import knn_linear_scan
 from repro.parallel.engine import ParallelEngine, SequentialEngine
 from repro.parallel.paged import PagedEngine, PagedStore
 from repro.parallel.store import DeclusteredStore
 from repro.registry import make_declusterer
+from tests.scalar_oracle import scalar_kernels
 
 DIMENSION = 2
 NUM_DISKS = 4
@@ -145,15 +145,14 @@ class TestSinglePointTree:
 
 class TestScalarKernelParity:
     @pytest.mark.parametrize("name", ("item", "paged", "sequential"))
-    def test_env_scalar_batch_matches_vectorized(self, name, monkeypatch):
-        """``REPRO_SCALAR_KERNELS=1`` through ``query_batch`` gives the
+    def test_env_scalar_batch_matches_vectorized(self, name):
+        """``query_batch`` under ``scalar_kernels()`` gives the
         vectorized path's answers and counters bit-for-bit."""
         points = points_of(120, seed=10)
         queries = points_of(5, seed=11)
-        monkeypatch.delenv(kernels.SCALAR_ENV, raising=False)
         fast = engines_for(points)[name].query_batch(queries, k=4)
-        monkeypatch.setenv(kernels.SCALAR_ENV, "1")
-        slow = engines_for(points)[name].query_batch(queries, k=4)
+        with scalar_kernels():
+            slow = engines_for(points)[name].query_batch(queries, k=4)
         assert np.array_equal(fast.pages_per_disk, slow.pages_per_disk)
         for left, right in zip(fast, slow):
             assert neighbor_tuples(left) == neighbor_tuples(right)

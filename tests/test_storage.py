@@ -32,6 +32,7 @@ from repro.storage import (
     save_mmap_store,
 )
 from repro.storage.pagefile import split_rows
+from tests.scalar_oracle import scalar_kernels
 
 
 def _results_equal(a, b):
@@ -480,10 +481,11 @@ class TestEngineOverMmap:
 
     def test_scalar_kernel_parity(self, paged_store, store_dir, rng):
         with MmapStore(store_dir) as store:
-            fast = PagedEngine(store, use_kernels=True)
-            slow = PagedEngine(store, use_kernels=False)
+            engine = PagedEngine(store)
             for query in rng.random((5, 6)):
-                _results_equal(fast.query(query, 7), slow.query(query, 7))
+                fast = engine.query(query, 7)
+                with scalar_kernels():
+                    _results_equal(fast, engine.query(query, 7))
 
     def test_warm_pool_reads_are_free(self, store_dir, rng):
         """The charging contract: a cold mmap read charges the disk, a
