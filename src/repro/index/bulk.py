@@ -13,7 +13,7 @@ The resulting tree satisfies all structural invariants of the dynamic tree
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Type
+from typing import List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -22,6 +22,32 @@ from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
 
 __all__ = ["str_chunks", "bulk_load"]
+
+
+def _require_finite(points: np.ndarray, first_row: int = 0) -> None:
+    """Reject NaN / infinite coordinates at ingest: one poisons its
+    leaf's MBR (``mindist`` is NaN, never ``<= bound``) and silently
+    hides the page's finite points from every query."""
+    if not np.isfinite(points).all():
+        bad = int(np.flatnonzero(~np.isfinite(points).all(axis=1))[0])
+        raise ValueError(
+            f"point {first_row + bad} has a non-finite coordinate "
+            f"({points[bad].tolist()}); NaN and inf cannot be indexed"
+        )
+
+
+def _split_bounds(start: int, stop: int, parts: int) -> List[Tuple[int, int]]:
+    """Cut ``[start, stop)`` into ``parts`` near-equal consecutive ranges,
+    the ``(stop - start) % parts`` longer ones first.  The one split
+    rule of every STR pass, in memory and streamed."""
+    each, extras = divmod(stop - start, parts)
+    bounds: List[Tuple[int, int]] = []
+    offset = start
+    for index in range(parts):
+        size = each + 1 if index < extras else each
+        bounds.append((offset, offset + size))
+        offset += size
+    return bounds
 
 
 def str_chunks(
@@ -47,13 +73,16 @@ def str_chunks(
         order = indices[np.argsort(points[indices, dim], kind="stable")]
         if dim >= dimension - 1:
             # Last dimension: slice into near-equal runs of <= capacity.
-            return [chunk for chunk in np.array_split(order, pages)]
+            return [
+                order[low:high]
+                for low, high in _split_bounds(0, len(order), pages)
+            ]
         dims_left = dimension - dim
         slabs = math.ceil(pages ** (1.0 / dims_left))
         result: List[np.ndarray] = []
-        for slab in np.array_split(order, slabs):
-            if len(slab):
-                result.extend(recurse(slab, dim + 1))
+        for low, high in _split_bounds(0, len(order), slabs):
+            if high > low:
+                result.extend(recurse(order[low:high], dim + 1))
         return result
 
     return recurse(np.arange(num_points), start_dim % dimension)
@@ -88,6 +117,7 @@ def bulk_load(
         raise ValueError(f"points must be (N, d), got shape {points.shape}")
     if not 0.8 <= fill <= 1.0:
         raise ValueError(f"fill must be in [0.8, 1.0], got {fill}")
+    _require_finite(points)
     num_points, dimension = points.shape
     tree = tree_cls(dimension, **tree_kwargs)
     if num_points == 0:

@@ -14,6 +14,13 @@ declusterer's page-to-disk assignment are computed exactly as the
 in-memory path (``bulk_load`` + ``PagedStore`` + ``save_mmap_store``)
 computes them, so the resulting store answers queries bit-for-bit
 identically (the test suite asserts this on shared seeds).
+
+:func:`stream_bulk_load_mmap` writes the same bytes from a source that
+need not fit in RAM: STR levels larger than the sort chunk run as
+external sorts (:mod:`repro.storage.spill`), a segment that fits it is
+finished in RAM by :func:`repro.index.bulk.str_chunks` itself, and leaf
+payloads move to the page files in runs of consecutive slots.  Both
+loaders reject non-finite coordinates at ingest.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ from pathlib import Path
 from typing import (
     Callable,
     Dict,
+    Generator,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -39,15 +46,15 @@ from typing import (
 import numpy as np
 
 from repro.core.declustering import Declusterer
-from repro.index.bulk import str_chunks
+from repro.index.bulk import _require_finite, _split_bounds, str_chunks
 from repro.index.mbr import MBR
 from repro.index.node import DEFAULT_PAGE_BYTES, Node
 from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
 from repro.parallel.cache import CacheConfig
 from repro.persistence import _STORE_FORMAT_VERSION, _encode_cache, _tree_header
-from repro.storage.mmap_store import MmapStore, _write_store
-from repro.storage.spill import SpillFile, sort_segment
+from repro.storage.mmap_store import MmapStore, _Gather, _tile_gather, _write_store
+from repro.storage.spill import _PIECE_ROWS, SpillFile, sort_segment
 
 __all__ = [
     "bulk_load_mmap",
@@ -134,6 +141,7 @@ def bulk_load_mmap(
         raise ValueError(f"points must be (N, d), got shape {points.shape}")
     if not 0.8 <= fill <= 1.0:
         raise ValueError(f"fill must be in [0.8, 1.0], got {fill}")
+    _require_finite(points)
     num_points = len(points)
     if oids is None:
         oids = np.arange(num_points)
@@ -168,17 +176,17 @@ def bulk_load_mmap(
     header["scheme"] = getattr(declusterer, "name", "custom")
     header["cache"] = _encode_cache(cache_config)
 
-    payloads = [(points[tile], oids[tile]) for tile in tiles]
     _write_store(
         directory,
         tree,
         header,
         leaves,
-        payloads,
+        _tile_gather(points, oids, tiles),
         page_disks,
         int(num_disks),
         page_bytes,
         slot_bytes,
+        [len(tile) for tile in tiles],
     )
     return MmapStore(directory)
 
@@ -191,6 +199,9 @@ def bulk_load_mmap(
 #: of ``(m, d)`` row chunks.
 PointSource = Union[np.ndarray, str, os.PathLike, Iterable[object]]
 
+#: Row chunks of a source; a generator, so a failed ingest can close it.
+_Chunks = Generator[np.ndarray, None, None]
+
 _RECORD_A = "records-a.f64"
 _RECORD_B = "records-b.f64"
 
@@ -200,10 +211,13 @@ def _resolve_chunk_rows(
 ) -> int:
     """Rows per in-RAM sort chunk under the ``max_ram_bytes`` budget.
 
-    A chunk of ``r`` rows costs ``r * 8 * (d + 1)`` bytes and the sort
-    holds roughly four copies' worth of transient arrays (the chunk,
-    its stable argsort, the permuted output, and merge buffers), so the
-    budget is divided by four record widths.
+    A chunk of ``r`` rows costs ``r * 8 * (d + 1)`` bytes; the budget
+    is divided by four record widths.  Held at once: forming a run and
+    ingest, two chunks (source and copy); the block merge and the
+    in-RAM recursion, one chunk plus an 8192-row piece — each plus a few
+    int64 *words* per row (argsort, tile order), a whole extra chunk
+    only for ``d`` <= 2.  The rest is headroom for the O(pages)
+    directory.
     """
     if chunk_rows is not None:
         if chunk_rows < 1:
@@ -237,7 +251,7 @@ def _coerce_chunk(item: object) -> np.ndarray:
     return block
 
 
-def _array_chunks(array: np.ndarray, rows: int) -> Iterator[np.ndarray]:
+def _array_chunks(array: np.ndarray, rows: int) -> _Chunks:
     """Row chunks of an in-RAM (or memmapped) point array."""
     for offset in range(0, len(array), rows):
         yield np.ascontiguousarray(
@@ -245,7 +259,7 @@ def _array_chunks(array: np.ndarray, rows: int) -> Iterator[np.ndarray]:
         )
 
 
-def _iterable_chunks(items: Iterable[object], rows: int) -> Iterator[np.ndarray]:
+def _iterable_chunks(items: Iterable[object], rows: int) -> _Chunks:
     """Caller-supplied chunks, re-split to at most ``rows`` rows each."""
     for item in items:
         block = _coerce_chunk(item)
@@ -287,24 +301,24 @@ def _npy_chunks(
     dtype: np.dtype,
     offset: int,
     rows: int,
-) -> Iterator[np.ndarray]:
-    """Stream a ``.npy`` file's rows with buffered reads (never mmap)."""
+) -> _Chunks:
+    """Stream a ``.npy`` file's rows with buffered reads (never mmap).
+
+    Every chunk is a view of one reused buffer: consume it before
+    asking for the next.
+    """
     total, dimension = shape
-    row_bytes = dimension * dtype.itemsize
+    buffer = np.empty((min(rows, total), dimension), dtype=dtype)
     with open(path, "rb") as handle:
         handle.seek(offset)
-        done = 0
-        while done < total:
-            take = min(rows, total - done)
-            data = handle.read(take * row_bytes)
-            if len(data) != take * row_bytes:
+        for done in range(0, total, rows):
+            block = buffer[: total - done]
+            if handle.readinto(block) != block.nbytes:
                 raise ValueError(
                     f"{os.fspath(path)!r} is truncated: row {done} of "
                     f"{total} ends mid-file"
                 )
-            block = np.frombuffer(data, dtype=dtype).reshape(take, dimension)
             yield np.ascontiguousarray(block, dtype=np.float64)
-            done += take
 
 
 def _ingest(
@@ -322,7 +336,7 @@ def _ingest(
     Records are rows of ``d + 1`` float64 values: the coordinates
     followed by the point's original position (later the default oid).
     """
-    chunks: Iterator[np.ndarray]
+    chunks: _Chunks
     if isinstance(source, np.ndarray):
         if source.ndim != 2:
             raise ValueError(
@@ -348,7 +362,7 @@ def _ingest(
                 ) from None
             dim = _check_dim(int(dimension), None)
             rows = _resolve_chunk_rows(dim, max_ram_bytes, chunk_rows)
-            chunks = iter(())
+            chunks = _iterable_chunks((), rows)
         else:
             head = _coerce_chunk(first)
             dim = _check_dim(int(head.shape[1]), dimension)
@@ -367,18 +381,21 @@ def _ingest(
                     f"point chunk has dimension {chunk.shape[1]}, "
                     f"expected {dim}"
                 )
+            _require_finite(chunk, count)
             block = np.empty((len(chunk), dim + 1), dtype=np.float64)
             block[:, :dim] = chunk
-            block[:, dim] = np.arange(
-                count, count + len(chunk), dtype=np.float64
-            )
+            block[:, dim] = np.arange(count, count + len(chunk))
             records.append(block)
             count += len(chunk)
+            # Freed before the source produces its next chunk.
+            del block, chunk
         alternate = _record_file(spill_dir, _RECORD_B, dim + 1)
         return records, alternate, count, dim, rows
     finally:
-        # An ingest that failed before file B existed is the only path
-        # that leaves file A unowned by the caller.
+        # A failed ingest leaves the source generator suspended (the
+        # ``.npy`` one with its file open) and, before file B exists,
+        # file A unowned by the caller.
+        chunks.close()
         if alternate is None:
             records.delete()
 
@@ -391,18 +408,6 @@ def _record_file(spill_dir: str, name: str, width: int) -> SpillFile:
     :func:`stream_bulk_load_mmap` deletes both in its ``finally``.
     """
     return SpillFile(os.path.join(spill_dir, name), width)
-
-
-def _split_bounds(start: int, stop: int, parts: int) -> List[Tuple[int, int]]:
-    """Row boundaries matching ``np.array_split`` over ``stop - start``."""
-    each, extras = divmod(stop - start, parts)
-    bounds: List[Tuple[int, int]] = []
-    offset = start
-    for index in range(parts):
-        size = each + 1 if index < extras else each
-        bounds.append((offset, offset + size))
-        offset += size
-    return bounds
 
 
 def _stream_tiles(
@@ -419,24 +424,44 @@ def _stream_tiles(
     replaced by :func:`repro.storage.spill.sort_segment` and the index
     arrays replaced by ``(start, stop, file)`` row ranges — an explicit
     depth-first stack preserves the recursion's tile emission order.
+    The first time a segment fits the sort chunk, ``str_chunks`` itself
+    finishes its whole sub-recursion on the one block read: tile MBRs
+    come from the rows in hand, and the permuted rows go to the other
+    record file :data:`_PIECE_ROWS` at a time, never as a whole copy.
     Returns the tiles plus each tile's MBR low/high corner.
     """
     tiles: List[Tuple[int, int, int]] = []
     lows: List[np.ndarray] = []
     highs: List[np.ndarray] = []
+    step = max(1, _PIECE_ROWS // capacity)
+
+    def finish(start: int, stop: int, dim: int, src: int) -> None:
+        # A function, so the block is freed before the next segment.
+        block = files[src].read(start, stop)
+        chunks = str_chunks(block[:, :dimension], capacity, start_dim=dim)
+        order = np.concatenate(chunks)
+        edges = np.cumsum([0] + [len(chunk) for chunk in chunks])
+        for first in range(0, len(chunks), step):
+            cuts = edges[first : first + step + 1]
+            rows = block[order[cuts[0] : cuts[-1]]]
+            points, marks = rows[:, :dimension], cuts[:-1] - cuts[0]
+            lows.extend(np.minimum.reduceat(points, marks))
+            highs.extend(np.maximum.reduceat(points, marks))
+            files[1 - src].write_at(start + int(cuts[0]), rows)
+        tiles.extend(
+            (start + int(low), start + int(high), 1 - src)
+            for low, high in zip(edges[:-1], edges[1:])
+        )
+
     stack: List[Tuple[int, int, int, int]] = [(0, count, 0, 0)]
     while stack:
         start, stop, dim, src = stack.pop()
         segment = stop - start
-        if segment <= capacity:
-            block = files[src].read(start, stop)
-            points = block[:, :dimension]
-            tiles.append((start, stop, src))
-            lows.append(points.min(axis=0))
-            highs.append(points.max(axis=0))
+        if segment <= max(capacity, chunk_rows):
+            finish(start, stop, dim, src)
             continue
-        pages = math.ceil(segment / capacity)
         dst = 1 - src
+        pages = math.ceil(segment / capacity)
         sort_segment(
             files[src],
             files[dst],
@@ -497,39 +522,31 @@ def _directory_from_tiles(
     return leaves, [tile_of[id(leaf)] for leaf in leaves]
 
 
-class _SpillPayloads:
-    """Lazy per-leaf ``(points, oids)`` view over the record files.
+def _spill_gather(
+    files: Tuple[SpillFile, SpillFile],
+    tiles: List[Tuple[int, int, int]],
+    dimension: int,
+    oids: Optional[np.ndarray],
+) -> _Gather:
+    """A gather that reads the leaves' tiles back from the record files
+    (default oid: the position column), one read per run of tiles that
+    follow each other in a file."""
 
-    ``_write_store`` indexes this while writing page files, so only one
-    tile's payload is in RAM at a time — the streamed build never holds
-    all payloads simultaneously the way the in-memory path does.
-    """
+    def gather(leaves: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        spans: List[List[int]] = []
+        for index in leaves:
+            start, stop, src = tiles[index]
+            if spans and spans[-1][1:] == [start, src]:
+                spans[-1][1] = stop
+            else:
+                spans.append([start, stop, src])
+        block = np.concatenate(
+            [files[src].read(start, stop) for start, stop, src in spans]
+        )
+        positions = block[:, dimension].astype(np.int64)
+        return block[:, :dimension], positions if oids is None else oids[positions]
 
-    def __init__(
-        self,
-        files: Tuple[SpillFile, SpillFile],
-        tiles: List[Tuple[int, int, int]],
-        dimension: int,
-        oids: Optional[np.ndarray],
-    ):
-        self._files = files
-        self._tiles = tiles
-        self._dimension = dimension
-        self._oids = oids
-
-    def __len__(self) -> int:
-        return len(self._tiles)
-
-    def __getitem__(self, index: int) -> Tuple[np.ndarray, np.ndarray]:
-        start, stop, src = self._tiles[index]
-        block = self._files[src].read(start, stop)
-        points = block[:, : self._dimension]
-        indices = block[:, self._dimension].astype(np.int64)
-        if self._oids is None:
-            oids = indices
-        else:
-            oids = np.ascontiguousarray(self._oids[indices], dtype=np.int64)
-        return points, oids
+    return gather
 
 
 def stream_bulk_load_mmap(
@@ -556,8 +573,8 @@ def stream_bulk_load_mmap(
     passes run as external merge sorts over spill files in a ``.spill``
     directory inside the store directory (removed on success *and*
     failure), and leaf payloads are written straight into the per-disk
-    page files one tile at a time.  Peak resident memory is bounded by
-    ``max_ram_bytes`` (plus the O(pages) directory); ``chunk_rows``
+    page files one run of slots at a time.  Peak resident memory is
+    bounded by ``max_ram_bytes`` (plus the O(pages) directory); ``chunk_rows``
     overrides the derived sort-chunk size directly (tests use 1 to
     force maximal spilling).
 
@@ -605,6 +622,7 @@ def stream_bulk_load_mmap(
                 leaves, order = _directory_from_tiles(
                     tree, lows, highs, fill, count
                 )
+                del lows, highs
 
             if leaves:
                 centers = np.vstack([leaf.mbr.center for leaf in leaves])
@@ -637,16 +655,18 @@ def stream_bulk_load_mmap(
                 tree,
                 header,
                 leaves,
-                _SpillPayloads(files, ordered, dim, oids_arr),
+                _spill_gather(files, ordered, dim, oids_arr),
                 page_disks,
                 int(num_disks),
                 page_bytes,
                 slot_bytes,
-                payload_counts=[stop - start for start, stop, _ in ordered],
+                [stop - start for start, stop, _ in ordered],
             )
         finally:
             records_a.delete()
             records_b.delete()
     finally:
         shutil.rmtree(spill, ignore_errors=True)
+    # The reopen rebuilds the directory: free the build's copy first.
+    del tree, leaves, tiles, ordered
     return MmapStore(directory)

@@ -35,7 +35,7 @@ import os
 import time
 import zipfile
 from pathlib import Path
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -89,22 +89,26 @@ def _page_file_name(disk: int) -> str:
     return f"disk{disk:04d}.pages"
 
 
-class _PayloadSource(Protocol):
-    """Indexed access to per-leaf ``(points, oids)`` payloads.
+#: Bytes of page slots that :func:`_write_store` moves per write.
+_RUN_BYTES = 1 << 18
 
-    A plain list of tuples satisfies this; the streaming bulk loader
-    passes a lazy view that reads each tile back from its spill file
-    only when the page-file writer asks for it, so payloads never all
-    coexist in RAM.
-    """
 
-    def __len__(self) -> int:
-        """Number of leaf payloads (one per store-order leaf)."""
-        ...
+#: ``gather(leaves)`` returns the stacked ``(points, oids)`` payloads of
+#: the store-order leaves ``leaves``: :func:`_write_store` pulls one run
+#: of a disk's pages at a time, so payloads never all coexist in RAM.
+_Gather = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
-    def __getitem__(self, index: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Payload ``(points, oids)`` of the ``index``-th leaf."""
-        ...
+
+def _tile_gather(
+    points: np.ndarray, oids: np.ndarray, tiles: Sequence[np.ndarray]
+) -> _Gather:
+    """A gather over in-RAM arrays: leaf ``i`` holds rows ``tiles[i]``."""
+
+    def gather(leaves: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        rows = np.concatenate([tiles[index] for index in leaves])
+        return points[rows], oids[rows]
+
+    return gather
 
 
 def _savez_deterministic(
@@ -134,7 +138,7 @@ def _savez_deterministic(
 
 
 def _leaf_geometry(
-    leaves: List[Node], counts: List[int], dimension: int
+    leaves: List[Node], counts: np.ndarray, dimension: int
 ) -> Dict[str, np.ndarray]:
     """Leaf MBR bounds and entry counts as flat arrays (store order)."""
     if leaves:
@@ -146,7 +150,7 @@ def _leaf_geometry(
     return {
         "leaf_low": low,
         "leaf_high": high,
-        "leaf_counts": np.asarray(counts, dtype=np.int64),
+        "leaf_counts": counts,
     }
 
 
@@ -155,22 +159,22 @@ def _write_store(
     tree: RStarTree,
     header: Dict,
     leaves: List[Node],
-    payloads: _PayloadSource,
+    gather: _Gather,
     page_disks: np.ndarray,
     num_disks: int,
     page_bytes: int,
     slot_bytes: Optional[int],
-    payload_counts: Optional[Sequence[int]] = None,
+    counts: Sequence[int],
 ) -> None:
     """Write ``store.json`` + ``tree.npz`` + one page file per disk.
 
-    ``payloads`` holds each leaf's ``(points, oids)`` in store (pre-order)
-    leaf order — a plain list, or any indexed view (the streaming bulk
-    loader passes a lazy spill-file reader so payloads are fetched one
-    page at a time).  ``payload_counts`` supplies per-leaf entry counts
-    when iterating ``payloads`` up front would defeat that laziness.
-    ``slot_bytes`` defaults to ``page_bytes`` times the widest leaf
-    (supernode-aware), the tight bound under the trees' capacity rules.
+    ``gather`` serves the leaves' ``(points, oids)`` and ``counts``
+    their entry counts, both in store (pre-order) leaf order.  A disk's
+    slots are numbered in that order, so its page file is written front
+    to back, :data:`_RUN_BYTES` of consecutive slots per gather and
+    write.  ``slot_bytes`` defaults to ``page_bytes`` times the widest
+    leaf (supernode-aware), the tight bound under the trees' capacity
+    rules.
     """
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
@@ -178,34 +182,28 @@ def _write_store(
     if slot_bytes is None:
         widest = max((leaf.blocks for leaf in leaves), default=1)
         slot_bytes = page_bytes * widest
+    counts = np.asarray(counts, dtype=np.int64)
+    run = max(1, _RUN_BYTES // slot_bytes)
 
-    # Per-disk slot numbering in store leaf order.
     page_slots = np.zeros(len(leaves), dtype=np.int64)
-    next_slot = [0] * num_disks
-    for index, disk in enumerate(page_disks):
-        page_slots[index] = next_slot[int(disk)]
-        next_slot[int(disk)] += 1
-
     for disk in range(num_disks):
+        own = np.flatnonzero(page_disks == disk)
+        page_slots[own] = np.arange(len(own))
         writer = PageFileWriter(
             path / _page_file_name(disk),
             disk_id=disk,
-            num_slots=next_slot[disk],
+            num_slots=len(own),
             slot_bytes=slot_bytes,
             dimension=dimension,
             page_bytes=page_bytes,
         )
         try:
-            for index in np.nonzero(page_disks == disk)[0]:
-                points, oids = payloads[int(index)]
-                writer.write_slot(int(page_slots[index]), oids, points)
+            for first in range(0, len(own), run):
+                batch = own[first : first + run]
+                points, oids = gather(batch)
+                writer.write_slots(first, counts[batch], oids, points)
         finally:
             writer.close()
-
-    if payload_counts is None:
-        counts = [len(payloads[i][1]) for i in range(len(payloads))]
-    else:
-        counts = [int(count) for count in payload_counts]
 
     arrays = _flatten(tree)
     # Payloads live in the page files; keep the npz directory-only.
@@ -241,27 +239,25 @@ def save_mmap_store(
     :class:`~repro.storage.pagefile.SlotOverflowError` rather than
     truncating).
     """
-    payloads: List[Tuple[np.ndarray, np.ndarray]] = []
-    for leaf in store.leaves:
-        if leaf.entries:
-            points = np.vstack([entry.point for entry in leaf.entries])
-            oids = np.array(
-                [entry.oid for entry in leaf.entries], dtype=np.int64
-            )
-        else:
-            points = np.zeros((0, store.tree.dimension))
-            oids = np.zeros(0, dtype=np.int64)
-        payloads.append((points, oids))
+    dimension = store.tree.dimension
+    entries = [entry for leaf in store.leaves for entry in leaf.entries]
+    counts = [len(leaf.entries) for leaf in store.leaves]
+    edges = np.cumsum([0] + counts)
     _write_store(
         directory,
         store.tree,
         _store_header(store),
         list(store.leaves),
-        payloads,
+        _tile_gather(
+            np.array([entry.point for entry in entries]).reshape(-1, dimension),
+            np.array([entry.oid for entry in entries], dtype=np.int64),
+            [np.arange(low, high) for low, high in zip(edges[:-1], edges[1:])],
+        ),
         np.asarray(store.page_disks, dtype=np.int64),
         store.num_disks,
         store.page_bytes,
         slot_bytes,
+        counts,
     )
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 import mmap
 import os
 import struct
-from typing import IO, Optional, Tuple, Union
+from typing import IO, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -118,7 +118,8 @@ class PageFileWriter:
     """Sequential creator of one disk's page file.
 
     Pre-sizes the file on open (unwritten slots stay zero), accepts slot
-    payloads in any order via :meth:`write_slot`, and writes the
+    payloads in any order via :meth:`write_slot` or — a run of
+    consecutive slots per write — :meth:`write_slots`, and writes the
     slot-count table on :meth:`close` — so a crash mid-write leaves a
     file whose length is right but whose counts table is all zeros,
     which the reader surfaces as empty pages rather than garbage.
@@ -167,31 +168,58 @@ class PageFileWriter:
         self, slot: int, oids: np.ndarray, points: np.ndarray
     ) -> None:
         """Store one page payload; raises if it exceeds the slot size."""
+        self.write_slots(slot, [len(oids)], oids, points)
+
+    def write_slots(
+        self,
+        first: int,
+        counts: Sequence[int],
+        oids: np.ndarray,
+        points: np.ndarray,
+    ) -> None:
+        """Store the payloads of slots ``first, first + 1, ...`` with one
+        write: slot ``first + i`` takes the next ``counts[i]`` entries of
+        the stacked ``oids`` / ``points``, its tail is zeroed.  Raises —
+        before anything is written — if a payload exceeds the slot size.
+        """
         if self._file is None:
             raise PageFormatError(f"page file {self.path!r} already closed")
-        if not 0 <= slot < self.num_slots:
+        counts = np.asarray(counts, dtype=np.int64)
+        if not 0 <= first <= first + len(counts) <= self.num_slots:
             raise ValueError(
-                f"slot {slot} outside [0, {self.num_slots}) in {self.path!r}"
+                f"slots [{first}, {first + len(counts)}) outside "
+                f"[0, {self.num_slots}) in {self.path!r}"
             )
         oids = np.ascontiguousarray(oids, dtype=np.int64)
         points = np.ascontiguousarray(points, dtype=np.float64)
-        if oids.ndim != 1 or points.shape != (len(oids), self.dimension):
+        total = int(counts.sum())
+        if oids.shape != (total,) or points.shape != (total, self.dimension):
             raise ValueError(
-                f"payload must be ({len(oids)},) oids and "
-                f"({len(oids)}, {self.dimension}) points, got points shape "
-                f"{points.shape}"
+                f"payload must be ({total},) oids and "
+                f"({total}, {self.dimension}) points, got oids shape "
+                f"{oids.shape} and points shape {points.shape}"
             )
-        need = payload_bytes(len(oids), self.dimension)
-        if need > self.slot_bytes:
+        widest = int(counts.max(initial=0))
+        if payload_bytes(widest, self.dimension) > self.slot_bytes:
             raise SlotOverflowError(
-                f"page payload of {len(oids)} entries needs {need} bytes "
+                f"page payload of {widest} entries needs "
+                f"{payload_bytes(widest, self.dimension)} bytes "
                 f"but slots in {self.path!r} hold {self.slot_bytes}; "
                 f"rebuild the store with a larger slot_bytes"
             )
-        self._file.seek(self._start + slot * self.slot_bytes)
-        self._file.write(oids.tobytes())
-        self._file.write(points.tobytes())
-        self._counts[slot] = len(oids)
+        run = np.zeros((len(counts), self.slot_bytes), dtype=np.uint8)
+        # Slots of one entry count share a layout: fill them together.
+        for count in set(counts.tolist()) - {0}:
+            slots = counts == count
+            entries = np.repeat(slots, counts)
+            split = _OID_BYTES * count
+            run[slots, :split] = oids[entries].view(np.uint8).reshape(-1, split)
+            run[slots, split : payload_bytes(count, self.dimension)] = (
+                points[entries].view(np.uint8).reshape(int(slots.sum()), -1)
+            )
+        self._file.seek(self._start + first * self.slot_bytes)
+        self._file.write(run)
+        self._counts[first : first + len(counts)] = counts
 
     def close(self) -> None:
         """Flush the slot-count table and close the file."""

@@ -9,18 +9,22 @@ with a classic external merge sort:
 
 1. read the segment in chunks of at most ``chunk_rows`` rows,
 2. stable-sort each chunk in RAM and write it out as a sorted *run*,
-3. k-way merge the runs (``heapq.merge``) back into the destination file,
-   cascading through intermediate runs when the fan-in exceeds
-   :data:`DEFAULT_MERGE_FANIN`.
+3. k-way merge the runs block by block (:func:`_merge_runs`: whole
+   buffered prefixes per ``argsort``, never a row at a time) back into
+   the destination file, cascading through intermediate runs when the
+   fan-in exceeds :data:`DEFAULT_MERGE_FANIN`.
 
 Stability matters: the in-memory builder uses ``np.argsort(...,
 kind="stable")``, whose ties keep their original order.  Chunk ``c``
 holds exactly the rows ``[c * chunk_rows, (c+1) * chunk_rows)`` of the
 segment, so every row in run ``c`` precedes (in original order) every
-row in run ``c+1`` — and ``heapq.merge`` breaks key ties in favour of
-earlier iterables.  Merging the runs in chunk order therefore
-reproduces the exact permutation of one global stable sort, which is
-what makes the streamed store byte-identical to the in-memory one.
+row in run ``c+1`` — and the merge gives key ties to the earlier run
+(a stable argsort over prefixes concatenated in run order; a tie group
+that reaches a buffer's end is emitted run by run).  Merging the runs
+in chunk order therefore reproduces the exact permutation of one global
+stable sort, which is what makes the streamed store byte-identical to
+the in-memory one.  Segments that fit one chunk never come here: the
+builder finishes their whole STR sub-recursion in RAM.
 
 Every :class:`SpillFile` is a closeable resource tracked by the
 ``resource-leak`` lint rule: the builder deletes each one on all paths
@@ -30,10 +34,9 @@ leaves no orphaned spill files behind.
 
 from __future__ import annotations
 
-import heapq
 import os
 from pathlib import Path
-from typing import IO, Callable, Iterator, List, Optional, Tuple, Union
+from typing import IO, Callable, List, Optional, Union
 
 import numpy as np
 
@@ -43,12 +46,16 @@ __all__ = [
     "sort_segment",
 ]
 
-#: Maximum number of sorted runs merged in one ``heapq.merge`` pass;
+#: Maximum number of sorted runs merged in one :func:`_merge_runs` pass;
 #: beyond this the sort cascades through intermediate runs so the number
 #: of concurrently buffered run blocks stays bounded.
 DEFAULT_MERGE_FANIN = 32
 
 _FLOAT_BYTES = 8
+
+#: Most rows gathered at a time: by a merge round for one ``emit``, by
+#: the builder's in-RAM recursion for one write-back.
+_PIECE_ROWS = 8192
 
 
 class SpillFile:
@@ -100,7 +107,7 @@ class SpillFile:
         block = self._coerce(rows)
         handle = self._handle()
         handle.seek(start * self._row_bytes)
-        handle.write(block.tobytes())
+        handle.write(block)
         self._rows = max(self._rows, start + len(block))
 
     def read(self, start: int, stop: int) -> np.ndarray:
@@ -120,18 +127,6 @@ class SpillFile:
                 f"{start}, file delivered {len(data)} bytes"
             )
         return np.frombuffer(data, dtype=np.float64).reshape(count, self.width)
-
-    def iter_blocks(
-        self, start: int, stop: int, block_rows: int
-    ) -> Iterator[np.ndarray]:
-        """Yield rows ``[start, stop)`` in blocks of ``block_rows``."""
-        if block_rows < 1:
-            raise ValueError(f"block_rows must be >= 1, got {block_rows}")
-        offset = start
-        while offset < stop:
-            end = min(offset + block_rows, stop)
-            yield self.read(offset, end)
-            offset = end
 
     def close(self) -> None:
         """Close the file handle (idempotent); the file stays on disk."""
@@ -154,47 +149,66 @@ class SpillFile:
         return f"SpillFile({self.path!r}, width={self.width}, rows={self._rows})"
 
 
-def _merge_key(item: Tuple[float, np.ndarray]) -> float:
-    return item[0]
-
-
-def _run_rows(
-    run: SpillFile, key_col: int, block_rows: int
-) -> Iterator[Tuple[float, np.ndarray]]:
-    """Yield a sorted run's rows as ``(key, row)`` pairs, block-buffered."""
-    for block in run.iter_blocks(0, run.rows, block_rows):
-        for row in block:
-            yield (float(row[key_col]), row)
-
-
 def _merge_runs(
     runs: List[SpillFile],
     emit: Callable[[np.ndarray], None],
     key_col: int,
     chunk_rows: int,
 ) -> None:
-    """K-way merge sorted runs into ``emit`` callbacks of row blocks.
+    """Stable k-way merge of sorted runs into ``emit`` calls of row blocks.
 
-    ``heapq.merge`` breaks key ties in favour of earlier iterables, and
-    runs are passed in chunk order, so the merged order equals one
-    global stable sort of the original segment.
+    Every run buffers one block of ``chunk_rows // (runs + 1)`` rows in
+    a shared pool.  Per round, ``cut`` is the smallest block-tail key
+    over the live runs: every row with a key ``< cut`` is already
+    buffered, so those prefixes, taken in run order, need one stable
+    argsort.  The ``== cut`` tie group then goes out run by run
+    (refilling a run whose buffer it exhausts) — ties to the earlier
+    run, runs in chunk order, hence the order of one global stable sort
+    of the segment.  ``emit`` must consume its block before returning:
+    blocks may be views of the pool.
     """
     if not runs:
         return
-    width = runs[0].width
-    block_rows = max(1, chunk_rows // (len(runs) + 1))
-    buffer_rows = max(1, min(8192, chunk_rows))
-    buffer = np.empty((buffer_rows, width), dtype=np.float64)
-    fill = 0
-    streams = [_run_rows(run, key_col, block_rows) for run in runs]
-    for _key, row in heapq.merge(*streams, key=_merge_key):
-        buffer[fill] = row
-        fill += 1
-        if fill == buffer_rows:
-            emit(buffer[:fill])
-            fill = 0
-    if fill:
-        emit(buffer[:fill])
+    count = len(runs)
+    block_rows = max(1, chunk_rows // (count + 1))
+    pool = np.empty((count * block_rows, runs[0].width))
+    keys = pool[:, key_col]
+    # Run i buffers pool[heads[i]:tails[i]]; offsets[i] rows are read.
+    heads, tails, offsets = [0] * count, [0] * count, [0] * count
+
+    def refill(index: int) -> None:
+        stop = min(offsets[index] + block_rows, runs[index].rows)
+        heads[index] = index * block_rows
+        tails[index] = heads[index] + stop - offsets[index]
+        pool[heads[index] : tails[index]] = runs[index].read(offsets[index], stop)
+        offsets[index] = stop
+
+    live = [index for index in range(count) if runs[index].rows]
+    for index in live:
+        refill(index)
+    while live:
+        cut = min(keys[tails[index] - 1] for index in live)
+        spans = []
+        for index in live:
+            head, tail = heads[index], tails[index]
+            heads[index] += int(np.searchsorted(keys[head:tail], cut, side="left"))
+            spans.append(np.arange(head, heads[index]))
+        rows = np.concatenate(spans)
+        rows = rows[np.argsort(keys[rows], kind="stable")]
+        for first in range(0, len(rows), _PIECE_ROWS):
+            emit(pool[rows[first : first + _PIECE_ROWS]])
+        for index in list(live):
+            while True:
+                head, tail = heads[index], tails[index]
+                heads[index] += int(np.searchsorted(keys[head:tail], cut, side="right"))
+                if heads[index] > head:
+                    emit(pool[head : heads[index]])
+                if heads[index] < tail:
+                    break
+                if offsets[index] == runs[index].rows:
+                    live.remove(index)
+                    break
+                refill(index)
 
 
 def sort_segment(
@@ -211,21 +225,12 @@ def sort_segment(
     """Stable-sort rows ``[start, stop)`` of ``src`` into ``dst`` by one
     column, holding at most ``O(chunk_rows)`` rows in memory.
 
-    Segments that fit a single chunk sort entirely in RAM; larger
-    segments spill sorted runs into ``run_dir`` and k-way merge them
+    Chunk-sized sorted runs spill into ``run_dir`` and are k-way merged
     (cascading when more than ``fanin`` runs exist).  Every run file is
     deleted before return on success *and* failure paths.
     """
     if fanin < 2:
         raise ValueError(f"fanin must be >= 2, got {fanin}")
-    count = stop - start
-    if count <= 0:
-        return
-    if count <= chunk_rows:
-        block = src.read(start, stop)
-        order = np.argsort(block[:, key_col], kind="stable")
-        dst.write_at(start, block[order])
-        return
     created: List[SpillFile] = []
     try:
         runs: List[SpillFile] = []

@@ -127,6 +127,39 @@ class TestPageFile:
             writer.write_slot(0, np.arange(10, dtype=np.int64), big)
         writer.close()
 
+    @_SLOT_SIZES
+    def test_write_slots_equals_slot_by_slot(self, rng, tmp_path, slot_bytes):
+        """One batched write of consecutive slots (mixed entry counts,
+        an empty page) leaves the bytes per-slot writes leave."""
+        counts = [5, 0, 12, 5, 1]
+        payloads = [
+            (rng.integers(-2**62, 2**62, count), rng.random((count, 3)))
+            for count in counts
+        ]
+        self._write(tmp_path / "single.pages", payloads, slot_bytes=slot_bytes)
+        writer = PageFileWriter(
+            tmp_path / "batched.pages", disk_id=2, num_slots=len(counts),
+            slot_bytes=slot_bytes, dimension=3, page_bytes=4096,
+        )
+        with writer:
+            writer.write_slots(
+                1,
+                counts[1:],
+                np.concatenate([oids for oids, _ in payloads[1:]]),
+                np.vstack([points for _, points in payloads[1:]]),
+            )
+            writer.write_slot(0, *payloads[0])
+            over = slot_bytes // payload_bytes(1, 3) + 1
+            with pytest.raises(SlotOverflowError, match="slot"):
+                writer.write_slots(
+                    0, [1, over], np.arange(1 + over), rng.random((1 + over, 3))
+                )
+            with pytest.raises(ValueError, match="outside"):
+                writer.write_slots(4, [1, 1], np.arange(2), rng.random((2, 3)))
+        assert (tmp_path / "batched.pages").read_bytes() == (
+            tmp_path / "single.pages"
+        ).read_bytes()
+
     def test_truncated_file_fails_fast(self, rng, tmp_path):
         path = tmp_path / "disk.pages"
         self._write(path, [(np.arange(3, dtype=np.int64),

@@ -9,11 +9,15 @@ sizes (including ``chunk_rows=1`` — maximal spilling — and chunk sizes
 larger than N); the assertions compare raw file bytes, never parsed
 structures.
 
-Also here: crash-path tests proving a failed build never leaves an
-orphaned ``.spill`` directory behind.
+Also here: the block-wise run merge against its row-at-a-time
+``heapq.merge`` oracle (``tests/merge_oracle.py``), the non-finite
+coordinate rejection of every bulk loader, and crash-path tests proving
+a failed build never leaves an orphaned ``.spill`` directory or an open
+file handle behind.
 """
 
 import filecmp
+import gc
 import os
 from pathlib import Path
 
@@ -21,14 +25,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.storage.bulk as storage_bulk
 from repro.core import NearOptimalDeclusterer
+from repro.index.bulk import bulk_load
+from repro.index.xtree import XTree
+from repro.lint import LintConfig, run_lint
 from repro.registry import make_declusterer
 from repro.storage import (
     SPILL_DIR_NAME,
     MmapStore,
+    SpillFile,
     bulk_load_mmap,
+    sort_segment,
     stream_bulk_load_mmap,
 )
+from repro.storage.pagefile import PageFileWriter
+from repro.storage.spill import DEFAULT_MERGE_FANIN, _merge_runs
+from tests import merge_oracle
+from tests.test_storage_lifetimes import _open_fds
 
 SMALL_RAM = 1 << 16  # 64 KiB: forces external sorting on tiny inputs.
 
@@ -118,6 +132,23 @@ class TestByteParity:
         )
         assert_stores_identical(reference, candidate)
 
+    @pytest.mark.parametrize("near", ["capacity", "count"])
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_chunk_sizes_straddling_the_in_ram_threshold(
+        self, near, delta, tmp_path
+    ):
+        """A segment is finished in RAM the first time it fits
+        ``max(capacity, chunk_rows)``: chunk sizes one below, at and one
+        above a leaf's capacity and the whole dataset cross that line."""
+        points = dataset(500, 3, seed=21)
+        capacity = max(4, int(XTree(3).leaf_cap * 0.85))
+        assert capacity < len(points)
+        base = capacity if near == "capacity" else len(points)
+        reference, candidate = build_pair(
+            points, tmp_path, chunk_rows=base + delta
+        )
+        assert_stores_identical(reference, candidate)
+
     def test_npy_path_source(self, tmp_path):
         points = dataset(120, 4, seed=9)
         npy = tmp_path / "points.npy"
@@ -195,6 +226,156 @@ class TestByteParity:
         assert_stores_identical(reference, tmp_path / "empty")
 
 
+def _write_runs(tmp_path, runs):
+    """Sorted ``(key, serial)`` runs as ``SpillFile``s; the serial column
+    numbers the rows in run order, so it names each row's origin."""
+    files, serial = [], 0
+    for index, keys in enumerate(runs):
+        rows = np.column_stack(
+            [np.asarray(keys, dtype=float), serial + np.arange(len(keys))]
+        ).reshape(len(keys), 2)
+        serial += len(keys)
+        run = SpillFile(tmp_path / f"run-{index}.spill", 2)
+        run.append(rows)
+        files.append(run)
+    return files
+
+
+class TestMergeOracle:
+    """The block merge emits exactly the row sequence of the deleted
+    row-at-a-time ``heapq.merge`` (ties to the earlier run)."""
+
+    CASES = {
+        "all-equal-keys": [[5.0] * 7, [5.0] * 3, [5.0] * 9],
+        # The 2.0 group ends run 0's first block (block_rows = 2 at
+        # chunk_rows 8), continues into its next blocks, and reappears
+        # in runs 1 and 2.
+        "ties-span-blocks-and-runs": [
+            [1.0, 2.0, 2.0, 2.0, 2.0, 3.0],
+            [0.5, 2.0, 2.0, 4.0],
+            [2.0, 2.0, 2.0, 2.0, 2.0],
+        ],
+        "single-row-runs": [[3.0], [1.0], [3.0], [2.0], [1.0]],
+        "signed-zeros": [[-1.0, -0.0, 0.0, 1.0], [0.0, -0.0, -0.0], [-0.0, 2.0]],
+        "with-an-empty-run": [[1.0, 2.0], [], [0.0, 2.0, 2.0]],
+        "one-run": [[1.0, 1.0, 2.0, 5.0]],
+    }
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 8, 1000])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_heapq_merge(self, case, chunk_rows, tmp_path):
+        runs = _write_runs(tmp_path, self.CASES[case])
+        try:
+            emitted = []
+            _merge_runs(
+                runs, lambda block: emitted.append(block.copy()), 0, chunk_rows
+            )
+            want = merge_oracle.merge_runs(runs, 0, chunk_rows)
+        finally:
+            for run in runs:
+                run.delete()
+        got = np.concatenate(emitted)
+        assert all(len(block) for block in emitted)
+        assert np.array_equal(got, want)
+        # ``array_equal`` treats -0.0 == 0.0; the serials pin the order.
+        assert got[:, 1].tolist() == want[:, 1].tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        runs=st.lists(
+            st.lists(st.integers(0, 4), max_size=12).map(sorted),
+            min_size=1,
+            max_size=6,
+        ),
+        chunk_rows=st.integers(1, 40),
+    )
+    def test_matches_heapq_merge_on_drawn_runs(
+        self, runs, chunk_rows, tmp_path_factory
+    ):
+        files = _write_runs(tmp_path_factory.mktemp("merge"), runs)
+        try:
+            emitted = [np.empty((0, 2))]
+            _merge_runs(
+                files, lambda block: emitted.append(block.copy()), 0, chunk_rows
+            )
+            want = merge_oracle.merge_runs(files, 0, chunk_rows)
+        finally:
+            for run in files:
+                run.delete()
+        assert np.array_equal(np.concatenate(emitted), want)
+
+    def test_empty_run_list_emits_nothing(self):
+        emitted = []
+        _merge_runs([], emitted.append, 0, 16)
+        assert emitted == []
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3])
+    def test_cascade_beyond_the_fanin(self, chunk_rows, tmp_path):
+        """More than ``DEFAULT_MERGE_FANIN`` runs merge through
+        intermediate runs and still equal one global stable sort."""
+        count = chunk_rows * (2 * DEFAULT_MERGE_FANIN + 5)
+        rng = np.random.default_rng(4)
+        rows = np.column_stack(
+            [rng.integers(0, 6, count).astype(float), np.arange(count)]
+        )
+        with SpillFile(tmp_path / "src.f64", 2) as src, SpillFile(
+            tmp_path / "dst.f64", 2
+        ) as dst:
+            src.append(rows)
+            sort_segment(
+                src, dst, 0, count, 0, chunk_rows=chunk_rows, run_dir=tmp_path
+            )
+            got = dst.read(0, count)
+        assert np.array_equal(got, rows[np.argsort(rows[:, 0], kind="stable")])
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "dst.f64", "src.f64",
+        ]
+
+
+class TestNonFiniteRejected:
+    """One NaN used to poison its leaf's MBR and hide that page's finite
+    points from every query; every bulk loader now refuses it."""
+
+    @staticmethod
+    def poisoned(bad):
+        points = dataset(300, 3, seed=12)
+        points[217, 1] = bad
+        return points
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_in_memory_loaders(self, bad, tmp_path):
+        points = self.poisoned(bad)
+        with pytest.raises(ValueError, match="point 217 has a non-finite"):
+            bulk_load(points)
+        with pytest.raises(ValueError, match="point 217 has a non-finite"):
+            bulk_load_mmap(
+                points, NearOptimalDeclusterer(3, 4), tmp_path / "store"
+            )
+        assert not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize("source", ["array", "npy", "iterator"])
+    def test_streaming_sources(self, source, tmp_path):
+        points = self.poisoned(np.nan)
+        feed = {
+            "array": lambda: points,
+            "npy": lambda: str(tmp_path / "points.npy"),
+            "iterator": lambda: iter([points[:100], points[100:]]),
+        }[source]
+        np.save(tmp_path / "points.npy", points)
+        target = tmp_path / "store"
+        gc.collect()
+        before = _open_fds()
+        # Holding the traceback keeps the loader's frames alive: the
+        # handles must be closed, not merely unreferenced.
+        with pytest.raises(ValueError, match="point 217 has a non-finite") as held:
+            stream_bulk_load_mmap(
+                feed(), NearOptimalDeclusterer(3, 4), target, chunk_rows=64
+            )
+        assert _open_fds() == before
+        del held
+        assert not (target / SPILL_DIR_NAME).exists()
+
+
 class TestCrashCleanup:
     def test_failing_source_leaves_no_spill_files(self, tmp_path):
         """A source iterator that dies mid-ingest must not orphan the
@@ -246,3 +427,61 @@ class TestCrashCleanup:
                 chunk_rows=6,
             )
         assert not (target / SPILL_DIR_NAME).exists()
+
+    def test_failure_inside_the_in_ram_finish(self, tmp_path, monkeypatch):
+        """The segment's block is read and its sub-recursion under way
+        when the failure hits: both record files must still go."""
+        real = storage_bulk.str_chunks
+
+        def failing(points, capacity, **kwargs):
+            if "start_dim" in kwargs:
+                raise RuntimeError("recursion failed")
+            return real(points, capacity, **kwargs)
+
+        monkeypatch.setattr(storage_bulk, "str_chunks", failing)
+        target = tmp_path / "store"
+        gc.collect()
+        before = _open_fds()
+        with pytest.raises(RuntimeError, match="recursion failed"):
+            stream_bulk_load_mmap(
+                dataset(400, 3, seed=6),
+                NearOptimalDeclusterer(3, 2),
+                target,
+                chunk_rows=150,
+            )
+        assert _open_fds() == before
+        assert not (target / SPILL_DIR_NAME).exists()
+
+    def test_failure_inside_a_batched_page_write(self, tmp_path, monkeypatch):
+        """A page-file write that dies mid-store closes its writer and
+        reclaims the spill files."""
+        real = PageFileWriter.write_slots
+        calls = []
+
+        def failing(self, first, counts, oids, points):
+            calls.append(first)
+            if len(calls) == 2:
+                raise OSError("no space left on device")
+            real(self, first, counts, oids, points)
+
+        monkeypatch.setattr(PageFileWriter, "write_slots", failing)
+        target = tmp_path / "store"
+        gc.collect()
+        before = _open_fds()
+        with pytest.raises(OSError, match="no space left"):
+            stream_bulk_load_mmap(
+                dataset(400, 3, seed=6),
+                NearOptimalDeclusterer(3, 2),
+                target,
+                chunk_rows=150,
+            )
+        assert len(calls) == 2
+        assert _open_fds() == before
+        assert not (target / SPILL_DIR_NAME).exists()
+
+    def test_storage_layer_is_resource_leak_clean(self):
+        findings = run_lint(
+            [Path(storage_bulk.__file__).parent],
+            LintConfig(enabled=frozenset({"resource-leak"})),
+        )
+        assert findings == []
