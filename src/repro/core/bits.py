@@ -180,6 +180,7 @@ def bucket_numbers_for_points(
     ``split_values`` is the per-dimension split (``0.5`` for the midpoint
     split, an α-quantile for the adaptive extension).  A point's quadrant
     coordinate in dimension ``i`` is 1 iff ``point[i] >= split_values[i]``.
+    At ``d = 64`` the numbers are uint64: bit 63 overflows int64.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -191,5 +192,6 @@ def bucket_numbers_for_points(
             f"dimensionality {points.shape[1]}"
         )
     above = points >= split_values
-    weights = 1 << np.arange(points.shape[1], dtype=np.int64)
-    return (above.astype(np.int64) * weights).sum(axis=1)
+    dtype = np.uint64 if points.shape[1] >= 64 else np.int64
+    weights = dtype(1) << np.arange(points.shape[1], dtype=dtype)
+    return (above.astype(dtype) * weights).sum(axis=1, dtype=dtype)

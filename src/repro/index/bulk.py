@@ -88,6 +88,39 @@ def str_chunks(
     return recurse(np.arange(num_points), start_dim % dimension)
 
 
+def _checked_oids(oids: Sequence[int], count: int) -> np.ndarray:
+    """``oids`` as an int64 array of shape ``(count,)``.  A value that
+    int64 cannot hold exactly (3.5, 1e19, NaN) is a ``ValueError``,
+    never a silent truncation; 3.0 is accepted."""
+    given = np.asarray(oids)
+    if given.shape != (count,):
+        raise ValueError(f"oids must have shape ({count},), got {given.shape}")
+    with np.errstate(invalid="ignore"):
+        exact = given.astype(np.int64)
+    if not (exact == given).all():
+        bad = int(np.flatnonzero(exact != given)[0])
+        raise ValueError(f"oid {given[bad]} at position {bad} is not int64")
+    return exact
+
+
+def _grow_directory(
+    tree: RStarTree, level: List[Node], fill: float, size: int
+) -> None:
+    """Grow ``tree``'s directory bottom-up over ``level``, its leaves in
+    STR tile order: every pass STR-packs the node centers of the level
+    below into groups of ``dir_cap * fill``.  The one directory loop of
+    every STR loader, in memory and streamed."""
+    dir_target = max(4, int(tree.dir_cap * fill))
+    while len(level) > 1:
+        centers = np.vstack([node.mbr.center for node in level])
+        level = [
+            Node(is_leaf=False, entries=[level[i] for i in group])
+            for group in str_chunks(centers, dir_target)
+        ]
+    tree.root = level[0]
+    tree.size = size
+
+
 def bulk_load(
     points: np.ndarray,
     oids: Optional[Sequence[int]] = None,
@@ -119,36 +152,19 @@ def bulk_load(
         raise ValueError(f"fill must be in [0.8, 1.0], got {fill}")
     _require_finite(points)
     num_points, dimension = points.shape
+    if oids is None:
+        oids = np.arange(num_points)
+    ids = _checked_oids(oids, num_points)
     tree = tree_cls(dimension, **tree_kwargs)
     if num_points == 0:
         return tree
-    if oids is None:
-        oids = np.arange(num_points)
-    oids = np.asarray(oids)
-    if oids.shape != (num_points,):
-        raise ValueError(
-            f"oids must have shape ({num_points},), got {oids.shape}"
-        )
-
-    leaf_target = max(4, int(tree.leaf_cap * fill))
-    tiles = str_chunks(points, leaf_target)
-    level: List[Node] = [
+    tiles = str_chunks(points, max(4, int(tree.leaf_cap * fill)))
+    leaves = [
         Node(
             is_leaf=True,
-            entries=[LeafEntry(points[i], int(oids[i])) for i in tile],
+            entries=[LeafEntry(points[i], int(ids[i])) for i in tile],
         )
         for tile in tiles
     ]
-
-    dir_target = max(4, int(tree.dir_cap * fill))
-    while len(level) > 1:
-        centers = np.vstack([node.mbr.center for node in level])
-        groups = str_chunks(centers, dir_target)
-        level = [
-            Node(is_leaf=False, entries=[level[i] for i in group])
-            for group in groups
-        ]
-
-    tree.root = level[0]
-    tree.size = num_points
+    _grow_directory(tree, leaves, fill, num_points)
     return tree

@@ -74,6 +74,31 @@ def striped_assignment(num_disks: int) -> AssignmentFunction:
     return assign
 
 
+def _decluster_pages(
+    declusterer: Union[Declusterer, Callable],
+    leaves: Sequence[Node],
+    num_disks: Optional[int],
+) -> Tuple[int, np.ndarray]:
+    """``(num_disks, page_disks)``: data pages mapped to disks by MBR
+    center — a :class:`Declusterer` brings its disk count, a raw callable
+    needs ``num_disks``.  The one page-to-disk assignment of every store."""
+    if isinstance(declusterer, Declusterer):
+        num_disks, assign = declusterer.num_disks, declusterer.assign
+    elif num_disks is None:
+        raise ValueError("num_disks is required for a callable page assignment")
+    else:
+        assign = declusterer
+    if not leaves:
+        return num_disks, np.zeros(0, dtype=np.int64)
+    centers = np.vstack([leaf.mbr.center for leaf in leaves])
+    page_disks = np.asarray(assign(centers), dtype=np.int64)
+    if len(page_disks) != len(leaves):
+        raise RuntimeError("page assignment has wrong length")
+    if page_disks.min() < 0 or page_disks.max() >= num_disks:
+        raise RuntimeError("page assignment outside [0, num_disks)")
+    return num_disks, page_disks
+
+
 class PagedStore:
     """A single global index whose data pages are declustered over disks.
 
@@ -117,35 +142,16 @@ class PagedStore:
         self.page_bytes = page_bytes
         self.cache_config = cache_config
         self.declusterer = declusterer
-        if isinstance(declusterer, Declusterer):
-            self.num_disks = declusterer.num_disks
-        else:
-            if num_disks is None:
-                raise ValueError(
-                    "num_disks is required for a callable page assignment"
-                )
-            self.num_disks = num_disks
-        self._assign_pages()
+        self._assign_pages(num_disks)
 
-    def _assign_pages(self) -> None:
+    def _assign_pages(self, num_disks: Optional[int]) -> None:
         """(Re)compute the page-to-disk map from the current leaves."""
-        if self.tree.size == 0:
-            self.leaves: List[Node] = []
-            self.page_disks = np.zeros(0, dtype=np.int64)
-            self._disk_of = {}
-            return
-        self.leaves = list(self.tree.leaves())
-        centers = np.vstack([leaf.mbr.center for leaf in self.leaves])
-        if isinstance(self.declusterer, Declusterer):
-            self.page_disks = self.declusterer.assign(centers)
-        else:
-            self.page_disks = np.asarray(self.declusterer(centers))
-        if len(self.page_disks) != len(self.leaves):
-            raise RuntimeError("page assignment has wrong length")
-        if len(self.page_disks) and (
-            self.page_disks.min() < 0 or self.page_disks.max() >= self.num_disks
-        ):
-            raise RuntimeError("page assignment outside [0, num_disks)")
+        self.leaves: List[Node] = (
+            list(self.tree.leaves()) if self.tree.size else []
+        )
+        self.num_disks, self.page_disks = _decluster_pages(
+            self.declusterer, self.leaves, num_disks
+        )
         self._disk_of = {
             id(leaf): int(disk)
             for leaf, disk in zip(self.leaves, self.page_disks)
@@ -174,13 +180,12 @@ class PagedStore:
     def insert(self, point: Sequence[float], oid: int) -> None:
         """Insert into the global tree; page map is rebuilt lazily."""
         self.tree.insert(point, oid)
-        self._assign_pages()
+        self._assign_pages(self.num_disks)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        name = getattr(self.declusterer, "name", "custom")
         return (
             f"PagedStore(n={self.tree.size}, pages={len(self.leaves)}, "
-            f"disks={self.num_disks}, declusterer={name})"
+            f"disks={self.num_disks}, declusterer={self.scheme})"
         )
 
 

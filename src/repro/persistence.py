@@ -265,14 +265,17 @@ def _decode_cache(data: Optional[Dict]) -> Optional[CacheConfig]:
     )
 
 
-def _store_header(store: PagedStore) -> Dict:
+def _store_header(
+    tree: RStarTree, num_disks: int, scheme: str, cache: Optional[CacheConfig]
+) -> Dict:
     """Tree header plus the store-level fields every store format
-    shares: disk count, declustering scheme name, and cache config."""
-    header = _tree_header(store.tree)
+    shares: disk count, declustering scheme name, and cache config —
+    the one header builder of every store writer."""
+    header = _tree_header(tree)
     header["store_format_version"] = _STORE_FORMAT_VERSION
-    header["num_disks"] = store.num_disks
-    header["scheme"] = getattr(store.declusterer, "name", "custom")
-    header["cache"] = _encode_cache(store.cache_config)
+    header["num_disks"] = num_disks
+    header["scheme"] = scheme
+    header["cache"] = _encode_cache(cache)
     return header
 
 
@@ -297,7 +300,9 @@ def save_paged_store(
     explicit ``store_format_version`` field.
     """
     arrays = _flatten(store.tree)
-    arrays["header"] = np.array(json.dumps(_store_header(store)))
+    arrays["header"] = np.array(json.dumps(_store_header(
+        store.tree, store.num_disks, store.scheme, store.cache_config
+    )))
     arrays["page_disks"] = np.asarray(store.page_disks, dtype=np.int64)
     np.savez_compressed(path, **arrays)
 

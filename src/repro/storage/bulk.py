@@ -3,28 +3,28 @@ materializing per-point Python objects.
 
 :func:`repro.index.bulk.bulk_load` creates one ``LeafEntry`` object per
 point — fine for the paper's 10^4–10^5 points, prohibitive for N in the
-tens of millions.  :func:`bulk_load_mmap` performs the *same* STR
-packing arithmetic on raw index arrays, streams each leaf tile straight
-into its disk's page file, and keeps only the directory (inner nodes +
-leaf MBRs) in RAM — memory is O(points array + directory), and the
-payload never exists as Python objects.
+tens of millions.  :func:`stream_bulk_load_mmap` is the one loader that
+writes a store straight to disk: its source is an array, a ``.npy``
+path or an iterable of row chunks, consumed under a RAM budget.  STR
+levels larger than the sort chunk run as external sorts
+(:mod:`repro.storage.spill`), a segment that fits it is finished in RAM
+by :func:`repro.index.bulk.str_chunks` itself, leaf payloads move to the
+page files in runs of consecutive slots, and only the directory (inner
+nodes + leaf MBRs) is held in RAM.  :func:`bulk_load_mmap` is its entry
+point for an in-RAM array.  Non-finite coordinates are rejected at
+ingest.
 
-Equivalence: the leaf tiles, leaf MBRs, directory grouping, and the
-declusterer's page-to-disk assignment are computed exactly as the
-in-memory path (``bulk_load`` + ``PagedStore`` + ``save_mmap_store``)
-computes them, so the resulting store answers queries bit-for-bit
-identically (the test suite asserts this on shared seeds).
-
-:func:`stream_bulk_load_mmap` writes the same bytes from a source that
-need not fit in RAM: STR levels larger than the sort chunk run as
-external sorts (:mod:`repro.storage.spill`), a segment that fits it is
-finished in RAM by :func:`repro.index.bulk.str_chunks` itself, and leaf
-payloads move to the page files in runs of consecutive slots.  Both
-loaders reject non-finite coordinates at ingest.
+Equivalence: the leaf tiles, leaf MBRs, directory grouping (the one
+loop, :func:`repro.index.bulk._grow_directory`), page-to-disk
+assignment (:func:`repro.parallel.paged._decluster_pages`) and header
+(:func:`repro.persistence._store_header`) are those of the in-memory
+route ``bulk_load`` + ``PagedStore`` + ``save_mmap_store``, which writes
+byte-identical files and is the parity reference of the test suite.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -32,7 +32,6 @@ import shutil
 from pathlib import Path
 from typing import (
     Callable,
-    Dict,
     Generator,
     Iterable,
     List,
@@ -46,14 +45,21 @@ from typing import (
 import numpy as np
 
 from repro.core.declustering import Declusterer
-from repro.index.bulk import _require_finite, _split_bounds, str_chunks
+from repro.index.bulk import (
+    _checked_oids,
+    _grow_directory,
+    _require_finite,
+    _split_bounds,
+    str_chunks,
+)
 from repro.index.mbr import MBR
 from repro.index.node import DEFAULT_PAGE_BYTES, Node
 from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
 from repro.parallel.cache import CacheConfig
-from repro.persistence import _STORE_FORMAT_VERSION, _encode_cache, _tree_header
-from repro.storage.mmap_store import MmapStore, _Gather, _tile_gather, _write_store
+from repro.parallel.paged import _decluster_pages
+from repro.persistence import _store_header
+from repro.storage.mmap_store import MmapStore, _Gather, _write_store
 from repro.storage.spill import _PIECE_ROWS, SpillFile, sort_segment
 
 __all__ = [
@@ -71,127 +77,6 @@ DEFAULT_MAX_RAM_BYTES = 256 * 1024 * 1024
 #: success or failure — before :func:`stream_bulk_load_mmap` returns.
 SPILL_DIR_NAME = ".spill"
 
-
-def _skeleton_tree(
-    points: np.ndarray,
-    tree_cls: Type[RStarTree],
-    fill: float,
-    page_bytes: int,
-) -> Tuple[RStarTree, List[Node], List[np.ndarray]]:
-    """STR-pack ``points`` into a tree of *empty* leaves.
-
-    Leaves carry their MBR (set from the tile's min/max — the same
-    values ``MBR.from_points`` yields) and no entries; the directory is
-    grown bottom-up from leaf centers exactly as ``bulk_load`` does.
-    Returns the tree, its leaves in pre-order, and each pre-order
-    leaf's point-index tile.
-    """
-    num_points, dimension = points.shape
-    tree = tree_cls(dimension, page_bytes=page_bytes)
-    if num_points == 0:
-        return tree, [], []
-    leaf_target = max(4, int(tree.leaf_cap * fill))
-    tiles = str_chunks(points, leaf_target)
-    level: List[Node] = []
-    tile_of = {}
-    for index, tile in enumerate(tiles):
-        node = Node(is_leaf=True)
-        node.mbr = MBR(
-            points[tile].min(axis=0), points[tile].max(axis=0)
-        )
-        tile_of[id(node)] = index
-        level.append(node)
-    dir_target = max(4, int(tree.dir_cap * fill))
-    while len(level) > 1:
-        centers = np.vstack([node.mbr.center for node in level])
-        groups = str_chunks(centers, dir_target)
-        level = [
-            Node(is_leaf=False, entries=[level[i] for i in group])
-            for group in groups
-        ]
-    tree.root = level[0]
-    tree.size = num_points
-    leaves = list(tree.leaves())
-    return tree, leaves, [tiles[tile_of[id(leaf)]] for leaf in leaves]
-
-
-def bulk_load_mmap(
-    points: np.ndarray,
-    declusterer: Union[Declusterer, Callable],
-    directory: Union[str, os.PathLike],
-    *,
-    num_disks: Optional[int] = None,
-    oids: Optional[Sequence[int]] = None,
-    tree_cls: Type[RStarTree] = XTree,
-    page_bytes: int = DEFAULT_PAGE_BYTES,
-    fill: float = 0.85,
-    cache_config: Optional[CacheConfig] = None,
-    slot_bytes: Optional[int] = None,
-) -> MmapStore:
-    """STR bulk-load ``points`` straight into an out-of-core store.
-
-    Parameters mirror ``bulk_load`` + ``PagedStore``: ``declusterer``
-    assigns pages to disks by leaf MBR center (pass ``num_disks`` when
-    it is a raw callable), ``cache_config`` is persisted as the store's
-    default pool, and the result is an opened :class:`MmapStore` over
-    ``directory``.
-    """
-    points = np.ascontiguousarray(points, dtype=float)
-    if points.ndim != 2:
-        raise ValueError(f"points must be (N, d), got shape {points.shape}")
-    if not 0.8 <= fill <= 1.0:
-        raise ValueError(f"fill must be in [0.8, 1.0], got {fill}")
-    _require_finite(points)
-    num_points = len(points)
-    if oids is None:
-        oids = np.arange(num_points)
-    oids = np.asarray(oids, dtype=np.int64)
-    if oids.shape != (num_points,):
-        raise ValueError(
-            f"oids must have shape ({num_points},), got {oids.shape}"
-        )
-    if isinstance(declusterer, Declusterer):
-        num_disks = declusterer.num_disks
-    elif num_disks is None:
-        raise ValueError("num_disks is required for a callable assignment")
-
-    tree, leaves, tiles = _skeleton_tree(points, tree_cls, fill, page_bytes)
-
-    if leaves:
-        centers = np.vstack([leaf.mbr.center for leaf in leaves])
-        if isinstance(declusterer, Declusterer):
-            page_disks = np.asarray(declusterer.assign(centers), dtype=np.int64)
-        else:
-            page_disks = np.asarray(declusterer(centers), dtype=np.int64)
-        if len(page_disks) != len(leaves):
-            raise RuntimeError("page assignment has wrong length")
-        if page_disks.min() < 0 or page_disks.max() >= num_disks:
-            raise RuntimeError("page assignment outside [0, num_disks)")
-    else:
-        page_disks = np.zeros(0, dtype=np.int64)
-
-    header = _tree_header(tree)
-    header["store_format_version"] = _STORE_FORMAT_VERSION
-    header["num_disks"] = num_disks
-    header["scheme"] = getattr(declusterer, "name", "custom")
-    header["cache"] = _encode_cache(cache_config)
-
-    _write_store(
-        directory,
-        tree,
-        header,
-        leaves,
-        _tile_gather(points, oids, tiles),
-        page_disks,
-        int(num_disks),
-        page_bytes,
-        slot_bytes,
-        [len(tile) for tile in tiles],
-    )
-    return MmapStore(directory)
-
-
-# --------------------------------------------------------------- streaming
 
 #: Anything :func:`stream_bulk_load_mmap` accepts as its point source:
 #: an in-RAM (or memmapped) ``(N, d)`` array, a path to a C-order 2-D
@@ -219,12 +104,12 @@ def _resolve_chunk_rows(
     only for ``d`` <= 2.  The rest is headroom for the O(pages)
     directory.
     """
+    if max_ram_bytes < 1:
+        raise ValueError(f"max_ram_bytes must be >= 1, got {max_ram_bytes}")
     if chunk_rows is not None:
         if chunk_rows < 1:
             raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
         return int(chunk_rows)
-    if max_ram_bytes < 1:
-        raise ValueError(f"max_ram_bytes must be >= 1, got {max_ram_bytes}")
     row_bytes = 8 * (dimension + 1)
     return max(1, int(max_ram_bytes) // (row_bytes * 4))
 
@@ -336,24 +221,24 @@ def _ingest(
     Records are rows of ``d + 1`` float64 values: the coordinates
     followed by the point's original position (later the default oid).
     """
-    chunks: _Chunks
+    make_chunks: Callable[[int], _Chunks]
     if isinstance(source, np.ndarray):
         if source.ndim != 2:
             raise ValueError(
                 f"points must be (N, d), got shape {source.shape}"
             )
         dim = _check_dim(int(source.shape[1]), dimension)
-        rows = _resolve_chunk_rows(dim, max_ram_bytes, chunk_rows)
-        chunks = _array_chunks(source, rows)
+        make_chunks = functools.partial(_array_chunks, source)
     elif isinstance(source, (str, os.PathLike)):
         shape, dtype, offset = _npy_meta(source)
         dim = _check_dim(shape[1], dimension)
-        rows = _resolve_chunk_rows(dim, max_ram_bytes, chunk_rows)
-        chunks = _npy_chunks(source, shape, dtype, offset, rows)
+        make_chunks = functools.partial(
+            _npy_chunks, source, shape, dtype, offset
+        )
     else:
-        iterator = iter(source)
+        items = iter(source)
         try:
-            first = next(iterator)
+            head = _coerce_chunk(next(items))
         except StopIteration:
             if dimension is None:
                 raise ValueError(
@@ -361,15 +246,12 @@ def _ingest(
                     "source; pass dimension="
                 ) from None
             dim = _check_dim(int(dimension), None)
-            rows = _resolve_chunk_rows(dim, max_ram_bytes, chunk_rows)
-            chunks = _iterable_chunks((), rows)
         else:
-            head = _coerce_chunk(first)
             dim = _check_dim(int(head.shape[1]), dimension)
-            rows = _resolve_chunk_rows(dim, max_ram_bytes, chunk_rows)
-            chunks = _iterable_chunks(
-                itertools.chain([head], iterator), rows
-            )
+            items = itertools.chain([head], items)
+        make_chunks = functools.partial(_iterable_chunks, items)
+    rows = _resolve_chunk_rows(dim, max_ram_bytes, chunk_rows)
+    chunks = make_chunks(rows)
 
     records = _record_file(spill_dir, _RECORD_A, dim + 1)
     alternate: Optional[SpillFile] = None
@@ -417,7 +299,7 @@ def _stream_tiles(
     capacity: int,
     chunk_rows: int,
     run_dir: Path,
-) -> Tuple[List[Tuple[int, int, int]], List[np.ndarray], List[np.ndarray]]:
+) -> Tuple[List[Tuple[int, int, int]], List[MBR]]:
     """Run the STR recursion out-of-core over the record files.
 
     This is :func:`repro.index.bulk.str_chunks` with the stable argsort
@@ -428,11 +310,10 @@ def _stream_tiles(
     finishes its whole sub-recursion on the one block read: tile MBRs
     come from the rows in hand, and the permuted rows go to the other
     record file :data:`_PIECE_ROWS` at a time, never as a whole copy.
-    Returns the tiles plus each tile's MBR low/high corner.
+    Returns the tiles plus each tile's MBR.
     """
     tiles: List[Tuple[int, int, int]] = []
-    lows: List[np.ndarray] = []
-    highs: List[np.ndarray] = []
+    mbrs: List[MBR] = []
     step = max(1, _PIECE_ROWS // capacity)
 
     def finish(start: int, stop: int, dim: int, src: int) -> None:
@@ -445,8 +326,8 @@ def _stream_tiles(
             cuts = edges[first : first + step + 1]
             rows = block[order[cuts[0] : cuts[-1]]]
             points, marks = rows[:, :dimension], cuts[:-1] - cuts[0]
-            lows.extend(np.minimum.reduceat(points, marks))
-            highs.extend(np.maximum.reduceat(points, marks))
+            lows = np.minimum.reduceat(points, marks)
+            mbrs.extend(map(MBR, lows, np.maximum.reduceat(points, marks)))
             files[1 - src].write_at(start + int(cuts[0]), rows)
         tiles.extend(
             (start + int(low), start + int(high), 1 - src)
@@ -486,40 +367,33 @@ def _stream_tiles(
                 if high > low
             ]
         stack.extend(reversed(children))
-    return tiles, lows, highs
+    return tiles, mbrs
 
 
-def _directory_from_tiles(
+def _tile_tree(
     tree: RStarTree,
-    lows: List[np.ndarray],
-    highs: List[np.ndarray],
-    fill: float,
+    files: Tuple[SpillFile, SpillFile],
     count: int,
-) -> Tuple[List[Node], List[int]]:
-    """Grow the directory bottom-up from streamed tile MBRs.
-
-    Mirrors ``_skeleton_tree``'s directory phase; returns the tree's
-    leaves in pre-order plus each leaf's tile index.
-    """
-    level: List[Node] = []
-    tile_of: Dict[int, int] = {}
-    for index in range(len(lows)):
-        node = Node(is_leaf=True)
-        node.mbr = MBR(lows[index], highs[index])
-        tile_of[id(node)] = index
-        level.append(node)
-    dir_target = max(4, int(tree.dir_cap * fill))
-    while len(level) > 1:
-        centers = np.vstack([node.mbr.center for node in level])
-        groups = str_chunks(centers, dir_target)
-        level = [
-            Node(is_leaf=False, entries=[level[i] for i in group])
-            for group in groups
-        ]
-    tree.root = level[0]
-    tree.size = count
+    fill: float,
+    chunk_rows: int,
+    run_dir: Path,
+) -> Tuple[List[Tuple[int, int, int]], List[Node]]:
+    """STR-pack the ``count`` records into ``tree``: leaves from the
+    streamed tiles, directory by :func:`repro.index.bulk._grow_directory`.
+    Returns the tree's leaves in pre-order and each one's tile."""
+    if not count:
+        return [], []
+    capacity = max(4, int(tree.leaf_cap * fill))
+    tiles, mbrs = _stream_tiles(
+        files, count, tree.dimension, capacity, chunk_rows, run_dir
+    )
+    level = [Node(is_leaf=True) for _ in tiles]
+    for leaf, mbr in zip(level, mbrs):
+        leaf.mbr = mbr
+    _grow_directory(tree, level, fill, count)
+    tile_of = {id(leaf): tile for leaf, tile in zip(level, tiles)}
     leaves = list(tree.leaves())
-    return leaves, [tile_of[id(leaf)] for leaf in leaves]
+    return [tile_of[id(leaf)] for leaf in leaves], leaves
 
 
 def _spill_gather(
@@ -565,108 +439,108 @@ def stream_bulk_load_mmap(
     chunk_rows: Optional[int] = None,
     dimension: Optional[int] = None,
 ) -> MmapStore:
-    """STR bulk-load a larger-than-RAM point source into an mmap store.
+    """STR bulk-load a point source, in RAM or not, into an mmap store.
 
-    The out-of-core sibling of :func:`bulk_load_mmap`: ``source`` may be
-    an array, a path to a 2-D C-order ``.npy`` file, or an iterable of
-    row chunks, and is consumed in bounded-RAM chunks.  The STR sort
-    passes run as external merge sorts over spill files in a ``.spill``
-    directory inside the store directory (removed on success *and*
-    failure), and leaf payloads are written straight into the per-disk
-    page files one run of slots at a time.  Peak resident memory is
-    bounded by ``max_ram_bytes`` (plus the O(pages) directory); ``chunk_rows``
-    overrides the derived sort-chunk size directly (tests use 1 to
-    force maximal spilling).
+    ``source`` may be an array, a path to a 2-D C-order ``.npy`` file,
+    or an iterable of row chunks, and is consumed in bounded-RAM chunks
+    (:func:`bulk_load_mmap` is the entry point for an in-RAM array).
+    The STR sort passes run as external merge sorts over spill files in
+    a ``.spill`` directory inside the store directory (removed on
+    success *and* failure), and leaf payloads are written straight into
+    the per-disk page files one run of slots at a time.  Peak resident
+    memory is bounded by ``max_ram_bytes`` (plus the O(pages)
+    directory); ``chunk_rows`` overrides the derived sort-chunk size
+    directly (tests use 1 to force maximal spilling).
 
-    The output is **byte-identical** to ``bulk_load_mmap`` on the same
-    data: the chunked external sort reproduces the exact stable-sort
-    permutations of the in-memory STR pass, and all downstream
-    arithmetic (tile boundaries, directory grouping, declustering,
-    slot assignment, file formats) is shared.  ``dimension`` is only
-    required when ``source`` is an empty iterable.
+    The output is **byte-identical** to the in-memory route
+    (``save_mmap_store`` of a ``PagedStore`` built by ``bulk_load``) on
+    the same data, for any chunk size: the chunked external sort
+    reproduces the exact stable-sort permutations of the in-memory STR
+    pass, and all downstream arithmetic (tile boundaries, directory
+    grouping, declustering, header, slot assignment, file formats) is
+    shared.  A failed build leaves no ``.spill`` directory behind, nor a
+    store directory it created.  ``dimension`` is only required when
+    ``source`` is an empty iterable.
     """
     if not 0.8 <= fill <= 1.0:
         raise ValueError(f"fill must be in [0.8, 1.0], got {fill}")
-    if isinstance(declusterer, Declusterer):
-        num_disks = declusterer.num_disks
-    elif num_disks is None:
-        raise ValueError("num_disks is required for a callable assignment")
+    # Resolve the disk count before any work: fail fast without one.
+    num_disks = _decluster_pages(declusterer, [], num_disks)[0]
 
     path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
+    created = not path.exists()
     spill = path / SPILL_DIR_NAME
-    spill.mkdir(exist_ok=True)
+    spill.mkdir(parents=True, exist_ok=True)
+    built = False
     try:
         records_a, records_b, count, dim, rows = _ingest(
             source, spill, max_ram_bytes, chunk_rows, dimension
         )
         try:
-            oids_arr: Optional[np.ndarray] = None
-            if oids is not None:
-                oids_arr = np.asarray(oids, dtype=np.int64)
-                if oids_arr.shape != (count,):
-                    raise ValueError(
-                        f"oids must have shape ({count},), got "
-                        f"{oids_arr.shape}"
-                    )
+            ids = None if oids is None else _checked_oids(oids, count)
             tree = tree_cls(dim, page_bytes=page_bytes)
             files = (records_a, records_b)
-            tiles: List[Tuple[int, int, int]] = []
-            leaves: List[Node] = []
-            order: List[int] = []
-            if count:
-                capacity = max(4, int(tree.leaf_cap * fill))
-                tiles, lows, highs = _stream_tiles(
-                    files, count, dim, capacity, rows, spill
-                )
-                leaves, order = _directory_from_tiles(
-                    tree, lows, highs, fill, count
-                )
-                del lows, highs
-
-            if leaves:
-                centers = np.vstack([leaf.mbr.center for leaf in leaves])
-                if isinstance(declusterer, Declusterer):
-                    page_disks = np.asarray(
-                        declusterer.assign(centers), dtype=np.int64
-                    )
-                else:
-                    page_disks = np.asarray(
-                        declusterer(centers), dtype=np.int64
-                    )
-                if len(page_disks) != len(leaves):
-                    raise RuntimeError("page assignment has wrong length")
-                if page_disks.min() < 0 or page_disks.max() >= num_disks:
-                    raise RuntimeError(
-                        "page assignment outside [0, num_disks)"
-                    )
-            else:
-                page_disks = np.zeros(0, dtype=np.int64)
-
-            header = _tree_header(tree)
-            header["store_format_version"] = _STORE_FORMAT_VERSION
-            header["num_disks"] = num_disks
-            header["scheme"] = getattr(declusterer, "name", "custom")
-            header["cache"] = _encode_cache(cache_config)
-
-            ordered = [tiles[index] for index in order]
+            tiles, leaves = _tile_tree(tree, files, count, fill, rows, spill)
+            _, page_disks = _decluster_pages(declusterer, leaves, num_disks)
+            scheme = getattr(declusterer, "name", "custom")
             _write_store(
                 directory,
                 tree,
-                header,
+                _store_header(tree, num_disks, scheme, cache_config),
                 leaves,
-                _spill_gather(files, ordered, dim, oids_arr),
+                _spill_gather(files, tiles, dim, ids),
                 page_disks,
-                int(num_disks),
+                num_disks,
                 page_bytes,
                 slot_bytes,
-                [stop - start for start, stop, _ in ordered],
+                [stop - start for start, stop, _ in tiles],
             )
         finally:
             records_a.delete()
             records_b.delete()
+        built = True
     finally:
-        shutil.rmtree(spill, ignore_errors=True)
+        # A failed build also removes the store directory it created.
+        shutil.rmtree(
+            spill if built or not created else path, ignore_errors=True
+        )
     # The reopen rebuilds the directory: free the build's copy first.
-    del tree, leaves, tiles, ordered
+    del tree, leaves, tiles
     return MmapStore(directory)
+
+
+def bulk_load_mmap(
+    points: np.ndarray,
+    declusterer: Union[Declusterer, Callable],
+    directory: Union[str, os.PathLike],
+    *,
+    num_disks: Optional[int] = None,
+    oids: Optional[Sequence[int]] = None,
+    tree_cls: Type[RStarTree] = XTree,
+    page_bytes: int = DEFAULT_PAGE_BYTES,
+    fill: float = 0.85,
+    cache_config: Optional[CacheConfig] = None,
+    slot_bytes: Optional[int] = None,
+) -> MmapStore:
+    """STR bulk-load an in-RAM ``points`` array straight into an
+    out-of-core store: :func:`stream_bulk_load_mmap` over the array,
+    under its default RAM budget.
+
+    Parameters mirror ``bulk_load`` + ``PagedStore``: ``declusterer``
+    assigns pages to disks by leaf MBR center (pass ``num_disks`` when
+    it is a raw callable), ``cache_config`` is persisted as the store's
+    default pool, and the result is an opened :class:`MmapStore` over
+    ``directory``.
+    """
+    return stream_bulk_load_mmap(
+        np.asarray(points, dtype=float),
+        declusterer,
+        directory,
+        num_disks=num_disks,
+        oids=oids,
+        tree_cls=tree_cls,
+        page_bytes=page_bytes,
+        fill=fill,
+        cache_config=cache_config,
+        slot_bytes=slot_bytes,
+    )

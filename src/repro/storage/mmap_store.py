@@ -99,18 +99,6 @@ _RUN_BYTES = 1 << 18
 _Gather = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
-def _tile_gather(
-    points: np.ndarray, oids: np.ndarray, tiles: Sequence[np.ndarray]
-) -> _Gather:
-    """A gather over in-RAM arrays: leaf ``i`` holds rows ``tiles[i]``."""
-
-    def gather(leaves: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        rows = np.concatenate([tiles[index] for index in leaves])
-        return points[rows], oids[rows]
-
-    return gather
-
-
 def _savez_deterministic(
     path: Union[str, os.PathLike], arrays: Dict[str, np.ndarray]
 ) -> None:
@@ -239,20 +227,29 @@ def save_mmap_store(
     :class:`~repro.storage.pagefile.SlotOverflowError` rather than
     truncating).
     """
-    dimension = store.tree.dimension
+    tree = store.tree
     entries = [entry for leaf in store.leaves for entry in leaf.entries]
+    points = np.array([entry.point for entry in entries]).reshape(
+        -1, tree.dimension
+    )
+    oids = np.array([entry.oid for entry in entries], dtype=np.int64)
     counts = [len(leaf.entries) for leaf in store.leaves]
     edges = np.cumsum([0] + counts)
+
+    def gather(leaves: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        rows = np.concatenate(
+            [np.arange(edges[leaf], edges[leaf + 1]) for leaf in leaves]
+        )
+        return points[rows], oids[rows]
+
     _write_store(
         directory,
-        store.tree,
-        _store_header(store),
-        list(store.leaves),
-        _tile_gather(
-            np.array([entry.point for entry in entries]).reshape(-1, dimension),
-            np.array([entry.oid for entry in entries], dtype=np.int64),
-            [np.arange(low, high) for low, high in zip(edges[:-1], edges[1:])],
+        tree,
+        _store_header(
+            tree, store.num_disks, store.scheme, store.cache_config
         ),
+        list(store.leaves),
+        gather,
         np.asarray(store.page_disks, dtype=np.int64),
         store.num_disks,
         store.page_bytes,

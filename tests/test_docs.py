@@ -60,17 +60,26 @@ class TestRepoDocs:
             f"docs/architecture.md does not mention {missing}"
         )
 
-    def test_reproduction_guide_worked_example(self):
-        """The guide's quickstart transcript actually runs (doctest)."""
+    @staticmethod
+    def _run_doctest(name):
         import doctest
 
         failures, tests = doctest.testfile(
-            str(REPO_ROOT / "docs" / "reproduction_guide.md"),
+            str(REPO_ROOT / "docs" / name),
             module_relative=False,
             optionflags=doctest.ELLIPSIS | doctest.NORMALIZE_WHITESPACE,
         )
-        assert tests > 0, "expected >>> examples in the guide"
+        assert tests > 0, f"expected >>> examples in {name}"
         assert failures == 0
+
+    def test_reproduction_guide_worked_example(self):
+        """The guide's quickstart transcript actually runs (doctest)."""
+        self._run_doctest("reproduction_guide.md")
+
+    def test_storage_worked_example(self):
+        """storage.md's worked example (both construction routes, both
+        engines) actually runs (doctest)."""
+        self._run_doctest("storage.md")
 
 
 class TestOrphanDetection:

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core.declustering import Declusterer
+from repro.core.declustering import BucketDeclusterer, Declusterer
 from repro.registry import (
     DECLUSTERERS,
     SCHEME_ALIASES,
@@ -12,6 +13,16 @@ from repro.registry import (
     make_declusterer,
     resolve_scheme,
 )
+
+#: Every bucket scheme of the registry at a low d and at d = 64, the
+#: largest bucket space (``opt`` builds a 2^d table, so d <= 16 only).
+BUCKET_CASES = [
+    (name, dimension)
+    for dimension in (5, 64)
+    for name, cls in DECLUSTERERS.items()
+    if issubclass(cls, BucketDeclusterer)
+    and not (name == "graph-color" and dimension > 16)
+]
 
 
 class TestRegistry:
@@ -56,6 +67,24 @@ class TestRegistry:
     def test_resolve_scheme_is_identity_on_canonical_names(self):
         for name in DECLUSTERERS:
             assert resolve_scheme(name) == name
+
+    @pytest.mark.parametrize("scheme, dimension", BUCKET_CASES)
+    def test_assign_is_disk_for_bucket_of_the_exact_bucket(
+        self, scheme, dimension
+    ):
+        """Vectorized bucket numbers equal the exact (Python int) ones.
+        Every point lies in the upper half of its last dimension: at
+        d = 64 that is bit 63, which int64 wrapped negative."""
+        declusterer = make_declusterer(scheme, dimension, 4)
+        points = np.random.default_rng(dimension).random((40, dimension))
+        points[:, -1] = 0.5 + points[:, -1] / 2
+        exact = [
+            sum(1 << i for i, x in enumerate(point) if x >= 0.5)
+            for point in points
+        ]
+        assert declusterer.assign(points).tolist() == [
+            declusterer.disk_for_bucket(bucket) for bucket in exact
+        ]
 
     def test_unknown_scheme_lists_known_names(self):
         with pytest.raises(ValueError, match="HIL"):

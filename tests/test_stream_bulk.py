@@ -1,23 +1,30 @@
 """Streaming STR construction parity (``stream_bulk_load_mmap``).
 
-The streaming builder's contract is *byte identity*: for any dataset,
-chunk size, and source kind (array, ``.npy`` path, chunk iterator),
-the ``store.json`` / ``tree.npz`` / per-disk page files it writes must
-be ``filecmp``-identical to what in-memory :func:`bulk_load_mmap`
-writes for the same inputs.  Hypothesis draws the datasets and chunk
-sizes (including ``chunk_rows=1`` — maximal spilling — and chunk sizes
-larger than N); the assertions compare raw file bytes, never parsed
-structures.
+The loader's contract is *byte identity*: for any dataset, chunk size,
+and source kind (array, ``.npy`` path, chunk iterator), the
+``store.json`` / ``tree.npz`` / per-disk page files it writes must be
+``filecmp``-identical to what the in-memory route — ``bulk_load`` +
+``PagedStore`` + ``save_mmap_store`` — writes for the same inputs.  That
+route builds real leaf entries and never runs the loader's code, so the
+loader is never compared with itself.  Hypothesis draws the datasets
+and chunk sizes (including ``chunk_rows=1`` — maximal spilling — and
+chunk sizes larger than N); the assertions compare raw file bytes,
+never parsed structures.  The code both routes share (``str_chunks``,
+the store writer) is pinned by SHA-256 digests of three seeded stores
+(``tests/golden/store_digests.json``).
 
 Also here: the block-wise run merge against its row-at-a-time
 ``heapq.merge`` oracle (``tests/merge_oracle.py``), the non-finite
-coordinate rejection of every bulk loader, and crash-path tests proving
-a failed build never leaves an orphaned ``.spill`` directory or an open
-file handle behind.
+coordinate and inexact-oid rejection of every bulk loader, argument
+validation, and crash-path tests proving a failed build never leaves an
+orphaned ``.spill`` directory or an open file handle behind.
 """
 
 import filecmp
+import functools
 import gc
+import hashlib
+import json
 import os
 from pathlib import Path
 
@@ -30,15 +37,18 @@ from repro.core import NearOptimalDeclusterer
 from repro.index.bulk import bulk_load
 from repro.index.xtree import XTree
 from repro.lint import LintConfig, run_lint
+from repro.parallel.paged import PagedStore
 from repro.registry import make_declusterer
 from repro.storage import (
     SPILL_DIR_NAME,
     MmapStore,
     SpillFile,
     bulk_load_mmap,
+    save_mmap_store,
     sort_segment,
     stream_bulk_load_mmap,
 )
+from repro.storage.mmap_store import TREE_NPZ
 from repro.storage.pagefile import PageFileWriter
 from repro.storage.spill import DEFAULT_MERGE_FANIN, _merge_runs
 from tests import merge_oracle
@@ -75,15 +85,21 @@ def assert_stores_identical(reference: Path, candidate: Path):
         ), f"{name} differs between in-memory and streaming builds"
 
 
+def build_reference(points, declusterer, directory, oids=None):
+    """The parity reference: ``bulk_load`` + ``PagedStore`` +
+    ``save_mmap_store`` — the in-memory route, not the loader."""
+    save_mmap_store(PagedStore(points, declusterer, oids=oids), directory)
+
+
 def build_pair(points, tmp_path, *, num_disks=4, oids=None, **stream_kwargs):
-    """Build the same dataset twice (in-memory and streaming) and
-    return the two store directories, with both stores closed."""
+    """Build the same dataset twice (in-memory route and streaming
+    loader) and return the two store directories, both closed."""
     d = points.shape[1]
     reference = tmp_path / "reference"
     candidate = tmp_path / "candidate"
-    bulk_load_mmap(
+    build_reference(
         points, NearOptimalDeclusterer(d, num_disks), reference, oids=oids
-    ).close()
+    )
     stream_bulk_load_mmap(
         points,
         NearOptimalDeclusterer(d, num_disks),
@@ -156,7 +172,7 @@ class TestByteParity:
         reference = tmp_path / "reference"
         candidate = tmp_path / "candidate"
         decl = NearOptimalDeclusterer(4, 4)
-        bulk_load_mmap(points, decl, reference).close()
+        build_reference(points, decl, reference)
         stream_bulk_load_mmap(
             str(npy), decl, candidate, chunk_rows=11
         ).close()
@@ -173,7 +189,7 @@ class TestByteParity:
         reference = tmp_path / "reference"
         candidate = tmp_path / "candidate"
         decl = NearOptimalDeclusterer(3, 4)
-        bulk_load_mmap(points, decl, reference).close()
+        build_reference(points, decl, reference)
         stream_bulk_load_mmap(
             iter(chunks), decl, candidate, chunk_rows=9
         ).close()
@@ -201,9 +217,7 @@ class TestByteParity:
         points = dataset(110, 3, seed=17)
         reference = tmp_path / "reference"
         candidate = tmp_path / "candidate"
-        bulk_load_mmap(
-            points, make_declusterer(scheme, 3, 4), reference
-        ).close()
+        build_reference(points, make_declusterer(scheme, 3, 4), reference)
         stream_bulk_load_mmap(
             points,
             make_declusterer(scheme, 3, 4),
@@ -222,8 +236,159 @@ class TestByteParity:
         finally:
             store.close()
         reference = tmp_path / "reference"
-        bulk_load_mmap(np.zeros((0, 3)), decl, reference).close()
+        build_reference(np.zeros((0, 3)), decl, reference)
         assert_stores_identical(reference, tmp_path / "empty")
+
+
+GOLDEN_DIGESTS = Path(__file__).parent / "golden" / "store_digests.json"
+
+#: The pinned stores: (points, scheme, disks).
+PINNED = {
+    "d3-new": (lambda: dataset(300, 3, seed=41), "new", 4),
+    "d16-col": (lambda: dataset(2000, 16, seed=43), "col", 4),
+    "empty": (lambda: np.zeros((0, 3)), "new", 2),
+}
+
+
+def store_digests(directory: Path):
+    """SHA-256 of every store file; ``tree.npz`` per member as loaded
+    by ``np.load`` (dtype, shape and data — not the zip's bytes, which a
+    zlib upgrade may change)."""
+    digests = {}
+    for name in store_files(directory):
+        if name != TREE_NPZ:
+            data = (directory / name).read_bytes()
+            digests[name] = hashlib.sha256(data).hexdigest()
+            continue
+        with np.load(directory / name, allow_pickle=False) as arrays:
+            for member in sorted(arrays.files):
+                array = arrays[member]
+                digest = hashlib.sha256(
+                    f"{array.dtype.str}{array.shape}".encode()
+                )
+                digest.update(array.tobytes())
+                digests[f"{name}:{member}"] = digest.hexdigest()
+    return digests
+
+
+class TestFormatPin:
+    """The loader and the in-memory route share ``str_chunks`` and the
+    store writer, so parity alone cannot see both drift together; these
+    digests can.  A deliberate format change regenerates the file."""
+
+    @pytest.mark.parametrize("route", ["in-memory", "array", "stream"])
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_store_digests(self, name, route, tmp_path):
+        make_points, scheme, disks = PINNED[name]
+        points = make_points()
+        declusterer = make_declusterer(scheme, points.shape[1], disks)
+        directory = tmp_path / name
+        if route == "in-memory":
+            build_reference(points, declusterer, directory)
+        elif route == "array":
+            bulk_load_mmap(points, declusterer, directory).close()
+        else:
+            stream_bulk_load_mmap(
+                points, declusterer, directory, chunk_rows=64
+            ).close()
+        golden = json.loads(GOLDEN_DIGESTS.read_text())
+        assert store_digests(directory) == golden[name]
+
+
+LOADERS = ["bulk_load", "bulk_load_mmap", "stream_bulk_load_mmap"]
+
+
+def stored_oids(loader, points, oids, directory):
+    """Build with ``loader``; the oids it stored, in leaf order."""
+    if loader == "bulk_load":
+        tree = bulk_load(points, oids=oids)
+        return [entry.oid for leaf in tree.leaves() for entry in leaf.entries]
+    build = {
+        "bulk_load_mmap": bulk_load_mmap,
+        "stream_bulk_load_mmap": functools.partial(
+            stream_bulk_load_mmap, chunk_rows=16
+        ),
+    }[loader]
+    declusterer = NearOptimalDeclusterer(points.shape[1], 4)
+    with build(points, declusterer, directory, oids=oids) as store:
+        return [
+            int(oid) for leaf in store.leaves for oid in store.read_page(leaf)[1]
+        ]
+
+
+class TestOids:
+    @pytest.mark.parametrize("loader", LOADERS)
+    @pytest.mark.parametrize(
+        "bad", [0.5, 1e19, -1e19, np.nan], ids=["half", "big", "-big", "nan"]
+    )
+    def test_inexact_oids_are_rejected(self, loader, bad, tmp_path):
+        """An oid int64 cannot hold exactly is refused, not truncated
+        (``17.5`` used to become 17)."""
+        oids = np.arange(50, dtype=float)
+        oids[17] += bad
+        with pytest.raises(ValueError, match="oid .* at position 17"):
+            stored_oids(loader, dataset(50, 3, seed=4), oids, tmp_path / "s")
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_integral_float_oids_are_accepted(self, loader, tmp_path):
+        """3.0 is an int64 value: stored exactly as the integer 3."""
+        points = dataset(50, 3, seed=4)
+        oids = np.arange(100, 150)[::-1]
+        exact = stored_oids(loader, points, oids, tmp_path / "int")
+        assert sorted(exact) == sorted(oids.tolist())
+        floats = stored_oids(
+            loader, points, oids.astype(float), tmp_path / "float"
+        )
+        assert floats == exact
+        assert {type(oid) for oid in floats} == {int}
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_wrong_shape_is_rejected(self, loader, tmp_path):
+        with pytest.raises(ValueError, match="oids must have shape"):
+            stored_oids(loader, dataset(50, 3, seed=4), np.arange(5), tmp_path)
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"fill": 0.5}, "fill must be"),
+            ({"chunk_rows": 0}, "chunk_rows must be"),
+            ({"max_ram_bytes": 0}, "max_ram_bytes must be"),
+            ({"max_ram_bytes": -1, "chunk_rows": 5}, "max_ram_bytes must be"),
+            ({"dimension": 4}, "dimension=4 was given"),
+        ],
+    )
+    def test_bad_arguments_raise_and_leave_nothing(
+        self, kwargs, message, tmp_path
+    ):
+        target = tmp_path / "store"
+        with pytest.raises(ValueError, match=message):
+            stream_bulk_load_mmap(
+                dataset(40, 3, seed=1),
+                NearOptimalDeclusterer(3, 2),
+                target,
+                **kwargs,
+            )
+        assert not target.exists()
+
+    def test_callable_needs_num_disks_before_any_work(self, tmp_path):
+        with pytest.raises(ValueError, match="num_disks is required"):
+            stream_bulk_load_mmap(
+                dataset(40, 3, seed=1),
+                lambda centers: np.zeros(len(centers), dtype=np.int64),
+                tmp_path / "store",
+            )
+        assert not (tmp_path / "store").exists()
+
+    def test_failure_keeps_a_directory_it_did_not_create(self, tmp_path):
+        (tmp_path / "keep.txt").write_text("mine")
+        with pytest.raises(ValueError, match="non-finite"):
+            stream_bulk_load_mmap(
+                np.full((5, 3), np.nan), NearOptimalDeclusterer(3, 2), tmp_path
+            )
+        assert sorted(os.listdir(tmp_path)) == ["keep.txt"]
 
 
 def _write_runs(tmp_path, runs):
