@@ -357,6 +357,37 @@ def append_trajectory(
     )
 
 
+#: Rung columns the run notes set beside the previous run's.
+COMPARED = (
+    "build_s", "build_rss_mb", "coordinator_peak_rss_mb",
+    "worker_peak_rss_mb", "query_peak_rss_mb", "warm_ms_per_query",
+    "batch_ms_per_query",
+)
+
+
+def _gate(passed: Optional[bool]) -> str:
+    return "-" if passed is None else "ok" if passed else "FAILED"
+
+
+def against_previous(record: dict, earlier: dict) -> str:
+    """One rung's :data:`COMPARED` columns and gates as ``previous ->
+    now`` (``-`` where the previous run did not record one)."""
+    pairs = ", ".join(
+        f"{name} {earlier.get(name, '-')} -> {record[name]}"
+        for name in COMPARED
+    )
+    gates = (
+        f"build gate {_gate(build_rss_ok(earlier))} -> "
+        f"{_gate(build_rss_ok(record))}, query gate "
+        f"{_gate(earlier.get('query_rss_ok'))} -> "
+        f"{_gate(record['query_rss_ok'])}"
+    )
+    return (
+        f"N={record['num_points']} disks={record['disks']}, previous run "
+        f"-> this one: {pairs}; {gates}"
+    )
+
+
 def run(
     ladder: Sequence[Rung],
     mode: str,
@@ -368,6 +399,7 @@ def run(
         for record in previous_ladder(trajectory, mode)
     }
     rungs: List[dict] = []
+    comparisons: List[str] = []
     with tempfile.TemporaryDirectory(prefix="repro-scale-") as tmp:
         workdir = pathlib.Path(tmp)
         for rung in ladder:
@@ -384,13 +416,8 @@ def run(
             )
             earlier = before.get((rung.num_points, rung.num_disks))
             if earlier is not None:
-                print(
-                    f"    previous run: "
-                    f"{earlier['batch_ms_per_query']} ms/query batch, "
-                    f"build gate "
-                    f"{'ok' if build_rss_ok(earlier) else 'FAILED'}",
-                    file=sys.stderr,
-                )
+                comparisons.append(against_previous(record, earlier))
+                print(f"    {comparisons[-1]}", file=sys.stderr)
 
     table = ResultTable(
         title=(
@@ -437,6 +464,9 @@ def run(
         "page visited by several of the batch's queries is fetched "
         "and decoded once per worker, not once per query)."
     )
+
+    for comparison in comparisons:
+        table.add_note(comparison)
 
     RESULTS_DIR.mkdir(exist_ok=True)
     name = "scale_smoke" if mode == "smoke" else "scale"

@@ -4,7 +4,9 @@ Building an index by repeated insertion is O(N log N) with large constants;
 the experiments load 10^4-10^5 points per disk, so the benchmark harness
 bulk-loads.  STR packs points into leaves by recursively slicing the space
 into slabs (sorting by one dimension per recursion level), then builds the
-directory bottom-up by applying the same packing to node centers.
+directory bottom-up by applying the same packing to node centers — as
+flat arrays (:func:`_str_directory`), which :func:`_materialize` turns
+into nodes.
 
 The resulting tree satisfies all structural invariants of the dynamic tree
 (checked by the tests) and remains fully updatable afterwards.
@@ -13,10 +15,11 @@ The resulting tree satisfies all structural invariants of the dynamic tree
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
+from repro.index.mbr import MBR
 from repro.index.node import LeafEntry, Node
 from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
@@ -103,22 +106,105 @@ def _checked_oids(oids: Sequence[int], count: int) -> np.ndarray:
     return exact
 
 
-def _grow_directory(
-    tree: RStarTree, level: List[Node], fill: float, size: int
-) -> None:
-    """Grow ``tree``'s directory bottom-up over ``level``, its leaves in
-    STR tile order: every pass STR-packs the node centers of the level
-    below into groups of ``dir_cap * fill``.  The one directory loop of
-    every STR loader, in memory and streamed."""
-    dir_target = max(4, int(tree.dir_cap * fill))
-    while len(level) > 1:
-        centers = np.vstack([node.mbr.center for node in level])
-        level = [
-            Node(is_leaf=False, entries=[level[i] for i in group])
-            for group in str_chunks(centers, dir_target)
-        ]
-    tree.root = level[0]
-    tree.size = size
+#: A tree's pre-order directory arrays, in ``tree.npz`` order: per node,
+#: then the ``(node, axis)`` pairs of the split histories.
+DIRECTORY_ARRAYS = (
+    "node_is_leaf", "node_blocks", "first_child", "child_count",
+    "history_nodes", "history_axes",
+)
+
+
+def _str_directory(
+    low: np.ndarray, high: np.ndarray, target: int
+) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+    """STR-grow a directory over leaf bounds ``low`` / ``high`` (tile
+    order) as flat arrays: each pass packs the centers of the level
+    below into groups of ``target``, bounded by their members' union.
+    Returns the :data:`DIRECTORY_ARRAYS` and the tile of every leaf in
+    pre-order (store order).  The one directory builder of every STR
+    loader."""
+    leaves = len(low)
+    # Per pass: the level below in group order, group sizes and starts.
+    passes: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    while len(low) > 1:
+        groups = str_chunks((low + high) / 2.0, target)
+        order = np.concatenate(groups)
+        sizes = np.array([len(group) for group in groups])
+        starts = np.cumsum(sizes) - sizes
+        low = np.minimum.reduceat(low[order], starts)
+        high = np.maximum.reduceat(high[order], starts)
+        passes.append((order, sizes, starts))
+    spans = [np.ones(leaves, dtype=np.int64)]  # subtree sizes, bottom-up
+    for order, _, starts in passes:
+        spans.append(1 + np.add.reduceat(spans[-1][order], starts))
+    total = max(1, int(spans[-1].sum()))  # an empty tree: one root leaf
+    first_child = np.full(total, -1, dtype=np.int64)
+    child_count = np.zeros(total, dtype=np.int64)
+    # Pre-order ids, top-down: a child comes right after its parent and
+    # the subtrees of its earlier siblings.
+    ids = np.zeros(min(1, leaves), dtype=np.int64)
+    for (order, sizes, starts), below in zip(passes[::-1], spans[-2::-1]):
+        first_child[ids], child_count[ids] = ids + 1, sizes
+        before = np.cumsum(below[order]) - below[order]
+        before -= np.repeat(before[starts], sizes)
+        ids_below = np.empty(len(order), dtype=np.int64)
+        ids_below[order] = np.repeat(ids, sizes) + 1 + before
+        ids = ids_below
+    node_is_leaf = np.zeros(total, dtype=bool)
+    node_is_leaf[ids if leaves else 0] = True
+    arrays = {
+        "node_is_leaf": node_is_leaf,
+        "node_blocks": np.ones(total, dtype=np.int64),
+        "first_child": first_child,
+        "child_count": child_count,
+        "history_nodes": np.zeros(0, dtype=np.int64),
+        "history_axes": np.zeros(0, dtype=np.int64),
+    }
+    return arrays, np.argsort(ids)
+
+
+def _materialize(
+    tree: RStarTree,
+    arrays: Mapping[str, np.ndarray],
+    leaf_low: np.ndarray,
+    leaf_high: np.ndarray,
+    entries: Optional[Sequence[List[LeafEntry]]] = None,
+) -> List[Node]:
+    """Hang the pre-order :data:`DIRECTORY_ARRAYS` under ``tree.root``
+    as :class:`Node` objects: leaf ``i`` (store order) bounded by
+    ``leaf_low[i]`` / ``leaf_high[i]``, holding ``entries[i]`` when
+    given; directory MBRs are unions.  Returns the leaves in store
+    order (none without leaf bounds: an empty tree keeps its root).  The
+    one arrays-to-nodes step, for bulk loads, tree files and stores."""
+    if not len(leaf_low):
+        return []
+    nodes = [
+        Node(is_leaf=is_leaf, blocks=blocks)
+        for is_leaf, blocks in zip(
+            arrays["node_is_leaf"].tolist(), arrays["node_blocks"].tolist()
+        )
+    ]
+    for node_id, axis in zip(
+        arrays["history_nodes"].tolist(), arrays["history_axes"].tolist()
+    ):
+        nodes[node_id].split_history.add(axis)
+    leaves = [node for node in nodes if node.is_leaf]
+    for index, (leaf, low, high) in enumerate(zip(leaves, leaf_low, leaf_high)):
+        leaf.mbr = MBR(low, high)
+        if entries is not None:
+            leaf.entries = entries[index]
+    pending = zip(nodes, arrays["child_count"].tolist())
+
+    def subtree() -> Node:
+        # Pre-order: a node, then each of its children's subtrees.
+        node, count = next(pending)
+        if count:
+            node.entries = [subtree() for _ in range(count)]
+            node.recompute_mbr()
+        return node
+
+    tree.root = subtree()
+    return leaves
 
 
 def bulk_load(
@@ -159,12 +245,17 @@ def bulk_load(
     if num_points == 0:
         return tree
     tiles = str_chunks(points, max(4, int(tree.leaf_cap * fill)))
-    leaves = [
-        Node(
-            is_leaf=True,
-            entries=[LeafEntry(points[i], int(ids[i])) for i in tile],
-        )
-        for tile in tiles
+    starts = np.cumsum([0] + [len(tile) for tile in tiles[:-1]])
+    rows = points[np.concatenate(tiles)]
+    low, high = np.minimum.reduceat(rows, starts), np.maximum.reduceat(rows, starts)
+    arrays, leaf_tiles = _str_directory(
+        low, high, max(4, int(tree.dir_cap * fill))
+    )
+    oids_list = ids.tolist()
+    entries = [
+        [LeafEntry(points[i], oids_list[i]) for i in tiles[tile].tolist()]
+        for tile in leaf_tiles.tolist()
     ]
-    _grow_directory(tree, leaves, fill, num_points)
+    _materialize(tree, arrays, low[leaf_tiles], high[leaf_tiles], entries)
+    tree.size = num_points
     return tree

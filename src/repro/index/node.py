@@ -80,7 +80,7 @@ class Node:
     """
 
     __slots__ = (
-        "is_leaf", "entries", "mbr", "blocks", "split_history",
+        "is_leaf", "entries", "mbr", "blocks", "split_history", "page",
         "_kernel_cache",
     )
 
@@ -95,6 +95,8 @@ class Node:
         self.entries: List[Union[LeafEntry, Node]] = list(entries or [])
         self.blocks = blocks
         self.split_history: Set[int] = set(split_history or ())
+        #: A data page's row in its out-of-core store's arrays (-1: none).
+        self.page = -1
         self.mbr: Optional[MBR] = None
         #: Lazily built contiguous entry arrays (see
         #: :mod:`repro.index.kernels`); dropped whenever the node's

@@ -76,23 +76,23 @@ def striped_assignment(num_disks: int) -> AssignmentFunction:
 
 def _decluster_pages(
     declusterer: Union[Declusterer, Callable],
-    leaves: Sequence[Node],
+    centers: np.ndarray,
     num_disks: Optional[int],
 ) -> Tuple[int, np.ndarray]:
-    """``(num_disks, page_disks)``: data pages mapped to disks by MBR
-    center — a :class:`Declusterer` brings its disk count, a raw callable
-    needs ``num_disks``.  The one page-to-disk assignment of every store."""
+    """``(num_disks, page_disks)``: data pages mapped to disks by their
+    MBR ``centers`` — a :class:`Declusterer` brings its disk count, a raw
+    callable needs ``num_disks``.  The one page-to-disk assignment of
+    every store."""
     if isinstance(declusterer, Declusterer):
         num_disks, assign = declusterer.num_disks, declusterer.assign
     elif num_disks is None:
         raise ValueError("num_disks is required for a callable page assignment")
     else:
         assign = declusterer
-    if not leaves:
+    if not len(centers):
         return num_disks, np.zeros(0, dtype=np.int64)
-    centers = np.vstack([leaf.mbr.center for leaf in leaves])
     page_disks = np.asarray(assign(centers), dtype=np.int64)
-    if len(page_disks) != len(leaves):
+    if len(page_disks) != len(centers):
         raise RuntimeError("page assignment has wrong length")
     if page_disks.min() < 0 or page_disks.max() >= num_disks:
         raise RuntimeError("page assignment outside [0, num_disks)")
@@ -149,8 +149,9 @@ class PagedStore:
         self.leaves: List[Node] = (
             list(self.tree.leaves()) if self.tree.size else []
         )
+        centers = [leaf.mbr.center for leaf in self.leaves]
         self.num_disks, self.page_disks = _decluster_pages(
-            self.declusterer, self.leaves, num_disks
+            self.declusterer, np.array(centers), num_disks
         )
         self._disk_of = {
             id(leaf): int(disk)

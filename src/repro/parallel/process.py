@@ -55,6 +55,7 @@ generic-position (e.g. random float) data never produces them.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import multiprocessing
@@ -173,6 +174,17 @@ def _merge_shared(view: np.ndarray, k: int, keys: np.ndarray) -> None:
     view[:k] = merged
 
 
+@contextlib.contextmanager
+def _lock_within(lock: Any, seconds: float) -> Iterator[bool]:
+    """Yield whether ``lock`` came free within ``seconds``, held if so."""
+    held = lock.acquire(timeout=seconds)
+    try:
+        yield held
+    finally:
+        if held:
+            lock.release()
+
+
 def _top_k(found: Sequence[_Candidates], k: int) -> _Candidates:
     """The k best of several candidate sets, in ``(key, oid)`` order —
     the one merge both the workers' fold and the coordinator's reduce
@@ -251,7 +263,7 @@ class _DiskPages:
         self._keep = (blocks == 1) & (np.arange(pages) < self._CAP)
         self._held = np.zeros(pages, dtype=bool)
         rows = min(pages, self._CAP)
-        self._points = np.empty((rows, stride, store.tree.dimension))
+        self._points = np.empty((rows, stride, store.dimension))
         self._oids = np.empty((rows, stride), dtype=np.int64)
         #: ``read_pages`` gathers into this: a fetch allocates nothing.
         self._scratch: Optional[np.ndarray] = None
@@ -386,6 +398,7 @@ def _worker_query(
 def _worker_main(
     directory: str,
     disk: int,
+    simulated_disk_ms: float,
     max_k: int,
     depth: int,
     board: Any,
@@ -399,8 +412,9 @@ def _worker_main(
 ) -> None:
     """Worker process entry point (spawn-safe, module level).
 
-    Opens its own :class:`MmapStore` handle over ``directory`` — each
-    worker maps only its own disk's page file on first read — then
+    Opens its own :class:`MmapStore` over ``directory`` with the
+    coordinator's ``simulated_disk_ms`` — each worker maps only its own
+    disk's page file on first read, and builds no tree — then
     serves the ring: wait on ``go`` (this worker's semaphore, one
     permit per post), read the next bank's board slot, scan, deposit
     the top-k in its arena cell, the page ledger in its ledger cell and
@@ -427,10 +441,10 @@ def _worker_main(
     # likewise; one freed large block raises both thresholds for good,
     # so the scan's directory-sized temporaries come from a warm heap.
     np.empty(1 << 24, dtype=np.uint8)
-    store = MmapStore(directory)
+    store = MmapStore(directory, simulated_disk_ms=simulated_disk_ms)
     try:
         num_disks = store.num_disks
-        dimension = store.tree.dimension
+        dimension = store.dimension
         width = _SLOT_HEADER + dimension
         arena_cell = max_k * _arena_stride(dimension)
         max_pages = int(store.disk_loads().max())
@@ -562,7 +576,7 @@ class ProcessParallelEngine:
         ctx = self._ctx
         depth = _PIPELINE_DEPTH
         num_disks = self.store.num_disks
-        dimension = self.store.tree.dimension
+        dimension = self.store.dimension
         cells = depth * num_disks
         self._max_pages = int(self.store.disk_loads().max())
         self._board = ctx.Array(
@@ -586,7 +600,8 @@ class ProcessParallelEngine:
                 proc = ctx.Process(
                     target=_worker_main,
                     args=(
-                        directory, disk, self.max_k, depth, self._board,
+                        directory, disk, self.store.simulated_disk_ms,
+                        self.max_k, depth, self._board,
                         self._bounds, self._arena, self._tallies,
                         self._ledgers, self._locks, self._go[disk],
                         self._done,
@@ -607,22 +622,25 @@ class ProcessParallelEngine:
 
         Posts the stop message (``k = 0``) in the next bank's slot; a
         worker reaches it after whatever is still posted ahead of it.
-        A worker killed *while holding a bank lock* is out of scope:
-        this would block on that lock.
+        The bank's lock is waited for at most :data:`_LIVENESS_SLICE_S`:
+        a worker killed while holding it never releases it, and then
+        the workers are terminated without a stop message.
         """
+        posted = False
         if self._procs:
             assert self._board is not None
             board = np.frombuffer(self._board, dtype=np.float64)
             bank = self._posted % _PIPELINE_DEPTH
-            width = _SLOT_HEADER + self.store.tree.dimension
-            lock = self._locks[bank]
-            with lock:
-                board[bank * width + 1] = 0
-            for go in self._go:
-                go.release()
+            width = _SLOT_HEADER + self.store.dimension
+            with _lock_within(self._locks[bank], _LIVENESS_SLICE_S) as posted:
+                if posted:
+                    board[bank * width + 1] = 0
+            if posted:
+                for go in self._go:
+                    go.release()
         for proc in self._procs:
-            proc.join(timeout=10.0)
-            if proc.is_alive():  # pragma: no cover - stuck worker
+            proc.join(timeout=10.0 if posted else 0.0)
+            if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5.0)
         self._procs = []
@@ -706,7 +724,7 @@ class ProcessParallelEngine:
         arena = np.frombuffer(self._arena, dtype=np.float64)
         tallies = np.frombuffer(self._tallies, dtype=np.float64)
         ledgers = np.frombuffer(self._ledgers, dtype=np.float64)
-        dimension = self.store.tree.dimension
+        dimension = self.store.dimension
         arena_cell = self.max_k * _arena_stride(dimension)
         found: List[_Candidates] = []
         pages_seen: List[np.ndarray] = []
@@ -790,17 +808,17 @@ class ProcessParallelEngine:
         """
         store = self.store
         num_disks = store.num_disks
-        if queries.shape[1:] != (store.tree.dimension,):
+        if queries.shape[1:] != (store.dimension,):
             raise ValueError(
                 f"query shape {queries.shape[1:]} does not match the "
-                f"store's dimension {store.tree.dimension}"
+                f"store's dimension {store.dimension}"
             )
         tracer = self._active_tracer()
         traced = tracer.enabled
         service_ms = self.parameters.page_service_time_ms
         total = len(queries)
         results: List[ParallelQueryResult] = []
-        if store.tree.size == 0:
+        if not len(store):
             for _ in range(total):
                 if traced:
                     tracer.end_query(tracer.begin_query(

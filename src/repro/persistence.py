@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
+from repro.index.bulk import _materialize
 from repro.index.node import LeafEntry, Node
 from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
@@ -145,15 +146,8 @@ def _check_tree_version(header: dict) -> None:
         )
 
 
-def _rebuild_skeleton(data, header: dict) -> Tuple[RStarTree, List[Node]]:
-    """Rebuild the node topology (no leaf entries, no MBRs) from arrays.
-
-    Shared by :func:`_rebuild_tree` (which then attaches the points and
-    recomputes MBRs) and the out-of-core loader in
-    :mod:`repro.storage.mmap_store` (which restores leaf MBRs from
-    explicit bound arrays instead — its leaves own no entries).
-    Returns the empty tree shell plus the nodes in pre-order.
-    """
+def _tree_shell(header: dict) -> RStarTree:
+    """An empty tree with the class and parameters ``header`` records."""
     common = dict(
         page_bytes=header["page_bytes"],
         leaf_cap=header["leaf_cap"],
@@ -162,56 +156,39 @@ def _rebuild_skeleton(data, header: dict) -> Tuple[RStarTree, List[Node]]:
         reinsert_fraction=header["reinsert_fraction"],
     )
     if header["tree_class"] == "XTree":
-        tree: RStarTree = XTree(
+        return XTree(
             header["dimension"],
             max_overlap=header["max_overlap"],
             max_blocks=header["max_blocks"],
             **common,
         )
-    elif header["tree_class"] == "RStarTree":
-        tree = RStarTree(header["dimension"], **common)
-    else:
-        raise ValueError(f"unknown tree class {header['tree_class']!r}")
-
-    node_is_leaf = data["node_is_leaf"]
-    node_blocks = data["node_blocks"]
-    first_child = data["first_child"]
-    child_count = data["child_count"]
-
-    nodes = [
-        Node(is_leaf=bool(is_leaf), blocks=int(blocks))
-        for is_leaf, blocks in zip(node_is_leaf, node_blocks)
-    ]
-    for node_id, axis in zip(data["history_nodes"], data["history_axes"]):
-        nodes[int(node_id)].split_history.add(int(axis))
-    # Children are contiguous in pre-order only per sibling group; we
-    # recorded (first_child, count), and pre-order guarantees the k-th
-    # sibling's id is first_child advanced past the (k-1) preceding
-    # subtrees — recover via subtree sizes.
-    subtree_size = np.ones(len(nodes), dtype=np.int64)
-    for node_id in range(len(nodes) - 1, -1, -1):
-        if node_is_leaf[node_id]:
-            continue
-        child = int(first_child[node_id])
-        for _ in range(int(child_count[node_id])):
-            nodes[node_id].entries.append(nodes[child])
-            subtree_size[node_id] += subtree_size[child]
-            child += int(subtree_size[child])
-    tree.root = nodes[0]
-    return tree, nodes
+    if header["tree_class"] == "RStarTree":
+        return RStarTree(header["dimension"], **common)
+    raise ValueError(f"unknown tree class {header['tree_class']!r}")
 
 
 def _rebuild_tree(data) -> RStarTree:
+    """The tree of a :func:`_flatten` file, entries and all; leaf MBRs
+    are the tight bounds of their points."""
     header = json.loads(str(data["header"]))
     _check_tree_version(header)
-    tree, nodes = _rebuild_skeleton(data, header)
+    tree = _tree_shell(header)
     points = data["points"]
-    oids = data["oids"]
-    point_leaf = data["point_leaf"]
-    for point, oid, leaf_id in zip(points, oids, point_leaf):
-        nodes[int(leaf_id)].entries.append(LeafEntry(point, int(oid)))
-    for node in reversed(nodes):  # children before parents in pre-order
-        node.recompute_mbr()
+    if not len(points):
+        return tree
+    oids = data["oids"].tolist()
+    # Points are stored leaf by leaf in pre-order; every leaf of a
+    # non-empty tree holds at least one.
+    starts = np.searchsorted(
+        data["point_leaf"], np.flatnonzero(data["node_is_leaf"])
+    )
+    stops = np.append(starts[1:], len(points))
+    entries = [
+        [LeafEntry(points[row], oids[row]) for row in range(start, stop)]
+        for start, stop in zip(starts.tolist(), stops.tolist())
+    ]
+    low, high = (f.reduceat(points, starts) for f in (np.minimum, np.maximum))
+    _materialize(tree, data, low, high, entries)
     tree.size = len(points)
     return tree
 

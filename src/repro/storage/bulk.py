@@ -10,12 +10,12 @@ levels larger than the sort chunk run as external sorts
 (:mod:`repro.storage.spill`), a segment that fits it is finished in RAM
 by :func:`repro.index.bulk.str_chunks` itself, leaf payloads move to the
 page files in runs of consecutive slots, and only the directory (inner
-nodes + leaf MBRs) is held in RAM.  :func:`bulk_load_mmap` is its entry
-point for an in-RAM array.  Non-finite coordinates are rejected at
-ingest.
+nodes + leaf MBRs, as flat arrays — no tree node is built) is held in
+RAM.  :func:`bulk_load_mmap` is its entry point for an in-RAM array.
+Non-finite coordinates are rejected at ingest.
 
 Equivalence: the leaf tiles, leaf MBRs, directory grouping (the one
-loop, :func:`repro.index.bulk._grow_directory`), page-to-disk
+builder, :func:`repro.index.bulk._str_directory`), page-to-disk
 assignment (:func:`repro.parallel.paged._decluster_pages`) and header
 (:func:`repro.persistence._store_header`) are those of the in-memory
 route ``bulk_load`` + ``PagedStore`` + ``save_mmap_store``, which writes
@@ -47,13 +47,12 @@ import numpy as np
 from repro.core.declustering import Declusterer
 from repro.index.bulk import (
     _checked_oids,
-    _grow_directory,
     _require_finite,
     _split_bounds,
+    _str_directory,
     str_chunks,
 )
-from repro.index.mbr import MBR
-from repro.index.node import DEFAULT_PAGE_BYTES, Node
+from repro.index.node import DEFAULT_PAGE_BYTES
 from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
 from repro.parallel.cache import CacheConfig
@@ -299,7 +298,7 @@ def _stream_tiles(
     capacity: int,
     chunk_rows: int,
     run_dir: Path,
-) -> Tuple[List[Tuple[int, int, int]], List[MBR]]:
+) -> Tuple[List[Tuple[int, int, int]], np.ndarray, np.ndarray]:
     """Run the STR recursion out-of-core over the record files.
 
     This is :func:`repro.index.bulk.str_chunks` with the stable argsort
@@ -310,10 +309,11 @@ def _stream_tiles(
     finishes its whole sub-recursion on the one block read: tile MBRs
     come from the rows in hand, and the permuted rows go to the other
     record file :data:`_PIECE_ROWS` at a time, never as a whole copy.
-    Returns the tiles plus each tile's MBR.
+    Returns the tiles plus their MBRs' low and high bounds.
     """
     tiles: List[Tuple[int, int, int]] = []
-    mbrs: List[MBR] = []
+    lows = [np.empty((0, dimension))]
+    highs = [np.empty((0, dimension))]
     step = max(1, _PIECE_ROWS // capacity)
 
     def finish(start: int, stop: int, dim: int, src: int) -> None:
@@ -326,15 +326,15 @@ def _stream_tiles(
             cuts = edges[first : first + step + 1]
             rows = block[order[cuts[0] : cuts[-1]]]
             points, marks = rows[:, :dimension], cuts[:-1] - cuts[0]
-            lows = np.minimum.reduceat(points, marks)
-            mbrs.extend(map(MBR, lows, np.maximum.reduceat(points, marks)))
+            lows.append(np.minimum.reduceat(points, marks))
+            highs.append(np.maximum.reduceat(points, marks))
             files[1 - src].write_at(start + int(cuts[0]), rows)
         tiles.extend(
             (start + int(low), start + int(high), 1 - src)
             for low, high in zip(edges[:-1], edges[1:])
         )
 
-    stack: List[Tuple[int, int, int, int]] = [(0, count, 0, 0)]
+    stack: List[Tuple[int, int, int, int]] = [(0, count, 0, 0)] if count else []
     while stack:
         start, stop, dim, src = stack.pop()
         segment = stop - start
@@ -367,33 +367,7 @@ def _stream_tiles(
                 if high > low
             ]
         stack.extend(reversed(children))
-    return tiles, mbrs
-
-
-def _tile_tree(
-    tree: RStarTree,
-    files: Tuple[SpillFile, SpillFile],
-    count: int,
-    fill: float,
-    chunk_rows: int,
-    run_dir: Path,
-) -> Tuple[List[Tuple[int, int, int]], List[Node]]:
-    """STR-pack the ``count`` records into ``tree``: leaves from the
-    streamed tiles, directory by :func:`repro.index.bulk._grow_directory`.
-    Returns the tree's leaves in pre-order and each one's tile."""
-    if not count:
-        return [], []
-    capacity = max(4, int(tree.leaf_cap * fill))
-    tiles, mbrs = _stream_tiles(
-        files, count, tree.dimension, capacity, chunk_rows, run_dir
-    )
-    level = [Node(is_leaf=True) for _ in tiles]
-    for leaf, mbr in zip(level, mbrs):
-        leaf.mbr = mbr
-    _grow_directory(tree, level, fill, count)
-    tile_of = {id(leaf): tile for leaf, tile in zip(level, tiles)}
-    leaves = list(tree.leaves())
-    return [tile_of[id(leaf)] for leaf in leaves], leaves
+    return tiles, np.concatenate(lows), np.concatenate(highs)
 
 
 def _spill_gather(
@@ -478,22 +452,34 @@ def stream_bulk_load_mmap(
         )
         try:
             ids = None if oids is None else _checked_oids(oids, count)
+            # The tree only lends its capacities and header fields.
             tree = tree_cls(dim, page_bytes=page_bytes)
+            tree.size = count
             files = (records_a, records_b)
-            tiles, leaves = _tile_tree(tree, files, count, fill, rows, spill)
-            _, page_disks = _decluster_pages(declusterer, leaves, num_disks)
+            tiles, low, high = _stream_tiles(
+                files, count, dim, max(4, int(tree.leaf_cap * fill)), rows,
+                spill,
+            )
+            arrays, order = _str_directory(
+                low, high, max(4, int(tree.dir_cap * fill))
+            )
+            # From here on, leaves are in store (pre-order) order.
+            tiles = [tiles[page] for page in order.tolist()]
+            arrays["leaf_low"], arrays["leaf_high"] = low[order], high[order]
+            _, arrays["page_disks"] = _decluster_pages(
+                declusterer, (low + high)[order] / 2.0, num_disks
+            )
+            arrays["leaf_counts"] = np.array(
+                [stop - start for start, stop, _ in tiles], dtype=np.int64
+            )
             scheme = getattr(declusterer, "name", "custom")
             _write_store(
                 directory,
-                tree,
                 _store_header(tree, num_disks, scheme, cache_config),
-                leaves,
+                arrays,
                 _spill_gather(files, tiles, dim, ids),
-                page_disks,
-                num_disks,
                 page_bytes,
                 slot_bytes,
-                [stop - start for start, stop, _ in tiles],
             )
         finally:
             records_a.delete()
@@ -504,8 +490,8 @@ def stream_bulk_load_mmap(
         shutil.rmtree(
             spill if built or not created else path, ignore_errors=True
         )
-    # The reopen rebuilds the directory: free the build's copy first.
-    del tree, leaves, tiles
+    # The reopen reads the directory back: free the build's copy first.
+    del arrays, tiles, low, high
     return MmapStore(directory)
 
 

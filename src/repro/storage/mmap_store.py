@@ -1,11 +1,14 @@
-"""Out-of-core paged store: RAM-resident directory, mmap'd data pages.
+"""Out-of-core paged store: RAM-resident directory arrays, mmap'd data pages.
 
 The paper's model keeps the (small) tree directory cached on every
 workstation while data pages live on the disks.  :class:`MmapStore`
-makes that literal: the directory — inner nodes plus leaf MBRs — is
-rebuilt in RAM from ``tree.npz``, while every leaf *payload* (oids +
+makes that literal: the directory stays in RAM as the flat pre-order
+arrays of ``tree.npz`` (no tree node is built to open a store — the
+process engine reads only arrays), while every leaf *payload* (oids +
 points) lives in its disk's page file (:mod:`repro.storage.pagefile`)
-and is served through a read-only memory map on demand.
+and is served through a read-only memory map on demand.  ``tree`` /
+``leaves`` are :class:`~repro.index.node.Node` objects built on first
+use, for the consumers that walk a tree.
 
 ``MmapStore`` is a drop-in behind the :class:`~repro.parallel.paged.PagedStore`
 query surface (``tree`` / ``leaves`` / ``page_disks`` / ``disk_of`` /
@@ -29,17 +32,18 @@ On-disk layout of a store directory::
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import os
 import time
 import zipfile
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.index.mbr import MBR
+from repro.index.bulk import DIRECTORY_ARRAYS, _materialize
 from repro.index.node import Node
 from repro.index.rstar import RStarTree
 from repro.parallel.cache import CacheConfig
@@ -50,8 +54,8 @@ from repro.persistence import (
     _check_tree_version,
     _decode_cache,
     _flatten,
-    _rebuild_skeleton,
     _store_header,
+    _tree_shell,
 )
 from repro.storage.pagefile import (
     PageFile,
@@ -77,8 +81,8 @@ STORE_JSON = "store.json"
 #: faster than the rotating disks whose overlap the paper measures;
 #: this restores a physical service time so wall-clock benchmarks
 #: (``benchmarks/bench_wallclock.py``) can observe I/O overlap across
-#: per-disk workers.  Read once when a store is opened — per-disk
-#: worker processes inherit it through the environment at spawn.
+#: per-disk workers.  Read once when a store is opened; the process
+#: engine hands its store's value to every disk worker.
 SIMULATED_DISK_MS_ENV = "REPRO_SIMULATED_DISK_MS"
 
 #: Directory/tree arrays file inside a store directory.
@@ -125,56 +129,38 @@ def _savez_deterministic(
             archive.writestr(info, payload.getvalue())
 
 
-def _leaf_geometry(
-    leaves: List[Node], counts: np.ndarray, dimension: int
-) -> Dict[str, np.ndarray]:
-    """Leaf MBR bounds and entry counts as flat arrays (store order)."""
-    if leaves:
-        low = np.vstack([leaf.mbr.low for leaf in leaves])
-        high = np.vstack([leaf.mbr.high for leaf in leaves])
-    else:
-        low = np.zeros((0, dimension))
-        high = np.zeros((0, dimension))
-    return {
-        "leaf_low": low,
-        "leaf_high": high,
-        "leaf_counts": counts,
-    }
-
-
 def _write_store(
     directory: Union[str, os.PathLike],
-    tree: RStarTree,
     header: Dict,
-    leaves: List[Node],
+    arrays: Dict[str, np.ndarray],
     gather: _Gather,
-    page_disks: np.ndarray,
-    num_disks: int,
     page_bytes: int,
     slot_bytes: Optional[int],
-    counts: Sequence[int],
 ) -> None:
     """Write ``store.json`` + ``tree.npz`` + one page file per disk.
 
-    ``gather`` serves the leaves' ``(points, oids)`` and ``counts``
-    their entry counts, both in store (pre-order) leaf order.  A disk's
-    slots are numbered in that order, so its page file is written front
-    to back, :data:`_RUN_BYTES` of consecutive slots per gather and
-    write.  ``slot_bytes`` defaults to ``page_bytes`` times the widest
-    leaf (supernode-aware), the tight bound under the trees' capacity
-    rules.
+    ``arrays`` holds the pre-order directory
+    (:data:`~repro.index.bulk.DIRECTORY_ARRAYS`) and, per data page in
+    store (pre-order leaf) order, ``leaf_low`` / ``leaf_high``,
+    ``leaf_counts`` and ``page_disks``; ``gather`` serves the pages'
+    ``(points, oids)`` in that order.  A disk's slots are numbered in
+    that order, so its page file is written front to back,
+    :data:`_RUN_BYTES` of consecutive slots per gather and write.
+    ``slot_bytes`` defaults to ``page_bytes`` times the widest leaf
+    (supernode-aware), the tight bound under the trees' capacity rules.
     """
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
-    dimension = tree.dimension
+    dimension = header["dimension"]
+    page_disks = np.asarray(arrays["page_disks"], dtype=np.int64)
+    counts = np.asarray(arrays["leaf_counts"], dtype=np.int64)
     if slot_bytes is None:
-        widest = max((leaf.blocks for leaf in leaves), default=1)
-        slot_bytes = page_bytes * widest
-    counts = np.asarray(counts, dtype=np.int64)
+        blocks = arrays["node_blocks"][arrays["node_is_leaf"]]
+        slot_bytes = page_bytes * int(blocks.max())
     run = max(1, _RUN_BYTES // slot_bytes)
 
-    page_slots = np.zeros(len(leaves), dtype=np.int64)
-    for disk in range(num_disks):
+    page_slots = np.zeros(len(page_disks), dtype=np.int64)
+    for disk in range(header["num_disks"]):
         own = np.flatnonzero(page_disks == disk)
         page_slots[own] = np.arange(len(own))
         writer = PageFileWriter(
@@ -193,21 +179,23 @@ def _write_store(
         finally:
             writer.close()
 
-    arrays = _flatten(tree)
+    tree_arrays = {name: arrays[name] for name in DIRECTORY_ARRAYS}
     # Payloads live in the page files; keep the npz directory-only.
-    arrays["points"] = np.zeros((0, dimension))
-    arrays["oids"] = np.zeros(0, dtype=np.int64)
-    arrays["point_leaf"] = np.zeros(0, dtype=np.int64)
-    arrays.update(_leaf_geometry(leaves, counts, dimension))
-    arrays["page_disks"] = np.asarray(page_disks, dtype=np.int64)
-    arrays["page_slots"] = page_slots
-    arrays["header"] = np.array(json.dumps(header))
-    _savez_deterministic(path / TREE_NPZ, arrays)
+    tree_arrays["points"] = np.zeros((0, dimension))
+    tree_arrays["oids"] = np.zeros(0, dtype=np.int64)
+    tree_arrays["point_leaf"] = np.zeros(0, dtype=np.int64)
+    tree_arrays["leaf_low"] = arrays["leaf_low"]
+    tree_arrays["leaf_high"] = arrays["leaf_high"]
+    tree_arrays["leaf_counts"] = counts
+    tree_arrays["page_disks"] = page_disks
+    tree_arrays["page_slots"] = page_slots
+    tree_arrays["header"] = np.array(json.dumps(header))
+    _savez_deterministic(path / TREE_NPZ, tree_arrays)
 
     store_meta = dict(header)
     store_meta["kind"] = "repro.mmap-store"
     store_meta["slot_bytes"] = slot_bytes
-    store_meta["num_pages"] = len(leaves)
+    store_meta["num_pages"] = len(page_disks)
     (path / STORE_JSON).write_text(
         json.dumps(store_meta, indent=2, sort_keys=True) + "\n"
     )
@@ -228,11 +216,8 @@ def save_mmap_store(
     truncating).
     """
     tree = store.tree
-    entries = [entry for leaf in store.leaves for entry in leaf.entries]
-    points = np.array([entry.point for entry in entries]).reshape(
-        -1, tree.dimension
-    )
-    oids = np.array([entry.oid for entry in entries], dtype=np.int64)
+    arrays = _flatten(tree)
+    points, oids = arrays.pop("points"), arrays.pop("oids")
     counts = [len(leaf.entries) for leaf in store.leaves]
     edges = np.cumsum([0] + counts)
 
@@ -242,19 +227,20 @@ def save_mmap_store(
         )
         return points[rows], oids[rows]
 
+    leaves, shape = store.leaves, (-1, tree.dimension)
+    arrays["leaf_low"] = np.array([leaf.mbr.low for leaf in leaves]).reshape(shape)
+    arrays["leaf_high"] = np.array([leaf.mbr.high for leaf in leaves]).reshape(shape)
+    arrays["leaf_counts"] = np.array(counts, dtype=np.int64)
+    arrays["page_disks"] = store.page_disks
     _write_store(
         directory,
-        tree,
         _store_header(
             tree, store.num_disks, store.scheme, store.cache_config
         ),
-        list(store.leaves),
+        arrays,
         gather,
-        np.asarray(store.page_disks, dtype=np.int64),
-        store.num_disks,
         store.page_bytes,
         slot_bytes,
-        counts,
     )
 
 
@@ -266,7 +252,8 @@ class MmapStore:
     ``read_page`` hook and score mmap-served payloads instead of
     in-memory entries.  :meth:`disk_table` / :meth:`read_pages` are the
     same directory and payloads one disk at a time, as flat arrays and
-    multi-page gathers — what the per-disk worker processes use.  Page
+    multi-page gathers — what the per-disk worker processes use; no
+    :class:`Node` exists until ``tree`` / ``leaves`` is read.  Page
     files are opened lazily per disk, so a per-disk worker process maps
     only its own disk's file.  Reopening a directory that another
     process (or store) currently maps is safe: mappings are read-only
@@ -306,14 +293,17 @@ class MmapStore:
                 header, f"mmap store {os.fspath(directory)!r}"
             )
             _check_tree_version(header)
-            tree, nodes = _rebuild_skeleton(data, header)
-            leaf_low = data["leaf_low"]
-            leaf_high = data["leaf_high"]
-            leaf_counts = data["leaf_counts"]
-            page_disks = data["page_disks"]
-            page_slots = data["page_slots"]
-        tree.size = int(header["size"])
-        self.tree = tree
+            self._directory = {name: data[name] for name in DIRECTORY_ARRAYS}
+            # Row ``i`` of every per-page array is the ``i``-th leaf in
+            # pre-order (an empty tree's root leaf is no data page).
+            self._leaf_low = data["leaf_low"]
+            self._leaf_high = data["leaf_high"]
+            self._counts = data["leaf_counts"]
+            self.page_disks = data["page_disks"]
+            self._page_slots = data["page_slots"]
+        self._header = header
+        self.dimension = int(header["dimension"])
+        self._size = int(header["size"])
         self.page_bytes = int(header["page_bytes"])
         self.num_disks = int(header["num_disks"])
         self.scheme = str(header.get("scheme", "frozen"))
@@ -322,54 +312,60 @@ class MmapStore:
         )
         self.slot_bytes = int(meta["slot_bytes"])
 
-        # Leaf MBRs are explicit on disk (leaves own no entries here, so
-        # they cannot be recomputed); directory MBRs are their unions.
-        leaves = [node for node in nodes if node.is_leaf]
-        if tree.size == 0:
-            leaves = []
-        if len(leaves) != len(page_disks):
+        is_leaf = self._directory["node_is_leaf"]
+        pages = int(is_leaf.sum()) if self._size else 0
+        if pages != len(self.page_disks):
             raise PageFormatError(
                 f"mmap store {os.fspath(directory)!r} is inconsistent: "
-                f"{len(leaves)} leaves but {len(page_disks)} page map rows"
+                f"{pages} leaves but {len(self.page_disks)} page map rows"
             )
-        for node, low, high in zip(leaves, leaf_low, leaf_high):
-            node.mbr = MBR(low, high)
-        for node in reversed(nodes):
-            if not node.is_leaf:
-                node.recompute_mbr()
-
-        self.leaves: List[Node] = leaves
-        self.page_disks = np.asarray(page_disks, dtype=np.int64)
         self.declusterer = FrozenAssignment(self.page_disks, name=self.scheme)
-        self._counts = np.asarray(leaf_counts, dtype=np.int64)
-        self._leaf_low = np.asarray(leaf_low, dtype=np.float64)
-        self._leaf_high = np.asarray(leaf_high, dtype=np.float64)
-        self._page_slots = np.asarray(page_slots, dtype=np.int64)
-        self._blocks = np.array(
-            [leaf.blocks for leaf in leaves], dtype=np.int64
-        )
+        self._blocks = self._directory["node_blocks"][is_leaf][:pages]
         self._tables: Dict[int, Tuple[np.ndarray, ...]] = {}
-        self._disk_of = {
-            id(leaf): int(disk) for leaf, disk in zip(leaves, page_disks)
-        }
-        self._slot_of = {
-            id(leaf): int(slot) for leaf, slot in zip(leaves, page_slots)
-        }
-        self._count_of = {
-            id(leaf): int(count) for leaf, count in zip(leaves, leaf_counts)
-        }
         self._page_files: Dict[int, PageFile] = {}
         self._closed = False
 
+    # ------------------------------------------------------------- tree
+
+    @functools.cached_property
+    def _nodes(self) -> Tuple[RStarTree, List[Node]]:
+        """The directory as :class:`Node` objects, built the first time a
+        consumer asks; a leaf's ``page`` is its row in the arrays."""
+        tree = _tree_shell(self._header)
+        tree.size = self._size
+        leaves = _materialize(
+            tree, self._directory, self._leaf_low, self._leaf_high
+        )
+        for page, leaf in enumerate(leaves):
+            leaf.page = page
+        return tree, leaves
+
+    @property
+    def tree(self) -> RStarTree:
+        """The directory tree (leaf MBRs from the arrays, directory MBRs
+        their unions; leaves own no entries), built on first use."""
+        return self._nodes[0]
+
+    @property
+    def leaves(self) -> List[Node]:
+        """The data pages as tree leaves, in store (pre-order) order."""
+        return self._nodes[1]
+
     # ----------------------------------------------------------- queries
+
+    def _page(self, leaf: Node) -> int:
+        """A leaf's row in the per-page arrays."""
+        if leaf.page < 0:
+            raise KeyError(f"{leaf!r} is not a data page of an mmap store")
+        return leaf.page
 
     def disk_of(self, leaf: Node) -> int:
         """Disk storing a data page."""
-        return self._disk_of[id(leaf)]
+        return int(self.page_disks[self._page(leaf)])
 
     def entry_count(self, leaf: Node) -> int:
         """Entries in a data page — from the directory, no payload read."""
-        return self._count_of[id(leaf)]
+        return int(self._counts[self._page(leaf)])
 
     def disk_loads(self) -> np.ndarray:
         """Data pages stored per disk."""
@@ -394,17 +390,14 @@ class MmapStore:
         This is the simulated disk access: the first touch of a cold
         slot faults the mapping in; re-reads come from the OS page
         cache.  Engines decide separately (via their buffer pool)
-        whether to *charge* the read to the :class:`DiskArray`.
-
-        With ``simulated_disk_ms`` (or the ``REPRO_SIMULATED_DISK_MS``
-        environment knob) set, every read also sleeps that many
-        milliseconds per page block — a stand-in service time for the
-        rotating disks the paper overlaps, so wall-clock benchmarks see
-        real I/O wait instead of a page-cache hit.  Counters and
-        results are unaffected.
+        whether to *charge* the read to the :class:`DiskArray`.  With
+        ``simulated_disk_ms`` set, the read also sleeps that many
+        milliseconds per page block — a stand-in for the rotating disks
+        the paper overlaps; counters and results are unaffected.
         """
-        payload = self._page_file(self.disk_of(leaf)).read_slot(
-            self._slot_of[id(leaf)]
+        page = self._page(leaf)
+        payload = self._page_file(int(self.page_disks[page])).read_slot(
+            int(self._page_slots[page])
         )
         if self.simulated_disk_ms:
             time.sleep(self.simulated_disk_ms * leaf.blocks / 1000.0)
@@ -445,7 +438,7 @@ class MmapStore:
         return payload
 
     def __len__(self) -> int:
-        return self.tree.size
+        return self._size
 
     # --------------------------------------------------------- lifecycle
 
@@ -467,8 +460,8 @@ class MmapStore:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"MmapStore({os.fspath(self.directory)!r}, n={self.tree.size}, "
-            f"pages={len(self.leaves)}, disks={self.num_disks}, "
+            f"MmapStore({os.fspath(self.directory)!r}, n={self._size}, "
+            f"pages={len(self.page_disks)}, disks={self.num_disks}, "
             f"scheme={self.scheme!r})"
         )
 

@@ -15,6 +15,7 @@ the parity tests share one module-scoped store and engine.
 
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -38,7 +39,7 @@ from repro.parallel.process import (
     _worker_main,
     _worker_query,
 )
-from repro.storage import MmapStore, save_mmap_store
+from repro.storage import SIMULATED_DISK_MS_ENV, MmapStore, save_mmap_store
 from repro.storage.pagefile import PageFormatError
 from tests.scalar_oracle import scalar_kernels
 from tests.test_storage_lifetimes import _open_fds
@@ -237,7 +238,7 @@ class _CountingStore:
     def __init__(self, inner):
         self._inner = inner
         self.disk_table = inner.disk_table
-        self.tree = inner.tree
+        self.dimension = inner.dimension
         self.pages_read = 0
 
     def read_pages(self, disk, pages, out=None):
@@ -462,48 +463,13 @@ class TestRing:
             return real_read_pages(self, disk, pages, out)
 
         monkeypatch.setattr(MmapStore, "read_pages", counting_read_pages)
-        depth, max_k, disk, dimension = _PIPELINE_DEPTH, 4, 1, 6
-        num_disks = mmap_store.num_disks
-        max_pages = int(mmap_store.disk_loads().max())
-        width = 3 + dimension
-        cells = depth * num_disks
-        board = np.zeros(depth * width)
-        bounds = np.zeros(depth * max_k)
-        arena = np.zeros(cells * max_k * (2 + dimension))
-        tallies = np.zeros(cells * 3)
-        ledgers = np.zeros(cells * 3 * max_pages)
-        locks = [threading.Lock() for _ in range(depth)]
-        go = threading.Semaphore(0)
-        done = [threading.Semaphore(0) for _ in range(depth)]
-        worker = threading.Thread(
-            target=_worker_main,
-            args=(
-                os.fspath(store_dir), disk, max_k, depth, board, bounds,
-                arena, tallies, ledgers, locks, go, done,
-            ),
-            daemon=True,
-        )
-        worker.start()
-        query = np.full(dimension, 0.5)
-        posts = 0
+        worker = _ThreadWorker(store_dir, mmap_store, disk=1)
+        query = np.full(6, 0.5)
 
         def ask(k, batch):
-            """Post one query, wait for the deposit; returns how many
-            pages the worker fetched from the store for it."""
-            nonlocal posts
-            bank = posts % depth
-            posts += 1
+            """Pages the worker fetched from the store for one query."""
             before = sum(fetched)
-            with locks[bank]:
-                bounds[bank * max_k : (bank + 1) * max_k] = np.inf
-                board[bank * width : bank * width + 3] = posts, k, batch
-                board[bank * width + 3 : (bank + 1) * width] = query
-            go.release()
-            if k:
-                assert done[bank].acquire(timeout=30.0)
-                cell = bank * num_disks + disk
-                with locks[bank]:
-                    assert tallies[cell * 3] == posts
+            worker.ask(query, k, batch)
             return sum(fetched) - before
 
         try:
@@ -518,9 +484,92 @@ class TestRing:
             assert ask(3, batch=11) == first
             assert ask(3, batch=11) == 0
         finally:
-            ask(0, batch=0)
-            worker.join(timeout=30.0)
-        assert not worker.is_alive()
+            worker.stop()
+
+
+class _ThreadWorker:
+    """``_worker_main`` for one disk on a thread, over plain arrays and
+    ``threading`` primitives instead of the engine's shared ring."""
+
+    def __init__(self, store_dir, store, disk, max_k=4):
+        self.depth, self.max_k, self.disk = _PIPELINE_DEPTH, max_k, disk
+        self.num_disks = store.num_disks
+        self.width = 3 + store.dimension
+        cells = self.depth * self.num_disks
+        max_pages = int(store.disk_loads().max())
+        self.board = np.zeros(self.depth * self.width)
+        self.bounds = np.zeros(self.depth * max_k)
+        arena = np.zeros(cells * max_k * (2 + store.dimension))
+        self.tallies = np.zeros(cells * 3)
+        ledgers = np.zeros(cells * 3 * max_pages)
+        self.locks = [threading.Lock() for _ in range(self.depth)]
+        self.go = threading.Semaphore(0)
+        self.done = [threading.Semaphore(0) for _ in range(self.depth)]
+        self.posts = 0
+        self.thread = threading.Thread(
+            target=_worker_main,
+            args=(
+                os.fspath(store_dir), disk, 0.0, max_k, self.depth,
+                self.board, self.bounds, arena, self.tallies, ledgers,
+                self.locks, self.go, self.done,
+            ),
+            daemon=True,
+        )
+        self.thread.start()
+
+    def ask(self, query, k, batch):
+        """Post one query (``k = 0``: stop) and wait for the deposit;
+        returns the tally ``(candidates, ledger pages)``."""
+        bank = self.posts % self.depth
+        self.posts += 1
+        with self.locks[bank]:
+            self.bounds[bank * self.max_k : (bank + 1) * self.max_k] = np.inf
+            row = self.board[bank * self.width : (bank + 1) * self.width]
+            row[:3] = self.posts, k, batch
+            row[3:] = query
+        self.go.release()
+        if not k:
+            return None
+        assert self.done[bank].acquire(timeout=30.0)
+        cell = bank * self.num_disks + self.disk
+        with self.locks[bank]:
+            echo, count, pages = self.tallies[cell * 3 : (cell + 1) * 3]
+        assert echo == self.posts
+        return int(count), int(pages)
+
+    def stop(self):
+        self.ask(np.zeros(self.width - 3), 0, 0)
+        self.thread.join(timeout=30.0)
+        assert not self.thread.is_alive()
+
+
+class TestTreeFree:
+    """The serving path reads the store's directory arrays only: no
+    process on it ever builds a ``Node``."""
+
+    def test_coordinator_builds_no_node(
+        self, store_dir, reference, counted_nodes
+    ):
+        rng = np.random.default_rng(31)
+        queries = rng.random((4, 6))
+        want = [reference.query(query, 3) for query in queries]
+        with MmapStore(store_dir) as store:
+            with ProcessParallelEngine(store) as engine:
+                _assert_bit_identical(engine.query(queries[0], 3), want[0])
+                batch = engine.query_batch(queries, 3)
+        for result, expected in zip(batch.results, want):
+            _assert_bit_identical(result, expected)
+        assert counted_nodes == []
+
+    def test_worker_builds_no_node(self, store_dir, mmap_store, counted_nodes):
+        worker = _ThreadWorker(store_dir, mmap_store, disk=1)
+        try:
+            for batch in (0, 5, 5, 0):
+                count, pages = worker.ask(np.full(6, 0.5), 3, batch)
+                assert count == 3 and pages > 0
+        finally:
+            worker.stop()
+        assert counted_nodes == []
 
 
 class TestDeadWorker:
@@ -529,8 +578,7 @@ class TestDeadWorker:
     ):
         """A worker that dies between queries surfaces as the usual
         ``RuntimeError`` in about a liveness slice, the engine closes,
-        and the next call respawns and answers bit for bit.  (A worker
-        killed while holding a bank lock is out of scope.)"""
+        and the next call respawns and answers bit for bit."""
         rng = np.random.default_rng(17)
         queries = rng.random((5, 6))
         want = [reference.query(query, 3) for query in queries]
@@ -551,6 +599,62 @@ class TestDeadWorker:
                 for result, expected in zip(batch.results, want):
                     _assert_bit_identical(result, expected)
                 _assert_bit_identical(engine.query(queries[0], 3), want[0])
+
+
+    def test_close_with_a_bank_lock_held_by_a_killed_process(
+        self, mmap_store, reference
+    ):
+        """A process SIGKILLed while it holds the lock of the bank the
+        stop message goes to never releases it: ``close()`` gives up on
+        the lock within a liveness slice and terminates the workers,
+        and the engine answers the next query bit for bit."""
+        query = np.full(6, 0.4)
+        want = reference.query(query, 3)
+        with ProcessParallelEngine(mmap_store) as engine:
+            _assert_bit_identical(engine.query(query, 3), want)
+            workers = list(engine._procs)
+            bank = engine._posted % _PIPELINE_DEPTH
+            held = engine._ctx.Event()
+            holder = engine._ctx.Process(
+                target=_hold_lock, args=(engine._locks[bank], held),
+                daemon=True,
+            )
+            holder.start()
+            assert held.wait(timeout=60.0)
+            os.kill(holder.pid, signal.SIGKILL)
+            holder.join(timeout=10.0)
+            started = time.monotonic()
+            engine.close()
+            assert time.monotonic() - started < 5.0
+            assert not any(worker.is_alive() for worker in workers)
+            _assert_bit_identical(engine.query(query, 3), want)
+
+
+def _hold_lock(lock, held):
+    """Helper process body: take ``lock``, say so, wait to be killed."""
+    lock.acquire()
+    held.set()
+    time.sleep(120.0)
+
+
+def test_workers_sleep_the_coordinator_stores_disk_time(
+    store_dir, monkeypatch
+):
+    """A store opened with an explicit ``simulated_disk_ms`` and no
+    environment knob: every worker sleeps it too, so a query takes at
+    least its busiest disk's charged blocks times the service time."""
+    monkeypatch.delenv(SIMULATED_DISK_MS_ENV, raising=False)
+    disk_ms = 5.0
+    query = np.full(6, 0.5)
+    with MmapStore(store_dir, simulated_disk_ms=disk_ms) as store:
+        with ProcessParallelEngine(store) as engine:
+            engine.query(query, 5)  # spawn
+            started = time.perf_counter()
+            result = engine.query(query, 5)
+            elapsed_ms = (time.perf_counter() - started) * 1e3
+    busiest = int(result.pages_per_disk.max())
+    assert busiest > 0
+    assert elapsed_ms >= busiest * disk_ms
 
 
 _ORPHAN_SCRIPT = """

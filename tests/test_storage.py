@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import NearOptimalDeclusterer
+from repro.index.node import Node
 from repro.parallel.cache import CacheConfig
 from repro.parallel.paged import PagedEngine, PagedStore
 from repro.persistence import StoreFormatError
@@ -499,6 +500,88 @@ class TestMmapStoreRoundTrip:
             engine = PagedEngine(reopened)
             assert engine.cache is not None
             assert engine.cache.capacity_pages == 32
+
+
+def _preorder(node):
+    """Every node of ``node``'s subtree, in pre-order."""
+    yield node
+    if not node.is_leaf:
+        for child in node.entries:
+            yield from _preorder(child)
+
+
+class TestLazyTree:
+    """An open store is its directory arrays; the ``Node`` tree is built
+    the first time a consumer asks for it, and is then the in-memory
+    route's tree."""
+
+    def test_array_surface_builds_no_node(self, store_dir, counted_nodes):
+        with MmapStore(store_dir) as store:
+            assert store.dimension == 6 and len(store) > 0
+            assert store.disk_loads().sum() == len(store.page_disks)
+            for disk in range(store.num_disks):
+                table = store.disk_table(disk)
+                store.read_pages(disk, np.arange(len(table[2])))
+            assert "pages=" in repr(store)
+            assert counted_nodes == []
+            tree = store.tree
+            assert counted_nodes and store.tree is tree
+            assert len(store.leaves) == len(store.page_disks)
+
+    def test_tree_equals_the_in_memory_tree(self, paged_store, tmp_path):
+        """Structure, leaf and directory MBRs, blocks, split history and
+        the per-leaf surface, on a tree with supernode leaves and split
+        history."""
+        nodes = list(_preorder(paged_store.tree.root))
+        for leaf in paged_store.leaves[::3]:
+            leaf.blocks = 2
+        for index, node in enumerate(nodes[::4]):
+            node.split_history.update({index % 6, 5})
+        save_mmap_store(paged_store, tmp_path / "store")
+        with MmapStore(tmp_path / "store") as store:
+            tree = store.tree
+            assert type(tree) is type(paged_store.tree)
+            for name in ("dimension", "size", "leaf_cap", "dir_cap"):
+                assert getattr(tree, name) == getattr(paged_store.tree, name)
+            ours = list(_preorder(tree.root))
+            assert len(ours) == len(nodes)
+            for mine, want in zip(ours, nodes):
+                assert mine.is_leaf == want.is_leaf
+                assert mine.blocks == want.blocks
+                assert mine.split_history == want.split_history
+                assert mine.mbr.low.tobytes() == want.mbr.low.tobytes()
+                assert mine.mbr.high.tobytes() == want.mbr.high.tobytes()
+                if not mine.is_leaf:
+                    assert len(mine.entries) == len(want.entries)
+            assert store.leaves == [node for node in ours if node.is_leaf]
+            for page, (mine, want) in enumerate(
+                zip(store.leaves, paged_store.leaves)
+            ):
+                assert mine.page == page and not mine.entries
+                assert store.disk_of(mine) == paged_store.disk_of(want)
+                assert store.entry_count(mine) == len(want.entries)
+                points, oids = store.read_page(mine)
+                assert oids.tolist() == [entry.oid for entry in want.entries]
+                assert points.tobytes() == np.array(
+                    [entry.point for entry in want.entries]
+                ).tobytes()
+
+    def test_a_foreign_leaf_is_refused(self, store_dir):
+        with MmapStore(store_dir) as store:
+            for lookup in (store.disk_of, store.entry_count, store.read_page):
+                with pytest.raises(KeyError, match="not a data page"):
+                    lookup(Node(is_leaf=True))
+
+    def test_empty_store(self, tmp_path):
+        empty = PagedStore(
+            points=np.zeros((0, 3)), declusterer=NearOptimalDeclusterer(3, 2)
+        )
+        save_mmap_store(empty, tmp_path / "empty")
+        with MmapStore(tmp_path / "empty") as store:
+            assert len(store) == 0 and store.dimension == 3
+            assert store.disk_loads().tolist() == [0, 0]
+            assert store.disk_table(1)[0].shape == (0, 3)
+            assert store.leaves == [] and store.tree.root.is_leaf
 
 
 class TestEngineOverMmap:

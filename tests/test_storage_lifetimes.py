@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core import NearOptimalDeclusterer
+from repro.index.node import Node
 from repro.parallel.paged import PagedStore
 from repro.storage import MmapStore, save_mmap_store
 from repro.storage.pagefile import (
@@ -158,8 +159,7 @@ class TestExceptionPathLifetimes:
             with MmapStore(store_dir) as store:
                 for leaf in store.leaves:
                     store.read_page(leaf)
-                store._slot_of.clear()
-                store.read_page(store.leaves[0])
+                store.read_page(Node(is_leaf=True))
         assert _open_fds() == before_fds
         assert _live_mmaps() == before_maps
 
