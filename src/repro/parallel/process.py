@@ -9,10 +9,11 @@ process that maps only its own page file and answers a query with a
 (:meth:`MmapStore.disk_table`), one stable ``argsort``, then that
 ascending-``mindist`` order — the order HS 95 best-first visits the
 disk's leaves in — is walked in chunks that double (1, 2, 4, ... up to
-:data:`_MAX_CHUNK_PAGES`).  A chunk is fetched with one multi-slot
-gather and decoded (once per batch: :class:`_DiskPages`), scored with
-one ``point_keys`` call and folded into an array top-k, so what a
-worker pays per page is numpy arithmetic, not interpreter time.
+:data:`_MAX_CHUNK_PAGES`).  A chunk's pages are decoded straight from
+the page-file mapping into padded rows by one multi-slot gather (once
+per batch: :class:`_DiskPages`), scored with one ``point_keys`` call
+and folded into an array top-k, so what a worker pays per page is
+numpy arithmetic, not interpreter time.
 Workers cooperate through a **shared monotonically tightening kNN
 pruning bound** (a ``multiprocessing`` top-k distance array): every
 chunk's best candidate distances tighten the bound all workers cut
@@ -70,7 +71,6 @@ from repro.obs.context import current_tracer
 from repro.obs.tracer import Tracer
 from repro.parallel.disks import DiskArray, DiskParameters
 from repro.parallel.engine import BatchQueryResult, ParallelQueryResult
-from repro.storage.pagefile import PageFormatError, split_rows
 
 __all__ = ["ProcessParallelEngine"]
 
@@ -80,8 +80,9 @@ _EUCLIDEAN = Euclidean()
 #: together.  Chunks start at one page (which almost always yields k
 #: candidates and a finite bound) and double up to this; every page of
 #: a chunk that a mid-chunk bound would have cut is a speculative read,
-#: so the cap trades interpreter time against those.
-_MAX_CHUNK_PAGES = 32
+#: so the cap trades per-chunk overhead against those (swept in
+#: ``docs/performance.md``: 96 ... 256 within a few per cent, 32 behind).
+_MAX_CHUNK_PAGES = 128
 
 #: Seconds the coordinator waits for a worker deposit before giving up.
 _REPLY_TIMEOUT_S = 120.0
@@ -225,31 +226,28 @@ def _exact_counts(
     return counts, computations
 
 
-def _decode(
-    rows: np.ndarray, counts: np.ndarray, dimension: int
-) -> Iterator[Tuple[Any, ...]]:
-    """Fetched rows decoded per distinct entry count (STR stores have
-    two): yields ``(points, oids, row mask, count)``."""
-    for count in sorted(set(counts.tolist())):
-        same = counts == count
-        yield (*split_rows(rows[same], count, dimension), same, count)
+def _page_rows(rows: int, width: int, dimension: int) -> Tuple[np.ndarray, np.ndarray]:
+    """An unwritten ``(points, oids)`` block of ``rows`` pages of ``width``
+    entries (``np.empty``: a row costs no RSS until written)."""
+    return np.empty((rows, width, dimension)), np.empty((rows, width), np.int64)
 
 
 class _DiskPages:
     """One disk's data pages, decoded: the page source of a worker.
 
-    Consecutive kNN spheres of a batch overlap heavily, so inside a
-    batch scope (:meth:`scope`) a page is fetched (one ``read_pages``
-    gather, its simulated service time slept) and decoded the first
-    time it is wanted, into its row of one worker-lifetime buffer;
-    afterwards a chunk is one gather of decoded points.  Per-call
-    queries hold nothing: every fetch pays.  Rows are as wide as the
-    disk's largest one-block page; shorter pages are padded with
-    ``+inf`` points, whose ``inf`` keys never pass ``key < bound``.
-    Multi-block pages (one would widen every row) and pages past
-    :attr:`_CAP` are read through: fetched and decoded every time,
-    nothing evicted.  ``np.empty`` rows cost no RSS until written, and
-    *charged* page counts come from the ledgers, not from here.
+    Every read is one ``read_pages`` gather (its simulated service time
+    slept) that decodes the pages straight from the mapping into rows of
+    a block this source owns.  Rows are as wide as the disk's largest
+    one-block page; shorter pages are padded with ``+inf`` points, whose
+    ``inf`` keys never pass ``key < bound``.  Consecutive kNN spheres of
+    a batch overlap heavily, so inside a batch scope (:meth:`scope`) a
+    page is read the first time it is wanted, into its row of one
+    worker-lifetime buffer, and afterwards a chunk is one gather of
+    decoded rows.  Per-call queries hold nothing: a chunk is read into
+    the head of a :data:`_MAX_CHUNK_PAGES`-row block.  Multi-block pages
+    (one would widen every row) and pages past :attr:`_CAP` are read
+    through, into a block as wide as the widest of them, every time.
+    *Charged* page counts come from the ledgers, not from here.
     """
 
     #: Most pages held (~44 MB of twenty-point d=16 pages).
@@ -262,11 +260,13 @@ class _DiskPages:
         stride = int(self._entries[blocks == 1].max(initial=0))
         self._keep = (blocks == 1) & (np.arange(pages) < self._CAP)
         self._held = np.zeros(pages, dtype=bool)
-        rows = min(pages, self._CAP)
-        self._points = np.empty((rows, stride, store.dimension))
-        self._oids = np.empty((rows, stride), dtype=np.int64)
-        #: ``read_pages`` gathers into this: a fetch allocates nothing.
-        self._scratch: Optional[np.ndarray] = None
+        self._points, self._oids = _page_rows(
+            min(pages, self._CAP), stride, store.dimension
+        )
+        self._block = _page_rows(
+            min(pages, _MAX_CHUNK_PAGES), stride, store.dimension
+        )
+        self._reads_through = not self._keep.all()
         self._batch = 0
 
     def scope(self, batch: int) -> None:
@@ -275,54 +275,38 @@ class _DiskPages:
             self._batch = batch
             self._held[:] = False
 
-    def _fetch(self, pages: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        rows, counts = self._store.read_pages(
-            self._disk, pages, out=self._scratch
-        )
-        if self._scratch is None:
-            self._scratch = np.empty(
-                (_MAX_CHUNK_PAGES, rows.shape[1]), dtype=rows.dtype
-            )
-        return rows, counts
+    def _read(
+        self, pages: np.ndarray, block: Tuple[np.ndarray, ...], rows: np.ndarray
+    ) -> None:
+        if len(pages):
+            self._store.read_pages(self._disk, pages, *block, rows)
 
     def chunk(self, pages: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The stacked ``(points, oids)`` of table rows ``pages`` (in no
-        particular order; held pages come with their padding rows)."""
+        """The stacked ``(points, oids)`` of table rows ``pages``, padding
+        rows included (in no particular order)."""
         dimension = self._points.shape[2]
-        if not self._batch:
-            parts = list(_decode(*self._fetch(pages), dimension))
+        through = pages[:0]
+        if self._reads_through:
+            keep = self._keep[pages]
+            pages, through = pages[keep], pages[~keep]
+        if self._batch:
+            fresh = pages[~self._held[pages]]
+            self._read(fresh, (self._points, self._oids), fresh)
+            self._held[fresh] = True
+            points, oids = self._points[pages], self._oids[pages]
         else:
-            parts = []
-            held = self._held[pages]
-            if not held.all():
-                fresh = pages[~held]
-                rows, counts = self._fetch(fresh)
-                if (counts > self._entries[fresh]).any():
-                    raise PageFormatError(
-                        f"disk {self._disk}: a slot holds more entries than "
-                        f"the store directory records for its page"
-                    )
-                keep = self._keep[fresh]
-                if not keep.all():
-                    parts += _decode(rows[~keep], counts[~keep], dimension)
-                    fresh, rows, counts = fresh[keep], rows[keep], counts[keep]
-                    pages = np.concatenate((pages[held], fresh))
-                decoded = _decode(rows, counts, dimension)
-                for points, oids, same, count in decoded:
-                    into = fresh[same]
-                    shape = (len(into), count, dimension)
-                    self._points[into, :count] = points.reshape(shape)
-                    self._points[into, count:] = np.inf
-                    self._oids[into, :count] = oids.reshape(shape[:2])
-                    self._held[into] = True
-            parts.append((
-                self._points[pages].reshape(-1, dimension),
-                self._oids[pages].reshape(-1),
-            ))
-        if len(parts) == 1:
-            return parts[0][:2]
-        points, oids = zip(*(part[:2] for part in parts))
-        return np.concatenate(points), np.concatenate(oids)
+            count = len(pages)
+            self._read(pages, self._block, np.arange(count))
+            points, oids = self._block[0][:count], self._block[1][:count]
+        points, oids = points.reshape(-1, dimension), oids.reshape(-1)
+        if len(through):
+            wide = _page_rows(
+                len(through), int(self._entries[through].max()), dimension
+            )
+            self._read(through, wide, np.arange(len(through)))
+            points = np.concatenate((points, wide[0].reshape(-1, dimension)))
+            oids = np.concatenate((oids, wide[1].reshape(-1)))
+        return points, oids
 
 
 def _worker_query(

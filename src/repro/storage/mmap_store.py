@@ -380,8 +380,15 @@ class MmapStore:
             )
         handle = self._page_files.get(disk)
         if handle is None:
+            _, _, slots, counts, _ = self.disk_table(disk)
             handle = PageFile(self.directory / _page_file_name(disk))
-            self._page_files[disk] = handle
+            self._page_files[disk] = handle  # close() owns it from here
+            if (handle.entry_counts(slots) > counts).any():
+                self._page_files.pop(disk).close()
+                raise PageFormatError(
+                    f"{handle.path!r}: a slot holds more entries than the "
+                    f"store directory records for its page"
+                )
         return handle
 
     def read_page(self, leaf: Node) -> Tuple[np.ndarray, np.ndarray]:
@@ -419,23 +426,23 @@ class MmapStore:
         return table
 
     def read_pages(
-        self, disk: int, pages: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
+        self, disk: int, pages: np.ndarray, points: np.ndarray,
+        oids: np.ndarray, rows: np.ndarray,
+    ) -> None:
         """Fetch several of one disk's data pages with a single gather.
 
-        ``pages`` indexes rows of :meth:`disk_table`; the result is
-        :meth:`PageFile.read_slots`' ``(rows, counts)``, gathered into
-        the caller's ``out`` when one is given.  The simulated service
+        ``pages`` indexes rows of :meth:`disk_table`; page ``pages[i]``
+        is decoded into row ``rows[i]`` of the caller's ``points`` /
+        ``oids`` by :meth:`PageFile.read_slots`.  The simulated service
         time of every block fetched is owed in full and slept once, by
         the caller that issued the gather.
         """
         _, _, slots, _, blocks = self.disk_table(disk)
-        payload = self._page_file(disk).read_slots(slots[pages], out)
+        self._page_file(disk).read_slots(slots[pages], points, oids, rows)
         if self.simulated_disk_ms:
             time.sleep(
                 self.simulated_disk_ms * int(blocks[pages].sum()) / 1000.0
             )
-        return payload
 
     def __len__(self) -> int:
         return self._size

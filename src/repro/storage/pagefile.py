@@ -26,6 +26,10 @@ A slot holds one data page's payload: ``n`` object ids as little-endian
 arrays the in-memory engines score, so a round trip through the file is
 bit-for-bit lossless.  Slot tail bytes beyond the payload are zero.
 
+:meth:`PageFile.read_slots` decodes many pages straight from the mapping
+into ``+inf``-padded rows the caller owns; no view of the mapping leaves
+a ``PageFile``, so :meth:`PageFile.close` can always unmap.
+
 Oversized payloads **raise** :class:`SlotOverflowError` at write time —
 a page is never silently truncated.  Readers validate the magic, the
 format version, and that the file length matches the header exactly;
@@ -52,7 +56,6 @@ __all__ = [
     "PageFormatError",
     "SlotOverflowError",
     "payload_bytes",
-    "split_rows",
     "PageFileWriter",
     "PageFile",
 ]
@@ -85,23 +88,6 @@ class SlotOverflowError(PageFormatError):
 def payload_bytes(num_entries: int, dimension: int) -> int:
     """Bytes needed to store ``num_entries`` (oid, point) pairs."""
     return num_entries * (_OID_BYTES + _COORD_BYTES * dimension)
-
-
-def split_rows(
-    rows: np.ndarray, count: int, dimension: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Decode :meth:`PageFile.read_slots` rows that hold ``count`` entries
-    each into their stacked ``(points, oids)``, in row order."""
-    words = count * (1 + dimension)
-    if rows.dtype != np.float64:
-        # Byte rows (``slot_bytes % 8 != 0``): realign, then view as
-        # words.
-        rows = np.ascontiguousarray(
-            rows[:, : _COORD_BYTES * words]
-        ).view(np.float64)
-    oids = rows[:, :count].view(np.int64).reshape(-1)
-    points = rows[:, count:words].reshape(-1, dimension)
-    return points, oids
 
 
 def _counts_end(num_slots: int) -> int:
@@ -306,14 +292,12 @@ class PageFile:
             self._mmap, dtype=np.uint32, count=self.num_slots,
             offset=HEADER_BYTES,
         )
-        # The data region as one row per slot, for multi-slot gathers:
-        # float64 words (oids ride bit-cast) unless the slot size forbids.
-        row_type = np.float64 if self.slot_bytes % 8 == 0 else np.uint8
-        width = self.slot_bytes // np.dtype(row_type).itemsize
-        self._rows = np.frombuffer(
-            self._mmap, dtype=row_type, count=self.num_slots * width,
+        # The data region as one byte row per slot, for multi-slot reads
+        # (a gathered payload is realigned, so any slot size works).
+        self._bytes = np.frombuffer(
+            self._mmap, dtype=np.uint8, count=self.num_slots * self.slot_bytes,
             offset=self._start,
-        ).reshape(self.num_slots, width)
+        ).reshape(self.num_slots, self.slot_bytes)
         limit = self.slot_bytes // (_OID_BYTES + _COORD_BYTES * self.dimension)
         if self.num_slots and int(self._counts.max(initial=0)) > limit:
             self.close()
@@ -327,6 +311,19 @@ class PageFile:
         if self._mmap is None:
             raise PageFormatError(f"page file {self.path!r} already closed")
         return int(self._counts[slot])
+
+    def entry_counts(self, slots: np.ndarray) -> np.ndarray:
+        """Entries stored in several slots, as an owned array."""
+        return self._counts[self._checked(slots)]
+
+    def _checked(self, slots: np.ndarray) -> np.ndarray:
+        """``slots`` as indices; refused on a closed file or out of range."""
+        if self._mmap is None:
+            raise PageFormatError(f"page file {self.path!r} already closed")
+        slots = np.asarray(slots, dtype=np.intp)
+        if slots.size and not 0 <= slots.min() <= slots.max() < self.num_slots:
+            raise ValueError(f"slots outside [0, {self.num_slots}) in {self.path!r}")
+        return slots
 
     def read_slot(self, slot: int) -> Tuple[np.ndarray, np.ndarray]:
         """One page payload as ``(points, oids)`` arrays (owned copies).
@@ -355,46 +352,55 @@ class PageFile:
         return points, oids
 
     def read_slots(
-        self, slots: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Several page payloads with one gather: ``(rows, counts)``.
+        self, slots: np.ndarray, points: np.ndarray, oids: np.ndarray, rows: np.ndarray
+    ) -> None:
+        """Decode several page payloads straight into caller-owned rows.
 
-        ``rows[i]`` is an owned copy of slot ``slots[i]``'s raw words
-        (bytes when ``slot_bytes % 8 != 0``) and ``counts[i]`` its entry
-        count; :func:`split_rows` decodes rows of equal count to exactly
-        what :meth:`read_slot` returns per slot.  ``out``, a caller-owned
-        array of the rows' dtype and width and at least ``len(slots)``
-        long, receives the rows in its head (which is returned): a fetch
-        then allocates nothing (32 rows of 4 KB are a fresh mapping).
+        Slot ``slots[i]``'s ``n`` entries land in row ``rows[i]`` (in
+        ``[0, R)``) of ``points`` (float64, ``(R, width, d)``) and
+        ``oids`` (int64, ``(R, width)``): first what :meth:`read_slot`
+        returns, then ``+inf`` points (oids there are left alone).  Slots
+        of one entry count are gathered together, payload bytes only.  A
+        closed file, a bad slot or array, or a slot over ``width`` entries
+        is refused before the first write; the rows outlive :meth:`close`.
         """
-        if self._mmap is None:
-            raise PageFormatError(f"page file {self.path!r} already closed")
-        slots = np.asarray(slots, dtype=np.intp)
-        if slots.size and not (
-            0 <= slots.min() and slots.max() < self.num_slots
+        slots = self._checked(slots)
+        rows = np.asarray(rows, dtype=np.intp)
+        if (
+            points.dtype != np.float64 or oids.dtype != np.int64
+            or points.shape[2:] != (self.dimension,)
+            or oids.shape != points.shape[:2] or rows.shape != slots.shape
         ):
             raise ValueError(
-                f"slots outside [0, {self.num_slots}) in {self.path!r}"
+                f"points must be float64 (R, width, {self.dimension}), oids int64 "
+                f"(R, width), rows one per slot; got {points.dtype} {points.shape}, "
+                f"{oids.dtype} {oids.shape}, {rows.shape} for {slots.shape} slots"
             )
-        if out is None:
-            return self._rows[slots], self._counts[slots]
-        rows = out[: len(slots)]
-        width = self._rows.shape[1]
-        if (rows.dtype, rows.shape) != (self._rows.dtype, (len(slots), width)):
-            raise ValueError(
-                f"out must be {self._rows.dtype} of shape (>= {len(slots)}, "
-                f"{width}), got {out.dtype} {out.shape}"
+        width, dimension = points.shape[1], self.dimension
+        counts = self._counts[slots]
+        groups = set(counts.tolist())
+        if max(groups, default=0) > width:
+            raise PageFormatError(
+                f"{self.path!r}: a slot holds more entries than a row of {width}"
             )
-        # In range already; "raise" would stage through a temporary.
-        np.take(self._rows, slots, axis=0, out=rows, mode="clip")
-        return rows, self._counts[slots]
+        for count in groups:
+            at, taken = rows, slots
+            if len(groups) > 1:
+                same = counts == count
+                at, taken = rows[same], slots[same]
+            words = self._bytes[taken, : payload_bytes(count, dimension)]
+            words = words.view(np.float64)
+            oids[at, :count] = words[:, :count].view(np.int64)
+            points[at, :count] = words[:, count:].reshape(len(taken), count, dimension)
+            if count < width:
+                points[at, count:] = np.inf
 
     def close(self) -> None:
         """Drop the mapping and close the file handle."""
         # Views export the mapping's buffer; mmap.close() raises
         # BufferError while one is alive.
         self._counts = np.zeros(0, dtype=np.uint32)
-        self._rows = np.zeros((0, 0))
+        self._bytes = np.zeros((0, 0), dtype=np.uint8)
         if self._mmap is not None:
             self._mmap.close()
             self._mmap = None

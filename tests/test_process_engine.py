@@ -24,10 +24,11 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import NearOptimalDeclusterer
 from repro.index.metrics import Euclidean
+from repro.index.node import DEFAULT_PAGE_BYTES
 from repro.parallel.cache import CacheConfig
 from repro.parallel.paged import PagedEngine, PagedStore
 from repro.parallel.process import (
@@ -241,9 +242,9 @@ class _CountingStore:
         self.dimension = inner.dimension
         self.pages_read = 0
 
-    def read_pages(self, disk, pages, out=None):
+    def read_pages(self, disk, pages, *into):
         self.pages_read += len(pages)
-        return self._inner.read_pages(disk, pages, out)
+        self._inner.read_pages(disk, pages, *into)
 
 
 def _assert_chunk(store, disk, pages, chunk):
@@ -299,19 +300,21 @@ class TestBatchPageMemo:
         _assert_chunk(mmap_store, 0, [1, 0, 2], chunk)
 
     def test_scopes_hold_nothing_across_serials(self, mmap_store):
-        """Per-call (serial 0) holds nothing and decodes without
-        padding; a new serial starts empty over the same buffer."""
+        """Per-call (serial 0) holds nothing and reads every chunk into
+        the head of its own block, padded like the buffer; a new serial
+        starts empty over the same buffer."""
         counting = _CountingStore(mmap_store)
         source = _DiskPages(counting, 1)
         pages = np.array([1, 3, 0])
-        entries = int(mmap_store.disk_table(1)[3][pages].sum())
+        stride = int(mmap_store.disk_table(1)[3].max())
         for serial, reads in ((0, 3), (0, 6), (5, 9), (5, 9), (6, 12), (0, 15)):
             source.scope(serial)
             chunk = source.chunk(pages)
             assert counting.pages_read == reads
             _assert_chunk(mmap_store, 1, pages, chunk)
+            assert len(chunk[1]) == len(pages) * stride
             if not serial:
-                assert len(chunk[1]) == entries
+                assert np.shares_memory(chunk[0], source._block[0])
 
     def test_padding_shapes(self, tmp_path):
         """All-empty pages (``stride`` 0), a zero-page disk, and a
@@ -362,9 +365,13 @@ class TestBatchPageMemo:
                 points, oids = empty.chunk(np.array([1, 0]))
                 assert points.shape == (0, 3) and oids.shape == (0,)
 
-    def test_file_count_above_directory_count_is_refused(self, tmp_path):
+    @pytest.mark.parametrize("serial", [0, 1])
+    def test_file_count_above_directory_count_is_refused(
+        self, tmp_path, serial
+    ):
         """A slot claiming more entries than its page's directory row
-        could overrun a buffer row: ``PageFormatError``, no write."""
+        could overrun a buffer row: ``PageFormatError`` before any write,
+        per-call (serial 0) as in a batch scope."""
         rng = np.random.default_rng(4)
         paged = PagedStore(
             points=rng.random((80, 3)),
@@ -374,10 +381,17 @@ class TestBatchPageMemo:
         with MmapStore(tmp_path / "skew") as store:
             store.disk_table(0)[3][0] -= 1
             source = _DiskPages(store, 0)
-            source.scope(1)
+            source.scope(serial)
+            for block in (source._points, source._block[0]):
+                block[:] = 7.0
             with pytest.raises(PageFormatError, match="more entries"):
                 source.chunk(np.array([0]))
             assert not source._held.any()
+            assert (source._points == 7.0).all()
+            assert (source._block[0] == 7.0).all()
+            # The per-leaf read of the in-process engines refuses it too.
+            with pytest.raises(PageFormatError, match="more entries"):
+                store.read_page(store.leaves[0])
 
 
 class TestRing:
@@ -458,9 +472,9 @@ class TestRing:
         fetched = []
         real_read_pages = MmapStore.read_pages
 
-        def counting_read_pages(self, disk, pages, out=None):
+        def counting_read_pages(self, disk, pages, *into):
             fetched.append(len(pages))
-            return real_read_pages(self, disk, pages, out)
+            real_read_pages(self, disk, pages, *into)
 
         monkeypatch.setattr(MmapStore, "read_pages", counting_read_pages)
         worker = _ThreadWorker(store_dir, mmap_store, disk=1)
@@ -720,35 +734,38 @@ def _sweep_counts(store, query, bound):
     return counts, int(entries[charged].sum())
 
 
-def _ledgers_and_bound(store, query, k):
+def _ledgers_and_bound(store, query, k, sources=None):
     """Each disk's ``_worker_query`` in turn over one shared bound (a
-    serial run of what the workers do), then the coordinator's merge:
-    ``(ledgers, B*)``."""
+    serial run of what the workers do; page sources fresh unless given),
+    then the coordinator's merge: ``(candidates per disk, ledgers, B*)``."""
+    if sources is None:
+        sources = [_DiskPages(store, disk) for disk in range(store.num_disks)]
     view = np.full(k, np.inf)
     lock = threading.Lock()
     found, ledgers = [], []
-    for disk in range(store.num_disks):
-
+    for disk, source in enumerate(sources):
         candidates, ledger = _worker_query(
-            _DiskPages(store, disk), store.disk_table(disk), query, k, view,
-            lock,
+            source, store.disk_table(disk), query, k, view, lock
         )
         found.append(candidates)
         ledgers.append(ledger)
     keys = _top_k(found, k)[0]
-    return ledgers, float(keys[-1]) if len(keys) == k else math.inf
+    return found, ledgers, float(keys[-1]) if len(keys) == k else math.inf
 
 
 @st.composite
-def _ledger_cases(draw):
+def _ledger_cases(
+    draw, duplicates=True, most=160, page_bytes=DEFAULT_PAGE_BYTES
+):
     """``(points, num_disks, supernodes, emptied, idle_disk, queries,
-    k)`` over the store shapes the flat leaf table must get right."""
+    k, page_bytes)`` over the store shapes the flat leaf table must get
+    right."""
     dimension = draw(st.integers(2, 5))
-    distinct = draw(st.integers(1, 160))
+    distinct = draw(st.integers(1, most))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     points = rng.random((distinct, dimension))
-    if draw(st.booleans()):
+    if duplicates and draw(st.booleans()):
         points = np.repeat(points, 2, axis=0)  # duplicate points
     return {
         "points": points,
@@ -759,7 +776,36 @@ def _ledger_cases(draw):
         "queries": rng.random((2, dimension)) * 1.4 - 0.2,
         # Even beyond-N and at-N values of k; max_k is k itself.
         "k": draw(st.sampled_from((1, 2, 4, len(points), 2 * len(points)))),
+        "page_bytes": page_bytes,
     }
+
+
+def _case_store(case):
+    """The in-memory store of a :func:`_ledger_cases` draw."""
+    num_disks = case["num_disks"]
+    # The last disk owns nothing when asked to idle.
+    owners = max(1, num_disks - case["idle_disk"])
+    paged = PagedStore(
+        points=case["points"],
+        declusterer=lambda centers: np.arange(len(centers)) % owners,
+        num_disks=num_disks,
+        page_bytes=case["page_bytes"],
+    )
+    if case["supernodes"]:
+        for leaf in paged.leaves[::2]:
+            leaf.blocks = 3
+    if case["emptied"] != "none":
+        step = 1 if case["emptied"] == "all" else 3
+        for leaf in paged.leaves[::step]:
+            leaf.entries = []
+    return paged
+
+
+def _boundary_tie(mindists, bound):
+    """Whether a page's mindist is within rounding of B*: a point on its
+    page's MBR corner (always so on a one-point page) has key == mindist
+    up to rounding, a boundary tie outside the PagedEngine contract."""
+    return np.isclose(mindists, bound, rtol=1e-9).any()
 
 
 class TestLedgerOracle:
@@ -769,27 +815,12 @@ class TestLedgerOracle:
     @settings(max_examples=40, deadline=None)
     @given(case=_ledger_cases())
     def test_ledger_counts_equal_directory_sweep(self, case):
-        points, num_disks = case["points"], case["num_disks"]
-        # The last disk owns nothing when asked to idle.
-        owners = max(1, num_disks - case["idle_disk"])
-        paged = PagedStore(
-            points=points,
-            declusterer=lambda centers: np.arange(len(centers)) % owners,
-            num_disks=num_disks,
-        )
-        if case["supernodes"]:
-            for leaf in paged.leaves[::2]:
-                leaf.blocks = 3
-        if case["emptied"] != "none":
-            step = 1 if case["emptied"] == "all" else 3
-            for leaf in paged.leaves[::step]:
-                leaf.entries = []
         with tempfile.TemporaryDirectory() as scratch:
-            save_mmap_store(paged, os.path.join(scratch, "store"))
+            save_mmap_store(_case_store(case), os.path.join(scratch, "store"))
             with MmapStore(os.path.join(scratch, "store")) as store:
                 reference = PagedEngine(store, cache=None)
                 for query in case["queries"]:
-                    ledgers, bound = _ledgers_and_bound(
+                    _, ledgers, bound = _ledgers_and_bound(
                         store, query, case["k"]
                     )
                     counts, computations = _exact_counts(ledgers, bound)
@@ -800,12 +831,9 @@ class TestLedgerOracle:
                     assert computations == swept_computations
                     mindists = _page_mindists(store, query)[0]
                     inside = mindists[mindists <= bound]
-                    # A point on its page's MBR corner (always so on a
-                    # one-point page) has key == mindist up to rounding:
-                    # a boundary tie at B*, outside the PagedEngine
-                    # contract.  The sweep comparison needs no such
-                    # exemption — it is the same arithmetic.
-                    if not np.isclose(mindists, bound, rtol=1e-9).any():
+                    # The sweep comparison needs no boundary-tie
+                    # exemption: it is the same arithmetic.
+                    if not _boundary_tie(mindists, bound):
                         want = reference.query(query, case["k"])
                         assert np.array_equal(counts, want.pages_per_disk)
                         assert computations == want.distance_computations
@@ -830,12 +858,101 @@ class TestLedgerOracle:
         with MmapStore(tmp_path / "leaf") as tiny:
             assert tiny.tree.root.is_leaf
             query = np.full(3, 0.5)
-            ledgers, bound = _ledgers_and_bound(tiny, query, 4)
+            _, ledgers, bound = _ledgers_and_bound(tiny, query, 4)
             counts, computations = _exact_counts(ledgers, bound)
             assert (counts.sum(), computations) == (1, 20)
             assert np.array_equal(
                 counts, _sweep_counts(tiny, query, bound)[0]
             )
+
+
+#: One disk of ~300 six-point pages (192 bytes hold four entries at
+#: d = 5, the trees' smallest leaf) and k > N: a full scan, whose chunks
+#: reach every cap the cap test sets.
+_LONG_SCAN = {
+    "points": np.random.default_rng(0).random((1800, 3)),
+    "num_disks": 2, "supernodes": True, "emptied": "some", "idle_disk": True,
+    "queries": np.full((2, 3), 0.5), "k": 3600, "page_bytes": 192,
+}
+
+
+class TestChunkCapIndependence:
+    """``_MAX_CHUNK_PAGES`` decides how far a worker reads ahead of its
+    bound, never what it finds within B* or what is charged."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        case=_ledger_cases(duplicates=False, most=1200, page_bytes=192),
+        serial=st.sampled_from((0, 1)),
+    )
+    @example(case=_LONG_SCAN, serial=0)
+    @example(case=_LONG_SCAN, serial=1)
+    def test_any_cap_gives_the_same_candidates_and_counts(self, case, serial):
+        """Caps 1, 2, 32, 128 and one above every disk's page count, per
+        call (0) or two queries in one batch scope (1), on stores of up
+        to hundreds of 192-byte pages a disk: every disk's candidates
+        within B*, the merged top-k and ``_exact_counts`` at B* are
+        identical, and equal ``PagedEngine``'s."""
+        k = case["k"]
+        with tempfile.TemporaryDirectory() as scratch:
+            save_mmap_store(_case_store(case), os.path.join(scratch, "store"))
+            with MmapStore(os.path.join(scratch, "store")) as store:
+                seen = []
+                widest = int(store.disk_loads().max())
+                for cap in (1, 2, 32, 128, widest + 1):
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(
+                            "repro.parallel.process._MAX_CHUNK_PAGES", cap
+                        )
+                        sources = [
+                            _DiskPages(store, disk)
+                            for disk in range(store.num_disks)
+                        ]
+                        for source in sources:
+                            source.scope(serial)
+                        seen.append([
+                            _cap_outcome(store, query, k, sources)
+                            for query in case["queries"]
+                        ])
+                for outcomes in seen[1:]:
+                    for got, want in zip(outcomes, seen[0]):
+                        assert got.keys() == want.keys()
+                        for name in want:
+                            assert np.array_equal(got[name], want[name]), name
+                reference = PagedEngine(store, cache=None)
+                metric = Euclidean()
+                for query, outcome in zip(case["queries"], seen[0]):
+                    want = reference.query(query, k)
+                    keys = outcome["merged keys"]
+                    assert [n.distance for n in want.neighbors] == [
+                        metric.key_to_distance(key) for key in keys.tolist()
+                    ]
+                    mindists = _page_mindists(store, query)[0]
+                    bound = float(keys[-1]) if len(keys) == k else math.inf
+                    if not _boundary_tie(mindists, bound):
+                        assert np.array_equal(
+                            outcome["counts"], want.pages_per_disk
+                        )
+                        assert (
+                            outcome["computations"]
+                            == want.distance_computations
+                        )
+
+
+def _cap_outcome(store, query, k, sources):
+    """What one serial scan of ``query`` must give at any chunk cap, by
+    name: per disk the keys, oids and points found within B*, the merged
+    top-k, the charged counts and the distance computations."""
+    found, ledgers, bound = _ledgers_and_bound(store, query, k, sources)
+    outcome = {}
+    for disk, candidates in enumerate(found):
+        inside = candidates[0] <= bound
+        for name, column in zip(("keys", "oids", "points"), candidates):
+            outcome[f"disk {disk} {name}"] = column[inside]
+    for name, column in zip(("keys", "oids", "points"), _top_k(found, k)):
+        outcome[f"merged {name}"] = column
+    outcome["counts"], outcome["computations"] = _exact_counts(ledgers, bound)
+    return outcome
 
 
 _LEAK_SCRIPT = """

@@ -32,7 +32,6 @@ from repro.storage import (
     payload_bytes,
     save_mmap_store,
 )
-from repro.storage.pagefile import split_rows
 from tests.scalar_oracle import scalar_kernels
 
 
@@ -210,8 +209,9 @@ class TestPageFile:
 
     @_SLOT_SIZES
     def test_read_slots_matches_read_slot(self, rng, tmp_path, slot_bytes):
-        """One gather decodes to exactly the per-slot reads, whatever
-        the slot size, entry-count mix, order or repetition."""
+        """One decode gives exactly the per-slot reads, whatever the slot
+        size, entry-count mix, order or repetition, each row padded with
+        ``+inf`` past its page's count."""
         path = tmp_path / "disk.pages"
         self._write(
             path,
@@ -223,28 +223,18 @@ class TestPageFile:
         )
         slots = [3, 0, 2, 1, 0]
         with PageFile(path) as handle:
-            rows, counts = handle.read_slots(slots)
-            assert list(counts) == [5, 5, 12, 0, 5]
-            for row, count, slot in zip(rows, counts, slots):
-                points, oids = split_rows(row[None], int(count), 3)
-                want_points, want_oids = handle.read_slot(slot)
-                assert points.tobytes() == want_points.tobytes()
-                assert oids.tobytes() == want_oids.tobytes()
-                assert points.shape == want_points.shape
-            # Rows of one entry count decode together, in row order.
-            points, oids = split_rows(rows[counts == 5], 5, 3)
-            assert np.array_equal(
-                oids,
-                np.concatenate([handle.read_slot(s)[1] for s in (3, 0, 0)]),
-            )
-            assert points.shape == (15, 3)
-            empty_rows, empty_counts = handle.read_slots([])
-            assert empty_rows.shape == (0, rows.shape[1])
-            assert empty_counts.shape == (0,)
+            points, oids, rows = _block(len(slots), 12, 3)
+            handle.read_slots(slots, points, oids, rows)
+            for row, slot in zip(rows, slots):
+                _assert_row(points, oids, row, *handle.read_slot(slot))
+            # No slots: nothing written.
+            points, oids, rows = _block(2, 12, 3)
+            handle.read_slots([], points, oids, rows[:0])
+            assert (points == 7.0).all() and (oids == -7).all()
 
     def test_read_slots_of_a_crashed_writer_file_are_empty(self, tmp_path):
-        """Counts were never committed: every gathered row decodes to an
-        empty page, like ``read_slot``."""
+        """Counts were never committed: every decoded row is an empty
+        page — all ``+inf`` — like ``read_slot``."""
         path = tmp_path / "crashed.pages"
         writer = PageFileWriter(
             path, disk_id=0, num_slots=3, slot_bytes=256, dimension=2,
@@ -253,78 +243,100 @@ class TestPageFile:
         writer._file.close()  # the crash: close() never commits counts
         writer._file = None
         with PageFile(path) as handle:
-            rows, counts = handle.read_slots([0, 1, 2])
-            assert not counts.any()
-            points, oids = split_rows(rows, 0, 2)
-            assert points.shape == (0, 2) and oids.shape == (0,)
-            # The same through a caller-owned array.
-            into, counts = handle.read_slots([0, 1, 2], out=np.empty((4, 32)))
-            assert into.tobytes() == rows.tobytes() and not counts.any()
+            points, oids, rows = _block(3, 4, 2)
+            handle.read_slots([0, 1, 2], points, oids, rows)
+            assert np.isposinf(points).all()
+            assert (oids == -7).all()
 
     def test_read_slots_range_check_and_owned_rows(self, rng, tmp_path):
         path = tmp_path / "disk.pages"
         points = rng.random((4, 3))
         self._write(path, [(np.arange(4, dtype=np.int64), points)] * 2)
         handle = PageFile(path)
-        for bad in ([0, 2], [-1]):
-            with pytest.raises(ValueError, match="slot"):
-                handle.read_slots(bad)
-        rows, counts = handle.read_slots([1, 0])
-        handle.close()  # no BufferError: the gather holds no mapping view
-        got_points, got_oids = split_rows(rows, 4, 3)  # owned copies
-        assert np.array_equal(got_points, np.vstack([points, points]))
+        into = _block(2, 4, 3)
+        for bad in ([0, 2], [-1, 0]):
+            with pytest.raises(ValueError, match="outside"):
+                handle.read_slots(bad, *into)
+            with pytest.raises(ValueError, match="outside"):
+                handle.entry_counts(bad)
+        assert list(handle.entry_counts([1, 0, 1])) == [4, 4, 4]
+        handle.read_slots([1, 0], *into)
+        handle.close()  # no BufferError: the decode holds no mapping view
+        got_points, got_oids, _ = into  # owned copies
+        assert np.array_equal(got_points.reshape(-1, 3), np.vstack([points] * 2))
         assert got_oids.sum() == 12
-
 
     @_SLOT_SIZES
     def test_read_slots_into_out_matches_the_allocating_form(
         self, rng, tmp_path, slot_bytes
     ):
-        """``out=`` returns the head of the caller's array holding the
-        same rows and counts, for random slot lists with repeats, and
-        touches nothing past that head."""
+        """Decoding into the caller's arrays writes the named rows with
+        what the allocating ``read_slot`` returns, for random slot lists
+        with repeats into random rows, and touches nothing else; every
+        refusal happens before any write."""
         path = tmp_path / "disk.pages"
+        counts = (5, 0, 12, 5, 7)
         self._write(
             path,
             [
                 (rng.integers(-2**62, 2**62, count), rng.random((count, 3)))
-                for count in (5, 0, 12, 5, 7)
+                for count in counts
             ],
             slot_bytes=slot_bytes,
         )
         with PageFile(path) as handle:
-            want_rows = handle.read_slots(np.arange(5))[0]
-            out = np.full((9, want_rows.shape[1]), 7, dtype=want_rows.dtype)
+            points, oids, _ = _block(9, 12, 3)
             for length in (0, 1, 4, 9):
                 slots = rng.integers(0, 5, size=length)
-                want_rows, want_counts = handle.read_slots(slots)
-                out[:] = 7
-                rows, counts = handle.read_slots(slots, out=out)
-                assert np.shares_memory(rows, out) or not length
-                assert rows.tobytes() == want_rows.tobytes()
-                assert rows.shape == want_rows.shape
-                assert np.array_equal(counts, want_counts)
-                assert (out[length:] == 7).all()
-            # Errors are the allocating form's, raised before any write.
-            out[:] = 7
-            for bad in ([0, 5], [-1]):
-                with pytest.raises(ValueError, match="slot"):
-                    handle.read_slots(bad, out=out)
+                rows = rng.permutation(9)[:length]
+                points[:], oids[:] = 7.0, -7
+                handle.read_slots(slots, points, oids, rows)
+                for row, slot in zip(rows, slots):
+                    _assert_row(points, oids, row, *handle.read_slot(slot))
+                untouched = np.setdiff1d(np.arange(9), rows)
+                assert (points[untouched] == 7.0).all()
+                assert (oids[untouched] == -7).all()
+            points[:], oids[:] = 7.0, -7
+            slots, rows = [0, 1, 2], [0, 1, 2]
+            narrow = (points[:, :11], oids[:, :11])
             refused = [
-                out[:2],                                   # too short
-                out[:, :-1],                               # too narrow
-                np.zeros((9, out.shape[1] + 1), out.dtype),  # too wide
-                out.astype(np.float32),                    # wrong dtype
-                np.zeros(out.size, out.dtype),             # not 2-D
+                (ValueError, "outside", ([0, 5], points, oids, [0, 1])),
+                (ValueError, "outside", ([-1], points, oids, [0])),
+                (ValueError, "must be", (slots, points, oids, [0, 1])),
+                (ValueError, "must be", (slots, points[..., :2], oids, rows)),
+                (ValueError, "must be", (slots, points, oids[:, :11], rows)),
+                (ValueError, "must be", (slots, points, oids[:1], rows)),
+                (ValueError, "must be", (slots, points.view(np.int64), oids, rows)),
+                (ValueError, "must be", (slots, points, oids.view(np.float64), rows)),
+                # Slot 2 holds 12 entries, more than a row of 11.
+                (PageFormatError, "more entries", (slots, *narrow, rows)),
             ]
-            for wrong in refused:
-                before = wrong.copy()
-                with pytest.raises(ValueError, match="out must be"):
-                    handle.read_slots([0, 1, 2], out=wrong)
-                assert np.array_equal(wrong, before)
-            assert (out == 7).all()
+            for error, match, arguments in refused:
+                with pytest.raises(error, match=match):
+                    handle.read_slots(*arguments)
+                assert (points == 7.0).all() and (oids == -7).all()
         with pytest.raises(PageFormatError, match="closed"):
-            handle.read_slots([0], out=out)
+            handle.read_slots([0], points, oids, [0])
+
+
+def _block(count, width, dimension):
+    """A caller-owned ``(points, oids, rows)`` for ``count`` pages,
+    filled with 7.0 / -7 so cells a decode leaves alone show."""
+    return (
+        np.full((count, width, dimension), 7.0),
+        np.full((count, width), -7, dtype=np.int64),
+        np.arange(count),
+    )
+
+
+def _assert_row(points, oids, row, want_points, want_oids):
+    """Row ``row`` holds the page ``(want_points, want_oids)`` bit for
+    bit, then ``+inf`` points."""
+    count = len(want_oids)
+    assert points[row, :count].tobytes() == want_points.tobytes()
+    assert oids[row, :count].tobytes() == want_oids.tobytes()
+    assert np.isposinf(points[row, count:]).all()
+
 
 class TestMmapStoreRoundTrip:
     def test_surface_matches_paged_store(self, paged_store, store_dir):
@@ -366,49 +378,55 @@ class TestMmapStoreRoundTrip:
                 lows, highs, slots, counts, blocks = store.disk_table(disk)
                 assert len(slots) == len(leaves) == store.disk_loads()[disk]
                 pages = np.arange(len(leaves))[::-1]
-                rows, got_counts = store.read_pages(disk, pages)
+                points, oids, rows = _block(len(pages), counts.max(), dimension)
+                store.read_pages(disk, pages, points, oids, rows)
                 for row, page in zip(rows, pages):
                     leaf = leaves[page]
                     assert lows[page].tobytes() == leaf.mbr.low.tobytes()
                     assert highs[page].tobytes() == leaf.mbr.high.tobytes()
                     assert counts[page] == store.entry_count(leaf)
                     assert blocks[page] == leaf.blocks
-                    points, oids = split_rows(
-                        row[None], int(counts[page]), dimension
-                    )
-                    want_points, want_oids = store.read_page(leaf)
-                    assert points.tobytes() == want_points.tobytes()
-                    assert oids.tobytes() == want_oids.tobytes()
-                assert np.array_equal(got_counts, counts[pages])
+                    _assert_row(points, oids, row, *store.read_page(leaf))
         with pytest.raises(ValueError, match="closed"):
-            store.read_pages(0, np.array([0]))
+            store.read_pages(0, np.array([0]), points, oids, rows[:1])
 
     def test_read_pages_into_out_matches_the_allocating_form(
         self, rng, store_dir, monkeypatch
     ):
-        """``read_pages(disk, pages, out=)`` is the allocating read into
-        the caller's rows — same rows, counts, errors and service time."""
+        """``read_pages`` into the caller's arrays is the allocating
+        ``read_page`` per page — for random page lists with repeats into
+        random rows, touching no other row — with one sleep per gather;
+        a refused read writes and sleeps nothing."""
         slept = []
         monkeypatch.setattr(
             "repro.storage.mmap_store.time.sleep", slept.append
         )
         with MmapStore(store_dir, simulated_disk_ms=1.0) as store:
             for disk in range(store.num_disks):
-                loads = int(store.disk_loads()[disk])
+                leaves = [
+                    leaf for leaf in store.leaves
+                    if store.disk_of(leaf) == disk
+                ]
+                counts = store.disk_table(disk)[3]
+                loads = len(leaves)
                 pages = rng.integers(0, loads, size=2 * loads)
-                want_rows, want_counts = store.read_pages(disk, pages)
-                out = np.empty((2 * loads + 3, want_rows.shape[1]))
-                rows, counts = store.read_pages(disk, pages, out=out)
-                assert np.shares_memory(rows, out)
-                assert rows.tobytes() == want_rows.tobytes()
-                assert np.array_equal(counts, want_counts)
-                assert slept[-1] == slept[-2] > 0
-                with pytest.raises(ValueError, match="out must be"):
-                    store.read_pages(disk, pages, out=out[:1])
+                points, oids, _ = _block(2 * loads + 3, counts.max(), 6)
+                rows = rng.permutation(2 * loads + 3)[: 2 * loads]
+                store.read_pages(disk, pages, points, oids, rows)
+                assert slept[-1] == 2 * loads / 1000.0
+                for row, page in zip(rows, pages):
+                    _assert_row(points, oids, row, *store.read_page(leaves[page]))
+                untouched = np.setdiff1d(np.arange(2 * loads + 3), rows)
+                assert (points[untouched] == 7.0).all()
+                before, written = len(slept), points.copy()
+                with pytest.raises(ValueError, match="must be"):
+                    store.read_pages(disk, pages, points, oids, rows[:1])
                 with pytest.raises((ValueError, IndexError)):
-                    store.read_pages(disk, np.array([loads]), out=out)
+                    store.read_pages(disk, np.array([loads]), points, oids, [0])
+                assert len(slept) == before
+                assert np.array_equal(points, written)
         with pytest.raises(ValueError, match="closed"):
-            store.read_pages(0, np.array([0]), out=out)
+            store.read_pages(0, np.array([0]), points, oids, [0])
 
     def test_read_pages_sleeps_once_for_every_block(
         self, paged_store, tmp_path, monkeypatch
@@ -426,9 +444,10 @@ class TestMmapStoreRoundTrip:
         owed = []
         with MmapStore(directory, simulated_disk_ms=2.0) as store:
             for disk in np.flatnonzero(store.disk_loads()):
-                blocks = store.disk_table(disk)[4]
-                store.read_pages(disk, np.arange(len(blocks)))
-                store.read_pages(disk, np.array([0]))
+                counts, blocks = store.disk_table(disk)[3:]
+                into = _block(len(blocks), counts.max(), 6)
+                store.read_pages(disk, np.arange(len(blocks)), *into)
+                store.read_pages(disk, np.array([0]), *into[:2], [0])
                 owed += [int(blocks.sum()), int(blocks[0])]
             assert sum(owed[::2]) > len(store.leaves)  # supernodes counted
         assert slept == [2.0 * blocks / 1000.0 for blocks in owed]
@@ -521,7 +540,8 @@ class TestLazyTree:
             assert store.disk_loads().sum() == len(store.page_disks)
             for disk in range(store.num_disks):
                 table = store.disk_table(disk)
-                store.read_pages(disk, np.arange(len(table[2])))
+                pages = np.arange(len(table[2]))
+                store.read_pages(disk, pages, *_block(len(pages), 64, 6))
             assert "pages=" in repr(store)
             assert counted_nodes == []
             tree = store.tree

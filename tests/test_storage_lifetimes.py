@@ -18,6 +18,7 @@ import gc
 import json
 import mmap as mmap_module
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ import pytest
 from repro.core import NearOptimalDeclusterer
 from repro.index.node import Node
 from repro.parallel.paged import PagedStore
+from repro.parallel.process import _DiskPages, _worker_query
 from repro.storage import MmapStore, save_mmap_store
 from repro.storage.pagefile import (
     PageFile,
@@ -96,7 +98,7 @@ class TestPostCloseReads:
         handle = PageFile(store_dir / "disk0000.pages")
         handle.close()
         with pytest.raises(PageFormatError, match="already closed"):
-            handle.read_slots([0])
+            handle.read_slots([0], *_block(1, 1), [0])
 
     def test_pagefile_entry_count_after_close(self, store_dir):
         handle = PageFile(store_dir / "disk0000.pages")
@@ -164,53 +166,105 @@ class TestExceptionPathLifetimes:
         assert _live_mmaps() == before_maps
 
     def test_gathers_leave_no_mapping_behind(self, store_dir):
-        """Multi-slot gathers go through a cached view of the mapping;
+        """Multi-slot reads go through a cached view of the mapping;
         close() must drop it first (an exported buffer makes
         ``mmap.close()`` raise ``BufferError``) and leak nothing."""
         before_fds = _open_fds()
         before_maps = _live_mmaps()
         for _ in range(5):
             with PageFile(store_dir / "disk0000.pages") as handle:
-                rows, _ = handle.read_slots(np.arange(handle.num_slots))
+                slots = np.arange(handle.num_slots)
+                points, oids = _block(len(slots), 64)
+                handle.read_slots(slots, points, oids, slots)
             with MmapStore(store_dir) as store:
-                store.read_pages(1, np.arange(store.disk_loads()[1]))
-        assert rows.size  # owned copy, outlives the mapping
+                pages = np.arange(store.disk_loads()[1])
+                store.read_pages(1, pages, *_block(len(pages), 64), pages)
+        assert np.isfinite(points).any()  # owned copy, outlives the mapping
         assert _open_fds() == before_fds
         assert _live_mmaps() == before_maps
 
     def test_gathers_into_a_caller_array_leave_no_mapping_behind(
         self, store_dir
     ):
-        """``out=`` gathers copy into the caller's rows and export
-        nothing: ``close()`` unmaps while the caller keeps ``out`` (and
-        the returned head of it), whose contents stay valid; a refused
-        or out-of-range gather leaks nothing either."""
+        """Decodes copy into the caller's arrays and export nothing:
+        ``close()`` unmaps while the caller keeps them, and their
+        contents stay valid; a refused or out-of-range read leaks
+        nothing either."""
         before_fds = _open_fds()
         before_maps = _live_mmaps()
         for _ in range(5):
             with PageFile(store_dir / "disk0000.pages") as handle:
                 slots = np.arange(handle.num_slots)
-                want = handle.read_slots(slots)[0]
-                out = np.empty((handle.num_slots + 2, want.shape[1]))
-                rows, _ = handle.read_slots(slots, out=out)
-                with pytest.raises(ValueError, match="out must be"):
-                    handle.read_slots(slots, out=out[:, 1:])
-                with pytest.raises(ValueError, match="slot"):
-                    handle.read_slots([handle.num_slots], out=out)
-            assert rows.tobytes() == want.tobytes()
+                points, oids = _block(len(slots) + 2, 64)
+                handle.read_slots(slots, points, oids, slots)
+                want = points.copy()
+                with pytest.raises(ValueError, match="must be"):
+                    handle.read_slots(slots, points[:, 1:], oids, slots)
+                with pytest.raises(ValueError, match="outside"):
+                    handle.read_slots([handle.num_slots], points, oids, [0])
+            assert points.tobytes() == want.tobytes()
             with MmapStore(store_dir) as store:
                 pages = np.arange(store.disk_loads()[1])
-                want = store.read_pages(1, pages)[0]
-                out = np.empty_like(want)
-                kept, _ = store.read_pages(1, pages, out=out)
-            assert kept.tobytes() == want.tobytes()
+                kept = _block(len(pages), 64)
+                store.read_pages(1, pages, *kept, pages)
+                want = kept[0].copy()
+            assert kept[0].tobytes() == want.tobytes()
             with pytest.raises(PageFormatError, match="closed"):
-                handle.read_slots(slots, out=out)
+                handle.read_slots(slots, points, oids, slots)
             with pytest.raises(ValueError, match="closed"):
-                store.read_pages(1, pages, out=out)
-        assert np.shares_memory(kept, out)
+                store.read_pages(1, pages, *kept, pages)
         assert _open_fds() == before_fds
         assert _live_mmaps() == before_maps
+
+    def test_worker_decodes_leave_no_mapping_behind(self, rng, tmp_path):
+        """A disk worker's per-call, first-touch and read-through decodes
+        copy into blocks its page source owns: ``MmapStore.close()``
+        unmaps with them alive, leaks nothing, and the candidates (and
+        chunks) they returned stay valid."""
+        paged = PagedStore(
+            points=rng.random((300, 6)),
+            declusterer=NearOptimalDeclusterer(6, 4),
+        )
+        for leaf in paged.leaves[::3]:
+            leaf.blocks = 2  # multi-block pages are always read through
+        save_mmap_store(paged, tmp_path / "store")
+        query = np.full(6, 0.5)
+        before_fds = _open_fds()
+        before_maps = _live_mmaps()
+        kept = []
+        store = MmapStore(tmp_path / "store")
+        try:
+            for disk in range(store.num_disks):
+                table = store.disk_table(disk)
+                source = _DiskPages(store, disk)
+                # Per-call, then a batch's first touch, then held pages.
+                for serial in (0, 1, 1):
+                    source.scope(serial)
+                    found, _ = _worker_query(
+                        source, table, query, 5, np.full(5, np.inf),
+                        threading.Lock(),
+                    )
+                    kept.append((disk, found, [a.copy() for a in found]))
+                chunk = source.chunk(np.arange(len(table[2])))
+                kept.append((disk, chunk, [a.copy() for a in chunk]))
+        finally:
+            store.close()
+        assert _open_fds() == before_fds
+        assert _live_mmaps() == before_maps
+        for disk, returned, snapshot in kept:
+            for got, want in zip(returned, snapshot):
+                assert np.array_equal(got, want)
+        for disk, (keys, oids, points), _ in kept[::4]:
+            mine = [
+                entry for leaf in paged.leaves if paged.disk_of(leaf) == disk
+                for entry in leaf.entries
+            ]
+            nearest = sorted(
+                (float(((entry.point - query) ** 2).sum()), entry.oid)
+                for entry in mine
+            )[:5]
+            assert list(oids) == [oid for _, oid in nearest]
+            assert np.allclose(keys, [key for key, _ in nearest])
 
     def test_open_close_cycles_leak_nothing(self, store_dir):
         before = _open_fds()
@@ -218,6 +272,14 @@ class TestExceptionPathLifetimes:
             with MmapStore(store_dir) as store:
                 store.read_page(store.leaves[0])
         assert _open_fds() == before
+
+
+def _block(count, width):
+    """Caller-owned ``(points, oids)`` for ``count`` d=6 pages."""
+    return (
+        np.empty((count, width, 6)),
+        np.empty((count, width), dtype=np.int64),
+    )
 
 
 class TestCrashedWriter:
