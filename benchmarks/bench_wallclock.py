@@ -65,7 +65,7 @@ from repro.parallel.process import ProcessParallelEngine
 from repro.storage import (
     SIMULATED_DISK_MS_ENV,
     MmapStore,
-    save_mmap_store,
+    save_paged_store,
 )
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -133,7 +133,7 @@ def measure_disk_count(
         declusterer=NearOptimalDeclusterer(workload.dimension, num_disks),
     )
     directory = workdir / f"store_{num_disks}"
-    save_mmap_store(source, directory)
+    save_paged_store(source, directory)
     with MmapStore(directory) as store:
         reference = PagedEngine(store, cache=None)
         expected = [

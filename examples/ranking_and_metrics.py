@@ -7,8 +7,8 @@ Three library features beyond the paper's headline experiment:
    algorithm); stop whenever a filter is satisfied, paying I/O lazily;
 2. **user-adaptable similarity** — weighted Euclidean and L_p metrics
    change who the "nearest" neighbor is;
-3. **persistence** — save the index + declustering, reload, and get
-   bit-identical query costs.
+3. **persistence** — save the index + declustering as a store
+   directory, reload, and get bit-identical query costs.
 
 Run:  python examples/ranking_and_metrics.py
 """
@@ -85,11 +85,12 @@ def main():
     engine = PagedEngine(store)
     before = engine.query(query, 10)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "photos.npz"
+        path = Path(tmp) / "photos"
         save_paged_store(store, path)
         restored = load_paged_store(path)
         after = PagedEngine(restored).query(query, 10)
-        print(f"saved {path.stat().st_size / 1024:.0f} KiB; "
+        size = sum(file.stat().st_size for file in path.iterdir())
+        print(f"saved a {size / 1024:.0f} KiB store directory; "
               f"restored {len(restored)} photos on "
               f"{restored.num_disks} disks")
     assert [n.oid for n in before.neighbors] == [

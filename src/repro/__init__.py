@@ -89,18 +89,15 @@ from repro.registry import (
     make_declusterer,
     resolve_scheme,
 )
-from repro.persistence import (
+from repro.storage import (
+    FrozenAssignment,
+    MmapStore,
     StoreFormatError,
+    bulk_load_mmap,
     load_paged_store,
     load_tree,
     save_paged_store,
     save_tree,
-)
-from repro.storage import (
-    MmapStore,
-    bulk_load_mmap,
-    load_mmap_store,
-    save_mmap_store,
 )
 
 __version__ = "1.0.0"
@@ -159,12 +156,11 @@ __all__ = [
     "knn_branch_and_bound",
     "incremental_nearest",
     "knn_linear_scan",
+    "FrozenAssignment",
     "StoreFormatError",
     "bulk_load_mmap",
-    "load_mmap_store",
     "load_paged_store",
     "load_tree",
-    "save_mmap_store",
     "save_paged_store",
     "save_tree",
     "quantile_split_values",

@@ -218,16 +218,13 @@ def _traced_workload(args: argparse.Namespace):
         # directory stays RAM-resident, pages are served via mmap.
         import tempfile
 
-        from repro.storage import MmapStore, save_mmap_store
+        from repro.storage import MmapStore, save_paged_store
 
-        directory = tempfile.mkdtemp(prefix="repro-mmap-")
-        save_mmap_store(store, directory)
-        mmap_store = MmapStore(directory)
-        try:
-            engine = _make_paged_engine(args, mmap_store, tracer)
-            return tracer, _drive_queries(args, engine, queries)
-        finally:
-            mmap_store.close()
+        with tempfile.TemporaryDirectory(prefix="repro-mmap-") as directory:
+            save_paged_store(store, directory)
+            with MmapStore(directory) as mmap_store:
+                engine = _make_paged_engine(args, mmap_store, tracer)
+                return tracer, _drive_queries(args, engine, queries)
     engine = _make_paged_engine(args, store, tracer)
     return tracer, _drive_queries(args, engine, queries)
 

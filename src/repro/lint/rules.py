@@ -403,13 +403,13 @@ class NoBroadExcept(Rule):
     default_scope = ("repro",)
     example_bad = (
         "try:\n"
-        "    store = load_mmap_store(path)\n"
+        "    store = MmapStore(path)\n"
         "except Exception:\n"
         "    store = None"
     )
     example_good = (
         "try:\n"
-        "    store = load_mmap_store(path)\n"
+        "    store = MmapStore(path)\n"
         "except (OSError, PageFormatError):\n"
         "    store = None"
     )

@@ -40,25 +40,34 @@ _ACTIVE_METRICS: ContextVar[Optional[MetricsRegistry]] = ContextVar(
 )
 
 
-def current_tracer() -> Tracer:
-    """The tracer of the innermost :func:`observe` block (or the null
-    tracer)."""
-    tracer = _ACTIVE_TRACER.get()
+def current_tracer(tracer: Optional[Tracer] = None) -> Tracer:
+    """``tracer`` when given, else the tracer of the innermost
+    :func:`observe` block (or the null tracer) — how every engine,
+    simulator and service resolves its own ``tracer`` argument."""
+    if tracer is None:
+        tracer = _ACTIVE_TRACER.get()
     return tracer if tracer is not None else NULL_TRACER
 
 
-def current_metrics() -> Optional[MetricsRegistry]:
-    """The registry of the innermost :func:`observe` block, if any.
+def current_metrics(
+    metrics: Optional[MetricsRegistry] = None,
+    tracer: Optional[Tracer] = None,
+) -> Optional[MetricsRegistry]:
+    """``metrics`` when given, else the registry of the innermost
+    :func:`observe` block, if any.
 
     Falls back to the active tracer's ``metrics`` attribute so
     ``observe(RecordingTracer(metrics=registry))`` publishes simulator
-    aggregates without repeating the registry.
+    aggregates without repeating the registry, and last to the
+    ``metrics`` of ``tracer`` (the caller's own tracer).
     """
-    metrics = _ACTIVE_METRICS.get()
-    if metrics is not None:
-        return metrics
-    tracer = _ACTIVE_TRACER.get()
-    return getattr(tracer, "metrics", None)
+    if metrics is None:
+        metrics = _ACTIVE_METRICS.get()
+    if metrics is None:
+        metrics = getattr(_ACTIVE_TRACER.get(), "metrics", None)
+    if metrics is None:
+        metrics = getattr(tracer, "metrics", None)
+    return metrics
 
 
 @contextlib.contextmanager

@@ -252,11 +252,6 @@ class _BestFirstEngine:
         if self.cache is not None:
             self.cache.reset()
 
-    def _active_tracer(self) -> Tracer:
-        """This engine's tracer, else the ambient one, else the null
-        tracer."""
-        return self.tracer if self.tracer is not None else current_tracer()
-
     def query_batch(
         self, queries: np.ndarray, k: int = 1, **options: Any
     ) -> BatchQueryResult:
@@ -321,7 +316,7 @@ class _BestFirstEngine:
                 f"query shape {query.shape} does not match the "
                 f"engine's dimension {self.dimension}"
             )
-        tracer = self._active_tracer()
+        tracer = current_tracer(self.tracer)
         traced = tracer.enabled
         span = -1
         if traced:

@@ -134,22 +134,6 @@ class EventDrivenSimulator:
         """The engine's buffer pool (None when caching is off)."""
         return self._engine.cache
 
-    def _active_tracer(self) -> Tracer:
-        """This simulator's tracer, else the ambient one, else the null
-        tracer."""
-        return self.tracer if self.tracer is not None else current_tracer()
-
-    def _resolve_metrics(
-        self, metrics: Optional[MetricsRegistry]
-    ) -> Optional[MetricsRegistry]:
-        """Explicit registry, else the ambient one, else the tracer's."""
-        if metrics is not None:
-            return metrics
-        ambient = current_metrics()
-        if ambient is not None:
-            return ambient
-        return getattr(self.tracer, "metrics", None)
-
     def run(
         self,
         arrivals: Sequence[QueryArrival],
@@ -195,7 +179,7 @@ class EventDrivenSimulator:
             )
         t_page = self.parameters.page_service_time_ms
         num_disks = self.store.num_disks
-        tracer = self._active_tracer()
+        tracer = current_tracer(self.tracer)
         traced = tracer.enabled
         cache = self._engine.cache
         cache_before = cache.stats() if cache else None
@@ -249,7 +233,7 @@ class EventDrivenSimulator:
             ),
             query_results=results,
         )
-        registry = self._resolve_metrics(metrics)
+        registry = current_metrics(metrics, self.tracer)
         if registry is not None:
             latency_hist = registry.histogram("stream_latency_ms")
             for latency in latencies:

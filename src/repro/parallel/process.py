@@ -510,7 +510,7 @@ class ProcessParallelEngine:
             raise TypeError(
                 "ProcessParallelEngine requires an out-of-core store "
                 "(repro.storage.MmapStore); build one with "
-                "save_mmap_store or bulk_load_mmap"
+                "save_paged_store or bulk_load_mmap"
             )
         if cache is not None:
             raise ValueError(
@@ -648,11 +648,6 @@ class ProcessParallelEngine:
             pass
 
     # ----------------------------------------------------------- queries
-
-    def _active_tracer(self) -> Tracer:
-        """This engine's tracer, else the ambient one, else the null
-        tracer."""
-        return self.tracer if self.tracer is not None else current_tracer()
 
     def _check_k(self, k: int) -> None:
         if k < 1:
@@ -797,7 +792,7 @@ class ProcessParallelEngine:
                 f"query shape {queries.shape[1:]} does not match the "
                 f"store's dimension {store.dimension}"
             )
-        tracer = self._active_tracer()
+        tracer = current_tracer(self.tracer)
         traced = tracer.enabled
         service_ms = self.parameters.page_service_time_ms
         total = len(queries)

@@ -110,17 +110,6 @@ class ThroughputSimulator:
         """The engine's buffer pool (None when caching is off)."""
         return self._engine.cache
 
-    def _resolve_metrics(
-        self, metrics: Optional[MetricsRegistry]
-    ) -> Optional[MetricsRegistry]:
-        """Explicit registry, else the ambient one, else the tracer's."""
-        if metrics is not None:
-            return metrics
-        ambient = current_metrics()
-        if ambient is not None:
-            return ambient
-        return getattr(self.tracer, "metrics", None)
-
     def run(
         self,
         queries: np.ndarray,
@@ -199,7 +188,7 @@ class ThroughputSimulator:
             ),
             query_results=results,
         )
-        registry = self._resolve_metrics(metrics)
+        registry = current_metrics(metrics, self.tracer)
         if registry is not None:
             registry.histogram("makespan_ms").record(report.makespan_ms)
             if math.isfinite(report.throughput_qps):

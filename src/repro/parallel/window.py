@@ -71,7 +71,7 @@ def parallel_window_query(
     """
     window = MBR(low, high)
     parameters = parameters or DiskParameters(page_bytes=store.page_bytes)
-    active = tracer if tracer is not None else current_tracer()
+    active = current_tracer(tracer)
     traced = active.enabled
     span = -1
     if traced:

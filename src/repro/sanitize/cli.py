@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -161,7 +162,8 @@ def build_process_replay_case(
     num_disks: int = 4,
     k: int = 5,
     data_seed: int = 7,
-    directory: Optional[str] = None,
+    *,
+    directory: str,
 ) -> ReplayCase:
     """The process-parallel engine as a :class:`ReplayCase`.
 
@@ -175,23 +177,19 @@ def build_process_replay_case(
     contract says the results and per-disk page counts must still match
     the reference bit for bit.
 
-    The store is written once to ``directory`` (a fresh temp directory
-    when omitted); every replay reopens it cold and cacheless.
+    The store is written once to ``directory``, which the caller owns;
+    every replay reopens it cold and cacheless.
     """
-    import tempfile
-
     from repro.parallel.paged import PagedEngine
     from repro.parallel.process import ProcessParallelEngine
-    from repro.storage import MmapStore, save_mmap_store
+    from repro.storage import MmapStore, save_paged_store
 
     data = _smoke_data(num_points, num_queries, dimension, data_seed)
     declusterer = make_declusterer(
         scheme, dimension=dimension, num_disks=num_disks
     )
     paged = PagedStore(points=data["points"], declusterer=declusterer)
-    if directory is None:
-        directory = tempfile.mkdtemp(prefix="repro-sanitize-mmap-")
-    save_mmap_store(paged, directory)
+    save_paged_store(paged, directory)
     queries = data["queries"]
 
     def run(seed: Optional[int]) -> RunSummary:
@@ -396,10 +394,13 @@ def smoke_matrix(
             process_kwargs["num_disks"] = min(
                 4, process_kwargs.get("num_disks", 4)
             )
-            process_case = build_process_replay_case(
-                schemes[0], **process_kwargs
-            )
-            findings.extend(replay_check(process_case, seeds=seeds))
+            with tempfile.TemporaryDirectory(
+                prefix="repro-sanitize-mmap-"
+            ) as directory:
+                process_case = build_process_replay_case(
+                    schemes[0], **process_kwargs, directory=directory
+                )
+                findings.extend(replay_check(process_case, seeds=seeds))
     findings.extend(rng_findings)
     return sorted(findings)
 

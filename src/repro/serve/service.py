@@ -387,22 +387,6 @@ class QueryService:
         if callable(closer):
             closer()
 
-    def _active_tracer(self) -> Tracer:
-        """This service's tracer, else the ambient one, else the null
-        tracer."""
-        return self.tracer if self.tracer is not None else current_tracer()
-
-    def _resolve_metrics(
-        self, metrics: Optional[MetricsRegistry]
-    ) -> Optional[MetricsRegistry]:
-        """Explicit registry, else the ambient one, else the tracer's."""
-        if metrics is not None:
-            return metrics
-        ambient = current_metrics()
-        if ambient is not None:
-            return ambient
-        return getattr(self._active_tracer(), "metrics", None)
-
     # ------------------------------------------------------- batch executor
 
     def execute_batch(
@@ -422,7 +406,7 @@ class QueryService:
         page service time — the paper's cost model lifted from one
         query to one batch.
         """
-        tracer = self._active_tracer()
+        tracer = current_tracer(self.tracer)
         traced = tracer.enabled
         results: List[Any] = []
         for start, stop in _contiguous_runs(requests):
@@ -477,7 +461,7 @@ class QueryService:
                 batch=batch_id, size=len(requests),
                 batch_ms=round(batch_ms, 6),
             )
-        registry = self._resolve_metrics(metrics)
+        registry = current_metrics(metrics, self.tracer)
         if registry is not None:
             registry.counter("serve_requests_total").inc(len(requests))
             registry.counter("serve_batches_total").inc()
@@ -519,7 +503,7 @@ class QueryService:
         ``completion_ms``, and its monotonicity check turns any
         backwards flush schedule into a hard error.
         """
-        tracer = self._active_tracer()
+        tracer = current_tracer(self.tracer)
         traced = tracer.enabled
         if clock is None:
             clock = VirtualClock()
@@ -712,7 +696,7 @@ class QueryService:
             query=request.query, k=request.k, kind=request.kind,
             high=request.high, tenant=request.tenant, arrival_ms=arrival,
         )
-        tracer = self._active_tracer()
+        tracer = current_tracer(self.tracer)
         if tracer.enabled:
             tracer.record(
                 "serve_enqueue", t_ms=arrival, tenant=stamped.tenant,

@@ -1,9 +1,11 @@
-"""Out-of-core page storage: per-disk mmap page files + MmapStore.
+"""Page storage: the store directory, the one on-disk index format.
 
 The storage layer moves data-page payloads out of process memory into
 one memory-mapped file per simulated disk, while the tree directory
-stays RAM-resident (the paper's shared-directory model).  See
-``docs/storage.md`` for the file format and the charging contract.
+stays RAM-resident (the paper's shared-directory model).  Every
+persisted index — an in-memory ``PagedStore``, a bare tree, a bulk
+load — is such a directory.  See ``docs/storage.md`` for the file
+format and the charging contract.
 """
 
 from __future__ import annotations
@@ -16,9 +18,13 @@ from repro.storage.bulk import (
 )
 from repro.storage.mmap_store import (
     SIMULATED_DISK_MS_ENV,
+    FrozenAssignment,
     MmapStore,
-    load_mmap_store,
-    save_mmap_store,
+    StoreFormatError,
+    load_paged_store,
+    load_tree,
+    save_paged_store,
+    save_tree,
 )
 from repro.storage.pagefile import (
     HEADER_BYTES,
@@ -34,8 +40,12 @@ from repro.storage.spill import SpillFile, sort_segment
 
 __all__ = [
     "MmapStore",
-    "save_mmap_store",
-    "load_mmap_store",
+    "save_paged_store",
+    "load_paged_store",
+    "save_tree",
+    "load_tree",
+    "StoreFormatError",
+    "FrozenAssignment",
     "bulk_load_mmap",
     "stream_bulk_load_mmap",
     "DEFAULT_MAX_RAM_BYTES",

@@ -17,9 +17,10 @@ Non-finite coordinates are rejected at ingest.
 Equivalence: the leaf tiles, leaf MBRs, directory grouping (the one
 builder, :func:`repro.index.bulk._str_directory`), page-to-disk
 assignment (:func:`repro.parallel.paged._decluster_pages`) and header
-(:func:`repro.persistence._store_header`) are those of the in-memory
-route ``bulk_load`` + ``PagedStore`` + ``save_mmap_store``, which writes
-byte-identical files and is the parity reference of the test suite.
+(:func:`repro.storage.mmap_store._store_header`) are those of the
+in-memory route ``bulk_load`` + ``PagedStore`` + ``save_paged_store``,
+which writes byte-identical files and is the parity reference of the
+test suite.
 """
 
 from __future__ import annotations
@@ -57,8 +58,12 @@ from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
 from repro.parallel.cache import CacheConfig
 from repro.parallel.paged import _decluster_pages
-from repro.persistence import _store_header
-from repro.storage.mmap_store import MmapStore, _Gather, _write_store
+from repro.storage.mmap_store import (
+    MmapStore,
+    _Gather,
+    _store_header,
+    _write_store,
+)
 from repro.storage.spill import _PIECE_ROWS, SpillFile, sort_segment
 
 __all__ = [
@@ -427,7 +432,7 @@ def stream_bulk_load_mmap(
     directly (tests use 1 to force maximal spilling).
 
     The output is **byte-identical** to the in-memory route
-    (``save_mmap_store`` of a ``PagedStore`` built by ``bulk_load``) on
+    (``save_paged_store`` of a ``PagedStore`` built by ``bulk_load``) on
     the same data, for any chunk size: the chunked external sort
     reproduces the exact stable-sort permutations of the in-memory STR
     pass, and all downstream arithmetic (tile boundaries, directory

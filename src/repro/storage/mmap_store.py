@@ -1,14 +1,23 @@
-"""Out-of-core paged store: RAM-resident directory arrays, mmap'd data pages.
+"""The store directory: the one on-disk format of every persisted index.
 
 The paper's model keeps the (small) tree directory cached on every
-workstation while data pages live on the disks.  :class:`MmapStore`
-makes that literal: the directory stays in RAM as the flat pre-order
-arrays of ``tree.npz`` (no tree node is built to open a store — the
-process engine reads only arrays), while every leaf *payload* (oids +
-points) lives in its disk's page file (:mod:`repro.storage.pagefile`)
-and is served through a read-only memory map on demand.  ``tree`` /
+workstation while data pages live on the disks.  A store directory makes
+that literal: the directory is the flat pre-order arrays of
+``tree.npz``, while every leaf *payload* (oids + points) lives in its
+disk's page file (:mod:`repro.storage.pagefile`).  This module is
+everything that knows the layout — one writer (:func:`_write_store`,
+behind :func:`save_paged_store`, :func:`save_tree` and the STR loaders
+of :mod:`repro.storage.bulk`), one reader (:class:`MmapStore`, behind
+:func:`load_paged_store` and :func:`load_tree`) and the versioned header
+they share.
+
+:class:`MmapStore` keeps the directory in RAM as arrays (no tree node is
+built to open a store — the process engine reads only arrays) and
+serves payloads through a read-only memory map on demand; ``tree`` /
 ``leaves`` are :class:`~repro.index.node.Node` objects built on first
-use, for the consumers that walk a tree.
+use, for the consumers that walk a tree.  :func:`load_paged_store`
+instead reads every page once and returns an in-memory
+:class:`~repro.parallel.paged.PagedStore`, entries and all.
 
 ``MmapStore`` is a drop-in behind the :class:`~repro.parallel.paged.PagedStore`
 query surface (``tree`` / ``leaves`` / ``page_disks`` / ``disk_of`` /
@@ -24,7 +33,7 @@ clock.  See ``docs/storage.md``.
 
 On-disk layout of a store directory::
 
-    store.json      store header (format version, disks, scheme, cache)
+    store.json      store header (format versions, disks, scheme, cache)
     tree.npz        directory arrays + leaf MBR bounds + page->disk map
     disk0000.pages  page file of disk 0 (see repro.storage.pagefile)
     disk0001.pages  ...
@@ -32,6 +41,7 @@ On-disk layout of a store directory::
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import io
 import json
@@ -44,29 +54,26 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.index.bulk import DIRECTORY_ARRAYS, _materialize
-from repro.index.node import Node
+from repro.index.node import LeafEntry, Node
 from repro.index.rstar import RStarTree
+from repro.index.xtree import XTree
 from repro.parallel.cache import CacheConfig
-from repro.parallel.paged import PagedStore
-from repro.persistence import (
-    FrozenAssignment,
-    _check_store_version,
-    _check_tree_version,
-    _decode_cache,
-    _flatten,
-    _store_header,
-    _tree_shell,
-)
+from repro.parallel.paged import PagedStore, striped_assignment
 from repro.storage.pagefile import (
     PageFile,
     PageFileWriter,
     PageFormatError,
+    payload_bytes,
 )
 
 __all__ = [
     "MmapStore",
-    "save_mmap_store",
-    "load_mmap_store",
+    "save_paged_store",
+    "load_paged_store",
+    "save_tree",
+    "load_tree",
+    "FrozenAssignment",
+    "StoreFormatError",
     "STORE_JSON",
     "TREE_NPZ",
     "SIMULATED_DISK_MS_ENV",
@@ -87,6 +94,142 @@ SIMULATED_DISK_MS_ENV = "REPRO_SIMULATED_DISK_MS"
 
 #: Directory/tree arrays file inside a store directory.
 TREE_NPZ = "tree.npz"
+
+#: Revision of the tree fields of the header (``format_version``).
+_FORMAT_VERSION = 1
+
+#: Revision of the store-level header (disk count, scheme, cache).
+_STORE_FORMAT_VERSION = 1
+
+
+class StoreFormatError(ValueError):
+    """A store directory is from an incompatible format revision."""
+
+
+class FrozenAssignment:
+    """A page-to-disk map restored from disk (a fixed table, not code).
+
+    ``name`` preserves the declustering scheme the table was produced
+    with (round-tripped through the store header), so reports and
+    ``--scheme``-keyed tooling keep working on reloaded stores.
+    """
+
+    def __init__(self, page_disks: np.ndarray, name: str = "frozen"):
+        self.page_disks = np.asarray(page_disks, dtype=np.int64)
+        self.name = name
+
+    def __call__(self, centers: np.ndarray) -> np.ndarray:
+        if len(centers) != len(self.page_disks):
+            raise ValueError(
+                f"store has {len(centers)} pages but the frozen assignment "
+                f"covers {len(self.page_disks)}; re-decluster after updates"
+            )
+        return self.page_disks.copy()
+
+
+def _flatten(tree: RStarTree) -> Dict[str, np.ndarray]:
+    """The :data:`~repro.index.bulk.DIRECTORY_ARRAYS` of ``tree``, from
+    a walk in pre-order."""
+    node_is_leaf: List[bool] = []
+    node_blocks: List[int] = []
+    first_child: List[int] = []
+    child_count: List[int] = []
+    history_nodes: List[int] = []
+    history_axes: List[int] = []
+
+    def visit(node: Node) -> int:
+        node_id = len(node_is_leaf)
+        node_is_leaf.append(node.is_leaf)
+        node_blocks.append(node.blocks)
+        first_child.append(-1)
+        child_count.append(0)
+        for axis in sorted(node.split_history):
+            history_nodes.append(node_id)
+            history_axes.append(axis)
+        if not node.is_leaf:
+            child_ids = [visit(child) for child in node.entries]
+            if child_ids:
+                first_child[node_id] = child_ids[0]
+                child_count[node_id] = len(child_ids)
+        return node_id
+
+    visit(tree.root)
+    return {
+        "node_is_leaf": np.array(node_is_leaf, dtype=bool),
+        "node_blocks": np.array(node_blocks, dtype=np.int64),
+        "first_child": np.array(first_child, dtype=np.int64),
+        "child_count": np.array(child_count, dtype=np.int64),
+        "history_nodes": np.array(history_nodes, dtype=np.int64),
+        "history_axes": np.array(history_axes, dtype=np.int64),
+    }
+
+
+def _tree_header(tree: RStarTree) -> dict:
+    header = {
+        "format_version": _FORMAT_VERSION,
+        "tree_class": type(tree).__name__,
+        "dimension": tree.dimension,
+        "page_bytes": tree.page_bytes,
+        "leaf_cap": tree.leaf_cap,
+        "dir_cap": tree.dir_cap,
+        "min_fill": tree.min_fill,
+        "reinsert_fraction": tree.reinsert_fraction,
+        "size": tree.size,
+    }
+    if isinstance(tree, XTree):
+        header["max_overlap"] = tree.max_overlap
+        header["max_blocks"] = tree.max_blocks
+    return header
+
+
+def _store_header(
+    tree: RStarTree, num_disks: int, scheme: str, cache: Optional[CacheConfig]
+) -> Dict:
+    """Tree header plus the store-level fields: disk count, declustering
+    scheme name, and cache config (plain JSON, nothing pickled) — the
+    one header builder of every store writer."""
+    header = _tree_header(tree)
+    header["store_format_version"] = _STORE_FORMAT_VERSION
+    header["num_disks"] = num_disks
+    header["scheme"] = scheme
+    header["cache"] = None if cache is None else dataclasses.asdict(cache)
+    return header
+
+
+def _check_versions(header: Dict, source: str) -> None:
+    """Fail fast (and clearly) on a header from another revision."""
+    for field, wanted in (
+        ("store_format_version", _STORE_FORMAT_VERSION),
+        ("format_version", _FORMAT_VERSION),
+    ):
+        version = header.get(field)
+        if version != wanted:
+            raise StoreFormatError(
+                f"{source} uses {field.replace('_', ' ')} {version!r}; "
+                f"this build reads version {wanted} — regenerate the "
+                f"store with the current code"
+            )
+
+
+def _tree_shell(header: dict) -> RStarTree:
+    """An empty tree with the class and parameters ``header`` records."""
+    common = dict(
+        page_bytes=header["page_bytes"],
+        leaf_cap=header["leaf_cap"],
+        dir_cap=header["dir_cap"],
+        min_fill=header["min_fill"],
+        reinsert_fraction=header["reinsert_fraction"],
+    )
+    if header["tree_class"] == "XTree":
+        return XTree(
+            header["dimension"],
+            max_overlap=header["max_overlap"],
+            max_blocks=header["max_blocks"],
+            **common,
+        )
+    if header["tree_class"] == "RStarTree":
+        return RStarTree(header["dimension"], **common)
+    raise ValueError(f"unknown tree class {header['tree_class']!r}")
 
 
 def _page_file_name(disk: int) -> str:
@@ -147,7 +290,9 @@ def _write_store(
     that order, so its page file is written front to back,
     :data:`_RUN_BYTES` of consecutive slots per gather and write.
     ``slot_bytes`` defaults to ``page_bytes`` times the widest leaf
-    (supernode-aware), the tight bound under the trees' capacity rules.
+    (supernode-aware), or to the largest page payload where that is
+    more: a tree's leaf capacity never drops below four entries, which
+    at high dimension outgrow a page.
     """
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
@@ -156,7 +301,10 @@ def _write_store(
     counts = np.asarray(arrays["leaf_counts"], dtype=np.int64)
     if slot_bytes is None:
         blocks = arrays["node_blocks"][arrays["node_is_leaf"]]
-        slot_bytes = page_bytes * int(blocks.max())
+        slot_bytes = max(
+            page_bytes * int(blocks.max()),
+            payload_bytes(int(counts.max(initial=0)), dimension),
+        )
     run = max(1, _RUN_BYTES // slot_bytes)
 
     page_slots = np.zeros(len(page_disks), dtype=np.int64)
@@ -180,10 +328,6 @@ def _write_store(
             writer.close()
 
     tree_arrays = {name: arrays[name] for name in DIRECTORY_ARRAYS}
-    # Payloads live in the page files; keep the npz directory-only.
-    tree_arrays["points"] = np.zeros((0, dimension))
-    tree_arrays["oids"] = np.zeros(0, dtype=np.int64)
-    tree_arrays["point_leaf"] = np.zeros(0, dtype=np.int64)
     tree_arrays["leaf_low"] = arrays["leaf_low"]
     tree_arrays["leaf_high"] = arrays["leaf_high"]
     tree_arrays["leaf_counts"] = counts
@@ -201,37 +345,38 @@ def _write_store(
     )
 
 
-def save_mmap_store(
+def save_paged_store(
     store: PagedStore,
     directory: Union[str, os.PathLike],
     slot_bytes: Optional[int] = None,
 ) -> None:
-    """Persist a (in-memory) ``PagedStore`` as an out-of-core store.
+    """Persist an in-memory ``PagedStore`` as a store directory.
 
     The tree directory, leaf MBRs, page-to-disk map, scheme name, and
     cache config go to ``tree.npz``/``store.json``; every leaf payload
     goes to its disk's page file.  ``slot_bytes`` overrides the page
     slot size (a payload larger than the slot raises
     :class:`~repro.storage.pagefile.SlotOverflowError` rather than
-    truncating).
+    truncating).  :func:`load_paged_store` reads the store back into
+    RAM; :class:`MmapStore` serves it from disk.
     """
-    tree = store.tree
+    tree, leaves = store.tree, store.leaves
+    shape = (-1, tree.dimension)
     arrays = _flatten(tree)
-    points, oids = arrays.pop("points"), arrays.pop("oids")
-    counts = [len(leaf.entries) for leaf in store.leaves]
-    edges = np.cumsum([0] + counts)
-
-    def gather(leaves: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        rows = np.concatenate(
-            [np.arange(edges[leaf], edges[leaf + 1]) for leaf in leaves]
-        )
-        return points[rows], oids[rows]
-
-    leaves, shape = store.leaves, (-1, tree.dimension)
     arrays["leaf_low"] = np.array([leaf.mbr.low for leaf in leaves]).reshape(shape)
     arrays["leaf_high"] = np.array([leaf.mbr.high for leaf in leaves]).reshape(shape)
-    arrays["leaf_counts"] = np.array(counts, dtype=np.int64)
+    arrays["leaf_counts"] = np.array(
+        [len(leaf.entries) for leaf in leaves], dtype=np.int64
+    )
     arrays["page_disks"] = store.page_disks
+
+    def gather(pages: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        entries = [
+            entry for page in pages.tolist() for entry in leaves[page].entries
+        ]
+        points = np.array([entry.point for entry in entries]).reshape(shape)
+        return points, np.array([entry.oid for entry in entries], dtype=np.int64)
+
     _write_store(
         directory,
         _store_header(
@@ -242,6 +387,64 @@ def save_mmap_store(
         store.page_bytes,
         slot_bytes,
     )
+
+
+def load_paged_store(directory: Union[str, os.PathLike]) -> PagedStore:
+    """Read a store directory back into an in-memory ``PagedStore``.
+
+    Every page is read once and the tree is rebuilt exactly — the same
+    nodes, entry order and supernode widths — so page-level experiment
+    numbers are bit-for-bit reproducible after a round trip.  The
+    page-to-disk assignment is restored as a :class:`FrozenAssignment`
+    carrying the original scheme name; to re-decluster after structural
+    updates, build a fresh :class:`~repro.parallel.paged.PagedStore`
+    with a real declusterer.  Raises :class:`StoreFormatError` on a
+    format-version mismatch and
+    :class:`~repro.storage.pagefile.PageFormatError` on anything that is
+    not a store directory.
+    """
+    # No simulated service time: a load is not a query.
+    with MmapStore(directory, simulated_disk_ms=0.0) as mapped:
+        tree = _tree_shell(mapped._header)
+        tree.size = len(mapped)
+        entries = []
+        for disk, slot in zip(
+            mapped.page_disks.tolist(), mapped._page_slots.tolist()
+        ):
+            points, oids = mapped._page_file(disk).read_slot(slot)
+            entries.append(
+                [LeafEntry(point, oid) for point, oid in zip(points, oids.tolist())]
+            )
+        _materialize(
+            tree, mapped._directory, mapped._leaf_low, mapped._leaf_high,
+            entries,
+        )
+        return PagedStore(
+            tree=tree,
+            declusterer=mapped.declusterer,
+            num_disks=mapped.num_disks,
+            page_bytes=mapped.page_bytes,
+            cache_config=mapped.cache_config,
+        )
+
+
+def save_tree(tree: RStarTree, directory: Union[str, os.PathLike]) -> None:
+    """Persist a bare tree as a one-disk store directory."""
+    save_paged_store(
+        PagedStore(
+            tree=tree,
+            declusterer=striped_assignment(1),
+            num_disks=1,
+            page_bytes=tree.page_bytes,
+        ),
+        directory,
+    )
+
+
+def load_tree(directory: Union[str, os.PathLike]) -> RStarTree:
+    """The tree of a store directory, entries and all (see
+    :func:`load_paged_store`)."""
+    return load_paged_store(directory).tree
 
 
 class MmapStore:
@@ -285,14 +488,12 @@ class MmapStore:
                 f"{os.fspath(self.directory)!r} is not an mmap store "
                 f"directory (missing {STORE_JSON})"
             )
+        source = f"mmap store {os.fspath(directory)!r}"
         meta = json.loads(meta_path.read_text())
-        _check_store_version(meta, f"mmap store {os.fspath(directory)!r}")
+        _check_versions(meta, source)
         with np.load(self.directory / TREE_NPZ, allow_pickle=False) as data:
             header = json.loads(str(data["header"]))
-            _check_store_version(
-                header, f"mmap store {os.fspath(directory)!r}"
-            )
-            _check_tree_version(header)
+            _check_versions(header, source)
             self._directory = {name: data[name] for name in DIRECTORY_ARRAYS}
             # Row ``i`` of every per-page array is the ``i``-th leaf in
             # pre-order (an empty tree's root leaf is no data page).
@@ -307,8 +508,9 @@ class MmapStore:
         self.page_bytes = int(header["page_bytes"])
         self.num_disks = int(header["num_disks"])
         self.scheme = str(header.get("scheme", "frozen"))
-        self.cache_config: Optional[CacheConfig] = _decode_cache(
-            header.get("cache")
+        cache = header.get("cache")
+        self.cache_config: Optional[CacheConfig] = (
+            None if cache is None else CacheConfig(**cache)
         )
         self.slot_bytes = int(meta["slot_bytes"])
 
@@ -471,8 +673,3 @@ class MmapStore:
             f"pages={len(self.page_disks)}, disks={self.num_disks}, "
             f"scheme={self.scheme!r})"
         )
-
-
-def load_mmap_store(directory: Union[str, os.PathLike]) -> MmapStore:
-    """Open an out-of-core store directory (alias for ``MmapStore(dir)``)."""
-    return MmapStore(directory)

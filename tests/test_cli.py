@@ -93,6 +93,34 @@ class TestObservabilityCommands:
         assert main(["stats", "--scheme", "nonsense", *self.SMALL]) == 2
         assert "unknown declustering scheme" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags", [["--store", "mmap"], ["--engine", "process"]],
+        ids=["mmap", "process"],
+    )
+    def test_out_of_core_trace_matches_memory_and_cleans_up(
+        self, flags, capsys, tmp_path, monkeypatch
+    ):
+        """The out-of-core runs spill the store to a temporary directory:
+        they trace the memory store's page counts and leave nothing
+        behind."""
+        import json
+        import tempfile
+
+        def pages_per_disk(extra):
+            assert main(["trace", *self.SMALL, *extra]) == 0
+            lines = capsys.readouterr().out.strip().splitlines()
+            totals = [0] * 4
+            for record in map(json.loads, lines):
+                if record["kind"] == "page_read":
+                    totals[record["disk"]] += record["pages"]
+            return totals
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        expected = pages_per_disk([])
+        assert sum(expected) > 0
+        assert pages_per_disk(flags) == expected
+        assert list(tmp_path.iterdir()) == []
+
     def test_stats_table(self, capsys):
         assert main(["stats", *self.SMALL]) == 0
         out = capsys.readouterr().out

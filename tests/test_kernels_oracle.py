@@ -38,7 +38,7 @@ from repro.parallel.paged import PagedEngine, PagedStore
 from repro.parallel.process import ProcessParallelEngine
 from repro.parallel.store import DeclusteredStore
 from repro.parallel.window import parallel_window_query
-from repro.storage import MmapStore, save_mmap_store
+from repro.storage import MmapStore, save_paged_store
 from tests.scalar_oracle import scalar_kernels
 
 DIMENSIONS = (2, 8, 16, 32)
@@ -431,7 +431,7 @@ def test_lattice_ties_match_textbook(dimension, tmp_path):
     forest = list(enumerate(tree.root for tree in item.store.trees))
     sequential = SequentialEngine(points)
     paged_store = PagedStore(points, declusterer=declusterer)
-    save_mmap_store(paged_store, tmp_path / "store")
+    save_paged_store(paged_store, tmp_path / "store")
     with MmapStore(tmp_path / "store") as mmap_store, \
             ProcessParallelEngine(mmap_store) as process:
         for query, k in itertools.product(queries, (1, 5, 20)):

@@ -457,6 +457,18 @@ class TestTracerGuardRequired:
             """, self.RULE,
         ) == []
 
+    def test_metrics_resolved_from_a_tracer_are_no_tracer(self, tmp_path):
+        """``current_metrics(metrics, tracer)`` returns a registry: its
+        histograms' ``record`` is aggregate publication, not a span."""
+        assert lint_rule(
+            tmp_path, "src/repro/parallel/helper.py", """\
+            def publish(metrics, tracer, value):
+                registry = current_metrics(metrics, tracer)
+                if registry is not None:
+                    registry.histogram("makespan_ms").record(value)
+            """, self.RULE,
+        ) == []
+
     def test_out_of_scope_module_is_ignored(self, tmp_path):
         assert lint_rule(
             tmp_path, "src/repro/experiments/helper.py", """\

@@ -20,7 +20,7 @@ from repro.parallel.paged import PagedEngine, PagedStore
 from repro.parallel.store import DeclusteredStore
 from repro.parallel.throughput import ThroughputSimulator
 from repro.registry import make_declusterer
-from repro.storage import MmapStore, save_mmap_store
+from repro.storage import MmapStore, save_paged_store
 
 DIMENSION = 4
 DISKS = 5
@@ -145,7 +145,7 @@ def test_rejected_query_opens_no_span(tmp_path):
     points, queries = workload(seed=5)
     store = PagedStore(points, declusterer())
     items = DeclusteredStore(points, declusterer())
-    save_mmap_store(store, tmp_path / "store")
+    save_paged_store(store, tmp_path / "store")
     with MmapStore(tmp_path / "store") as mmap_store:
         for make_engine, mode in (
             (partial(PagedEngine, store), {}),

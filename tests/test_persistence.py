@@ -1,4 +1,6 @@
-"""Tests for exact tree/store serialization."""
+"""Tests for exact tree/store serialization through store directories."""
+
+import json
 
 import numpy as np
 import pytest
@@ -10,14 +12,16 @@ from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
 from repro.parallel.cache import CacheConfig
 from repro.parallel.paged import PagedEngine, PagedStore
-from repro.persistence import (
+from repro.storage import (
     FrozenAssignment,
+    PageFormatError,
     StoreFormatError,
     load_paged_store,
     load_tree,
     save_paged_store,
     save_tree,
 )
+from repro.storage.mmap_store import STORE_JSON, TREE_NPZ
 
 
 def tree_signature(tree):
@@ -40,7 +44,7 @@ def tree_signature(tree):
 class TestTreeRoundTrip:
     def test_bulk_loaded_xtree(self, medium_uniform, tmp_path):
         tree = bulk_load(medium_uniform)
-        path = tmp_path / "tree.npz"
+        path = tmp_path / "tree"
         save_tree(tree, path)
         restored = load_tree(path)
         assert isinstance(restored, XTree)
@@ -51,7 +55,7 @@ class TestTreeRoundTrip:
     def test_dynamic_rstar_tree(self, rng, tmp_path):
         tree = RStarTree(5, leaf_cap=8, dir_cap=8)
         tree.extend(rng.random((400, 5)))
-        path = tmp_path / "rstar.npz"
+        path = tmp_path / "rstar"
         save_tree(tree, path)
         restored = load_tree(path)
         assert isinstance(restored, RStarTree)
@@ -63,7 +67,7 @@ class TestTreeRoundTrip:
         tree = XTree(12, leaf_cap=8, dir_cap=8, max_overlap=0.0)
         tree.extend(rng.random((400, 12)))
         assert tree.supernode_count() > 0
-        path = tmp_path / "super.npz"
+        path = tmp_path / "super"
         save_tree(tree, path)
         restored = load_tree(path)
         assert restored.supernode_count() == tree.supernode_count()
@@ -71,7 +75,7 @@ class TestTreeRoundTrip:
     def test_identical_query_results_and_costs(self, medium_uniform, rng,
                                                tmp_path):
         tree = bulk_load(medium_uniform)
-        path = tmp_path / "tree.npz"
+        path = tmp_path / "tree"
         save_tree(tree, path)
         restored = load_tree(path)
         for query in rng.random((5, 8)):
@@ -82,7 +86,7 @@ class TestTreeRoundTrip:
 
     def test_restored_tree_is_updatable(self, small_uniform, rng, tmp_path):
         tree = bulk_load(small_uniform)
-        path = tmp_path / "tree.npz"
+        path = tmp_path / "tree"
         save_tree(tree, path)
         restored = load_tree(path)
         restored.insert(rng.random(6), 9999)
@@ -91,7 +95,7 @@ class TestTreeRoundTrip:
 
     def test_empty_tree(self, tmp_path):
         tree = XTree(4)
-        path = tmp_path / "empty.npz"
+        path = tmp_path / "empty"
         save_tree(tree, path)
         restored = load_tree(path)
         assert restored.size == 0
@@ -103,7 +107,7 @@ class TestPagedStoreRoundTrip:
             points=medium_uniform,
             declusterer=NearOptimalDeclusterer(8, 8),
         )
-        path = tmp_path / "store.npz"
+        path = tmp_path / "store"
         save_paged_store(store, path)
         restored = load_paged_store(path)
         assert restored.num_disks == store.num_disks
@@ -132,7 +136,7 @@ class TestPagedStoreRoundTrip:
             declusterer=NearOptimalDeclusterer(8, 8),
             cache_config=config,
         )
-        path = tmp_path / "cached_store.npz"
+        path = tmp_path / "cached_store"
         save_paged_store(store, path)
         restored = load_paged_store(path)
         assert restored.cache_config == config
@@ -163,7 +167,7 @@ class TestPagedStoreRoundTrip:
             declusterer=NearOptimalDeclusterer(6, 8),
             cache_config=config,
         )
-        path = tmp_path / "bytes_store.npz"
+        path = tmp_path / "bytes_store"
         save_paged_store(store, path)
         assert load_paged_store(path).cache_config == config
 
@@ -172,7 +176,7 @@ class TestPagedStoreRoundTrip:
             points=small_uniform,
             declusterer=NearOptimalDeclusterer(6, 8),
         )
-        path = tmp_path / "plain_store.npz"
+        path = tmp_path / "plain_store"
         save_paged_store(store, path)
         restored = load_paged_store(path)
         assert restored.cache_config is None
@@ -186,21 +190,21 @@ class TestPagedStoreRoundTrip:
             points=small_uniform,
             declusterer=NearOptimalDeclusterer(6, 8),
         )
-        path = tmp_path / "named_store.npz"
+        path = tmp_path / "named_store"
         save_paged_store(store, path)
         restored = load_paged_store(path)
         assert restored.scheme == store.scheme
         assert restored.declusterer.name == store.declusterer.name
         # And it survives a second generation (save the reloaded store).
-        again = tmp_path / "named_store_2.npz"
+        again = tmp_path / "named_store_2"
         save_paged_store(restored, again)
         assert load_paged_store(again).scheme == store.scheme
 
 
 class TestStoreFormatVersion:
-    """Explicit format-version field and clear mismatch errors."""
+    """Explicit format-version fields and clear mismatch errors."""
 
-    def _saved(self, small_uniform, tmp_path, name="versioned.npz"):
+    def _saved(self, small_uniform, tmp_path, name="versioned"):
         store = PagedStore(
             points=small_uniform,
             declusterer=NearOptimalDeclusterer(6, 4),
@@ -210,10 +214,9 @@ class TestStoreFormatVersion:
         return path
 
     @staticmethod
-    def _rewrite_header(path, mutate):
-        """Round-trip the npz, applying ``mutate`` to the JSON header."""
-        import json
-
+    def _rewrite_npz_header(directory, mutate):
+        """Round-trip ``tree.npz``, applying ``mutate`` to its header."""
+        path = directory / TREE_NPZ
         with np.load(path, allow_pickle=False) as data:
             arrays = {key: data[key] for key in data.files}
         header = json.loads(str(arrays["header"]))
@@ -221,24 +224,32 @@ class TestStoreFormatVersion:
         arrays["header"] = np.array(json.dumps(header))
         np.savez_compressed(path, **arrays)
 
+    @staticmethod
+    def _rewrite_store_json(directory, mutate):
+        """Apply ``mutate`` to the ``store.json`` header."""
+        path = directory / STORE_JSON
+        header = json.loads(path.read_text())
+        mutate(header)
+        path.write_text(json.dumps(header))
+
     def test_header_declares_store_format_version(
         self, small_uniform, tmp_path
     ):
-        import json
-
         path = self._saved(small_uniform, tmp_path)
-        with np.load(path, allow_pickle=False) as data:
-            header = json.loads(str(data["header"]))
-        assert header["store_format_version"] == 1
-        assert header["format_version"] == 1
-        assert header["scheme"] == "new"
-        assert header["cache"] is None
+        with np.load(path / TREE_NPZ, allow_pickle=False) as data:
+            headers = [json.loads(str(data["header"]))]
+        headers.append(json.loads((path / STORE_JSON).read_text()))
+        for header in headers:
+            assert header["store_format_version"] == 1
+            assert header["format_version"] == 1
+            assert header["scheme"] == "new"
+            assert header["cache"] is None
 
     def test_store_version_mismatch_is_clear(
         self, small_uniform, tmp_path
     ):
         path = self._saved(small_uniform, tmp_path)
-        self._rewrite_header(
+        self._rewrite_npz_header(
             path, lambda h: h.update(store_format_version=99)
         )
         with pytest.raises(StoreFormatError, match="store format version"):
@@ -247,10 +258,10 @@ class TestStoreFormatVersion:
     def test_missing_store_version_is_rejected(
         self, small_uniform, tmp_path
     ):
-        """Files from before the explicit version field don't load
+        """Stores from before the explicit version field don't load
         silently."""
         path = self._saved(small_uniform, tmp_path)
-        self._rewrite_header(
+        self._rewrite_store_json(
             path, lambda h: h.pop("store_format_version")
         )
         with pytest.raises(StoreFormatError, match="None"):
@@ -258,24 +269,38 @@ class TestStoreFormatVersion:
 
     def test_tree_version_mismatch_is_clear(self, small_uniform, tmp_path):
         path = self._saved(small_uniform, tmp_path)
-        self._rewrite_header(path, lambda h: h.update(format_version=2))
+        self._rewrite_npz_header(path, lambda h: h.update(format_version=2))
         with pytest.raises(StoreFormatError, match="format version"):
             load_paged_store(path)
         # Plain trees give the same clear failure.
-        tree_path = tmp_path / "tree.npz"
+        tree_path = tmp_path / "tree"
         save_tree(bulk_load(small_uniform, tree_cls=XTree), tree_path)
-        self._rewrite_header(
+        self._rewrite_store_json(
             tree_path, lambda h: h.update(format_version=0)
         )
         with pytest.raises(StoreFormatError, match="version 1"):
             load_tree(tree_path)
+
+    def test_single_file_npz_is_refused(self, small_uniform, tmp_path):
+        """A path to a single-file ``.npz`` (the format before store
+        directories) is not a store directory: it is refused, not
+        misread."""
+        path = tmp_path / "old_store.npz"
+        np.savez_compressed(
+            path,
+            header=np.array(json.dumps({"store_format_version": 1})),
+            points=small_uniform,
+        )
+        with pytest.raises(PageFormatError, match="not an mmap store directory"):
+            load_paged_store(path)
+        with pytest.raises(PageFormatError, match="not an mmap store directory"):
+            load_tree(path)
 
 
 class TestPersistencePropertyBased:
     """Round trips over randomly built dynamic trees."""
 
     def test_random_dynamic_trees_roundtrip(self, tmp_path):
-        import numpy as np
         from hypothesis import HealthCheck, given, settings
         from hypothesis import strategies as st
 
@@ -290,7 +315,7 @@ class TestPersistencePropertyBased:
             rng = np.random.default_rng(seed)
             tree = XTree(dimension, leaf_cap=6, dir_cap=6)
             tree.extend(rng.random((count, dimension)))
-            path = tmp_path / f"t{seed}.npz"
+            path = tmp_path / f"t{seed}"
             save_tree(tree, path)
             restored = load_tree(path)
             assert tree_signature(restored) == tree_signature(tree)

@@ -40,7 +40,7 @@ from repro.parallel.process import (
     _worker_main,
     _worker_query,
 )
-from repro.storage import SIMULATED_DISK_MS_ENV, MmapStore, save_mmap_store
+from repro.storage import SIMULATED_DISK_MS_ENV, MmapStore, save_paged_store
 from repro.storage.pagefile import PageFormatError
 from tests.scalar_oracle import scalar_kernels
 from tests.test_storage_lifetimes import _open_fds
@@ -54,7 +54,7 @@ def store_dir(tmp_path_factory):
         declusterer=NearOptimalDeclusterer(6, 4),
     )
     directory = tmp_path_factory.mktemp("process") / "store"
-    save_mmap_store(store, directory)
+    save_paged_store(store, directory)
     return directory
 
 
@@ -130,7 +130,7 @@ class TestParity:
             declusterer=NearOptimalDeclusterer(2, 4),
         )
         directory = tmp_path / "tiny"
-        save_mmap_store(store, directory)
+        save_paged_store(store, directory)
         with MmapStore(directory) as tiny:
             assert tiny.tree.root.is_leaf
             reference = PagedEngine(tiny, cache=None)
@@ -159,7 +159,7 @@ def _assert_parity(paged_store, directory, queries, ks, max_k=64):
     """``query`` and ``query_batch`` of a process engine over
     ``paged_store`` (saved to ``directory``) match ``PagedEngine``;
     returns the last per-call result and its speculative page count."""
-    save_mmap_store(paged_store, directory)
+    save_paged_store(paged_store, directory)
     with MmapStore(directory) as store:
         reference = PagedEngine(store, cache=None)
         with ProcessParallelEngine(store, max_k=max_k) as engine:
@@ -336,7 +336,7 @@ class TestBatchPageMemo:
         for leaf in paged.leaves:
             if paged.disk_of(leaf) == 2:
                 leaf.entries = []
-        save_mmap_store(paged, tmp_path / "shapes")
+        save_paged_store(paged, tmp_path / "shapes")
         with MmapStore(tmp_path / "shapes") as store:
             counting = _CountingStore(store)
             counts, blocks = store.disk_table(0)[3:]
@@ -377,7 +377,7 @@ class TestBatchPageMemo:
             points=rng.random((80, 3)),
             declusterer=NearOptimalDeclusterer(3, 2),
         )
-        save_mmap_store(paged, tmp_path / "skew")
+        save_paged_store(paged, tmp_path / "skew")
         with MmapStore(tmp_path / "skew") as store:
             store.disk_table(0)[3][0] -= 1
             source = _DiskPages(store, 0)
@@ -816,7 +816,7 @@ class TestLedgerOracle:
     @given(case=_ledger_cases())
     def test_ledger_counts_equal_directory_sweep(self, case):
         with tempfile.TemporaryDirectory() as scratch:
-            save_mmap_store(_case_store(case), os.path.join(scratch, "store"))
+            save_paged_store(_case_store(case), os.path.join(scratch, "store"))
             with MmapStore(os.path.join(scratch, "store")) as store:
                 reference = PagedEngine(store, cache=None)
                 for query in case["queries"]:
@@ -854,7 +854,7 @@ class TestLedgerOracle:
             points=np.random.default_rng(2).random((20, 3)),
             declusterer=NearOptimalDeclusterer(3, 2),
         )
-        save_mmap_store(store, tmp_path / "leaf")
+        save_paged_store(store, tmp_path / "leaf")
         with MmapStore(tmp_path / "leaf") as tiny:
             assert tiny.tree.root.is_leaf
             query = np.full(3, 0.5)
@@ -895,7 +895,7 @@ class TestChunkCapIndependence:
         identical, and equal ``PagedEngine``'s."""
         k = case["k"]
         with tempfile.TemporaryDirectory() as scratch:
-            save_mmap_store(_case_store(case), os.path.join(scratch, "store"))
+            save_paged_store(_case_store(case), os.path.join(scratch, "store"))
             with MmapStore(os.path.join(scratch, "store")) as store:
                 seen = []
                 widest = int(store.disk_loads().max())

@@ -59,6 +59,24 @@ class TestPublicAPI:
                 names.split()
             ), function
 
+    def test_persistence_signatures(self):
+        """Every persisted index is a store directory: one writer and
+        one reader signature per kind of index."""
+        expected = {
+            repro.save_paged_store: "store directory slot_bytes",
+            repro.load_paged_store: "directory",
+            repro.save_tree: "tree directory",
+            repro.load_tree: "directory",
+        }
+        for function, names in expected.items():
+            assert list(inspect.signature(function).parameters) == (
+                names.split()
+            ), function
+        slot_bytes = inspect.signature(repro.save_paged_store).parameters[
+            "slot_bytes"
+        ]
+        assert slot_bytes.default is None
+
     def test_docstring_quickstart_runs(self):
         points = np.random.default_rng(0).random((5000, 8))
         store = repro.PagedStore(

@@ -6,6 +6,7 @@ hooks, the smoke-matrix CLI, and the pytest fixture.
 """
 
 import json
+import tempfile
 
 import numpy as np
 import pytest
@@ -280,8 +281,12 @@ class TestRngGuard:
 
 
 class TestSmokeMatrixAndCli:
-    def test_smoke_matrix_is_clean(self):
+    def test_smoke_matrix_is_clean(self, tmp_path, monkeypatch):
+        """Clean, and the out-of-core cell's store directory is removed
+        afterwards."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         assert smoke_matrix(seeds=(None, 11), **SMALL) == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_traced_run_passes_stream_checks(self):
         store = _small_store("col")

@@ -9,6 +9,7 @@ reference — including the buffer-pool charging contract and the scalar
 kernel fallback.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -16,9 +17,10 @@ import pytest
 
 from repro.core import NearOptimalDeclusterer
 from repro.index.node import Node
+from repro.index.rstar import RStarTree
+from repro.index.xtree import XTree
 from repro.parallel.cache import CacheConfig
-from repro.parallel.paged import PagedEngine, PagedStore
-from repro.persistence import StoreFormatError
+from repro.parallel.paged import PagedEngine, PagedStore, striped_assignment
 from repro.storage import (
     HEADER_BYTES,
     MmapStore,
@@ -27,10 +29,12 @@ from repro.storage import (
     PageFileWriter,
     PageFormatError,
     SlotOverflowError,
+    StoreFormatError,
     bulk_load_mmap,
-    load_mmap_store,
+    load_paged_store,
     payload_bytes,
-    save_mmap_store,
+    save_paged_store,
+    stream_bulk_load_mmap,
 )
 from tests.scalar_oracle import scalar_kernels
 
@@ -54,7 +58,7 @@ def paged_store(small_uniform):
 @pytest.fixture
 def store_dir(paged_store, tmp_path):
     directory = tmp_path / "store"
-    save_mmap_store(paged_store, directory)
+    save_paged_store(paged_store, directory)
     return directory
 
 
@@ -340,18 +344,17 @@ def _assert_row(points, oids, row, want_points, want_oids):
 
 class TestMmapStoreRoundTrip:
     def test_surface_matches_paged_store(self, paged_store, store_dir):
-        store = load_mmap_store(store_dir)
-        assert store.out_of_core
-        assert len(store) == len(paged_store)
-        assert store.num_disks == paged_store.num_disks
-        assert store.scheme == paged_store.scheme
-        assert np.array_equal(store.page_disks, paged_store.page_disks)
-        assert np.array_equal(store.disk_loads(),
-                              paged_store.disk_loads())
-        for ours, theirs in zip(store.leaves, paged_store.leaves):
-            assert store.disk_of(ours) == paged_store.disk_of(theirs)
-            assert store.entry_count(ours) == len(theirs.entries)
-        store.close()
+        with MmapStore(store_dir) as store:
+            assert store.out_of_core
+            assert len(store) == len(paged_store)
+            assert store.num_disks == paged_store.num_disks
+            assert store.scheme == paged_store.scheme
+            assert np.array_equal(store.page_disks, paged_store.page_disks)
+            assert np.array_equal(store.disk_loads(),
+                                  paged_store.disk_loads())
+            for ours, theirs in zip(store.leaves, paged_store.leaves):
+                assert store.disk_of(ours) == paged_store.disk_of(theirs)
+                assert store.entry_count(ours) == len(theirs.entries)
 
     def test_payloads_are_bit_exact(self, paged_store, store_dir):
         with MmapStore(store_dir) as store:
@@ -436,7 +439,7 @@ class TestMmapStoreRoundTrip:
         for leaf in paged_store.leaves[::3]:
             leaf.blocks = 2
         directory = tmp_path / "supernodes"
-        save_mmap_store(paged_store, directory)
+        save_paged_store(paged_store, directory)
         slept = []
         monkeypatch.setattr(
             "repro.storage.mmap_store.time.sleep", slept.append
@@ -461,7 +464,7 @@ class TestMmapStoreRoundTrip:
             declusterer=NearOptimalDeclusterer(6, 8),
         )
         directory = tmp_path / "sparse"
-        save_mmap_store(store, directory)
+        save_paged_store(store, directory)
         with MmapStore(directory) as reopened:
             loads = reopened.disk_loads()
             assert (loads == 0).any()
@@ -489,7 +492,7 @@ class TestMmapStoreRoundTrip:
 
     def test_slot_too_small_raises_at_save(self, paged_store, tmp_path):
         with pytest.raises(SlotOverflowError):
-            save_mmap_store(
+            save_paged_store(
                 paged_store, tmp_path / "tiny", slot_bytes=32
             )
 
@@ -513,12 +516,66 @@ class TestMmapStoreRoundTrip:
             cache_config=config,
         )
         directory = tmp_path / "cached"
-        save_mmap_store(store, directory)
+        save_paged_store(store, directory)
         with MmapStore(directory) as reopened:
             assert reopened.cache_config == config
             engine = PagedEngine(reopened)
             assert engine.cache is not None
             assert engine.cache.capacity_pages == 32
+
+
+#: ``(dimension, leaf_cap)`` of trees whose leaves outgrow one 4 KiB
+#: page: a leaf never holds fewer than four entries (4 128 bytes at
+#: d = 128, 6 432 at d = 200), and a custom ``leaf_cap`` may hold more.
+WIDE_LEAVES = {"d128": (128, None), "d200": (200, None), "leaf_cap200": (5, 200)}
+
+
+class TestWideSlots:
+    """The default slot fits the widest page payload, on every writer."""
+
+    @pytest.mark.parametrize(
+        "route", ["save_paged_store", "bulk_load_mmap", "stream_bulk_load_mmap"]
+    )
+    @pytest.mark.parametrize("case", sorted(WIDE_LEAVES))
+    def test_round_trip(self, case, route, tmp_path):
+        dimension, leaf_cap = WIDE_LEAVES[case]
+        points = np.random.default_rng(9).random((300, dimension))
+        tree_cls = XTree
+        if leaf_cap is not None:
+            tree_cls = functools.partial(RStarTree, leaf_cap=leaf_cap)
+        directory = tmp_path / "store"
+        if route == "save_paged_store":
+            tree = tree_cls(dimension)
+            tree.extend(points)
+            save_paged_store(
+                PagedStore(
+                    tree=tree, declusterer=striped_assignment(2), num_disks=2
+                ),
+                directory,
+            )
+            restored = load_paged_store(directory).tree
+            assert [
+                [entry.oid for entry in leaf.entries] for leaf in restored.leaves()
+            ] == [[entry.oid for entry in leaf.entries] for leaf in tree.leaves()]
+        else:
+            build = {
+                "bulk_load_mmap": bulk_load_mmap,
+                "stream_bulk_load_mmap": functools.partial(
+                    stream_bulk_load_mmap, chunk_rows=64
+                ),
+            }[route]
+            build(
+                points, striped_assignment(2), directory, num_disks=2,
+                tree_cls=tree_cls,
+            ).close()
+        with MmapStore(directory) as store:
+            assert store.slot_bytes > store.page_bytes
+            pages = [store.read_page(leaf) for leaf in store.leaves]
+        oids = np.concatenate([page[1] for page in pages])
+        order = np.argsort(oids)
+        assert oids[order].tolist() == list(range(len(points)))
+        stored = np.concatenate([page[0] for page in pages])[order]
+        assert stored.tobytes() == points.tobytes()
 
 
 def _preorder(node):
@@ -557,7 +614,7 @@ class TestLazyTree:
             leaf.blocks = 2
         for index, node in enumerate(nodes[::4]):
             node.split_history.update({index % 6, 5})
-        save_mmap_store(paged_store, tmp_path / "store")
+        save_paged_store(paged_store, tmp_path / "store")
         with MmapStore(tmp_path / "store") as store:
             tree = store.tree
             assert type(tree) is type(paged_store.tree)
@@ -596,7 +653,7 @@ class TestLazyTree:
         empty = PagedStore(
             points=np.zeros((0, 3)), declusterer=NearOptimalDeclusterer(3, 2)
         )
-        save_mmap_store(empty, tmp_path / "empty")
+        save_paged_store(empty, tmp_path / "empty")
         with MmapStore(tmp_path / "empty") as store:
             assert len(store) == 0 and store.dimension == 3
             assert store.disk_loads().tolist() == [0, 0]

@@ -27,7 +27,7 @@ from repro.core import NearOptimalDeclusterer
 from repro.index.node import Node
 from repro.parallel.paged import PagedStore
 from repro.parallel.process import _DiskPages, _worker_query
-from repro.storage import MmapStore, save_mmap_store
+from repro.storage import MmapStore, save_paged_store
 from repro.storage.pagefile import (
     PageFile,
     PageFileWriter,
@@ -47,7 +47,7 @@ def store_dir(rng, tmp_path):
         declusterer=NearOptimalDeclusterer(6, 4),
     )
     directory = tmp_path / "store"
-    save_mmap_store(store, directory)
+    save_paged_store(store, directory)
     return directory
 
 
@@ -227,7 +227,7 @@ class TestExceptionPathLifetimes:
         )
         for leaf in paged.leaves[::3]:
             leaf.blocks = 2  # multi-block pages are always read through
-        save_mmap_store(paged, tmp_path / "store")
+        save_paged_store(paged, tmp_path / "store")
         query = np.full(6, 0.5)
         before_fds = _open_fds()
         before_maps = _live_mmaps()

@@ -4,7 +4,7 @@ The loader's contract is *byte identity*: for any dataset, chunk size,
 and source kind (array, ``.npy`` path, chunk iterator), the
 ``store.json`` / ``tree.npz`` / per-disk page files it writes must be
 ``filecmp``-identical to what the in-memory route — ``bulk_load`` +
-``PagedStore`` + ``save_mmap_store`` — writes for the same inputs.  That
+``PagedStore`` + ``save_paged_store`` — writes for the same inputs.  That
 route builds real leaf entries and never runs the loader's code, so the
 loader is never compared with itself.  Hypothesis draws the datasets
 and chunk sizes (including ``chunk_rows=1`` — maximal spilling — and
@@ -44,7 +44,7 @@ from repro.storage import (
     MmapStore,
     SpillFile,
     bulk_load_mmap,
-    save_mmap_store,
+    save_paged_store,
     sort_segment,
     stream_bulk_load_mmap,
 )
@@ -87,8 +87,8 @@ def assert_stores_identical(reference: Path, candidate: Path):
 
 def build_reference(points, declusterer, directory, oids=None):
     """The parity reference: ``bulk_load`` + ``PagedStore`` +
-    ``save_mmap_store`` — the in-memory route, not the loader."""
-    save_mmap_store(PagedStore(points, declusterer, oids=oids), directory)
+    ``save_paged_store`` — the in-memory route, not the loader."""
+    save_paged_store(PagedStore(points, declusterer, oids=oids), directory)
 
 
 def build_pair(points, tmp_path, *, num_disks=4, oids=None, **stream_kwargs):
