@@ -19,14 +19,14 @@ end:
   pipelined :class:`~repro.parallel.process.ProcessParallelEngine`: cold
   and warm ms/query for the per-call dispatch path, then the same pass
   through the ``query_batch`` fast path (the same shared-memory query
-  ring with two queries in flight, and every page decoded once per
-  batch into the worker's page buffer).  Batch results are re-checked
+  ring with two queries in flight, and every page's disk service time
+  paid once per batch).  Batch results are re-checked
   bit-for-bit against the per-call results at every rung, and the run
   **fails** unless batch pages/sec strictly beats per-call pages/sec on
   every 4-disk rung — the throughput claim the pipelining exists for.
   The child also reports the query phase's own high-water marks — the
   coordinator's and the largest disk worker's, interpreter, mapped
-  page-file pages and page buffer included — and the run **fails** if
+  page-file pages and chunk gathers included — and the run **fails** if
   the largest process of the phase exceeds the same bound
   (``query_rss_ok``).
 
@@ -446,7 +446,7 @@ def run(
         "the query phase runs in a second fresh child; "
         "query_peak_rss_mb is the high-water RSS of its largest "
         "process (coordinator or one disk worker: interpreter, mapped "
-        "page-file pages and the decoded page buffer) and must stay "
+        "page-file pages and the chunk gathers) and must stay "
         "under the same bound (query_rss_ok)."
     )
     table.add_note(
@@ -461,8 +461,8 @@ def run(
         "per-call = one post/collect through the shared-memory query "
         "ring per query; batch = pipelined query_batch (the same ring "
         "with depth-2 banks in flight, and batch-scoped page reuse: a "
-        "page visited by several of the batch's queries is fetched "
-        "and decoded once per worker, not once per query)."
+        "page visited by several of the batch's queries pays its disk "
+        "service time once per worker, not once per query)."
     )
 
     for comparison in comparisons:

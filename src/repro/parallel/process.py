@@ -9,10 +9,10 @@ process that maps only its own page file and answers a query with a
 (:meth:`MmapStore.disk_table`), one stable ``argsort``, then that
 ascending-``mindist`` order — the order HS 95 best-first visits the
 disk's leaves in — is walked in chunks that double (1, 2, 4, ... up to
-:data:`_MAX_CHUNK_PAGES`).  A chunk's pages are decoded straight from
-the page-file mapping into padded rows by one multi-slot gather (once
-per batch: :class:`_DiskPages`), scored with one ``point_keys`` call
-and folded into an array top-k, so what a worker pays per page is
+:data:`_MAX_CHUNK_PAGES`).  A chunk's pages are one gather from the
+page-file mapping, whose slots already hold the ``+inf``-padded rows
+the scan scores (:class:`_DiskPages`), scored with one ``point_keys``
+call and folded into an array top-k, so what a worker pays per page is
 numpy arithmetic, not interpreter time.
 Workers cooperate through a **shared monotonically tightening kNN
 pruning bound** (a ``multiprocessing`` top-k distance array): every
@@ -226,47 +226,23 @@ def _exact_counts(
     return counts, computations
 
 
-def _page_rows(rows: int, width: int, dimension: int) -> Tuple[np.ndarray, np.ndarray]:
-    """An unwritten ``(points, oids)`` block of ``rows`` pages of ``width``
-    entries (``np.empty``: a row costs no RSS until written)."""
-    return np.empty((rows, width, dimension)), np.empty((rows, width), np.int64)
-
-
 class _DiskPages:
-    """One disk's data pages, decoded: the page source of a worker.
+    """One disk's data pages: the page source of a worker.
 
-    Every read is one ``read_pages`` gather (its simulated service time
-    slept) that decodes the pages straight from the mapping into rows of
-    a block this source owns.  Rows are as wide as the disk's largest
-    one-block page; shorter pages are padded with ``+inf`` points, whose
-    ``inf`` keys never pass ``key < bound``.  Consecutive kNN spheres of
-    a batch overlap heavily, so inside a batch scope (:meth:`scope`) a
-    page is read the first time it is wanted, into its row of one
-    worker-lifetime buffer, and afterwards a chunk is one gather of
-    decoded rows.  Per-call queries hold nothing: a chunk is read into
-    the head of a :data:`_MAX_CHUNK_PAGES`-row block.  Multi-block pages
-    (one would widen every row) and pages past :attr:`_CAP` are read
-    through, into a block as wide as the widest of them, every time.
+    A chunk is one ``read_pages`` gather of the pages' scan rows, as the
+    page file stores them: ``W`` rows a page, ``+inf`` points past its
+    count, whose ``inf`` keys never pass ``key < bound``.  What this
+    source decides is only who owes the simulated service time.  Per
+    call (batch serial 0) every fetch does.  Consecutive kNN spheres of
+    a batch overlap heavily, and a page the batch already fetched is
+    warm, so inside a batch scope (:meth:`scope`) a page owes it the
+    first time it is wanted and never again — supernodes included.
     *Charged* page counts come from the ledgers, not from here.
     """
 
-    #: Most pages held (~44 MB of twenty-point d=16 pages).
-    _CAP = 16384
-
     def __init__(self, store: Any, disk: int):
         self._store, self._disk = store, disk
-        _, _, _, self._entries, blocks = store.disk_table(disk)
-        pages = len(blocks)
-        stride = int(self._entries[blocks == 1].max(initial=0))
-        self._keep = (blocks == 1) & (np.arange(pages) < self._CAP)
-        self._held = np.zeros(pages, dtype=bool)
-        self._points, self._oids = _page_rows(
-            min(pages, self._CAP), stride, store.dimension
-        )
-        self._block = _page_rows(
-            min(pages, _MAX_CHUNK_PAGES), stride, store.dimension
-        )
-        self._reads_through = not self._keep.all()
+        self._held = np.zeros(len(store.disk_table(disk)[2]), dtype=bool)
         self._batch = 0
 
     def scope(self, batch: int) -> None:
@@ -275,38 +251,15 @@ class _DiskPages:
             self._batch = batch
             self._held[:] = False
 
-    def _read(
-        self, pages: np.ndarray, block: Tuple[np.ndarray, ...], rows: np.ndarray
-    ) -> None:
-        if len(pages):
-            self._store.read_pages(self._disk, pages, *block, rows)
-
     def chunk(self, pages: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The stacked ``(points, oids)`` of table rows ``pages``, padding
-        rows included (in no particular order)."""
-        dimension = self._points.shape[2]
-        through = pages[:0]
-        if self._reads_through:
-            keep = self._keep[pages]
-            pages, through = pages[keep], pages[~keep]
-        if self._batch:
-            fresh = pages[~self._held[pages]]
-            self._read(fresh, (self._points, self._oids), fresh)
-            self._held[fresh] = True
-            points, oids = self._points[pages], self._oids[pages]
-        else:
-            count = len(pages)
-            self._read(pages, self._block, np.arange(count))
-            points, oids = self._block[0][:count], self._block[1][:count]
-        points, oids = points.reshape(-1, dimension), oids.reshape(-1)
-        if len(through):
-            wide = _page_rows(
-                len(through), int(self._entries[through].max()), dimension
-            )
-            self._read(through, wide, np.arange(len(through)))
-            points = np.concatenate((points, wide[0].reshape(-1, dimension)))
-            oids = np.concatenate((oids, wide[1].reshape(-1)))
-        return points, oids
+        """The stacked ``(points, oids)`` of table rows ``pages`` (distinct),
+        padding rows included."""
+        if not self._batch:
+            return self._store.read_pages(self._disk, pages)
+        fresh = ~self._held[pages]
+        rows = self._store.read_pages(self._disk, pages, fresh)
+        self._held[pages] = True
+        return rows
 
 
 def _worker_query(
@@ -320,7 +273,7 @@ def _worker_query(
     """One kNN query on one disk's worker: a page-major frontier scan.
 
     ``table`` is the disk's :meth:`MmapStore.disk_table`; ``source``
-    decodes rows of it.  Pages are taken in ascending ``mindist`` — the
+    gathers rows of it.  Pages are taken in ascending ``mindist`` — the
     order best-first search pops a disk's leaves in — one doubling
     chunk at a time: a chunk is the next pages whose ``mindist`` does
     not exceed ``min(local k-th key, shared bound)`` as of the chunk's
@@ -408,9 +361,8 @@ def _worker_main(
     it, so a bank a worker enters has always been fully read.
 
     The slot's batch serial scopes the worker's :class:`_DiskPages`: 0
-    is a per-call query (nothing held: every fetch pays); within one
-    non-zero serial a page is fetched and decoded once, into a buffer
-    that lives as long as the worker.  ``k == 0`` stops the worker.
+    is a per-call query (every fetch pays its service time); within one
+    non-zero serial a page pays it once.  ``k == 0`` stops the worker.
     """
     from repro.storage.mmap_store import MmapStore
 
@@ -423,7 +375,9 @@ def _worker_main(
     # glibc maps every block above its mmap threshold (128 KB at start)
     # afresh, faults it in and unmaps it on free, and trims the heap top
     # likewise; one freed large block raises both thresholds for good,
-    # so the scan's directory-sized temporaries come from a warm heap.
+    # so the scan's chunk gathers and directory-sized temporaries come
+    # from a warm heap (worker minor faults per query without it: 397
+    # vs 56 on 1024 pages of d = 16, 1 099 vs 158 on 4096).
     np.empty(1 << 24, dtype=np.uint8)
     store = MmapStore(directory, simulated_disk_ms=simulated_disk_ms)
     try:
@@ -557,6 +511,9 @@ class ProcessParallelEngine:
     def _ensure_workers(self) -> None:
         if self._procs:
             return
+        # A bad page file raises its PageFormatError here, before a
+        # worker could die of it where only its stderr would say why.
+        self.store.check_page_files()
         ctx = self._ctx
         depth = _PIPELINE_DEPTH
         num_disks = self.store.num_disks
@@ -860,10 +817,9 @@ class ProcessParallelEngine:
         score pages for query ``j + 1`` while the coordinator is still
         merging query ``j``.  Each worker also reuses pages *across*
         the batch's queries (:class:`_DiskPages`): a page whose MBR
-        intersects several of the batch's kNN spheres is fetched and
-        decoded once, not once per query — the structural throughput
-        edge over per-call dispatch, whose unit of work is a single
-        query.
+        intersects several of the batch's kNN spheres pays its service
+        time once, not once per query — the structural throughput edge
+        over per-call dispatch, whose unit of work is a single query.
 
         Results are bit-for-bit identical to calling :meth:`query` per
         query (and to ``PagedEngine``): the merge and the post-hoc

@@ -98,8 +98,9 @@ TREE_NPZ = "tree.npz"
 #: Revision of the tree fields of the header (``format_version``).
 _FORMAT_VERSION = 1
 
-#: Revision of the store-level header (disk count, scheme, cache).
-_STORE_FORMAT_VERSION = 1
+#: Revision of the store-level header (disk count, scheme, cache) and of
+#: the page files it names: 2 lays slots out in the scan's rows.
+_STORE_FORMAT_VERSION = 2
 
 
 class StoreFormatError(ValueError):
@@ -206,7 +207,7 @@ def _check_versions(header: Dict, source: str) -> None:
         if version != wanted:
             raise StoreFormatError(
                 f"{source} uses {field.replace('_', ' ')} {version!r}; "
-                f"this build reads version {wanted} — regenerate the "
+                f"this build reads version {wanted} — rebuild the "
                 f"store with the current code"
             )
 
@@ -288,11 +289,12 @@ def _write_store(
     ``leaf_counts`` and ``page_disks``; ``gather`` serves the pages'
     ``(points, oids)`` in that order.  A disk's slots are numbered in
     that order, so its page file is written front to back,
-    :data:`_RUN_BYTES` of consecutive slots per gather and write.
-    ``slot_bytes`` defaults to ``page_bytes`` times the widest leaf
-    (supernode-aware), or to the largest page payload where that is
-    more: a tree's leaf capacity never drops below four entries, which
-    at high dimension outgrow a page.
+    :data:`_RUN_BYTES` of consecutive slots per gather and write, in
+    rows as wide as the disk's fullest page.  ``slot_bytes`` defaults
+    to ``page_bytes`` times the widest leaf (supernode-aware), or to
+    the largest page payload where that is more: a tree's leaf capacity
+    never drops below four entries, which at high dimension outgrow a
+    page.
     """
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
@@ -317,6 +319,7 @@ def _write_store(
             num_slots=len(own),
             slot_bytes=slot_bytes,
             dimension=dimension,
+            width=int(counts[own].max(initial=0)),
             page_bytes=page_bytes,
         )
         try:
@@ -582,9 +585,12 @@ class MmapStore:
             )
         handle = self._page_files.get(disk)
         if handle is None:
-            _, _, slots, counts, _ = self.disk_table(disk)
+            # Not disk_table: check_page_files runs this for every disk,
+            # and a table copies its disk's MBR bounds.
+            own = self.page_disks == disk
             handle = PageFile(self.directory / _page_file_name(disk))
             self._page_files[disk] = handle  # close() owns it from here
+            slots, counts = self._page_slots[own], self._counts[own]
             if (handle.entry_counts(slots) > counts).any():
                 self._page_files.pop(disk).close()
                 raise PageFormatError(
@@ -628,23 +634,32 @@ class MmapStore:
         return table
 
     def read_pages(
-        self, disk: int, pages: np.ndarray, points: np.ndarray,
-        oids: np.ndarray, rows: np.ndarray,
-    ) -> None:
+        self, disk: int, pages: np.ndarray, owed: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Fetch several of one disk's data pages with a single gather.
 
-        ``pages`` indexes rows of :meth:`disk_table`; page ``pages[i]``
-        is decoded into row ``rows[i]`` of the caller's ``points`` /
-        ``oids`` by :meth:`PageFile.read_slots`.  The simulated service
-        time of every block fetched is owed in full and slept once, by
-        the caller that issued the gather.
+        ``pages`` indexes rows of :meth:`disk_table`; the result is
+        :meth:`PageFile.gather` of their slots — ``W`` scan rows per
+        page, ``+inf`` points past its count, owned copies.  The
+        simulated service time of the pages the caller owes it for
+        (``owed``, a mask over ``pages``; all of them by default) is
+        slept once, by the caller that issued the gather.
         """
         _, _, slots, _, blocks = self.disk_table(disk)
-        self._page_file(disk).read_slots(slots[pages], points, oids, rows)
+        rows = self._page_file(disk).gather(slots[pages])
         if self.simulated_disk_ms:
-            time.sleep(
-                self.simulated_disk_ms * int(blocks[pages].sum()) / 1000.0
-            )
+            paid = blocks[pages] if owed is None else blocks[pages][owed]
+            if paid.size:
+                time.sleep(self.simulated_disk_ms * int(paid.sum()) / 1000.0)
+        return rows
+
+    def check_page_files(self) -> None:
+        """Open every disk's page file now: a missing, truncated,
+        foreign-version or over-count file raises
+        :class:`~repro.storage.pagefile.PageFormatError` here, not in
+        whichever reader (or worker process) touches it first."""
+        for disk in range(self.num_disks):
+            self._page_file(disk)
 
     def __len__(self) -> int:
         return self._size

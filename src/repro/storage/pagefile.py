@@ -2,8 +2,8 @@
 
 One file per simulated disk.  The layout is deliberately dumb — a small
 fixed header, a slot-count table, then ``num_slots`` fixed-size slots —
-so a reader can memory-map the file and serve any page with two
-``np.frombuffer`` views and zero parsing:
+so a reader can memory-map the file and serve any set of pages with two
+strided gathers and zero parsing:
 
 .. code-block:: text
 
@@ -16,26 +16,29 @@ so a reader can memory-map the file and serve any page with two
                   num_slots       u64  number of page slots
                   dimension       u32  point dimensionality d
                   entry_bytes     u32  8 + 8 * d (sanity check)
-                  (16 reserved zero bytes)
+                  width           u32  W: rows per slot, the file's
+                                       largest entry count
+                  (12 reserved zero bytes)
     offset 64   counts table: num_slots * u32 entries per slot
     data start  slot 0, slot 1, ... at ``slot_bytes`` stride
                 (data start is the counts-table end rounded up to 8)
 
-A slot holds one data page's payload: ``n`` object ids as little-endian
-``int64`` followed by ``n`` points as row-major ``float64`` — exactly the
-arrays the in-memory engines score, so a round trip through the file is
-bit-for-bit lossless.  Slot tail bytes beyond the payload are zero.
+A slot is laid out the way the scan reads it: ``W`` row-major ``float64``
+points (``+inf`` past the page's count, so their keys never pass ``key
+< bound``), ``W`` little-endian ``int64`` oids (``0`` past the count),
+zero bytes to the slot end.  :meth:`PageFile.gather` serves many pages
+as one fancy-index copy of each region, bit-for-bit lossless; no view
+of the mapping leaves a ``PageFile``, so :meth:`PageFile.close` can
+always unmap.
 
-:meth:`PageFile.read_slots` decodes many pages straight from the mapping
-into ``+inf``-padded rows the caller owns; no view of the mapping leaves
-a ``PageFile``, so :meth:`PageFile.close` can always unmap.
-
-Oversized payloads **raise** :class:`SlotOverflowError` at write time —
-a page is never silently truncated.  Readers validate the magic, the
-format version, and that the file length matches the header exactly;
-a partially written (crashed/truncated) file fails fast with
-:class:`PageFormatError` instead of returning garbage pages.  See
-``docs/storage.md`` for the full contract.
+The writer commits ``W`` and the counts table at close: a crashed
+writer's file reads as ``W = 0`` and empty pages, never as garbage.
+Oversized payloads **raise** :class:`SlotOverflowError` — a page is
+never silently truncated.  Readers validate the magic, the format
+version, that ``W`` rows fit a slot, that no count exceeds ``W``, and
+that the file length matches the header exactly; a truncated file
+fails fast with :class:`PageFormatError` instead of returning garbage
+pages.  See ``docs/storage.md`` for the full contract.
 """
 
 from __future__ import annotations
@@ -64,13 +67,13 @@ __all__ = [
 PAGEFILE_MAGIC = b"REPROPGF"
 
 #: On-disk format revision; bump on any incompatible layout change.
-PAGEFILE_FORMAT_VERSION = 1
+PAGEFILE_FORMAT_VERSION = 2
 
 #: Fixed header size in bytes.
 HEADER_BYTES = 64
 
 #: ``<`` disables alignment so the struct is exactly 64 bytes everywhere.
-_HEADER = struct.Struct("<8sIIQQQII16x")
+_HEADER = struct.Struct("<8sIIQQQIII12x")
 
 _OID_BYTES = 8
 _COORD_BYTES = 8
@@ -90,25 +93,45 @@ def payload_bytes(num_entries: int, dimension: int) -> int:
     return num_entries * (_OID_BYTES + _COORD_BYTES * dimension)
 
 
-def _counts_end(num_slots: int) -> int:
-    return HEADER_BYTES + 4 * num_slots
-
-
 def _data_start(num_slots: int) -> int:
     """First slot offset: the counts table end rounded up to 8 bytes."""
-    end = _counts_end(num_slots)
+    end = HEADER_BYTES + 4 * num_slots
     return (end + 7) & ~7
+
+
+def _slot_views(
+    buffer: object, offset: int, slots: int, slot_bytes: int, width: int,
+    dimension: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The point rows ``(slots, W, d)`` and oid rows ``(slots, W)`` of
+    ``slots`` slots laid out in ``buffer`` from ``offset`` on, as
+    strided views (unaligned where ``slot_bytes`` is not a multiple of
+    8) — the one statement of the slot layout, for writer and reader."""
+    split = _COORD_BYTES * dimension * width if slots else 0
+    return (
+        np.ndarray(
+            (slots, width, dimension), np.float64, buffer, offset,
+            (slot_bytes, _COORD_BYTES * dimension, _COORD_BYTES),
+        ),
+        np.ndarray(
+            (slots, width), np.int64, buffer, offset + split,
+            (slot_bytes, _OID_BYTES),
+        ),
+    )
 
 
 class PageFileWriter:
     """Sequential creator of one disk's page file.
 
-    Pre-sizes the file on open (unwritten slots stay zero), accepts slot
-    payloads in any order via :meth:`write_slot` or — a run of
-    consecutive slots per write — :meth:`write_slots`, and writes the
-    slot-count table on :meth:`close` — so a crash mid-write leaves a
-    file whose length is right but whose counts table is all zeros,
-    which the reader surfaces as empty pages rather than garbage.
+    ``width`` is the file's ``W``, the most entries any of its pages
+    holds (the store writer takes it from the page counts).  Pre-sizes
+    the file on open (unwritten slots stay zero), accepts slot payloads
+    in any order via :meth:`write_slot` or — a run of consecutive slots
+    per write — :meth:`write_slots`, and on :meth:`close` pads every
+    slot never written as an empty page, then writes ``W`` and the
+    slot-count table — so a crash mid-write leaves a file whose length
+    is right but whose ``W`` and counts are zero, which the reader
+    surfaces as empty pages rather than garbage.
     """
 
     def __init__(
@@ -119,6 +142,7 @@ class PageFileWriter:
         num_slots: int,
         slot_bytes: int,
         dimension: int,
+        width: int,
         page_bytes: int = DEFAULT_PAGE_BYTES,
     ):
         if num_slots < 0:
@@ -132,23 +156,40 @@ class PageFileWriter:
         self.num_slots = num_slots
         self.slot_bytes = slot_bytes
         self.dimension = dimension
+        self.width = width
         self.page_bytes = page_bytes
+        self._check_fits(width)
         self._counts = np.zeros(num_slots, dtype=np.uint32)
+        self._written = np.zeros(num_slots, dtype=bool)
         self._start = _data_start(num_slots)
         self._file: Optional[IO[bytes]] = open(self.path, "wb")
-        self._file.write(
-            _HEADER.pack(
-                PAGEFILE_MAGIC,
-                PAGEFILE_FORMAT_VERSION,
-                disk_id,
-                page_bytes,
-                slot_bytes,
-                num_slots,
-                dimension,
-                _OID_BYTES + _COORD_BYTES * dimension,
-            )
-        )
+        self._file.write(self._header(0))
         self._file.truncate(self._start + num_slots * slot_bytes)
+
+    def _header(self, width: int) -> bytes:
+        return _HEADER.pack(
+            PAGEFILE_MAGIC,
+            PAGEFILE_FORMAT_VERSION,
+            self.disk_id,
+            self.page_bytes,
+            self.slot_bytes,
+            self.num_slots,
+            self.dimension,
+            _OID_BYTES + _COORD_BYTES * self.dimension,
+            width,
+        )
+
+    def _check_fits(self, entries: int) -> None:
+        """Raise :class:`SlotOverflowError` unless an ``entries``-entry
+        payload fits a slot and its ``W`` rows."""
+        needed = payload_bytes(entries, self.dimension)
+        if needed > self.slot_bytes or entries > self.width:
+            raise SlotOverflowError(
+                f"page payload of {entries} entries needs {needed} bytes "
+                f"but slots in {self.path!r} hold {self.slot_bytes} "
+                f"({self.width} rows); rebuild the store with a larger "
+                f"slot_bytes"
+            )
 
     def write_slot(
         self, slot: int, oids: np.ndarray, points: np.ndarray
@@ -165,7 +206,7 @@ class PageFileWriter:
     ) -> None:
         """Store the payloads of slots ``first, first + 1, ...`` with one
         write: slot ``first + i`` takes the next ``counts[i]`` entries of
-        the stacked ``oids`` / ``points``, its tail is zeroed.  Raises —
+        the stacked ``oids`` / ``points``, padded to ``W`` rows.  Raises —
         before anything is written — if a payload exceeds the slot size.
         """
         if self._file is None:
@@ -185,33 +226,34 @@ class PageFileWriter:
                 f"({total}, {self.dimension}) points, got oids shape "
                 f"{oids.shape} and points shape {points.shape}"
             )
-        widest = int(counts.max(initial=0))
-        if payload_bytes(widest, self.dimension) > self.slot_bytes:
-            raise SlotOverflowError(
-                f"page payload of {widest} entries needs "
-                f"{payload_bytes(widest, self.dimension)} bytes "
-                f"but slots in {self.path!r} hold {self.slot_bytes}; "
-                f"rebuild the store with a larger slot_bytes"
-            )
-        run = np.zeros((len(counts), self.slot_bytes), dtype=np.uint8)
-        # Slots of one entry count share a layout: fill them together.
-        for count in set(counts.tolist()) - {0}:
-            slots = counts == count
-            entries = np.repeat(slots, counts)
-            split = _OID_BYTES * count
-            run[slots, :split] = oids[entries].view(np.uint8).reshape(-1, split)
-            run[slots, split : payload_bytes(count, self.dimension)] = (
-                points[entries].view(np.uint8).reshape(int(slots.sum()), -1)
-            )
+        self._check_fits(int(counts.max(initial=0)))
+        slots = len(counts)
+        if not slots:
+            return
+        run = np.zeros((slots, self.slot_bytes), dtype=np.uint8)
+        rows, ids = _slot_views(
+            run, 0, slots, self.slot_bytes, self.width, self.dimension
+        )
+        filled = np.arange(self.width) < counts[:, None]
+        rows[...] = np.inf
+        rows[filled] = points
+        ids[filled] = oids
         self._file.seek(self._start + first * self.slot_bytes)
         self._file.write(run)
-        self._counts[first : first + len(counts)] = counts
+        self._counts[first : first + slots] = counts
+        self._written[first : first + slots] = True
 
     def close(self) -> None:
-        """Flush the slot-count table and close the file."""
+        """Pad the unwritten slots, write ``W`` and the slot-count table,
+        and close the file."""
         if self._file is None:
             return
-        self._file.seek(HEADER_BYTES)
+        empty = np.full(self.width * self.dimension, np.inf).tobytes()
+        for slot in np.flatnonzero(~self._written).tolist():
+            self._file.seek(self._start + slot * self.slot_bytes)
+            self._file.write(empty)
+        self._file.seek(0)
+        self._file.write(self._header(self.width))
         self._file.write(self._counts.tobytes())
         self._file.close()
         self._file = None
@@ -256,6 +298,7 @@ class PageFile:
             self.num_slots,
             self.dimension,
             entry_bytes,
+            self.width,
         ) = _HEADER.unpack(header)
         if magic != PAGEFILE_MAGIC:
             self._file.close()
@@ -270,11 +313,14 @@ class PageFile:
                 f"this build reads version {PAGEFILE_FORMAT_VERSION} — "
                 f"rebuild the store with the current code"
             )
-        if entry_bytes != _OID_BYTES + _COORD_BYTES * self.dimension:
+        if entry_bytes != _OID_BYTES + _COORD_BYTES * self.dimension or (
+            payload_bytes(self.width, self.dimension) > self.slot_bytes
+        ):
             self._file.close()
             raise PageFormatError(
                 f"{self.path!r} header is inconsistent: entry_bytes "
-                f"{entry_bytes} != 8 + 8 * dimension ({self.dimension})"
+                f"{entry_bytes} must be 8 + 8 * dimension ({self.dimension}) "
+                f"and {self.width} rows must fit {self.slot_bytes} slot bytes"
             )
         self._start = _data_start(self.num_slots)
         expected = self._start + self.num_slots * self.slot_bytes
@@ -292,18 +338,15 @@ class PageFile:
             self._mmap, dtype=np.uint32, count=self.num_slots,
             offset=HEADER_BYTES,
         )
-        # The data region as one byte row per slot, for multi-slot reads
-        # (a gathered payload is realigned, so any slot size works).
-        self._bytes = np.frombuffer(
-            self._mmap, dtype=np.uint8, count=self.num_slots * self.slot_bytes,
-            offset=self._start,
-        ).reshape(self.num_slots, self.slot_bytes)
-        limit = self.slot_bytes // (_OID_BYTES + _COORD_BYTES * self.dimension)
-        if self.num_slots and int(self._counts.max(initial=0)) > limit:
+        self._points, self._oids = _slot_views(
+            self._mmap, self._start, self.num_slots, self.slot_bytes,
+            self.width, self.dimension,
+        )
+        if int(self._counts.max(initial=0)) > self.width:
             self.close()
             raise PageFormatError(
                 f"{self.path!r} count table claims a slot with "
-                f"more entries than fit {self.slot_bytes} slot bytes"
+                f"more entries than its {self.width} rows"
             )
 
     def entry_count(self, slot: int) -> int:
@@ -332,75 +375,31 @@ class PageFile:
         (a neighbor list must survive :meth:`close`); the mmap page
         fault — the simulated disk read — happens here either way.
         """
-        if self._mmap is None:
-            raise PageFormatError(f"page file {self.path!r} already closed")
-        if not 0 <= slot < self.num_slots:
-            raise ValueError(
-                f"slot {slot} outside [0, {self.num_slots}) in {self.path!r}"
-            )
+        slot = int(self._checked([slot])[0])
         count = int(self._counts[slot])
-        offset = self._start + slot * self.slot_bytes
-        oids = np.frombuffer(
-            self._mmap, dtype=np.int64, count=count, offset=offset
-        ).copy()
-        points = np.frombuffer(
-            self._mmap,
-            dtype=np.float64,
-            count=count * self.dimension,
-            offset=offset + _OID_BYTES * count,
-        ).reshape(count, self.dimension).copy()
-        return points, oids
+        return (
+            self._points[slot, :count].copy(), self._oids[slot, :count].copy()
+        )
 
-    def read_slots(
-        self, slots: np.ndarray, points: np.ndarray, oids: np.ndarray, rows: np.ndarray
-    ) -> None:
-        """Decode several page payloads straight into caller-owned rows.
-
-        Slot ``slots[i]``'s ``n`` entries land in row ``rows[i]`` (in
-        ``[0, R)``) of ``points`` (float64, ``(R, width, d)``) and
-        ``oids`` (int64, ``(R, width)``): first what :meth:`read_slot`
-        returns, then ``+inf`` points (oids there are left alone).  Slots
-        of one entry count are gathered together, payload bytes only.  A
-        closed file, a bad slot or array, or a slot over ``width`` entries
-        is refused before the first write; the rows outlive :meth:`close`.
+    def gather(self, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Pages ``slots`` as the scan reads them: ``(points, oids)`` of
+        shapes ``(n·W, d)`` and ``(n·W,)`` — ``W`` rows per slot, in slot
+        order, ``+inf`` points past each page's count — by one fancy
+        gather per region.  The rows are owned and outlive :meth:`close`.
         """
         slots = self._checked(slots)
-        rows = np.asarray(rows, dtype=np.intp)
-        if (
-            points.dtype != np.float64 or oids.dtype != np.int64
-            or points.shape[2:] != (self.dimension,)
-            or oids.shape != points.shape[:2] or rows.shape != slots.shape
-        ):
-            raise ValueError(
-                f"points must be float64 (R, width, {self.dimension}), oids int64 "
-                f"(R, width), rows one per slot; got {points.dtype} {points.shape}, "
-                f"{oids.dtype} {oids.shape}, {rows.shape} for {slots.shape} slots"
-            )
-        width, dimension = points.shape[1], self.dimension
-        counts = self._counts[slots]
-        groups = set(counts.tolist())
-        if max(groups, default=0) > width:
-            raise PageFormatError(
-                f"{self.path!r}: a slot holds more entries than a row of {width}"
-            )
-        for count in groups:
-            at, taken = rows, slots
-            if len(groups) > 1:
-                same = counts == count
-                at, taken = rows[same], slots[same]
-            words = self._bytes[taken, : payload_bytes(count, dimension)]
-            words = words.view(np.float64)
-            oids[at, :count] = words[:, :count].view(np.int64)
-            points[at, :count] = words[:, count:].reshape(len(taken), count, dimension)
-            if count < width:
-                points[at, count:] = np.inf
+        return (
+            self._points[slots].reshape(-1, self.dimension),
+            self._oids[slots].reshape(-1),
+        )
 
     def close(self) -> None:
         """Drop the mapping and close the file handle."""
         # Views export the mapping's buffer; mmap.close() raises
         # BufferError while one is alive.
         self._counts = np.zeros(0, dtype=np.uint32)
-        self._bytes = np.zeros((0, 0), dtype=np.uint8)
+        self._points = np.zeros((0, 0, self.dimension))
+        self._oids = np.zeros((0, 0), dtype=np.int64)
         if self._mmap is not None:
             self._mmap.close()
             self._mmap = None

@@ -240,7 +240,7 @@ class TestStoreFormatVersion:
             headers = [json.loads(str(data["header"]))]
         headers.append(json.loads((path / STORE_JSON).read_text()))
         for header in headers:
-            assert header["store_format_version"] == 1
+            assert header["store_format_version"] == 2
             assert header["format_version"] == 1
             assert header["scheme"] == "new"
             assert header["cache"] is None

@@ -13,9 +13,12 @@ Worker startup is the expensive part (spawn + mmap open per disk), so
 the parity tests share one module-scoped store and engine.
 """
 
+import collections
 import math
+import multiprocessing
 import os
 import signal
+import struct
 import subprocess
 import sys
 import tempfile
@@ -234,17 +237,21 @@ class TestFlatTableShapes:
 
 
 class _CountingStore:
-    """Store facade that counts the pages ``read_pages`` passes through."""
+    """Store facade over ``read_pages``: ``pages_read`` counts the pages
+    it was told are owed service time, ``owed_blocks`` their blocks."""
 
     def __init__(self, inner):
         self._inner = inner
         self.disk_table = inner.disk_table
         self.dimension = inner.dimension
         self.pages_read = 0
+        self.owed_blocks = 0
 
-    def read_pages(self, disk, pages, *into):
-        self.pages_read += len(pages)
-        self._inner.read_pages(disk, pages, *into)
+    def read_pages(self, disk, pages, owed=None):
+        charged = pages if owed is None else pages[owed]
+        self.pages_read += len(charged)
+        self.owed_blocks += int(self.disk_table(disk)[4][charged].sum())
+        return self._inner.read_pages(disk, pages, owed)
 
 
 def _assert_chunk(store, disk, pages, chunk):
@@ -263,8 +270,9 @@ def _assert_chunk(store, disk, pages, chunk):
 
 
 class TestBatchPageMemo:
-    """The worker's page source: the decoded page buffer behind
-    ``query_batch``'s worker loop (it replaced the raw-row memo)."""
+    """The worker's page source behind ``query_batch``'s worker loop:
+    every chunk is one gather of the page file's scan rows, and the
+    batch scope decides only which pages owe service time."""
 
     def test_repeat_visits_served_from_memo(self, mmap_store):
         counting = _CountingStore(mmap_store)
@@ -272,7 +280,7 @@ class TestBatchPageMemo:
         source.scope(3)
         first = source.chunk(np.array([2, 0]))
         assert counting.pages_read == 2
-        # A step mixing held and new pages fetches only the new one.
+        # A step mixing held and new pages owes only for the new one.
         second = source.chunk(np.array([0, 3, 2]))
         assert counting.pages_read == 3
         third = source.chunk(np.array([3, 0]))
@@ -280,47 +288,48 @@ class TestBatchPageMemo:
         _assert_chunk(mmap_store, 1, [2, 0], first)
         _assert_chunk(mmap_store, 1, [0, 3, 2], second)
         _assert_chunk(mmap_store, 1, [3, 0], third)
-        # Held pages come as whole buffer rows: one gather, no decode.
-        stride = int(mmap_store.disk_table(1)[3].max())
-        assert len(third[1]) == 2 * stride
+        # Every chunk is whole slot rows: W of them a page.
+        width = int(mmap_store.disk_table(1)[3].max())
+        assert len(third[1]) == 2 * width
 
     def test_cap_disables_insertion_not_reads(self, mmap_store, monkeypatch):
-        monkeypatch.setattr(_DiskPages, "_CAP", 1)
+        """No page count caps what a scope holds: with the decoded
+        buffer's old cap (``_CAP``) set to one page, the pages past it
+        still owe service time once per scope."""
+        monkeypatch.setattr(_DiskPages, "_CAP", 1, raising=False)
         counting = _CountingStore(mmap_store)
         source = _DiskPages(counting, 0)
         source.scope(1)
         source.chunk(np.array([0]))
         source.chunk(np.array([1]))
-        source.chunk(np.array([1]))  # over cap: read-through every time
-        source.chunk(np.array([0]))  # still held
-        assert counting.pages_read == 3
-        # A step straddling the cap comes back right.
+        source.chunk(np.array([1]))  # past the old cap: held all the same
+        source.chunk(np.array([0]))
+        assert counting.pages_read == 2
         chunk = source.chunk(np.array([1, 0, 2]))
-        assert counting.pages_read == 5
+        assert counting.pages_read == 3
         _assert_chunk(mmap_store, 0, [1, 0, 2], chunk)
 
     def test_scopes_hold_nothing_across_serials(self, mmap_store):
-        """Per-call (serial 0) holds nothing and reads every chunk into
-        the head of its own block, padded like the buffer; a new serial
-        starts empty over the same buffer."""
+        """Per-call (serial 0) holds nothing: every chunk owes for all
+        its pages; a new serial starts empty.  Rows are the same either
+        way."""
         counting = _CountingStore(mmap_store)
         source = _DiskPages(counting, 1)
         pages = np.array([1, 3, 0])
-        stride = int(mmap_store.disk_table(1)[3].max())
+        width = int(mmap_store.disk_table(1)[3].max())
         for serial, reads in ((0, 3), (0, 6), (5, 9), (5, 9), (6, 12), (0, 15)):
             source.scope(serial)
             chunk = source.chunk(pages)
             assert counting.pages_read == reads
             _assert_chunk(mmap_store, 1, pages, chunk)
-            assert len(chunk[1]) == len(pages) * stride
-            if not serial:
-                assert np.shares_memory(chunk[0], source._block[0])
+            assert len(chunk[1]) == len(pages) * width
 
     def test_padding_shapes(self, tmp_path):
-        """All-empty pages (``stride`` 0), a zero-page disk, and a
-        multi-block supernode page beside one-block pages: the wide page
-        is read through, so a chunk holds ``sum(counts)`` real points
-        and its rows stay one-block wide."""
+        """All-empty pages (``W`` 0), a zero-page disk, and a multi-block
+        supernode page beside one-block pages: rows are as wide as the
+        disk's fullest page (the supernode), a chunk holds
+        ``sum(counts)`` real points, and the supernode owes its blocks
+        once per batch scope."""
         rng = np.random.default_rng(12)
         paged = PagedStore(
             points=rng.random((400, 3)),
@@ -343,23 +352,24 @@ class TestBatchPageMemo:
             assert blocks[0] == 4 and counts[0] > counts[1:].max()
             source = _DiskPages(counting, 0)
             pages = np.arange(6)
-            # (serial, pages fetched): the supernode is never held.
-            for serial, fetched in ((4, 6), (4, 1), (0, 6)):
+            every = int(blocks[pages].sum())
+            # (serial, pages owed, blocks owed): a held supernode owes
+            # nothing more in its scope.
+            for serial, fetched, owed in ((4, 6, every), (4, 0, 0), (0, 6, every)):
                 source.scope(serial)
-                before = counting.pages_read
+                before = counting.pages_read, counting.owed_blocks
                 points, oids = chunk = source.chunk(pages)
-                assert counting.pages_read - before == fetched
+                assert counting.pages_read - before[0] == fetched
+                assert counting.owed_blocks - before[1] == owed
                 _assert_chunk(store, 0, pages, chunk)
                 real = np.isfinite(points).all(axis=1)
                 assert real.sum() == counts[pages].sum()
-                # Padded to the widest one-block page, never to the
-                # supernode's count.
-                assert len(oids) <= counts[0] + 5 * counts[1:].max()
+                assert len(oids) == len(pages) * counts[0]
 
             idle = _DiskPages(counting, 1)
-            assert idle._points.shape[0] == 0
+            points, oids = idle.chunk(np.zeros(0, dtype=np.intp))
+            assert points.shape == (0, 3) and oids.shape == (0,)
             empty = _DiskPages(counting, 2)
-            assert empty._points.shape[1] == 0
             empty.scope(2)
             for _ in range(2):
                 points, oids = empty.chunk(np.array([1, 0]))
@@ -369,8 +379,8 @@ class TestBatchPageMemo:
     def test_file_count_above_directory_count_is_refused(
         self, tmp_path, serial
     ):
-        """A slot claiming more entries than its page's directory row
-        could overrun a buffer row: ``PageFormatError`` before any write,
+        """A slot claiming more entries than its page's directory row is
+        ``PageFormatError`` before any row is served or any page held,
         per-call (serial 0) as in a batch scope."""
         rng = np.random.default_rng(4)
         paged = PagedStore(
@@ -379,19 +389,129 @@ class TestBatchPageMemo:
         )
         save_paged_store(paged, tmp_path / "skew")
         with MmapStore(tmp_path / "skew") as store:
-            store.disk_table(0)[3][0] -= 1
+            store._counts[np.flatnonzero(store.page_disks == 0)[0]] -= 1
             source = _DiskPages(store, 0)
             source.scope(serial)
-            for block in (source._points, source._block[0]):
-                block[:] = 7.0
             with pytest.raises(PageFormatError, match="more entries"):
                 source.chunk(np.array([0]))
             assert not source._held.any()
-            assert (source._points == 7.0).all()
-            assert (source._block[0] == 7.0).all()
             # The per-leaf read of the in-process engines refuses it too.
             with pytest.raises(PageFormatError, match="more entries"):
                 store.read_page(store.leaves[0])
+
+
+class TestServiceTimeCharging:
+    """Simulated service time: once per page per batch scope, and on
+    every fetch per call — supernodes and large disks included."""
+
+    @pytest.mark.parametrize("serial", [0, 1])
+    def test_service_time_once_per_page_per_batch_scope(
+        self, tmp_path, monkeypatch, serial
+    ):
+        """Six overlapping kNN scans per disk, serially: in one batch
+        scope every distinct page touched owes its ``blocks`` exactly
+        once; per call every fetch owes them.  Supernode pages (three
+        blocks) and pages past the old decoded-buffer cap (``_CAP``, set
+        to four pages) follow the same rule."""
+        monkeypatch.setattr(_DiskPages, "_CAP", 4, raising=False)
+        slept = []
+        monkeypatch.setattr(
+            "repro.storage.mmap_store.time.sleep", slept.append
+        )
+        rng = np.random.default_rng(19)
+        paged = PagedStore(
+            points=rng.random((1500, 4)),
+            declusterer=NearOptimalDeclusterer(4, 2),
+        )
+        for leaf in paged.leaves[::4]:
+            leaf.blocks = 3
+        save_paged_store(paged, tmp_path / "store")
+        queries = 0.45 + 0.1 * rng.random((6, 4))
+        fetched = collections.Counter()
+        with MmapStore(tmp_path / "store", simulated_disk_ms=1.0) as store:
+            for disk in range(store.num_disks):
+                table = store.disk_table(disk)
+                assert len(table[4]) > 4
+                source = _DiskPages(store, disk)
+                source.scope(serial)
+                for query in queries:
+                    _, ledger = _worker_query(
+                        source, table, query, 8, np.full(8, np.inf),
+                        threading.Lock(),
+                    )
+                    # Every page the scan visited was fetched: the
+                    # ascending-mindist prefix the ledger covers.
+                    order = np.argsort(
+                        Euclidean().mindist_many(table[0], table[1], query),
+                        kind="stable",
+                    )
+                    fetched.update(
+                        (disk, int(page), int(table[4][page]))
+                        for page in order[: ledger.shape[1]]
+                    )
+        again = [key for key, times in fetched.items() if times > 1]
+        assert any(blocks == 3 for _, _, blocks in again)
+        assert any(page >= 4 for _, page, _ in again)
+        times = (lambda n: n) if not serial else (lambda n: 1)
+        owed = sum(blocks * times(n) for (_, _, blocks), n in fetched.items())
+        assert round(sum(slept) * 1000.0) == owed
+
+
+def _corrupt_disk1(directory, fault):
+    """Damage ``disk0001.pages``: chop its tail, stamp the next format
+    version, or raise one slot's count above its page's directory count
+    (still within the file's ``W``)."""
+    path = directory / "disk0001.pages"
+    raw = bytearray(path.read_bytes())
+    if fault == "truncated":
+        raw = raw[:-16]
+    elif fault == "version":
+        raw[8] += 1  # format_version, little-endian u32
+    else:
+        (num_slots,) = struct.unpack_from("<Q", raw, 32)
+        (width,) = struct.unpack_from("<I", raw, 48)
+        counts = np.frombuffer(bytes(raw[64 : 64 + 4 * num_slots]), np.uint32)
+        slot = int(np.flatnonzero(counts < width)[0])
+        struct.pack_into("<I", raw, 64 + 4 * slot, int(counts[slot]) + 1)
+    path.write_bytes(bytes(raw))
+
+
+class TestBadPageFile:
+    """A bad page file is the coordinator's ``PageFormatError``, raised
+    before any worker spawns — not a worker that dies and is reported
+    as not replying."""
+
+    @pytest.mark.parametrize("call", ["query", "query_batch"])
+    @pytest.mark.parametrize("fault", ["truncated", "version", "count"])
+    def test_bad_page_file_raises_before_the_workers_spawn(
+        self, tmp_path, fault, call
+    ):
+        rng = np.random.default_rng(23)
+        paged = PagedStore(
+            points=rng.random((600, 6)),
+            declusterer=NearOptimalDeclusterer(6, 2),
+        )
+        disk1 = [leaf for leaf in paged.leaves if paged.disk_of(leaf) == 1]
+        disk1[0].entries = disk1[0].entries[:-1]  # a slot below W
+        save_paged_store(paged, tmp_path / "store")
+        _corrupt_disk1(tmp_path / "store", fault)
+        queries = rng.random((3, 6))
+        before = _open_fds()
+        children = multiprocessing.active_children()
+        with MmapStore(tmp_path / "store") as store:
+            engine = ProcessParallelEngine(store)
+            started = time.monotonic()
+            with pytest.raises(PageFormatError, match="disk0001.pages"):
+                if call == "query":
+                    engine.query(queries[0], 3)
+                else:
+                    engine.query_batch(queries, 3)
+            assert time.monotonic() - started < 1.0
+            assert engine._procs == [] and engine._board is None
+            assert engine._posted == engine._collected == 0
+            engine.close()
+        assert multiprocessing.active_children() == children
+        assert _open_fds() == before
 
 
 class TestRing:
@@ -467,14 +587,14 @@ class TestRing:
         self, store_dir, mmap_store, monkeypatch
     ):
         """``_worker_main`` on a thread over plain arrays: a page wanted
-        twice in one batch is fetched once, the per-call query after
-        the batch fetches it again, a new batch starts empty."""
+        twice in one batch owes service time once, the per-call query
+        after the batch owes it again, a new batch starts empty."""
         fetched = []
         real_read_pages = MmapStore.read_pages
 
-        def counting_read_pages(self, disk, pages, *into):
-            fetched.append(len(pages))
-            real_read_pages(self, disk, pages, *into)
+        def counting_read_pages(self, disk, pages, owed=None):
+            fetched.append(len(pages) if owed is None else int(owed.sum()))
+            return real_read_pages(self, disk, pages, owed)
 
         monkeypatch.setattr(MmapStore, "read_pages", counting_read_pages)
         worker = _ThreadWorker(store_dir, mmap_store, disk=1)

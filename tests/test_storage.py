@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import NearOptimalDeclusterer
+from repro.index.metrics import Euclidean
 from repro.index.node import Node
 from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
@@ -75,6 +76,7 @@ class TestPageFile:
         writer = PageFileWriter(
             path, disk_id=2, num_slots=len(payloads),
             slot_bytes=slot_bytes, dimension=dimension, page_bytes=4096,
+            width=max((len(oids) for oids, _ in payloads), default=0),
         )
         with writer:
             for slot, (oids, points) in enumerate(payloads):
@@ -120,13 +122,21 @@ class TestPageFile:
             assert path.stat().st_size == HEADER_BYTES
 
     def test_oversized_payload_raises_not_truncates(self, rng, tmp_path):
+        """A payload over the slot raises — at open when ``W`` rows would
+        not fit a slot, at write when a page is wider than ``W``."""
         path = tmp_path / "disk.pages"
-        writer = PageFileWriter(
-            path, disk_id=0, num_slots=1, slot_bytes=64,
-            dimension=3, page_bytes=64,
-        )
         big = rng.random((10, 3))
         assert payload_bytes(10, 3) > 64
+        with pytest.raises(SlotOverflowError, match="slot"):
+            PageFileWriter(
+                path, disk_id=0, num_slots=1, slot_bytes=64,
+                dimension=3, page_bytes=64, width=10,
+            )
+        assert not path.exists()
+        writer = PageFileWriter(
+            path, disk_id=0, num_slots=1, slot_bytes=64,
+            dimension=3, page_bytes=64, width=2,
+        )
         with pytest.raises(SlotOverflowError, match="slot"):
             writer.write_slot(0, np.arange(10, dtype=np.int64), big)
         writer.close()
@@ -144,6 +154,7 @@ class TestPageFile:
         writer = PageFileWriter(
             tmp_path / "batched.pages", disk_id=2, num_slots=len(counts),
             slot_bytes=slot_bytes, dimension=3, page_bytes=4096,
+            width=max(counts),
         )
         with writer:
             writer.write_slots(
@@ -199,7 +210,7 @@ class TestPageFile:
         garbage."""
         writer = PageFileWriter(
             tmp_path / "disk.pages", disk_id=0, num_slots=2,
-            slot_bytes=128, dimension=2, page_bytes=128,
+            slot_bytes=128, dimension=2, page_bytes=128, width=1,
         )
         writer.write_slot(
             1, np.array([9], dtype=np.int64), np.zeros((1, 2))
@@ -209,75 +220,89 @@ class TestPageFile:
             points, oids = handle.read_slot(0)
             assert len(oids) == 0 and points.shape == (0, 2)
             assert handle.entry_count(1) == 1
-
+            # close() padded the slot never written: the gather sees an
+            # empty page (all +inf), not a zero point.
+            points, oids = handle.gather([0, 1])
+            assert np.isposinf(points[0]).all()
+            assert points[1].tobytes() == np.zeros(2).tobytes()
+            assert list(oids) == [0, 9]
 
     @_SLOT_SIZES
     def test_read_slots_matches_read_slot(self, rng, tmp_path, slot_bytes):
-        """One decode gives exactly the per-slot reads, whatever the slot
-        size, entry-count mix, order or repetition, each row padded with
-        ``+inf`` past its page's count."""
-        path = tmp_path / "disk.pages"
-        self._write(
-            path,
-            [
-                (rng.integers(-2**62, 2**62, count), rng.random((count, 3)))
-                for count in (5, 0, 12, 5)
-            ],
-            slot_bytes=slot_bytes,
-        )
+        """The multi-slot read (``gather``) gives exactly the per-slot
+        reads, whatever the slot size (aligned or not), entry-count mix,
+        order or repetition: ``W`` rows a slot, ``+inf`` past its count.
+        Both equal what was written, slot by slot or in one run."""
+        payloads = [
+            (rng.integers(-2**62, 2**62, count), rng.random((count, 3)))
+            for count in (5, 0, 12, 5)
+        ]
+        single, batched = tmp_path / "single.pages", tmp_path / "batched.pages"
+        self._write(single, payloads, slot_bytes=slot_bytes)
+        with PageFileWriter(
+            batched, disk_id=2, num_slots=4, slot_bytes=slot_bytes,
+            dimension=3, page_bytes=4096, width=12,
+        ) as writer:
+            writer.write_slots(
+                0, [5, 0, 12, 5],
+                np.concatenate([oids for oids, _ in payloads]),
+                np.vstack([points for _, points in payloads]),
+            )
+        assert batched.read_bytes() == single.read_bytes()
         slots = [3, 0, 2, 1, 0]
-        with PageFile(path) as handle:
-            points, oids, rows = _block(len(slots), 12, 3)
-            handle.read_slots(slots, points, oids, rows)
-            for row, slot in zip(rows, slots):
-                _assert_row(points, oids, row, *handle.read_slot(slot))
-            # No slots: nothing written.
-            points, oids, rows = _block(2, 12, 3)
-            handle.read_slots([], points, oids, rows[:0])
-            assert (points == 7.0).all() and (oids == -7).all()
+        with PageFile(batched) as handle:
+            assert handle.width == 12
+            points, oids = handle.gather(slots)
+            assert points.shape == (5 * 12, 3) and oids.shape == (5 * 12,)
+            for row, slot in enumerate(slots):
+                want = handle.read_slot(slot)
+                assert want[0].tobytes() == payloads[slot][1].tobytes()
+                assert want[1].tobytes() == payloads[slot][0].tobytes()
+                _assert_rows(points, oids, row, 12, *want)
+            points, oids = handle.gather([])
+            assert points.shape == (0, 3) and oids.shape == (0,)
 
     def test_read_slots_of_a_crashed_writer_file_are_empty(self, tmp_path):
-        """Counts were never committed: every decoded row is an empty
-        page — all ``+inf`` — like ``read_slot``."""
+        """Neither ``W`` nor the counts were committed: the gather reads
+        every page as empty — no rows at all — like ``read_slot``."""
         path = tmp_path / "crashed.pages"
         writer = PageFileWriter(
             path, disk_id=0, num_slots=3, slot_bytes=256, dimension=2,
+            width=4,
         )
         writer.write_slot(0, np.array([7], dtype=np.int64), np.ones((1, 2)))
         writer._file.close()  # the crash: close() never commits counts
         writer._file = None
         with PageFile(path) as handle:
-            points, oids, rows = _block(3, 4, 2)
-            handle.read_slots([0, 1, 2], points, oids, rows)
-            assert np.isposinf(points).all()
-            assert (oids == -7).all()
+            assert handle.width == 0
+            points, oids = handle.gather([0, 1, 2])
+            assert points.shape == (0, 2) and oids.shape == (0,)
 
     def test_read_slots_range_check_and_owned_rows(self, rng, tmp_path):
         path = tmp_path / "disk.pages"
         points = rng.random((4, 3))
         self._write(path, [(np.arange(4, dtype=np.int64), points)] * 2)
         handle = PageFile(path)
-        into = _block(2, 4, 3)
         for bad in ([0, 2], [-1, 0]):
             with pytest.raises(ValueError, match="outside"):
-                handle.read_slots(bad, *into)
+                handle.gather(bad)
             with pytest.raises(ValueError, match="outside"):
                 handle.entry_counts(bad)
         assert list(handle.entry_counts([1, 0, 1])) == [4, 4, 4]
-        handle.read_slots([1, 0], *into)
-        handle.close()  # no BufferError: the decode holds no mapping view
-        got_points, got_oids, _ = into  # owned copies
-        assert np.array_equal(got_points.reshape(-1, 3), np.vstack([points] * 2))
+        got_points, got_oids = handle.gather([1, 0])
+        handle.close()  # no BufferError: the gather holds no mapping view
+        assert np.array_equal(got_points, np.vstack([points] * 2))
         assert got_oids.sum() == 12
+        with pytest.raises(PageFormatError, match="closed"):
+            handle.gather([0])
 
     @_SLOT_SIZES
     def test_read_slots_into_out_matches_the_allocating_form(
         self, rng, tmp_path, slot_bytes
     ):
-        """Decoding into the caller's arrays writes the named rows with
-        what the allocating ``read_slot`` returns, for random slot lists
-        with repeats into random rows, and touches nothing else; every
-        refusal happens before any write."""
+        """The gather of random slot lists with repeats is the per-slot
+        ``read_slot`` of each, padded to ``W`` rows; every refusal
+        happens before anything is read, and a closed file refuses."""
         path = tmp_path / "disk.pages"
         counts = (5, 0, 12, 5, 7)
         self._write(
@@ -289,57 +314,67 @@ class TestPageFile:
             slot_bytes=slot_bytes,
         )
         with PageFile(path) as handle:
-            points, oids, _ = _block(9, 12, 3)
             for length in (0, 1, 4, 9):
                 slots = rng.integers(0, 5, size=length)
-                rows = rng.permutation(9)[:length]
-                points[:], oids[:] = 7.0, -7
-                handle.read_slots(slots, points, oids, rows)
-                for row, slot in zip(rows, slots):
-                    _assert_row(points, oids, row, *handle.read_slot(slot))
-                untouched = np.setdiff1d(np.arange(9), rows)
-                assert (points[untouched] == 7.0).all()
-                assert (oids[untouched] == -7).all()
-            points[:], oids[:] = 7.0, -7
-            slots, rows = [0, 1, 2], [0, 1, 2]
-            narrow = (points[:, :11], oids[:, :11])
-            refused = [
-                (ValueError, "outside", ([0, 5], points, oids, [0, 1])),
-                (ValueError, "outside", ([-1], points, oids, [0])),
-                (ValueError, "must be", (slots, points, oids, [0, 1])),
-                (ValueError, "must be", (slots, points[..., :2], oids, rows)),
-                (ValueError, "must be", (slots, points, oids[:, :11], rows)),
-                (ValueError, "must be", (slots, points, oids[:1], rows)),
-                (ValueError, "must be", (slots, points.view(np.int64), oids, rows)),
-                (ValueError, "must be", (slots, points, oids.view(np.float64), rows)),
-                # Slot 2 holds 12 entries, more than a row of 11.
-                (PageFormatError, "more entries", (slots, *narrow, rows)),
-            ]
-            for error, match, arguments in refused:
-                with pytest.raises(error, match=match):
-                    handle.read_slots(*arguments)
-                assert (points == 7.0).all() and (oids == -7).all()
+                points, oids = handle.gather(slots)
+                assert len(oids) == 12 * length
+                for row, slot in enumerate(slots):
+                    _assert_rows(points, oids, row, 12, *handle.read_slot(slot))
+            for bad in ([0, 5], [-1], [5]):
+                with pytest.raises(ValueError, match="outside"):
+                    handle.gather(bad)
         with pytest.raises(PageFormatError, match="closed"):
-            handle.read_slots([0], points, oids, [0])
+            handle.gather([0])
+
+    def test_zero_slot_and_all_empty_files_gather_nothing(self, tmp_path):
+        """A disk with no pages and a disk of empty pages (``W = 0``)
+        gather zero rows, not garbage."""
+        self._write(tmp_path / "none.pages", [])
+        self._write(
+            tmp_path / "empty.pages",
+            [(np.zeros(0, dtype=np.int64), np.zeros((0, 3)))] * 3,
+        )
+        for name, slots in (("none", []), ("empty", [2, 0, 2])):
+            with PageFile(tmp_path / f"{name}.pages") as handle:
+                assert handle.width == 0
+                points, oids = handle.gather(slots)
+                assert points.shape == (0, 3) and oids.shape == (0,)
+                with pytest.raises(ValueError, match="outside"):
+                    handle.gather([3])
+
+    @_SLOT_SIZES
+    def test_scoring_gathered_rows_raises_no_fp_flag(
+        self, rng, tmp_path, slot_bytes
+    ):
+        """The ``+inf`` padding scores ``inf`` with no invalid or overflow
+        flag, and real rows score exactly as the payload does."""
+        payloads = [
+            (np.arange(count, dtype=np.int64), rng.random((count, 3)))
+            for count in (5, 0, 12, 1)
+        ]
+        self._write(tmp_path / "disk.pages", payloads, slot_bytes=slot_bytes)
+        query = rng.random(3)
+        metric = Euclidean()
+        with PageFile(tmp_path / "disk.pages") as handle:
+            points, _ = handle.gather([0, 1, 2, 3])
+            with np.errstate(all="raise"):
+                keys = metric.point_keys(points, query)
+                real = keys < np.inf
+        want = np.concatenate(
+            [metric.point_keys(points_, query) for _, points_ in payloads]
+        )
+        assert keys[real].tobytes() == want.tobytes()
+        assert np.isposinf(keys[~real]).all() and real.sum() == 18
 
 
-def _block(count, width, dimension):
-    """A caller-owned ``(points, oids, rows)`` for ``count`` pages,
-    filled with 7.0 / -7 so cells a decode leaves alone show."""
-    return (
-        np.full((count, width, dimension), 7.0),
-        np.full((count, width), -7, dtype=np.int64),
-        np.arange(count),
-    )
-
-
-def _assert_row(points, oids, row, want_points, want_oids):
-    """Row ``row`` holds the page ``(want_points, want_oids)`` bit for
-    bit, then ``+inf`` points."""
+def _assert_rows(points, oids, page, width, want_points, want_oids):
+    """Rows of gathered page ``page`` (``width`` rows each) hold the page
+    ``(want_points, want_oids)`` bit for bit, then ``+inf`` points."""
     count = len(want_oids)
-    assert points[row, :count].tobytes() == want_points.tobytes()
-    assert oids[row, :count].tobytes() == want_oids.tobytes()
-    assert np.isposinf(points[row, count:]).all()
+    rows = slice(page * width, page * width + count)
+    assert points[rows].tobytes() == want_points.tobytes()
+    assert oids[rows].tobytes() == want_oids.tobytes()
+    assert np.isposinf(points[page * width + count : (page + 1) * width]).all()
 
 
 class TestMmapStoreRoundTrip:
@@ -372,7 +407,6 @@ class TestMmapStoreRoundTrip:
         """The flat per-disk table is the directory, and a multi-page
         read is the per-leaf ``read_page``, bit for bit."""
         with MmapStore(store_dir) as store:
-            dimension = store.tree.dimension
             for disk in range(store.num_disks):
                 leaves = [
                     leaf for leaf in store.leaves
@@ -381,25 +415,26 @@ class TestMmapStoreRoundTrip:
                 lows, highs, slots, counts, blocks = store.disk_table(disk)
                 assert len(slots) == len(leaves) == store.disk_loads()[disk]
                 pages = np.arange(len(leaves))[::-1]
-                points, oids, rows = _block(len(pages), counts.max(), dimension)
-                store.read_pages(disk, pages, points, oids, rows)
-                for row, page in zip(rows, pages):
+                points, oids = store.read_pages(disk, pages)
+                width = int(counts.max(initial=0))
+                assert len(oids) == len(points) == width * len(pages)
+                for row, page in enumerate(pages):
                     leaf = leaves[page]
                     assert lows[page].tobytes() == leaf.mbr.low.tobytes()
                     assert highs[page].tobytes() == leaf.mbr.high.tobytes()
                     assert counts[page] == store.entry_count(leaf)
                     assert blocks[page] == leaf.blocks
-                    _assert_row(points, oids, row, *store.read_page(leaf))
+                    _assert_rows(points, oids, row, width, *store.read_page(leaf))
         with pytest.raises(ValueError, match="closed"):
-            store.read_pages(0, np.array([0]), points, oids, rows[:1])
+            store.read_pages(0, np.array([0]))
 
     def test_read_pages_into_out_matches_the_allocating_form(
         self, rng, store_dir, monkeypatch
     ):
-        """``read_pages`` into the caller's arrays is the allocating
-        ``read_page`` per page — for random page lists with repeats into
-        random rows, touching no other row — with one sleep per gather;
-        a refused read writes and sleeps nothing."""
+        """``read_pages`` is the allocating ``read_page`` per page, padded
+        to the disk's widest page — for random page lists with repeats —
+        with one sleep per gather for the pages the caller owes (all of
+        them by default); a refused read sleeps nothing."""
         slept = []
         monkeypatch.setattr(
             "repro.storage.mmap_store.time.sleep", slept.append
@@ -410,26 +445,26 @@ class TestMmapStoreRoundTrip:
                     leaf for leaf in store.leaves
                     if store.disk_of(leaf) == disk
                 ]
-                counts = store.disk_table(disk)[3]
+                width = int(store.disk_table(disk)[3].max())
                 loads = len(leaves)
                 pages = rng.integers(0, loads, size=2 * loads)
-                points, oids, _ = _block(2 * loads + 3, counts.max(), 6)
-                rows = rng.permutation(2 * loads + 3)[: 2 * loads]
-                store.read_pages(disk, pages, points, oids, rows)
+                points, oids = store.read_pages(disk, pages)
                 assert slept[-1] == 2 * loads / 1000.0
-                for row, page in zip(rows, pages):
-                    _assert_row(points, oids, row, *store.read_page(leaves[page]))
-                untouched = np.setdiff1d(np.arange(2 * loads + 3), rows)
-                assert (points[untouched] == 7.0).all()
-                before, written = len(slept), points.copy()
-                with pytest.raises(ValueError, match="must be"):
-                    store.read_pages(disk, pages, points, oids, rows[:1])
+                for row, page in enumerate(pages):
+                    _assert_rows(
+                        points, oids, row, width, *store.read_page(leaves[page])
+                    )
+                owed = np.arange(len(pages)) % 3 == 0
+                again = store.read_pages(disk, pages, owed)
+                assert slept[-1] == owed.sum() / 1000.0
+                assert again[0].tobytes() == points.tobytes()
+                before = len(slept)
+                store.read_pages(disk, pages, np.zeros(len(pages), dtype=bool))
                 with pytest.raises((ValueError, IndexError)):
-                    store.read_pages(disk, np.array([loads]), points, oids, [0])
+                    store.read_pages(disk, np.array([loads]))
                 assert len(slept) == before
-                assert np.array_equal(points, written)
         with pytest.raises(ValueError, match="closed"):
-            store.read_pages(0, np.array([0]), points, oids, [0])
+            store.read_pages(0, np.array([0]))
 
     def test_read_pages_sleeps_once_for_every_block(
         self, paged_store, tmp_path, monkeypatch
@@ -447,10 +482,9 @@ class TestMmapStoreRoundTrip:
         owed = []
         with MmapStore(directory, simulated_disk_ms=2.0) as store:
             for disk in np.flatnonzero(store.disk_loads()):
-                counts, blocks = store.disk_table(disk)[3:]
-                into = _block(len(blocks), counts.max(), 6)
-                store.read_pages(disk, np.arange(len(blocks)), *into)
-                store.read_pages(disk, np.array([0]), *into[:2], [0])
+                blocks = store.disk_table(disk)[4]
+                store.read_pages(disk, np.arange(len(blocks)))
+                store.read_pages(disk, np.array([0]))
                 owed += [int(blocks.sum()), int(blocks[0])]
             assert sum(owed[::2]) > len(store.leaves)  # supernodes counted
         assert slept == [2.0 * blocks / 1000.0 for blocks in owed]
@@ -507,6 +541,23 @@ class TestMmapStoreRoundTrip:
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(StoreFormatError, match="store format"):
             MmapStore(store_dir)
+
+    def test_v1_store_is_refused_at_open_with_a_rebuild_hint(self, store_dir):
+        """A store of the page-major layout (store format 1, page files
+        of format 1) is refused when it is opened, not on a first read,
+        and so is each of its page files."""
+        meta_path = store_dir / "store.json"
+        meta = json.loads(meta_path.read_text())
+        meta["store_format_version"] = 1
+        meta_path.write_text(json.dumps(meta))
+        for path in store_dir.glob("*.pages"):
+            raw = bytearray(path.read_bytes())
+            raw[8] = 1  # format_version, little-endian u32
+            path.write_bytes(bytes(raw))
+        with pytest.raises(StoreFormatError, match="version 1.*rebuild"):
+            MmapStore(store_dir)
+        with pytest.raises(PageFormatError, match="version 1.*rebuild"):
+            PageFile(store_dir / "disk0000.pages")
 
     def test_cache_config_round_trips(self, small_uniform, tmp_path):
         config = CacheConfig(capacity_pages=32, policy="shared")
@@ -598,7 +649,7 @@ class TestLazyTree:
             for disk in range(store.num_disks):
                 table = store.disk_table(disk)
                 pages = np.arange(len(table[2]))
-                store.read_pages(disk, pages, *_block(len(pages), 64, 6))
+                store.read_pages(disk, pages)
             assert "pages=" in repr(store)
             assert counted_nodes == []
             tree = store.tree

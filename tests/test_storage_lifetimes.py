@@ -75,7 +75,7 @@ class TestIdempotentClose:
     def test_writer_close_twice(self, tmp_path):
         writer = PageFileWriter(
             tmp_path / "w.pages", disk_id=0, num_slots=2,
-            slot_bytes=128, dimension=2,
+            slot_bytes=128, dimension=2, width=1,
         )
         writer.close()
         writer.close()
@@ -98,7 +98,7 @@ class TestPostCloseReads:
         handle = PageFile(store_dir / "disk0000.pages")
         handle.close()
         with pytest.raises(PageFormatError, match="already closed"):
-            handle.read_slots([0], *_block(1, 1), [0])
+            handle.gather([0])
 
     def test_pagefile_entry_count_after_close(self, store_dir):
         handle = PageFile(store_dir / "disk0000.pages")
@@ -110,7 +110,7 @@ class TestPostCloseReads:
     def test_writer_write_after_close(self, tmp_path):
         writer = PageFileWriter(
             tmp_path / "w.pages", disk_id=0, num_slots=1,
-            slot_bytes=128, dimension=2,
+            slot_bytes=128, dimension=2, width=1,
         )
         writer.close()
         with pytest.raises(ValueError, match="already closed"):
@@ -166,19 +166,16 @@ class TestExceptionPathLifetimes:
         assert _live_mmaps() == before_maps
 
     def test_gathers_leave_no_mapping_behind(self, store_dir):
-        """Multi-slot reads go through a cached view of the mapping;
-        close() must drop it first (an exported buffer makes
+        """Multi-slot reads go through strided views of the mapping;
+        close() must drop them first (an exported buffer makes
         ``mmap.close()`` raise ``BufferError``) and leak nothing."""
         before_fds = _open_fds()
         before_maps = _live_mmaps()
         for _ in range(5):
             with PageFile(store_dir / "disk0000.pages") as handle:
-                slots = np.arange(handle.num_slots)
-                points, oids = _block(len(slots), 64)
-                handle.read_slots(slots, points, oids, slots)
+                points, oids = handle.gather(np.arange(handle.num_slots))
             with MmapStore(store_dir) as store:
-                pages = np.arange(store.disk_loads()[1])
-                store.read_pages(1, pages, *_block(len(pages), 64), pages)
+                store.read_pages(1, np.arange(store.disk_loads()[1]))
         assert np.isfinite(points).any()  # owned copy, outlives the mapping
         assert _open_fds() == before_fds
         assert _live_mmaps() == before_maps
@@ -186,47 +183,44 @@ class TestExceptionPathLifetimes:
     def test_gathers_into_a_caller_array_leave_no_mapping_behind(
         self, store_dir
     ):
-        """Decodes copy into the caller's arrays and export nothing:
-        ``close()`` unmaps while the caller keeps them, and their
-        contents stay valid; a refused or out-of-range read leaks
-        nothing either."""
+        """Gathered rows are copies that export nothing: ``close()``
+        unmaps while the caller keeps them, and their contents stay
+        valid; a refused or out-of-range read leaks nothing either."""
         before_fds = _open_fds()
         before_maps = _live_mmaps()
         for _ in range(5):
             with PageFile(store_dir / "disk0000.pages") as handle:
                 slots = np.arange(handle.num_slots)
-                points, oids = _block(len(slots) + 2, 64)
-                handle.read_slots(slots, points, oids, slots)
+                points, oids = handle.gather(slots)
                 want = points.copy()
-                with pytest.raises(ValueError, match="must be"):
-                    handle.read_slots(slots, points[:, 1:], oids, slots)
                 with pytest.raises(ValueError, match="outside"):
-                    handle.read_slots([handle.num_slots], points, oids, [0])
+                    handle.gather([handle.num_slots])
             assert points.tobytes() == want.tobytes()
             with MmapStore(store_dir) as store:
                 pages = np.arange(store.disk_loads()[1])
-                kept = _block(len(pages), 64)
-                store.read_pages(1, pages, *kept, pages)
+                kept = store.read_pages(1, pages)
                 want = kept[0].copy()
+                with pytest.raises(IndexError):
+                    store.read_pages(1, np.array([len(pages)]))
             assert kept[0].tobytes() == want.tobytes()
             with pytest.raises(PageFormatError, match="closed"):
-                handle.read_slots(slots, points, oids, slots)
+                handle.gather(slots)
             with pytest.raises(ValueError, match="closed"):
-                store.read_pages(1, pages, *kept, pages)
+                store.read_pages(1, pages)
         assert _open_fds() == before_fds
         assert _live_mmaps() == before_maps
 
     def test_worker_decodes_leave_no_mapping_behind(self, rng, tmp_path):
-        """A disk worker's per-call, first-touch and read-through decodes
-        copy into blocks its page source owns: ``MmapStore.close()``
-        unmaps with them alive, leaks nothing, and the candidates (and
-        chunks) they returned stay valid."""
+        """A disk worker's per-call, first-touch and held-page gathers
+        return copies: ``MmapStore.close()`` unmaps with them alive,
+        leaks nothing, and the candidates (and chunks) they returned
+        stay valid."""
         paged = PagedStore(
             points=rng.random((300, 6)),
             declusterer=NearOptimalDeclusterer(6, 4),
         )
         for leaf in paged.leaves[::3]:
-            leaf.blocks = 2  # multi-block pages are always read through
+            leaf.blocks = 2  # supernode pages beside one-block pages
         save_paged_store(paged, tmp_path / "store")
         query = np.full(6, 0.5)
         before_fds = _open_fds()
@@ -274,14 +268,6 @@ class TestExceptionPathLifetimes:
         assert _open_fds() == before
 
 
-def _block(count, width):
-    """Caller-owned ``(points, oids)`` for ``count`` d=6 pages."""
-    return (
-        np.empty((count, width, 6)),
-        np.empty((count, width), dtype=np.int64),
-    )
-
-
 class TestCrashedWriter:
     def test_crashed_writer_file_loads_as_empty_pages(self, tmp_path):
         """A writer killed before close() commits the counts leaves a
@@ -290,12 +276,13 @@ class TestCrashedWriter:
         path = tmp_path / "crashed.pages"
         writer = PageFileWriter(
             path, disk_id=0, num_slots=3, slot_bytes=256, dimension=2,
+            width=1,
         )
         writer.write_slot(
             0, np.array([7], dtype=np.int64), np.ones((1, 2))
         )
         # Simulate the crash: the OS closes the fd, close() never runs,
-        # so the counts table is never written back.
+        # so W and the counts table are never written back.
         writer._file.close()
         writer._file = None
         with PageFile(path) as handle:
@@ -304,6 +291,8 @@ class TestCrashedWriter:
                 points, oids = handle.read_slot(slot)
                 assert len(oids) == 0
                 assert points.shape == (0, 2)
+            points, oids = handle.gather([0, 1, 2])
+            assert points.shape == (0, 2) and oids.shape == (0,)
 
     def test_store_with_crashed_disk_loads(self, store_dir):
         """An MmapStore whose disk-0 file was re-written by a crashed
@@ -318,6 +307,7 @@ class TestCrashedWriter:
             num_slots=num_slots,
             slot_bytes=int(meta["slot_bytes"]),
             dimension=6,
+            width=1,
             page_bytes=page_bytes,
         )
         writer._file.close()  # crash before any write or count commit

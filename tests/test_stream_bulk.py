@@ -48,8 +48,9 @@ from repro.storage import (
     sort_segment,
     stream_bulk_load_mmap,
 )
+from repro.storage import mmap_store
 from repro.storage.mmap_store import TREE_NPZ
-from repro.storage.pagefile import PageFileWriter
+from repro.storage.pagefile import PAGEFILE_FORMAT_VERSION, PageFileWriter
 from repro.storage.spill import DEFAULT_MERGE_FANIN, _merge_runs
 from tests import merge_oracle
 from tests.test_storage_lifetimes import _open_fds
@@ -271,28 +272,60 @@ def store_digests(directory: Path):
     return digests
 
 
+def format_versions():
+    """The two on-disk format revisions a store is written with."""
+    return {
+        "page_file": PAGEFILE_FORMAT_VERSION,
+        "store": mmap_store._STORE_FORMAT_VERSION,
+    }
+
+
+def build_pinned(name: str, route: str, directory: Path) -> None:
+    """Write pinned store ``name`` through ``route`` into ``directory``."""
+    make_points, scheme, disks = PINNED[name]
+    points = make_points()
+    declusterer = make_declusterer(scheme, points.shape[1], disks)
+    if route == "in-memory":
+        build_reference(points, declusterer, directory)
+    elif route == "array":
+        bulk_load_mmap(points, declusterer, directory).close()
+    else:
+        stream_bulk_load_mmap(
+            points, declusterer, directory, chunk_rows=64
+        ).close()
+
+
+def write_golden_digests(scratch: Path) -> None:
+    """Regenerate ``GOLDEN_DIGESTS`` with the current format versions
+    (``python -m tests.test_stream_bulk``; only after a version bump)."""
+    golden = {"format_versions": format_versions()}
+    for name in sorted(PINNED):
+        build_pinned(name, "in-memory", scratch / name)
+        golden[name] = store_digests(scratch / name)
+    GOLDEN_DIGESTS.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+
+
 class TestFormatPin:
     """The loader and the in-memory route share ``str_chunks`` and the
     store writer, so parity alone cannot see both drift together; these
-    digests can.  A deliberate format change regenerates the file."""
+    digests can.  The file records the format versions it was written
+    with: bytes that change under the same versions are a layout change
+    nobody versioned; a deliberate one bumps a version and regenerates
+    the file (:func:`write_golden_digests`)."""
 
     @pytest.mark.parametrize("route", ["in-memory", "array", "stream"])
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_store_digests(self, name, route, tmp_path):
-        make_points, scheme, disks = PINNED[name]
-        points = make_points()
-        declusterer = make_declusterer(scheme, points.shape[1], disks)
-        directory = tmp_path / name
-        if route == "in-memory":
-            build_reference(points, declusterer, directory)
-        elif route == "array":
-            bulk_load_mmap(points, declusterer, directory).close()
-        else:
-            stream_bulk_load_mmap(
-                points, declusterer, directory, chunk_rows=64
-            ).close()
+        build_pinned(name, route, tmp_path / name)
         golden = json.loads(GOLDEN_DIGESTS.read_text())
-        assert store_digests(directory) == golden[name]
+        if store_digests(tmp_path / name) != golden[name]:
+            assert golden["format_versions"] != format_versions(), (
+                "format changed without a version bump"
+            )
+            pytest.fail(
+                f"format versions {golden['format_versions']} -> "
+                f"{format_versions()}: regenerate {GOLDEN_DIGESTS.name}"
+            )
 
 
 LOADERS = ["bulk_load", "bulk_load_mmap", "stream_bulk_load_mmap"]
@@ -650,3 +683,10 @@ class TestCrashCleanup:
             LintConfig(enabled=frozenset({"resource-leak"})),
         )
         assert findings == []
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        write_golden_digests(Path(scratch))
