@@ -62,7 +62,6 @@ from repro.parallel import (
     CacheStats,
     LRUCache,
     DeclusteredStore,
-    ThroughputSimulator,
     ManagedStore,
     DiskArray,
     DiskParameters,
@@ -146,7 +145,6 @@ __all__ = [
     "RecursiveDeclusterer",
     "RoundRobinDeclusterer",
     "SequentialEngine",
-    "ThroughputSimulator",
     "XTree",
     "bulk_load",
     "col",

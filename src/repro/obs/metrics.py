@@ -114,19 +114,6 @@ METRIC_CATALOGUE: Tuple[MetricSpec, ...] = (
         "time).",
     ),
     MetricSpec(
-        "makespan_ms", "histogram", "ms", "repro.parallel.throughput",
-        "Time until every disk drained its queue, per throughput run.",
-    ),
-    MetricSpec(
-        "throughput_qps", "histogram", "queries/s",
-        "repro.parallel.throughput",
-        "Completed queries per simulated second, per throughput run.",
-    ),
-    MetricSpec(
-        "mean_latency_ms", "histogram", "ms", "repro.parallel.throughput",
-        "Mean query latency under processor-sharing, per throughput run.",
-    ),
-    MetricSpec(
         "stream_latency_ms", "histogram", "ms", "repro.parallel.events",
         "Per-query latency in the event-driven (FCFS queue) simulation.",
     ),

@@ -31,7 +31,6 @@ from repro.parallel.events import (
 from repro.parallel.managed import ManagedStore, ReorganizationEvent
 from repro.parallel.process import ProcessParallelEngine
 from repro.parallel.store import DeclusteredStore
-from repro.parallel.throughput import ThroughputReport, ThroughputSimulator
 from repro.parallel.window import (
     WindowQueryResult,
     parallel_window_query,
@@ -50,8 +49,6 @@ __all__ = [
     "poisson_arrivals",
     "ManagedStore",
     "ReorganizationEvent",
-    "ThroughputReport",
-    "ThroughputSimulator",
     "WindowQueryResult",
     "parallel_window_query",
     "partial_match_window",

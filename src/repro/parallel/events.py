@@ -1,13 +1,16 @@
-"""Event-driven disk-queue simulation.
+"""Event-driven disk-queue simulation: the one simulated-time model.
 
-The closed-form throughput model (:mod:`repro.parallel.throughput`)
-assumes all queries arrive at once.  This module simulates a *stream*:
-queries arrive over time (e.g. Poisson), each query's page requests join
+Queries arrive over time (e.g. Poisson), each query's page requests join
 per-disk FCFS queues, disks serve one page per service time, and a query
 completes when its last page is served.  That yields the classic
 open-system metrics — per-query latency distribution, saturation behavior
 as the offered load approaches disk capacity — with the declustering
 quality determining how early each policy saturates.
+
+A simultaneous batch (the paper's future-work *throughput* question) is
+an ordinary run with every arrival at t = 0: the completion time is then
+the busiest disk's total work and ``throughput_qps`` the batch's
+throughput.
 
 The service discipline is FCFS with per-query batches (a disk serves all
 pages of a query's request before the next query's — non-preemptive), so
@@ -17,6 +20,7 @@ event heap needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -36,11 +40,17 @@ __all__ = ["QueryArrival", "EventSimReport", "EventDrivenSimulator",
 
 @dataclass(frozen=True)
 class QueryArrival:
-    """One query entering the system at ``time_ms``."""
+    """One query entering the system at ``time_ms`` (finite, >= 0)."""
 
     time_ms: float
     query: np.ndarray
     k: int = 10
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.time_ms) and self.time_ms >= 0):
+            raise ValueError(
+                f"time_ms must be finite and >= 0, got {self.time_ms}"
+            )
 
 
 def poisson_arrivals(
@@ -76,8 +86,6 @@ class EventSimReport:
     completion_ms: float
     pages_per_disk: np.ndarray
     page_service_time_ms: float
-    offered_rate_qps: float = 0.0
-    dropped: int = 0
     cache_stats: Optional[CacheStats] = None
     query_results: Optional[List["ParallelQueryResult"]] = None
 
@@ -215,19 +223,11 @@ class EventDrivenSimulator:
                     "query_completion", query=index, t_ms=finish,
                     latency_ms=finish - arrival.time_ms,
                 )
-        arrivals = [arrivals[i] for i in order]
-        duration_s = (
-            (arrivals[-1].time_ms - arrivals[0].time_ms) / 1000.0
-            if len(arrivals) > 1
-            else 0.0
-        )
-        offered = len(arrivals) / duration_s if duration_s > 0 else 0.0
         report = EventSimReport(
             latencies_ms=np.array(latencies),
             completion_ms=completion,
             pages_per_disk=totals,
             page_service_time_ms=t_page,
-            offered_rate_qps=offered,
             cache_stats=(
                 cache.delta_since(cache_before) if cache else None
             ),

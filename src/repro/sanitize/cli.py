@@ -1,14 +1,14 @@
 """``python -m repro.sanitize`` — run the determinism sanitizer.
 
 The smoke matrix builds one small declustered store per scheme, runs
-each simulator engine against it, and applies all three sanitizer
-layers:
+each arrival shape (a tied stream, a simultaneous batch) through the
+simulator against it, and applies all three sanitizer layers:
 
 * tie-break permutation replay (:mod:`repro.sanitize.replay`) —
   query results and per-disk counters must be identical under the
   simulator's native order and two permuted tie-break seeds; the
   matrix replays the serving layer's virtual-time planner
-  (:func:`build_serve_replay_case`) alongside the raw simulators, and
+  (:func:`build_serve_replay_case`) alongside the raw simulator, and
   one out-of-core cell (:func:`build_process_replay_case`) pits the
   per-disk worker processes of
   :class:`~repro.parallel.process.ProcessParallelEngine` — a genuine
@@ -55,7 +55,6 @@ from repro.lint.sarif import render_sarif
 from repro.obs.tracer import RecordingTracer
 from repro.parallel.events import EventDrivenSimulator, QueryArrival
 from repro.parallel.paged import PagedStore
-from repro.parallel.throughput import ThroughputSimulator
 from repro.registry import make_declusterer
 from repro.sanitize.replay import ReplayCase, RunSummary, replay_check, \
     summarize_report
@@ -76,7 +75,7 @@ __all__ = [
     "main",
 ]
 
-#: The CI smoke matrix: 2 engines x 2 schemes.
+#: The CI smoke matrix: 2 engine cells (arrival shapes) x 2 schemes.
 SMOKE_SCHEMES = ("col", "rr")
 SMOKE_ENGINES = ("event", "throughput")
 
@@ -119,10 +118,11 @@ def build_replay_case(
 ) -> ReplayCase:
     """One smoke-matrix cell as a cold-start :class:`ReplayCase`.
 
-    ``engine`` is ``"event"`` (timed stream with tied arrivals) or
-    ``"throughput"`` (simultaneous batch).  The store is built once —
-    it is immutable — but each replay constructs a fresh, cacheless
-    simulator so no state leaks between seeds.
+    ``engine`` picks the arrival shape fed to the one simulator:
+    ``"event"`` is a timed stream with tied arrivals, ``"throughput"`` a
+    simultaneous batch (one tie group at t = 0).  The store is built
+    once — it is immutable — but each replay constructs a fresh,
+    cacheless simulator so no state leaks between seeds.
     """
     if engine not in SMOKE_ENGINES:
         raise ValueError(
@@ -134,21 +134,16 @@ def build_replay_case(
     )
     store = PagedStore(points=data["points"], declusterer=declusterer)
     queries = data["queries"]
+    arrivals = (
+        _tied_arrivals(queries, k) if engine == "event"
+        else _tied_arrivals(queries, k, group=len(queries))
+    )
 
     def run(seed: Optional[int]) -> RunSummary:
         """Cold cacheless run of this cell under tie-break ``seed``."""
-        if engine == "event":
-            simulator = EventDrivenSimulator(store)
-            report: object = simulator.run(
-                _tied_arrivals(queries, k),
-                tiebreak_seed=seed,
-                keep_results=True,
-            )
-        else:
-            batch = ThroughputSimulator(store)
-            report = batch.run(
-                queries, k=k, tiebreak_seed=seed, keep_results=True
-            )
+        report = EventDrivenSimulator(store).run(
+            arrivals, tiebreak_seed=seed, keep_results=True
+        )
         return summarize_report(report)
 
     return ReplayCase(name=f"{scheme}/{engine}", run=run)
@@ -445,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--engines", nargs="+", default=list(SMOKE_ENGINES),
         choices=SMOKE_ENGINES,
-        help=f"simulator engines to cover (default: {SMOKE_ENGINES})",
+        help=f"arrival shapes to cover (default: {SMOKE_ENGINES})",
     )
     parser.add_argument(
         "--seeds", nargs="+", type=int, default=[11, 47],

@@ -1,14 +1,13 @@
 """Tie-break permutation replay: prove a simulated run is deterministic.
 
-Both simulators process batches whose elements can share a timestamp —
-every query of a :class:`~repro.parallel.throughput.ThroughputSimulator`
-batch arrives at t=0, and an event stream can contain same-``time_ms``
-arrivals.  The paper's figures are only reproducible if the *outputs*
-(each query's kNN result and the per-disk page counters) do not depend
-on how those ties are broken.
+The simulator processes streams whose arrivals can share a timestamp —
+every query of a simultaneous batch arrives at t=0, and a timed stream
+can contain same-``time_ms`` arrivals.  The paper's figures are only
+reproducible if the *outputs* (each query's kNN result and the per-disk
+page counters) do not depend on how those ties are broken.
 
 This module replays one run under several tie-break seeds (the
-``tiebreak_seed`` hook the simulators expose) and diffs the
+``tiebreak_seed`` hook the simulator exposes) and diffs the
 :class:`RunSummary` of each replay against the first.  Any divergence —
 a query whose neighbors changed, a shifted page counter — is reported
 as a ``sanitize-replay-divergence`` finding pinpointing the first
@@ -42,7 +41,7 @@ class RunSummary:
     """The tie-break-invariant outputs of one simulated run.
 
     ``results`` holds one :data:`QueryOutcome` per query *in input
-    order* (the simulators restore permuted execution to input
+    order* (the simulator restores permuted execution to input
     positions); ``pages_per_disk`` the final per-disk read counters.
     Latencies are deliberately absent: under FCFS they legitimately
     depend on service order even when the results do not.
@@ -72,7 +71,7 @@ def summarize_report(report: object) -> RunSummary:
 
     Accepts any report with ``query_results`` (populated — run the
     simulator with ``keep_results=True``) and ``pages_per_disk``
-    attributes, i.e. both ``EventSimReport`` and ``ThroughputReport``.
+    attributes, e.g. an ``EventSimReport``.
     """
     query_results = getattr(report, "query_results", None)
     if query_results is None:

@@ -37,6 +37,7 @@ publishes the ``serve_*`` catalogued metrics.
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -103,9 +104,9 @@ class QueryRequest:
             raise ValueError("window requests require the 'high' corner")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.arrival_ms < 0:
+        if not (math.isfinite(self.arrival_ms) and self.arrival_ms >= 0):
             raise ValueError(
-                f"arrival_ms must be >= 0, got {self.arrival_ms}"
+                f"arrival_ms must be finite and >= 0, got {self.arrival_ms}"
             )
 
 

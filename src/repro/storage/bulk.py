@@ -25,6 +25,7 @@ test suite.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import itertools
 import math
@@ -402,6 +403,33 @@ def _spill_gather(
     return gather
 
 
+@functools.lru_cache(maxsize=None)
+def _malloc_trim() -> Optional[Callable[[int], int]]:
+    """The C library's ``malloc_trim`` (glibc), or None where it has
+    none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
+def _release_free_heap() -> None:
+    """Return the C heap's free pages to the OS (a no-op without glibc).
+
+    After a large array is freed, glibc keeps its pages resident; whether
+    the next large allocations reuse them depends on where small live
+    objects landed in the heap.  Resident memory, and with it the peak,
+    would then swing by that array's size from one run of the same build
+    to the next.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
 def stream_bulk_load_mmap(
     source: PointSource,
     declusterer: Union[Declusterer, Callable],
@@ -445,6 +473,9 @@ def stream_bulk_load_mmap(
         raise ValueError(f"fill must be in [0.8, 1.0], got {fill}")
     # Resolve the disk count before any work: fail fast without one.
     num_disks = _decluster_pages(declusterer, [], num_disks)[0]
+    # Start from the live heap only (a caller often frees the array it
+    # saved as ``source`` just before), so the RAM budget bounds growth.
+    _release_free_heap()
 
     path = Path(directory)
     created = not path.exists()
@@ -497,6 +528,7 @@ def stream_bulk_load_mmap(
         )
     # The reopen reads the directory back: free the build's copy first.
     del arrays, tiles, low, high
+    _release_free_heap()
     return MmapStore(directory)
 
 

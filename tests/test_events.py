@@ -43,6 +43,15 @@ class TestPoissonArrivals:
             poisson_arrivals(rng.random((5, 4)), rate_qps=0.0)
 
 
+class TestQueryArrival:
+    @pytest.mark.parametrize(
+        "time_ms", [-5.0, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_rejects_bad_arrival_times(self, time_ms):
+        with pytest.raises(ValueError, match="time_ms"):
+            QueryArrival(time_ms, np.zeros(2), 5)
+
+
 class TestEventDrivenSimulator:
     def test_single_query_latency_equals_busiest_disk(self, store,
                                                       simulator, rng):

@@ -15,10 +15,13 @@ import pytest
 
 from repro.obs import MetricsRegistry, NullTracer, RecordingTracer, observe
 from repro.parallel.engine import ParallelEngine, SequentialEngine
-from repro.parallel.events import EventDrivenSimulator, poisson_arrivals
+from repro.parallel.events import (
+    EventDrivenSimulator,
+    QueryArrival,
+    poisson_arrivals,
+)
 from repro.parallel.paged import PagedEngine, PagedStore
 from repro.parallel.store import DeclusteredStore
-from repro.parallel.throughput import ThroughputSimulator
 from repro.registry import make_declusterer
 from repro.storage import MmapStore, save_paged_store
 
@@ -215,14 +218,15 @@ class TestSimulatorMetrics:
     def test_throughput_simulator_publishes_aggregates(self):
         points, queries = workload(n=300, queries=6)
         store = PagedStore(points, declusterer())
-        simulator = ThroughputSimulator(store)
+        simulator = EventDrivenSimulator(store)
         registry = MetricsRegistry()
-        report = simulator.run(queries, k=5, metrics=registry)
-        assert registry.histogram("makespan_ms").max == report.makespan_ms
-        assert (
-            registry.histogram("mean_latency_ms").max
-            == report.mean_latency_ms
+        report = simulator.run(
+            [QueryArrival(0.0, query, 5) for query in queries],
+            metrics=registry,
         )
+        latency = registry.histogram("stream_latency_ms")
+        assert latency.count == len(queries)
+        assert latency.max == report.completion_ms
         assert registry.histogram("disk_utilization").count == DISKS
 
     def test_event_simulator_traces_stream_and_publishes(self):

@@ -35,7 +35,7 @@ class TestPublicAPI:
         """The ten callables that once took a scalar/vectorized switch
         keep exactly their other parameters, in order."""
         from repro.index import knn
-        from repro.parallel import events, process, throughput, window
+        from repro.parallel import events, process, window
 
         expected = {
             knn.knn_best_first: "tree query k metric on_node",
@@ -49,7 +49,6 @@ class TestPublicAPI:
             repro.PagedEngine: "store parameters cache tracer",
             process.ProcessParallelEngine:
                 "store parameters cache tracer max_k start_method",
-            throughput.ThroughputSimulator: "store parameters cache tracer",
             events.EventDrivenSimulator: "store parameters cache tracer",
             window.parallel_window_query:
                 "store low high parameters tracer",

@@ -14,7 +14,6 @@ import pytest
 from repro.obs.tracer import RecordingTracer, TraceEvent
 from repro.parallel.events import EventDrivenSimulator, QueryArrival
 from repro.parallel.paged import PagedStore
-from repro.parallel.throughput import ThroughputSimulator
 from repro.registry import make_declusterer
 from repro.sanitize import (
     ReplayCase,
@@ -186,8 +185,8 @@ class TestReplay:
 
     def test_summarize_report_requires_kept_results(self):
         store = _small_store("rr")
-        report = ThroughputSimulator(store).run(
-            _small_queries(), k=SMALL["k"]
+        report = EventDrivenSimulator(store).run(
+            _simultaneous(_small_queries())
         )
         with pytest.raises(ValueError, match="keep_results=True"):
             summarize_report(report)
@@ -211,6 +210,10 @@ def _small_queries():
     return np.random.default_rng(9).random((6, SMALL["dimension"]))
 
 
+def _simultaneous(queries):
+    return [QueryArrival(0.0, query, SMALL["k"]) for query in queries]
+
+
 class TestTiebreakHooks:
     def test_default_run_unchanged_without_hook_args(self):
         """tiebreak_seed=None must reproduce the pre-hook behaviour."""
@@ -231,11 +234,11 @@ class TestTiebreakHooks:
     def test_results_are_restored_to_input_positions(self):
         store = _small_store("rr")
         queries = _small_queries()
-        base = ThroughputSimulator(store).run(
-            queries, k=SMALL["k"], keep_results=True
+        base = EventDrivenSimulator(store).run(
+            _simultaneous(queries), keep_results=True
         )
-        permuted = ThroughputSimulator(store).run(
-            queries, k=SMALL["k"], tiebreak_seed=123, keep_results=True
+        permuted = EventDrivenSimulator(store).run(
+            _simultaneous(queries), tiebreak_seed=123, keep_results=True
         )
         assert summarize_report(base) == summarize_report(permuted)
 

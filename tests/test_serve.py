@@ -113,8 +113,9 @@ class TestQueryRequest:
             QueryRequest(query=point, kind="window")
         with pytest.raises(ValueError, match="k must"):
             QueryRequest(query=point, k=0)
-        with pytest.raises(ValueError, match="arrival_ms"):
-            QueryRequest(query=point, arrival_ms=-1.0)
+        for arrival_ms in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="arrival_ms"):
+                QueryRequest(query=point, arrival_ms=arrival_ms)
 
 
 class TestVirtualTimePlanner:

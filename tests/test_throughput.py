@@ -1,11 +1,16 @@
-"""Tests for the multi-query throughput simulator."""
+"""Tests for simultaneous batches: every arrival at t = 0."""
 
 import numpy as np
 import pytest
 
 from repro.core import NearOptimalDeclusterer
+from repro.parallel.events import EventDrivenSimulator, QueryArrival
 from repro.parallel.paged import PagedStore
-from repro.parallel.throughput import ThroughputSimulator
+
+
+def batch(queries, k=5):
+    """A simultaneous batch: every query arrives at t = 0."""
+    return [QueryArrival(0.0, query, k) for query in queries]
 
 
 @pytest.fixture
@@ -13,32 +18,35 @@ def simulator(medium_uniform):
     store = PagedStore(
         points=medium_uniform, declusterer=NearOptimalDeclusterer(8, 8)
     )
-    return ThroughputSimulator(store)
+    return EventDrivenSimulator(store)
 
 
 class TestThroughputSimulator:
     def test_report_fields(self, simulator, rng):
-        report = simulator.run(rng.random((6, 8)), k=5)
-        assert report.num_queries == 6
-        assert report.makespan_ms > 0
+        report = simulator.run(batch(rng.random((6, 8))))
+        assert len(report.latencies_ms) == 6
+        assert report.completion_ms > 0
         assert report.mean_latency_ms > 0
         assert report.throughput_qps > 0
         assert report.pages_per_disk.sum() > 0
 
     def test_makespan_is_busiest_disk(self, simulator, rng):
-        report = simulator.run(rng.random((4, 8)), k=5)
+        report = simulator.run(batch(rng.random((4, 8))))
         t_page = report.page_service_time_ms
-        assert report.makespan_ms == pytest.approx(
+        assert report.completion_ms == pytest.approx(
             report.pages_per_disk.max() * t_page
         )
 
     def test_latency_at_least_single_query_time(self, simulator, rng):
-        query = rng.random(8)
-        single = simulator.run(query.reshape(1, -1), k=5)
-        batch = simulator.run(
-            np.vstack([query] + [rng.random(8) for _ in range(5)]), k=5
-        )
-        assert batch.mean_latency_ms >= single.mean_latency_ms
+        """Under FCFS each query's latency in the batch is at least its
+        latency alone."""
+        queries = rng.random((6, 8))
+        alone = [
+            simulator.run(batch([query])).latencies_ms[0]
+            for query in queries
+        ]
+        together = simulator.run(batch(queries))
+        assert (together.latencies_ms >= np.array(alone) - 1e-9).all()
 
     def test_throughput_grows_with_disks(self, medium_uniform, rng):
         queries = rng.random((8, 8))
@@ -48,54 +56,54 @@ class TestThroughputSimulator:
                 points=medium_uniform,
                 declusterer=NearOptimalDeclusterer(8, num_disks),
             )
-            report = ThroughputSimulator(store).run(queries, k=5)
+            report = EventDrivenSimulator(store).run(batch(queries))
             rates.append(report.throughput_qps)
         assert rates == sorted(rates)
         assert rates[-1] > 2 * rates[0]
 
     def test_utilization_bounded(self, simulator, rng):
-        report = simulator.run(rng.random((6, 8)), k=5)
+        report = simulator.run(batch(rng.random((6, 8))))
         utilization = report.utilization
         assert (utilization <= 1.0 + 1e-9).all()
         assert utilization.max() == pytest.approx(1.0)
 
     def test_aggregate_imbalance(self, simulator, rng):
-        report = simulator.run(rng.random((6, 8)), k=5)
-        assert report.aggregate_imbalance >= 1.0
+        pages = simulator.run(batch(rng.random((6, 8)))).pages_per_disk
+        assert pages.max() / pages.mean() >= 1.0
 
     def test_empty_batch(self, simulator):
-        report = simulator.run(np.zeros((0, 8)), k=5)
-        assert report.num_queries == 0
-        assert report.makespan_ms == 0.0
+        report = simulator.run(batch(np.zeros((0, 8))))
+        assert len(report.latencies_ms) == 0
+        assert report.completion_ms == 0.0
         assert report.throughput_qps == float("inf")
 
     def test_single_query_matches_engine(self, simulator, rng):
         from repro.parallel.paged import PagedEngine
 
         query = rng.random(8)
-        report = simulator.run(query.reshape(1, -1), k=5)
+        report = simulator.run(batch([query]))
         engine_result = PagedEngine(
             simulator.store, simulator.parameters
         ).query(query, 5)
-        assert report.makespan_ms == pytest.approx(
+        assert report.completion_ms == pytest.approx(
             engine_result.parallel_time_ms
         )
 
 
 class TestThroughputWithCache:
     def test_no_cache_report_has_no_stats(self, simulator, rng):
-        report = simulator.run(rng.random((3, 8)), k=5)
+        report = simulator.run(batch(rng.random((3, 8))))
         assert report.cache_stats is None
 
     def test_capacity_zero_matches_uncached(self, medium_uniform, rng):
         store = PagedStore(
             points=medium_uniform, declusterer=NearOptimalDeclusterer(8, 8)
         )
-        queries = rng.random((5, 8))
-        cold = ThroughputSimulator(store).run(queries, k=5)
-        zero = ThroughputSimulator(store, cache=0).run(queries, k=5)
+        queries = batch(rng.random((5, 8)))
+        cold = EventDrivenSimulator(store).run(queries)
+        zero = EventDrivenSimulator(store, cache=0).run(queries)
         assert np.array_equal(cold.pages_per_disk, zero.pages_per_disk)
-        assert zero.makespan_ms == pytest.approx(cold.makespan_ms)
+        assert zero.completion_ms == pytest.approx(cold.completion_ms)
         assert zero.cache_stats.hits == 0
 
     def test_repeated_stream_charges_misses_only(self, medium_uniform,
@@ -104,15 +112,13 @@ class TestThroughputWithCache:
             points=medium_uniform, declusterer=NearOptimalDeclusterer(8, 8)
         )
         query = rng.random(8)
-        repeated = np.tile(query, (6, 1))
-        cold = ThroughputSimulator(store).run(repeated, k=5)
-        warm = ThroughputSimulator(store, cache=4096).run(repeated, k=5)
+        repeated = batch(np.tile(query, (6, 1)))
+        cold = EventDrivenSimulator(store).run(repeated)
+        warm = EventDrivenSimulator(store, cache=4096).run(repeated)
         # Only the first occurrence misses; five repeats hit the pool.
-        single = ThroughputSimulator(store).run(
-            query.reshape(1, -1), k=5
-        )
+        single = EventDrivenSimulator(store).run(batch([query]))
         assert np.array_equal(
             warm.pages_per_disk, single.pages_per_disk
         )
-        assert warm.makespan_ms < cold.makespan_ms
+        assert warm.completion_ms < cold.completion_ms
         assert warm.cache_stats.hit_ratio > 0.5
