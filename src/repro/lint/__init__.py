@@ -12,6 +12,12 @@ Programmatic use::
 
     from repro.lint import run_lint
     findings = run_lint(["src"])             # [] when clean
+    findings = run_lint(["src"], select={"resource-leak"})
+
+One lint run parses every file once and builds one project index (the
+symbol table, import aliases and a lazily built call graph) that every
+cross-module rule reads; rules carry their tunables as module constants,
+so rule selection is the only setting.
 
 See ``docs/linting.md`` for the rule catalogue and how to add a rule.
 """
@@ -21,11 +27,11 @@ from __future__ import annotations
 from repro.lint.baseline import (
     load_baseline,
     render_baseline,
+    stale_entries,
     subtract_baseline,
     write_baseline,
 )
 from repro.lint.concurrency import CONCURRENCY_RULES
-from repro.lint.config import DEFAULT_CONFIG, LintConfig
 from repro.lint.engine import ALL_RULES, all_rule_names, run_lint
 from repro.lint.findings import Finding, render_json, render_text
 from repro.lint.lifetime import LIFETIME_RULES
@@ -35,10 +41,8 @@ from repro.lint.sarif import render_sarif
 __all__ = [
     "ALL_RULES",
     "CONCURRENCY_RULES",
-    "DEFAULT_CONFIG",
     "Finding",
     "LIFETIME_RULES",
-    "LintConfig",
     "RULES",
     "Rule",
     "all_rule_names",
@@ -49,6 +53,7 @@ __all__ = [
     "render_text",
     "rule_names",
     "run_lint",
+    "stale_entries",
     "subtract_baseline",
     "write_baseline",
 ]

@@ -5,6 +5,9 @@ A baseline file (``lint-baseline.json``, schema
 findings present when it was last updated.  ``--baseline`` subtracts
 those from the current run so pre-existing debt does not block a PR,
 while ``--update-baseline`` rewrites the file from the current tree.
+The debt may only shrink: :func:`stale_entries` lists recorded
+fingerprints the current run no longer emits, and ``--baseline`` fails
+on them until the file is rewritten.
 
 Fingerprints hash ``path | rule | severity | message`` — deliberately
 *not* the line number — so unrelated edits that shift a finding up or
@@ -17,7 +20,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import AbstractSet, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.lint.findings import Finding
 
@@ -27,13 +30,14 @@ __all__ = [
     "render_baseline",
     "write_baseline",
     "subtract_baseline",
+    "stale_entries",
 ]
 
 BASELINE_SCHEMA = "repro.lint-baseline/v1"
 
 
-def load_baseline(path: Path) -> Counter:
-    """Fingerprint multiset read from a baseline file.
+def _entries(path: Path) -> List[Dict[str, Any]]:
+    """The validated entry list of a baseline file.
 
     Raises ``ValueError`` on a malformed or wrong-schema document so a
     truncated baseline fails loudly instead of silently admitting every
@@ -50,14 +54,48 @@ def load_baseline(path: Path) -> Counter:
     entries = payload.get("findings", [])
     if not isinstance(entries, list):
         raise ValueError(f"baseline {path}: 'findings' must be a list")
-    counts: Counter = Counter()
     for entry in entries:
         if not isinstance(entry, dict) or "fingerprint" not in entry:
             raise ValueError(
                 f"baseline {path}: every finding needs a 'fingerprint'"
             )
+    return entries
+
+
+def load_baseline(path: Path) -> Counter:
+    """Fingerprint multiset read from a baseline file (see
+    :func:`_entries` for the validation)."""
+    counts: Counter = Counter()
+    for entry in _entries(path):
         counts[str(entry["fingerprint"])] += int(entry.get("count", 1))
     return counts
+
+
+def stale_entries(
+    path: Path,
+    findings: Sequence[Finding],
+    rules: Optional[AbstractSet[str]] = None,
+) -> List[Dict[str, Any]]:
+    """Baseline entries whose fingerprints ``findings`` no longer carry.
+
+    A stale entry is a free pass that would silently absorb the *next*
+    identical regression at that path.  Multiset semantics: a
+    fingerprint baselined twice but emitted once is one stale entry.
+    With ``rules``, only entries recorded for those rules are audited —
+    a narrowed run cannot emit the rest.
+    """
+    emitted = Counter(finding.fingerprint() for finding in findings)
+    stale: List[Dict[str, Any]] = []
+    for entry in _entries(path):
+        if rules is not None and str(entry.get("rule", "")) not in rules:
+            continue
+        fingerprint = str(entry["fingerprint"])
+        for _ in range(int(entry.get("count", 1))):
+            if emitted[fingerprint] > 0:
+                emitted[fingerprint] -= 1
+            else:
+                stale.append(entry)
+    return stale
 
 
 def render_baseline(findings: Sequence[Finding]) -> str:

@@ -1,4 +1,4 @@
-"""Project-wide symbol table and call graph for cross-module lint rules.
+"""Project-wide symbol table, call graph and the shared AST toolkit.
 
 The per-module rules in :mod:`repro.lint.rules` see one AST at a time;
 the dataflow rules in :mod:`repro.lint.dataflow` need to answer
@@ -8,9 +8,14 @@ infrastructure once per lint run:
 
 * :class:`ProjectIndex` — every function/method in the linted tree under
   its dotted qualified name (``repro.parallel.engine.ParallelEngine
-  ._fetch``), plus per-module import-alias tables resolved to absolute
-  dotted names;
-* :class:`CallGraph` — resolved call edges between those functions.
+  ._fetch``), resolved through each module's import-alias table;
+* :class:`CallGraph` — resolved call edges between those functions,
+  built on first use (``ProjectIndex.call_graph``).
+
+It is also the one home of the AST helpers every rule family uses:
+:func:`dotted_name`, :func:`import_aliases`, the alias-only
+:func:`resolve_alias` (``ProjectIndex.resolve`` additionally falls back
+to the local module), :func:`own_nodes` and :func:`class_qualname`.
 
 Resolution is deliberately conservative-but-useful (class-hierarchy-
 analysis style): ``self.m(...)`` resolves to the enclosing class's own
@@ -27,14 +32,23 @@ from __future__ import annotations
 import ast
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+)
 
-from repro.lint.module import ModuleInfo
+if TYPE_CHECKING:
+    from repro.lint.module import ModuleInfo
 
 __all__ = ["FunctionInfo", "ProjectIndex", "CallGraph", "dotted_name",
-           "import_aliases"]
+           "import_aliases", "resolve_alias", "own_nodes", "class_qualname"]
 
-FunctionNode = ast.FunctionDef  # AsyncFunctionDef handled via tuple below
 _FUNC_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -75,6 +89,25 @@ def import_aliases(tree: ast.Module) -> Dict[str, str]:
     return aliases
 
 
+def resolve_alias(aliases: Dict[str, str], local: str) -> str:
+    """Resolve a local dotted name's head through an import table only
+    (``np.frombuffer`` -> ``numpy.frombuffer``); unknown heads stay."""
+    head, _, rest = local.partition(".")
+    resolved = aliases.get(head, head)
+    return f"{resolved}.{rest}" if rest else resolved
+
+
+def own_nodes(func: ast.AST) -> Iterator[ast.AST]:
+    """Nodes lexically inside ``func`` but not inside a nested def."""
+    stack: List[ast.AST] = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _FUNC_TYPES):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
 @dataclass(frozen=True)
 class FunctionInfo:
     """One function or method definition in the linted tree.
@@ -96,23 +129,36 @@ class FunctionInfo:
         return self.qualname.rsplit(".", 1)[-1]
 
 
+def class_qualname(info: FunctionInfo) -> Optional[str]:
+    """Dotted name of the class owning method ``info``, if any."""
+    if info.class_name is None:
+        return None
+    marker = f".{info.class_name}."
+    if marker not in info.qualname:
+        return None
+    head = info.qualname.rsplit(marker, 1)[0]
+    return f"{head}.{info.class_name}"
+
+
 class ProjectIndex:
     """Symbol table over every module of one lint run.
 
-    Exposes ``functions`` (qualname -> :class:`FunctionInfo`),
+    Exposes ``modules`` (the parsed modules, in lint order),
+    ``functions`` (qualname -> :class:`FunctionInfo`),
     ``by_method_name`` (unqualified name -> qualnames) for
     class-hierarchy-analysis fallbacks, ``classes`` (dotted class name ->
-    ``ast.ClassDef``) and per-module import aliases.
+    ``ast.ClassDef``) and, built on first use, the :class:`CallGraph`.
     """
 
     def __init__(self, modules: Sequence[ModuleInfo]):
-        self.modules: Dict[str, ModuleInfo] = {m.name: m for m in modules}
+        self.modules: List[ModuleInfo] = list(modules)
+        self.module_by_name: Dict[str, ModuleInfo] = {
+            module.name: module for module in modules
+        }
         self.functions: Dict[str, FunctionInfo] = {}
         self.by_method_name: Dict[str, List[str]] = {}
         self.classes: Dict[str, ast.ClassDef] = {}
-        self.aliases: Dict[str, Dict[str, str]] = {}
         for module in modules:
-            self.aliases[module.name] = import_aliases(module.tree)
             self._collect(module, module.tree.body, module.name, None)
 
     def _collect(
@@ -134,6 +180,21 @@ class ProjectIndex:
                 self.classes[qualname] = node
                 self._collect(module, node.body, qualname, node.name)
 
+    def find_module(
+        self, dotted: str, near: ModuleInfo
+    ) -> Optional[ModuleInfo]:
+        """The linted module ``dotted``, else parsed from the tree
+        ``near`` came from (a run over a subset of the files)."""
+        found = self.module_by_name.get(dotted)
+        return found if found is not None else near.locate_sibling(
+            near, dotted
+        )
+
+    @cached_property
+    def call_graph(self) -> CallGraph:
+        """The project's call graph, built once on first use."""
+        return CallGraph(self)
+
     def resolve(self, module_name: str, local_dotted: str) -> str:
         """Absolute dotted name for ``local_dotted`` seen in a module.
 
@@ -141,11 +202,10 @@ class ProjectIndex:
         unresolvable heads fall back to ``module_name.local_dotted`` so
         module-local definitions are found.
         """
-        aliases = self.aliases.get(module_name, {})
-        head, _, rest = local_dotted.partition(".")
-        if head in aliases:
-            resolved = aliases[head]
-            return f"{resolved}.{rest}" if rest else resolved
+        module = self.module_by_name.get(module_name)
+        aliases = module.aliases if module is not None else {}
+        if local_dotted.partition(".")[0] in aliases:
+            return resolve_alias(aliases, local_dotted)
         return f"{module_name}.{local_dotted}"
 
     def base_classes(self, class_qualname: str) -> List[str]:
@@ -153,24 +213,17 @@ class ProjectIndex:
         node = self.classes.get(class_qualname)
         if node is None:
             return []
-        module_name = class_qualname.rsplit(".", 2)[0]
-        # A nested class keeps its defining module as the resolution
-        # context; walking off the front of the qualname finds it.  The
-        # defining module may be absent entirely (linting a subtree
-        # with no package __init__ modules), so stop at the last
-        # segment rather than respinning on it forever.
-        while module_name and module_name not in self.modules:
-            head, sep, _ = module_name.rpartition(".")
-            if not sep:
-                module_name = ""
-                break
-            module_name = head
+        # Bases resolve in the defining module: walk off the class's own
+        # name (and any enclosing classes/functions) until a module.
+        module_name = class_qualname.rsplit(".", 1)[0]
+        while "." in module_name and module_name not in self.module_by_name:
+            module_name = module_name.rsplit(".", 1)[0]
         bases: List[str] = []
         for base in node.bases:
             local = dotted_name(base)
             if local is None:
                 continue
-            resolved = self.resolve(module_name or class_qualname, local)
+            resolved = self.resolve(module_name, local)
             if resolved in self.classes:
                 bases.append(resolved)
         return bases
@@ -192,6 +245,32 @@ class ProjectIndex:
             stack.extend(self.base_classes(current))
         return None
 
+    def resolve_call(
+        self, info: FunctionInfo, call: ast.Call
+    ) -> Optional[str]:
+        """Precise project-local target of ``call`` made in ``info``.
+
+        ``self.m(...)`` resolves through the owning class's hierarchy,
+        other names through the import table (then the local module); a
+        call of a project class targets its ``__init__``.  None when no
+        precise target exists — there is no name-based guessing here.
+        """
+        local = dotted_name(call.func)
+        if local is None:
+            return None
+        if local.startswith("self."):
+            rest = local[len("self."):]
+            owner = class_qualname(info)
+            if owner is None or "." in rest:
+                return None
+            return self.resolve_method(owner, rest)
+        absolute = self.resolve(info.module.name, local)
+        if absolute in self.functions:
+            return absolute
+        if absolute in self.classes:
+            return self.resolve_method(absolute, "__init__")
+        return None
+
 
 class CallGraph:
     """Resolved call edges over a :class:`ProjectIndex`.
@@ -208,69 +287,30 @@ class CallGraph:
         for info in index.functions.values():
             self.edges[info.qualname] = set(self._callees(info))
 
-    # ------------------------------------------------------- edge building
-
-    def _own_calls(self, info: FunctionInfo) -> Iterator[ast.Call]:
-        """Calls lexically inside ``info`` but not inside a nested def."""
-        stack: List[ast.AST] = list(ast.iter_child_nodes(info.node))
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _FUNC_TYPES):
-                continue  # nested function: its own graph node
-            if isinstance(node, ast.Call):
-                yield node
-            stack.extend(ast.iter_child_nodes(node))
-
-    def _class_qualname(self, info: FunctionInfo) -> Optional[str]:
-        """Dotted name of the class that owns method ``info``, if any."""
-        if info.class_name is None:
-            return None
-        qualname = info.qualname
-        marker = f".{info.class_name}."
-        head = qualname.rsplit(marker, 1)[0]
-        return f"{head}{marker.rstrip('.')}" if marker in qualname else None
-
     def _callees(self, info: FunctionInfo) -> Iterator[str]:
-        module_name = info.module.name
-        class_qualname = self._class_qualname(info)
         # Nested functions are reachable from their enclosing function.
         parent = info.qualname.rsplit(".", 1)[0]
         if parent in self.index.functions:
             self.edges.setdefault(parent, set()).add(info.qualname)
-        for call in self._own_calls(info):
+        for call in own_nodes(info.node):
+            if not isinstance(call, ast.Call):
+                continue
+            resolved = self.index.resolve_call(info, call)
+            if resolved is not None:
+                yield resolved
+                continue
+            # Unresolvable attribute call — on a dotted receiver or a
+            # computed one (``make()...x()``, subscripts): the graph must
+            # stay over-approximating, so fall back by method name.
             local = dotted_name(call.func)
-            if local is None:
-                # Method call on a computed receiver (``make()...x()``,
-                # subscripts, ...): no dotted name, but the graph must
-                # stay over-approximating — name-based fallback.
-                if isinstance(call.func, ast.Attribute):
-                    for candidate in self.index.by_method_name.get(
-                        call.func.attr, ()
-                    ):
-                        yield candidate
+            if local is not None and (
+                "." not in local
+                or self.index.resolve(info.module.name, local)
+                in self.index.classes
+            ):
                 continue
-            if local.startswith("self.") and class_qualname is not None:
-                rest = local[len("self."):]
-                if "." not in rest:
-                    resolved = self.index.resolve_method(class_qualname, rest)
-                    if resolved is not None:
-                        yield resolved
-                        continue
-            absolute = self.index.resolve(module_name, local)
-            if absolute in self.index.functions:
-                yield absolute
-                continue
-            # ``Class(...)`` constructs an instance: edge to __init__.
-            if absolute in self.index.classes:
-                init = self.index.resolve_method(absolute, "__init__")
-                if init is not None:
-                    yield init
-                continue
-            # Unresolvable attribute call: name-based fallback.
-            attr = local.rsplit(".", 1)[-1]
-            if "." in local:
-                for candidate in self.index.by_method_name.get(attr, ()):
-                    yield candidate
+            if isinstance(call.func, ast.Attribute):
+                yield from self.index.by_method_name.get(call.func.attr, ())
 
     # -------------------------------------------------------------- queries
 

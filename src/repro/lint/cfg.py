@@ -44,9 +44,10 @@ import ast
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set, Tuple
 
+from repro.lint.callgraph import _FUNC_TYPES
+
 __all__ = ["CFG", "CFGNode", "build_cfg"]
 
-_FUNC_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 #: Statement kinds that never transfer control abnormally by themselves.
 _SIMPLE_TYPES = (

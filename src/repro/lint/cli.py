@@ -9,12 +9,13 @@ machine-readable document for tooling; ``--format=sarif`` emits SARIF
 Baselines (``lint-baseline.json``, schema ``repro.lint-baseline/v1``)
 let CI fail only on *new* findings: ``--baseline FILE`` subtracts the
 recorded fingerprints before rendering and exit-status evaluation, and
-``--update-baseline FILE`` rewrites the file from the current tree.
+fails (exit 1) on *stale* entries — recorded fingerprints the run no
+longer emits — until ``--update-baseline FILE`` rewrites the file from
+the current tree.
 
-``--jobs N`` fans the per-file rule passes out over N worker threads
-(cross-module passes stay single-threaded); ``--select`` narrows the
-run to named rules or rule groups (``concurrency``, ``dataflow``,
-``lifetime``); ``--time-budget SECONDS`` turns the run's wall-clock
+``--select`` narrows the run to named rules or rule groups
+(``concurrency``, ``dataflow``, ``lifetime``), and the stale-entry audit
+with it; ``--time-budget SECONDS`` turns the run's wall-clock
 into a gate — the elapsed time is reported on stderr and exceeding the
 budget fails the run even when the tree is clean.  ``--explain RULE``
 prints one rule's documentation: its rationale (the class docstring)
@@ -29,15 +30,15 @@ import sys
 import textwrap
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence, Set
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set
 
 from repro.lint.baseline import (
     load_baseline,
+    stale_entries,
     subtract_baseline,
     write_baseline,
 )
 from repro.lint.concurrency import CONCURRENCY_RULES
-from repro.lint.config import DEFAULT_CONFIG, LintConfig
 from repro.lint.dataflow import DATAFLOW_RULES
 from repro.lint.engine import (
     ALL_RULES,
@@ -89,16 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--baseline", type=Path, default=None, metavar="FILE",
         help="subtract the findings recorded in FILE before reporting "
-        "(fail only on new findings)",
+        "(fail only on new findings, or on entries FILE records that "
+        "the run no longer emits)",
     )
     parser.add_argument(
         "--update-baseline", type=Path, default=None, metavar="FILE",
         help="rewrite FILE from the current findings and exit 0",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker threads for the per-file rule passes (default: 1; "
-        "cross-module passes always run single-threaded)",
     )
     parser.add_argument(
         "--select", default=None, metavar="RULES",
@@ -164,8 +161,8 @@ def _explain(name: str) -> int:
     return 0
 
 
-def _selected_config(selection: str) -> Optional[LintConfig]:
-    """A config enabling only the ``--select`` rules; None on bad names."""
+def _selected_rules(selection: str) -> Optional[FrozenSet[str]]:
+    """Rule names the ``--select`` value expands to; None on bad names."""
     known = set(all_rule_names())
     enabled: Set[str] = set()
     for token in selection.split(","):
@@ -180,7 +177,25 @@ def _selected_config(selection: str) -> Optional[LintConfig]:
             return None
     if not enabled:
         return None
-    return LintConfig(enabled=frozenset(enabled))
+    return frozenset(enabled)
+
+
+def _report_stale(baseline: Path, stale: Sequence[Dict[str, Any]]) -> None:
+    """Name every stale baseline entry on stderr (stdout stays a
+    parseable SARIF/JSON document)."""
+    print(
+        f"repro.lint: {baseline}: {len(stale)} stale baseline "
+        f"entr{'y' if len(stale) == 1 else 'ies'} — the findings below "
+        f"are no longer emitted; rerun --update-baseline:",
+        file=sys.stderr,
+    )
+    for entry in stale:
+        print(
+            f"  {entry.get('path', '?')}: [{entry.get('rule', '?')}] "
+            f"{entry.get('message', '')} "
+            f"(fingerprint {entry.get('fingerprint', '?')})",
+            file=sys.stderr,
+        )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -193,13 +208,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for rule in ALL_RULES:
             print(f"{rule.name:>28}  {rule.summary}")
         return 0
-    if args.jobs < 1:
-        print(f"repro.lint: --jobs must be >= 1, got {args.jobs}",
-              file=sys.stderr)
-        return 2
-    config = DEFAULT_CONFIG
+    selected = None
     if args.select is not None:
-        selected = _selected_config(args.select)
+        selected = _selected_rules(args.select)
         if selected is None:
             print(
                 f"repro.lint: --select {args.select!r} names no known "
@@ -207,9 +218,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        config = selected
     started = time.monotonic()
-    findings: List[Finding] = run_lint(args.paths, config, jobs=args.jobs)
+    findings: List[Finding] = run_lint(args.paths, selected)
     elapsed = time.monotonic() - started
     if args.update_baseline is not None:
         write_baseline(args.update_baseline, findings)
@@ -218,9 +228,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"({len(findings)} findings recorded)"
         )
         return 0
+    stale: List[Dict[str, Any]] = []
     if args.baseline is not None:
         try:
             baseline = load_baseline(args.baseline)
+            stale = stale_entries(args.baseline, findings, selected)
         except (OSError, ValueError) as error:
             print(f"repro.lint: {error}", file=sys.stderr)
             return 2
@@ -233,6 +245,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(render_text(findings))
     else:
         print("0 findings")
+    if stale:
+        _report_stale(args.baseline, stale)
     over_budget = False
     if args.time_budget is not None:
         over_budget = elapsed > args.time_budget
@@ -240,11 +254,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # stderr so SARIF/JSON documents on stdout stay parseable.
         print(
             f"repro.lint: completed in {elapsed:.2f}s "
-            f"(budget {args.time_budget:.2f}s, {verdict}, "
-            f"jobs={args.jobs})",
+            f"(budget {args.time_budget:.2f}s, {verdict})",
             file=sys.stderr,
         )
-    return 1 if error_findings(findings) or over_budget else 0
+    failed = error_findings(findings) or stale or over_budget
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -49,12 +49,11 @@ from typing import (
 )
 
 from repro.lint.callgraph import (
-    CallGraph,
-    FunctionInfo,
     ProjectIndex,
     dotted_name,
+    own_nodes,
+    resolve_alias,
 )
-from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.module import ModuleInfo
 from repro.lint.rules import Rule
@@ -70,8 +69,6 @@ __all__ = [
     "CONCURRENCY_RULES",
 ]
 
-_FUNC_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
-
 #: AST nodes at which an async function can yield control to the event
 #: loop (``async for`` suspends per iteration, ``async with`` on
 #: enter/exit).
@@ -80,15 +77,20 @@ _SUSPEND_TYPES = (ast.Await, ast.AsyncFor, ast.AsyncWith)
 _LOOP_TYPES = (ast.For, ast.While, ast.AsyncFor)
 
 
-def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
-    """Nodes lexically inside ``func`` but not inside a nested def."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, _FUNC_TYPES):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
+#: Class-attribute name holding the single-writer annotation that
+#: sanctions attributes for ``async-atomicity-violation`` and
+#: ``shared-state-without-lock``.
+SINGLE_WRITER_ATTR = "_SINGLE_WRITER"
+
+#: Function qualnames ``no-wall-clock-in-virtual-time`` treats as
+#: virtual-time entry points (simulator ``run`` methods are added
+#: automatically by class-name convention).
+VIRTUAL_TIME_ROOTS = (
+    "repro.serve.service.QueryService.run_trace",
+    "repro.serve.service.QueryService.run_stream",
+    "repro.serve.loadgen.run_closed_loop",
+    "repro.serve.loadgen.sweep",
+)
 
 
 def suspension_lines(func: ast.AST) -> Tuple[int, ...]:
@@ -97,7 +99,7 @@ def suspension_lines(func: ast.AST) -> Tuple[int, ...]:
     return tuple(
         sorted(
             node.lineno
-            for node in _own_nodes(func)
+            for node in own_nodes(func)
             if isinstance(node, _SUSPEND_TYPES)
         )
     )
@@ -112,17 +114,6 @@ def async_functions(index: ProjectIndex) -> FrozenSet[str]:
     )
 
 
-def _class_qualname(info: FunctionInfo) -> Optional[str]:
-    """Dotted name of the class owning method ``info``, if any."""
-    if info.class_name is None:
-        return None
-    marker = f".{info.class_name}."
-    if marker not in info.qualname:
-        return None
-    head = info.qualname.rsplit(marker, 1)[0]
-    return f"{head}.{info.class_name}"
-
-
 def _self_accesses(
     func: ast.AST,
 ) -> Tuple[Dict[str, List[int]], Dict[str, List[int]]]:
@@ -133,7 +124,7 @@ def _self_accesses(
     """
     reads: Dict[str, List[int]] = {}
     writes: Dict[str, List[int]] = {}
-    for node in _own_nodes(func):
+    for node in own_nodes(func):
         if isinstance(node, ast.AugAssign) and isinstance(
             node.target, ast.Attribute
         ):
@@ -168,7 +159,7 @@ def _lockish(expr: ast.expr) -> bool:
 def _locked_spans(func: ast.AST) -> List[Tuple[int, int]]:
     """``(first, last)`` line spans of lock-holding ``with`` blocks."""
     spans: List[Tuple[int, int]] = []
-    for node in _own_nodes(func):
+    for node in own_nodes(func):
         if not isinstance(node, (ast.With, ast.AsyncWith)):
             continue
         if any(_lockish(item.context_expr) for item in node.items):
@@ -181,7 +172,7 @@ def _in_spans(line: int, spans: Sequence[Tuple[int, int]]) -> bool:
     return any(first <= line <= last for first, last in spans)
 
 
-def _single_writer_attrs(classdef: ast.ClassDef, attr_name: str) -> Set[str]:
+def _single_writer_attrs(classdef: ast.ClassDef) -> Set[str]:
     """String constants of the class-level single-writer annotation."""
     names: Set[str] = set()
     for stmt in classdef.body:
@@ -193,7 +184,8 @@ def _single_writer_attrs(classdef: ast.ClassDef, attr_name: str) -> Set[str]:
         else:
             continue
         if not any(
-            isinstance(t, ast.Name) and t.id == attr_name for t in targets
+            isinstance(t, ast.Name) and t.id == SINGLE_WRITER_ATTR
+            for t in targets
         ):
             continue
         value = stmt.value
@@ -233,16 +225,12 @@ class AsyncAtomicityViolation(Rule):
         "        self.in_flight += 1"
     )
 
-    def check_module(
-        self, module: ModuleInfo, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         """Flag read-await-write attribute races in async methods."""
         for classdef in ast.walk(module.tree):
             if not isinstance(classdef, ast.ClassDef):
                 continue
-            sanctioned = _single_writer_attrs(
-                classdef, config.single_writer_attr
-            )
+            sanctioned = _single_writer_attrs(classdef)
             for stmt in classdef.body:
                 if isinstance(stmt, ast.AsyncFunctionDef):
                     yield from self._check_method(
@@ -305,7 +293,7 @@ class AsyncAtomicityViolation(Rule):
     ) -> Iterator[Finding]:
         """Read+write+suspend inside one loop body races across
         iterations even when the lexical order looks safe."""
-        for loop in _own_nodes(method):
+        for loop in own_nodes(method):
             if not isinstance(loop, _LOOP_TYPES):
                 continue
             suspends = suspension_lines(loop)
@@ -352,7 +340,7 @@ class AsyncAtomicityViolation(Rule):
             f"interleave at the suspension and act on stale state — "
             f"capture the attribute into a local before awaiting, hold a "
             f"lock, or declare it in "
-            f"{classdef.name}._SINGLE_WRITER",
+            f"{classdef.name}.{SINGLE_WRITER_ATTR}",
         )
 
 
@@ -399,21 +387,16 @@ class NoWallClockInVirtualTime(Rule):
         {"asyncio.get_running_loop", "asyncio.get_event_loop"}
     )
 
-    def _resolve(self, aliases: Dict[str, str], local: str) -> str:
-        head, _, rest = local.partition(".")
-        resolved = aliases.get(head, head)
-        return f"{resolved}.{rest}" if rest else resolved
-
     def _wall_sites(
         self, func: ast.AST, aliases: Dict[str, str]
     ) -> Iterator[Tuple[ast.Call, str]]:
         """``(call, description)`` wall-clock reads in ``func``."""
-        for node in _own_nodes(func):
+        for node in own_nodes(func):
             if not isinstance(node, ast.Call):
                 continue
             local = dotted_name(node.func)
             if local is not None:
-                resolved = self._resolve(aliases, local)
+                resolved = resolve_alias(aliases, local)
                 if resolved in self._WALL_TARGETS:
                     yield node, f"{resolved}()"
                     continue
@@ -429,7 +412,7 @@ class NoWallClockInVirtualTime(Rule):
                 getter = dotted_name(receiver.func)
                 if (
                     getter is not None
-                    and self._resolve(aliases, getter) in self._LOOP_GETTERS
+                    and resolve_alias(aliases, getter) in self._LOOP_GETTERS
                 ):
                     yield node, "asyncio event-loop time()"
                 continue
@@ -440,11 +423,12 @@ class NoWallClockInVirtualTime(Rule):
             ):
                 yield node, f"{receiver_name}.time()"
 
-    def _roots(self, index: ProjectIndex, config: LintConfig) -> List[str]:
+    @staticmethod
+    def _roots(index: ProjectIndex) -> List[str]:
         """Virtual-time entry points present in this project."""
         roots = [
             qualname
-            for qualname in config.virtual_time_roots
+            for qualname in VIRTUAL_TIME_ROOTS
             if qualname in index.functions
         ]
         for qualname, info in index.functions.items():
@@ -456,24 +440,19 @@ class NoWallClockInVirtualTime(Rule):
                 roots.append(qualname)
         return sorted(set(roots))
 
-    def check_project(
-        self, modules: Sequence[ModuleInfo], config: LintConfig
-    ) -> Iterator[Finding]:
+    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
         """Flag wall-clock reads reachable from virtual-time roots."""
-        in_scope = {m.name for m in modules if self.applies_to(m.name, config)}
-        if not in_scope:
+        in_scope = {m.name for m in self.in_scope(index)}
+        roots = self._roots(index)
+        if not in_scope or not roots:
             return
-        index = ProjectIndex(list(modules))
-        roots = self._roots(index, config)
-        if not roots:
-            return
-        graph = CallGraph(index)
+        graph = index.call_graph
         reachable = graph.reachable_from(roots)
         for qualname in sorted(reachable):
             info = index.functions[qualname]
             if info.module.name not in in_scope:
                 continue
-            aliases = index.aliases.get(info.module.name, {})
+            aliases = info.module.aliases
             for call, description in self._wall_sites(info.node, aliases):
                 chain = ""
                 for root in roots:
@@ -528,22 +507,17 @@ class AsyncBlockingCall(Rule):
     #: dict's ``.query`` helper elsewhere is not misflagged.
     _ENGINE_METHODS = frozenset({"query", "query_batch"})
 
-    def _resolve(self, aliases: Dict[str, str], local: str) -> str:
-        head, _, rest = local.partition(".")
-        resolved = aliases.get(head, head)
-        return f"{resolved}.{rest}" if rest else resolved
-
     def _blocking_sites(
         self, func: ast.AST, aliases: Dict[str, str]
     ) -> Iterator[Tuple[ast.Call, str]]:
         """``(call, description)`` blocking calls in ``func``."""
-        for node in _own_nodes(func):
+        for node in own_nodes(func):
             if not isinstance(node, ast.Call):
                 continue
             local = dotted_name(node.func)
             if local is None:
                 continue
-            resolved = self._resolve(aliases, local)
+            resolved = resolve_alias(aliases, local)
             if resolved in self._BLOCKING_TARGETS:
                 yield node, f"{resolved}()"
                 continue
@@ -558,9 +532,7 @@ class AsyncBlockingCall(Rule):
                 if receiver is not None and "engine" in receiver.lower():
                     yield node, f"sync {receiver}.{node.func.attr}()"
 
-    def check_project(
-        self, modules: Sequence[ModuleInfo], config: LintConfig
-    ) -> Iterator[Finding]:
+    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
         """Flag blocking sites on async functions' sync call chains.
 
         BFS from each async function over the call graph, *not*
@@ -569,14 +541,11 @@ class AsyncBlockingCall(Rule):
         belongs.  The finding reconstructs the async entry's path so
         the offending frame is obvious.
         """
-        in_scope = {m.name for m in modules if self.applies_to(m.name, config)}
-        if not in_scope:
-            return
-        index = ProjectIndex(list(modules))
+        in_scope = {m.name for m in self.in_scope(index)}
         coroutines = async_functions(index)
-        if not coroutines:
+        if not in_scope or not coroutines:
             return
-        graph = CallGraph(index)
+        graph = index.call_graph
         reported: Set[Tuple[str, int]] = set()
         for root in sorted(coroutines):
             root_info = index.functions[root]
@@ -589,9 +558,8 @@ class AsyncBlockingCall(Rule):
                 current = queue.pop(0)
                 info = index.functions[current]
                 if info.module.name in in_scope:
-                    aliases = index.aliases.get(info.module.name, {})
                     for call, description in self._blocking_sites(
-                        info.node, aliases
+                        info.node, info.module.aliases
                     ):
                         key = (info.module.display_path, call.lineno)
                         if key in reported:
@@ -636,9 +604,7 @@ class TaskLeak(Rule):
 
     _SPAWNERS = frozenset({"create_task", "ensure_future"})
 
-    def check_module(
-        self, module: ModuleInfo, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         """Flag statement-position task spawns whose handle is dropped."""
         for node in ast.walk(module.tree):
             if not (
@@ -683,28 +649,22 @@ class MissingAwait(Rule):
         "    await self.drain()"
     )
 
-    def check_project(
-        self, modules: Sequence[ModuleInfo], config: LintConfig
-    ) -> Iterator[Finding]:
+    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
         """Flag discarded coroutine calls with precise resolution."""
-        in_scope = [m for m in modules if self.applies_to(m.name, config)]
-        if not in_scope:
-            return
-        index = ProjectIndex(list(modules))
+        scoped = {m.name for m in self.in_scope(index)}
         coroutines = async_functions(index)
-        if not coroutines:
+        if not scoped or not coroutines:
             return
-        scoped = {m.name for m in in_scope}
         for qualname, info in sorted(index.functions.items()):
             if info.module.name not in scoped:
                 continue
-            for node in _own_nodes(info.node):
+            for node in own_nodes(info.node):
                 if not (
                     isinstance(node, ast.Expr)
                     and isinstance(node.value, ast.Call)
                 ):
                     continue
-                target = self._resolve_target(index, info, node.value)
+                target = index.resolve_call(info, node.value)
                 if target is None or target not in coroutines:
                     continue
                 yield self.finding(
@@ -715,25 +675,6 @@ class MissingAwait(Rule):
                     f"it (or hand it to asyncio.create_task and keep "
                     f"the handle)",
                 )
-
-    @staticmethod
-    def _resolve_target(
-        index: ProjectIndex, info: FunctionInfo, call: ast.Call
-    ) -> Optional[str]:
-        """Precise project-local resolution of one call target."""
-        local = dotted_name(call.func)
-        if local is None:
-            return None
-        if local.startswith("self."):
-            rest = local[len("self."):]
-            owner = _class_qualname(info)
-            if owner is not None and "." not in rest:
-                return index.resolve_method(owner, rest)
-            return None
-        absolute = index.resolve(info.module.name, local)
-        if absolute in index.functions:
-            return absolute
-        return None
 
 
 #: The async-safety rules, in reporting order.

@@ -37,11 +37,10 @@ from typing import (
     Tuple,
 )
 
-from repro.lint.callgraph import CallGraph, ProjectIndex, dotted_name
-from repro.lint.config import LintConfig, module_matches
+from repro.lint.callgraph import ProjectIndex, dotted_name
 from repro.lint.findings import Finding
 from repro.lint.module import ModuleInfo
-from repro.lint.rules import Rule
+from repro.lint.rules import REGISTRY_MODULE, SCHEME_SUFFIX, Rule
 
 __all__ = [
     "NoUnchargedDiskRead",
@@ -50,8 +49,6 @@ __all__ = [
     "NoUnvalidatedSchemeString",
     "DATAFLOW_RULES",
 ]
-
-_FUNC_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 #: Dotted-name fragments identifying a buffer-pool-ish receiver.
 _POOLISH = ("cache", "pool", "buffer")
@@ -91,11 +88,9 @@ def _walk_with_guards(
         yield from _walk_with_guards(child, guards)
 
 
-def _module_functions(module: ModuleInfo) -> Iterator[ast.AST]:
-    """Every function/method definition in ``module`` (including nested)."""
-    for node in ast.walk(module.tree):
-        if isinstance(node, _FUNC_TYPES):
-            yield node
+#: Method names treated as engine/simulator entry points when
+#: ``no-uncharged-disk-read`` reports a reaching call chain.
+ENTRY_POINT_NAMES = ("query", "query_batch", "run")
 
 
 class NoUnchargedDiskRead(Rule):
@@ -182,49 +177,37 @@ class NoUnchargedDiskRead(Rule):
                 continue
             yield node
 
-    def _entry_points(self, index: ProjectIndex, config: LintConfig) -> List[str]:
+    @staticmethod
+    def _entry_points(index: ProjectIndex) -> List[str]:
         """Engine/simulator entry-point qualnames of this project."""
         return sorted(
             qualname
             for qualname, info in index.functions.items()
             if info.module.name.startswith("repro.parallel")
-            and info.name in config.entry_point_names
+            and info.name in ENTRY_POINT_NAMES
             and info.class_name is not None
         )
 
-    def check_project(
-        self, modules: Sequence[ModuleInfo], config: LintConfig
-    ) -> Iterator[Finding]:
+    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
         """Flag unsanctioned charge sites, naming a reaching entry point."""
-        in_scope = [m for m in modules if self.applies_to(m.name, config)]
-        if not in_scope:
-            return
-        index = ProjectIndex(list(modules))
-        graph: Optional[CallGraph] = None
-        entries: List[str] = []
-        for module in in_scope:
-            for qualname, info in index.functions.items():
-                if info.module is not module:
-                    continue
-                for call in self._unsanctioned_charges(info.node):
-                    if graph is None:
-                        graph = CallGraph(index)
-                        entries = self._entry_points(index, config)
-                    chain = ""
-                    for entry in entries:
-                        path = graph.find_path(entry, qualname)
-                        if path and len(path) > 1:
-                            chain = (
-                                "; reached from " + " -> ".join(path)
-                            )
-                            break
-                    yield self.finding(
-                        module, call,
-                        f"DiskArray read in {qualname} is charged without "
-                        f"flowing through the attached BufferPool (no "
-                        f"pool.access(...) before it and no `cache is "
-                        f"None` cold-path guard){chain}",
-                    )
+        scoped = {module.name for module in self.in_scope(index)}
+        for qualname, info in index.functions.items():
+            if info.module.name not in scoped:
+                continue
+            for call in self._unsanctioned_charges(info.node):
+                chain = ""
+                for entry in self._entry_points(index):
+                    path = index.call_graph.find_path(entry, qualname)
+                    if path and len(path) > 1:
+                        chain = "; reached from " + " -> ".join(path)
+                        break
+                yield self.finding(
+                    info.module, call,
+                    f"DiskArray read in {qualname} is charged without "
+                    f"flowing through the attached BufferPool (no "
+                    f"pool.access(...) before it and no `cache is "
+                    f"None` cold-path guard){chain}",
+                )
 
 
 class TracerGuardRequired(Rule):
@@ -338,9 +321,7 @@ class TracerGuardRequired(Rule):
                     return True
         return False
 
-    def check_module(
-        self, module: ModuleInfo, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         """Flag unguarded tracer emissions in ``module``."""
         tracerish = self._tracerish_names(module)
         flags = self._guard_flags(module, tracerish)
@@ -363,6 +344,11 @@ class TracerGuardRequired(Rule):
                 f"`if tracer.enabled:` so the null tracer stays "
                 f"zero-overhead",
             )
+
+
+#: The module declaring ``METRIC_CATALOGUE``, read by
+#: ``metric-in-catalogue``.
+CATALOGUE_MODULE = "repro.obs.metrics"
 
 
 class MetricInCatalogue(Rule):
@@ -445,30 +431,21 @@ class MetricInCatalogue(Rule):
                 self._KIND_FOR_METHOD[node.func.attr],
             )
 
-    def check_project(
-        self, modules: Sequence[ModuleInfo], config: LintConfig
-    ) -> Iterator[Finding]:
+    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
         """Cross-check metric literals against the parsed catalogue."""
-        in_scope = [m for m in modules if self.applies_to(m.name, config)]
         sites = [
             (module, call, name, kind)
-            for module in in_scope
+            for module in self.in_scope(index)
             for call, name, kind in self._metric_calls(module)
         ]
         if not sites:
             return
-        catalogue_module = next(
-            (m for m in modules if m.name == config.catalogue_module), None
-        )
-        if catalogue_module is None:
-            catalogue_module = ModuleInfo.locate_sibling(
-                sites[0][0], config.catalogue_module
-            )
+        catalogue_module = index.find_module(CATALOGUE_MODULE, sites[0][0])
         if catalogue_module is None:
             module, call, name, _ = sites[0]
             yield self.finding(
                 module, call,
-                f"metric catalogue module {config.catalogue_module} not "
+                f"metric catalogue module {CATALOGUE_MODULE} not "
                 f"found; metric name {name!r} cannot be checked",
             )
             return
@@ -479,7 +456,7 @@ class MetricInCatalogue(Rule):
                 yield self.finding(
                     module, call,
                     f"metric {name!r} is not declared in "
-                    f"{config.catalogue_module}.METRIC_CATALOGUE; declare "
+                    f"{CATALOGUE_MODULE}.METRIC_CATALOGUE; declare "
                     f"it (and regenerate docs/observability.md) before "
                     f"recording it",
                 )
@@ -510,16 +487,10 @@ class NoUnvalidatedSchemeString(Rule):
     )
 
     @staticmethod
-    def _scheme_literals(modules: Sequence[ModuleInfo], config: LintConfig) -> Set[str]:
+    def _scheme_literals(index: ProjectIndex) -> Set[str]:
         """Alias keys and scheme ``name`` attributes of the project."""
         literals: Set[str] = set()
-        registry = next(
-            (m for m in modules if m.name == config.registry_module), None
-        )
-        if registry is None and modules:
-            registry = ModuleInfo.locate_sibling(
-                modules[0], config.registry_module
-            )
+        registry = index.find_module(REGISTRY_MODULE, index.modules[0])
         if registry is not None:
             for node in ast.walk(registry.tree):
                 targets: List[ast.expr] = []
@@ -540,12 +511,11 @@ class NoUnvalidatedSchemeString(Rule):
                             key.value, str
                         ):
                             literals.add(key.value)
-        suffix = config.scheme_suffix
-        for module in modules:
+        for module in index.modules:
             for node in ast.walk(module.tree):
                 if not (
                     isinstance(node, ast.ClassDef)
-                    and node.name.endswith(suffix)
+                    and node.name.endswith(SCHEME_SUFFIX)
                 ):
                     continue
                 for stmt in node.body:
@@ -581,14 +551,12 @@ class NoUnvalidatedSchemeString(Rule):
                 found.append(candidate.value)
         return found
 
-    def check_project(
-        self, modules: Sequence[ModuleInfo], config: LintConfig
-    ) -> Iterator[Finding]:
+    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
         """Flag scheme-literal comparisons outside the registry."""
-        in_scope = [m for m in modules if self.applies_to(m.name, config)]
+        in_scope = self.in_scope(index)
         if not in_scope:
             return
-        literals = self._scheme_literals(list(modules), config)
+        literals = self._scheme_literals(index)
         if not literals:
             return
         for module in in_scope:

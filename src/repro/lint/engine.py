@@ -1,18 +1,30 @@
 """Lint driver: discover files, run rules, apply suppressions.
 
 :func:`run_lint` is the whole programmatic API — tests and the CLI both
-call it.  Findings come back sorted by path/line; an empty list means
-the tree upholds every invariant.
+call it.  It parses every file once, builds one
+:class:`~repro.lint.callgraph.ProjectIndex` over the parsed modules and
+hands that same index to every cross-module rule.  Findings come back
+sorted by path/line; an empty list means the tree upholds every
+invariant.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Set, Tuple, Type, Union
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Type,
+    Union,
+)
 
+from repro.lint.callgraph import ProjectIndex
 from repro.lint.concurrency import CONCURRENCY_RULES
-from repro.lint.config import DEFAULT_CONFIG, LintConfig
 from repro.lint.dataflow import DATAFLOW_RULES
 from repro.lint.findings import Finding
 from repro.lint.lifetime import LIFETIME_RULES
@@ -137,55 +149,29 @@ def _apply_suppressions(
     return kept
 
 
-def _module_pass(
-    rule: Rule, module: ModuleInfo, config: LintConfig
-) -> List[Finding]:
-    """One (rule, module) per-file pass, materialized for fan-out."""
-    return list(rule.check_module(module, config))
-
-
 def run_lint(
     paths: Iterable[Union[str, Path]],
-    config: LintConfig = DEFAULT_CONFIG,
-    jobs: int = 1,
+    select: Optional[Iterable[str]] = None,
 ) -> List[Finding]:
-    """Lint ``paths`` (files or directories) under ``config``.
+    """Lint ``paths`` (files or directories) with the ``select``-ed rules.
 
+    ``select`` names the rules to run; None runs every registered rule.
     Returns all surviving findings sorted by location.  Suppression
     comments (``# repro-lint: disable=<rule>[,rule...]`` or
     ``disable=all``) silence same-line findings; a suppression that
     silences nothing is itself reported as ``unused-suppression``.
-
-    ``jobs > 1`` fans the per-file ``check_module`` passes out over a
-    thread pool (rules are stateless visitors over already-parsed
-    ASTs, so this is safe); the cross-module ``check_project`` passes
-    always run single-threaded because they share one project index.
-    The final sort makes output order independent of ``jobs``.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    selected = None if select is None else frozenset(select)
     files = discover_files(paths)
     modules, findings = _parse_all(files)
+    index = ProjectIndex(modules)
     rules: List[Rule] = [
         rule_class() for rule_class in ALL_RULES
-        if config.rule_enabled(rule_class.name)
+        if selected is None or rule_class.name in selected
     ]
-    module_work = [
-        (rule, module)
-        for rule in rules
-        for module in modules
-        if rule.applies_to(module.name, config)
-    ]
-    if jobs > 1 and len(module_work) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for batch in pool.map(
-                lambda work: _module_pass(work[0], work[1], config),
-                module_work,
-            ):
-                findings.extend(batch)
-    else:
-        for rule, module in module_work:
-            findings.extend(_module_pass(rule, module, config))
     for rule in rules:
-        findings.extend(rule.check_project(modules, config))
+        for module in modules:
+            if rule.applies_to(module.name):
+                findings.extend(rule.check_module(module))
+        findings.extend(rule.check_project(index))
     return sorted(_apply_suppressions(modules, findings))

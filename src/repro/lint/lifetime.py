@@ -54,20 +54,21 @@ from typing import (
 )
 
 from repro.lint.callgraph import (
+    _FUNC_TYPES,
     FunctionInfo,
     ProjectIndex,
+    class_qualname,
     dotted_name,
-    import_aliases,
+    own_nodes,
+    resolve_alias,
 )
 from repro.lint.cfg import CFG, build_cfg
 from repro.lint.concurrency import (
-    _class_qualname,
+    SINGLE_WRITER_ATTR,
     _in_spans,
     _locked_spans,
-    _own_nodes,
     _single_writer_attrs,
 )
-from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.module import ModuleInfo
 from repro.lint.rules import Rule
@@ -81,7 +82,22 @@ __all__ = [
     "LIFETIME_RULES",
 ]
 
-_FUNC_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
+#: Class names whose constructor returns a resource that
+#: ``resource-leak`` requires closed on every path (project page stores,
+#: the streaming builder's spill-run temp files, plus the stdlib handles
+#: they wrap).
+CLOSEABLE_TYPES = (
+    "PageFile",
+    "PageFileWriter",
+    "MmapStore",
+    "SharedMemory",
+    "SpillFile",
+)
+
+#: Class names ``spawn-unsafe-capture`` refuses to see pickled into a
+#: worker process (they own mmap/file handles that do not survive a
+#: spawn).
+SPAWN_UNSAFE_TYPES = ("PageFile", "PageFileWriter", "MmapStore")
 
 #: Method names that release a tracked resource when called on it.
 #: ``delete`` is the spill-file release verb (close + unlink): the
@@ -160,23 +176,6 @@ def _final(name: str) -> str:
     return name.rsplit(".", 1)[-1]
 
 
-def _resolve(aliases: Dict[str, str], local: str) -> str:
-    """Resolve a local dotted name through a module's import table."""
-    head, _, rest = local.partition(".")
-    resolved = aliases.get(head, head)
-    return f"{resolved}.{rest}" if rest else resolved
-
-
-def _call_target(
-    call: ast.Call, aliases: Dict[str, str]
-) -> Tuple[Optional[str], Optional[str]]:
-    """``(local, alias-resolved)`` dotted target of one call."""
-    local = dotted_name(call.func)
-    if local is None:
-        return None, None
-    return local, _resolve(aliases, local)
-
-
 def _mp_receiver(
     local: str, resolved: str, ctx_names: Set[str], ctx_attrs: Set[str]
 ) -> bool:
@@ -190,9 +189,9 @@ def _mp_receiver(
     return len(parts) == 3 and parts[0] == "self" and parts[1] in ctx_attrs
 
 
-def _ctx_origin(call: ast.Call, aliases: Dict[str, str]) -> bool:
+def _ctx_origin(call: ast.Call) -> bool:
     """True for ``multiprocessing.get_context(...)`` calls."""
-    local, _ = _call_target(call, aliases)
+    local = dotted_name(call.func)
     return local is not None and _final(local) == "get_context"
 
 
@@ -203,11 +202,13 @@ def _queue_origin(
     ctx_attrs: Set[str],
 ) -> bool:
     """True when the call constructs a multiprocessing queue."""
-    local, resolved = _call_target(call, aliases)
-    if local is None or resolved is None:
-        return False
-    return _final(local) in _MP_QUEUE_FACTORIES and _mp_receiver(
-        local, resolved, ctx_names, ctx_attrs
+    local = dotted_name(call.func)
+    return (
+        local is not None
+        and _final(local) in _MP_QUEUE_FACTORIES
+        and _mp_receiver(
+            local, resolve_alias(aliases, local), ctx_names, ctx_attrs
+        )
     )
 
 
@@ -218,12 +219,12 @@ def _shared_origin(
     ctx_attrs: Set[str],
 ) -> Optional[str]:
     """Description of the shared object this call constructs, if any."""
-    local, resolved = _call_target(call, aliases)
-    if local is None or resolved is None:
+    local = dotted_name(call.func)
+    if local is None:
         return None
     final = _final(local)
     if final in _MP_SHARED_FACTORIES and _mp_receiver(
-        local, resolved, ctx_names, ctx_attrs
+        local, resolve_alias(aliases, local), ctx_names, ctx_attrs
     ):
         return f"multiprocessing shared {final}"
     if final == "SharedMemory":
@@ -231,23 +232,33 @@ def _shared_origin(
     return None
 
 
+def _is_frombuffer(call: ast.Call, aliases: Dict[str, str]) -> bool:
+    """True for ``np.frombuffer(source, ...)``: a view sharing memory."""
+    local = dotted_name(call.func)
+    return (
+        local is not None
+        and resolve_alias(aliases, local) == "numpy.frombuffer"
+        and bool(call.args)
+    )
+
+
 def _closeable_origin(
     call: ast.Call,
     aliases: Dict[str, str],
-    config: LintConfig,
     ctx_names: Set[str],
     ctx_attrs: Set[str],
 ) -> Optional[str]:
     """Description of the closeable resource this call creates, if any."""
-    local, resolved = _call_target(call, aliases)
-    if local is None or resolved is None:
+    local = dotted_name(call.func)
+    if local is None:
         return None
+    resolved = resolve_alias(aliases, local)
     if resolved in ("open", "builtins.open"):
         return "open() file handle"
     if resolved == "mmap.mmap":
         return "mmap handle"
     final = _final(local)
-    if final in config.closeable_types:
+    if final in CLOSEABLE_TYPES:
         return f"{final} instance"
     if final in _MP_QUEUE_FACTORIES and _mp_receiver(
         local, resolved, ctx_names, ctx_attrs
@@ -257,18 +268,19 @@ def _closeable_origin(
 
 
 def _unsafe_origin(
-    call: ast.Call, aliases: Dict[str, str], config: LintConfig
+    call: ast.Call, aliases: Dict[str, str]
 ) -> Optional[str]:
     """Description when this call constructs a spawn-unsafe value."""
-    local, resolved = _call_target(call, aliases)
-    if local is None or resolved is None:
+    local = dotted_name(call.func)
+    if local is None:
         return None
+    resolved = resolve_alias(aliases, local)
     if resolved in ("open", "builtins.open"):
         return "an open() file handle"
     if resolved == "mmap.mmap":
         return "an mmap handle"
     final = _final(local)
-    if final in config.spawn_unsafe_types:
+    if final in SPAWN_UNSAFE_TYPES:
         return f"a {final} (owns an mmap/file handle)"
     if final.endswith("Tracer"):
         return f"a {final} (process-local tracer)"
@@ -376,7 +388,7 @@ class _ClassFacts:
 
 
 def _class_facts(
-    classdef: ast.ClassDef, aliases: Dict[str, str], config: LintConfig
+    classdef: ast.ClassDef, aliases: Dict[str, str]
 ) -> _ClassFacts:
     """Collect shared/queue/context/unsafe attribute facts for a class."""
     facts = _ClassFacts(name=classdef.name)
@@ -389,8 +401,8 @@ def _class_facts(
     # elsewhere) resolve regardless of method order.
     for _ in range(2):
         for method in methods:
-            _scan_method_facts(method, aliases, config, facts)
-    for attr in _single_writer_attrs(classdef, config.single_writer_attr):
+            _scan_method_facts(method, aliases, facts)
+    for attr in _single_writer_attrs(classdef):
         facts.shared_attrs.pop(attr, None)
     return facts
 
@@ -398,11 +410,10 @@ def _class_facts(
 def _scan_method_facts(
     method: ast.AST,
     aliases: Dict[str, str],
-    config: LintConfig,
     facts: _ClassFacts,
 ) -> None:
     """One pass of attribute-fact collection over one method body."""
-    nodes = list(_own_nodes(method))
+    nodes = list(own_nodes(method))
     local_ctx: Set[str] = set()
     local_queues: Set[str] = set()
     for node in nodes:  # locals first: source order is not guaranteed
@@ -411,7 +422,7 @@ def _scan_method_facts(
         target, value = node.targets[0], node.value
         if not isinstance(target, ast.Name):
             continue
-        if isinstance(value, ast.Call) and _ctx_origin(value, aliases):
+        if isinstance(value, ast.Call) and _ctx_origin(value):
             local_ctx.add(target.id)
         elif isinstance(value, ast.Call) and _queue_origin(
             value, aliases, local_ctx, facts.ctx_attrs
@@ -426,7 +437,7 @@ def _scan_method_facts(
             if attr is None:
                 continue
             if isinstance(value, ast.Call):
-                if _ctx_origin(value, aliases):
+                if _ctx_origin(value):
                     facts.ctx_attrs.add(attr)
                     continue
                 shared = _shared_origin(
@@ -436,7 +447,7 @@ def _scan_method_facts(
                     facts.shared_attrs.setdefault(attr, shared)
                 if _queue_origin(value, aliases, local_ctx, facts.ctx_attrs):
                     facts.queue_attrs.add(attr)
-                unsafe = _unsafe_origin(value, aliases, config)
+                unsafe = _unsafe_origin(value, aliases)
                 if unsafe is not None:
                     facts.unsafe_attrs.setdefault(attr, unsafe)
         elif (
@@ -478,12 +489,11 @@ def _shared_ref(
 def _scan_function(
     func: ast.AST,
     aliases: Dict[str, str],
-    config: LintConfig,
     facts: Optional[_ClassFacts],
 ) -> _FunctionScan:
     """Classify a function's locals as contexts/queues/shared/unsafe."""
     scan = _FunctionScan()
-    nodes = list(_own_nodes(func))
+    nodes = list(own_nodes(func))
     ctx_attrs = facts.ctx_attrs if facts is not None else set()
     queue_attrs = facts.queue_attrs if facts is not None else set()
     shared_attrs = facts.shared_attrs if facts is not None else {}
@@ -506,7 +516,7 @@ def _scan_function(
                 continue
             name = target.id
             if isinstance(value, ast.Call):
-                if _ctx_origin(value, aliases):
+                if _ctx_origin(value):
                     scan.ctx.add(name)
                     continue
                 if _queue_origin(value, aliases, scan.ctx, ctx_attrs):
@@ -516,14 +526,13 @@ def _scan_function(
                 if shared is not None:
                     scan.shared[name] = shared
                     continue
-                unsafe = _unsafe_origin(value, aliases, config)
+                unsafe = _unsafe_origin(value, aliases)
                 if unsafe is not None:
                     scan.unsafe.setdefault(
                         name, f"{unsafe} (created at line {node.lineno})"
                     )
                     continue
-                _, resolved = _call_target(value, aliases)
-                if resolved == "numpy.frombuffer" and value.args:
+                if _is_frombuffer(value, aliases):
                     source = _shared_ref(
                         value.args[0], scan.shared, shared_attrs
                     )
@@ -542,7 +551,7 @@ def _scan_function(
             elif isinstance(value, ast.Tuple):
                 for elt in value.elts:
                     unsafe_elt = _unsafe_in_expr(
-                        elt, scan, unsafe_attrs, aliases, config
+                        elt, scan, unsafe_attrs, aliases
                     )
                     if unsafe_elt is not None:
                         scan.unsafe.setdefault(
@@ -573,7 +582,6 @@ def _unsafe_in_expr(
     scan: _FunctionScan,
     unsafe_attrs: Dict[str, str],
     aliases: Dict[str, str],
-    config: LintConfig,
 ) -> Optional[str]:
     """Description of the first spawn-unsafe value reachable in ``expr``."""
     for node in ast.walk(expr):
@@ -583,7 +591,7 @@ def _unsafe_in_expr(
         if attr is not None and attr in unsafe_attrs:
             return f"self.{attr} — {unsafe_attrs[attr]}"
         if isinstance(node, ast.Call):
-            inline = _unsafe_origin(node, aliases, config)
+            inline = _unsafe_origin(node, aliases)
             if inline is not None:
                 return f"{inline} constructed inline"
         if isinstance(node, ast.Name) and node.id in ("tracer", "_tracer"):
@@ -597,7 +605,7 @@ def _unsafe_in_expr(
 
 
 def _functions_with_facts(
-    tree: ast.Module, aliases: Dict[str, str], config: LintConfig
+    module: ModuleInfo,
 ) -> Iterator[Tuple[ast.AST, Optional[_ClassFacts]]]:
     """Every function in a module paired with its owning class's facts."""
 
@@ -606,12 +614,14 @@ def _functions_with_facts(
     ) -> Iterator[Tuple[ast.AST, Optional[_ClassFacts]]]:
         for node in body:
             if isinstance(node, ast.ClassDef):
-                yield from visit(node.body, _class_facts(node, aliases, config))
+                yield from visit(
+                    node.body, _class_facts(node, module.aliases)
+                )
             elif isinstance(node, _FUNC_TYPES):
                 yield node, facts
                 yield from visit(node.body, facts)
 
-    yield from visit(tree.body, None)
+    yield from visit(module.tree.body, None)
 
 
 # ------------------------------------------------------------ resource-leak
@@ -665,23 +675,19 @@ def count(path):
         page.close()      # every path, exception paths included
 """
 
-    def check_module(
-        self, module: ModuleInfo, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         """Flag creation sites whose resource can reach exit unclosed."""
-        aliases = import_aliases(module.tree)
-        for func, facts in _functions_with_facts(module.tree, aliases, config):
-            yield from self._check_function(module, func, facts, aliases, config)
+        for func, facts in _functions_with_facts(module):
+            yield from self._check_function(module, func, facts)
 
     def _check_function(
         self,
         module: ModuleInfo,
         func: ast.AST,
         facts: Optional[_ClassFacts],
-        aliases: Dict[str, str],
-        config: LintConfig,
     ) -> Iterator[Finding]:
-        scan = _scan_function(func, aliases, config, facts)
+        aliases = module.aliases
+        scan = _scan_function(func, aliases, facts)
         owning = facts is not None and facts.has_owning_close
         cfg = build_cfg(func)
         creations: List[_Creation] = []
@@ -695,7 +701,7 @@ def count(path):
                     if not isinstance(call, ast.Call):
                         continue
                     desc = _closeable_origin(
-                        call, aliases, config, scan.ctx,
+                        call, aliases, scan.ctx,
                         facts.ctx_attrs if facts is not None else set(),
                     )
                     if desc is None:
@@ -987,12 +993,9 @@ data = page.read_slot(0, 0)
 page.close()                  # close strictly last (or use `with`)
 """
 
-    def check_module(
-        self, module: ModuleInfo, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         """Flag uses of a name along any normal path after its close()."""
-        aliases = import_aliases(module.tree)
-        for func, _ in _functions_with_facts(module.tree, aliases, config):
+        for func, _ in _functions_with_facts(module):
             yield from self._check_function(module, func)
 
     def _check_function(
@@ -1133,62 +1136,39 @@ def _worker(shared, lock):
 
     _MAX_ROUNDS = 20
 
-    def check_project(
-        self, modules: Sequence[ModuleInfo], config: LintConfig
-    ) -> Iterator[Finding]:
-        """Flag unlocked accesses to interprocedurally tainted buffers."""
-        in_scope = [
-            module for module in modules
-            if self.applies_to(module.name, config)
-        ]
-        if not in_scope:
-            return
-        index = ProjectIndex(in_scope)
+    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
+        """Flag unlocked accesses to interprocedurally tainted buffers.
+
+        Taint is seeded, propagated and reported over in-scope functions
+        only, so a test handing a shared view to a ``repro`` helper
+        cannot taint the helper.
+        """
+        scoped = {module.name for module in self.in_scope(index)}
+        functions = {
+            qualname: info
+            for qualname, info in sorted(index.functions.items())
+            if info.module.name in scoped
+        }
+        class_facts: Dict[str, _ClassFacts] = {}
         facts_by_func: Dict[str, Optional[_ClassFacts]] = {}
         taint: Dict[str, Dict[str, str]] = {}
-        for module in in_scope:
-            aliases = index.aliases.get(module.name, {})
-            self._collect_module(
-                module, aliases, config, facts_by_func, taint
-            )
-        call_sites = self._propagate(index, config, facts_by_func, taint)
-        yield from self._report(index, config, facts_by_func, taint, call_sites)
-
-    def _collect_module(
-        self,
-        module: ModuleInfo,
-        aliases: Dict[str, str],
-        config: LintConfig,
-        facts_by_func: Dict[str, Optional[_ClassFacts]],
-        taint: Dict[str, Dict[str, str]],
-    ) -> None:
-        """Seed per-function taint from each function's local scan."""
-
-        def visit(
-            body: Sequence[ast.stmt],
-            prefix: str,
-            facts: Optional[_ClassFacts],
-        ) -> None:
-            for node in body:
-                if isinstance(node, ast.ClassDef):
-                    visit(
-                        node.body,
-                        f"{prefix}.{node.name}",
-                        _class_facts(node, aliases, config),
-                    )
-                elif isinstance(node, _FUNC_TYPES):
-                    qualname = f"{prefix}.{node.name}"
-                    facts_by_func[qualname] = facts
-                    scan = _scan_function(node, aliases, config, facts)
-                    taint[qualname] = dict(scan.shared)
-                    visit(node.body, qualname, facts)
-
-        visit(module.tree.body, module.name, None)
+        for qualname, info in functions.items():
+            owner = class_qualname(info)
+            if owner is not None and owner not in class_facts:
+                class_facts[owner] = _class_facts(
+                    index.classes[owner], info.module.aliases
+                )
+            facts = class_facts.get(owner) if owner is not None else None
+            facts_by_func[qualname] = facts
+            scan = _scan_function(info.node, info.module.aliases, facts)
+            taint[qualname] = dict(scan.shared)
+        call_sites = self._propagate(index, functions, facts_by_func, taint)
+        yield from self._report(functions, facts_by_func, taint, call_sites)
 
     def _propagate(
         self,
         index: ProjectIndex,
-        config: LintConfig,
+        functions: Dict[str, FunctionInfo],
         facts_by_func: Dict[str, Optional[_ClassFacts]],
         taint: Dict[str, Dict[str, str]],
     ) -> Dict[str, List[Tuple[str, int]]]:
@@ -1197,16 +1177,17 @@ def _worker(shared, lock):
         for _ in range(self._MAX_ROUNDS):
             changed = False
             call_sites = {}
-            for qualname, info in sorted(index.functions.items()):
-                aliases = index.aliases.get(info.module.name, {})
-                facts = facts_by_func.get(qualname)
-                self._rescan(info, aliases, config, facts, taint[qualname])
-                for call in self._own_calls(info.node):
+            for qualname, info in functions.items():
+                facts = facts_by_func[qualname]
+                self._rescan(info, facts, taint[qualname])
+                for call in own_nodes(info.node):
+                    if not isinstance(call, ast.Call):
+                        continue
                     spawned = self._process_target(index, info, call)
                     callee = (
                         spawned
                         if spawned is not None
-                        else self._resolve_callee(index, info, call, aliases)
+                        else index.resolve_call(info, call)
                     )
                     if callee is None or callee not in taint:
                         continue
@@ -1220,12 +1201,6 @@ def _worker(shared, lock):
             if not changed:
                 break
         return call_sites
-
-    @staticmethod
-    def _own_calls(func: ast.AST) -> Iterator[ast.Call]:
-        for node in _own_nodes(func):
-            if isinstance(node, ast.Call):
-                yield node
 
     @staticmethod
     def _process_target(
@@ -1245,30 +1220,6 @@ def _worker(shared, lock):
             return None
         absolute = index.resolve(info.module.name, local)
         return absolute if absolute in index.functions else None
-
-    @staticmethod
-    def _resolve_callee(
-        index: ProjectIndex,
-        info: FunctionInfo,
-        call: ast.Call,
-        aliases: Dict[str, str],
-    ) -> Optional[str]:
-        """Precise project-local resolution of one call target."""
-        local = dotted_name(call.func)
-        if local is None:
-            return None
-        if local.startswith("self."):
-            rest = local[len("self."):]
-            owner = _class_qualname(info)
-            if owner is not None and "." not in rest:
-                return index.resolve_method(owner, rest)
-            return None
-        absolute = index.resolve(info.module.name, local)
-        if absolute in index.functions:
-            return absolute
-        if absolute in index.classes:
-            return index.resolve_method(absolute, "__init__")
-        return None
 
     def _bind_args(
         self,
@@ -1324,15 +1275,13 @@ def _worker(shared, lock):
     def _rescan(
         self,
         info: FunctionInfo,
-        aliases: Dict[str, str],
-        config: LintConfig,
         facts: Optional[_ClassFacts],
         func_taint: Dict[str, str],
     ) -> None:
         """Re-run local propagation (frombuffer views, aliases) over the
         function with its current taint as the seed."""
         shared_attrs = facts.shared_attrs if facts is not None else {}
-        for node in _own_nodes(info.node):
+        for node in own_nodes(info.node):
             if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
                 continue
             target, value = node.targets[0], node.value
@@ -1341,8 +1290,7 @@ def _worker(shared, lock):
             if isinstance(value, ast.Name) and value.id in func_taint:
                 func_taint.setdefault(target.id, func_taint[value.id])
             elif isinstance(value, ast.Call):
-                _, resolved = _call_target(value, aliases)
-                if resolved == "numpy.frombuffer" and value.args:
+                if _is_frombuffer(value, info.module.aliases):
                     desc = _shared_ref(value.args[0], func_taint, shared_attrs)
                     if desc is not None:
                         func_taint.setdefault(
@@ -1351,8 +1299,7 @@ def _worker(shared, lock):
 
     def _report(
         self,
-        index: ProjectIndex,
-        config: LintConfig,
+        functions: Dict[str, FunctionInfo],
         facts_by_func: Dict[str, Optional[_ClassFacts]],
         taint: Dict[str, Dict[str, str]],
         call_sites: Dict[str, List[Tuple[str, int]]],
@@ -1360,9 +1307,9 @@ def _worker(shared, lock):
         """Emit findings for unlocked accesses to tainted buffers."""
         locked_spans = {
             qualname: _locked_spans(info.node)
-            for qualname, info in index.functions.items()
+            for qualname, info in functions.items()
         }
-        for qualname, info in sorted(index.functions.items()):
+        for qualname, info in functions.items():
             func_taint = taint.get(qualname, {})
             facts = facts_by_func.get(qualname)
             shared_attrs = facts.shared_attrs if facts is not None else {}
@@ -1374,7 +1321,7 @@ def _worker(shared, lock):
                 continue
             spans = locked_spans[qualname]
             emitted: Set[int] = set()
-            for node in _own_nodes(info.node):
+            for node in own_nodes(info.node):
                 desc = self._access_desc(node, func_taint, shared_attrs)
                 if desc is None:
                     continue
@@ -1388,7 +1335,7 @@ def _worker(shared, lock):
                     f"unlocked access to {desc} in {qualname}; another "
                     f"process can interleave mid-read/write — wrap the "
                     f"access in `with <lock>:`, or declare the attribute "
-                    f"in {config.single_writer_attr} if only one process "
+                    f"in {SINGLE_WRITER_ATTR} if only one process "
                     f"ever writes it",
                 )
 
@@ -1461,26 +1408,17 @@ proc = ctx.Process(target=_worker, args=(directory, results))
 # the worker reopens: store = MmapStore(directory)
 """
 
-    def check_module(
-        self, module: ModuleInfo, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         """Flag spawn-unsafe values in Process args / task-queue puts."""
-        aliases = import_aliases(module.tree)
-        for func, facts in _functions_with_facts(module.tree, aliases, config):
-            scan = _scan_function(func, aliases, config, facts)
+        for func, facts in _functions_with_facts(module):
+            scan = _scan_function(func, module.aliases, facts)
             unsafe_attrs = facts.unsafe_attrs if facts is not None else {}
             queue_attrs = facts.queue_attrs if facts is not None else set()
-            for call in self._own_calls(func):
-                yield from self._check_call(
-                    module, call, scan, unsafe_attrs, queue_attrs,
-                    aliases, config,
-                )
-
-    @staticmethod
-    def _own_calls(func: ast.AST) -> Iterator[ast.Call]:
-        for node in _own_nodes(func):
-            if isinstance(node, ast.Call):
-                yield node
+            for call in own_nodes(func):
+                if isinstance(call, ast.Call):
+                    yield from self._check_call(
+                        module, call, scan, unsafe_attrs, queue_attrs
+                    )
 
     def _check_call(
         self,
@@ -1489,8 +1427,6 @@ proc = ctx.Process(target=_worker, args=(directory, results))
         scan: _FunctionScan,
         unsafe_attrs: Dict[str, str],
         queue_attrs: Set[str],
-        aliases: Dict[str, str],
-        config: LintConfig,
     ) -> Iterator[Finding]:
         dotted = dotted_name(call.func)
         if dotted is not None and _final(dotted) == "Process":
@@ -1498,7 +1434,7 @@ proc = ctx.Process(target=_worker, args=(directory, results))
                 if keyword.arg != "args":
                     continue
                 desc = _unsafe_in_expr(
-                    keyword.value, scan, unsafe_attrs, aliases, config
+                    keyword.value, scan, unsafe_attrs, module.aliases
                 )
                 if desc is not None:
                     yield self.finding(
@@ -1523,7 +1459,7 @@ proc = ctx.Process(target=_worker, args=(directory, results))
                 return
             for arg in call.args:
                 desc = _unsafe_in_expr(
-                    arg, scan, unsafe_attrs, aliases, config
+                    arg, scan, unsafe_attrs, module.aliases
                 )
                 if desc is not None:
                     yield self.finding(
@@ -1569,18 +1505,16 @@ queue = ctx.Queue()
 proc = ctx.Process(target=work, args=(queue,))
 """
 
-    def check_module(
-        self, module: ModuleInfo, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         """Flag bare multiprocessing factory calls."""
-        aliases = import_aliases(module.tree)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            local, resolved = _call_target(node, aliases)
-            if local is None or resolved is None:
+            local = dotted_name(node.func)
+            if local is None:
                 continue
             final = _final(local)
+            resolved = resolve_alias(module.aliases, local)
             if final in _MP_BARE and resolved == f"multiprocessing.{final}":
                 yield self.finding(
                     module,

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, Optional
 
+from repro.lint.callgraph import import_aliases
+
 __all__ = ["ModuleInfo", "SUPPRESS_ALL", "module_name_for_path"]
 
 #: ``disable=all`` silences every rule on the line.
@@ -84,6 +86,9 @@ class ModuleInfo:
     name: str
     tree: ast.Module
     suppressions: Dict[int, FrozenSet[str]] = field(default_factory=dict)
+    #: Import-alias table (:func:`~repro.lint.callgraph.import_aliases`),
+    #: computed once at parse time for every rule to share.
+    aliases: Dict[str, str] = field(default_factory=dict)
 
     @classmethod
     def parse(cls, path: Path, display_path: Optional[str] = None) -> "ModuleInfo":
@@ -96,6 +101,7 @@ class ModuleInfo:
             name=module_name_for_path(path),
             tree=tree,
             suppressions=_suppressions(source),
+            aliases=import_aliases(tree),
         )
 
     def suppresses(self, line: int, rule: str) -> bool:

@@ -4,20 +4,31 @@ Each rule machine-checks one invariant that the paper's guarantees (or a
 prior PR's contract) depend on; ``docs/linting.md`` maps every rule to
 the claim it protects.  Rules are AST visitors over one module
 (:meth:`Rule.check_module`) or over the whole linted tree at once
-(:meth:`Rule.check_project` — used by ``registry-completeness``).
+(:meth:`Rule.check_project` — used by ``registry-completeness``), which
+reads the one :class:`~repro.lint.callgraph.ProjectIndex` built per run.
+Each rule's tunables are module constants next to the rule that reads
+them.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import Iterator, List, Sequence, Tuple, Type
 
-from repro.lint.config import LintConfig, module_matches
+from repro.lint.callgraph import ProjectIndex, dotted_name, resolve_alias
 from repro.lint.findings import Finding
 from repro.lint.module import ModuleInfo
 
-__all__ = ["Rule", "RULES", "rule_names"]
+__all__ = ["Rule", "RULES", "rule_names", "module_matches"]
+
+
+def module_matches(module: str, prefixes: Tuple[str, ...]) -> bool:
+    """True if ``module`` equals or lives under any dotted ``prefix``."""
+    return any(
+        module == prefix or module.startswith(prefix + ".")
+        for prefix in prefixes
+    )
 
 
 class Rule:
@@ -36,23 +47,21 @@ class Rule:
     #: The sanctioned counterpart, rendered by ``--explain``.
     example_good: str = ""
 
-    def applies_to(self, module: str, config: LintConfig) -> bool:
+    def applies_to(self, module: str) -> bool:
         """True when this rule should check dotted module ``module``."""
-        scope = config.scope_for(self.name, self.default_scope)
-        exempt = config.exempt_for(self.name, self.default_exempt)
-        return module_matches(module, scope) and not module_matches(
-            module, exempt
+        return module_matches(module, self.default_scope) and not (
+            module_matches(module, self.default_exempt)
         )
 
-    def check_module(
-        self, module: ModuleInfo, config: LintConfig
-    ) -> Iterator[Finding]:
+    def in_scope(self, index: ProjectIndex) -> List[ModuleInfo]:
+        """The linted modules this rule applies to, in lint order."""
+        return [m for m in index.modules if self.applies_to(m.name)]
+
+    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         """Findings for one module in isolation (default: none)."""
         return iter(())
 
-    def check_project(
-        self, modules: Sequence[ModuleInfo], config: LintConfig
-    ) -> Iterator[Finding]:
+    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
         """Findings needing the whole linted tree at once (default: none)."""
         return iter(())
 
@@ -62,52 +71,20 @@ class Rule:
                        self.name, message, severity=self.severity)
 
 
-def _dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _import_aliases(tree: ast.Module) -> Dict[str, str]:
-    """Map local names to the absolute dotted things they refer to.
-
-    ``import numpy as np`` -> ``{"np": "numpy"}``;
-    ``from numpy import random as npr`` -> ``{"npr": "numpy.random"}``;
-    ``from random import randint`` -> ``{"randint": "random.randint"}``.
-    """
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                aliases[alias.asname or alias.name.split(".")[0]] = (
-                    alias.name if alias.asname else alias.name.split(".")[0]
-                )
-        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                aliases[alias.asname or alias.name] = (
-                    f"{node.module}.{alias.name}"
-                )
-    return aliases
-
-
-def _resolve_call_target(
-    func: ast.AST, aliases: Dict[str, str]
-) -> Optional[str]:
-    """Absolute dotted name a call targets, through import aliases."""
-    dotted = _dotted_name(func)
-    if dotted is None:
-        return None
-    head, _, rest = dotted.partition(".")
-    resolved_head = aliases.get(head, head)
-    return f"{resolved_head}.{rest}" if rest else resolved_head
+#: ``numpy.random`` attributes that are deterministic-by-construction and
+#: therefore allowed: creating a seeded generator is the sanctioned way in.
+RNG_ALLOWED = frozenset(
+    {
+        "default_rng",
+        "Generator",
+        "SeedSequence",
+        "BitGenerator",
+        "PCG64",
+        "Philox",
+        "MT19937",
+        "SFC64",
+    }
+)
 
 
 class SeededRngOnly(Rule):
@@ -128,20 +105,18 @@ class SeededRngOnly(Rule):
         "points = rng.uniform(size=(n, d))"
     )
 
-    def check_module(
-        self, module: ModuleInfo, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         """Flag global-RNG calls resolved through import aliases."""
-        aliases = _import_aliases(module.tree)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            target = _resolve_call_target(node.func, aliases)
-            if target is None:
+            local = dotted_name(node.func)
+            if local is None:
                 continue
+            target = resolve_alias(module.aliases, local)
             if target.startswith("numpy.random."):
                 attribute = target.split(".", 2)[2].split(".")[0]
-                if attribute not in config.rng_allowed:
+                if attribute not in RNG_ALLOWED:
                     yield self.finding(
                         module, node,
                         f"call to global numpy.random.{attribute}; pass a "
@@ -216,9 +191,7 @@ class UseCoreBits(Rule):
                 return True
         return False
 
-    def check_module(
-        self, module: ModuleInfo, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         """Flag popcount/Hamming reimplementations."""
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
@@ -275,9 +248,7 @@ class ChargeThroughBufferPool(Rule):
         "points, oids = engine.fetch_page(leaf)"
     )
 
-    def check_module(
-        self, module: ModuleInfo, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         """Flag every DiskArray.charge call in non-exempt modules."""
         for node in ast.walk(module.tree):
             if (
@@ -329,9 +300,7 @@ class NoFloatEq(Rule):
             return lowered in cls._FLOAT_CALL_NAMES or "dist" in lowered
         return False
 
-    def check_module(
-        self, module: ModuleInfo, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         """Flag exact ==/!= between float-valued expressions."""
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Compare):
@@ -376,9 +345,7 @@ class NoPrintOutsideCli(Rule):
         "    return QueryResult(neighbors, pages)   # CLI renders it"
     )
 
-    def check_module(
-        self, module: ModuleInfo, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         """Flag print() calls in library modules."""
         for node in ast.walk(module.tree):
             if (
@@ -414,9 +381,7 @@ class NoBroadExcept(Rule):
         "    store = None"
     )
 
-    def check_module(
-        self, module: ModuleInfo, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         """Flag bare and Exception/BaseException handlers."""
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ExceptHandler):
@@ -434,7 +399,7 @@ class NoBroadExcept(Rule):
                 else [node.type]
             )
             for caught in names:
-                dotted = _dotted_name(caught) or ""
+                dotted = dotted_name(caught) or ""
                 if dotted.split(".")[-1] in ("Exception", "BaseException"):
                     yield self.finding(
                         module, node,
@@ -442,6 +407,15 @@ class NoBroadExcept(Rule):
                         f"failure types instead",
                     )
                     break
+
+
+#: The module holding the scheme registry that ``registry-completeness``
+#: and ``no-unvalidated-scheme-string`` check against.
+REGISTRY_MODULE = "repro.registry"
+#: Class-name suffix identifying a declustering scheme definition.
+SCHEME_SUFFIX = "Declusterer"
+#: Scheme class names that are abstract bases, not registrable.
+ABSTRACT_SCHEMES = ("Declusterer", "BucketDeclusterer")
 
 
 class RegistryCompleteness(Rule):
@@ -462,21 +436,19 @@ class RegistryCompleteness(Rule):
         'DECLUSTERERS["shiny"] = ShinyDeclusterer'
     )
 
-    def _scheme_classes(
-        self, module: ModuleInfo, config: LintConfig
-    ) -> Iterator[ast.ClassDef]:
-        suffix = config.scheme_suffix
+    @staticmethod
+    def _scheme_classes(module: ModuleInfo) -> Iterator[ast.ClassDef]:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
-            if node.name.startswith("_") or node.name in config.abstract_schemes:
+            if node.name.startswith("_") or node.name in ABSTRACT_SCHEMES:
                 continue
             base_names = [
-                (_dotted_name(base) or "").split(".")[-1]
+                (dotted_name(base) or "").split(".")[-1]
                 for base in node.bases
             ]
-            if node.name.endswith(suffix) and any(
-                name.endswith(suffix) or name == "ABC"
+            if node.name.endswith(SCHEME_SUFFIX) and any(
+                name.endswith(SCHEME_SUFFIX) or name == "ABC"
                 for name in base_names
             ):
                 yield node
@@ -493,32 +465,21 @@ class RegistryCompleteness(Rule):
                 names.update(alias.name for alias in node.names)
         return frozenset(names)
 
-    def check_project(
-        self, modules: Sequence[ModuleInfo], config: LintConfig
-    ) -> Iterator[Finding]:
+    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
         """Cross-check scheme classes against the registry module."""
-        in_scope = [
-            module for module in modules if self.applies_to(module.name, config)
-        ]
         schemes: List[Tuple[ModuleInfo, ast.ClassDef]] = [
             (module, node)
-            for module in in_scope
-            for node in self._scheme_classes(module, config)
+            for module in self.in_scope(index)
+            for node in self._scheme_classes(module)
         ]
         if not schemes:
             return
-        registry = next(
-            (m for m in modules if m.name == config.registry_module), None
-        )
-        if registry is None:
-            registry = ModuleInfo.locate_sibling(
-                schemes[0][0], config.registry_module
-            )
+        registry = index.find_module(REGISTRY_MODULE, schemes[0][0])
         if registry is None:
             module, node = schemes[0]
             yield self.finding(
                 module, node,
-                f"registry module {config.registry_module} not found; "
+                f"registry module {REGISTRY_MODULE} not found; "
                 f"schemes cannot be checked for CLI/harness reachability",
             )
             return
@@ -528,9 +489,14 @@ class RegistryCompleteness(Rule):
                 yield self.finding(
                     module, node,
                     f"scheme {node.name} is not referenced by "
-                    f"{config.registry_module}; register it in DECLUSTERERS "
+                    f"{REGISTRY_MODULE}; register it in DECLUSTERERS "
                     f"so the CLI and harness can reach it",
                 )
+
+
+#: Module prefixes where ``no-missing-public-docstring`` escalates from
+#: warn to error (the lint/sanitizer dogfood scope).
+DOCSTRING_ERROR_SCOPE = ("repro.lint", "repro.sanitize")
 
 
 class NoMissingPublicDocstring(Rule):
@@ -540,7 +506,7 @@ class NoMissingPublicDocstring(Rule):
     emits).  Advisory in the instrumented packages — a warning, not a
     failure — so refactors are not blocked mid-flight; *escalated to
     error* inside the correctness tooling itself (``repro.lint`` and
-    ``repro.sanitize``, per ``LintConfig.docstring_error_scope``): the
+    ``repro.sanitize``, per ``DOCSTRING_ERROR_SCOPE``): the
     linter dogfoods its own documentation bar."""
 
     name = "no-missing-public-docstring"
@@ -576,11 +542,9 @@ class NoMissingPublicDocstring(Rule):
             if isinstance(node, ast.ClassDef):
                 yield from self._undocumented(node.body, f"{qualified}.")
 
-    def check_module(
-        self, module: ModuleInfo, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         """Flag undocumented publics (error-severity in the dogfood scope)."""
-        escalate = module_matches(module.name, config.docstring_error_scope)
+        escalate = module_matches(module.name, DOCSTRING_ERROR_SCOPE)
         for node, qualified in self._undocumented(module.tree.body, ""):
             kind = "class" if isinstance(node, ast.ClassDef) else "function"
             found = self.finding(

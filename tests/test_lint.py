@@ -15,7 +15,7 @@ import textwrap
 import pytest
 
 import repro
-from repro.lint import LintConfig, run_lint
+from repro.lint import run_lint
 from repro.lint.cli import main
 from repro.lint.engine import UNUSED_SUPPRESSION
 
@@ -41,7 +41,7 @@ def lint_snippet(tmp_path, relpath, source):
 def lint_rule(tmp_path, relpath, source, rule):
     """Like :func:`lint_snippet` but with only ``rule`` enabled."""
     write_snippet(tmp_path, relpath, source)
-    return run_lint([tmp_path], LintConfig(enabled=frozenset({rule})))
+    return run_lint([tmp_path], select=frozenset({rule}))
 
 
 def rules_of(findings):
@@ -601,7 +601,7 @@ class TestNoUnvalidatedSchemeString:
         ) == []
         findings = run_lint(
             [tmp_path / "src/repro/registry.py"],
-            LintConfig(enabled=frozenset({self.RULE})),
+            select=frozenset({self.RULE}),
         )
         assert findings == []
 
@@ -731,6 +731,38 @@ class TestEngineAndCli:
         assert payload["count"] == 1
         assert payload["findings"][0]["rule"] == "no-print-outside-cli"
         assert payload["findings"][0]["line"] == 1
+
+    def test_one_project_index_per_run(self, tmp_path, monkeypatch):
+        """Every cross-module rule reads the one index (and the one
+        call graph) that ``run_lint`` builds."""
+        from repro.lint.callgraph import CallGraph, ProjectIndex
+
+        built = {"index": 0, "graph": 0}
+
+        def counting(cls, key):
+            original = cls.__init__
+
+            def init(self, *args):
+                built[key] += 1
+                original(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", init)
+
+        counting(ProjectIndex, "index")
+        counting(CallGraph, "graph")
+        write_snippet(
+            tmp_path, "src/repro/serve/fixture.py", """\
+            class FixtureSimulator:
+                def run(self):
+                    return 1
+
+
+            async def serve(queue):
+                await queue.get()
+            """,
+        )
+        run_lint([tmp_path])
+        assert built == {"index": 1, "graph": 1}
 
     def test_cli_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0

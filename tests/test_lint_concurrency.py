@@ -15,10 +15,8 @@ import json
 import pathlib
 import textwrap
 
-import pytest
-
 import repro
-from repro.lint import LintConfig, run_lint
+from repro.lint import run_lint
 from repro.lint.cli import RULE_GROUPS, main
 from repro.lint.concurrency import (
     CONCURRENCY_RULES,
@@ -43,14 +41,14 @@ def write_snippet(tmp_path, relpath, source):
 def lint_rule(tmp_path, relpath, source, rule):
     """Lint one snippet with only ``rule`` enabled."""
     write_snippet(tmp_path, relpath, source)
-    return run_lint([tmp_path], LintConfig(enabled=frozenset({rule})))
+    return run_lint([tmp_path], select=frozenset({rule}))
 
 
 def lint_concurrency(tmp_path):
     """Lint a prepared tree with only the concurrency rules enabled."""
     return run_lint(
         [tmp_path],
-        LintConfig(enabled=frozenset(CONCURRENCY_RULE_NAMES)),
+        select=frozenset(CONCURRENCY_RULE_NAMES),
     )
 
 
@@ -94,6 +92,37 @@ class TestClassification:
             "    return inner\n"
         ).body[0]
         assert suspension_lines(func) == ()
+
+
+class TestProjectIndex:
+    def test_base_class_resolves_in_defining_module(self, tmp_path):
+        """A base imported from a sibling module that the package
+        ``__init__`` does not re-export resolves in the module that
+        defines the subclass, not in its package."""
+        from repro.lint.callgraph import ProjectIndex
+        from repro.lint.module import ModuleInfo
+
+        paths = [
+            write_snippet(
+                tmp_path, "src/repro/engines/__init__.py",
+                '"""No re-exports."""\n',
+            ),
+            write_snippet(
+                tmp_path, "src/repro/engines/base.py",
+                "class _Engine:\n    def query(self):\n        return 1\n",
+            ),
+            write_snippet(
+                tmp_path, "src/repro/engines/paged.py",
+                "from repro.engines.base import _Engine\n\n\n"
+                "class PagedEngine(_Engine):\n    pass\n",
+            ),
+        ]
+        index = ProjectIndex([ModuleInfo.parse(path) for path in paths])
+        child = "repro.engines.paged.PagedEngine"
+        assert index.base_classes(child) == ["repro.engines.base._Engine"]
+        assert index.resolve_method(child, "query") == (
+            "repro.engines.base._Engine.query"
+        )
 
 
 class TestAsyncAtomicityViolation:
@@ -462,6 +491,30 @@ class TestMissingAwait:
         )
         assert rules_of(findings) == ["missing-await"]
 
+    def test_fires_on_inherited_coroutine(self, tmp_path):
+        """``self.drain()`` resolves to the base class's coroutine even
+        when the base lives in a sibling module."""
+        write_snippet(
+            tmp_path, "src/repro/serve/base.py", """\
+            class Base:
+                async def drain(self):
+                    pass
+            """,
+        )
+        findings = lint_rule(
+            tmp_path, "src/repro/serve/child.py", """\
+            from repro.serve.base import Base
+
+
+            class Child(Base):
+                async def stop(self):
+                    self.drain()
+            """,
+            "missing-await",
+        )
+        assert rules_of(findings) == ["missing-await"]
+        assert "repro.serve.base.Base.drain" in findings[0].message
+
     def test_awaited_call_is_silent(self, tmp_path):
         assert lint_rule(
             tmp_path, "src/repro/serve/fixture.py", """\
@@ -508,10 +561,8 @@ class TestSuppressionAndReporting:
         write_snippet(tmp_path, "src/repro/serve/fixture.py", source)
         findings = run_lint(
             [tmp_path],
-            LintConfig(
-                enabled=frozenset(
-                    {"async-atomicity-violation", "unused-suppression"}
-                )
+            select=frozenset(
+                {"async-atomicity-violation", "unused-suppression"}
             ),
         )
         assert findings == []
@@ -591,26 +642,6 @@ class TestCliFlags:
         assert main(["--select=not-a-rule", "src"]) == 2
         assert "names no known rule" in capsys.readouterr().err
 
-    def test_jobs_matches_serial_findings(self, tmp_path):
-        write_snippet(
-            tmp_path, "src/repro/serve/a.py",
-            TestAsyncAtomicityViolation.BAD,
-        )
-        write_snippet(
-            tmp_path, "src/repro/serve/b.py",
-            "import asyncio\n\n\nasync def fire(c):\n"
-            "    asyncio.create_task(c)\n",
-        )
-        serial = run_lint([tmp_path])
-        parallel = run_lint([tmp_path], jobs=4)
-        assert serial == parallel
-        assert len(serial) >= 2
-
-    def test_jobs_rejects_nonpositive(self, tmp_path, capsys):
-        with pytest.raises(ValueError):
-            run_lint([tmp_path], jobs=0)
-        assert main(["--jobs=0", str(tmp_path)]) == 2
-
     def test_time_budget_gate(self, tmp_path, capsys):
         write_snippet(tmp_path, "src/repro/serve/fixture.py", "x = 1\n")
         assert main([str(tmp_path), "--time-budget=60"]) == 0
@@ -687,7 +718,7 @@ def test_live_tree_is_clean_under_concurrency_rules():
     async-safety findings (none even baselined)."""
     findings = run_lint(
         [REPO_SRC],
-        LintConfig(enabled=frozenset(CONCURRENCY_RULE_NAMES)),
+        select=frozenset(CONCURRENCY_RULE_NAMES),
     )
     assert findings == [], "\n".join(f.format() for f in findings)
 
@@ -699,22 +730,11 @@ def test_committed_baseline_has_no_concurrency_entries():
     assert recorded.isdisjoint(CONCURRENCY_RULE_NAMES)
 
 
-class TestBaselineFreshnessScript:
-    """scripts/check_baseline_fresh.py — stale-fingerprint auditor."""
-
-    @staticmethod
-    def _script():
-        import sys
-
-        scripts_dir = str(REPO_ROOT / "scripts")
-        if scripts_dir not in sys.path:
-            sys.path.insert(0, scripts_dir)
-        import check_baseline_fresh
-
-        return check_baseline_fresh
+class TestBaselineFreshness:
+    """``--baseline`` fails on stale entries: recorded fingerprints the
+    run no longer emits."""
 
     def test_fresh_and_stale_round_trip(self, tmp_path, capsys):
-        script = self._script()
         write_snippet(
             tmp_path, "src/repro/serve/fixture.py",
             TestSuppressionAndReporting.RACY.format(suffix=""),
@@ -723,21 +743,20 @@ class TestBaselineFreshnessScript:
         assert main([str(tmp_path), f"--update-baseline={baseline}"]) == 0
         capsys.readouterr()
         # Every recorded fingerprint still emitted: fresh.
-        assert script.main([str(baseline), str(tmp_path)]) == 0
-        assert "fresh" in capsys.readouterr().out
+        assert main([str(tmp_path), f"--baseline={baseline}"]) == 0
+        assert "stale" not in capsys.readouterr().err
         # Fix the finding without updating the baseline: stale.
         write_snippet(
             tmp_path, "src/repro/serve/fixture.py",
             TestAsyncAtomicityViolation.GOOD_OWNERSHIP,
         )
-        assert script.main([str(baseline), str(tmp_path)]) == 1
-        out = capsys.readouterr().out
-        assert "stale" in out
-        assert "async-atomicity-violation" in out
+        assert main([str(tmp_path), f"--baseline={baseline}"]) == 1
+        err = capsys.readouterr().err
+        assert "stale" in err
+        assert "async-atomicity-violation" in err
 
     def test_bad_schema_is_usage_error(self, tmp_path, capsys):
-        script = self._script()
         bad = tmp_path / "baseline.json"
         bad.write_text(json.dumps({"schema": "other/v9", "findings": []}))
-        assert script.main([str(bad), str(tmp_path)]) == 2
-        assert "expected schema" in capsys.readouterr().err
+        assert main([str(tmp_path), f"--baseline={bad}"]) == 2
+        assert "does not declare schema" in capsys.readouterr().err

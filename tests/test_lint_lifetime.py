@@ -16,7 +16,7 @@ import pathlib
 import textwrap
 
 import repro
-from repro.lint import LintConfig, run_lint
+from repro.lint import run_lint
 from repro.lint.cli import RULE_GROUPS, main
 from repro.lint.engine import ALL_RULES
 from repro.lint.lifetime import LIFETIME_RULES
@@ -38,7 +38,7 @@ def write_snippet(tmp_path, relpath, source):
 def lint_rule(tmp_path, relpath, source, rule):
     """Lint one snippet with only ``rule`` enabled."""
     write_snippet(tmp_path, relpath, source)
-    return run_lint([tmp_path], LintConfig(enabled=frozenset({rule})))
+    return run_lint([tmp_path], select=frozenset({rule}))
 
 
 def rules_of(findings):
@@ -345,6 +345,34 @@ class TestSharedStateWithoutLock:
         )
         assert rules_of(findings) == ["shared-state-without-lock"]
 
+    def test_tests_caller_does_not_taint_repro_helper(self, tmp_path):
+        """Taint is seeded and propagated over in-scope modules only: a
+        ``tests/`` module handing an unlocked ``np.frombuffer`` view of a
+        shared Array to a ``repro`` helper does not make it report."""
+        write_snippet(
+            tmp_path, "src/repro/parallel/helpers.py", """\
+            def peek(view):
+                return view[0]
+            """,
+        )
+        assert lint_rule(
+            tmp_path, "tests/test_fixture.py", """\
+            import multiprocessing as mp
+
+            import numpy as np
+
+            from repro.parallel.helpers import peek
+
+
+            def test_peek():
+                ctx = mp.get_context("spawn")
+                shared = ctx.Array("d", 8, lock=False)
+                view = np.frombuffer(shared, dtype=np.float64)
+                assert peek(view) == 0.0
+            """,
+            "shared-state-without-lock",
+        ) == []
+
 
 class TestSpawnUnsafeCapture:
     BAD_PROCESS_ARGS = """\
@@ -477,9 +505,7 @@ class TestSuppressionAndReporting:
         write_snippet(tmp_path, "src/repro/storage/fixture.py", source)
         findings = run_lint(
             [tmp_path],
-            LintConfig(
-                enabled=frozenset({"resource-leak", "unused-suppression"})
-            ),
+            select=frozenset({"resource-leak", "unused-suppression"}),
         )
         assert findings == []
 
@@ -657,21 +683,9 @@ class TestAcceptanceMetaTests:
 
 
 class TestBaselineFreshnessSelect:
-    """scripts/check_baseline_fresh.py --select narrows the audit."""
-
-    @staticmethod
-    def _script():
-        import sys
-
-        scripts_dir = str(REPO_ROOT / "scripts")
-        if scripts_dir not in sys.path:
-            sys.path.insert(0, scripts_dir)
-        import check_baseline_fresh
-
-        return check_baseline_fresh
+    """``--select`` narrows the ``--baseline`` stale-entry audit."""
 
     def test_select_audits_only_matching_entries(self, tmp_path, capsys):
-        script = self._script()
         write_snippet(
             tmp_path, "src/repro/storage/a.py",
             TestSuppressionAndReporting.LEAKY.format(suffix=""),
@@ -685,23 +699,22 @@ class TestBaselineFreshnessSelect:
         # Fix only the no-print finding: the full audit reports its
         # entry as stale, the lifetime-narrowed audit skips it.
         write_snippet(tmp_path, "src/repro/storage/b.py", "x = 1\n")
-        assert script.main([str(baseline), str(tmp_path)]) == 1
-        assert "no-print" in capsys.readouterr().out
-        assert script.main(
-            [str(baseline), str(tmp_path), "--select", "lifetime"]
+        assert main([str(tmp_path), f"--baseline={baseline}"]) == 1
+        assert "no-print" in capsys.readouterr().err
+        assert main(
+            [str(tmp_path), f"--baseline={baseline}", "--select", "lifetime"]
         ) == 0
-        assert "fresh" in capsys.readouterr().out
+        assert "stale" not in capsys.readouterr().err
 
     def test_unknown_select_is_usage_error(self, tmp_path, capsys):
-        script = self._script()
         baseline = tmp_path / "baseline.json"
         baseline.write_text(
             json.dumps(
                 {"schema": "repro.lint-baseline/v1", "findings": []}
             )
         )
-        assert script.main(
-            [str(baseline), str(tmp_path), "--select", "nope"]
+        assert main(
+            [str(tmp_path), f"--baseline={baseline}", "--select", "nope"]
         ) == 2
         assert "names no known rule" in capsys.readouterr().err
 
@@ -711,7 +724,7 @@ def test_live_tree_is_clean_under_lifetime_rules():
     carries zero lifetime findings (none even baselined)."""
     findings = run_lint(
         [REPO_SRC],
-        LintConfig(enabled=frozenset(LIFETIME_RULE_NAMES)),
+        select=frozenset(LIFETIME_RULE_NAMES),
     )
     assert findings == [], "\n".join(f.format() for f in findings)
 

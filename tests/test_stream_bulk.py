@@ -36,7 +36,7 @@ import repro.storage.bulk as storage_bulk
 from repro.core import NearOptimalDeclusterer
 from repro.index.bulk import bulk_load
 from repro.index.xtree import XTree
-from repro.lint import LintConfig, run_lint
+from repro.lint import run_lint
 from repro.parallel.paged import PagedStore
 from repro.registry import make_declusterer
 from repro.storage import (
@@ -680,7 +680,7 @@ class TestCrashCleanup:
     def test_storage_layer_is_resource_leak_clean(self):
         findings = run_lint(
             [Path(storage_bulk.__file__).parent],
-            LintConfig(enabled=frozenset({"resource-leak"})),
+            select=frozenset({"resource-leak"}),
         )
         assert findings == []
 
