@@ -143,7 +143,8 @@ METRIC_CATALOGUE: Tuple[MetricSpec, ...] = (
     MetricSpec(
         "serve_latency_ms", "histogram", "ms", "repro.serve.service",
         "Per-request end-to-end latency: admission to batch completion "
-        "under the busiest-disk service-time model.",
+        "under the busiest-disk service-time model in virtual-time runs, "
+        "measured on the service clock when served live.",
     ),
     MetricSpec(
         "serve_batch_service_ms", "histogram", "ms", "repro.serve.service",

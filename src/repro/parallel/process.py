@@ -6,18 +6,16 @@ actually does it.  Each disk of an out-of-core
 process that maps only its own page file and answers a query with a
 **page-major frontier scan** of its own disk's data pages: one
 ``mindist_many`` over the disk's flat leaf table
-(:meth:`MmapStore.disk_table`), one stable ``argsort``, then that
-ascending-``mindist`` order — the order HS 95 best-first visits the
-disk's leaves in — is walked in chunks that double (1, 2, 4, ... up to
-:data:`_MAX_CHUNK_PAGES`).  A chunk's pages are one gather from the
-page-file mapping, whose slots already hold the ``+inf``-padded rows
-the scan scores (:class:`_DiskPages`), scored with one ``point_keys``
-call and folded into an array top-k, so what a worker pays per page is
-numpy arithmetic, not interpreter time.
+(:meth:`MmapStore.disk_table`), one ``argsort`` (:func:`_visit_order`),
+then that ascending-``mindist`` order — the order HS 95 best-first
+visits the disk's leaves in — is walked in chunks that double (1, 2, 4,
+... up to :data:`_MAX_CHUNK_PAGES`).  A chunk is one owned copy, the
+gather of its pages' ``+inf``-padded point rows (:class:`_DiskPages`),
+scored in place (``kernels.block_keys``); only rows that beat the bound
+are read back, with their oids, and folded into an array top-k.
 Workers cooperate through a **shared monotonically tightening kNN
-pruning bound** (a ``multiprocessing`` top-k distance array): every
-chunk's best candidate distances tighten the bound all workers cut
-their scans with.
+pruning bound** (a ``multiprocessing`` top-k distance array) that
+every chunk's best candidate distances tighten.
 
 Determinism contract (see ``docs/performance.md``): the returned
 neighbors and per-disk page counts are **bit-for-bit identical** to
@@ -29,16 +27,14 @@ a single-process traversal reads is exactly the pages whose ``mindist``
 does not exceed the final k-th candidate distance ``B*`` — independent
 of visit interleaving.  So the coordinator
 
-1. lets workers race (any stale — i.e. too large — view of the shared
-   bound only causes extra speculative reads, never a missed
-   candidate, because the shared bound never drops below ``B*``),
+1. lets workers race (a stale, too large view of the shared bound only
+   causes speculative reads: the shared bound never drops below ``B*``),
 2. merges the workers' candidate sets into the exact global top-k
    (squared keys, no sqrt round trip), and
 3. derives the charged page set *post hoc* by cutting each worker's
    **page ledger** — the ascending ``mindist`` prefix it visited, with
-   running block and entry totals — at ``B*``: the same ``mindist``
-   values, the same comparison the single-process engine applies
-   incrementally.
+   running block and entry totals — at ``B*``, the comparison the
+   single-process engine applies incrementally.
 
 Coordinator and workers talk through one **shared-memory query ring**
 (no queues, nothing pickled): per pipeline bank a board slot the
@@ -65,6 +61,7 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.index import kernels
 from repro.index.knn import Neighbor
 from repro.index.metrics import Euclidean
 from repro.obs.context import current_tracer
@@ -95,12 +92,11 @@ _REPLY_TIMEOUT_S = 120.0
 _LIVENESS_SLICE_S = 1.0
 
 #: Queries in flight during a pipelined ``query_batch``: while the
-#: coordinator reduces query ``j``, every worker is already faulting and
-#: scoring pages for query ``j + 1``.  Each in-flight query owns a
-#: *bank* of the ring — its own board slot, pruning-bound array, arena
-#: cells, tallies and ledgers — so concurrent queries never contaminate
-#: each other's bounds or results.  Post ``p`` (counted from 0 since
-#: the workers started) uses bank ``p % depth`` on both sides.
+#: coordinator reduces query ``j``, every worker is already scoring
+#: pages for query ``j + 1``.  Each in-flight query owns a *bank* of the
+#: ring — its own board slot, bound array, arena cells, tallies and
+#: ledgers — so concurrent queries never share state.  Post ``p``
+#: (counted from 0 since the workers started) uses bank ``p % depth``.
 _PIPELINE_DEPTH = 2
 
 #: Board slot: ``[serial, k, batch serial]`` + query coordinates.
@@ -201,13 +197,12 @@ def _exact_counts(
     """Per-disk pages + distance computations of the charged set.
 
     The charged set is every data page with ``mindist <= bound`` (ties
-    included — the single-process engine reads them too, since its
-    break condition is strictly greater).  A worker's ledger holds its
-    disk's pages in ascending ``mindist`` up to the first one beyond
-    ``min(local, shared) >= B*``, so the charged pages are a prefix of
-    it: one ``searchsorted`` per disk, then the running block and entry
-    totals at the cut.  (``bound`` is ``inf`` when fewer than k points
-    exist; every worker then visited all its pages.)
+    included: the single-process engine breaks on strictly greater).
+    A worker's ledger holds its disk's pages in ascending ``mindist`` up
+    to the first one beyond ``min(local, shared) >= B*``, so the charged
+    pages are a prefix of it: one ``searchsorted`` per disk, then the
+    running totals at the cut (``bound`` is ``inf`` when fewer than k
+    points exist; every worker then visited all its pages).
 
     A leaf is charged iff its own mindist passes: every ancestor MBR
     contains the leaf's, so ancestor mindists are lower bounds and a
@@ -229,15 +224,14 @@ def _exact_counts(
 class _DiskPages:
     """One disk's data pages: the page source of a worker.
 
-    A chunk is one ``read_pages`` gather of the pages' scan rows, as the
-    page file stores them: ``W`` rows a page, ``+inf`` points past its
-    count, whose ``inf`` keys never pass ``key < bound``.  What this
-    source decides is only who owes the simulated service time.  Per
-    call (batch serial 0) every fetch does.  Consecutive kNN spheres of
-    a batch overlap heavily, and a page the batch already fetched is
-    warm, so inside a batch scope (:meth:`scope`) a page owes it the
-    first time it is wanted and never again — supernodes included.
-    *Charged* page counts come from the ledgers, not from here.
+    A chunk is one ``read_pages`` gather of the pages' point rows: an
+    owned ``(n, W, d)`` block, ``+inf`` past each page's count (``inf``
+    keys never pass ``key < bound``); :meth:`rows` reads back the rows
+    kept.  This source decides only who owes the simulated service
+    time: per call (batch serial 0) every fetch; in a batch scope
+    (:meth:`scope`) a page the first time it is wanted, supernodes
+    included, as the batch has it warm after that.  *Charged* page
+    counts come from the ledgers, not from here.
     """
 
     def __init__(self, store: Any, disk: int):
@@ -251,15 +245,32 @@ class _DiskPages:
             self._batch = batch
             self._held[:] = False
 
-    def chunk(self, pages: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The stacked ``(points, oids)`` of table rows ``pages`` (distinct),
-        padding rows included."""
+    def chunk(self, pages: np.ndarray) -> np.ndarray:
+        """The ``(n, W, d)`` point block of table rows ``pages``
+        (distinct), padding rows included."""
         if not self._batch:
             return self._store.read_pages(self._disk, pages)
-        fresh = ~self._held[pages]
-        rows = self._store.read_pages(self._disk, pages, fresh)
+        block = self._store.read_pages(self._disk, pages, ~self._held[pages])
         self._held[pages] = True
-        return rows
+        return block
+
+    def rows(
+        self, pages: np.ndarray, rows: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(oids, points)`` of flat rows ``rows`` of :meth:`chunk`'s
+        block for ``pages``, read back from the page file."""
+        return self._store.page_rows(self._disk, pages, rows)
+
+
+def _visit_order(
+    table: Tuple[np.ndarray, ...], query: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Table rows by ascending ``mindist`` to ``query``, and those values.
+    Tied pages come in a deterministic order (not table order) that no
+    ledger cut (:func:`_exact_counts`) or ``(key, oid)`` merge can see."""
+    mindists = _EUCLIDEAN.mindist_many(table[0], table[1], query)
+    order = np.argsort(mindists)
+    return order, mindists[order]
 
 
 def _worker_query(
@@ -273,31 +284,26 @@ def _worker_query(
     """One kNN query on one disk's worker: a page-major frontier scan.
 
     ``table`` is the disk's :meth:`MmapStore.disk_table`; ``source``
-    gathers rows of it.  Pages are taken in ascending ``mindist`` — the
-    order best-first search pops a disk's leaves in — one doubling
-    chunk at a time: a chunk is the next pages whose ``mindist`` does
-    not exceed ``min(local k-th key, shared bound)`` as of the chunk's
-    start, taken from the source at once and scored with one
-    ``point_keys`` call (``einsum`` rows are bit-identical whatever
-    block they are scored in).  The scan ends at the first chunk the
-    bound cuts short: every later page is farther still, and bounds
-    only tighten.
+    gathers rows of it.  Pages are taken in :func:`_visit_order` one
+    doubling chunk at a time: the next pages whose ``mindist`` does not
+    exceed ``min(local k-th key, shared bound)`` as of the chunk's
+    start, gathered at once and scored in place by ``kernels.block_keys``
+    (``einsum`` rows are bit-identical whatever block they are scored
+    in); only rows that beat the local bound are read back.  The scan
+    ends at the first chunk the bound cuts short.
 
-    Returns the worker's local top-k candidates (squared keys) and its
-    page ledger: a ``(3, visited)`` array of the visited pages'
-    ``mindist`` (ascending), running block total (the last one is the
-    worker's speculative read count) and running entry total.
+    Returns the local top-k candidates (squared keys) and the page
+    ledger: a ``(3, visited)`` array of the visited pages' ``mindist``
+    (ascending), running block total (the last one is the worker's
+    speculative read count) and running entry total.
     """
-    lows, highs, _slots, entries, blocks = table
-    dimension = len(query)
+    entries, blocks = table[3:]
     found: _Candidates = (
-        np.empty(0), np.empty(0, dtype=np.int64), np.empty((0, dimension))
+        np.empty(0), np.empty(0, dtype=np.int64), np.empty((0, len(query)))
     )
-    mindists = _EUCLIDEAN.mindist_many(lows, highs, query)
-    order = np.argsort(mindists, kind="stable")
-    mindists = mindists[order]
-    local_bound = math.inf
-    start, size = 0, 1
+    order, mindists = _visit_order(table, query)
+    tiled: Optional[np.ndarray] = None
+    local_bound, start, size = math.inf, 0, 1
     while start < len(order):
         with lock:
             shared_bound = float(view[k - 1])
@@ -310,13 +316,13 @@ def _worker_query(
         pages = order[start : start + take]
         start += take
         size = min(2 * size, _MAX_CHUNK_PAGES)
-        chunk_points, chunk_oids = source.chunk(pages)
-        chunk_keys = _EUCLIDEAN.point_keys(chunk_points, query)
+        block = source.chunk(pages)
+        if tiled is None:
+            tiled = np.tile(query, block.shape[1])
+        chunk_keys = kernels.block_keys(block, tiled)
         better = np.flatnonzero(chunk_keys < local_bound)
         if len(better):
-            fresh = (
-                chunk_keys[better], chunk_oids[better], chunk_points[better]
-            )
+            fresh = (chunk_keys[better], *source.rows(pages, better))
             found = _top_k((found, fresh), k)
             if len(found[0]) == k:
                 local_bound = float(found[0][-1])
@@ -350,15 +356,13 @@ def _worker_main(
     """Worker process entry point (spawn-safe, module level).
 
     Opens its own :class:`MmapStore` over ``directory`` with the
-    coordinator's ``simulated_disk_ms`` — each worker maps only its own
-    disk's page file on first read, and builds no tree — then
-    serves the ring: wait on ``go`` (this worker's semaphore, one
-    permit per post), read the next bank's board slot, scan, deposit
-    the top-k in its arena cell, the page ledger in its ledger cell and
-    ``[serial echo, candidate count, ledger pages]`` in its tally cell,
-    release the bank's ``done``.  The coordinator posts at most
-    ``depth`` queries ahead and re-arms a bank only after collecting
-    it, so a bank a worker enters has always been fully read.
+    coordinator's ``simulated_disk_ms`` (it maps only its own disk's
+    page file and builds no tree), then serves the ring: wait on ``go``
+    (one permit per post), read the next bank's board slot, scan,
+    deposit the top-k in its arena cell, the page ledger in its ledger
+    cell and ``[serial echo, candidate count, ledger pages]`` in its
+    tally cell, release the bank's ``done``.  A bank is re-armed only
+    after it was collected, so a worker never enters an unread bank.
 
     The slot's batch serial scopes the worker's :class:`_DiskPages`: 0
     is a per-call query (every fetch pays its service time); within one
@@ -698,9 +702,8 @@ class ProcessParallelEngine:
         """Merge worker candidates into the exact global result.
 
         Deterministic merge — squared keys, ``(key, oid)`` order — then
-        the post-hoc charged page set from the ledgers.  Shared by the
-        per-call and the pipelined batch path, which is what keeps
-        their results bit-for-bit identical.
+        the post-hoc charged page set from the ledgers; shared by the
+        per-call and the batch path, which keeps them bit-for-bit equal.
         """
         keys, oids, points = _top_k(found, k)
         bound = float(keys[-1]) if len(keys) == k else math.inf
@@ -813,19 +816,16 @@ class ProcessParallelEngine:
         pipelined across the ring's banks.
 
         The same post / collect / reduce as :meth:`query`, with
-        :data:`_PIPELINE_DEPTH` queries in flight: workers fault and
-        score pages for query ``j + 1`` while the coordinator is still
-        merging query ``j``.  Each worker also reuses pages *across*
-        the batch's queries (:class:`_DiskPages`): a page whose MBR
-        intersects several of the batch's kNN spheres pays its service
-        time once, not once per query — the structural throughput edge
-        over per-call dispatch, whose unit of work is a single query.
+        :data:`_PIPELINE_DEPTH` queries in flight (workers score query
+        ``j + 1`` while the coordinator merges query ``j``), and a page
+        whose MBR intersects several of the batch's kNN spheres pays
+        its service time once, not once per query (:class:`_DiskPages`)
+        — the structural throughput edge over per-call dispatch.
 
         Results are bit-for-bit identical to calling :meth:`query` per
         query (and to ``PagedEngine``): the merge and the post-hoc
-        charged-page derivation are the same code, and the bank
-        discipline (a bank is re-armed only after it was collected)
-        keeps concurrent queries from sharing pruning state.
+        charged-page derivation are the same code, and a bank is
+        re-armed only after it was collected.
         """
         self._check_k(k)
         queries = np.asarray(queries, dtype=float)

@@ -19,7 +19,9 @@ Two execution surfaces share one batch executor:
 * :meth:`QueryService.submit` — the real **asyncio** path: concurrent
   clients ``await`` their result while a background scheduler task
   batches admissions with wall-clock deadlines.  The policy logic is
-  the same object, and batches never reorder admissions.
+  the same object, and batches never reorder admissions.  Here a
+  request completes when its batch's engine work returns, on the
+  service clock — measured, not modelled.
 
 **Determinism contract** (oracle-enforced): scheduling only *groups*
 requests — it never reorders them — so a fixed arrival trace yields
@@ -135,7 +137,8 @@ class RequestOutcome:
 
     @property
     def latency_ms(self) -> float:
-        """End-to-end latency: admission to batch completion."""
+        """End-to-end latency: admission to batch completion (modelled
+        in virtual time, measured on the live asyncio path)."""
         return self.completion_ms - self.request.arrival_ms
 
 
@@ -405,10 +408,23 @@ class QueryService:
         :func:`~repro.parallel.window.parallel_window_query` each.  The
         batch's service time is its busiest disk's page total times the
         page service time — the paper's cost model lifted from one
-        query to one batch.
+        query to one batch — and its requests complete, in the trace and
+        the ``serve_latency_ms`` histogram, at the modelled
+        ``outcome.completion_ms``.
         """
-        tracer = current_tracer(self.tracer)
-        traced = tracer.enabled
+        outcome = self._execute(requests, flush_ms, batch_id, metrics)
+        self._complete(requests, outcome, outcome.completion_ms, metrics)
+        return outcome
+
+    def _execute(
+        self,
+        requests: Sequence[QueryRequest],
+        flush_ms: float,
+        batch_id: int,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> BatchOutcome:
+        """:meth:`execute_batch` up to its completion: the engine work,
+        the ``serve_flush`` event and every metric but the latency."""
         results: List[Any] = []
         for start, stop in _contiguous_runs(requests):
             head = requests[start]
@@ -452,15 +468,11 @@ class QueryService:
             batch_ms=batch_ms,
             pages_per_disk=pages,
         )
-        if traced:
+        tracer = current_tracer(self.tracer)
+        if tracer.enabled:
             tracer.record(
                 "serve_flush", t_ms=flush_ms, batch=batch_id,
                 size=len(requests), policy=self.policy.name,
-            )
-            tracer.record(
-                "serve_complete", t_ms=outcome.completion_ms,
-                batch=batch_id, size=len(requests),
-                batch_ms=round(batch_ms, 6),
             )
         registry = current_metrics(metrics, self.tracer)
         if registry is not None:
@@ -472,10 +484,30 @@ class QueryService:
                 registry.histogram("serve_queue_wait_ms").record(
                     flush_ms - request.arrival_ms
                 )
-                registry.histogram("serve_latency_ms").record(
-                    outcome.completion_ms - request.arrival_ms
-                )
         return outcome
+
+    def _complete(
+        self,
+        requests: Sequence[QueryRequest],
+        outcome: BatchOutcome,
+        completion_ms: float,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> None:
+        """Record a batch's requests as complete at ``completion_ms``
+        (modelled in virtual time, measured live): the
+        ``serve_complete`` event and the ``serve_latency_ms`` samples."""
+        tracer = current_tracer(self.tracer)
+        if tracer.enabled:
+            tracer.record(
+                "serve_complete", t_ms=completion_ms,
+                batch=outcome.batch_id, size=len(requests),
+                batch_ms=round(outcome.batch_ms, 6),
+            )
+        registry = current_metrics(metrics, self.tracer)
+        if registry is not None:
+            latency = registry.histogram("serve_latency_ms")
+            for request in requests:
+                latency.record(completion_ms - request.arrival_ms)
 
     # --------------------------------------------------- virtual-time runs
 
@@ -768,10 +800,7 @@ class QueryService:
                 self._async_batches += 1
                 try:
                     outcome = await asyncio.to_thread(
-                        self.execute_batch,
-                        requests,
-                        flush_ms=flush_ms,
-                        batch_id=batch_id,
+                        self._execute, requests, flush_ms, batch_id
                     )
                 except (ValueError, TypeError, KeyError, RuntimeError,
                         OSError) as error:
@@ -783,6 +812,10 @@ class QueryService:
                     if closing:
                         return
                     continue
+                # Measured, not modelled: the wall instant the engine
+                # work returned (outcome.batch_ms keeps the model).
+                completion_ms = self._now_ms()
+                self._complete(requests, outcome, completion_ms)
                 for adm, result in zip(admissions, outcome.results):
                     if not adm.future.done():
                         adm.future.set_result(
@@ -792,7 +825,7 @@ class QueryService:
                                 batch_id=batch_id,
                                 batch_size=len(admissions),
                                 flush_ms=flush_ms,
-                                completion_ms=outcome.completion_ms,
+                                completion_ms=completion_ms,
                             )
                         )
             if closing:

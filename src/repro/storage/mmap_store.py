@@ -456,9 +456,10 @@ class MmapStore:
     Exposes the :class:`~repro.parallel.paged.PagedStore` query surface
     plus :meth:`read_page` / :meth:`entry_count`; engines detect the
     ``read_page`` hook and score mmap-served payloads instead of
-    in-memory entries.  :meth:`disk_table` / :meth:`read_pages` are the
-    same directory and payloads one disk at a time, as flat arrays and
-    multi-page gathers — what the per-disk worker processes use; no
+    in-memory entries.  :meth:`disk_table` / :meth:`read_pages` /
+    :meth:`page_rows` are the same directory and payloads one disk at a
+    time, as flat arrays, multi-page point gathers and the rows kept of
+    them — what the per-disk worker processes use; no
     :class:`Node` exists until ``tree`` / ``leaves`` is read.  Page
     files are opened lazily per disk, so a per-disk worker process maps
     only its own disk's file.  Reopening a directory that another
@@ -635,23 +636,34 @@ class MmapStore:
 
     def read_pages(
         self, disk: int, pages: np.ndarray, owed: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> np.ndarray:
         """Fetch several of one disk's data pages with a single gather.
 
         ``pages`` indexes rows of :meth:`disk_table`; the result is
-        :meth:`PageFile.gather` of their slots — ``W`` scan rows per
-        page, ``+inf`` points past its count, owned copies.  The
+        :meth:`PageFile.gather` of their slots — the ``(n, W, d)`` point
+        block, ``+inf`` past each page's count, an owned copy.  The
         simulated service time of the pages the caller owes it for
         (``owed``, a mask over ``pages``; all of them by default) is
         slept once, by the caller that issued the gather.
+        :meth:`page_rows` reads the oids of the rows the caller keeps.
         """
         _, _, slots, _, blocks = self.disk_table(disk)
-        rows = self._page_file(disk).gather(slots[pages])
+        block = self._page_file(disk).gather(slots[pages])
         if self.simulated_disk_ms:
             paid = blocks[pages] if owed is None else blocks[pages][owed]
             if paid.size:
                 time.sleep(self.simulated_disk_ms * int(paid.sum()) / 1000.0)
-        return rows
+        return block
+
+    def page_rows(
+        self, disk: int, pages: np.ndarray, rows: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(oids, points)`` of flat rows ``rows`` of the block
+        :meth:`read_pages` returned for ``pages`` (:meth:`PageFile.rows`
+        of their slots).  The pages were just fetched, so nothing is
+        slept."""
+        slots = self.disk_table(disk)[2]
+        return self._page_file(disk).rows(slots[pages], rows)
 
     def check_page_files(self) -> None:
         """Open every disk's page file now: a missing, truncated,

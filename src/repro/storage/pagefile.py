@@ -2,8 +2,8 @@
 
 One file per simulated disk.  The layout is deliberately dumb — a small
 fixed header, a slot-count table, then ``num_slots`` fixed-size slots —
-so a reader can memory-map the file and serve any set of pages with two
-strided gathers and zero parsing:
+so a reader can memory-map the file and serve any set of pages with one
+strided gather and zero parsing:
 
 .. code-block:: text
 
@@ -26,10 +26,11 @@ strided gathers and zero parsing:
 A slot is laid out the way the scan reads it: ``W`` row-major ``float64``
 points (``+inf`` past the page's count, so their keys never pass ``key
 < bound``), ``W`` little-endian ``int64`` oids (``0`` past the count),
-zero bytes to the slot end.  :meth:`PageFile.gather` serves many pages
-as one fancy-index copy of each region, bit-for-bit lossless; no view
-of the mapping leaves a ``PageFile``, so :meth:`PageFile.close` can
-always unmap.
+zero bytes to the slot end.  :meth:`PageFile.gather` serves many pages'
+points as one fancy-index copy, and :meth:`PageFile.rows` reads back
+the oids and points of just the rows a caller kept, both bit-for-bit
+lossless; no view of the mapping leaves a ``PageFile``, so
+:meth:`PageFile.close` can always unmap.
 
 The writer commits ``W`` and the counts table at close: a crashed
 writer's file reads as ``W = 0`` and empty pages, never as garbage.
@@ -381,17 +382,32 @@ class PageFile:
             self._points[slot, :count].copy(), self._oids[slot, :count].copy()
         )
 
-    def gather(self, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Pages ``slots`` as the scan reads them: ``(points, oids)`` of
-        shapes ``(n·W, d)`` and ``(n·W,)`` — ``W`` rows per slot, in slot
-        order, ``+inf`` points past each page's count — by one fancy
-        gather per region.  The rows are owned and outlive :meth:`close`.
+    def gather(self, slots: np.ndarray) -> np.ndarray:
+        """The point rows of pages ``slots`` as the scan reads them: one
+        ``(n, W, d)`` fancy gather, ``W`` rows per slot in slot order,
+        ``+inf`` points past each page's count.  The block is owned (the
+        scan overwrites it) and outlives :meth:`close`; oids stay in the
+        file until :meth:`rows` asks for the few that are wanted.
         """
-        slots = self._checked(slots)
-        return (
-            self._points[slots].reshape(-1, self.dimension),
-            self._oids[slots].reshape(-1),
-        )
+        return self._points[self._checked(slots)]
+
+    def rows(
+        self, slots: np.ndarray, rows: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(oids, points)`` of flat rows ``rows`` of the block
+        :meth:`gather` returns for ``slots``: row ``r`` is entry
+        ``r % W`` of slot ``slots[r // W]``, read back from the mapping
+        as owned copies — the stored values, so the points equal the
+        gathered ones bit for bit.  This is the scan's per-chunk read of
+        its few kept rows, so it leaves the checks to the gather that
+        accepted ``slots`` and to numpy: a row past the block or a slot
+        past the file is an ``IndexError``."""
+        if self._mmap is None:
+            raise PageFormatError(f"page file {self.path!r} already closed")
+        rows = np.asarray(rows, dtype=np.intp)
+        page, entry = np.divmod(rows, max(self.width, 1))
+        picked = np.asarray(slots, dtype=np.intp)[page]
+        return self._oids[picked, entry], self._points[picked, entry]
 
     def close(self) -> None:
         """Drop the mapping and close the file handle."""

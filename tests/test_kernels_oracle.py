@@ -18,7 +18,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.baselines import RoundRobinDeclusterer
 from repro.index import kernels
@@ -247,31 +247,44 @@ def test_point_keys_of_a_block_match_per_page_calls(
     misaligned=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(counts=[0, 0], slack=0, dimension=3, misaligned=True, seed=0)
+@example(counts=[0], slack=0, dimension=1, misaligned=False, seed=0)
 def test_point_keys_of_a_padded_block_match_per_page_calls(
     counts, slack, dimension, misaligned, seed
 ):
-    """Inside a batch the process workers gather pages from a decoded
-    buffer whose rows are ``stride`` entries wide, short pages padded
-    with ``+inf`` points.  The real rows of such a block must score bit
-    for bit as their pages do alone, every padding row must score
-    ``inf`` (never ``nan``: it may not pass ``key < bound``), and a
-    finite query must raise no floating-point flag on the way."""
+    """The process workers score a gathered ``(n, W, d)`` page block,
+    short pages padded with ``+inf`` points — through ``point_keys``
+    over its ``(n·W, d)`` rows, and through ``kernels.block_keys``,
+    which overwrites the block with its deltas.  Both must give the
+    real rows bit for bit as their pages score alone, every padding row
+    must score ``inf`` (never ``nan``: it may not pass ``key < bound``),
+    and a finite query must raise no floating-point flag on the way —
+    for every ``W`` (0 included) and either buffer alignment."""
     rng = np.random.default_rng(seed)
     stride = max(counts) + slack
     pages = [rng.random((count, dimension)) * 4.0 - 2.0 for count in counts]
     query = rng.random(dimension) * 4.0 - 2.0
+    shape = (len(pages), stride, dimension)
     size = len(pages) * stride * dimension
-    # Optionally start one word into the buffer, off the 16-byte
-    # boundary vector loads prefer.
-    block = np.empty(size + 1)[int(misaligned):][:size].reshape(
-        len(pages), stride, dimension
-    )
-    block[:] = np.inf
-    for row, page in zip(block, pages):
-        row[: len(page)] = page
+
+    def padded_block():
+        # Optionally start one word into the buffer, off the 16-byte
+        # boundary vector loads prefer.
+        block = np.empty(size + 1)[int(misaligned):][:size].reshape(shape)
+        block[:] = np.inf
+        for row, page in zip(block, pages):
+            row[: len(page)] = page
+        return block
+
     metric = Euclidean()
+    block = padded_block()
     with np.errstate(all="raise"):
         keys = metric.point_keys(block.reshape(-1, dimension), query)
+        in_place = kernels.block_keys(block, np.tile(query, stride))
+    assert in_place.tobytes() == keys.tobytes()
+    assert block.reshape(-1, dimension).tobytes() == (
+        padded_block().reshape(-1, dimension) - query
+    ).tobytes()
     keys = keys.reshape(len(pages), stride)
     for row, page in zip(keys, pages):
         alone = metric.point_keys(page.copy(), query)

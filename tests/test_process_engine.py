@@ -40,6 +40,7 @@ from repro.parallel.process import (
     _DiskPages,
     _exact_counts,
     _top_k,
+    _visit_order,
     _worker_main,
     _worker_query,
 )
@@ -150,6 +151,30 @@ class TestParity:
                         result, reference.query(query, k=4)
                     )
 
+    def test_pages_tied_on_mindist(self, tmp_path):
+        """Pages whose MBRs share faces tie on ``mindist``, and the
+        scan's visit order inside a tie group is not table order.
+        Points on an integer lattice in x and y (z random, so no two
+        candidates tie) and queries on the faces x = y = 2.5: the
+        charged pages hold tie groups on both disks, and per call and
+        batched the engine still matches ``PagedEngine``."""
+        rng = np.random.default_rng(5)
+        points = np.column_stack([
+            rng.integers(0, 6, (3000, 2)), rng.random(3000)
+        ]).astype(float)
+        paged = PagedStore(
+            points=points, num_disks=2, page_bytes=1024,
+            declusterer=lambda centers: np.arange(len(centers)) % 2,
+        )
+        queries = np.column_stack([np.full((4, 2), 2.5), rng.random(4)])
+        result, _ = _assert_parity(paged, tmp_path / "ties", queries, (4, 10))
+        bound = result.neighbors[-1].distance ** 2
+        with MmapStore(tmp_path / "ties") as store:
+            for disk in range(store.num_disks):
+                _, mindists = _visit_order(store.disk_table(disk), queries[-1])
+                charged = mindists[mindists <= bound]
+                assert len(np.unique(charged)) < len(charged)
+
     def test_speculative_reads_never_undercount(self, engine):
         """Workers may read extra pages under a stale bound, never
         fewer than the charged (post-hoc exact) count."""
@@ -238,11 +263,13 @@ class TestFlatTableShapes:
 
 class _CountingStore:
     """Store facade over ``read_pages``: ``pages_read`` counts the pages
-    it was told are owed service time, ``owed_blocks`` their blocks."""
+    it was told are owed service time, ``owed_blocks`` their blocks
+    (``page_rows`` owes nothing)."""
 
     def __init__(self, inner):
         self._inner = inner
         self.disk_table = inner.disk_table
+        self.page_rows = inner.page_rows
         self.dimension = inner.dimension
         self.pages_read = 0
         self.owed_blocks = 0
@@ -254,10 +281,13 @@ class _CountingStore:
         return self._inner.read_pages(disk, pages, owed)
 
 
-def _assert_chunk(store, disk, pages, chunk):
-    """A chunk's real rows are exactly ``MmapStore.read_page`` of its
-    pages (in any page order); every other row is ``+inf`` padding."""
-    points, oids = chunk
+def _assert_chunk(store, disk, pages, block):
+    """A chunk's real rows, with the oids ``page_rows`` reads back for
+    them, are exactly ``MmapStore.read_page`` of its pages (in any page
+    order); every other row is ``+inf`` padding."""
+    points = block.reshape(-1, store.dimension)
+    oids, again = store.page_rows(disk, pages, np.arange(len(points)))
+    assert again.tobytes() == points.tobytes()
     leaves = [leaf for leaf in store.leaves if store.disk_of(leaf) == disk]
     want = [store.read_page(leaves[page]) for page in pages]
     want_points = np.concatenate([payload[0] for payload in want])
@@ -290,7 +320,7 @@ class TestBatchPageMemo:
         _assert_chunk(mmap_store, 1, [3, 0], third)
         # Every chunk is whole slot rows: W of them a page.
         width = int(mmap_store.disk_table(1)[3].max())
-        assert len(third[1]) == 2 * width
+        assert third.shape == (2, width, mmap_store.dimension)
 
     def test_cap_disables_insertion_not_reads(self, mmap_store, monkeypatch):
         """No page count caps what a scope holds: with the decoded
@@ -322,7 +352,7 @@ class TestBatchPageMemo:
             chunk = source.chunk(pages)
             assert counting.pages_read == reads
             _assert_chunk(mmap_store, 1, pages, chunk)
-            assert len(chunk[1]) == len(pages) * width
+            assert chunk.shape[:2] == (len(pages), width)
 
     def test_padding_shapes(self, tmp_path):
         """All-empty pages (``W`` 0), a zero-page disk, and a multi-block
@@ -358,22 +388,24 @@ class TestBatchPageMemo:
             for serial, fetched, owed in ((4, 6, every), (4, 0, 0), (0, 6, every)):
                 source.scope(serial)
                 before = counting.pages_read, counting.owed_blocks
-                points, oids = chunk = source.chunk(pages)
+                chunk = source.chunk(pages)
                 assert counting.pages_read - before[0] == fetched
                 assert counting.owed_blocks - before[1] == owed
                 _assert_chunk(store, 0, pages, chunk)
-                real = np.isfinite(points).all(axis=1)
+                real = np.isfinite(chunk).all(axis=2)
                 assert real.sum() == counts[pages].sum()
-                assert len(oids) == len(pages) * counts[0]
+                assert chunk.shape == (len(pages), counts[0], 3)
 
             idle = _DiskPages(counting, 1)
-            points, oids = idle.chunk(np.zeros(0, dtype=np.intp))
-            assert points.shape == (0, 3) and oids.shape == (0,)
+            chunk = idle.chunk(np.zeros(0, dtype=np.intp))
+            assert chunk.shape[::2] == (0, 3) and chunk.size == 0
             empty = _DiskPages(counting, 2)
             empty.scope(2)
             for _ in range(2):
-                points, oids = empty.chunk(np.array([1, 0]))
-                assert points.shape == (0, 3) and oids.shape == (0,)
+                chunk = empty.chunk(np.array([1, 0]))
+                assert chunk.shape == (2, 0, 3)
+                oids, points = empty.rows(np.array([1, 0]), [])
+                assert oids.shape == (0,) and points.shape == (0, 3)
 
     @pytest.mark.parametrize("serial", [0, 1])
     def test_file_count_above_directory_count_is_refused(
@@ -441,10 +473,7 @@ class TestServiceTimeCharging:
                     )
                     # Every page the scan visited was fetched: the
                     # ascending-mindist prefix the ledger covers.
-                    order = np.argsort(
-                        Euclidean().mindist_many(table[0], table[1], query),
-                        kind="stable",
-                    )
+                    order, _ = _visit_order(table, query)
                     fetched.update(
                         (disk, int(page), int(table[4][page]))
                         for page in order[: ledger.shape[1]]

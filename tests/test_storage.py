@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import NearOptimalDeclusterer
+from repro.index import kernels
 from repro.index.metrics import Euclidean
 from repro.index.node import Node
 from repro.index.rstar import RStarTree
@@ -222,7 +223,7 @@ class TestPageFile:
             assert handle.entry_count(1) == 1
             # close() padded the slot never written: the gather sees an
             # empty page (all +inf), not a zero point.
-            points, oids = handle.gather([0, 1])
+            points, oids = _gathered(handle, [0, 1])
             assert np.isposinf(points[0]).all()
             assert points[1].tobytes() == np.zeros(2).tobytes()
             assert list(oids) == [0, 9]
@@ -252,14 +253,14 @@ class TestPageFile:
         slots = [3, 0, 2, 1, 0]
         with PageFile(batched) as handle:
             assert handle.width == 12
-            points, oids = handle.gather(slots)
-            assert points.shape == (5 * 12, 3) and oids.shape == (5 * 12,)
+            assert handle.gather(slots).shape == (5, 12, 3)
+            points, oids = _gathered(handle, slots)
             for row, slot in enumerate(slots):
                 want = handle.read_slot(slot)
                 assert want[0].tobytes() == payloads[slot][1].tobytes()
                 assert want[1].tobytes() == payloads[slot][0].tobytes()
                 _assert_rows(points, oids, row, 12, *want)
-            points, oids = handle.gather([])
+            points, oids = _gathered(handle, [])
             assert points.shape == (0, 3) and oids.shape == (0,)
 
     def test_read_slots_of_a_crashed_writer_file_are_empty(self, tmp_path):
@@ -275,7 +276,8 @@ class TestPageFile:
         writer._file = None
         with PageFile(path) as handle:
             assert handle.width == 0
-            points, oids = handle.gather([0, 1, 2])
+            assert handle.gather([0, 1, 2]).shape == (3, 0, 2)
+            points, oids = _gathered(handle, [0, 1, 2])
             assert points.shape == (0, 2) and oids.shape == (0,)
 
     def test_read_slots_range_check_and_owned_rows(self, rng, tmp_path):
@@ -288,13 +290,20 @@ class TestPageFile:
                 handle.gather(bad)
             with pytest.raises(ValueError, match="outside"):
                 handle.entry_counts(bad)
+        # rows() leaves its checks to numpy: a row past the block, or a
+        # slot past the file, is an IndexError.
+        for slots, rows in (([1, 0], [8]), ([1, 0], [0, 8]), ([2], [0])):
+            with pytest.raises(IndexError):
+                handle.rows(slots, rows)
         assert list(handle.entry_counts([1, 0, 1])) == [4, 4, 4]
-        got_points, got_oids = handle.gather([1, 0])
+        got_points, got_oids = _gathered(handle, [1, 0])
         handle.close()  # no BufferError: the gather holds no mapping view
         assert np.array_equal(got_points, np.vstack([points] * 2))
         assert got_oids.sum() == 12
         with pytest.raises(PageFormatError, match="closed"):
             handle.gather([0])
+        with pytest.raises(PageFormatError, match="closed"):
+            handle.rows([0], [0])
 
     @_SLOT_SIZES
     def test_read_slots_into_out_matches_the_allocating_form(
@@ -316,7 +325,7 @@ class TestPageFile:
         with PageFile(path) as handle:
             for length in (0, 1, 4, 9):
                 slots = rng.integers(0, 5, size=length)
-                points, oids = handle.gather(slots)
+                points, oids = _gathered(handle, slots)
                 assert len(oids) == 12 * length
                 for row, slot in enumerate(slots):
                     _assert_rows(points, oids, row, 12, *handle.read_slot(slot))
@@ -337,7 +346,7 @@ class TestPageFile:
         for name, slots in (("none", []), ("empty", [2, 0, 2])):
             with PageFile(tmp_path / f"{name}.pages") as handle:
                 assert handle.width == 0
-                points, oids = handle.gather(slots)
+                points, oids = _gathered(handle, slots)
                 assert points.shape == (0, 3) and oids.shape == (0,)
                 with pytest.raises(ValueError, match="outside"):
                     handle.gather([3])
@@ -356,15 +365,65 @@ class TestPageFile:
         query = rng.random(3)
         metric = Euclidean()
         with PageFile(tmp_path / "disk.pages") as handle:
-            points, _ = handle.gather([0, 1, 2, 3])
+            block = handle.gather([0, 1, 2, 3])
             with np.errstate(all="raise"):
-                keys = metric.point_keys(points, query)
+                keys = metric.point_keys(block.reshape(-1, 3), query)
                 real = keys < np.inf
+                in_place = kernels.block_keys(block, np.tile(query, 12))
         want = np.concatenate(
             [metric.point_keys(points_, query) for _, points_ in payloads]
         )
         assert keys[real].tobytes() == want.tobytes()
         assert np.isposinf(keys[~real]).all() and real.sum() == 18
+        assert in_place.tobytes() == keys.tobytes()
+
+    @_SLOT_SIZES
+    def test_rows_of_hits_match_read_slot_after_close(
+        self, rng, tmp_path, slot_bytes
+    ):
+        """What the scan keeps of a chunk: the rows of a gathered block
+        whose keys beat a bound, read back by ``rows`` — oids and points
+        equal to those rows of ``read_slot`` (the oids as written), and
+        owned copies that outlive ``close``."""
+        payloads = [
+            (rng.integers(-2**62, 2**62, count), rng.random((count, 3)))
+            for count in (5, 0, 12, 1, 7)
+        ]
+        self._write(tmp_path / "disk.pages", payloads, slot_bytes=slot_bytes)
+        slots = np.array([4, 2, 0, 1, 2])
+        query = rng.random(3)
+        handle = PageFile(tmp_path / "disk.pages")
+        keys = kernels.block_keys(handle.gather(slots), np.tile(query, 12))
+        hits = np.flatnonzero(keys < np.median(keys[keys < np.inf]))
+        assert 0 < len(hits) < 20
+        oids, points = handle.rows(slots, hits)
+        handle.close()
+        for row, oid, point in zip(hits.tolist(), oids, points):
+            page, entry = divmod(row, 12)
+            want_oids, want_points = payloads[slots[page]]
+            assert oid == want_oids[entry]
+            assert point.tobytes() == want_points[entry].tobytes()
+        assert Euclidean().point_keys(points, query).tobytes() == (
+            keys[hits].tobytes()
+        )
+
+
+def _gathered(handle, slots):
+    """``handle.gather(slots)`` as flat ``(n·W, d)`` points, beside the
+    oids ``handle.rows`` reads back for every row (padding included);
+    the points it reads back are the gathered ones, bit for bit."""
+    points = handle.gather(slots).reshape(-1, handle.dimension)
+    oids, again = handle.rows(slots, np.arange(len(points)))
+    assert again.tobytes() == points.tobytes()
+    return points, oids
+
+
+def _read_flat(store, disk, pages):
+    """:func:`_gathered` for ``MmapStore.read_pages`` / ``page_rows``."""
+    points = store.read_pages(disk, pages).reshape(-1, store.dimension)
+    oids, again = store.page_rows(disk, pages, np.arange(len(points)))
+    assert again.tobytes() == points.tobytes()
+    return points, oids
 
 
 def _assert_rows(points, oids, page, width, want_points, want_oids):
@@ -415,7 +474,7 @@ class TestMmapStoreRoundTrip:
                 lows, highs, slots, counts, blocks = store.disk_table(disk)
                 assert len(slots) == len(leaves) == store.disk_loads()[disk]
                 pages = np.arange(len(leaves))[::-1]
-                points, oids = store.read_pages(disk, pages)
+                points, oids = _read_flat(store, disk, pages)
                 width = int(counts.max(initial=0))
                 assert len(oids) == len(points) == width * len(pages)
                 for row, page in enumerate(pages):
@@ -448,7 +507,7 @@ class TestMmapStoreRoundTrip:
                 width = int(store.disk_table(disk)[3].max())
                 loads = len(leaves)
                 pages = rng.integers(0, loads, size=2 * loads)
-                points, oids = store.read_pages(disk, pages)
+                points, oids = _read_flat(store, disk, pages)
                 assert slept[-1] == 2 * loads / 1000.0
                 for row, page in enumerate(pages):
                     _assert_rows(
@@ -457,7 +516,7 @@ class TestMmapStoreRoundTrip:
                 owed = np.arange(len(pages)) % 3 == 0
                 again = store.read_pages(disk, pages, owed)
                 assert slept[-1] == owed.sum() / 1000.0
-                assert again[0].tobytes() == points.tobytes()
+                assert again.reshape(points.shape).tobytes() == points.tobytes()
                 before = len(slept)
                 store.read_pages(disk, pages, np.zeros(len(pages), dtype=bool))
                 with pytest.raises((ValueError, IndexError)):

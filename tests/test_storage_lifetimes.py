@@ -173,7 +173,7 @@ class TestExceptionPathLifetimes:
         before_maps = _live_mmaps()
         for _ in range(5):
             with PageFile(store_dir / "disk0000.pages") as handle:
-                points, oids = handle.gather(np.arange(handle.num_slots))
+                points = handle.gather(np.arange(handle.num_slots))
             with MmapStore(store_dir) as store:
                 store.read_pages(1, np.arange(store.disk_loads()[1]))
         assert np.isfinite(points).any()  # owned copy, outlives the mapping
@@ -191,22 +191,30 @@ class TestExceptionPathLifetimes:
         for _ in range(5):
             with PageFile(store_dir / "disk0000.pages") as handle:
                 slots = np.arange(handle.num_slots)
-                points, oids = handle.gather(slots)
-                want = points.copy()
+                points = handle.gather(slots)
+                oids, row_points = handle.rows(slots, [0, 1])
+                want = points.copy(), oids.copy(), row_points.copy()
                 with pytest.raises(ValueError, match="outside"):
                     handle.gather([handle.num_slots])
-            assert points.tobytes() == want.tobytes()
+            for got, copy in zip((points, oids, row_points), want):
+                assert got.tobytes() == copy.tobytes()
             with MmapStore(store_dir) as store:
                 pages = np.arange(store.disk_loads()[1])
                 kept = store.read_pages(1, pages)
-                want = kept[0].copy()
+                rows = store.page_rows(1, pages, [0, 1])
+                want = kept.copy(), rows[0].copy(), rows[1].copy()
                 with pytest.raises(IndexError):
                     store.read_pages(1, np.array([len(pages)]))
-            assert kept[0].tobytes() == want.tobytes()
+            for got, copy in zip((kept, *rows), want):
+                assert got.tobytes() == copy.tobytes()
             with pytest.raises(PageFormatError, match="closed"):
                 handle.gather(slots)
+            with pytest.raises(PageFormatError, match="closed"):
+                handle.rows(slots, [0])
             with pytest.raises(ValueError, match="closed"):
                 store.read_pages(1, pages)
+            with pytest.raises(ValueError, match="closed"):
+                store.page_rows(1, pages, [0])
         assert _open_fds() == before_fds
         assert _live_mmaps() == before_maps
 
@@ -239,7 +247,8 @@ class TestExceptionPathLifetimes:
                         threading.Lock(),
                     )
                     kept.append((disk, found, [a.copy() for a in found]))
-                chunk = source.chunk(np.arange(len(table[2])))
+                pages = np.arange(len(table[2]))
+                chunk = [source.chunk(pages), *source.rows(pages, [0])]
                 kept.append((disk, chunk, [a.copy() for a in chunk]))
         finally:
             store.close()
@@ -291,7 +300,8 @@ class TestCrashedWriter:
                 points, oids = handle.read_slot(slot)
                 assert len(oids) == 0
                 assert points.shape == (0, 2)
-            points, oids = handle.gather([0, 1, 2])
+            assert handle.gather([0, 1, 2]).shape == (3, 0, 2)
+            oids, points = handle.rows([0, 1, 2], [])
             assert points.shape == (0, 2) and oids.shape == (0,)
 
     def test_store_with_crashed_disk_loads(self, store_dir):
