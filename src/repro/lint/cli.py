@@ -238,7 +238,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
         findings = subtract_baseline(findings, baseline)
     if args.format == "sarif":
-        print(render_sarif(findings, "repro.lint", rule_summaries()))
+        print(render_sarif(findings, rule_summaries()))
     elif args.format == "json":
         print(render_json(findings))
     elif findings:

@@ -96,9 +96,6 @@ class SeededRngOnly(Rule):
     summary = ("global numpy.random.* / random.* call; inject a seeded "
                "numpy.random.Generator instead")
     default_scope = ("repro", "tests", "benchmarks")
-    #: The sanitizer's RNG guard reads global state on purpose (to detect
-    #: exactly this misuse at runtime).
-    default_exempt = ("repro.sanitize.runtime",)
     example_bad = "points = np.random.uniform(size=(n, d))"
     example_good = (
         "rng = np.random.default_rng(seed)\n"
@@ -332,8 +329,6 @@ class NoPrintOutsideCli(Rule):
         "repro.lint.cli",
         "repro.lint.__main__",
         "repro.obs.catalogue",
-        "repro.sanitize.cli",
-        "repro.sanitize.__main__",
     )
     example_bad = (
         "def query(self, point, k):\n"
@@ -495,8 +490,8 @@ class RegistryCompleteness(Rule):
 
 
 #: Module prefixes where ``no-missing-public-docstring`` escalates from
-#: warn to error (the lint/sanitizer dogfood scope).
-DOCSTRING_ERROR_SCOPE = ("repro.lint", "repro.sanitize")
+#: warn to error (the linter's dogfood scope).
+DOCSTRING_ERROR_SCOPE = ("repro.lint",)
 
 
 class NoMissingPublicDocstring(Rule):
@@ -505,16 +500,16 @@ class NoMissingPublicDocstring(Rule):
     states what it does (and, for query paths, which trace events it
     emits).  Advisory in the instrumented packages — a warning, not a
     failure — so refactors are not blocked mid-flight; *escalated to
-    error* inside the correctness tooling itself (``repro.lint`` and
-    ``repro.sanitize``, per ``DOCSTRING_ERROR_SCOPE``): the
-    linter dogfoods its own documentation bar."""
+    error* inside the correctness tooling itself (``repro.lint``, per
+    ``DOCSTRING_ERROR_SCOPE``): the linter dogfoods its own
+    documentation bar."""
 
     name = "no-missing-public-docstring"
     summary = ("public def/class without a docstring in the instrumented "
-               "packages (advisory; error in repro.lint/repro.sanitize)")
+               "packages (advisory; error in repro.lint)")
     severity = "warn"
     default_scope = ("repro.parallel", "repro.obs", "repro.lint",
-                     "repro.sanitize", "repro.serve")
+                     "repro.serve")
     example_bad = (
         "class PagedEngine:\n"
         "    def query(self, point, k):\n"

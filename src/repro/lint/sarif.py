@@ -1,11 +1,9 @@
-"""SARIF 2.1.0 rendering for lint and sanitizer findings.
+"""SARIF 2.1.0 rendering for lint findings.
 
 `SARIF <https://docs.oasis-open.org/sarif/sarif/v2.1.0/sarif-v2.1.0.html>`_
 is the interchange format GitHub code scanning ingests; ``repro.lint
---format sarif`` and ``repro.sanitize --format sarif`` both emit one
-``run`` built here from the shared :class:`~repro.lint.findings.Finding`
-type, so CI uploads a single artifact shape regardless of which layer
-produced the result.
+--format sarif`` emits one ``run`` built here from the
+:class:`~repro.lint.findings.Finding` type.
 """
 
 from __future__ import annotations
@@ -15,13 +13,16 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.lint.findings import Finding
 
-__all__ = ["SARIF_SCHEMA_URI", "SARIF_VERSION", "sarif_run", "render_sarif"]
+__all__ = ["SARIF_SCHEMA_URI", "SARIF_VERSION", "TOOL_NAME", "render_sarif"]
 
 SARIF_SCHEMA_URI = (
     "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
     "Schemata/sarif-schema-2.1.0.json"
 )
 SARIF_VERSION = "2.1.0"
+
+#: The SARIF driver name every run reports.
+TOOL_NAME = "repro.lint"
 
 _LEVEL_FOR_SEVERITY = {"error": "error", "warn": "warning"}
 
@@ -49,12 +50,11 @@ def _result(finding: Finding) -> Dict[str, Any]:
     }
 
 
-def sarif_run(
+def render_sarif(
     findings: Sequence[Finding],
-    tool_name: str,
     rule_metadata: Optional[Mapping[str, str]] = None,
-) -> Dict[str, Any]:
-    """One SARIF ``run`` object: tool descriptor plus results.
+) -> str:
+    """Full SARIF 2.1.0 log document as a JSON string.
 
     ``rule_metadata`` maps rule name to its one-line summary; every rule
     referenced by a finding is included in the driver's rule table even
@@ -70,10 +70,10 @@ def sarif_run(
         }
         for name, summary in sorted(metadata.items())
     ]
-    return {
+    run = {
         "tool": {
             "driver": {
-                "name": tool_name,
+                "name": TOOL_NAME,
                 "informationUri": "https://example.invalid/repro",
                 "rules": rules,
             }
@@ -81,17 +81,9 @@ def sarif_run(
         "results": [_result(finding) for finding in sorted(findings)],
         "columnKind": "utf16CodeUnits",
     }
-
-
-def render_sarif(
-    findings: Sequence[Finding],
-    tool_name: str = "repro.lint",
-    rule_metadata: Optional[Mapping[str, str]] = None,
-) -> str:
-    """Full SARIF 2.1.0 log document as a JSON string."""
     document = {
         "$schema": SARIF_SCHEMA_URI,
         "version": SARIF_VERSION,
-        "runs": [sarif_run(findings, tool_name, rule_metadata)],
+        "runs": [run],
     }
     return json.dumps(document, indent=2, sort_keys=False)

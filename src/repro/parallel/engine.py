@@ -237,15 +237,12 @@ class _BestFirstEngine:
         parameters: Optional[DiskParameters],
         cache: CacheSpec,
         tracer: Optional[Tracer],
-        count_directory: bool = False,
     ):
         self.num_disks = num_disks
         self.dimension = dimension
         self.parameters = parameters or DiskParameters(page_bytes=page_bytes)
         self.cache = as_buffer_pool(cache, num_disks, page_bytes)
         self.tracer = tracer
-        #: Charge directory pages too (data pages are always charged).
-        self.count_directory = count_directory
 
     def reset_cache(self) -> None:
         """Drop every cached page (next query runs cold)."""
@@ -316,6 +313,8 @@ class _BestFirstEngine:
                 f"query shape {query.shape} does not match the "
                 f"engine's dimension {self.dimension}"
             )
+        if not np.isfinite(query).all():
+            raise ValueError("query coordinates must be finite")
         tracer = current_tracer(self.tracer)
         traced = tracer.enabled
         span = -1
@@ -328,7 +327,6 @@ class _BestFirstEngine:
         cache = self.cache
         cache_before = cache.stats() if cache else None
         disk_of = self._disk_of
-        count_directory = self.count_directory
 
         def on_node(tag: int, node: Node) -> None:
             # The one place a kNN query pays for a page: served from the
@@ -337,7 +335,7 @@ class _BestFirstEngine:
             disk = disk_of(node) if leaf and disk_of is not None else tag
             if traced:
                 tracer.node_visit(span, disk, leaf=leaf)
-            if not (leaf or count_directory):
+            if not leaf:
                 return
             pages = node.blocks
             if cache is not None:
@@ -367,11 +365,7 @@ class _BestFirstEngine:
             on_prune if traced and not self._single_disk else None,
         )
         if not watched:
-            disks.charge(
-                0,
-                stats.page_accesses if count_directory
-                else stats.leaf_accesses,
-            )
+            disks.charge(0, stats.leaf_accesses)
         if traced:
             tracer.end_query(
                 span, time_ms=disks.parallel_time_ms,
@@ -402,10 +396,9 @@ class _BestFirstEngine:
 class ParallelEngine(_BestFirstEngine):
     """kNN execution over a :class:`DeclusteredStore`.
 
-    ``count_directory=False`` (default) charges only data (leaf) pages to
-    the disks, modeling the paper's setting where each workstation caches
-    the small directory in main memory; set it to True to charge every
-    node access.
+    Only data (leaf) pages are charged to the disks, modeling the paper's
+    setting where each workstation caches the small directory in main
+    memory.
 
     ``cache`` attaches a buffer pool (see :mod:`repro.parallel.cache`)
     that persists across queries on this engine; use
@@ -422,13 +415,12 @@ class ParallelEngine(_BestFirstEngine):
         self,
         store: DeclusteredStore,
         parameters: Optional[DiskParameters] = None,
-        count_directory: bool = False,
         cache: CacheSpec = None,
         tracer: Optional[Tracer] = None,
     ):
         super().__init__(
             store.num_disks, store.dimension, store.page_bytes,
-            parameters, cache, tracer, count_directory,
+            parameters, cache, tracer,
         )
         self.store = store
 
@@ -484,7 +476,7 @@ class SequentialEngine(_BestFirstEngine):
     """Single-disk baseline: one index over the whole data set.
 
     Charges data (leaf) pages only, matching :class:`ParallelEngine`'s
-    default accounting, unless ``count_directory=True``.
+    accounting.
     """
 
     _span_name = "sequential"
@@ -498,7 +490,6 @@ class SequentialEngine(_BestFirstEngine):
         page_bytes: int = DEFAULT_PAGE_BYTES,
         parameters: Optional[DiskParameters] = None,
         tree: Optional[RStarTree] = None,
-        count_directory: bool = False,
         cache: CacheSpec = None,
         tracer: Optional[Tracer] = None,
     ):
@@ -510,7 +501,6 @@ class SequentialEngine(_BestFirstEngine):
             )
         super().__init__(
             1, self.tree.dimension, page_bytes, parameters, cache, tracer,
-            count_directory,
         )
 
     def query(self, query: Sequence[float], k: int = 1) -> SequentialQueryResult:

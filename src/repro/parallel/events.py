@@ -76,10 +76,8 @@ class EventSimReport:
     """Metrics of one simulated query stream.
 
     ``query_results`` (populated only when the run was asked to
-    ``keep_results``, e.g. by the determinism sanitizer) holds each
-    arrival's kNN result indexed by *arrival position in the input
-    sequence* — stable under tie-break permutation, unlike the
-    processing order.
+    ``keep_results``) holds each arrival's kNN result indexed by
+    *arrival position in the input sequence*, not by processing order.
     """
 
     latencies_ms: np.ndarray
@@ -146,7 +144,6 @@ class EventDrivenSimulator:
         self,
         arrivals: Sequence[QueryArrival],
         metrics: Optional[MetricsRegistry] = None,
-        tiebreak_seed: Optional[int] = None,
         keep_results: bool = False,
     ) -> EventSimReport:
         """Process arrivals in time order; returns the stream metrics.
@@ -155,11 +152,8 @@ class EventDrivenSimulator:
         at the disks — a stream with locality stays unsaturated far past
         the cold-cache capacity limit.
 
-        ``tiebreak_seed`` is the determinism sanitizer's hook point: it
-        permutes the processing order of *same-timestamp* arrivals (the
-        default, None, keeps the stable input order).  Query results and
-        per-disk page totals must be identical under any seed — that is
-        the invariant ``repro.sanitize.replay`` replays and diffs.
+        Same-timestamp arrivals keep their input order; query results
+        and per-disk page totals do not depend on that order.
         ``keep_results`` additionally records each arrival's kNN result
         (indexed by input position) on the report.
 
@@ -173,18 +167,9 @@ class EventDrivenSimulator:
         present.
         """
         arrivals = list(arrivals)
-        if tiebreak_seed is None:
-            order = sorted(
-                range(len(arrivals)), key=lambda i: arrivals[i].time_ms
-            )
-        else:
-            perm = np.random.default_rng(tiebreak_seed).permutation(
-                len(arrivals)
-            )
-            order = sorted(
-                range(len(arrivals)),
-                key=lambda i: (arrivals[i].time_ms, int(perm[i])),
-            )
+        order = sorted(
+            range(len(arrivals)), key=lambda i: arrivals[i].time_ms
+        )
         t_page = self.parameters.page_service_time_ms
         num_disks = self.store.num_disks
         tracer = current_tracer(self.tracer)

@@ -20,7 +20,7 @@ every chunk's best candidate distances tighten.
 Determinism contract (see ``docs/performance.md``): the returned
 neighbors and per-disk page counts are **bit-for-bit identical** to
 :class:`~repro.parallel.paged.PagedEngine` over the same store —
-enforced by a sanitizer replay cell — while wall-clock time and the
+pinned by ``TestLedgerOracle`` — while wall-clock time and the
 amount of *speculative* I/O naturally vary run to run.  This works
 because of a property of HS 95 best-first search: the set of data pages
 a single-process traversal reads is exactly the pages whose ``mindist``
@@ -72,6 +72,10 @@ from repro.parallel.engine import BatchQueryResult, ParallelQueryResult
 __all__ = ["ProcessParallelEngine"]
 
 _EUCLIDEAN = Euclidean()
+
+#: ``multiprocessing`` start method of the workers: ``"spawn"`` is safe
+#: everywhere (workers re-import, nothing is forked mid-state).
+_START_METHOD = "spawn"
 
 #: Most pages one chunk of a worker's frontier scan fetches and scores
 #: together.  Chunks start at one page (which almost always yields k
@@ -209,7 +213,7 @@ def _exact_counts(
     tree walk's interior filter can never exclude a passing leaf.  And
     ``mindist_many``'s row-wise ``add.reduce`` is bit-identical to the
     scalar ``MBR.mindist`` (see that docstring), so the charged set
-    matches both kernel modes of the in-process engines.
+    matches ``PagedEngine``.
     """
     counts = np.zeros(len(ledgers), dtype=np.int64)
     computations = 0
@@ -443,9 +447,6 @@ class ProcessParallelEngine:
     max_k:
         Capacity of the shared bound array; queries may use any
         ``k <= max_k``.
-    start_method:
-        ``multiprocessing`` start method; the default ``"spawn"`` is
-        safe everywhere (workers re-import, nothing is forked mid-state).
 
     Workers start lazily on the first query and persist across queries
     (and across a whole ``query_batch``) until :meth:`close`; the engine
@@ -460,7 +461,6 @@ class ProcessParallelEngine:
         cache: None = None,
         tracer: Optional[Tracer] = None,
         max_k: int = 64,
-        start_method: str = "spawn",
     ):
         if getattr(store, "read_page", None) is None or not hasattr(
             store, "directory"
@@ -485,8 +485,7 @@ class ProcessParallelEngine:
         self.cache = None
         self.tracer = tracer
         self.max_k = max_k
-        self._start_method = start_method
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context(_START_METHOD)
         self._procs: List[Any] = []
         #: The ring (see the module docstring): shared float64 arrays,
         #: a lock and a ``done`` semaphore per bank, a ``go`` semaphore
@@ -752,6 +751,8 @@ class ProcessParallelEngine:
                 f"query shape {queries.shape[1:]} does not match the "
                 f"store's dimension {store.dimension}"
             )
+        if not np.isfinite(queries).all():
+            raise ValueError("query coordinates must be finite")
         tracer = current_tracer(self.tracer)
         traced = tracer.enabled
         service_ms = self.parameters.page_service_time_ms

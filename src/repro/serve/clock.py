@@ -21,8 +21,8 @@ reachable from the virtual-time entry points reads wall time — this
 module is the single sanctioned wall-clock boundary and is exempt by
 name.
 
-**VirtualClock contract** (enforced at runtime, checked end-to-end by
-the ``sanitize-virtual-clock`` sanitizer rule):
+**VirtualClock contract** (enforced at runtime; ``test_serve_clock``
+pins the served timeline end to end):
 
 * ``now_ms()`` returns the last instant the clock was advanced to
   (initially ``start_ms``);

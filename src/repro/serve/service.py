@@ -106,6 +106,11 @@ class QueryRequest:
             raise ValueError("window requests require the 'high' corner")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        for corner in (self.query, self.high):
+            if corner is not None and not np.isfinite(
+                np.asarray(corner, dtype=float)
+            ).all():
+                raise ValueError("query coordinates must be finite")
         if not (math.isfinite(self.arrival_ms) and self.arrival_ms >= 0):
             raise ValueError(
                 f"arrival_ms must be finite and >= 0, got {self.arrival_ms}"
@@ -163,10 +168,8 @@ class ServeReport:
     """Aggregate outcome of one virtual-time serve run.
 
     ``outcomes`` is indexed by the *input order* of the arrival trace
-    (stable under tie-break permutation), so the oracle can compare the
-    run against a direct ``query_batch`` reference position by
-    position.  Exposes ``query_results`` / ``pages_per_disk``, the
-    surface :func:`repro.sanitize.replay.summarize_report` consumes.
+    (not the processing order), so the oracle can compare the run
+    against a direct ``query_batch`` reference position by position.
     """
 
     outcomes: List[RequestOutcome]
@@ -518,7 +521,6 @@ class QueryService:
         on_batch: Optional[
             Callable[[List[QueryRequest], BatchOutcome], None]
         ] = None,
-        clock: Optional[VirtualClock] = None,
     ) -> ServeReport:
         """Drain an arrival source in virtual time; returns the report.
 
@@ -529,8 +531,8 @@ class QueryService:
         and execute.  ``on_batch`` runs after each batch (the
         closed-loop generator's completion feedback hook).
 
-        The run is timed on a :class:`~repro.serve.clock.VirtualClock`
-        (a caller-supplied one, else a fresh clock at 0 ms) advanced to
+        The run is timed on a fresh
+        :class:`~repro.serve.clock.VirtualClock` at 0 ms, advanced to
         each batch's flush and completion instants; when the source is
         drained the clock sits exactly on the report's
         ``completion_ms``, and its monotonicity check turns any
@@ -538,8 +540,7 @@ class QueryService:
         """
         tracer = current_tracer(self.tracer)
         traced = tracer.enabled
-        if clock is None:
-            clock = VirtualClock()
+        clock = VirtualClock()
         cache = getattr(self.engine, "cache", None)
         cache_before = cache.stats() if cache is not None else None
         pending: List[Tuple[int, QueryRequest]] = []
@@ -628,33 +629,17 @@ class QueryService:
         self,
         trace: Sequence[QueryRequest],
         metrics: Optional[MetricsRegistry] = None,
-        tiebreak_seed: Optional[int] = None,
-        clock: Optional[VirtualClock] = None,
     ) -> ServeReport:
         """Serve a fixed arrival trace deterministically in virtual time.
 
-        Arrivals are processed in ``arrival_ms`` order; ties keep the
-        input order unless ``tiebreak_seed`` (the determinism
-        sanitizer's hook point) permutes them.  The report's outcomes
-        are always restored to input positions, and by the determinism
-        contract results and per-disk page counts must not depend on
-        the seed.  ``clock`` is forwarded to :meth:`run_stream` (the
-        sanitizer hands one in to cross-check the run's timeline).
+        Arrivals are processed in ``arrival_ms`` order, ties in input
+        order.  The report's outcomes are restored to input positions,
+        and by the determinism contract results and per-disk page
+        counts do not depend on the order of the input trace.
         """
-        if tiebreak_seed is None:
-            order = sorted(
-                range(len(trace)), key=lambda i: trace[i].arrival_ms
-            )
-        else:
-            perm = np.random.default_rng(tiebreak_seed).permutation(
-                len(trace)
-            )
-            order = sorted(
-                range(len(trace)),
-                key=lambda i: (trace[i].arrival_ms, int(perm[i])),
-            )
+        order = sorted(range(len(trace)), key=lambda i: trace[i].arrival_ms)
         source = ListSource([(index, trace[index]) for index in order])
-        return self.run_stream(source, metrics=metrics, clock=clock)
+        return self.run_stream(source, metrics=metrics)
 
     # ------------------------------------------------------- asyncio front
 

@@ -82,16 +82,6 @@ class TestAccounting:
             independent = engine.query(query, 5, mode="independent")
             assert coordinated.total_pages <= independent.total_pages
 
-    def test_count_directory_increases_pages(self, medium_uniform, rng):
-        store = DeclusteredStore(medium_uniform, RoundRobinDeclusterer(8, 4))
-        leaf_only = ParallelEngine(store)
-        all_pages = ParallelEngine(store, count_directory=True)
-        query = rng.random(8)
-        assert (
-            all_pages.query(query, 5).total_pages
-            > leaf_only.query(query, 5).total_pages
-        )
-
     def test_custom_disk_parameters(self, medium_uniform, rng):
         store = DeclusteredStore(medium_uniform, RoundRobinDeclusterer(8, 4))
         slow = ParallelEngine(
@@ -113,11 +103,6 @@ class TestSequentialEngine:
         result = engine.query(rng.random(8), 5)
         assert result.pages == result.stats.leaf_accesses
         assert result.pages < result.stats.page_accesses
-
-    def test_count_directory_option(self, medium_uniform, rng):
-        engine = SequentialEngine(medium_uniform, count_directory=True)
-        result = engine.query(rng.random(8), 5)
-        assert result.pages == result.stats.page_accesses
 
     def test_prebuilt_tree_reused(self, medium_uniform):
         from repro.index.bulk import bulk_load

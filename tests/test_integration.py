@@ -1,5 +1,7 @@
 """End-to-end integration tests across the whole stack."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,10 @@ from repro import (
     knn_linear_scan,
 )
 from repro.data import fourier_points, gaussian_clusters, query_workload
+from repro.parallel.events import EventDrivenSimulator, QueryArrival
+from repro.parallel.process import ProcessParallelEngine
+from repro.serve import QueryService, WorkloadSpec, build_engine, uniform_trace
+from repro.storage import MmapStore, save_paged_store
 
 
 class TestFullPipeline:
@@ -130,3 +136,32 @@ class TestFullPipeline:
             if reference is None:
                 reference = oids
             assert oids == reference
+
+
+def _global_rng_states():
+    """Both process-global RNG states, comparable with ``==``."""
+    stdlib = random.getstate()  # repro-lint: disable=seeded-rng-only
+    numpy = np.random.get_state()  # repro-lint: disable=seeded-rng-only
+    return stdlib, numpy[0], numpy[1].tobytes(), numpy[2:]
+
+
+def test_runs_leave_the_global_rngs_alone(tmp_path):
+    """A simulator run, a served trace and a process-engine query draw
+    only from seeded generators: neither global RNG advances."""
+    rng = np.random.default_rng(5)
+    points, queries = rng.random((300, 4)), rng.random((4, 4))
+    store = PagedStore(
+        points=points, declusterer=NearOptimalDeclusterer(4, 4)
+    )
+    save_paged_store(store, tmp_path / "store")
+    spec = WorkloadSpec(n=300, d=4, k=3, num_disks=4, seed=5)
+    trace = uniform_trace(spec, 6, rate_qps=100.0, seed=3)
+    before = _global_rng_states()
+    EventDrivenSimulator(store).run(
+        [QueryArrival(0.0, query, 3) for query in queries]
+    )
+    QueryService(build_engine(spec), "fifo").run_trace(trace)
+    with MmapStore(tmp_path / "store") as mmap_store:
+        with ProcessParallelEngine(mmap_store) as engine:
+            assert len(engine.query(queries[0], 3).neighbors) == 3
+    assert _global_rng_states() == before

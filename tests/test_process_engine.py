@@ -33,6 +33,7 @@ from repro.core import NearOptimalDeclusterer
 from repro.index.metrics import Euclidean
 from repro.index.node import DEFAULT_PAGE_BYTES
 from repro.parallel.cache import CacheConfig
+from repro.parallel.engine import ParallelEngine, SequentialEngine
 from repro.parallel.paged import PagedEngine, PagedStore
 from repro.parallel.process import (
     _PIPELINE_DEPTH,
@@ -44,6 +45,8 @@ from repro.parallel.process import (
     _worker_main,
     _worker_query,
 )
+from repro.parallel.store import DeclusteredStore
+from repro.serve import QueryRequest
 from repro.storage import SIMULATED_DISK_MS_ENV, MmapStore, save_paged_store
 from repro.storage.pagefile import PageFormatError
 from tests.scalar_oracle import scalar_kernels
@@ -648,6 +651,49 @@ class TestRing:
             assert ask(3, batch=11) == 0
         finally:
             worker.stop()
+
+
+def _non_finite_calls(engine, reference):
+    """Each entry point that takes query coordinates, by name."""
+    points = np.random.default_rng(3).random((200, 6))
+    store = DeclusteredStore(points, NearOptimalDeclusterer(6, 4))
+    paged = PagedStore(points=points, declusterer=NearOptimalDeclusterer(6, 4))
+    return {
+        "coordinated": lambda q: ParallelEngine(store).query(q, 3),
+        "independent": lambda q: ParallelEngine(store).query(
+            q, 3, mode="independent"
+        ),
+        "sequential": lambda q: SequentialEngine(points).query(q, 3),
+        "paged": lambda q: PagedEngine(paged).query(q, 3),
+        "paged-mmap": lambda q: reference.query(q, 3),
+        "process": lambda q: engine.query(q, 3),
+        "process-batch": lambda q: engine.query_batch(
+            np.stack([np.full(6, 0.5), q]), 3
+        ),
+        "request": lambda q: QueryRequest(query=q, k=3),
+        "request-high": lambda q: QueryRequest(
+            query=np.zeros(6), kind="window", high=q
+        ),
+    }
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "target",
+    ["coordinated", "independent", "sequential", "paged", "paged-mmap",
+     "process", "process-batch", "request", "request-high"],
+)
+def test_non_finite_query_is_refused(engine, reference, target, value):
+    """A NaN or infinite coordinate is refused up front, never answered
+    with an empty or short neighbour list; the worker ring stays in step
+    and the process engine then answers a finite query exactly."""
+    query = np.full(6, 0.5)
+    query[2] = value
+    with pytest.raises(ValueError, match="finite"):
+        _non_finite_calls(engine, reference)[target](query)
+    assert engine._posted == engine._collected
+    finite = np.full(6, 0.25)
+    _assert_bit_identical(engine.query(finite, 3), reference.query(finite, 3))
 
 
 class _ThreadWorker:

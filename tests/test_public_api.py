@@ -42,13 +42,13 @@ class TestPublicAPI:
             knn.knn_branch_and_bound: "tree query k metric",
             knn.pages_intersecting_radius: "tree query radius",
             repro.ParallelEngine:
-                "store parameters count_directory cache tracer",
+                "store parameters cache tracer",
             repro.SequentialEngine:
                 "points oids tree_cls page_bytes parameters tree "
-                "count_directory cache tracer",
+                "cache tracer",
             repro.PagedEngine: "store parameters cache tracer",
             process.ProcessParallelEngine:
-                "store parameters cache tracer max_k start_method",
+                "store parameters cache tracer max_k",
             events.EventDrivenSimulator: "store parameters cache tracer",
             window.parallel_window_query:
                 "store low high parameters tracer",

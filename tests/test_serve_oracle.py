@@ -8,8 +8,9 @@ order on an identically configured engine.  Hypothesis draws the
 arrival traces and policy parameters; the assertions are exact
 (``==`` / ``array_equal``), never approximate.
 
-Also here: the tie-break-seed invariance replay (wired through the
-``determinism_sanitizer`` fixture) and the satellite property test that
+Also here: the input-order invariance replay (a shuffled trace serves
+every request the same answer at its own input position), the served
+trace's clock and page-counter checks, and the satellite property test that
 ``BatchQueryResult.cache_stats`` merging conserves hit/miss totals
 under arbitrary batch splits.
 """
@@ -20,8 +21,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.obs import RecordingTracer
 from repro.parallel.cache import CacheStats, merge_cache_stats
-from repro.sanitize import ReplayCase, summarize_report
 from repro.serve import (
     QueryRequest,
     QueryService,
@@ -29,6 +30,7 @@ from repro.serve import (
     build_engine,
     make_scheduler,
 )
+from tests.trace_checks import assert_clocks_monotonic
 
 SCHEMES = ("col", "fx", "hil")
 ENGINES = ("item", "paged")
@@ -174,65 +176,45 @@ def test_every_policy_yields_identical_results(scheme):
 
 
 @settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1))
-def test_tiebreak_seed_never_changes_outputs(seed):
-    """Permuting same-timestamp arrivals (the sanitizer's replay knob)
-    must not change results or page counts."""
+@given(seed=st.integers(0, 2**31 - 1), policy=policies)
+def test_shuffled_trace_never_changes_outputs(seed, policy):
+    """Serving a seeded shuffle of a tied trace gives every request the
+    answer it gets in the time-sorted trace, at its own input position,
+    and the same per-disk page counts."""
     spec = spec_for("paged", "col")
     # Coincident arrivals on purpose: three groups of ties.
     arrivals = [0.0, 0.0, 0.0, 10.0, 10.0, 20.0, 20.0, 20.0]
     trace = make_trace(spec, arrivals, 5)
-    service = QueryService(build_engine(spec), "max-batch", batch_size=3)
-    base = service.run_trace(trace)
-    permuted = QueryService(
-        build_engine(spec), "max-batch", batch_size=3
-    ).run_trace(trace, tiebreak_seed=seed)
-    assert np.array_equal(base.pages_per_disk, permuted.pages_per_disk)
-    for left, right in zip(base.query_results, permuted.query_results):
-        assert neighbor_tuples(left) == neighbor_tuples(right)
-
-
-class TestSanitizerIntegration:
-    def test_serve_replay_case_is_clean(self, determinism_sanitizer):
-        """The existing determinism sanitizer, wired through a serve
-        run: a cold cacheless service run per seed must be tie-break
-        invariant."""
-        spec = spec_for("paged", "col")
-        arrivals = [0.0, 0.0, 5.0, 5.0, 5.0, 12.0, 12.0]
-        trace = make_trace(spec, arrivals, 13)
-
-        def run(seed):
-            service = QueryService(
-                build_engine(spec), "max-batch", batch_size=2,
-                deadline_ms=3.0,
-            )
-            report = service.run_trace(trace, tiebreak_seed=seed)
-            return summarize_report(report)
-
-        determinism_sanitizer.assert_replay_clean(
-            ReplayCase("serve/max-batch/col", run), seeds=(None, 11, 47)
+    order = np.random.default_rng(seed).permutation(len(trace))
+    name, kwargs = policy
+    base = QueryService(build_engine(spec), name, **kwargs).run_trace(trace)
+    shuffled = QueryService(build_engine(spec), name, **kwargs).run_trace(
+        [trace[i] for i in order]
+    )
+    assert np.array_equal(base.pages_per_disk, shuffled.pages_per_disk)
+    for position, original in enumerate(order):
+        assert neighbor_tuples(shuffled.query_results[position]) == (
+            neighbor_tuples(base.query_results[original])
         )
 
-    def test_serve_event_stream_is_clean(self, determinism_sanitizer):
-        """The serve run's engine-level event stream upholds the
-        happens-before invariants and the page-counter oracle."""
-        from repro.obs import RecordingTracer
 
-        spec = spec_for("paged", "col")
+class TestServedTrace:
+    def test_serve_event_stream_is_clean(self):
+        """The serve run's engine-level event stream keeps its clocks
+        moving forward and sums to the report's page counters (k = 30
+        over 1 000 points reads several pages from one disk per query)."""
+        spec = WorkloadSpec(
+            n=1000, d=2, k=30, num_disks=4, scheme="col", seed=11
+        )
         tracer = RecordingTracer()
         engine = build_engine(spec, tracer=tracer)
         service = QueryService(engine, "fifo", tracer=tracer)
         report = service.run_trace(
             make_trace(spec, np.linspace(0.0, 30.0, 6), 17)
         )
-        span_events = [
-            event for event in tracer.events
-            if not event.kind.startswith("serve_")
-        ]
-        determinism_sanitizer.assert_stream_clean(
-            span_events,
-            pages_per_disk=report.pages_per_disk.tolist(),
-            source="serve/fifo/col",
+        assert_clocks_monotonic(tracer.events)
+        assert tracer.pages_per_disk(spec.num_disks) == (
+            report.pages_per_disk.tolist()
         )
 
 
