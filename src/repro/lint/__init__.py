@@ -24,18 +24,11 @@ See ``docs/linting.md`` for the rule catalogue and how to add a rule.
 
 from __future__ import annotations
 
-from repro.lint.baseline import (
-    load_baseline,
-    render_baseline,
-    stale_entries,
-    subtract_baseline,
-    write_baseline,
-)
 from repro.lint.concurrency import CONCURRENCY_RULES
 from repro.lint.engine import ALL_RULES, all_rule_names, run_lint
 from repro.lint.findings import Finding, render_json, render_text
 from repro.lint.lifetime import LIFETIME_RULES
-from repro.lint.rules import RULES, Rule, rule_names
+from repro.lint.rules import RULES, Rule
 from repro.lint.sarif import render_sarif
 
 __all__ = [
@@ -46,14 +39,8 @@ __all__ = [
     "RULES",
     "Rule",
     "all_rule_names",
-    "load_baseline",
-    "render_baseline",
     "render_json",
     "render_sarif",
     "render_text",
-    "rule_names",
     "run_lint",
-    "stale_entries",
-    "subtract_baseline",
-    "write_baseline",
 ]

@@ -6,20 +6,13 @@ findings were reported; 2 means bad usage.  ``--format=json`` emits a
 machine-readable document for tooling; ``--format=sarif`` emits SARIF
 2.1.0 for GitHub code scanning.
 
-Baselines (``lint-baseline.json``, schema ``repro.lint-baseline/v1``)
-let CI fail only on *new* findings: ``--baseline FILE`` subtracts the
-recorded fingerprints before rendering and exit-status evaluation, and
-fails (exit 1) on *stale* entries — recorded fingerprints the run no
-longer emits — until ``--update-baseline FILE`` rewrites the file from
-the current tree.
-
 ``--select`` narrows the run to named rules or rule groups
-(``concurrency``, ``dataflow``, ``lifetime``), and the stale-entry audit
-with it; ``--time-budget SECONDS`` turns the run's wall-clock
-into a gate — the elapsed time is reported on stderr and exceeding the
-budget fails the run even when the tree is clean.  ``--explain RULE``
-prints one rule's documentation: its rationale (the class docstring)
-plus a bad/good example pair from the rule's metadata.
+(``concurrency``, ``dataflow``, ``lifetime``); ``--time-budget SECONDS``
+turns the run's wall-clock into a gate — the elapsed time is reported
+on stderr and exceeding the budget fails the run even when the tree is
+clean.  ``--explain RULE`` prints one rule's documentation: its
+rationale (the rule's docstring) plus a bad/good example pair from the
+rule's metadata.
 """
 
 from __future__ import annotations
@@ -29,15 +22,8 @@ import inspect
 import sys
 import textwrap
 import time
-from pathlib import Path
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import FrozenSet, List, Optional, Sequence, Set
 
-from repro.lint.baseline import (
-    load_baseline,
-    stale_entries,
-    subtract_baseline,
-    write_baseline,
-)
 from repro.lint.concurrency import CONCURRENCY_RULES
 from repro.lint.dataflow import DATAFLOW_RULES
 from repro.lint.engine import (
@@ -73,10 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.lint",
         description="Static checker for this repository's paper-level "
         "invariants (seeded RNG, core-bits usage, buffer-pool charging, "
-        "float equality, library prints, scheme registry completeness, "
+        "float equality, library prints, spawn contexts, "
         "cross-module dataflow rules over the project call graph, "
         "async-safety rules for the serving layer, and path-sensitive "
-        "resource-lifetime/process-safety rules for the out-of-core "
+        "resource-lifetime/shared-memory rules for the out-of-core "
         "layer).",
     )
     parser.add_argument(
@@ -86,16 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text",
         help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline", type=Path, default=None, metavar="FILE",
-        help="subtract the findings recorded in FILE before reporting "
-        "(fail only on new findings, or on entries FILE records that "
-        "the run no longer emits)",
-    )
-    parser.add_argument(
-        "--update-baseline", type=Path, default=None, metavar="FILE",
-        help="rewrite FILE from the current findings and exit 0",
     )
     parser.add_argument(
         "--select", default=None, metavar="RULES",
@@ -121,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _explain(name: str) -> int:
     """Print one rule's doc, rationale and examples; exit status."""
-    rule = next((cls for cls in ALL_RULES if cls.name == name), None)
+    rule = next((rule for rule in ALL_RULES if rule.name == name), None)
     if rule is None:
         print(
             f"repro.lint: --explain {name!r} names no known rule "
@@ -180,24 +156,6 @@ def _selected_rules(selection: str) -> Optional[FrozenSet[str]]:
     return frozenset(enabled)
 
 
-def _report_stale(baseline: Path, stale: Sequence[Dict[str, Any]]) -> None:
-    """Name every stale baseline entry on stderr (stdout stays a
-    parseable SARIF/JSON document)."""
-    print(
-        f"repro.lint: {baseline}: {len(stale)} stale baseline "
-        f"entr{'y' if len(stale) == 1 else 'ies'} — the findings below "
-        f"are no longer emitted; rerun --update-baseline:",
-        file=sys.stderr,
-    )
-    for entry in stale:
-        print(
-            f"  {entry.get('path', '?')}: [{entry.get('rule', '?')}] "
-            f"{entry.get('message', '')} "
-            f"(fingerprint {entry.get('fingerprint', '?')})",
-            file=sys.stderr,
-        )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit status."""
     parser = build_parser()
@@ -221,22 +179,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.monotonic()
     findings: List[Finding] = run_lint(args.paths, selected)
     elapsed = time.monotonic() - started
-    if args.update_baseline is not None:
-        write_baseline(args.update_baseline, findings)
-        print(
-            f"baseline {args.update_baseline} updated "
-            f"({len(findings)} findings recorded)"
-        )
-        return 0
-    stale: List[Dict[str, Any]] = []
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(args.baseline)
-            stale = stale_entries(args.baseline, findings, selected)
-        except (OSError, ValueError) as error:
-            print(f"repro.lint: {error}", file=sys.stderr)
-            return 2
-        findings = subtract_baseline(findings, baseline)
     if args.format == "sarif":
         print(render_sarif(findings, rule_summaries()))
     elif args.format == "json":
@@ -245,8 +187,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(render_text(findings))
     else:
         print("0 findings")
-    if stale:
-        _report_stale(args.baseline, stale)
     over_budget = False
     if args.time_budget is not None:
         over_budget = elapsed > args.time_budget
@@ -257,7 +197,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"(budget {args.time_budget:.2f}s, {verdict})",
             file=sys.stderr,
         )
-    failed = error_findings(findings) or stale or over_budget
+    failed = error_findings(findings) or over_budget
     return 1 if failed else 0
 
 

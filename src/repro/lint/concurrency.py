@@ -4,27 +4,23 @@ serving layer.
 ``repro.serve`` promises that a fixed arrival trace plus a seed yields
 bit-for-bit the same results as direct ``query_batch`` calls.  The
 classic asyncio hazards — state mutated across an ``await``, wall time
-leaking into virtual timestamps, tasks silently dropped — all break
-that promise *probabilistically*, which is exactly the failure mode a
-reproduction repository cannot tolerate.  This module extends the
-project call graph (:mod:`repro.lint.callgraph`) into an async-aware
-analysis:
+leaking into virtual timestamps, a coroutine stalled by a blocking
+call — all break that promise *probabilistically*, which is exactly
+the failure mode a reproduction repository cannot tolerate.  This
+module extends the project call graph (:mod:`repro.lint.callgraph`)
+into an async-aware analysis:
 
 * every function is classified sync/async through the import-resolved
   symbol table (:func:`async_functions`);
 * each async function's *suspension points* (``await``, ``async for``,
   ``async with``) are computed (:func:`suspension_lines`);
-* five cross-module rules consume those facts —
-  :class:`AsyncAtomicityViolation`, :class:`NoWallClockInVirtualTime`,
-  :class:`AsyncBlockingCall`, :class:`TaskLeak` and
-  :class:`MissingAwait`.
+* three rules consume those facts —
+  :class:`AsyncAtomicityViolation`, :class:`NoWallClockInVirtualTime`
+  and :class:`AsyncBlockingCall`.
 
 The analysis shares the linter's over-approximation philosophy: call
 edges may be spurious (name-based fallback) but are never missing, so
-reachability-based rules cannot *hide* a violation.  The one deliberate
-under-approximation is :class:`MissingAwait`, which only trusts
-precisely resolved targets — a name-based guess there would drown the
-signal in false positives (documented in ``docs/linting.md``).
+reachability-based rules cannot *hide* a violation.
 
 Sanctioned escapes, in preference order: restructure the code (capture
 attributes into locals before suspending — transfer ownership, don't
@@ -64,8 +60,6 @@ __all__ = [
     "AsyncAtomicityViolation",
     "NoWallClockInVirtualTime",
     "AsyncBlockingCall",
-    "TaskLeak",
-    "MissingAwait",
     "CONCURRENCY_RULES",
 ]
 
@@ -585,103 +579,9 @@ class AsyncBlockingCall(Rule):
                     queue.append(callee)
 
 
-class TaskLeak(Rule):
-    """``asyncio.create_task`` returns the only strong reference the
-    caller is guaranteed; dropping it lets the task be garbage-collected
-    mid-flight and silently discards its exception.  Store the handle
-    (and await or cancel it on shutdown) — exactly what
-    ``QueryService.start`` / ``stop`` do with the scheduler task."""
-
-    name = "task-leak"
-    summary = ("asyncio.create_task / ensure_future result discarded; "
-               "store the task and await/cancel it on shutdown")
-    default_scope = ("repro",)
-    example_bad = "asyncio.create_task(self._flush_loop())"
-    example_good = (
-        "self._flusher = asyncio.create_task(self._flush_loop())\n"
-        "# ... and in stop():  self._flusher.cancel(); await gather(...)"
-    )
-
-    _SPAWNERS = frozenset({"create_task", "ensure_future"})
-
-    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        """Flag statement-position task spawns whose handle is dropped."""
-        for node in ast.walk(module.tree):
-            if not (
-                isinstance(node, ast.Expr)
-                and isinstance(node.value, ast.Call)
-            ):
-                continue
-            call = node.value
-            target = dotted_name(call.func)
-            if target is None:
-                continue
-            if target.rsplit(".", 1)[-1] not in self._SPAWNERS:
-                continue
-            yield self.finding(
-                module, call,
-                f"result of {target}(...) is discarded; the spawned task "
-                f"holds no strong reference and can be garbage-collected "
-                f"mid-flight, losing its exceptions — assign it and "
-                f"await/cancel it on shutdown",
-            )
-
-
-class MissingAwait(Rule):
-    """Calling an ``async def`` builds a coroutine object; without an
-    ``await`` (or ``create_task``/``gather``) the body never runs and
-    Python only mentions it in a destructor warning nobody reads in CI.
-    Flagged for *precisely resolved* targets only — project functions
-    reached through ``self.`` or import resolution — because a
-    name-based guess here would misfire on every sync method sharing a
-    name with an async one (a deliberate under-approximation)."""
-
-    name = "missing-await"
-    summary = ("call to an async function in statement position without "
-               "await; the coroutine never runs")
-    default_scope = ("repro",)
-    example_bad = (
-        "async def stop(self):\n"
-        "    self.drain()                # async def — body never runs"
-    )
-    example_good = (
-        "async def stop(self):\n"
-        "    await self.drain()"
-    )
-
-    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
-        """Flag discarded coroutine calls with precise resolution."""
-        scoped = {m.name for m in self.in_scope(index)}
-        coroutines = async_functions(index)
-        if not scoped or not coroutines:
-            return
-        for qualname, info in sorted(index.functions.items()):
-            if info.module.name not in scoped:
-                continue
-            for node in own_nodes(info.node):
-                if not (
-                    isinstance(node, ast.Expr)
-                    and isinstance(node.value, ast.Call)
-                ):
-                    continue
-                target = index.resolve_call(info, node.value)
-                if target is None or target not in coroutines:
-                    continue
-                yield self.finding(
-                    info.module, node.value,
-                    f"{qualname} calls async {target} in statement "
-                    f"position without await: the coroutine object is "
-                    f"created and dropped, its body never runs — await "
-                    f"it (or hand it to asyncio.create_task and keep "
-                    f"the handle)",
-                )
-
-
 #: The async-safety rules, in reporting order.
-CONCURRENCY_RULES: Tuple[type, ...] = (
-    AsyncAtomicityViolation,
-    NoWallClockInVirtualTime,
-    AsyncBlockingCall,
-    TaskLeak,
-    MissingAwait,
+CONCURRENCY_RULES: Tuple[Rule, ...] = (
+    AsyncAtomicityViolation(),
+    NoWallClockInVirtualTime(),
+    AsyncBlockingCall(),
 )

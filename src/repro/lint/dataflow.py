@@ -1,20 +1,13 @@
 """Cross-module dataflow rules over the project call graph.
 
-These rules check invariants no single-module AST pass can see:
+These rules check invariants that need more than one lexical pass:
 
-* :class:`NoUnchargedDiskRead` — every ``DiskArray.charge`` call site
-  must be *pool-sanctioned* (flow through the attached
-  :class:`~repro.parallel.cache.BufferPool`, or sit behind an explicit
-  ``cache is None`` cold-path guard), wherever in the tree it lives; the
-  finding names the engine/simulator entry point that reaches it.
 * :class:`TracerGuardRequired` — hot-path calls into a
   :class:`~repro.obs.tracer.Tracer` must be dominated by a
   ``tracer.enabled`` guard so the null tracer stays zero-overhead.
-* :class:`MetricInCatalogue` — metric-name string literals passed to a
-  :class:`~repro.obs.metrics.MetricsRegistry` must exist in
-  ``METRIC_CATALOGUE`` (checked statically, with the declared kind).
 * :class:`NoUnvalidatedSchemeString` — scheme names/aliases resolve
-  through :mod:`repro.registry`, never ad-hoc string comparison.
+  through :mod:`repro.registry`, never ad-hoc string comparison; the
+  spellings are read from the registry module of the linted tree.
 
 Guard detection is lexical dominance over the AST: a call is considered
 guarded when an enclosing ``if``/conditional-expression test (or a local
@@ -28,7 +21,6 @@ from __future__ import annotations
 
 import ast
 from typing import (
-    Dict,
     Iterator,
     List,
     Optional,
@@ -40,27 +32,13 @@ from typing import (
 from repro.lint.callgraph import ProjectIndex, dotted_name
 from repro.lint.findings import Finding
 from repro.lint.module import ModuleInfo
-from repro.lint.rules import REGISTRY_MODULE, SCHEME_SUFFIX, Rule
+from repro.lint.rules import Rule
 
 __all__ = [
-    "NoUnchargedDiskRead",
     "TracerGuardRequired",
-    "MetricInCatalogue",
     "NoUnvalidatedSchemeString",
     "DATAFLOW_RULES",
 ]
-
-#: Dotted-name fragments identifying a buffer-pool-ish receiver.
-_POOLISH = ("cache", "pool", "buffer")
-
-
-def _is_poolish(name: Optional[str]) -> bool:
-    """True when a dotted name plausibly denotes the buffer pool."""
-    if not name:
-        return False
-    lowered = name.lower()
-    return any(fragment in lowered for fragment in _POOLISH)
-
 
 def _walk_with_guards(
     node: ast.AST, guards: Tuple[ast.expr, ...] = ()
@@ -86,128 +64,6 @@ def _walk_with_guards(
         return
     for child in ast.iter_child_nodes(node):
         yield from _walk_with_guards(child, guards)
-
-
-#: Method names treated as engine/simulator entry points when
-#: ``no-uncharged-disk-read`` reports a reaching call chain.
-ENTRY_POINT_NAMES = ("query", "query_batch", "run")
-
-
-class NoUnchargedDiskRead(Rule):
-    """Upgrade of ``charge-through-buffer-pool`` from module-allowlist to
-    whole-program dataflow: *any* ``DiskArray.charge`` call — including
-    those inside the sanctioned engine modules — must either follow a
-    buffer-pool lookup (``pool.access(...)`` earlier in the same
-    function) or sit behind an explicit ``cache is None`` cold-path
-    guard.  The finding reports the engine/simulator entry point whose
-    call chain reaches the uncharged read, so a helper module smuggling
-    raw disk reads under an engine is caught even though the engine
-    module itself is allow-listed by the older local rule."""
-
-    name = "no-uncharged-disk-read"
-    summary = ("DiskArray.charge call that bypasses the buffer pool "
-               "(no pool.access flow, no `cache is None` guard)")
-    default_scope = ("repro",)
-    #: Window queries are cold-by-design (no pool yet, documented in
-    #: docs/linting.md); the disks/cache modules define the primitives.
-    default_exempt = (
-        "repro.parallel.window",
-        "repro.parallel.disks",
-        "repro.parallel.cache",
-    )
-    example_bad = (
-        "def fetch(self, leaf):\n"
-        "    self.disks.charge(leaf)         # no pool flow, no guard\n"
-        "    return self.store.read_page(leaf)"
-    )
-    example_good = (
-        "def fetch(self, leaf):\n"
-        "    if self.cache is None or not self.cache.access(page_id):\n"
-        "        self.disks.charge(leaf)     # miss (or cold) path only\n"
-        "    return self.store.read_page(leaf)"
-    )
-
-    @staticmethod
-    def _pool_access_lines(func: ast.AST) -> List[int]:
-        """Line numbers of buffer-pool ``.access(...)`` lookups."""
-        lines: List[int] = []
-        for node in ast.walk(func):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "access"
-                and _is_poolish(dotted_name(node.func.value))
-            ):
-                lines.append(node.lineno)
-        return lines
-
-    @staticmethod
-    def _cache_none_guard(guards: Sequence[ast.expr]) -> bool:
-        """True when a dominating test compares a pool name with None."""
-        for guard in guards:
-            for node in ast.walk(guard):
-                if not isinstance(node, ast.Compare):
-                    continue
-                if not any(
-                    isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops
-                ):
-                    continue
-                operands = [node.left, *node.comparators]
-                if any(
-                    _is_poolish(dotted_name(operand)) for operand in operands
-                ):
-                    return True
-        return False
-
-    def _unsanctioned_charges(
-        self, func: ast.AST
-    ) -> Iterator[ast.Call]:
-        """Charge calls in ``func`` with neither pool flow nor guard."""
-        access_lines = self._pool_access_lines(func)
-        for node, guards in _walk_with_guards(func):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "charge"
-            ):
-                continue
-            if any(line <= node.lineno for line in access_lines):
-                continue
-            if self._cache_none_guard(guards):
-                continue
-            yield node
-
-    @staticmethod
-    def _entry_points(index: ProjectIndex) -> List[str]:
-        """Engine/simulator entry-point qualnames of this project."""
-        return sorted(
-            qualname
-            for qualname, info in index.functions.items()
-            if info.module.name.startswith("repro.parallel")
-            and info.name in ENTRY_POINT_NAMES
-            and info.class_name is not None
-        )
-
-    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
-        """Flag unsanctioned charge sites, naming a reaching entry point."""
-        scoped = {module.name for module in self.in_scope(index)}
-        for qualname, info in index.functions.items():
-            if info.module.name not in scoped:
-                continue
-            for call in self._unsanctioned_charges(info.node):
-                chain = ""
-                for entry in self._entry_points(index):
-                    path = index.call_graph.find_path(entry, qualname)
-                    if path and len(path) > 1:
-                        chain = "; reached from " + " -> ".join(path)
-                        break
-                yield self.finding(
-                    info.module, call,
-                    f"DiskArray read in {qualname} is charged without "
-                    f"flowing through the attached BufferPool (no "
-                    f"pool.access(...) before it and no `cache is "
-                    f"None` cold-path guard){chain}",
-                )
 
 
 class TracerGuardRequired(Rule):
@@ -346,126 +202,11 @@ class TracerGuardRequired(Rule):
             )
 
 
-#: The module declaring ``METRIC_CATALOGUE``, read by
-#: ``metric-in-catalogue``.
-CATALOGUE_MODULE = "repro.obs.metrics"
-
-
-class MetricInCatalogue(Rule):
-    """``MetricsRegistry`` refuses undeclared names at runtime; this rule
-    moves the check to lint time so an undocumented metric cannot even be
-    merged.  Every string literal passed to ``.counter`` /
-    ``.vector_counter`` / ``.histogram`` must appear in
-    ``repro.obs.metrics.METRIC_CATALOGUE`` with the matching kind."""
-
-    name = "metric-in-catalogue"
-    summary = ("metric-name literal not declared (or declared with a "
-               "different kind) in repro.obs.metrics.METRIC_CATALOGUE")
-    default_scope = ("repro",)
-    default_exempt = ("repro.obs.metrics",)
-    example_bad = 'registry.counter("pages_fetched")   # not in the catalogue'
-    example_good = (
-        "# repro/obs/metrics.py\n"
-        'METRIC_CATALOGUE = {..., "pages_fetched": "counter"}\n'
-        "# call site\n"
-        'registry.counter("pages_fetched")'
-    )
-
-    _KIND_FOR_METHOD = {
-        "counter": "counter",
-        "vector_counter": "vector",
-        "histogram": "histogram",
-    }
-
-    @staticmethod
-    def _parse_catalogue(module: ModuleInfo) -> Dict[str, str]:
-        """``name -> kind`` parsed from the METRIC_CATALOGUE literal."""
-        catalogue: Dict[str, str] = {}
-        for node in ast.walk(module.tree):
-            targets: List[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets = [node.target]
-            else:
-                continue
-            if not any(
-                isinstance(t, ast.Name) and t.id == "METRIC_CATALOGUE"
-                for t in targets
-            ):
-                continue
-            value = node.value
-            for call in ast.walk(value):
-                if not isinstance(call, ast.Call):
-                    continue
-                strings = [
-                    arg.value
-                    for arg in call.args[:2]
-                    if isinstance(arg, ast.Constant)
-                    and isinstance(arg.value, str)
-                ]
-                if len(strings) == 2:
-                    catalogue[strings[0]] = strings[1]
-        return catalogue
-
-    def _metric_calls(
-        self, module: ModuleInfo
-    ) -> Iterator[Tuple[ast.Call, str, str]]:
-        """``(call, literal_name, registry_kind)`` triples in ``module``."""
-        for node in ast.walk(module.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in self._KIND_FOR_METHOD
-            ):
-                continue
-            if not (
-                node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-            ):
-                continue
-            yield (
-                node,
-                node.args[0].value,
-                self._KIND_FOR_METHOD[node.func.attr],
-            )
-
-    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
-        """Cross-check metric literals against the parsed catalogue."""
-        sites = [
-            (module, call, name, kind)
-            for module in self.in_scope(index)
-            for call, name, kind in self._metric_calls(module)
-        ]
-        if not sites:
-            return
-        catalogue_module = index.find_module(CATALOGUE_MODULE, sites[0][0])
-        if catalogue_module is None:
-            module, call, name, _ = sites[0]
-            yield self.finding(
-                module, call,
-                f"metric catalogue module {CATALOGUE_MODULE} not "
-                f"found; metric name {name!r} cannot be checked",
-            )
-            return
-        catalogue = self._parse_catalogue(catalogue_module)
-        for module, call, name, kind in sites:
-            declared = catalogue.get(name)
-            if declared is None:
-                yield self.finding(
-                    module, call,
-                    f"metric {name!r} is not declared in "
-                    f"{CATALOGUE_MODULE}.METRIC_CATALOGUE; declare "
-                    f"it (and regenerate docs/observability.md) before "
-                    f"recording it",
-                )
-            elif declared != kind:
-                yield self.finding(
-                    module, call,
-                    f"metric {name!r} is declared as {declared!r} in the "
-                    f"catalogue but requested as {kind!r}",
-                )
+#: The module holding the scheme registry ``no-unvalidated-scheme-string``
+#: reads its spellings from.
+REGISTRY_MODULE = "repro.registry"
+#: Class-name suffix identifying a declustering scheme definition.
+SCHEME_SUFFIX = "Declusterer"
 
 
 class NoUnvalidatedSchemeString(Rule):
@@ -587,10 +328,8 @@ class NoUnvalidatedSchemeString(Rule):
                 )
 
 
-#: The cross-module rules, in reporting order.
-DATAFLOW_RULES: Tuple[type, ...] = (
-    NoUnchargedDiskRead,
-    TracerGuardRequired,
-    MetricInCatalogue,
-    NoUnvalidatedSchemeString,
+#: The dataflow rules, in reporting order.
+DATAFLOW_RULES: Tuple[Rule, ...] = (
+    TracerGuardRequired(),
+    NoUnvalidatedSchemeString(),
 )

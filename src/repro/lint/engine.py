@@ -13,13 +13,13 @@ from __future__ import annotations
 from pathlib import Path
 from typing import (
     Dict,
+    FrozenSet,
     Iterable,
     List,
     Optional,
     Sequence,
     Set,
     Tuple,
-    Type,
     Union,
 )
 
@@ -43,21 +43,18 @@ __all__ = [
 SYNTAX_ERROR = "syntax-error"
 UNUSED_SUPPRESSION = "unused-suppression"
 
-#: Per-module rules plus the cross-module dataflow, async-safety, and
+#: Per-module rules plus the dataflow, async-safety, and
 #: resource-lifetime layers, in reporting order.  Aggregated here (not
 #: in ``rules``) because those rules subclass
 #: :class:`~repro.lint.rules.Rule` and importing them back into
 #: ``rules`` would be circular.
-ALL_RULES: Tuple[Type[Rule], ...] = (
-    tuple(RULES)
-    + tuple(DATAFLOW_RULES)
-    + tuple(CONCURRENCY_RULES)
-    + tuple(LIFETIME_RULES)
+ALL_RULES: Tuple[Rule, ...] = (
+    RULES + DATAFLOW_RULES + CONCURRENCY_RULES + LIFETIME_RULES
 )
 
 
 def all_rule_names() -> Tuple[str, ...]:
-    """Names of every registered rule (module-local and dataflow)."""
+    """Names of every registered rule."""
     return tuple(rule.name for rule in ALL_RULES)
 
 
@@ -104,14 +101,20 @@ def _parse_all(
 
 
 def _apply_suppressions(
-    modules: Sequence[ModuleInfo], findings: Sequence[Finding]
+    modules: Sequence[ModuleInfo],
+    findings: Sequence[Finding],
+    ran: FrozenSet[str],
 ) -> List[Finding]:
     """Drop suppressed findings; flag suppressions that did no work.
 
     Usage is tracked *per rule*, not per line: a comment like
     ``# repro-lint: disable=rule-a,rule-b`` where only ``rule-a`` fired
     reports ``rule-b`` as unused, and the unused-suppression message
-    names the idle rule and its line.
+    names the idle rule and its line.  Only a rule in ``ran`` can leave
+    its suppression unused (a ``--select`` run says nothing about the
+    rules it skipped), and ``disable=all`` is judged only when every
+    rule ran.  A suppression naming no registered rule is always
+    unused.
     """
     by_path = {module.display_path: module for module in modules}
     kept: List[Finding] = []
@@ -122,6 +125,8 @@ def _apply_suppressions(
             used.add((finding.path, finding.line, finding.rule))
         else:
             kept.append(finding)
+    known = frozenset(all_rule_names())
+    every_rule_ran = ran >= known
     for module in modules:
         for line, rules in sorted(module.suppressions.items()):
             any_used = any(
@@ -130,7 +135,7 @@ def _apply_suppressions(
             )
             for rule in sorted(rules):
                 if rule == "all":
-                    if not any_used:
+                    if every_rule_ran and not any_used:
                         kept.append(
                             Finding(
                                 module.display_path, line, UNUSED_SUPPRESSION,
@@ -138,7 +143,9 @@ def _apply_suppressions(
                                 f"matches no finding; remove it",
                             )
                         )
-                elif (module.display_path, line, rule) not in used:
+                elif (rule in ran or rule not in known) and (
+                    module.display_path, line, rule
+                ) not in used:
                     kept.append(
                         Finding(
                             module.display_path, line, UNUSED_SUPPRESSION,
@@ -158,20 +165,21 @@ def run_lint(
     ``select`` names the rules to run; None runs every registered rule.
     Returns all surviving findings sorted by location.  Suppression
     comments (``# repro-lint: disable=<rule>[,rule...]`` or
-    ``disable=all``) silence same-line findings; a suppression that
+    ``disable=all``) silence same-line findings; one whose rule ran but
     silences nothing is itself reported as ``unused-suppression``.
     """
     selected = None if select is None else frozenset(select)
     files = discover_files(paths)
     modules, findings = _parse_all(files)
     index = ProjectIndex(modules)
-    rules: List[Rule] = [
-        rule_class() for rule_class in ALL_RULES
-        if selected is None or rule_class.name in selected
+    rules = [
+        rule for rule in ALL_RULES
+        if selected is None or rule.name in selected
     ]
     for rule in rules:
         for module in modules:
             if rule.applies_to(module.name):
                 findings.extend(rule.check_module(module))
         findings.extend(rule.check_project(index))
-    return sorted(_apply_suppressions(modules, findings))
+    ran = frozenset(rule.name for rule in rules)
+    return sorted(_apply_suppressions(modules, findings, ran))

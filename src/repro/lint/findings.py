@@ -38,11 +38,11 @@ class Finding:
         return f"{self.path}:{self.line}: [{self.rule}] {label}{self.message}"
 
     def fingerprint(self) -> str:
-        """Stable identity for baselines and SARIF ``partialFingerprints``.
+        """Stable identity for SARIF ``partialFingerprints``.
 
         Hashes ``path | rule | severity | message`` — deliberately not
         the line number, so edits that merely shift a finding within a
-        file do not invalidate a committed baseline.
+        file keep its code-scanning identity.
         """
         basis = "|".join((self.path, self.rule, self.severity, self.message))
         return hashlib.sha256(basis.encode("utf-8")).hexdigest()[:16]

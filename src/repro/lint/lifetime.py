@@ -4,30 +4,23 @@ PR 8 made the paper's parallel-disk architecture real: mmap page files
 (:mod:`repro.storage`), spawn-started worker processes and a
 shared-memory pruning bound (:mod:`repro.parallel.process`).  The bug
 classes that silently corrupt that layer — a leaked ``PageFile``, a
-read of the shared bound outside its lock, a handle pickled into a
-spawned worker — are all *path* properties, invisible to the lexical
-walks used by the other rule groups.  This module pairs the per-function
-control-flow graphs of :mod:`repro.lint.cfg` with the import-resolved
-project index of :mod:`repro.lint.callgraph` to check them statically:
+read of the shared bound outside its lock — are *path* properties,
+invisible to the lexical walks used by the other rule groups.  This
+module pairs the per-function control-flow graphs of
+:mod:`repro.lint.cfg` with the import-resolved project index of
+:mod:`repro.lint.callgraph` to check them statically:
 
 * :class:`ResourceLeak` — closeable values (``PageFile``, ``MmapStore``,
   ``mmap``, ``open()``, multiprocessing queues / shared memory) must be
   closed on **every** CFG path, including exception paths; escaping by
   ``return`` or into ``self`` on a class with an owning ``close()`` is
   sanctioned;
-* :class:`UseAfterClose` — method calls on a resource along any normal
-  path after its ``.close()``;
 * :class:`SharedStateWithoutLock` — element accesses on
   ``multiprocessing`` ``Value``/``Array``/shared-memory buffers (and
   ``np.frombuffer`` views over them, tracked interprocedurally through
   call arguments and ``Process(target=..., args=...)``) outside a
   lock-held ``with`` block, honoring ``_SINGLE_WRITER`` annotations and
-  callees invoked only with the lock already held;
-* :class:`SpawnUnsafeCapture` — mmap-owning stores, ``threading`` locks,
-  tracers, or open files reachable in the args pickled to
-  ``Process(target=...)`` or ``put(...)`` onto a worker task queue;
-* :class:`CtxRequired` — bare ``multiprocessing.Process/Queue/Lock``
-  instead of an explicit ``get_context("spawn")`` handle.
+  callees invoked only with the lock already held.
 
 Shared over-approximation philosophy: the CFG has spurious edges but no
 missing ones, so a leak can be flagged that a human would argue away,
@@ -75,10 +68,7 @@ from repro.lint.rules import Rule
 
 __all__ = [
     "ResourceLeak",
-    "UseAfterClose",
     "SharedStateWithoutLock",
-    "SpawnUnsafeCapture",
-    "CtxRequired",
     "LIFETIME_RULES",
 ]
 
@@ -93,11 +83,6 @@ CLOSEABLE_TYPES = (
     "SharedMemory",
     "SpillFile",
 )
-
-#: Class names ``spawn-unsafe-capture`` refuses to see pickled into a
-#: worker process (they own mmap/file handles that do not survive a
-#: spawn).
-SPAWN_UNSAFE_TYPES = ("PageFile", "PageFileWriter", "MmapStore")
 
 #: Method names that release a tracked resource when called on it.
 #: ``delete`` is the spill-file release verb (close + unlink): the
@@ -118,55 +103,8 @@ _CONTAINER_ADDERS = frozenset(
     {"append", "add", "extend", "insert", "register", "setdefault"}
 )
 
-#: Methods a resource may still receive after ``close()`` (idempotent
-#: re-close and the multiprocessing queue drain protocol).
-_POST_CLOSE_OK = _CLOSE_METHODS | {
-    "join",
-    "join_thread",
-    "cancel_join_thread",
-}
-
 _MP_QUEUE_FACTORIES = frozenset({"Queue", "SimpleQueue", "JoinableQueue"})
 _MP_SHARED_FACTORIES = frozenset({"Array", "Value", "RawArray", "RawValue"})
-
-#: multiprocessing top-level factories that silently bind the
-#: platform-default start method (``fork`` on Linux, ``spawn`` on
-#: macOS/Windows) — exactly the nondeterminism ``ctx-required`` bans.
-_MP_BARE = frozenset(
-    {
-        "Process",
-        "Pool",
-        "Queue",
-        "SimpleQueue",
-        "JoinableQueue",
-        "Lock",
-        "RLock",
-        "Semaphore",
-        "BoundedSemaphore",
-        "Event",
-        "Condition",
-        "Barrier",
-        "Value",
-        "Array",
-        "RawValue",
-        "RawArray",
-    }
-)
-
-#: threading primitives are process-local: pickling one into a spawned
-#: worker either fails outright or yields an unrelated copy.
-_THREADING_PRIMITIVES = frozenset(
-    {
-        "threading.Lock",
-        "threading.RLock",
-        "threading.Condition",
-        "threading.Semaphore",
-        "threading.BoundedSemaphore",
-        "threading.Event",
-        "threading.Barrier",
-    }
-)
-
 
 # --------------------------------------------------------------- helpers
 
@@ -193,23 +131,6 @@ def _ctx_origin(call: ast.Call) -> bool:
     """True for ``multiprocessing.get_context(...)`` calls."""
     local = dotted_name(call.func)
     return local is not None and _final(local) == "get_context"
-
-
-def _queue_origin(
-    call: ast.Call,
-    aliases: Dict[str, str],
-    ctx_names: Set[str],
-    ctx_attrs: Set[str],
-) -> bool:
-    """True when the call constructs a multiprocessing queue."""
-    local = dotted_name(call.func)
-    return (
-        local is not None
-        and _final(local) in _MP_QUEUE_FACTORIES
-        and _mp_receiver(
-            local, resolve_alias(aliases, local), ctx_names, ctx_attrs
-        )
-    )
 
 
 def _shared_origin(
@@ -264,28 +185,6 @@ def _closeable_origin(
         local, resolved, ctx_names, ctx_attrs
     ):
         return f"multiprocessing {final}"
-    return None
-
-
-def _unsafe_origin(
-    call: ast.Call, aliases: Dict[str, str]
-) -> Optional[str]:
-    """Description when this call constructs a spawn-unsafe value."""
-    local = dotted_name(call.func)
-    if local is None:
-        return None
-    resolved = resolve_alias(aliases, local)
-    if resolved in ("open", "builtins.open"):
-        return "an open() file handle"
-    if resolved == "mmap.mmap":
-        return "an mmap handle"
-    final = _final(local)
-    if final in SPAWN_UNSAFE_TYPES:
-        return f"a {final} (owns an mmap/file handle)"
-    if final.endswith("Tracer"):
-        return f"a {final} (process-local tracer)"
-    if resolved in _THREADING_PRIMITIVES:
-        return f"a {resolved} (process-local, not picklable)"
     return None
 
 
@@ -379,19 +278,16 @@ def _self_attr(node: ast.AST) -> Optional[str]:
 class _ClassFacts:
     """What a class's methods collectively establish about ``self``."""
 
-    name: str = ""
     has_owning_close: bool = False
     ctx_attrs: Set[str] = field(default_factory=set)
     shared_attrs: Dict[str, str] = field(default_factory=dict)
-    queue_attrs: Set[str] = field(default_factory=set)
-    unsafe_attrs: Dict[str, str] = field(default_factory=dict)
 
 
 def _class_facts(
     classdef: ast.ClassDef, aliases: Dict[str, str]
 ) -> _ClassFacts:
-    """Collect shared/queue/context/unsafe attribute facts for a class."""
-    facts = _ClassFacts(name=classdef.name)
+    """Collect shared/context attribute facts for a class."""
+    facts = _ClassFacts()
     methods = [node for node in classdef.body if isinstance(node, _FUNC_TYPES)]
     facts.has_owning_close = any(
         method.name in _OWNING_CLOSERS for method in methods
@@ -415,7 +311,6 @@ def _scan_method_facts(
     """One pass of attribute-fact collection over one method body."""
     nodes = list(own_nodes(method))
     local_ctx: Set[str] = set()
-    local_queues: Set[str] = set()
     for node in nodes:  # locals first: source order is not guaranteed
         if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
             continue
@@ -424,43 +319,21 @@ def _scan_method_facts(
             continue
         if isinstance(value, ast.Call) and _ctx_origin(value):
             local_ctx.add(target.id)
-        elif isinstance(value, ast.Call) and _queue_origin(
-            value, aliases, local_ctx, facts.ctx_attrs
-        ):
-            local_queues.add(target.id)
         elif _self_attr(value) in facts.ctx_attrs:
             local_ctx.add(target.id)
     for node in nodes:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            attr = _self_attr(node.targets[0])
-            value = node.value
-            if attr is None:
-                continue
-            if isinstance(value, ast.Call):
-                if _ctx_origin(value):
-                    facts.ctx_attrs.add(attr)
-                    continue
-                shared = _shared_origin(
-                    value, aliases, local_ctx, facts.ctx_attrs
-                )
-                if shared is not None:
-                    facts.shared_attrs.setdefault(attr, shared)
-                if _queue_origin(value, aliases, local_ctx, facts.ctx_attrs):
-                    facts.queue_attrs.add(attr)
-                unsafe = _unsafe_origin(value, aliases)
-                if unsafe is not None:
-                    facts.unsafe_attrs.setdefault(attr, unsafe)
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _CONTAINER_ADDERS
-        ):
-            attr = _self_attr(node.func.value)
-            if attr is not None and any(
-                isinstance(arg, ast.Name) and arg.id in local_queues
-                for arg in node.args
-            ):
-                facts.queue_attrs.add(attr)
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+            continue
+        attr = _self_attr(node.targets[0])
+        value = node.value
+        if attr is None or not isinstance(value, ast.Call):
+            continue
+        if _ctx_origin(value):
+            facts.ctx_attrs.add(attr)
+            continue
+        shared = _shared_origin(value, aliases, local_ctx, facts.ctx_attrs)
+        if shared is not None:
+            facts.shared_attrs.setdefault(attr, shared)
 
 
 @dataclass
@@ -468,9 +341,7 @@ class _FunctionScan:
     """Flow-insensitive classification of one function's local names."""
 
     ctx: Set[str] = field(default_factory=set)
-    queues: Set[str] = field(default_factory=set)
     shared: Dict[str, str] = field(default_factory=dict)
-    unsafe: Dict[str, str] = field(default_factory=dict)
 
 
 def _shared_ref(
@@ -491,24 +362,13 @@ def _scan_function(
     aliases: Dict[str, str],
     facts: Optional[_ClassFacts],
 ) -> _FunctionScan:
-    """Classify a function's locals as contexts/queues/shared/unsafe."""
+    """Classify a function's locals as contexts/shared objects."""
     scan = _FunctionScan()
     nodes = list(own_nodes(func))
     ctx_attrs = facts.ctx_attrs if facts is not None else set()
-    queue_attrs = facts.queue_attrs if facts is not None else set()
     shared_attrs = facts.shared_attrs if facts is not None else {}
-    unsafe_attrs = facts.unsafe_attrs if facts is not None else {}
     for _ in range(3):  # fixpoint for alias-of-alias chains
         for node in nodes:
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                attr = _self_attr(node.iter)
-                if (
-                    attr is not None
-                    and attr in queue_attrs
-                    and isinstance(node.target, ast.Name)
-                ):
-                    scan.queues.add(node.target.id)
-                continue
             if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
                 continue
             target, value = node.targets[0], node.value
@@ -519,18 +379,9 @@ def _scan_function(
                 if _ctx_origin(value):
                     scan.ctx.add(name)
                     continue
-                if _queue_origin(value, aliases, scan.ctx, ctx_attrs):
-                    scan.queues.add(name)
-                    continue
                 shared = _shared_origin(value, aliases, scan.ctx, ctx_attrs)
                 if shared is not None:
                     scan.shared[name] = shared
-                    continue
-                unsafe = _unsafe_origin(value, aliases)
-                if unsafe is not None:
-                    scan.unsafe.setdefault(
-                        name, f"{unsafe} (created at line {node.lineno})"
-                    )
                     continue
                 if _is_frombuffer(value, aliases):
                     source = _shared_ref(
@@ -542,66 +393,17 @@ def _scan_function(
                 other = value.id
                 if other in scan.ctx:
                     scan.ctx.add(name)
-                if other in scan.queues:
-                    scan.queues.add(name)
                 if other in scan.shared:
                     scan.shared.setdefault(name, scan.shared[other])
-                if other in scan.unsafe:
-                    scan.unsafe.setdefault(name, scan.unsafe[other])
-            elif isinstance(value, ast.Tuple):
-                for elt in value.elts:
-                    unsafe_elt = _unsafe_in_expr(
-                        elt, scan, unsafe_attrs, aliases
-                    )
-                    if unsafe_elt is not None:
-                        scan.unsafe.setdefault(
-                            name,
-                            f"{unsafe_elt}, packed into '{name}' at line "
-                            f"{node.lineno}",
-                        )
-                        break
             else:
                 attr = _self_attr(value)
                 if attr is None:
                     continue
                 if attr in ctx_attrs:
                     scan.ctx.add(name)
-                if attr in queue_attrs:
-                    scan.queues.add(name)
                 if attr in shared_attrs:
                     scan.shared.setdefault(name, shared_attrs[attr])
-                if attr in unsafe_attrs:
-                    scan.unsafe.setdefault(
-                        name, f"self.{attr} — {unsafe_attrs[attr]}"
-                    )
     return scan
-
-
-def _unsafe_in_expr(
-    expr: ast.AST,
-    scan: _FunctionScan,
-    unsafe_attrs: Dict[str, str],
-    aliases: Dict[str, str],
-) -> Optional[str]:
-    """Description of the first spawn-unsafe value reachable in ``expr``."""
-    for node in ast.walk(expr):
-        if isinstance(node, ast.Name) and node.id in scan.unsafe:
-            return f"'{node.id}' — {scan.unsafe[node.id]}"
-        attr = _self_attr(node)
-        if attr is not None and attr in unsafe_attrs:
-            return f"self.{attr} — {unsafe_attrs[attr]}"
-        if isinstance(node, ast.Call):
-            inline = _unsafe_origin(node, aliases)
-            if inline is not None:
-                return f"{inline} constructed inline"
-        if isinstance(node, ast.Name) and node.id in ("tracer", "_tracer"):
-            return f"'{node.id}' (a process-local tracer, by name)"
-        if isinstance(node, ast.Attribute) and node.attr in (
-            "tracer",
-            "_tracer",
-        ):
-            return f".{node.attr} (a process-local tracer, by name)"
-    return None
 
 
 def _functions_with_facts(
@@ -964,142 +766,6 @@ def _escaping_names_in_call(call: ast.Call) -> Set[str]:
     return names
 
 
-# ---------------------------------------------------------- use-after-close
-
-
-class UseAfterClose(Rule):
-    """A closed ``PageFile`` answers reads with whatever the layer
-    beneath happens to raise (historically a raw ``ValueError: mmap
-    closed or invalid`` from the C level) — or worse, a stale view.  The
-    runtime contract (post-close reads raise a clear ``ValueError``) is
-    only half the fix; this rule removes the pattern statically by
-    walking normal-flow CFG paths from every ``x.close()`` and flagging
-    the first later method call or subscript on ``x`` that is not an
-    idempotent re-close or a queue-drain ``join_thread``."""
-
-    name = "use-after-close"
-    summary = "method call/subscript on a resource after its .close()"
-    default_scope = ("repro",)
-    example_bad = """\
-page = PageFile(path)
-count = page.entry_count(0)
-page.close()
-data = page.read_slot(0, 0)   # closed handle: undefined behavior
-"""
-    example_good = """\
-page = PageFile(path)
-count = page.entry_count(0)
-data = page.read_slot(0, 0)
-page.close()                  # close strictly last (or use `with`)
-"""
-
-    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        """Flag uses of a name along any normal path after its close()."""
-        for func, _ in _functions_with_facts(module):
-            yield from self._check_function(module, func)
-
-    def _check_function(
-        self, module: ModuleInfo, func: ast.AST
-    ) -> Iterator[Finding]:
-        cfg = build_cfg(func)
-        emitted: Set[Tuple[int, int]] = set()
-        for node in cfg.nodes:
-            if node.kind != "stmt" or not isinstance(node.stmt, ast.Expr):
-                continue
-            call = node.stmt.value
-            if not (
-                isinstance(call, ast.Call)
-                and isinstance(call.func, ast.Attribute)
-                and call.func.attr == "close"
-            ):
-                continue
-            receiver = dotted_name(call.func.value)
-            if receiver is None or receiver == "self":
-                continue
-            for use_line, use_desc in self._uses_after(
-                cfg, node.index, receiver
-            ):
-                key = (call.lineno, use_line)
-                if key in emitted:
-                    continue
-                emitted.add(key)
-                site = ast.Pass()
-                site.lineno = use_line
-                yield self.finding(
-                    module,
-                    site,
-                    f"'{receiver}' is used here ({use_desc}) after its "
-                    f"close() on line {call.lineno}; a closed handle's "
-                    f"behavior is undefined — reorder the close, or "
-                    f"rebind the name first",
-                )
-
-    def _uses_after(
-        self, cfg: CFG, close_index: int, receiver: str
-    ) -> List[Tuple[int, str]]:
-        """``(line, use)`` post-close uses of ``receiver`` (normal
-        paths)."""
-        uses: List[Tuple[int, str]] = []
-        seen: Set[int] = set()
-        queue = sorted(cfg.nodes[close_index].succs)
-        while queue:
-            index = queue.pop(0)
-            if index in seen or index == cfg.exit:
-                continue
-            seen.add(index)
-            node = cfg.nodes[index]
-            stop = False
-            if node.kind == "stmt" and node.stmt is not None:
-                if self._rebinds(node.stmt, receiver):
-                    continue  # fresh object from here on
-                use = self._first_use(node.stmt, receiver)
-                if use is not None:
-                    uses.append(use)
-                    stop = True
-            if not stop:
-                queue.extend(succ for succ in node.succs if succ not in seen)
-        return uses
-
-    @staticmethod
-    def _rebinds(stmt: ast.stmt, receiver: str) -> bool:
-        """True when ``stmt`` rebinds exactly the receiver name."""
-        targets: List[ast.expr] = []
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-        elif isinstance(stmt, ast.AnnAssign):
-            targets = [stmt.target]
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            targets = [stmt.target]
-        elif isinstance(stmt, ast.Delete):
-            targets = stmt.targets
-        for target in targets:
-            for node in ast.walk(target):
-                if dotted_name(node) == receiver:
-                    return True
-        return False
-
-    @staticmethod
-    def _first_use(
-        stmt: ast.stmt, receiver: str
-    ) -> Optional[Tuple[int, str]]:
-        """``(line, use)`` of the first disallowed use of ``receiver``."""
-        for header in _stmt_exprs(stmt):
-            for node in ast.walk(header):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and dotted_name(node.func.value) == receiver
-                    and node.func.attr not in _POST_CLOSE_OK
-                ):
-                    return node.lineno, f".{node.func.attr}(...)"
-                if (
-                    isinstance(node, ast.Subscript)
-                    and dotted_name(node.value) == receiver
-                ):
-                    return node.lineno, "subscript"
-        return None
-
-
 # ------------------------------------------- shared-state-without-lock
 
 
@@ -1377,162 +1043,8 @@ def _worker(shared, lock):
         return None
 
 
-# --------------------------------------------------- spawn-unsafe-capture
-
-
-class SpawnUnsafeCapture(Rule):
-    """Everything in ``Process(target=..., args=...)`` — and everything
-    ``put()`` onto a worker task queue — is pickled into the spawned
-    child.  mmap-backed stores, open files, ``threading`` locks, and
-    tracers either fail to pickle (best case) or arrive as disconnected
-    copies that shadow the parent's state (worst case: the engine
-    "works" and returns results from a stale mapping).  Workers must
-    receive *identifiers* — paths, disk ids — and reopen resources
-    inside the child, which is exactly what
-    ``repro.parallel.process._worker_main`` does with its store
-    directory."""
-
-    name = "spawn-unsafe-capture"
-    summary = (
-        "mmap/file handle, threading lock, or tracer pickled into "
-        "Process(args=...) or a worker task queue"
-    )
-    default_scope = ("repro",)
-    example_bad = """\
-store = MmapStore(directory)
-proc = ctx.Process(target=_worker, args=(store, results))
-# the store's mmap handles cannot survive the spawn pickle
-"""
-    example_good = """\
-proc = ctx.Process(target=_worker, args=(directory, results))
-# the worker reopens: store = MmapStore(directory)
-"""
-
-    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        """Flag spawn-unsafe values in Process args / task-queue puts."""
-        for func, facts in _functions_with_facts(module):
-            scan = _scan_function(func, module.aliases, facts)
-            unsafe_attrs = facts.unsafe_attrs if facts is not None else {}
-            queue_attrs = facts.queue_attrs if facts is not None else set()
-            for call in own_nodes(func):
-                if isinstance(call, ast.Call):
-                    yield from self._check_call(
-                        module, call, scan, unsafe_attrs, queue_attrs
-                    )
-
-    def _check_call(
-        self,
-        module: ModuleInfo,
-        call: ast.Call,
-        scan: _FunctionScan,
-        unsafe_attrs: Dict[str, str],
-        queue_attrs: Set[str],
-    ) -> Iterator[Finding]:
-        dotted = dotted_name(call.func)
-        if dotted is not None and _final(dotted) == "Process":
-            for keyword in call.keywords:
-                if keyword.arg != "args":
-                    continue
-                desc = _unsafe_in_expr(
-                    keyword.value, scan, unsafe_attrs, module.aliases
-                )
-                if desc is not None:
-                    yield self.finding(
-                        module,
-                        call,
-                        f"Process(target=..., args=...) captures {desc}; "
-                        f"it is pickled into the spawned worker, where "
-                        f"mmap/file handles, threading locks and tracers "
-                        f"do not survive — pass a path/identifier and "
-                        f"reopen inside the worker",
-                    )
-            return
-        if (
-            isinstance(call.func, ast.Attribute)
-            and call.func.attr in ("put", "put_nowait")
-        ):
-            receiver = call.func.value
-            is_task_queue = (
-                isinstance(receiver, ast.Name) and receiver.id in scan.queues
-            ) or (_self_attr(receiver) in queue_attrs)
-            if not is_task_queue:
-                return
-            for arg in call.args:
-                desc = _unsafe_in_expr(
-                    arg, scan, unsafe_attrs, module.aliases
-                )
-                if desc is not None:
-                    yield self.finding(
-                        module,
-                        call,
-                        f"task put() onto a worker queue captures {desc}; "
-                        f"queue items are pickled across the process "
-                        f"boundary — send a path/identifier and reopen "
-                        f"inside the worker",
-                    )
-
-
-# ------------------------------------------------------------ ctx-required
-
-
-class CtxRequired(Rule):
-    """``multiprocessing.Process()`` binds the platform-default start
-    method: ``fork`` on Linux, ``spawn`` on macOS/Windows.  Forked
-    workers inherit mmap views, locks, and tracer state that spawned
-    workers must reconstruct — so code that only ever ran under fork is
-    routinely broken under spawn, and results can differ between the
-    two.  The engines pin ``get_context("spawn")`` (the strictest,
-    portable semantics); this rule bans the bare module-level factories
-    so the choice stays explicit everywhere."""
-
-    name = "ctx-required"
-    summary = (
-        "bare multiprocessing.Process/Queue/Lock; use an explicit "
-        'get_context("spawn") handle'
-    )
-    default_scope = ("repro",)
-    example_bad = """\
-import multiprocessing
-
-queue = multiprocessing.Queue()
-proc = multiprocessing.Process(target=work, args=(queue,))
-"""
-    example_good = """\
-import multiprocessing
-
-ctx = multiprocessing.get_context("spawn")
-queue = ctx.Queue()
-proc = ctx.Process(target=work, args=(queue,))
-"""
-
-    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        """Flag bare multiprocessing factory calls."""
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            local = dotted_name(node.func)
-            if local is None:
-                continue
-            final = _final(local)
-            resolved = resolve_alias(module.aliases, local)
-            if final in _MP_BARE and resolved == f"multiprocessing.{final}":
-                yield self.finding(
-                    module,
-                    node,
-                    f"bare multiprocessing.{final} binds the "
-                    f"platform-default start method (fork on Linux, spawn "
-                    f"on macOS/Windows) and makes behavior "
-                    f"platform-dependent; create an explicit context — "
-                    f'ctx = multiprocessing.get_context("spawn") — and '
-                    f"call ctx.{final}",
-                )
-
-
 #: The lifetime/process-safety rules, in reporting order.
-LIFETIME_RULES: Tuple[type, ...] = (
-    ResourceLeak,
-    UseAfterClose,
-    SharedStateWithoutLock,
-    SpawnUnsafeCapture,
-    CtxRequired,
+LIFETIME_RULES: Tuple[Rule, ...] = (
+    ResourceLeak(),
+    SharedStateWithoutLock(),
 )

@@ -4,23 +4,30 @@ Each rule machine-checks one invariant that the paper's guarantees (or a
 prior PR's contract) depend on; ``docs/linting.md`` maps every rule to
 the claim it protects.  Rules are AST visitors over one module
 (:meth:`Rule.check_module`) or over the whole linted tree at once
-(:meth:`Rule.check_project` — used by ``registry-completeness``), which
-reads the one :class:`~repro.lint.callgraph.ProjectIndex` built per run.
-Each rule's tunables are module constants next to the rule that reads
-them.
+(:meth:`Rule.check_project`), which reads the one
+:class:`~repro.lint.callgraph.ProjectIndex` built per run.  The "call X
+only inside module Y" rules are rows of one table
+(:data:`CONFINED_CALLS`) checked by :class:`ConfinedCall`.  Each rule's
+tunables are module constants next to the rule that reads them.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import replace
-from typing import Iterator, List, Sequence, Tuple, Type
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.lint.callgraph import ProjectIndex, dotted_name, resolve_alias
 from repro.lint.findings import Finding
 from repro.lint.module import ModuleInfo
 
-__all__ = ["Rule", "RULES", "rule_names", "module_matches"]
+__all__ = [
+    "Rule",
+    "RULES",
+    "CONFINED_CALLS",
+    "ConfinedCall",
+    "module_matches",
+]
 
 
 def module_matches(module: str, prefixes: Tuple[str, ...]) -> bool:
@@ -87,46 +94,244 @@ RNG_ALLOWED = frozenset(
 )
 
 
-class SeededRngOnly(Rule):
-    """Experiments must be deterministic: Figures 3-7 are reproduced from
-    fixed seeds, so randomness must flow through an injected, seeded
-    ``numpy.random.Generator`` — never the process-global RNG state."""
+def _global_rng_call(call: ast.Call, aliases: Dict[str, str]) -> Optional[str]:
+    """A call to the process-global numpy or stdlib RNG."""
+    local = dotted_name(call.func)
+    if local is None:
+        return None
+    target = resolve_alias(aliases, local)
+    if target.startswith("numpy.random."):
+        attribute = target.split(".", 2)[2].split(".")[0]
+        if attribute not in RNG_ALLOWED:
+            return (
+                f"call to global numpy.random.{attribute}; pass a "
+                f"seeded numpy.random.Generator "
+                f"(np.random.default_rng(seed)) instead"
+            )
+    elif target.startswith("random."):
+        attribute = target.split(".")[1]
+        return (
+            f"call to stdlib random.{attribute} uses hidden global "
+            f"state; use an injected numpy.random.Generator"
+        )
+    return None
 
-    name = "seeded-rng-only"
-    summary = ("global numpy.random.* / random.* call; inject a seeded "
-               "numpy.random.Generator instead")
-    default_scope = ("repro", "tests", "benchmarks")
-    example_bad = "points = np.random.uniform(size=(n, d))"
-    example_good = (
-        "rng = np.random.default_rng(seed)\n"
-        "points = rng.uniform(size=(n, d))"
-    )
+
+def _disk_charge(call: ast.Call, aliases: Dict[str, str]) -> Optional[str]:
+    """A ``DiskArray.charge`` call."""
+    if isinstance(call.func, ast.Attribute) and call.func.attr == "charge":
+        return (
+            "page reads must be charged through the buffer-pool "
+            "engine (repro.parallel.engine; window queries are cold) "
+            "so only cache misses hit the DiskArray"
+        )
+    return None
+
+
+def _print_call(call: ast.Call, aliases: Dict[str, str]) -> Optional[str]:
+    """A ``print()`` call."""
+    if isinstance(call.func, ast.Name) and call.func.id == "print":
+        return (
+            "library modules must not print; return data and let "
+            "the CLI (repro.cli) render it"
+        )
+    return None
+
+
+#: multiprocessing top-level factories that silently bind the
+#: platform-default start method (``fork`` on Linux, ``spawn`` on
+#: macOS/Windows) — exactly the nondeterminism ``ctx-required`` bans.
+MP_BARE_FACTORIES = frozenset(
+    {
+        "Process",
+        "Pool",
+        "Queue",
+        "SimpleQueue",
+        "JoinableQueue",
+        "Lock",
+        "RLock",
+        "Semaphore",
+        "BoundedSemaphore",
+        "Event",
+        "Condition",
+        "Barrier",
+        "Value",
+        "Array",
+        "RawValue",
+        "RawArray",
+    }
+)
+
+
+def _bare_mp_factory(call: ast.Call, aliases: Dict[str, str]) -> Optional[str]:
+    """A ``multiprocessing`` factory called on the module itself."""
+    local = dotted_name(call.func)
+    if local is None:
+        return None
+    final = local.rsplit(".", 1)[-1]
+    resolved = resolve_alias(aliases, local)
+    if final in MP_BARE_FACTORIES and resolved == f"multiprocessing.{final}":
+        return (
+            f"bare multiprocessing.{final} binds the "
+            f"platform-default start method (fork on Linux, spawn "
+            f"on macOS/Windows) and makes behavior "
+            f"platform-dependent; create an explicit context — "
+            f'ctx = multiprocessing.get_context("spawn") — and '
+            f"call ctx.{final}"
+        )
+    return None
+
+
+class ConfinedCall(Rule):
+    """A "call X only inside module Y" rule, one row of
+    :data:`CONFINED_CALLS`: every call ``match`` recognizes (it returns
+    the finding text) in a module of ``scope`` outside ``exempt`` is a
+    finding.  ``rationale`` is the *why* ``--explain`` prints."""
+
+    def __init__(
+        self,
+        name: str,
+        summary: str,
+        rationale: str,
+        scope: Tuple[str, ...],
+        exempt: Tuple[str, ...],
+        match: Callable[[ast.Call, Dict[str, str]], Optional[str]],
+        example_bad: str,
+        example_good: str,
+    ):
+        self.name = name
+        self.summary = summary
+        self.__doc__ = rationale
+        self.default_scope = scope
+        self.default_exempt = exempt
+        self.match = match
+        self.example_bad = example_bad
+        self.example_good = example_good
 
     def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        """Flag global-RNG calls resolved through import aliases."""
+        """Flag every call the row's matcher recognizes."""
         for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            local = dotted_name(node.func)
-            if local is None:
-                continue
-            target = resolve_alias(module.aliases, local)
-            if target.startswith("numpy.random."):
-                attribute = target.split(".", 2)[2].split(".")[0]
-                if attribute not in RNG_ALLOWED:
-                    yield self.finding(
-                        module, node,
-                        f"call to global numpy.random.{attribute}; pass a "
-                        f"seeded numpy.random.Generator "
-                        f"(np.random.default_rng(seed)) instead",
-                    )
-            elif target.startswith("random."):
-                attribute = target.split(".")[1]
-                yield self.finding(
-                    module, node,
-                    f"call to stdlib random.{attribute} uses hidden global "
-                    f"state; use an injected numpy.random.Generator",
-                )
+            if isinstance(node, ast.Call):
+                message = self.match(node, module.aliases)
+                if message is not None:
+                    yield self.finding(module, node, message)
+
+
+CONFINED_CALLS: Tuple[ConfinedCall, ...] = (
+    ConfinedCall(
+        name="seeded-rng-only",
+        summary=("global numpy.random.* / random.* call; inject a seeded "
+                 "numpy.random.Generator instead"),
+        rationale=(
+            "Experiments must be deterministic: Figures 3-7 are "
+            "reproduced from fixed seeds, so randomness must flow "
+            "through an injected, seeded ``numpy.random.Generator`` — "
+            "never the process-global RNG state."
+        ),
+        scope=("repro", "tests", "benchmarks"),
+        exempt=(),
+        match=_global_rng_call,
+        example_bad="points = np.random.uniform(size=(n, d))",
+        example_good=(
+            "rng = np.random.default_rng(seed)\n"
+            "points = rng.uniform(size=(n, d))"
+        ),
+    ),
+    ConfinedCall(
+        name="charge-through-buffer-pool",
+        summary=("DiskArray.charge outside the sanctioned engine modules "
+                 "bypasses the buffer pool"),
+        rationale=(
+            "PR 1's contract: only cache *misses* may be charged to the "
+            "simulated ``DiskArray``.  Any ``.charge()`` call outside "
+            "the modules that charge today — the engine's one "
+            "pool-aware charge site, the cold window path and the "
+            "``DiskArray`` itself — bypasses the buffer pool and "
+            "silently inflates I/O counts."
+        ),
+        scope=("repro",),
+        exempt=(
+            "repro.parallel.engine",
+            "repro.parallel.window",
+            "repro.parallel.disks",
+        ),
+        match=_disk_charge,
+        example_bad=(
+            "def fetch(disks, leaf):\n"
+            "    disks.charge(leaf)          # bypasses the buffer pool\n"
+            "    return leaf.entries"
+        ),
+        example_good=(
+            "# Let the engine read the page: it consults the attached\n"
+            "# BufferPool and charges the DiskArray only on a miss.\n"
+            "result = engine.query(point, k)\n"
+            "pages = result.pages_per_disk"
+        ),
+    ),
+    ConfinedCall(
+        name="no-print-outside-cli",
+        summary="print() in a library module; route output through the CLI",
+        rationale=(
+            "Library modules are imported by engines, simulators, and "
+            "tests; stray ``print`` output corrupts reports and "
+            "benchmark pipelines. Output belongs to the CLI layer (and "
+            "``experiments.report``)."
+        ),
+        scope=("repro",),
+        exempt=(
+            "repro.cli",
+            "repro.__main__",
+            "repro.experiments.report",
+            "repro.lint.cli",
+            "repro.lint.__main__",
+            "repro.obs.catalogue",
+        ),
+        match=_print_call,
+        example_bad=(
+            "def query(self, point, k):\n"
+            '    print(f"visited {self.pages} pages")   # corrupts pipelines'
+        ),
+        example_good=(
+            "def query(self, point, k):\n"
+            "    ...\n"
+            "    return QueryResult(neighbors, pages)   # CLI renders it"
+        ),
+    ),
+    ConfinedCall(
+        name="ctx-required",
+        summary=(
+            "bare multiprocessing.Process/Queue/Lock; use an explicit "
+            'get_context("spawn") handle'
+        ),
+        rationale=(
+            "``multiprocessing.Process()`` binds the platform-default "
+            "start method: ``fork`` on Linux, ``spawn`` on "
+            "macOS/Windows.  Forked workers inherit mmap views, locks, "
+            "and tracer state that spawned workers must reconstruct — "
+            "so code that only ever ran under fork is routinely broken "
+            "under spawn, and results can differ between the two.  The "
+            'engines pin ``get_context("spawn")`` (the strictest, '
+            "portable semantics); this rule bans the bare module-level "
+            "factories so the choice stays explicit everywhere."
+        ),
+        scope=("repro",),
+        exempt=(),
+        match=_bare_mp_factory,
+        example_bad=(
+            "import multiprocessing\n"
+            "\n"
+            "queue = multiprocessing.Queue()\n"
+            "proc = multiprocessing.Process(target=work, args=(queue,))\n"
+        ),
+        example_good=(
+            "import multiprocessing\n"
+            "\n"
+            'ctx = multiprocessing.get_context("spawn")\n'
+            "queue = ctx.Queue()\n"
+            "proc = ctx.Process(target=work, args=(queue,))\n"
+        ),
+    ),
+)
 
 
 class UseCoreBits(Rule):
@@ -217,50 +422,6 @@ class UseCoreBits(Rule):
                 )
 
 
-class ChargeThroughBufferPool(Rule):
-    """PR 1's contract: only cache *misses* may be charged to the
-    simulated ``DiskArray``.  Any ``.charge()`` call outside the
-    sanctioned engine/simulator/cache modules bypasses the buffer pool
-    and silently inflates I/O counts."""
-
-    name = "charge-through-buffer-pool"
-    summary = ("DiskArray.charge outside the sanctioned engine modules "
-               "bypasses the buffer pool")
-    default_scope = ("repro",)
-    default_exempt = (
-        "repro.parallel.engine",
-        "repro.parallel.paged",
-        "repro.parallel.window",
-        "repro.parallel.cache",
-        "repro.parallel.disks",
-    )
-    example_bad = (
-        "def fetch(disks, leaf):\n"
-        "    disks.charge(leaf)          # bypasses the buffer pool\n"
-        "    return leaf.entries"
-    )
-    example_good = (
-        "# Read through the engine: PagedEngine consults its BufferPool\n"
-        "# and charges the DiskArray only on a miss.\n"
-        "points, oids = engine.fetch_page(leaf)"
-    )
-
-    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        """Flag every DiskArray.charge call in non-exempt modules."""
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "charge"
-            ):
-                yield self.finding(
-                    module, node,
-                    "page reads must be charged through the buffer-pool "
-                    "engines (repro.parallel.engine/paged/window) so only "
-                    "cache misses hit the DiskArray",
-                )
-
-
 class NoFloatEq(Rule):
     """Distances are floating point; ``==``/``!=`` on them makes kNN
     tie-breaking and pruning depend on rounding.  Compare squared keys,
@@ -314,47 +475,6 @@ class NoFloatEq(Rule):
                 )
 
 
-class NoPrintOutsideCli(Rule):
-    """Library modules are imported by engines, simulators, and tests;
-    stray ``print`` output corrupts reports and benchmark pipelines.
-    Output belongs to the CLI layer (and ``experiments.report``)."""
-
-    name = "no-print-outside-cli"
-    summary = "print() in a library module; route output through the CLI"
-    default_scope = ("repro",)
-    default_exempt = (
-        "repro.cli",
-        "repro.__main__",
-        "repro.experiments.report",
-        "repro.lint.cli",
-        "repro.lint.__main__",
-        "repro.obs.catalogue",
-    )
-    example_bad = (
-        "def query(self, point, k):\n"
-        '    print(f"visited {self.pages} pages")   # corrupts pipelines'
-    )
-    example_good = (
-        "def query(self, point, k):\n"
-        "    ...\n"
-        "    return QueryResult(neighbors, pages)   # CLI renders it"
-    )
-
-    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        """Flag print() calls in library modules."""
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "print"
-            ):
-                yield self.finding(
-                    module, node,
-                    "library modules must not print; return data and let "
-                    "the CLI (repro.cli) render it",
-                )
-
-
 class NoBroadExcept(Rule):
     """``except Exception`` hides the precise failure modes the
     reproduction scorecard is meant to distinguish; catch the specific
@@ -402,91 +522,6 @@ class NoBroadExcept(Rule):
                         f"failure types instead",
                     )
                     break
-
-
-#: The module holding the scheme registry that ``registry-completeness``
-#: and ``no-unvalidated-scheme-string`` check against.
-REGISTRY_MODULE = "repro.registry"
-#: Class-name suffix identifying a declustering scheme definition.
-SCHEME_SUFFIX = "Declusterer"
-#: Scheme class names that are abstract bases, not registrable.
-ABSTRACT_SCHEMES = ("Declusterer", "BucketDeclusterer")
-
-
-class RegistryCompleteness(Rule):
-    """Every declustering scheme defined in ``core/`` and ``baselines/``
-    must be reachable from the CLI/harness registry
-    (``repro.registry.DECLUSTERERS``), or experiments silently stop
-    covering it."""
-
-    name = "registry-completeness"
-    summary = "declustering scheme not registered in repro.registry"
-    default_scope = ("repro.core", "repro.baselines")
-    example_bad = (
-        "# repro/baselines/shiny.py — never imported by repro.registry\n"
-        "class ShinyDeclusterer(Declusterer): ..."
-    )
-    example_good = (
-        "# repro/registry.py\n"
-        'DECLUSTERERS["shiny"] = ShinyDeclusterer'
-    )
-
-    @staticmethod
-    def _scheme_classes(module: ModuleInfo) -> Iterator[ast.ClassDef]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if node.name.startswith("_") or node.name in ABSTRACT_SCHEMES:
-                continue
-            base_names = [
-                (dotted_name(base) or "").split(".")[-1]
-                for base in node.bases
-            ]
-            if node.name.endswith(SCHEME_SUFFIX) and any(
-                name.endswith(SCHEME_SUFFIX) or name == "ABC"
-                for name in base_names
-            ):
-                yield node
-
-    @staticmethod
-    def _registered_names(registry: ModuleInfo) -> frozenset:
-        names = set()
-        for node in ast.walk(registry.tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                names.update(alias.name for alias in node.names)
-        return frozenset(names)
-
-    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
-        """Cross-check scheme classes against the registry module."""
-        schemes: List[Tuple[ModuleInfo, ast.ClassDef]] = [
-            (module, node)
-            for module in self.in_scope(index)
-            for node in self._scheme_classes(module)
-        ]
-        if not schemes:
-            return
-        registry = index.find_module(REGISTRY_MODULE, schemes[0][0])
-        if registry is None:
-            module, node = schemes[0]
-            yield self.finding(
-                module, node,
-                f"registry module {REGISTRY_MODULE} not found; "
-                f"schemes cannot be checked for CLI/harness reachability",
-            )
-            return
-        registered = self._registered_names(registry)
-        for module, node in schemes:
-            if node.name not in registered:
-                yield self.finding(
-                    module, node,
-                    f"scheme {node.name} is not referenced by "
-                    f"{REGISTRY_MODULE}; register it in DECLUSTERERS "
-                    f"so the CLI and harness can reach it",
-                )
 
 
 #: Module prefixes where ``no-missing-public-docstring`` escalates from
@@ -552,20 +587,11 @@ class NoMissingPublicDocstring(Rule):
             yield found
 
 
-#: Registered rule classes, in reporting order.
-RULES: Tuple[Type[Rule], ...] = (
-    SeededRngOnly,
-    UseCoreBits,
-    ChargeThroughBufferPool,
-    NoFloatEq,
-    NoPrintOutsideCli,
-    NoBroadExcept,
-    RegistryCompleteness,
-    NoMissingPublicDocstring,
+#: The per-module rules, in reporting order.
+RULES: Tuple[Rule, ...] = (
+    *CONFINED_CALLS,
+    UseCoreBits(),
+    NoFloatEq(),
+    NoBroadExcept(),
+    NoMissingPublicDocstring(),
 )
-
-
-def rule_names() -> Tuple[str, ...]:
-    """Names of the per-module rules (excludes the dataflow layer; see
-    ``repro.lint.engine.all_rule_names`` for the complete set)."""
-    return tuple(rule.name for rule in RULES)

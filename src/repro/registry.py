@@ -5,12 +5,12 @@ the paper's figures: ``new``, ``HIL``, ``DM``, ...) to the class
 implementing it.  The CLI's ``schemes`` subcommand lists this table and
 experiments can construct schemes by name via :func:`make_declusterer`.
 
-The ``registry-completeness`` lint rule (``python -m repro.lint``)
-cross-checks this module against every ``*Declusterer`` defined in
-``repro.core`` and ``repro.baselines``: a scheme that never appears here
-is unreachable from the CLI/harness and gets flagged at its class
-definition.  Adding a scheme therefore means adding exactly one entry to
-:data:`DECLUSTERERS` below.
+``tests/test_registry.py`` imports ``repro.core`` and
+``repro.baselines`` and cross-checks every concrete ``Declusterer``
+subclass against this module: a scheme that never appears here is
+unreachable from the CLI/harness and fails that test by name.  Adding a
+scheme therefore means adding exactly one entry to :data:`DECLUSTERERS`
+below.
 """
 
 from __future__ import annotations

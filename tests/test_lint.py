@@ -21,7 +21,6 @@ from repro.lint.engine import UNUSED_SUPPRESSION
 
 REPO_SRC = pathlib.Path(repro.__file__).parent
 REPO_TESTS = pathlib.Path(__file__).parent
-REPO_ROOT = REPO_TESTS.parent
 
 
 def write_snippet(tmp_path, relpath, source):
@@ -147,17 +146,42 @@ class TestChargeThroughBufferPool:
         findings = lint_snippet(
             tmp_path, "src/repro/experiments/fixture.py", self.BAD
         )
-        # The local allowlist rule and the cross-module dataflow upgrade
-        # are complementary; both flag a raw charge outside the engines.
-        assert sorted(rules_of(findings)) == [
-            "charge-through-buffer-pool", "no-uncharged-disk-read",
-        ]
+        assert rules_of(findings) == ["charge-through-buffer-pool"]
 
     def test_engine_modules_are_sanctioned(self, tmp_path):
         findings = lint_snippet(
             tmp_path, "src/repro/parallel/engine.py", self.BAD
         )
         assert "charge-through-buffer-pool" not in rules_of(findings)
+
+    @pytest.mark.parametrize("module", ["paged", "cache"])
+    def test_modules_that_stopped_charging_are_flagged(
+        self, tmp_path, module
+    ):
+        """``paged`` and ``cache`` no longer call ``.charge``, so a
+        charge there is a read that bypasses the pool."""
+        findings = lint_rule(
+            tmp_path, f"src/repro/parallel/{module}.py", self.BAD,
+            "charge-through-buffer-pool",
+        )
+        assert rules_of(findings) == ["charge-through-buffer-pool"]
+
+    def test_explain_example_names_a_real_api(self, capsys):
+        """The good example reads pages through ``engine.query`` and its
+        result's ``pages_per_disk``; both exist."""
+        from dataclasses import fields
+
+        from repro.parallel.engine import ParallelQueryResult
+        from repro.parallel.paged import PagedEngine
+
+        assert main(["--explain", "charge-through-buffer-pool"]) == 0
+        out = capsys.readouterr().out
+        assert "result = engine.query(point, k)" in out
+        assert "pages = result.pages_per_disk" in out
+        assert callable(PagedEngine.query)
+        assert "pages_per_disk" in {
+            field.name for field in fields(ParallelQueryResult)
+        }
 
     def test_tests_are_out_of_scope(self, tmp_path):
         assert lint_snippet(
@@ -239,57 +263,6 @@ class TestNoBroadExcept:
         ) == []
 
 
-SCHEME = """\
-    from repro.core.declustering import BucketDeclusterer
-
-
-    class FancyDeclusterer(BucketDeclusterer):
-        name = "fancy"
-
-        def disk_for_bucket(self, bucket):
-            return 0
-"""
-
-
-class TestRegistryCompleteness:
-    def test_fires_on_unregistered_scheme(self, tmp_path):
-        (tmp_path / "src/repro").mkdir(parents=True)
-        (tmp_path / "src/repro/registry.py").write_text(
-            "DECLUSTERERS = {}\n"
-        )
-        findings = lint_snippet(
-            tmp_path, "src/repro/core/fancy.py", SCHEME
-        )
-        assert rules_of(findings) == ["registry-completeness"]
-        assert "FancyDeclusterer" in findings[0].message
-
-    def test_silent_when_registered(self, tmp_path):
-        (tmp_path / "src/repro").mkdir(parents=True)
-        (tmp_path / "src/repro/registry.py").write_text(textwrap.dedent("""\
-            from repro.core.fancy import FancyDeclusterer
-
-            DECLUSTERERS = {"fancy": FancyDeclusterer}
-        """))
-        assert lint_snippet(tmp_path, "src/repro/core/fancy.py", SCHEME) == []
-
-    def test_finds_registry_on_disk_when_not_linted(self, tmp_path):
-        """Linting a single core file still locates src/repro/registry.py."""
-        (tmp_path / "src/repro").mkdir(parents=True)
-        (tmp_path / "src/repro/registry.py").write_text(
-            "DECLUSTERERS = {}\n"
-        )
-        scheme = tmp_path / "src/repro/core/fancy.py"
-        scheme.parent.mkdir(parents=True)
-        scheme.write_text(textwrap.dedent(SCHEME))
-        findings = run_lint([scheme])
-        assert rules_of(findings) == ["registry-completeness"]
-
-    def test_missing_registry_is_reported(self, tmp_path):
-        findings = lint_snippet(tmp_path, "src/repro/core/fancy.py", SCHEME)
-        assert rules_of(findings) == ["registry-completeness"]
-        assert "not found" in findings[0].message
-
-
 class TestSuppressions:
     def test_same_line_disable_silences_the_rule(self, tmp_path):
         assert lint_snippet(
@@ -355,6 +328,44 @@ class TestSuppressions:
         assert rules_of(findings) == [UNUSED_SUPPRESSION]
         assert "disable=all" in findings[0].message
 
+    RNG_STATE = (
+        "import numpy as np\n"
+        "state = np.random.get_state()  "
+        "# repro-lint: disable=seeded-rng-only\n"
+        "x = 1  # repro-lint: disable=all\n"
+    )
+
+    @pytest.mark.parametrize("select", ["no-float-eq", "concurrency"])
+    def test_select_judges_only_the_rules_that_ran(
+        self, tmp_path, capsys, select
+    ):
+        """A narrowed run cannot tell whether a skipped rule's
+        suppression (or ``disable=all``) still silences something."""
+        write_snippet(tmp_path, "tests/test_fixture.py", self.RNG_STATE)
+        assert main([str(tmp_path), "--select", select]) == 0
+        assert UNUSED_SUPPRESSION not in capsys.readouterr().out
+
+    def test_suppression_of_an_unknown_rule_is_always_unused(
+        self, tmp_path
+    ):
+        write_snippet(
+            tmp_path, "tests/test_fixture.py",
+            "x = 1  # repro-lint: disable=no-such-rule\n",
+        )
+        findings = run_lint([tmp_path], select=frozenset({"no-float-eq"}))
+        assert rules_of(findings) == [UNUSED_SUPPRESSION]
+        assert "no-such-rule" in findings[0].message
+
+    def test_select_still_judges_the_selected_rule(self, tmp_path):
+        write_snippet(
+            tmp_path, "tests/test_fixture.py",
+            "x = 1  # repro-lint: disable=seeded-rng-only\n",
+        )
+        findings = run_lint(
+            [tmp_path], select=frozenset({"seeded-rng-only"})
+        )
+        assert rules_of(findings) == [UNUSED_SUPPRESSION]
+
 
 ENGINE_WITH_SMUGGLED_READ = """\
     class SneakyEngine:
@@ -369,50 +380,6 @@ ENGINE_WITH_SMUGGLED_READ = """\
             self.disks.charge(0, 3)
             return q
 """
-
-
-class TestNoUnchargedDiskRead:
-    RULE = "no-uncharged-disk-read"
-
-    def test_fires_inside_engine_module_with_call_chain(self, tmp_path):
-        """Even the sanctioned engine modules must flow through the pool,
-        and the finding names the entry point that reaches the read."""
-        findings = lint_rule(
-            tmp_path, "src/repro/parallel/helper.py",
-            ENGINE_WITH_SMUGGLED_READ, self.RULE,
-        )
-        assert rules_of(findings) == [self.RULE]
-        assert "_fetch" in findings[0].message
-        assert "reached from" in findings[0].message
-        assert "SneakyEngine.query" in findings[0].message
-
-    def test_silent_when_charge_follows_pool_access(self, tmp_path):
-        assert lint_rule(
-            tmp_path, "src/repro/parallel/helper.py", """\
-            class Engine:
-                def query(self, q, node):
-                    if not self.cache.access(0, id(node), 2):
-                        self.disks.charge(0, 2)
-            """, self.RULE,
-        ) == []
-
-    def test_silent_under_cache_is_none_guard(self, tmp_path):
-        assert lint_rule(
-            tmp_path, "src/repro/parallel/helper.py", """\
-            class Engine:
-                def query(self, q):
-                    if self.cache is None:
-                        self.disks.charge(0, 2)
-            """, self.RULE,
-        ) == []
-
-    def test_window_module_is_exempt(self, tmp_path):
-        assert lint_rule(
-            tmp_path, "src/repro/parallel/window.py", """\
-            def parallel_window_query(disks):
-                disks.charge(0, 1)
-            """, self.RULE,
-        ) == []
 
 
 class TestTracerGuardRequired:
@@ -476,65 +443,6 @@ class TestTracerGuardRequired:
                 tracer.page_read(0, disk, 1)
             """, self.RULE,
         ) == []
-
-
-CATALOGUE_FIXTURE = """\
-    METRIC_CATALOGUE = (
-        MetricSpec("queries_total", "counter", "queries", "m", "d"),
-        MetricSpec("stream_latency_ms", "histogram", "ms", "m", "d"),
-    )
-"""
-
-
-class TestMetricInCatalogue:
-    RULE = "metric-in-catalogue"
-
-    def _with_catalogue(self, tmp_path):
-        write_snippet(
-            tmp_path, "src/repro/obs/metrics.py", CATALOGUE_FIXTURE
-        )
-
-    def test_fires_on_undeclared_metric(self, tmp_path):
-        self._with_catalogue(tmp_path)
-        findings = lint_rule(
-            tmp_path, "src/repro/experiments/helper.py", """\
-            def publish(registry):
-                registry.counter("bogus_metric").inc()
-            """, self.RULE,
-        )
-        assert rules_of(findings) == [self.RULE]
-        assert "bogus_metric" in findings[0].message
-
-    def test_fires_on_kind_mismatch(self, tmp_path):
-        self._with_catalogue(tmp_path)
-        findings = lint_rule(
-            tmp_path, "src/repro/experiments/helper.py", """\
-            def publish(registry):
-                registry.histogram("queries_total").record(1.0)
-            """, self.RULE,
-        )
-        assert rules_of(findings) == [self.RULE]
-        assert "'counter'" in findings[0].message
-
-    def test_silent_on_declared_metric(self, tmp_path):
-        self._with_catalogue(tmp_path)
-        assert lint_rule(
-            tmp_path, "src/repro/experiments/helper.py", """\
-            def publish(registry):
-                registry.counter("queries_total").inc()
-                registry.histogram("stream_latency_ms").record(2.0)
-            """, self.RULE,
-        ) == []
-
-    def test_missing_catalogue_module_is_reported(self, tmp_path):
-        findings = lint_rule(
-            tmp_path, "src/repro/experiments/helper.py", """\
-            def publish(registry):
-                registry.counter("queries_total").inc()
-            """, self.RULE,
-        )
-        assert rules_of(findings) == [self.RULE]
-        assert "not found" in findings[0].message
 
 
 class TestNoUnvalidatedSchemeString:
@@ -619,7 +527,7 @@ class TestSarifOutput:
         assert run["tool"]["driver"]["name"] == "repro.lint"
         rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
         assert "no-print-outside-cli" in rule_ids
-        assert "no-uncharged-disk-read" in rule_ids
+        assert "tracer-guard-required" in rule_ids
         (result,) = [
             r for r in run["results"]
             if r["ruleId"] == "no-print-outside-cli"
@@ -642,67 +550,17 @@ class TestSarifOutput:
         assert result["level"] == "warning"
 
 
-class TestBaselineWorkflow:
-    def test_update_then_green(self, tmp_path, capsys):
-        """A baselined tree exits 0 even though findings exist."""
-        write_snippet(
-            tmp_path, "src/repro/data/fixture.py", 'print("x")\n'
-        )
-        baseline = tmp_path / "baseline.json"
-        assert main(
-            [str(tmp_path), f"--update-baseline={baseline}"]
-        ) == 0
-        payload = json.loads(baseline.read_text())
-        assert payload["schema"] == "repro.lint-baseline/v1"
-        assert payload["findings"][0]["rule"] == "no-print-outside-cli"
-        capsys.readouterr()
-        assert main([str(tmp_path), f"--baseline={baseline}"]) == 0
-        assert "0 findings" in capsys.readouterr().out
-
-    def test_new_violation_turns_red(self, tmp_path, capsys):
-        """Only findings absent from the baseline fail the run."""
-        write_snippet(
-            tmp_path, "src/repro/data/fixture.py", 'print("x")\n'
-        )
-        baseline = tmp_path / "baseline.json"
-        main([str(tmp_path), f"--update-baseline={baseline}"])
-        write_snippet(
-            tmp_path, "src/repro/data/other.py", "import random\n"
-            "x = random.random()\n",
-        )
-        capsys.readouterr()
-        assert main([str(tmp_path), f"--baseline={baseline}"]) == 1
-        out = capsys.readouterr().out
-        assert "seeded-rng-only" in out
-        assert "no-print-outside-cli" not in out
-
-    def test_injected_uncharged_read_fires_against_repo_baseline(
-        self, tmp_path, capsys
-    ):
+class TestInjectedBugs:
+    def test_injected_uncharged_read_fails_the_run(self, tmp_path, capsys):
         """Acceptance meta-test: an uncharged DiskArray read injected
-        into a fixture engine turns the committed-baseline run red with
-        ``no-uncharged-disk-read``."""
+        into a fixture engine outside the charging modules fails the
+        run with ``charge-through-buffer-pool``."""
         write_snippet(
             tmp_path, "src/repro/parallel/injected.py",
             ENGINE_WITH_SMUGGLED_READ,
         )
-        committed = REPO_ROOT / "lint-baseline.json"
-        assert main(
-            [str(tmp_path), f"--baseline={committed}"]
-        ) == 1
-        assert "no-uncharged-disk-read" in capsys.readouterr().out
-
-    def test_corrupt_baseline_is_a_usage_error(self, tmp_path, capsys):
-        write_snippet(tmp_path, "src/repro/data/fixture.py", "x = 1\n")
-        bad = tmp_path / "baseline.json"
-        bad.write_text("{notjson")
-        assert main([str(tmp_path), f"--baseline={bad}"]) == 2
-
-    def test_committed_baseline_declares_schema(self):
-        payload = json.loads(
-            (REPO_ROOT / "lint-baseline.json").read_text()
-        )
-        assert payload["schema"] == "repro.lint-baseline/v1"
+        assert main([str(tmp_path)]) == 1
+        assert "charge-through-buffer-pool" in capsys.readouterr().out
 
 
 class TestEngineAndCli:
@@ -774,40 +632,12 @@ class TestEngineAndCli:
             "no-float-eq",
             "no-print-outside-cli",
             "no-broad-except",
-            "registry-completeness",
         ):
             assert rule in out
 
 
 @pytest.mark.parametrize("tree", [REPO_SRC, REPO_TESTS])
 def test_live_tree_is_lint_clean(tree):
-    """The shipped repository must uphold its own invariants.
-
-    Mirrors CI's ``--baseline lint-baseline.json`` invocation: the
-    committed baseline's grandfathered findings (none today) are
-    subtracted, and anything new fails.
-    """
-    import dataclasses
-
-    from repro.lint import load_baseline, subtract_baseline
-
+    """The shipped repository must uphold its own invariants."""
     findings = run_lint([tree])
-    # Baseline fingerprints use repo-relative paths (the CLI runs from
-    # the repo root); relativize before subtracting.
-    findings = [
-        dataclasses.replace(
-            finding,
-            path=str(
-                pathlib.Path(finding.path).relative_to(REPO_ROOT)
-            )
-            if pathlib.Path(finding.path).is_absolute()
-            else finding.path,
-        )
-        for finding in findings
-    ]
-    baseline_file = REPO_ROOT / "lint-baseline.json"
-    if baseline_file.exists():
-        findings = subtract_baseline(
-            findings, load_baseline(baseline_file)
-        )
     assert findings == [], "\n".join(f.format() for f in findings)

@@ -6,7 +6,7 @@ silent), written into tmp trees mirroring the real ``src/repro`` layout
 so the default scopes apply.  The acceptance meta-tests inject the
 headline bugs — a leaked ``PageFile``, an unlocked shared-memory write
 in spawned-worker code, the live worker's ring deposit outside its bank
-lock — and prove the committed-baseline CLI run turns red.
+lock — and prove the CLI run fails.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.lint.engine import ALL_RULES
 from repro.lint.lifetime import LIFETIME_RULES
 
 REPO_SRC = pathlib.Path(repro.__file__).parent
-REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 LIFETIME_RULE_NAMES = tuple(rule.name for rule in LIFETIME_RULES)
 
@@ -199,54 +198,6 @@ class TestResourceLeak:
         ), [f.message for f in findings]
 
 
-class TestUseAfterClose:
-    BAD = """\
-        from repro.storage.pagefile import PageFile
-
-
-        def peek(path):
-            page = PageFile(path)
-            page.close()
-            return page.read_slot(0)
-    """
-    GOOD_REOPENED = """\
-        from repro.storage.pagefile import PageFile
-
-
-        def peek(path):
-            page = PageFile(path)
-            page.close()
-            page = PageFile(path)
-            return page.read_slot(0)
-    """
-    GOOD_JOIN_AFTER_CLOSE = """\
-        def drain(queue):
-            queue.close()
-            queue.join_thread()
-    """
-
-    def test_fires_on_read_after_close(self, tmp_path):
-        findings = lint_rule(
-            tmp_path, "src/repro/storage/fixture.py", self.BAD,
-            "use-after-close",
-        )
-        assert rules_of(findings) == ["use-after-close"]
-        assert "read_slot" in findings[0].message
-        assert findings[0].line == 7  # anchored at the use
-
-    def test_rebinding_resets_the_tracking(self, tmp_path):
-        assert lint_rule(
-            tmp_path, "src/repro/storage/fixture.py",
-            self.GOOD_REOPENED, "use-after-close",
-        ) == []
-
-    def test_teardown_methods_allowed_after_close(self, tmp_path):
-        assert lint_rule(
-            tmp_path, "src/repro/storage/fixture.py",
-            self.GOOD_JOIN_AFTER_CLOSE, "use-after-close",
-        ) == []
-
-
 class TestSharedStateWithoutLock:
     BAD_SPAWNED = """\
         import multiprocessing as mp
@@ -374,75 +325,6 @@ class TestSharedStateWithoutLock:
         ) == []
 
 
-class TestSpawnUnsafeCapture:
-    BAD_PROCESS_ARGS = """\
-        import multiprocessing as mp
-
-        from repro.storage.mmap_store import MmapStore
-
-
-        def launch(directory, worker):
-            ctx = mp.get_context("spawn")
-            store = MmapStore(directory)
-            try:
-                proc = ctx.Process(target=worker, args=(store,))
-                proc.start()
-                return proc
-            finally:
-                store.close()
-    """
-    BAD_QUEUE_PUT = """\
-        import multiprocessing as mp
-
-        from repro.storage.pagefile import PageFile
-
-
-        def enqueue(path):
-            ctx = mp.get_context("spawn")
-            tasks = ctx.Queue()
-            page = PageFile(path)
-            tasks.put((0, page))
-            page.close()
-            return tasks
-    """
-    GOOD_PATH_PASSED = """\
-        import multiprocessing as mp
-
-
-        def launch(directory, worker):
-            ctx = mp.get_context("spawn")
-            proc = ctx.Process(target=worker, args=(directory, 0))
-            proc.start()
-            return proc
-    """
-
-    def test_fires_on_handle_in_process_args(self, tmp_path):
-        findings = lint_rule(
-            tmp_path, "src/repro/parallel/fixture.py",
-            self.BAD_PROCESS_ARGS, "spawn-unsafe-capture",
-        )
-        assert rules_of(findings) == ["spawn-unsafe-capture"]
-        message = findings[0].message
-        assert "store" in message
-        assert "MmapStore" in message
-
-    def test_fires_on_handle_put_to_task_queue(self, tmp_path):
-        """tasks.put of a live handle pickles it to the worker even
-        though no Process(...) call is in sight."""
-        findings = lint_rule(
-            tmp_path, "src/repro/parallel/fixture.py",
-            self.BAD_QUEUE_PUT, "spawn-unsafe-capture",
-        )
-        assert rules_of(findings) == ["spawn-unsafe-capture"]
-        assert "page" in findings[0].message
-
-    def test_path_passing_is_silent(self, tmp_path):
-        assert lint_rule(
-            tmp_path, "src/repro/parallel/fixture.py",
-            self.GOOD_PATH_PASSED, "spawn-unsafe-capture",
-        ) == []
-
-
 class TestCtxRequired:
     BAD = """\
         import multiprocessing
@@ -528,28 +410,6 @@ class TestSuppressionAndReporting:
         )
         assert "reproLintFingerprint/v1" in result["partialFingerprints"]
 
-    def test_baseline_gates_lifetime_findings(self, tmp_path, capsys):
-        write_snippet(
-            tmp_path, "src/repro/storage/fixture.py",
-            self.LEAKY.format(suffix=""),
-        )
-        baseline = tmp_path / "baseline.json"
-        assert main([str(tmp_path), f"--update-baseline={baseline}"]) == 0
-        capsys.readouterr()
-        assert main([str(tmp_path), f"--baseline={baseline}"]) == 0
-        write_snippet(
-            tmp_path, "src/repro/storage/other.py", """\
-            import multiprocessing
-
-
-            def build():
-                return multiprocessing.Queue()
-            """,
-        )
-        capsys.readouterr()
-        assert main([str(tmp_path), f"--baseline={baseline}"]) == 1
-        assert "ctx-required" in capsys.readouterr().out
-
     def test_select_group_expands(self, tmp_path, capsys):
         assert set(RULE_GROUPS["lifetime"]) == set(LIFETIME_RULE_NAMES)
         write_snippet(
@@ -582,7 +442,7 @@ class TestExplain:
         """One representative per group renders with examples."""
         for name, group in (
             ("seeded-rng-only", "core"),
-            ("no-uncharged-disk-read", "dataflow"),
+            ("tracer-guard-required", "dataflow"),
             ("async-atomicity-violation", "concurrency"),
             ("shared-state-without-lock", "lifetime"),
         ):
@@ -636,32 +496,29 @@ INJECTED_UNLOCKED_SHARED_WRITE = """\
 
 
 class TestAcceptanceMetaTests:
-    """ISSUE acceptance: each headline rule catches a deliberately
-    injected bug against the *committed* baseline — proving the live
-    gate would block these regressions."""
+    """Each headline rule catches a deliberately injected bug: the run
+    fails, so the CI gate would block the regression."""
 
-    def test_injected_pagefile_leak_turns_committed_baseline_red(
+    def test_injected_pagefile_leak_fails_the_run(
         self, tmp_path, capsys
     ):
         write_snippet(
             tmp_path, "src/repro/storage/bug.py", INJECTED_PAGEFILE_LEAK,
         )
-        committed = REPO_ROOT / "lint-baseline.json"
-        assert main([str(tmp_path), f"--baseline={committed}"]) == 1
+        assert main([str(tmp_path)]) == 1
         assert "resource-leak" in capsys.readouterr().out
 
-    def test_injected_unlocked_shared_write_turns_baseline_red(
+    def test_injected_unlocked_shared_write_fails_the_run(
         self, tmp_path, capsys
     ):
         write_snippet(
             tmp_path, "src/repro/parallel/bug.py",
             INJECTED_UNLOCKED_SHARED_WRITE,
         )
-        committed = REPO_ROOT / "lint-baseline.json"
-        assert main([str(tmp_path), f"--baseline={committed}"]) == 1
+        assert main([str(tmp_path)]) == 1
         assert "shared-state-without-lock" in capsys.readouterr().out
 
-    def test_ring_deposit_outside_bank_lock_turns_baseline_red(
+    def test_ring_deposit_outside_bank_lock_fails_the_run(
         self, tmp_path, capsys
     ):
         """The rule covers the query ring's arrays: the live worker
@@ -674,63 +531,18 @@ class TestAcceptanceMetaTests:
             tmp_path, "src/repro/parallel/process.py",
             source.replace(locked, locked.replace("with lock", "if lock")),
         )
-        committed = REPO_ROOT / "lint-baseline.json"
-        assert main([str(tmp_path), f"--baseline={committed}"]) == 1
+        assert main([str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert out.count("shared-state-without-lock") == 3
         for shared in ("'arena'", "'ledgers'", "'tallies_view'"):
             assert shared in out
 
 
-class TestBaselineFreshnessSelect:
-    """``--select`` narrows the ``--baseline`` stale-entry audit."""
-
-    def test_select_audits_only_matching_entries(self, tmp_path, capsys):
-        write_snippet(
-            tmp_path, "src/repro/storage/a.py",
-            TestSuppressionAndReporting.LEAKY.format(suffix=""),
-        )
-        write_snippet(
-            tmp_path, "src/repro/storage/b.py", 'print("hi")\n'
-        )
-        baseline = tmp_path / "baseline.json"
-        assert main([str(tmp_path), f"--update-baseline={baseline}"]) == 0
-        capsys.readouterr()
-        # Fix only the no-print finding: the full audit reports its
-        # entry as stale, the lifetime-narrowed audit skips it.
-        write_snippet(tmp_path, "src/repro/storage/b.py", "x = 1\n")
-        assert main([str(tmp_path), f"--baseline={baseline}"]) == 1
-        assert "no-print" in capsys.readouterr().err
-        assert main(
-            [str(tmp_path), f"--baseline={baseline}", "--select", "lifetime"]
-        ) == 0
-        assert "stale" not in capsys.readouterr().err
-
-    def test_unknown_select_is_usage_error(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {"schema": "repro.lint-baseline/v1", "findings": []}
-            )
-        )
-        assert main(
-            [str(tmp_path), f"--baseline={baseline}", "--select", "nope"]
-        ) == 2
-        assert "names no known rule" in capsys.readouterr().err
-
-
 def test_live_tree_is_clean_under_lifetime_rules():
     """The shipped tree — storage, parallel workers, serving layer —
-    carries zero lifetime findings (none even baselined)."""
+    carries zero lifetime findings."""
     findings = run_lint(
         [REPO_SRC],
         select=frozenset(LIFETIME_RULE_NAMES),
     )
     assert findings == [], "\n".join(f.format() for f in findings)
-
-
-def test_committed_baseline_has_no_lifetime_entries():
-    """The new rules gate the live tree directly, not via baseline."""
-    payload = json.loads((REPO_ROOT / "lint-baseline.json").read_text())
-    recorded = {entry["rule"] for entry in payload["findings"]}
-    assert recorded.isdisjoint(LIFETIME_RULE_NAMES)

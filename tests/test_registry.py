@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
+import repro.baselines
+import repro.core
 from repro.core.declustering import BucketDeclusterer, Declusterer
 from repro.registry import (
     DECLUSTERERS,
@@ -25,7 +31,35 @@ BUCKET_CASES = [
 ]
 
 
+def _all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _all_subclasses(sub)
+
+
 class TestRegistry:
+    def test_every_scheme_class_is_registered(self):
+        """Every concrete ``Declusterer`` defined in ``repro.core`` or
+        ``repro.baselines`` is in ``DECLUSTERERS``; an unregistered
+        scheme is unreachable from the CLI and the harness, so the
+        experiments would silently stop covering it."""
+        packages = (repro.core, repro.baselines)
+        for package in packages:
+            for info in pkgutil.walk_packages(
+                package.__path__, package.__name__ + "."
+            ):
+                importlib.import_module(info.name)
+        schemes = {
+            cls for cls in _all_subclasses(Declusterer)
+            if cls.__module__.startswith(
+                tuple(package.__name__ + "." for package in packages)
+            )
+            and not inspect.isabstract(cls)
+        }
+        assert schemes
+        unregistered = schemes - set(DECLUSTERERS.values())
+        assert not unregistered, sorted(cls.__name__ for cls in unregistered)
+
     def test_every_figure_label_is_registered(self):
         assert {"new", "new+rec", "RR", "DM", "FX", "HIL"} <= set(
             available_schemes()
