@@ -58,7 +58,6 @@ from repro.index import (
 )
 from repro.parallel import (
     BufferPool,
-    CacheConfig,
     CacheStats,
     LRUCache,
     DeclusteredStore,
@@ -117,7 +116,6 @@ __all__ = [
     "observe",
     "BucketDeclusterer",
     "BufferPool",
-    "CacheConfig",
     "CacheStats",
     "LRUCache",
     "Declusterer",

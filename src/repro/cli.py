@@ -234,7 +234,7 @@ def _make_paged_engine(args, store, tracer):
     if args.engine == "process":
         from repro.parallel.process import ProcessParallelEngine
 
-        if args.cache_pages:
+        if args.cache_pages is not None:
             raise ValueError(
                 "--engine process is cacheless (the OS page cache "
                 "serves warm mmap reads); drop --cache-pages"

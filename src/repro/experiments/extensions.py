@@ -37,6 +37,7 @@ from repro.core.optimal import greedy_coloring_colors
 from repro.core.vertex_coloring import color_lower_bound
 from repro.data import fourier_points, query_workload, uniform_points
 from repro.experiments.harness import ResultTable
+from repro.index.bulk import bulk_load
 from repro.parallel.events import (
     EventDrivenSimulator,
     QueryArrival,
@@ -81,9 +82,7 @@ def run_ext_throughput(
     batch = max(6, int(batch * scale))
     points = fourier_points(num_points, dimension, seed=seed)
     queries = query_workload(points, batch, seed=seed + 1, jitter=0.05)
-    from repro.parallel.engine import SequentialEngine
-
-    tree = SequentialEngine(points).tree
+    tree = bulk_load(points)
     table = ResultTable(
         f"Extension: throughput under {batch} concurrent 10-NN queries "
         f"(Fourier d={dimension}, {num_disks} disks)",
@@ -302,13 +301,11 @@ def run_ext_saturation(
     the offered load approaches disk capacity.  A well-declustered store
     saturates later: the busiest disk caps the sustainable rate.
     """
-    from repro.parallel.engine import SequentialEngine
-
     num_points = max(6000, int(60000 * scale))
     batch = max(10, int(30 * scale))
     points = fourier_points(num_points, dimension, seed=seed)
     queries = query_workload(points, batch, seed=seed + 1, jitter=0.05)
-    tree = SequentialEngine(points).tree
+    tree = bulk_load(points)
     table = ResultTable(
         f"Extension: latency vs offered load (Fourier d={dimension}, "
         f"{num_disks} disks, 10-NN, Poisson arrivals)",

@@ -36,6 +36,7 @@ from repro.experiments.harness import (
     paged_costs,
     sequential_costs,
 )
+from repro.index.bulk import bulk_load
 from repro.parallel.engine import SequentialEngine
 from repro.parallel.paged import PagedStore
 from repro.parallel.store import DeclusteredStore
@@ -120,7 +121,7 @@ def run_fig03_hilbert_vs_round_robin(
     )
     points = uniform_points(num_points, dimension, seed=seed)
     queries = uniform_points(num_queries, dimension, seed=seed + 1)
-    tree = SequentialEngine(points).tree
+    tree = bulk_load(points)
     for num_disks in disks:
         hil = paged_costs(
             PagedStore(
@@ -148,7 +149,7 @@ def run_fig03_hilbert_vs_round_robin(
         amount = max(2000, int(amount * scale))
         points = uniform_points(amount, dimension, seed=seed + amount)
         queries = uniform_points(num_queries, dimension, seed=seed + 1)
-        tree = SequentialEngine(points).tree
+        tree = bulk_load(points)
         num_disks = max(disks)
         hil = paged_costs(
             PagedStore(
@@ -366,7 +367,7 @@ def run_fig16_recursive_declustering(
         family_spread=0.05,
     )
     queries = query_workload(points, num_queries, seed=seed + 1, jitter=0.05)
-    tree = SequentialEngine(points).tree
+    tree = bulk_load(points)
     plain = NearOptimalDeclusterer(dimension, num_disks)
     recursive = RecursiveDeclusterer(
         dimension,
@@ -417,7 +418,7 @@ def run_fig17_text_data(
     num_queries = max(5, int(14 * scale))
     points = text_descriptors(num_points, dimension, seed=seed)
     queries = query_workload(points, num_queries, seed=seed + 1, jitter=0.03)
-    tree = SequentialEngine(points).tree
+    tree = bulk_load(points)
     table = ResultTable(
         f"Figure 17: total search time on text descriptors (d={dimension}, "
         f"{num_disks} disks)",

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from repro.parallel.cache import (
     BufferPool,
-    CacheConfig,
     CacheStats,
     LRUCache,
 )
@@ -39,7 +38,6 @@ from repro.parallel.window import (
 
 __all__ = [
     "BufferPool",
-    "CacheConfig",
     "CacheStats",
     "LRUCache",
     "DeclusteredStore",

@@ -7,13 +7,10 @@ but a service answering a *stream* of queries keeps its hot directory and
 data pages in a buffer pool, and only cache **misses** cost a disk access.
 This module provides that layer:
 
-* :class:`CacheConfig` — declarative cache description (capacity in pages
-  or bytes, shared or per-disk policy) that stores and persistence can
-  carry around;
 * :class:`LRUCache` — a weighted least-recently-used cache over opaque
   page keys (supernodes weigh ``blocks`` pages);
-* :class:`BufferPool` — ``num_disks`` front-ends over one shared or
-  ``num_disks`` private LRUs, with per-disk hit/miss accounting;
+* :class:`BufferPool` — one LRU shared by ``num_disks`` disks, with
+  per-disk hit/miss accounting;
 * :class:`CacheStats` — counters exposed on the engine result dataclasses.
 
 A capacity of ``0`` disables caching: every access is a miss and the
@@ -25,55 +22,16 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Optional, Union
+from typing import Hashable, Iterable, Optional
 
 import numpy as np
 
 __all__ = [
-    "CacheConfig",
     "CacheStats",
     "LRUCache",
     "BufferPool",
-    "as_buffer_pool",
     "merge_cache_stats",
 ]
-
-_POLICIES = ("shared", "per_disk")
-
-
-@dataclass(frozen=True)
-class CacheConfig:
-    """Declarative buffer-pool description.
-
-    ``capacity_pages`` is the pool size in pages; ``capacity_bytes``, when
-    given, overrides it (converted with the store's page size).  With
-    ``policy="shared"`` all disks share one pool of that capacity; with
-    ``"per_disk"`` every disk gets a private pool of that capacity.
-    """
-
-    capacity_pages: int = 0
-    capacity_bytes: Optional[int] = None
-    policy: str = "shared"
-
-    def __post_init__(self):
-        if self.capacity_pages < 0:
-            raise ValueError(
-                f"capacity_pages must be >= 0, got {self.capacity_pages}"
-            )
-        if self.capacity_bytes is not None and self.capacity_bytes < 0:
-            raise ValueError(
-                f"capacity_bytes must be >= 0, got {self.capacity_bytes}"
-            )
-        if self.policy not in _POLICIES:
-            raise ValueError(
-                f"policy must be one of {_POLICIES}, got {self.policy!r}"
-            )
-
-    def resolve_pages(self, page_bytes: int) -> int:
-        """Pool capacity in pages for the given page size."""
-        if self.capacity_bytes is not None:
-            return self.capacity_bytes // page_bytes
-        return self.capacity_pages
 
 
 @dataclass
@@ -176,61 +134,37 @@ class LRUCache:
 
 
 class BufferPool:
-    """Per-disk page-cache front of a simulated disk array.
+    """Page-cache front of a simulated disk array.
 
-    With the ``"shared"`` policy all disks draw from one LRU of
-    ``capacity`` pages (keys are namespaced by disk, so the same tree node
-    stored on two disks would occupy two slots); with ``"per_disk"`` each
-    disk owns a private LRU of ``capacity`` pages.
+    All disks draw from one LRU of ``capacity_pages`` pages; keys are
+    namespaced by disk, so the same tree node stored on two disks would
+    occupy two slots.  Hits and misses are counted per disk.
     """
 
-    def __init__(
-        self,
-        num_disks: int,
-        config: CacheConfig,
-        page_bytes: int = 4096,
-    ):
+    def __init__(self, num_disks: int, capacity_pages: int):
         if num_disks < 1:
             raise ValueError(f"num_disks must be >= 1, got {num_disks}")
         self.num_disks = num_disks
-        self.config = config
-        self.capacity_pages = config.resolve_pages(page_bytes)
-        if config.policy == "per_disk":
-            self._caches = [
-                LRUCache(self.capacity_pages) for _ in range(num_disks)
-            ]
-        else:
-            shared = LRUCache(self.capacity_pages)
-            self._caches = [shared] * num_disks
+        self.capacity_pages = int(capacity_pages)
+        self._lru = LRUCache(self.capacity_pages)
         self._hits_per_disk = np.zeros(num_disks, dtype=np.int64)
         self._misses_per_disk = np.zeros(num_disks, dtype=np.int64)
-
-    @property
-    def enabled(self) -> bool:
-        """True when the pool can hold at least one page."""
-        return self.capacity_pages > 0
 
     def access(self, disk: int, key: Hashable, pages: int = 1) -> bool:
         """Request a page; True means served from RAM (no disk charge)."""
         if not 0 <= disk < self.num_disks:
             raise ValueError(f"disk {disk} outside [0, {self.num_disks})")
-        hit = self._caches[disk].access((disk, key), pages)
+        hit = self._lru.access((disk, key), pages)
         if hit:
             self._hits_per_disk[disk] += 1
         else:
             self._misses_per_disk[disk] += 1
         return hit
 
-    def _distinct_caches(self):
-        seen = {}
-        for cache in self._caches:
-            seen[id(cache)] = cache
-        return seen.values()
-
     @property
     def evictions(self) -> int:
-        """Pages evicted across all (distinct) per-disk caches."""
-        return sum(cache.evictions for cache in self._distinct_caches())
+        """Pages evicted from the pool."""
+        return self._lru.evictions
 
     def stats(self) -> CacheStats:
         """Cumulative counters since construction (or the last reset)."""
@@ -255,16 +189,14 @@ class BufferPool:
 
     def reset(self) -> None:
         """Cold-start the pool: drop contents, zero every counter."""
-        for cache in self._distinct_caches():
-            cache.reset()
+        self._lru.reset()
         self._hits_per_disk[:] = 0
         self._misses_per_disk[:] = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"BufferPool(num_disks={self.num_disks}, "
-            f"capacity_pages={self.capacity_pages}, "
-            f"policy={self.config.policy!r})"
+            f"capacity_pages={self.capacity_pages})"
         )
 
 
@@ -294,24 +226,3 @@ def merge_cache_stats(
             merged.misses_per_disk + delta.misses_per_disk
         )
     return merged
-
-
-def as_buffer_pool(
-    cache: Union[None, int, CacheConfig, BufferPool],
-    num_disks: int,
-    page_bytes: int,
-) -> Optional[BufferPool]:
-    """Normalize the engines' ``cache`` argument.
-
-    Accepts ``None`` (no pool at all), a page count, a
-    :class:`CacheConfig`, or a prebuilt :class:`BufferPool` (shared across
-    engines).  An explicit capacity of 0 builds a disabled pool, which
-    still counts misses but never serves a hit.
-    """
-    if cache is None or isinstance(cache, BufferPool):
-        return cache
-    if isinstance(cache, CacheConfig):
-        return BufferPool(num_disks, cache, page_bytes)
-    return BufferPool(
-        num_disks, CacheConfig(capacity_pages=int(cache)), page_bytes
-    )

@@ -32,11 +32,11 @@ charge site** (buffer pool → ``cache_hit`` | ``cache_miss`` →
 :class:`SequentialEngine` provides the single-disk baseline used for
 speed-up numbers.
 
-The engines accept a ``cache`` (page count, :class:`CacheConfig`, or a
-prebuilt :class:`BufferPool`): hot pages are then served from the pool —
-which persists across queries — and only misses are charged to the disks.
-With no cache (or capacity 0) the cold page counts of the paper's
-measurement are reproduced exactly.
+The engines accept a ``cache`` page count: hot pages are then served from
+a :class:`~repro.parallel.cache.BufferPool` of that many pages — which
+persists across queries — and only misses are charged to the disks.  With
+no cache (or capacity 0) the cold page counts of the paper's measurement
+are reproduced exactly.
 
 They are instrumented for :mod:`repro.obs`: pass a ``tracer`` (or wrap
 the run in :func:`repro.obs.observe`) to receive ``query_start`` /
@@ -50,7 +50,7 @@ counter untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Type, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -61,13 +61,7 @@ from repro.index.xtree import XTree
 from repro.index.bulk import bulk_load
 from repro.obs.context import current_tracer
 from repro.obs.tracer import Tracer
-from repro.parallel.cache import (
-    BufferPool,
-    CacheConfig,
-    CacheStats,
-    as_buffer_pool,
-    merge_cache_stats,
-)
+from repro.parallel.cache import BufferPool, CacheStats, merge_cache_stats
 from repro.parallel.disks import DiskArray, DiskParameters
 from repro.parallel.store import DeclusteredStore
 
@@ -78,9 +72,6 @@ __all__ = [
     "SequentialQueryResult",
     "SequentialEngine",
 ]
-
-#: What the engines accept as their ``cache`` argument.
-CacheSpec = Union[None, int, CacheConfig, BufferPool]
 
 
 @dataclass
@@ -235,13 +226,14 @@ class _BestFirstEngine:
         dimension: int,
         page_bytes: int,
         parameters: Optional[DiskParameters],
-        cache: CacheSpec,
+        cache: Optional[int],
         tracer: Optional[Tracer],
     ):
         self.num_disks = num_disks
         self.dimension = dimension
         self.parameters = parameters or DiskParameters(page_bytes=page_bytes)
-        self.cache = as_buffer_pool(cache, num_disks, page_bytes)
+        # Capacity 0 still builds a pool: it counts misses, never hits.
+        self.cache = None if cache is None else BufferPool(num_disks, cache)
         self.tracer = tracer
 
     def reset_cache(self) -> None:
@@ -400,9 +392,9 @@ class ParallelEngine(_BestFirstEngine):
     setting where each workstation caches the small directory in main
     memory.
 
-    ``cache`` attaches a buffer pool (see :mod:`repro.parallel.cache`)
-    that persists across queries on this engine; use
-    :meth:`reset_cache` to cold-start it.
+    ``cache`` attaches a buffer pool of that many pages (see
+    :mod:`repro.parallel.cache`) that persists across queries on this
+    engine; use :meth:`reset_cache` to cold-start it.
 
     ``tracer`` attaches an observability tracer (see :mod:`repro.obs`);
     when omitted, the ambient :func:`repro.obs.observe` tracer — if any —
@@ -415,7 +407,7 @@ class ParallelEngine(_BestFirstEngine):
         self,
         store: DeclusteredStore,
         parameters: Optional[DiskParameters] = None,
-        cache: CacheSpec = None,
+        cache: Optional[int] = None,
         tracer: Optional[Tracer] = None,
     ):
         super().__init__(
@@ -490,7 +482,7 @@ class SequentialEngine(_BestFirstEngine):
         page_bytes: int = DEFAULT_PAGE_BYTES,
         parameters: Optional[DiskParameters] = None,
         tree: Optional[RStarTree] = None,
-        cache: CacheSpec = None,
+        cache: Optional[int] = None,
         tracer: Optional[Tracer] = None,
     ):
         if tree is not None:

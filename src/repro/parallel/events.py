@@ -31,7 +31,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.parallel.cache import BufferPool, CacheStats
 from repro.parallel.disks import DiskParameters
-from repro.parallel.engine import CacheSpec, ParallelQueryResult
+from repro.parallel.engine import ParallelQueryResult
 from repro.parallel.paged import PagedEngine, PagedStore
 
 __all__ = ["QueryArrival", "EventSimReport", "EventDrivenSimulator",
@@ -102,7 +102,10 @@ class EventSimReport:
 
     @property
     def throughput_qps(self) -> float:
-        """Completed queries per simulated second."""
+        """Completed queries per simulated second (0.0 on an empty
+        run)."""
+        if not len(self.latencies_ms):
+            return 0.0
         if self.completion_ms <= 0:
             return float("inf")
         return len(self.latencies_ms) / (self.completion_ms / 1000.0)
@@ -123,7 +126,7 @@ class EventDrivenSimulator:
         self,
         store: PagedStore,
         parameters: Optional[DiskParameters] = None,
-        cache: CacheSpec = None,
+        cache: Optional[int] = None,
         tracer: Optional[Tracer] = None,
     ):
         self.store = store

@@ -31,13 +31,8 @@ from repro.index.node import DEFAULT_PAGE_BYTES, Node
 from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
 from repro.obs.tracer import Tracer
-from repro.parallel.cache import CacheConfig
 from repro.parallel.disks import DiskParameters
-from repro.parallel.engine import (
-    CacheSpec,
-    ParallelQueryResult,
-    _BestFirstEngine,
-)
+from repro.parallel.engine import ParallelQueryResult, _BestFirstEngine
 
 __all__ = [
     "PagedStore",
@@ -115,10 +110,6 @@ class PagedStore:
         model).
     num_disks:
         Required when ``declusterer`` is a callable.
-    cache_config:
-        Optional default :class:`~repro.parallel.cache.CacheConfig` for
-        engines over this store (persisted by ``save_paged_store``);
-        engines built without an explicit ``cache`` argument inherit it.
     """
 
     def __init__(
@@ -130,7 +121,6 @@ class PagedStore:
         tree_cls: type = XTree,
         page_bytes: int = DEFAULT_PAGE_BYTES,
         oids: Optional[Sequence[int]] = None,
-        cache_config: Optional[CacheConfig] = None,
     ):
         if tree is None:
             if points is None:
@@ -140,7 +130,6 @@ class PagedStore:
             )
         self.tree = tree
         self.page_bytes = page_bytes
-        self.cache_config = cache_config
         self.declusterer = declusterer
         self._assign_pages(num_disks)
 
@@ -193,10 +182,10 @@ class PagedStore:
 class PagedEngine(_BestFirstEngine):
     """Parallel kNN over a :class:`PagedStore` (shared directory model).
 
-    ``cache`` attaches a buffer pool for the data pages (the directory is
-    already RAM-resident in this model); when omitted, the store's
-    ``cache_config`` — if any — is used.  The pool persists across
-    queries, so a repeated query under a warm cache charges no disk reads.
+    ``cache`` attaches a buffer pool of that many pages for the data pages
+    (the directory is already RAM-resident in this model).  The pool
+    persists across queries, so a repeated query under a warm cache
+    charges no disk reads.
 
     The engine also runs unchanged over an out-of-core
     :class:`~repro.storage.mmap_store.MmapStore`: stores exposing a
@@ -212,13 +201,12 @@ class PagedEngine(_BestFirstEngine):
         self,
         store: PagedStore,
         parameters: Optional[DiskParameters] = None,
-        cache: CacheSpec = None,
+        cache: Optional[int] = None,
         tracer: Optional[Tracer] = None,
     ):
         super().__init__(
             store.num_disks, store.tree.dimension, store.page_bytes,
-            parameters, store.cache_config if cache is None else cache,
-            tracer,
+            parameters, cache, tracer,
         )
         self.store = store
         self._disk_of = store.disk_of

@@ -440,10 +440,6 @@ class ProcessParallelEngine:
     parameters:
         Disk service-time model for the simulated ``parallel_time_ms``
         (page *counts* are exact; times are derived, as everywhere).
-    cache:
-        Must be ``None``: the OS page cache serves warm mmap reads, and
-        simulated buffer-pool semantics belong to the in-process
-        engines.
     max_k:
         Capacity of the shared bound array; queries may use any
         ``k <= max_k``.
@@ -458,7 +454,6 @@ class ProcessParallelEngine:
         self,
         store: Any,
         parameters: Optional[DiskParameters] = None,
-        cache: None = None,
         tracer: Optional[Tracer] = None,
         max_k: int = 64,
     ):
@@ -469,12 +464,6 @@ class ProcessParallelEngine:
                 "ProcessParallelEngine requires an out-of-core store "
                 "(repro.storage.MmapStore); build one with "
                 "save_paged_store or bulk_load_mmap"
-            )
-        if cache is not None:
-            raise ValueError(
-                "ProcessParallelEngine is cacheless: warm mmap reads are "
-                "served by the OS page cache; use PagedEngine for "
-                "simulated buffer-pool semantics"
             )
         if max_k < 1:
             raise ValueError(f"max_k must be >= 1, got {max_k}")

@@ -233,7 +233,10 @@ class ServeReport:
 
     @property
     def throughput_qps(self) -> float:
-        """Completed requests per simulated second."""
+        """Completed requests per simulated second (0.0 on an empty
+        run)."""
+        if not self.outcomes:
+            return 0.0
         if self.completion_ms <= 0:
             return float("inf")
         return len(self.outcomes) / (self.completion_ms / 1000.0)

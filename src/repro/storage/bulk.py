@@ -57,7 +57,6 @@ from repro.index.bulk import (
 from repro.index.node import DEFAULT_PAGE_BYTES
 from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
-from repro.parallel.cache import CacheConfig
 from repro.parallel.paged import _decluster_pages
 from repro.storage.mmap_store import (
     MmapStore,
@@ -440,7 +439,6 @@ def stream_bulk_load_mmap(
     tree_cls: Type[RStarTree] = XTree,
     page_bytes: int = DEFAULT_PAGE_BYTES,
     fill: float = 0.85,
-    cache_config: Optional[CacheConfig] = None,
     slot_bytes: Optional[int] = None,
     max_ram_bytes: int = DEFAULT_MAX_RAM_BYTES,
     chunk_rows: Optional[int] = None,
@@ -511,7 +509,7 @@ def stream_bulk_load_mmap(
             scheme = getattr(declusterer, "name", "custom")
             _write_store(
                 directory,
-                _store_header(tree, num_disks, scheme, cache_config),
+                _store_header(tree, num_disks, scheme),
                 arrays,
                 _spill_gather(files, tiles, dim, ids),
                 page_bytes,
@@ -542,7 +540,6 @@ def bulk_load_mmap(
     tree_cls: Type[RStarTree] = XTree,
     page_bytes: int = DEFAULT_PAGE_BYTES,
     fill: float = 0.85,
-    cache_config: Optional[CacheConfig] = None,
     slot_bytes: Optional[int] = None,
 ) -> MmapStore:
     """STR bulk-load an in-RAM ``points`` array straight into an
@@ -551,9 +548,8 @@ def bulk_load_mmap(
 
     Parameters mirror ``bulk_load`` + ``PagedStore``: ``declusterer``
     assigns pages to disks by leaf MBR center (pass ``num_disks`` when
-    it is a raw callable), ``cache_config`` is persisted as the store's
-    default pool, and the result is an opened :class:`MmapStore` over
-    ``directory``.
+    it is a raw callable), and the result is an opened
+    :class:`MmapStore` over ``directory``.
     """
     return stream_bulk_load_mmap(
         np.asarray(points, dtype=float),
@@ -564,6 +560,5 @@ def bulk_load_mmap(
         tree_cls=tree_cls,
         page_bytes=page_bytes,
         fill=fill,
-        cache_config=cache_config,
         slot_bytes=slot_bytes,
     )

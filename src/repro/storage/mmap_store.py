@@ -33,7 +33,7 @@ clock.  See ``docs/storage.md``.
 
 On-disk layout of a store directory::
 
-    store.json      store header (format versions, disks, scheme, cache)
+    store.json      store header (format versions, disks, scheme)
     tree.npz        directory arrays + leaf MBR bounds + page->disk map
     disk0000.pages  page file of disk 0 (see repro.storage.pagefile)
     disk0001.pages  ...
@@ -41,7 +41,6 @@ On-disk layout of a store directory::
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import io
 import json
@@ -57,7 +56,6 @@ from repro.index.bulk import DIRECTORY_ARRAYS, _materialize
 from repro.index.node import LeafEntry, Node
 from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
-from repro.parallel.cache import CacheConfig
 from repro.parallel.paged import PagedStore, striped_assignment
 from repro.storage.pagefile import (
     PageFile,
@@ -98,7 +96,7 @@ TREE_NPZ = "tree.npz"
 #: Revision of the tree fields of the header (``format_version``).
 _FORMAT_VERSION = 1
 
-#: Revision of the store-level header (disk count, scheme, cache) and of
+#: Revision of the store-level header (disk count, scheme) and of
 #: the page files it names: 2 lays slots out in the scan's rows.
 _STORE_FORMAT_VERSION = 2
 
@@ -183,17 +181,15 @@ def _tree_header(tree: RStarTree) -> dict:
     return header
 
 
-def _store_header(
-    tree: RStarTree, num_disks: int, scheme: str, cache: Optional[CacheConfig]
-) -> Dict:
-    """Tree header plus the store-level fields: disk count, declustering
-    scheme name, and cache config (plain JSON, nothing pickled) — the
-    one header builder of every store writer."""
+def _store_header(tree: RStarTree, num_disks: int, scheme: str) -> Dict:
+    """Tree header plus the store-level fields: disk count and
+    declustering scheme name (plain JSON, nothing pickled) — the one
+    header builder of every store writer."""
     header = _tree_header(tree)
     header["store_format_version"] = _STORE_FORMAT_VERSION
     header["num_disks"] = num_disks
     header["scheme"] = scheme
-    header["cache"] = None if cache is None else dataclasses.asdict(cache)
+    header["cache"] = None  # reserved by format 2; no reader uses it
     return header
 
 
@@ -355,9 +351,9 @@ def save_paged_store(
 ) -> None:
     """Persist an in-memory ``PagedStore`` as a store directory.
 
-    The tree directory, leaf MBRs, page-to-disk map, scheme name, and
-    cache config go to ``tree.npz``/``store.json``; every leaf payload
-    goes to its disk's page file.  ``slot_bytes`` overrides the page
+    The tree directory, leaf MBRs, page-to-disk map and scheme name go
+    to ``tree.npz``/``store.json``; every leaf payload goes to its
+    disk's page file.  ``slot_bytes`` overrides the page
     slot size (a payload larger than the slot raises
     :class:`~repro.storage.pagefile.SlotOverflowError` rather than
     truncating).  :func:`load_paged_store` reads the store back into
@@ -382,9 +378,7 @@ def save_paged_store(
 
     _write_store(
         directory,
-        _store_header(
-            tree, store.num_disks, store.scheme, store.cache_config
-        ),
+        _store_header(tree, store.num_disks, store.scheme),
         arrays,
         gather,
         store.page_bytes,
@@ -427,7 +421,6 @@ def load_paged_store(directory: Union[str, os.PathLike]) -> PagedStore:
             declusterer=mapped.declusterer,
             num_disks=mapped.num_disks,
             page_bytes=mapped.page_bytes,
-            cache_config=mapped.cache_config,
         )
 
 
@@ -512,10 +505,6 @@ class MmapStore:
         self.page_bytes = int(header["page_bytes"])
         self.num_disks = int(header["num_disks"])
         self.scheme = str(header.get("scheme", "frozen"))
-        cache = header.get("cache")
-        self.cache_config: Optional[CacheConfig] = (
-            None if cache is None else CacheConfig(**cache)
-        )
         self.slot_bytes = int(meta["slot_bytes"])
 
         is_leaf = self._directory["node_is_leaf"]

@@ -3,31 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.parallel.cache import (
-    BufferPool,
-    CacheConfig,
-    LRUCache,
-    as_buffer_pool,
-)
-
-
-class TestCacheConfig:
-    def test_defaults_disabled(self):
-        config = CacheConfig()
-        assert config.resolve_pages(4096) == 0
-
-    def test_bytes_override_pages(self):
-        config = CacheConfig(capacity_pages=5, capacity_bytes=64 * 4096)
-        assert config.resolve_pages(4096) == 64
-        assert config.resolve_pages(8192) == 32
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CacheConfig(capacity_pages=-1)
-        with pytest.raises(ValueError):
-            CacheConfig(capacity_bytes=-4096)
-        with pytest.raises(ValueError):
-            CacheConfig(policy="mru")
+from repro.core import NearOptimalDeclusterer
+from repro.parallel.cache import BufferPool, LRUCache
+from repro.parallel.engine import SequentialEngine
+from repro.parallel.paged import PagedEngine, PagedStore
 
 
 class TestLRUCacheEvictionOrder:
@@ -123,31 +102,23 @@ class TestLRUHitRatioMonotonicity:
 
 class TestBufferPool:
     def test_shared_policy_one_pool(self):
-        pool = BufferPool(2, CacheConfig(capacity_pages=2, policy="shared"))
+        pool = BufferPool(2, 2)
         assert not pool.access(0, "x")
         assert not pool.access(1, "y")
         assert not pool.access(0, "z")    # evicts (0, "x") from shared LRU
         assert not pool.access(0, "x")
         stats = pool.stats()
         assert stats.hits == 0 and stats.misses == 4
-
-    def test_per_disk_policy_private_pools(self):
-        pool = BufferPool(
-            2, CacheConfig(capacity_pages=1, policy="per_disk")
-        )
-        pool.access(0, "x")
-        pool.access(1, "y")               # does not evict disk 0's page
-        assert pool.access(0, "x")
-        assert pool.access(1, "y")
+        assert list(stats.misses_per_disk) == [3, 1]
 
     def test_same_key_distinct_per_disk(self):
-        pool = BufferPool(2, CacheConfig(capacity_pages=8))
+        pool = BufferPool(2, 8)
         pool.access(0, "page")
         assert not pool.access(1, "page")  # other disk's copy is separate
         assert pool.access(0, "page")
 
     def test_stats_delta(self):
-        pool = BufferPool(2, CacheConfig(capacity_pages=8))
+        pool = BufferPool(2, 8)
         pool.access(0, "a")
         before = pool.stats()
         pool.access(0, "a")
@@ -160,12 +131,10 @@ class TestBufferPool:
         assert delta.hit_ratio == 0.5
 
     def test_hit_ratio_empty_pool(self):
-        assert BufferPool(1, CacheConfig()).stats().hit_ratio == 0.0
+        assert BufferPool(1, 0).stats().hit_ratio == 0.0
 
     def test_reset_clears_all_disks(self):
-        pool = BufferPool(
-            3, CacheConfig(capacity_pages=4, policy="per_disk")
-        )
+        pool = BufferPool(3, 4)
         for disk in range(3):
             pool.access(disk, "k")
         pool.reset()
@@ -174,31 +143,35 @@ class TestBufferPool:
         assert not pool.access(0, "k")
 
     def test_invalid_disk_rejected(self):
-        pool = BufferPool(2, CacheConfig(capacity_pages=4))
+        pool = BufferPool(2, 4)
         with pytest.raises(ValueError):
             pool.access(2, "k")
 
 
-class TestAsBufferPool:
-    def test_none_passthrough(self):
-        assert as_buffer_pool(None, 4, 4096) is None
+class TestEngineCacheArgument:
+    """An engine's ``cache`` is an optional page count."""
 
-    def test_int_shorthand(self):
-        pool = as_buffer_pool(64, 4, 4096)
+    @staticmethod
+    def points():
+        return np.random.default_rng(7).random((300, 4))
+
+    def test_none_means_no_pool(self):
+        engine = SequentialEngine(self.points())
+        assert engine.cache is None
+        assert engine.query(np.full(4, 0.5), 3).cache_stats is None
+
+    def test_page_count_builds_one_shared_pool(self):
+        store = PagedStore(self.points(), NearOptimalDeclusterer(4, 4))
+        pool = PagedEngine(store, cache=64).cache
         assert pool.capacity_pages == 64
-        assert pool.config.policy == "shared"
+        assert pool.num_disks == 4
 
-    def test_zero_builds_disabled_pool(self):
-        pool = as_buffer_pool(0, 4, 4096)
-        assert pool is not None
-        assert not pool.enabled
-
-    def test_prebuilt_pool_passthrough(self):
-        pool = BufferPool(4, CacheConfig(capacity_pages=8))
-        assert as_buffer_pool(pool, 4, 4096) is pool
-
-    def test_config_resolved_with_page_bytes(self):
-        pool = as_buffer_pool(
-            CacheConfig(capacity_bytes=16 * 8192), 2, 8192
-        )
-        assert pool.capacity_pages == 16
+    def test_zero_pool_counts_misses_never_hits(self):
+        engine = SequentialEngine(self.points(), cache=0)
+        assert engine.cache is not None
+        query = np.full(4, 0.5)
+        for _ in range(2):
+            stats = engine.query(query, 3).cache_stats
+            assert stats.hits == 0
+            assert stats.misses > 0
+        assert engine.cache.stats().hits == 0

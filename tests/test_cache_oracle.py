@@ -16,7 +16,6 @@ import pytest
 from repro.baselines import RoundRobinDeclusterer
 from repro.core import NearOptimalDeclusterer
 from repro.index.knn import knn_linear_scan
-from repro.parallel.cache import CacheConfig
 from repro.parallel.engine import ParallelEngine, SequentialEngine
 from repro.parallel.paged import PagedEngine, PagedStore
 from repro.parallel.store import DeclusteredStore
@@ -114,7 +113,7 @@ def test_sequential_engine_cache_oracle(small_uniform, rng):
     )
     warm = SequentialEngine(
         small_uniform, tree=uncached.tree,
-        cache=CacheConfig(capacity_pages=4096),
+        cache=4096,
     )
     for query in rng.random((5, 6)):
         oracle = [n.oid for n in knn_linear_scan(small_uniform, query, 4)]

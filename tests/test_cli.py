@@ -93,6 +93,15 @@ class TestObservabilityCommands:
         assert main(["stats", "--scheme", "nonsense", *self.SMALL]) == 2
         assert "unknown declustering scheme" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pages", ["0", "8"])
+    @pytest.mark.parametrize("command", ["trace", "stats"])
+    def test_process_engine_rejects_cache_pages(self, command, pages, capsys):
+        """The process engine is cacheless: any ``--cache-pages``, even
+        0, is a usage error."""
+        assert main([command, "--engine", "process",
+                     "--cache-pages", pages, *self.SMALL]) == 2
+        assert "cacheless" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flags", [["--store", "mmap"], ["--engine", "process"]],
         ids=["mmap", "process"],

@@ -10,7 +10,6 @@ from repro.index.bulk import bulk_load
 from repro.index.knn import knn_best_first
 from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
-from repro.parallel.cache import CacheConfig
 from repro.parallel.paged import PagedEngine, PagedStore
 from repro.storage import (
     FrozenAssignment,
@@ -127,60 +126,6 @@ class TestPagedStoreRoundTrip:
         frozen = FrozenAssignment(np.array([0, 1, 2]))
         with pytest.raises(ValueError):
             frozen(np.zeros((5, 3)))
-
-    def test_cache_config_round_trip(self, medium_uniform, rng, tmp_path):
-        """Page->disk map AND cache configuration survive save/load."""
-        config = CacheConfig(capacity_pages=128, policy="per_disk")
-        store = PagedStore(
-            points=medium_uniform,
-            declusterer=NearOptimalDeclusterer(8, 8),
-            cache_config=config,
-        )
-        path = tmp_path / "cached_store"
-        save_paged_store(store, path)
-        restored = load_paged_store(path)
-        assert restored.cache_config == config
-        assert np.array_equal(restored.page_disks, store.page_disks)
-        # Engines inherit the persisted config and build a real pool.
-        engine = PagedEngine(restored)
-        assert engine.cache is not None
-        assert engine.cache.capacity_pages == 128
-        assert engine.cache.config.policy == "per_disk"
-        # A fixed query answers with identical page accesses: cold run
-        # against cold run, then the reloaded store's warm repeat hits.
-        query = rng.random(8)
-        original = PagedEngine(store, cache=None).query(query, 5)
-        reloaded = engine.query(query, 5)
-        assert [n.oid for n in original.neighbors] == [
-            n.oid for n in reloaded.neighbors
-        ]
-        assert np.array_equal(
-            original.pages_per_disk, reloaded.pages_per_disk
-        )
-        repeat = engine.query(query, 5)
-        assert repeat.cache_stats.hits > 0
-
-    def test_cache_bytes_config_round_trip(self, small_uniform, tmp_path):
-        config = CacheConfig(capacity_bytes=64 * 4096, policy="shared")
-        store = PagedStore(
-            points=small_uniform,
-            declusterer=NearOptimalDeclusterer(6, 8),
-            cache_config=config,
-        )
-        path = tmp_path / "bytes_store"
-        save_paged_store(store, path)
-        assert load_paged_store(path).cache_config == config
-
-    def test_no_cache_config_stays_none(self, small_uniform, tmp_path):
-        store = PagedStore(
-            points=small_uniform,
-            declusterer=NearOptimalDeclusterer(6, 8),
-        )
-        path = tmp_path / "plain_store"
-        save_paged_store(store, path)
-        restored = load_paged_store(path)
-        assert restored.cache_config is None
-        assert PagedEngine(restored).cache is None
 
     def test_scheme_name_round_trips(self, small_uniform, tmp_path):
         """The declustering scheme name survives through the store

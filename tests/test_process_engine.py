@@ -32,7 +32,6 @@ from hypothesis import example, given, settings, strategies as st
 from repro.core import NearOptimalDeclusterer
 from repro.index.metrics import Euclidean
 from repro.index.node import DEFAULT_PAGE_BYTES
-from repro.parallel.cache import CacheConfig
 from repro.parallel.engine import ParallelEngine, SequentialEngine
 from repro.parallel.paged import PagedEngine, PagedStore
 from repro.parallel.process import (
@@ -1282,12 +1281,6 @@ class TestArgumentValidation:
                 engine.query(np.full(6, 0.5), 5)
         finally:
             engine.close()
-
-    def test_cache_is_rejected(self, mmap_store):
-        with pytest.raises(ValueError, match="cacheless"):
-            ProcessParallelEngine(
-                mmap_store, cache=CacheConfig(capacity_pages=16)
-            )
 
     def test_in_memory_store_is_rejected(self, small_uniform):
         store = PagedStore(

@@ -47,8 +47,7 @@ class TestPublicAPI:
                 "points oids tree_cls page_bytes parameters tree "
                 "cache tracer",
             repro.PagedEngine: "store parameters cache tracer",
-            process.ProcessParallelEngine:
-                "store parameters cache tracer max_k",
+            process.ProcessParallelEngine: "store parameters tracer max_k",
             events.EventDrivenSimulator: "store parameters cache tracer",
             window.parallel_window_query:
                 "store low high parameters tracer",

@@ -223,6 +223,23 @@ class TestVirtualTimePlanner:
         assert report.p50_latency_ms == 0.0
         assert report.mean_batch_size == 0.0
 
+    def test_empty_run_throughput_is_zero(self):
+        """An empty run completes nothing: its throughput is 0.0 like
+        every other aggregate, in the served and the simulated report;
+        a non-empty run keeps requests over elapsed seconds."""
+        from repro.parallel.events import EventDrivenSimulator
+
+        engine = build_engine(SPEC)
+        assert QueryService(engine, "fifo").run_trace([]).throughput_qps == 0.0
+        simulator = EventDrivenSimulator(engine.store)
+        assert simulator.run([]).throughput_qps == 0.0
+        served = QueryService(engine, "fifo").run_trace(
+            uniform_trace(SPEC, 4, rate_qps=100.0)
+        )
+        assert served.throughput_qps == pytest.approx(
+            4 / (served.completion_ms / 1000.0)
+        )
+
     def test_report_percentiles_nearest_rank(self):
         report = scripted_report()
         ordered = np.sort(report.latencies_ms)

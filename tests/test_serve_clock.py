@@ -23,6 +23,7 @@ from repro.serve import (
     VirtualClock,
     WorkloadSpec,
     build_engine,
+    run_closed_loop,
     uniform_trace,
 )
 
@@ -117,6 +118,44 @@ class TestPlannerClock:
         ]
         assert timelines[0] == timelines[1]
         assert runs[0].completion_ms == runs[1].completion_ms
+
+    def test_closed_loop_reads_no_wall_clock(self, monkeypatch):
+        """A closed-loop run with think time, ``on_batch`` feedback
+        included, is virtual time only: with every wall clock patched to
+        raise it still completes, and matches an unpatched run."""
+        import time
+
+        def closed_loop():
+            report = run_closed_loop(
+                QueryService(build_engine(SPEC), "fifo"), SPEC,
+                num_clients=3, requests_per_client=4, think_ms=2.5,
+                seed=9,
+            )
+            return (
+                [
+                    (
+                        o.request.arrival_ms, o.batch_id, o.batch_size,
+                        o.flush_ms, o.completion_ms,
+                        neighbor_pairs(o.result),
+                        o.result.pages_per_disk.tolist(),
+                    )
+                    for o in report.outcomes
+                ],
+                report.completion_ms, report.num_batches,
+                report.batch_sizes, report.pages_per_disk.tolist(),
+            )
+
+        def wall_clock(*args, **kwargs):
+            raise AssertionError("wall clock read in virtual time")
+
+        expected = closed_loop()
+        with monkeypatch.context() as patch:
+            for name in ("time", "monotonic", "perf_counter"):
+                patch.setattr(time, name, wall_clock)
+                patch.setattr(time, f"{name}_ns", wall_clock)
+            patch.setattr(LoopClock, "now_ms", wall_clock)
+            assert closed_loop() == expected
+        assert len(expected[0]) == 12
 
 
 class TestClockedServiceLifecycle:

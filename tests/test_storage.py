@@ -21,7 +21,6 @@ from repro.index.metrics import Euclidean
 from repro.index.node import Node
 from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
-from repro.parallel.cache import CacheConfig
 from repro.parallel.paged import PagedEngine, PagedStore, striped_assignment
 from repro.storage import (
     HEADER_BYTES,
@@ -618,21 +617,6 @@ class TestMmapStoreRoundTrip:
         with pytest.raises(PageFormatError, match="version 1.*rebuild"):
             PageFile(store_dir / "disk0000.pages")
 
-    def test_cache_config_round_trips(self, small_uniform, tmp_path):
-        config = CacheConfig(capacity_pages=32, policy="shared")
-        store = PagedStore(
-            points=small_uniform,
-            declusterer=NearOptimalDeclusterer(6, 4),
-            cache_config=config,
-        )
-        directory = tmp_path / "cached"
-        save_paged_store(store, directory)
-        with MmapStore(directory) as reopened:
-            assert reopened.cache_config == config
-            engine = PagedEngine(reopened)
-            assert engine.cache is not None
-            assert engine.cache.capacity_pages == 32
-
 
 #: ``(dimension, leaf_cap)`` of trees whose leaves outgrow one 4 KiB
 #: page: a leaf never holds fewer than four entries (4 128 bytes at
@@ -794,9 +778,7 @@ class TestEngineOverMmap:
         """The charging contract: a cold mmap read charges the disk, a
         warm buffer-pool hit charges nothing."""
         with MmapStore(store_dir) as store:
-            engine = PagedEngine(
-                store, cache=CacheConfig(capacity_pages=4096)
-            )
+            engine = PagedEngine(store, cache=4096)
             query = rng.random(6)
             cold = engine.query(query, 5)
             warm = engine.query(query, 5)
