@@ -70,10 +70,10 @@ def main():
             [labels[n.oid] == labels[query_id] for n in seq.neighbors]
         )
         row = [f"{SCENES[labels[query_id]]:>12}", f"{same_scene:>9.0%}",
-               f"{seq.pages:>9}"]
+               f"{seq.max_pages:>9}"]
         for name, engine in engines.items():
             result = engine.query(query, 10)
-            speedups[name].append(seq.pages / max(1, result.max_pages))
+            speedups[name].append(seq.max_pages / max(1, result.max_pages))
             row.append(f"{result.max_pages:>6}")
         print("  ".join(row))
 

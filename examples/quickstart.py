@@ -47,11 +47,12 @@ def main():
         print(
             f"\n{k}-NN query:"
             f"\n  neighbors      : {[n.oid for n in par.neighbors]}"
-            f"\n  sequential I/O : {seq.pages} pages "
-            f"({seq.time_ms:.1f} ms simulated)"
+            f"\n  sequential I/O : {seq.max_pages} pages "
+            f"({seq.parallel_time_ms:.1f} ms simulated)"
             f"\n  busiest disk   : {par.max_pages} pages "
             f"({par.parallel_time_ms:.1f} ms simulated)"
-            f"\n  speed-up       : {seq.time_ms / par.parallel_time_ms:.1f}x"
+            f"\n  speed-up       : "
+            f"{seq.parallel_time_ms / par.parallel_time_ms:.1f}x"
         )
 
 

@@ -35,17 +35,14 @@ from repro.experiments.harness import (
     QueryCosts,
     ResultTable,
     geometric_mean,
-    item_costs,
-    paged_costs,
-    sequential_costs,
+    query_costs,
 )
 
 __all__ = [
     "QueryCosts",
     "ResultTable",
     "geometric_mean",
-    "item_costs",
-    "paged_costs",
+    "query_costs",
     "run_ext_dynamic_reorganization",
     "run_ext_optimal_coloring",
     "run_ext_partial_match",
@@ -64,5 +61,4 @@ __all__ = [
     "run_fig15_scaleup",
     "run_fig16_recursive_declustering",
     "run_fig17_text_data",
-    "sequential_costs",
 ]

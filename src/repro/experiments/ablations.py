@@ -30,18 +30,14 @@ from repro.core import (
 from repro.core.disk_reduction import modulo_reduction_table, reduction_table
 from repro.core.vertex_coloring import col
 from repro.data import fourier_points, query_workload, uniform_points
-from repro.experiments.harness import (
-    ResultTable,
-    item_costs,
-    paged_costs,
-    sequential_costs,
-)
+from repro.experiments.harness import ResultTable, query_costs
 from repro.index.bulk import bulk_load
 from repro.index.knn import knn_best_first, knn_branch_and_bound
 from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
 from repro.parallel.engine import ParallelEngine, SequentialEngine
 from repro.parallel.paged import (
+    PagedEngine,
     PagedStore,
     arrival_order_assignment,
     striped_assignment,
@@ -90,8 +86,8 @@ def run_ablation_neighbor_depth(
         store = PagedStore(tree=sequential.tree, declusterer=declusterer)
         row = [declusterer.name, stats.indirect_collisions]
         for k in (1, 10):
-            seq = sequential_costs(sequential, queries, k)
-            par = paged_costs(store, queries, k)
+            seq = query_costs(sequential, queries, k)
+            par = query_costs(PagedEngine(store), queries, k)
             row.append(seq.mean_time_ms / max(par.mean_time_ms, 1e-9))
         table.add_row(*row)
     table.add_note(
@@ -208,8 +204,8 @@ def run_ablation_quantile_split(
         counts = np.bincount(assignment, minlength=num_disks)
         imbalance = counts.max() / counts.mean()
         store = PagedStore(tree=sequential.tree, declusterer=declusterer)
-        seq = sequential_costs(sequential, queries, 10)
-        par = paged_costs(store, queries, 10)
+        seq = query_costs(sequential, queries, 10)
+        par = query_costs(PagedEngine(store), queries, 10)
         table.add_row(
             label, imbalance, seq.mean_time_ms / max(par.mean_time_ms, 1e-9)
         )
@@ -326,7 +322,7 @@ def run_ablation_page_round_robin(
     points = fourier_points(num_points, dimension, seed=seed)
     queries = query_workload(points, num_queries, seed=seed + 1, jitter=0.05)
     sequential = SequentialEngine(points)
-    seq = sequential_costs(sequential, queries, 10)
+    seq = query_costs(sequential, queries, 10)
     table = ResultTable(
         f"Ablation: page-to-disk policies (Fourier d={dimension}, "
         f"{num_disks} disks, 10-NN)",
@@ -346,7 +342,7 @@ def run_ablation_page_round_robin(
             declusterer=declusterer,
             num_disks=num_disks,
         )
-        par = paged_costs(store, queries, 10)
+        par = query_costs(PagedEngine(store), queries, 10)
         table.add_row(
             label,
             seq.mean_time_ms / max(par.mean_time_ms, 1e-9),
@@ -371,9 +367,9 @@ def run_ablation_engine_modes(
         f"{num_disks} disks, 10-NN)",
         ["mode", "busiest_disk_pages", "total_pages"],
     )
+    engine = ParallelEngine(store)
     for mode in ("coordinated", "independent"):
-        costs = item_costs(store, queries, 10, mode=mode)
-        engine = ParallelEngine(store)
+        costs = query_costs(engine, queries, 10, mode=mode)
         total = np.mean(
             [engine.query(q, 10, mode=mode).total_pages for q in queries]
         )

@@ -46,7 +46,7 @@ from repro.parallel.events import (
 from repro.parallel.managed import ManagedStore
 from repro.parallel.paged import PagedEngine, PagedStore, \
     arrival_order_assignment
-from repro.parallel.window import parallel_window_query, partial_match_window
+from repro.parallel.window import partial_match_window
 
 __all__ = [
     "run_ext_cache_hit_ratio",
@@ -250,10 +250,9 @@ def run_ext_partial_match(
                 )
             )
         for name in ("DM", "FX", "HIL", "new"):
-            store = stores[name]
+            engine = PagedEngine(stores[name])
             maxima = [
-                parallel_window_query(store, low, high).max_pages
-                for low, high in windows
+                engine.window(low, high).max_pages for low, high in windows
             ]
             row.append(float(np.mean(maxima)))
         table.add_row(*row)
@@ -357,7 +356,6 @@ def run_ext_range_queries_2d(
     from repro.core.bits import bucket_numbers_for_points
     from repro.core.vertex_coloring import col_array
     from repro.hilbert import HilbertCurve
-    from repro.parallel.window import parallel_window_query
 
     num_points = max(10_000, int(80_000 * scale))
     num_queries = max(4, int(12 * scale))
@@ -403,10 +401,9 @@ def run_ext_range_queries_2d(
         row = [window_side]
         corners = rng.random((num_queries, dimension)) * (1 - window_side)
         for name, _ in policies:
+            engine = PagedEngine(stores[name])
             maxima = [
-                parallel_window_query(
-                    stores[name], corner, corner + window_side
-                ).max_pages
+                engine.window(corner, corner + window_side).max_pages
                 for corner in corners
             ]
             row.append(float(np.mean(maxima)))

@@ -30,15 +30,10 @@ from repro.data import (
     text_descriptors,
     uniform_points,
 )
-from repro.experiments.harness import (
-    ResultTable,
-    item_costs,
-    paged_costs,
-    sequential_costs,
-)
+from repro.experiments.harness import ResultTable, query_costs
 from repro.index.bulk import bulk_load
-from repro.parallel.engine import SequentialEngine
-from repro.parallel.paged import PagedStore
+from repro.parallel.engine import ParallelEngine, SequentialEngine
+from repro.parallel.paged import PagedEngine, PagedStore
 from repro.parallel.store import DeclusteredStore
 
 __all__ = [
@@ -77,7 +72,7 @@ def run_fig02_round_robin_speedup(
     points = uniform_points(num_points, dimension, seed=seed)
     queries = uniform_points(num_queries, dimension, seed=seed + 1)
     sequential = SequentialEngine(points)
-    seq = {k: sequential_costs(sequential, queries, k) for k in (1, 10)}
+    seq = {k: query_costs(sequential, queries, k) for k in (1, 10)}
     table = ResultTable(
         f"Figure 2: round-robin speed-up (uniform, d={dimension}, "
         f"N={num_points})",
@@ -89,7 +84,7 @@ def run_fig02_round_robin_speedup(
         )
         row = [num_disks]
         for k in (1, 10):
-            costs = item_costs(store, queries, k)
+            costs = query_costs(ParallelEngine(store), queries, k)
             row.append(seq[k].mean_time_ms / max(costs.mean_time_ms, 1e-9))
         table.add_row(*row)
     table.add_note("expected shape: near-linear growth with the disk count")
@@ -119,59 +114,27 @@ def run_fig03_hilbert_vs_round_robin(
         f"(uniform, d={dimension}, {k}-NN)",
         ["sweep", "value", "hilbert_time_ms", "rr_time_ms", "improvement"],
     )
-    points = uniform_points(num_points, dimension, seed=seed)
     queries = uniform_points(num_queries, dimension, seed=seed + 1)
+
+    def times(points, tree, num_disks):
+        """Hilbert and round-robin ms/query, and their ratio."""
+        hil = query_costs(PagedEngine(PagedStore(
+            tree=tree, declusterer=HilbertDeclusterer(dimension, num_disks)
+        )), queries, k).mean_time_ms
+        rr = query_costs(ParallelEngine(DeclusteredStore(
+            points, RoundRobinDeclusterer(dimension, num_disks)
+        )), queries, k).mean_time_ms
+        return hil, rr, rr / max(hil, 1e-9)
+
+    points = uniform_points(num_points, dimension, seed=seed)
     tree = bulk_load(points)
     for num_disks in disks:
-        hil = paged_costs(
-            PagedStore(
-                tree=tree,
-                declusterer=HilbertDeclusterer(dimension, num_disks),
-            ),
-            queries,
-            k,
-        )
-        rr = item_costs(
-            DeclusteredStore(
-                points, RoundRobinDeclusterer(dimension, num_disks)
-            ),
-            queries,
-            k,
-        )
-        table.add_row(
-            "disks",
-            num_disks,
-            hil.mean_time_ms,
-            rr.mean_time_ms,
-            rr.mean_time_ms / max(hil.mean_time_ms, 1e-9),
-        )
+        table.add_row("disks", num_disks, *times(points, tree, num_disks))
     for amount in data_sweep:
         amount = max(2000, int(amount * scale))
         points = uniform_points(amount, dimension, seed=seed + amount)
-        queries = uniform_points(num_queries, dimension, seed=seed + 1)
-        tree = bulk_load(points)
-        num_disks = max(disks)
-        hil = paged_costs(
-            PagedStore(
-                tree=tree,
-                declusterer=HilbertDeclusterer(dimension, num_disks),
-            ),
-            queries,
-            k,
-        )
-        rr = item_costs(
-            DeclusteredStore(
-                points, RoundRobinDeclusterer(dimension, num_disks)
-            ),
-            queries,
-            k,
-        )
         table.add_row(
-            "data",
-            amount,
-            hil.mean_time_ms,
-            rr.mean_time_ms,
-            rr.mean_time_ms / max(hil.mean_time_ms, 1e-9),
+            "data", amount, *times(points, bulk_load(points), max(disks))
         )
     table.add_note(
         "expected shape: improvement > 1, growing with disks and data"
@@ -194,7 +157,7 @@ def run_fig12_speedup_uniform(
     points = uniform_points(num_points, dimension, seed=seed)
     queries = uniform_points(num_queries, dimension, seed=seed + 1)
     sequential = SequentialEngine(points)
-    seq = {k: sequential_costs(sequential, queries, k) for k in (1, 10)}
+    seq = {k: query_costs(sequential, queries, k) for k in (1, 10)}
     table = ResultTable(
         f"Figure 12: speed-up of the new technique (uniform, d={dimension}, "
         f"N={num_points})",
@@ -207,7 +170,7 @@ def run_fig12_speedup_uniform(
         )
         row = [num_disks]
         for k in (1, 10):
-            costs = paged_costs(store, queries, k)
+            costs = query_costs(PagedEngine(store), queries, k)
             row.append(seq[k].mean_time_ms / max(costs.mean_time_ms, 1e-9))
         table.add_row(*row)
     table.add_note("paper: ~8 (NN) and ~13 (10-NN) at 16 disks, near-linear")
@@ -227,7 +190,7 @@ def _fourier_experiment(
     points = fourier_points(num_points, dimension, seed=seed)
     queries = query_workload(points, num_queries, seed=seed + 1, jitter=jitter)
     sequential = SequentialEngine(points)
-    seq = {k: sequential_costs(sequential, queries, k) for k in (1, 10)}
+    seq = {k: query_costs(sequential, queries, k) for k in (1, 10)}
     results = {}
     for num_disks in _clamped_disks(dimension, disks):
         for declusterer in (
@@ -236,7 +199,7 @@ def _fourier_experiment(
         ):
             store = PagedStore(tree=sequential.tree, declusterer=declusterer)
             for k in (1, 10):
-                costs = paged_costs(store, queries, k)
+                costs = query_costs(PagedEngine(store), queries, k)
                 results[(num_disks, declusterer.name, k)] = costs.mean_time_ms
     return seq, results
 
@@ -336,7 +299,7 @@ def run_fig15_scaleup(
         )
         row = [num_disks, num_points]
         for k in (1, 10):
-            costs = paged_costs(store, queries, k)
+            costs = query_costs(PagedEngine(store), queries, k)
             row.append(costs.mean_time_ms)
         table.add_row(*row)
     table.add_note("expected shape: roughly constant time across the sweep")
@@ -385,7 +348,8 @@ def run_fig16_recursive_declustering(
     for declusterer in (plain, recursive):
         store = PagedStore(tree=tree, declusterer=declusterer)
         times = [
-            paged_costs(store, queries, k).mean_time_ms for k in (1, 10)
+            query_costs(PagedEngine(store), queries, k).mean_time_ms
+            for k in (1, 10)
         ]
         rows[declusterer.name] = times
         table.add_row(declusterer.name, *times)
@@ -431,7 +395,8 @@ def run_fig17_text_data(
     ):
         store = PagedStore(tree=tree, declusterer=declusterer)
         times = [
-            paged_costs(store, queries, k).mean_time_ms for k in (1, 10)
+            query_costs(PagedEngine(store), queries, k).mean_time_ms
+            for k in (1, 10)
         ]
         rows[declusterer.name] = times
         table.add_row(declusterer.name, *times)

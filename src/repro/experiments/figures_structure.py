@@ -33,7 +33,7 @@ from repro.core import (
     violation_statistics,
 )
 from repro.data import uniform_points
-from repro.experiments.harness import ResultTable, sequential_costs
+from repro.experiments.harness import ResultTable, query_costs
 from repro.parallel.engine import SequentialEngine
 
 __all__ = [
@@ -68,7 +68,7 @@ def run_fig01_sequential_dimension(
         points = uniform_points(num_points, dimension, seed=seed + dimension)
         queries = uniform_points(num_queries, dimension, seed=seed + 999)
         engine = SequentialEngine(points)
-        costs = sequential_costs(engine, queries, k)
+        costs = query_costs(engine, queries, k)
         total = sum(leaf.blocks for leaf in engine.tree.leaves())
         table.add_row(
             dimension,

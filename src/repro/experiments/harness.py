@@ -15,22 +15,14 @@ reports.  The helpers here implement the paper's measurement protocol:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import Any, List, Optional, Sequence, Union
 
 import numpy as np
-
-from repro.obs.tracer import Tracer
-from repro.parallel.disks import DiskParameters
-from repro.parallel.engine import ParallelEngine, SequentialEngine
-from repro.parallel.paged import PagedEngine, PagedStore
-from repro.parallel.store import DeclusteredStore
 
 __all__ = [
     "ResultTable",
     "QueryCosts",
-    "sequential_costs",
-    "paged_costs",
-    "item_costs",
+    "query_costs",
     "geometric_mean",
 ]
 
@@ -165,62 +157,15 @@ def geometric_mean(values: Sequence[float]) -> float:
     return float(np.exp(np.log(values).mean()))
 
 
-def sequential_costs(
-    engine: SequentialEngine, queries: np.ndarray, k: int
+def query_costs(
+    engine: Any, queries: np.ndarray, k: int, **options: Any
 ) -> QueryCosts:
-    """Average sequential page counts / times over a query batch."""
-    pages, times = [], []
-    for query in queries:
-        result = engine.query(query, k)
-        pages.append(result.pages)
-        times.append(result.time_ms)
-    return QueryCosts(float(np.mean(pages)), float(np.mean(times)))
-
-
-def paged_costs(
-    store: PagedStore,
-    queries: np.ndarray,
-    k: int,
-    parameters: Optional[DiskParameters] = None,
-    tracer: Optional[Tracer] = None,
-) -> QueryCosts:
-    """Average busiest-disk costs of the page-level parallel engine.
-
-    Without an explicit ``tracer`` the engine falls back to the ambient
-    :func:`repro.obs.observe` tracer, so whole experiment runs can be
-    traced without touching their runners.
-    """
-    engine = PagedEngine(store, parameters, tracer=tracer)
+    """Average busiest-disk costs of an in-process engine over a query
+    batch (``options`` — ``mode`` on ``ParallelEngine`` — go to
+    its ``query``); the sequential baseline is the one-disk case."""
     pages, times, balance = [], [], []
     for query in queries:
-        result = engine.query(query, k)
-        pages.append(result.max_pages)
-        times.append(result.parallel_time_ms)
-        mean_load = result.pages_per_disk.mean()
-        balance.append(result.max_pages / mean_load if mean_load else 1.0)
-    return QueryCosts(
-        float(np.mean(pages)), float(np.mean(times)), float(np.mean(balance))
-    )
-
-
-def item_costs(
-    store: DeclusteredStore,
-    queries: np.ndarray,
-    k: int,
-    parameters: Optional[DiskParameters] = None,
-    mode: str = "coordinated",
-    tracer: Optional[Tracer] = None,
-) -> QueryCosts:
-    """Average busiest-disk costs of the item-level parallel engine.
-
-    Without an explicit ``tracer`` the engine falls back to the ambient
-    :func:`repro.obs.observe` tracer, so whole experiment runs can be
-    traced without touching their runners.
-    """
-    engine = ParallelEngine(store, parameters, tracer=tracer)
-    pages, times, balance = [], [], []
-    for query in queries:
-        result = engine.query(query, k, mode=mode)
+        result = engine.query(query, k, **options)
         pages.append(result.max_pages)
         times.append(result.parallel_time_ms)
         mean_load = result.pages_per_disk.mean()

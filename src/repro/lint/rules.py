@@ -242,19 +242,14 @@ CONFINED_CALLS: Tuple[ConfinedCall, ...] = (
         summary=("DiskArray.charge outside the sanctioned engine modules "
                  "bypasses the buffer pool"),
         rationale=(
-            "PR 1's contract: only cache *misses* may be charged to the "
-            "simulated ``DiskArray``.  Any ``.charge()`` call outside "
-            "the modules that charge today — the engine's one "
-            "pool-aware charge site, the cold window path and the "
-            "``DiskArray`` itself — bypasses the buffer pool and "
-            "silently inflates I/O counts."
+            "Only cache *misses* may be charged to the simulated "
+            "``DiskArray``.  Any ``.charge()`` call outside the modules "
+            "that charge today — the engine shell's one pool-aware "
+            "charge site and the ``DiskArray`` itself — bypasses the "
+            "buffer pool and silently inflates I/O counts."
         ),
         scope=("repro",),
-        exempt=(
-            "repro.parallel.engine",
-            "repro.parallel.window",
-            "repro.parallel.disks",
-        ),
+        exempt=("repro.parallel.engine", "repro.parallel.disks"),
         match=_disk_charge,
         example_bad=(
             "def fetch(disks, leaf):\n"

@@ -13,7 +13,6 @@ from repro.parallel.engine import (
     ParallelEngine,
     ParallelQueryResult,
     SequentialEngine,
-    SequentialQueryResult,
 )
 from repro.parallel.paged import (
     PagedEngine,
@@ -32,7 +31,6 @@ from repro.parallel.process import ProcessParallelEngine
 from repro.parallel.store import DeclusteredStore
 from repro.parallel.window import (
     WindowQueryResult,
-    parallel_window_query,
     partial_match_window,
 )
 
@@ -48,7 +46,6 @@ __all__ = [
     "ManagedStore",
     "ReorganizationEvent",
     "WindowQueryResult",
-    "parallel_window_query",
     "partial_match_window",
     "PagedEngine",
     "PagedStore",
@@ -60,5 +57,4 @@ __all__ = [
     "ParallelEngine",
     "ParallelQueryResult",
     "SequentialEngine",
-    "SequentialQueryResult",
 ]

@@ -15,7 +15,9 @@ roots to search and inherits the rest from a shared shell — argument
 validation, the trace span, the ``on_node`` hook with its **single
 charge site** (buffer pool → ``cache_hit`` | ``cache_miss`` →
 :meth:`DiskArray.charge` → ``page_read``), ``query_batch`` and
-``reset_cache``.
+``reset_cache``.  :meth:`PagedEngine.window
+<repro.parallel.paged.PagedEngine.window>` walks the directory its own
+way under the same checks, span and ``on_node``.
 
 :class:`ParallelEngine` has two execution modes:
 
@@ -69,14 +71,14 @@ __all__ = [
     "BatchQueryResult",
     "ParallelQueryResult",
     "ParallelEngine",
-    "SequentialQueryResult",
     "SequentialEngine",
 ]
 
 
 @dataclass
 class ParallelQueryResult:
-    """Outcome of one parallel kNN query.
+    """Outcome of one kNN query on any in-process engine (the
+    sequential baseline's has one disk).
 
     ``pages_per_disk`` counts disk reads — with a buffer pool attached,
     cache hits are excluded and ``cache_stats`` carries the per-query
@@ -98,38 +100,6 @@ class ParallelQueryResult:
     def total_pages(self) -> int:
         """Pages read across all disks."""
         return int(self.pages_per_disk.sum())
-
-
-@dataclass
-class SequentialQueryResult:
-    """Outcome of one single-disk kNN query.
-
-    Exposes the same ``pages_per_disk`` / ``max_pages`` / ``total_pages``
-    surface as :class:`ParallelQueryResult` (a single-disk engine is a
-    one-element disk array), so batch aggregation and reporting code can
-    treat every engine uniformly.
-    """
-
-    neighbors: List[Neighbor]
-    stats: SearchStats
-    time_ms: float
-    pages: int = 0
-    cache_stats: Optional[CacheStats] = None
-
-    @property
-    def pages_per_disk(self) -> np.ndarray:
-        """The single disk's page count as a one-element array."""
-        return np.array([self.pages], dtype=np.int64)
-
-    @property
-    def max_pages(self) -> int:
-        """Pages read by the busiest (only) disk."""
-        return self.pages
-
-    @property
-    def total_pages(self) -> int:
-        """Pages read in total."""
-        return self.pages
 
 
 class BatchQueryResult:
@@ -201,14 +171,11 @@ class _BestFirstEngine:
     """The shell the in-process engines share (see the module docstring).
 
     A subclass names its span and says which roots to search
-    (:meth:`_roots`).
+    (:meth:`_roots`).  Every query is :meth:`_point` (and ``k``) checks,
+    then one :meth:`_charged` walk.
     """
 
     _span_name: str
-    #: One index on one disk (:class:`SequentialEngine`): the baseline
-    #: traces no ``prune`` events, and an unwatched query is charged
-    #: from its ``SearchStats``, not node by node.
-    _single_disk = False
     #: Disk of a data page, for a store that spreads the leaves of one
     #: tree over the disks; ``None``: a node lives on its root's tag.
     _disk_of: Optional[Callable[[Node], int]] = None
@@ -274,7 +241,7 @@ class _BestFirstEngine:
         self,
         query: np.ndarray,
         k: int,
-        on_node: Optional[NodeHook],
+        on_node: NodeHook,
         on_prune: Optional[PruneHook],
     ) -> Tuple[List[Neighbor], SearchStats]:
         """One search over all the roots: a shared bound."""
@@ -283,36 +250,68 @@ class _BestFirstEngine:
             payload=self._read_page,
         )
 
-    def _run(
+    def _point(self, point: Sequence[float]) -> np.ndarray:
+        """``point`` as a float vector, refused unless it has the
+        engine's dimension and finite coordinates."""
+        point = np.asarray(point, dtype=float)
+        if point.shape != (self.dimension,):
+            raise ValueError(
+                f"query shape {point.shape} does not match the "
+                f"engine's dimension {self.dimension}"
+            )
+        if not np.isfinite(point).all():
+            raise ValueError("query coordinates must be finite")
+        return point
+
+    def _knn(
         self,
         query: Sequence[float],
         k: int,
         mode: Optional[str] = None,
         search: Optional[Callable[..., Any]] = None,
-    ) -> Tuple[List[Neighbor], SearchStats, DiskArray, Optional[CacheStats]]:
-        """One query through the shell: validate, open the span, search
-        (:meth:`_search` unless told otherwise) with the charging hooks,
-        close the span; the caller assembles its result type.
-
-        Arguments are refused before the span opens, so a rejected
-        query emits nothing and leaves pool and counters untouched.
-        """
-        query = np.asarray(query, dtype=float)
+    ) -> ParallelQueryResult:
+        """One kNN query: refuse bad arguments, then run :meth:`_search`
+        (unless told otherwise) under :meth:`_charged`."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if query.shape != (self.dimension,):
-            raise ValueError(
-                f"query shape {query.shape} does not match the "
-                f"engine's dimension {self.dimension}"
-            )
-        if not np.isfinite(query).all():
-            raise ValueError("query coordinates must be finite")
+        query = self._point(query)
+        search = search or self._search
+
+        def walk(
+            on_node: NodeHook, on_prune: Optional[PruneHook]
+        ) -> Tuple[List[Neighbor], int]:
+            neighbors, stats = search(query, k, on_node, on_prune)
+            return neighbors, stats.distance_computations
+
+        neighbors, computations, disks, cache_stats = self._charged(
+            walk, self._span_name, k, mode
+        )
+        return ParallelQueryResult(
+            neighbors, disks.pages_per_disk, disks.parallel_time_ms,
+            computations, cache_stats,
+        )
+
+    def _charged(
+        self,
+        walk: Callable[[NodeHook, Optional[PruneHook]], Tuple[Any, int]],
+        engine: str,
+        k: int = 0,
+        mode: Optional[str] = None,
+    ) -> Tuple[Any, int, DiskArray, Optional[CacheStats]]:
+        """Run ``walk(on_node, on_prune)`` in a trace span with the
+        charging hooks (``on_prune`` is ``None`` when nobody traces).
+
+        ``walk`` returns what it found and its distance computations;
+        this returns those, the charged disks and the pool's delta.
+        Callers check their arguments first, so a rejected query emits
+        nothing and leaves pool and counters untouched.
+        """
         tracer = current_tracer(self.tracer)
         traced = tracer.enabled
         span = -1
         if traced:
             span = tracer.begin_query(
-                self._span_name, k=k, num_disks=self.num_disks, mode=mode,
+                engine, k=k, num_disks=self.num_disks, mode=mode,
                 service_ms=self.parameters.page_service_time_ms,
             )
         disks = DiskArray(self.num_disks, self.parameters)
@@ -321,7 +320,7 @@ class _BestFirstEngine:
         disk_of = self._disk_of
 
         def on_node(tag: int, node: Node) -> None:
-            # The one place a kNN query pays for a page: served from the
+            # The one place a query pays for a page: served from the
             # pool, or charged to its disk.
             leaf = node.is_leaf
             disk = disk_of(node) if leaf and disk_of is not None else tag
@@ -345,43 +344,15 @@ class _BestFirstEngine:
             if traced:
                 tracer.prune(span, tag, count)
 
-        search = search or self._search
-        # One disk and nobody watching the visits (no pool, no tracer):
-        # ``SearchStats`` already holds the charge, and skipping the hook
-        # saves ~0.7 us a node, 7-9 % of a query.  (A leaf counts as one
-        # page there, which holds for every tree the builders produce:
-        # X-tree data nodes always split.)
-        watched = not self._single_disk or cache is not None or traced
-        neighbors, stats = search(
-            query, k, on_node if watched else None,
-            on_prune if traced and not self._single_disk else None,
-        )
-        if not watched:
-            disks.charge(0, stats.leaf_accesses)
+        found, computations = walk(on_node, on_prune if traced else None)
         if traced:
             tracer.end_query(
                 span, time_ms=disks.parallel_time_ms,
-                distance_computations=stats.distance_computations,
+                distance_computations=computations,
             )
         return (
-            neighbors, stats, disks,
+            found, computations, disks,
             cache.delta_since(cache_before) if cache else None,
-        )
-
-    @staticmethod
-    def _parallel_result(
-        neighbors: List[Neighbor],
-        stats: SearchStats,
-        disks: DiskArray,
-        cache_stats: Optional[CacheStats],
-    ) -> ParallelQueryResult:
-        """:meth:`_run`'s outcome as a :class:`ParallelQueryResult`."""
-        return ParallelQueryResult(
-            neighbors=neighbors,
-            pages_per_disk=disks.pages_per_disk,
-            parallel_time_ms=disks.parallel_time_ms,
-            distance_computations=stats.distance_computations,
-            cache_stats=cache_stats,
         )
 
 
@@ -431,10 +402,10 @@ class ParallelEngine(_BestFirstEngine):
             raise ValueError(
                 f"mode must be 'coordinated' or 'independent', got {mode!r}"
             )
-        return self._parallel_result(*self._run(
+        return self._knn(
             query, k, mode,
             self._independent if mode == "independent" else None,
-        ))
+        )
 
     def _roots(self) -> List[Tuple[int, Node]]:
         return [
@@ -447,7 +418,7 @@ class ParallelEngine(_BestFirstEngine):
         self,
         query: np.ndarray,
         k: int,
-        on_node: Optional[NodeHook],
+        on_node: NodeHook,
         on_prune: Optional[PruneHook],
     ) -> Tuple[List[Neighbor], SearchStats]:
         """One search per disk (local bounds, no ``prune`` events); the
@@ -472,7 +443,6 @@ class SequentialEngine(_BestFirstEngine):
     """
 
     _span_name = "sequential"
-    _single_disk = True
 
     def __init__(
         self,
@@ -495,19 +465,16 @@ class SequentialEngine(_BestFirstEngine):
             1, self.tree.dimension, page_bytes, parameters, cache, tracer,
         )
 
-    def query(self, query: Sequence[float], k: int = 1) -> SequentialQueryResult:
+    def query(self, query: Sequence[float], k: int = 1) -> ParallelQueryResult:
         """Run one kNN query against the single-disk index.
 
         Under an enabled tracer this emits a ``query_start`` ...
         ``query_end`` span whose ``page_read`` events (all on disk 0)
-        total exactly ``result.pages``; cache lookups additionally emit
-        ``cache_hit``/``cache_miss``.
+        total exactly ``result.max_pages``; cache lookups additionally
+        emit ``cache_hit``/``cache_miss``, and the bound's cuts
+        ``prune``.
         """
-        neighbors, stats, disks, cache_stats = self._run(query, k)
-        return SequentialQueryResult(
-            neighbors, stats, disks.parallel_time_ms, disks.max_pages,
-            cache_stats,
-        )
+        return self._knn(query, k)
 
     def _roots(self) -> List[Tuple[int, Node]]:
         return [(0, self.tree.root)] if self.tree.size else []

@@ -26,13 +26,21 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.declustering import BucketDeclusterer, Declusterer
+from repro.index import kernels
 from repro.index.bulk import bulk_load
-from repro.index.node import DEFAULT_PAGE_BYTES, Node
+from repro.index.mbr import MBR
+from repro.index.node import DEFAULT_PAGE_BYTES, LeafEntry, Node
 from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
 from repro.obs.tracer import Tracer
 from repro.parallel.disks import DiskParameters
-from repro.parallel.engine import ParallelQueryResult, _BestFirstEngine
+from repro.parallel.engine import (
+    NodeHook,
+    ParallelQueryResult,
+    PruneHook,
+    _BestFirstEngine,
+)
+from repro.parallel.window import WindowQueryResult
 
 __all__ = [
     "PagedStore",
@@ -222,7 +230,75 @@ class PagedEngine(_BestFirstEngine):
         data page, and ``prune`` when the best-first bound cuts the
         queue or skips a child subtree.
         """
-        return self._parallel_result(*self._run(query, k))
+        return self._knn(query, k)
+
+    def window(
+        self, low: Sequence[float], high: Sequence[float]
+    ) -> WindowQueryResult:
+        """All points in ``[low, high]``, charged like a kNN query.
+
+        A depth-first walk of the shared directory: each intersecting
+        data page goes through the shell's ``on_node`` — served from the
+        pool, or charged to its disk — so the query's elapsed time is
+        the busiest disk's page count times the page service time.  The
+        corners are checked before the ``"window"`` span opens; under a
+        tracer, ``prune`` fires per non-intersecting subtree as it is
+        popped, depth-first among the visits.  Leaf entries are read
+        from RAM: the store must be an in-memory :class:`PagedStore`.
+        """
+        window = MBR(self._point(low), self._point(high))
+        tree = self.store.tree
+
+        def walk(
+            on_node: NodeHook, on_prune: Optional[PruneHook]
+        ) -> Tuple[List[LeafEntry], int]:
+            entries: List[LeafEntry] = []
+            if not tree.size:
+                return entries, 0
+            root = tree.root
+            # Intersection is decided in batch when a node is expanded
+            # (the root's here).  Under a tracer, rejected children are
+            # still pushed (with a False flag) so their ``prune`` events
+            # fire at pop time.
+            flagged: List[Tuple[Node, bool]] = [
+                (root, root.mbr is not None and root.mbr.intersects(window))
+            ]
+            while flagged:
+                node, intersecting = flagged.pop()
+                if not intersecting:
+                    if on_prune is not None:
+                        on_prune(-1, 1)
+                    continue
+                on_node(-1, node)
+                if node.is_leaf:
+                    mask = kernels.leaf_window_mask(
+                        node, window.low, window.high
+                    )
+                    entries.extend(
+                        node.entries[index]  # type: ignore[misc]
+                        for index in np.nonzero(mask)[0]
+                    )
+                    continue
+                mask = kernels.child_intersects(
+                    node, window.low, window.high
+                )
+                if on_prune is not None:
+                    flagged.extend(
+                        (child, bool(flag))  # type: ignore[misc]
+                        for child, flag in zip(node.entries, mask)
+                    )
+                else:
+                    flagged.extend(
+                        (node.entries[index], True)  # type: ignore[misc]
+                        for index in np.nonzero(mask)[0]
+                    )
+            return entries, 0
+
+        entries, _, disks, cache_stats = self._charged(walk, "window")
+        return WindowQueryResult(
+            entries, disks.pages_per_disk, disks.parallel_time_ms,
+            cache_stats,
+        )
 
     def _roots(self) -> List[Tuple[int, Node]]:
         tree = self.store.tree

@@ -60,7 +60,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.parallel.cache import CacheStats
 from repro.parallel.paged import PagedStore
-from repro.parallel.window import parallel_window_query
 from repro.serve.clock import Clock, LoopClock, VirtualClock
 from repro.serve.scheduler import SchedulerPolicy, make_scheduler
 
@@ -122,8 +121,7 @@ class RequestOutcome:
     """One request's result plus its scheduling timeline.
 
     ``result`` is the engine's own result object
-    (:class:`~repro.parallel.engine.ParallelQueryResult`,
-    :class:`~repro.parallel.engine.SequentialQueryResult`, or
+    (:class:`~repro.parallel.engine.ParallelQueryResult` or
     :class:`~repro.parallel.window.WindowQueryResult`) — bit-for-bit
     what a direct engine call would have returned.
     """
@@ -411,7 +409,8 @@ class QueryService:
         Contiguous runs of same-``(kind, k)`` requests go through the
         engine's ``query_batch`` (one kernel call per run, shared
         pool); window requests run one
-        :func:`~repro.parallel.window.parallel_window_query` each.  The
+        :meth:`~repro.parallel.paged.PagedEngine.window` each, on the
+        same pool.  The
         batch's service time is its busiest disk's page total times the
         page service time — the paper's cost model lifted from one
         query to one batch — and its requests complete, in the trace and
@@ -449,17 +448,10 @@ class QueryService:
                         "PagedStore (got "
                         f"{type(self.engine).__name__})"
                     )
-                for request in chunk:
-                    assert request.high is not None
-                    results.append(
-                        parallel_window_query(
-                            store,
-                            request.query,
-                            request.high,
-                            parameters=self.engine.parameters,
-                            tracer=self.tracer,
-                        )
-                    )
+                results.extend(
+                    self.engine.window(request.query, request.high)
+                    for request in chunk
+                )
         pages = np.zeros(self.num_disks, dtype=np.int64)
         for result in results:
             pages += result.pages_per_disk

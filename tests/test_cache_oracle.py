@@ -121,13 +121,13 @@ def test_sequential_engine_cache_oracle(small_uniform, rng):
         zero = cold.query(query, 4)
         assert [n.oid for n in reference.neighbors] == oracle
         assert [n.oid for n in zero.neighbors] == oracle
-        assert zero.pages == reference.pages
+        assert zero.max_pages == reference.max_pages
         first = warm.query(query, 4)
         second = warm.query(query, 4)
         assert [n.oid for n in second.neighbors] == oracle
-        assert second.pages == 0          # fully served from RAM
+        assert second.max_pages == 0          # fully served from RAM
         assert second.cache_stats.hit_ratio == 1.0
-        assert first.pages <= reference.pages
+        assert first.max_pages <= reference.max_pages
 
 
 def test_warm_repeat_charges_nothing():

@@ -100,7 +100,7 @@ class TestTinyStores:
     def test_sequential_engine_single_point(self):
         engine = SequentialEngine(np.array([[0.5, 0.5]]))
         result = engine.query(np.zeros(2), 1)
-        assert result.pages == 1
+        assert result.max_pages == 1
 
 
 class TestAsciiChart:

@@ -99,10 +99,14 @@ class TestAccounting:
 
 class TestSequentialEngine:
     def test_counts_leaf_pages_by_default(self, medium_uniform, rng):
+        from repro.index.knn import knn_best_first
+
         engine = SequentialEngine(medium_uniform)
-        result = engine.query(rng.random(8), 5)
-        assert result.pages == result.stats.leaf_accesses
-        assert result.pages < result.stats.page_accesses
+        query = rng.random(8)
+        result = engine.query(query, 5)
+        _, stats = knn_best_first(engine.tree, query, 5)
+        assert result.max_pages == stats.leaf_accesses
+        assert result.max_pages < stats.page_accesses
 
     def test_prebuilt_tree_reused(self, medium_uniform):
         from repro.index.bulk import bulk_load
@@ -128,5 +132,7 @@ class TestSequentialEngine:
                          for q in queries])
             )
         assert times[0] > times[1] > times[2]
-        seq_time = np.mean([sequential.query(q, 10).time_ms for q in queries])
+        seq_time = np.mean(
+            [sequential.query(q, 10).parallel_time_ms for q in queries]
+        )
         assert times[0] == pytest.approx(seq_time, rel=0.25)

@@ -8,12 +8,10 @@ from repro.core import NearOptimalDeclusterer
 from repro.experiments.harness import (
     ResultTable,
     geometric_mean,
-    item_costs,
-    paged_costs,
-    sequential_costs,
+    query_costs,
 )
-from repro.parallel.engine import SequentialEngine
-from repro.parallel.paged import PagedStore
+from repro.parallel.engine import ParallelEngine, SequentialEngine
+from repro.parallel.paged import PagedEngine, PagedStore
 from repro.parallel.store import DeclusteredStore
 
 
@@ -63,15 +61,16 @@ class TestGeometricMean:
 class TestCostHelpers:
     def test_sequential_costs(self, medium_uniform, rng):
         engine = SequentialEngine(medium_uniform)
-        costs = sequential_costs(engine, rng.random((4, 8)), 3)
+        costs = query_costs(engine, rng.random((4, 8)), 3)
         assert costs.mean_pages > 0
         assert costs.mean_time_ms > 0
+        assert costs.mean_balance == 1.0  # one disk is always balanced
 
     def test_paged_costs(self, medium_uniform, rng):
         store = PagedStore(
             points=medium_uniform, declusterer=NearOptimalDeclusterer(8, 8)
         )
-        costs = paged_costs(store, rng.random((4, 8)), 3)
+        costs = query_costs(PagedEngine(store), rng.random((4, 8)), 3)
         assert costs.mean_pages > 0
         assert costs.mean_balance >= 1.0
 
@@ -79,7 +78,7 @@ class TestCostHelpers:
         store = DeclusteredStore(
             medium_uniform, RoundRobinDeclusterer(8, 4)
         )
-        costs = item_costs(store, rng.random((4, 8)), 3)
+        costs = query_costs(ParallelEngine(store), rng.random((4, 8)), 3)
         assert costs.mean_pages > 0
         assert costs.mean_balance >= 1.0
 
@@ -92,6 +91,6 @@ class TestCostHelpers:
             tree=sequential.tree,
             declusterer=NearOptimalDeclusterer(8, 1),
         )
-        seq = sequential_costs(sequential, queries, 5)
-        par = paged_costs(store, queries, 5)
+        seq = query_costs(sequential, queries, 5)
+        par = query_costs(PagedEngine(store), queries, 5)
         assert par.mean_pages == pytest.approx(seq.mean_pages)

@@ -115,7 +115,7 @@ class TestFullPipeline:
         engine = PagedEngine(store)
         speedups = []
         for query in queries:
-            seq_time = sequential.query(query, 10).time_ms
+            seq_time = sequential.query(query, 10).parallel_time_ms
             par_time = engine.query(query, 10).parallel_time_ms
             if par_time > 0:
                 speedups.append(seq_time / par_time)

@@ -37,7 +37,6 @@ from repro.parallel.engine import ParallelEngine, SequentialEngine
 from repro.parallel.paged import PagedEngine, PagedStore
 from repro.parallel.process import ProcessParallelEngine
 from repro.parallel.store import DeclusteredStore
-from repro.parallel.window import parallel_window_query
 from repro.storage import MmapStore, save_paged_store
 from tests.scalar_oracle import scalar_kernels
 
@@ -383,10 +382,7 @@ def test_paged_and_sequential_engines_match_scalar(dimension, k):
                     paged, slow_paged.query(query, k)
                 )
                 slow = slow_seq.query(query, k)
-            assert fast.neighbors == slow.neighbors
-            assert fast.stats == slow.stats
-            assert fast.pages == slow.pages
-            _assert_same_cache_stats(fast.cache_stats, slow.cache_stats)
+            _assert_same_parallel_result(fast, slow)
 
 
 @pytest.mark.parametrize("dimension", DIMENSIONS)
@@ -396,9 +392,9 @@ def test_window_query_matches_scalar(dimension):
     for center in rng.random((4, dimension)):
         low = np.maximum(center - 0.3, 0.0)
         high = np.minimum(center + 0.3, 1.0)
-        fast = parallel_window_query(paged_store, low, high)
+        fast = PagedEngine(paged_store).window(low, high)
         with scalar_kernels():
-            slow = parallel_window_query(paged_store, low, high)
+            slow = PagedEngine(paged_store).window(low, high)
         assert [e.oid for e in fast.entries] == [
             e.oid for e in slow.entries
         ]
@@ -454,11 +450,7 @@ def test_lattice_ties_match_textbook(dimension, tmp_path):
             assert [distance for distance, _ in book[0]] == scan
             best, best_stats = knn_best_first(sequential.tree, query, k)
             assert (_ranked(best), best_stats) == (book[0], stats)
-            result = sequential.query(query, k)
-            assert (_ranked(result.neighbors), result.stats) == (
-                book[0], stats
-            )
-            assert [result.pages] == book[2]
+            assert _facts(sequential.query(query, k)) == book
 
             book, _ = _referee(forest, query, k)
             assert _facts(item.query(query, k)) == book

@@ -128,7 +128,7 @@ class TestSequentialEngineOracle:
         engine = SequentialEngine(points, cache=cache, tracer=tracer)
         total = 0
         for query in queries:
-            total += engine.query(query, k=5).pages
+            total += engine.query(query, k=5).max_pages
         assert tracer.pages_per_disk(1) == [total]
 
     def test_tracer_does_not_change_page_counts(self):
@@ -136,9 +136,9 @@ class TestSequentialEngineOracle:
         plain = SequentialEngine(points)
         traced = SequentialEngine(points, tracer=RecordingTracer())
         for query in queries:
-            assert traced.query(query, k=5).pages == plain.query(
-                query, k=5
-            ).pages
+            assert result_fingerprint(
+                traced.query(query, k=5)
+            ) == result_fingerprint(plain.query(query, k=5))
 
 
 def test_rejected_query_opens_no_span(tmp_path):
@@ -169,33 +169,87 @@ def test_rejected_query_opens_no_span(tmp_path):
             engine.query(queries[1], 3, **mode)
             make_engine(cache=16, tracer=fresh).query(queries[1], 3, **mode)
             assert tracer.events == fresh.events
+        tracer, fresh = RecordingTracer(), RecordingTracer()
+        engine = PagedEngine(store, cache=16, tracer=tracer)
+        low, high = queries[0], queries[0] + 0.25
+        for corners in (
+            (low[:-1], high[:-1]), (low, high[:-1]), (queries[:2],) * 2,
+            (high, low),
+        ):
+            with pytest.raises(ValueError):
+                engine.window(*corners)
+        assert tracer.events == [] and tracer._spans == {}
+        assert engine.cache.stats().accesses == 0
+        engine.window(low, high)
+        PagedEngine(store, cache=16, tracer=fresh).window(low, high)
+        assert tracer.events == fresh.events
+
+
+def closest_leaf(trees, query):
+    return min(
+        (leaf for tree in trees for leaf in tree.leaves()),
+        key=lambda leaf: leaf.mbr.mindist(query),
+    )
 
 
 @pytest.mark.parametrize("cache", (None, 16))
 def test_two_block_leaf_charged_alike_in_both_modes(cache):
     """One charge site: a hand-built two-block data page costs two
-    pages in either mode, pool on or off, and the ``page_read`` totals
-    still equal ``pages_per_disk``."""
+    pages on every in-process entry point — untraced, traced, or with
+    a zero-page pool — and the ``page_read`` totals still equal
+    ``pages_per_disk``."""
     points, queries = workload(seed=6)
-    store = DeclusteredStore(points, declusterer())
     query = queries[0]
-    fat = min(
-        (leaf for tree in store.trees for leaf in tree.leaves()),
-        key=lambda leaf: leaf.mbr.mindist(query),
-    )
+    items = DeclusteredStore(points, declusterer())
+    sequential = SequentialEngine(points)
+    paged = PagedStore(points, declusterer())
+    fat_page = closest_leaf([paged.tree], query)
+    runs = {
+        "coordinated": (
+            partial(ParallelEngine, items),
+            lambda engine: engine.query(query, k=5),
+        ),
+        "independent": (
+            partial(ParallelEngine, items),
+            lambda engine: engine.query(query, k=5, mode="independent"),
+        ),
+        "sequential": (
+            partial(SequentialEngine, None, tree=sequential.tree),
+            lambda engine: engine.query(query, k=5),
+        ),
+        "window": (
+            partial(PagedEngine, paged),
+            lambda engine: engine.window(
+                fat_page.mbr.low, fat_page.mbr.high
+            ),
+        ),
+    }
+    fat = [
+        closest_leaf(items.trees, query),
+        closest_leaf([sequential.tree], query),
+        fat_page,
+    ]
     charged = {}
     for blocks in (1, 2):
-        fat.blocks = blocks
-        for mode in ("coordinated", "independent"):
-            tracer = RecordingTracer()
-            engine = ParallelEngine(store, cache=cache, tracer=tracer)
-            result = engine.query(query, k=5, mode=mode)
-            assert tracer.pages_per_disk(DISKS) == (
-                result.pages_per_disk.tolist()
-            )
-            charged[blocks, mode] = result.total_pages
-    for mode in ("coordinated", "independent"):
-        assert charged[2, mode] == charged[1, mode] + 1
+        for leaf in fat:
+            leaf.blocks = blocks
+        for name, (make_engine, run) in runs.items():
+            for pool, tracer in (
+                (cache, None), (cache, RecordingTracer()),
+                (0, RecordingTracer()),
+            ):
+                engine = make_engine(cache=pool, tracer=tracer)
+                result = run(engine)
+                if tracer is not None:
+                    assert tracer.pages_per_disk(engine.num_disks) == (
+                        result.pages_per_disk.tolist()
+                    )
+                charged.setdefault((blocks, name), set()).add(
+                    result.total_pages
+                )
+    for name in runs:
+        (one,) = charged[1, name]
+        assert charged[2, name] == {one + 1}
 
 
 class TestAmbientContextOracle:

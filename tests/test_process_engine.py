@@ -664,6 +664,7 @@ def _non_finite_calls(engine, reference):
         ),
         "sequential": lambda q: SequentialEngine(points).query(q, 3),
         "paged": lambda q: PagedEngine(paged).query(q, 3),
+        "paged-window": lambda q: PagedEngine(paged).window(np.zeros(6), q),
         "paged-mmap": lambda q: reference.query(q, 3),
         "process": lambda q: engine.query(q, 3),
         "process-batch": lambda q: engine.query_batch(
@@ -679,8 +680,8 @@ def _non_finite_calls(engine, reference):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "target",
-    ["coordinated", "independent", "sequential", "paged", "paged-mmap",
-     "process", "process-batch", "request", "request-high"],
+    ["coordinated", "independent", "sequential", "paged", "paged-window",
+     "paged-mmap", "process", "process-batch", "request", "request-high"],
 )
 def test_non_finite_query_is_refused(engine, reference, target, value):
     """A NaN or infinite coordinate is refused up front, never answered

@@ -35,7 +35,7 @@ class TestPublicAPI:
         """The ten callables that once took a scalar/vectorized switch
         keep exactly their other parameters, in order."""
         from repro.index import knn
-        from repro.parallel import events, process, window
+        from repro.parallel import events, process
 
         expected = {
             knn.knn_best_first: "tree query k metric on_node",
@@ -49,8 +49,7 @@ class TestPublicAPI:
             repro.PagedEngine: "store parameters cache tracer",
             process.ProcessParallelEngine: "store parameters tracer max_k",
             events.EventDrivenSimulator: "store parameters cache tracer",
-            window.parallel_window_query:
-                "store low high parameters tracer",
+            repro.PagedEngine.window: "self low high",
         }
         for function, names in expected.items():
             assert list(inspect.signature(function).parameters) == (

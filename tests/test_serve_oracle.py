@@ -151,6 +151,41 @@ def test_served_run_matches_direct_with_warm_cache(
     assert_cache_stats_equal(report.cache_stats, batch.cache_stats)
 
 
+def test_served_mixed_trace_matches_direct_with_warm_cache():
+    """Windows share the pool with kNN queries: a mixed trace served
+    through a cached engine gives every request the direct call's
+    answer, pages and cache deltas, in arrival order."""
+    spec = spec_for("paged", "col", cache_pages=64)
+    trace = []
+    for i, point in enumerate(np.random.default_rng(13).random((12, spec.d))):
+        if i % 3 == 1:
+            low = point * 0.7
+            trace.append(QueryRequest(
+                query=low, high=low + 0.3, kind="window", arrival_ms=float(i)
+            ))
+        else:
+            trace.append(
+                QueryRequest(query=point, k=spec.k, arrival_ms=float(i))
+            )
+    service = QueryService(
+        build_engine(spec), "max-batch", batch_size=4, deadline_ms=5.0
+    )
+    report = service.run_trace(trace)
+    direct = build_engine(spec)
+    for request, served in zip(trace, report.query_results):
+        if request.kind == "window":
+            expected = direct.window(request.query, request.high)
+            assert [e.oid for e in served.entries] == [
+                e.oid for e in expected.entries
+            ]
+        else:
+            expected = direct.query(request.query, request.k)
+            assert neighbor_tuples(served) == neighbor_tuples(expected)
+        assert np.array_equal(served.pages_per_disk, expected.pages_per_disk)
+        assert_cache_stats_equal(served.cache_stats, expected.cache_stats)
+    assert report.cache_stats.hits > 0
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_every_policy_yields_identical_results(scheme):
     """Scheduling policy changes batching, never results: every

@@ -5,11 +5,9 @@ import pytest
 
 from repro.baselines import DiskModuloDeclusterer, FXDeclusterer
 from repro.core import NearOptimalDeclusterer
-from repro.parallel.paged import PagedStore
-from repro.parallel.window import (
-    parallel_window_query,
-    partial_match_window,
-)
+from repro.obs import RecordingTracer
+from repro.parallel.paged import PagedEngine, PagedStore
+from repro.parallel.window import partial_match_window
 
 
 @pytest.fixture
@@ -22,7 +20,7 @@ def store(medium_uniform):
 class TestParallelWindowQuery:
     def test_matches_brute_force(self, store, medium_uniform):
         low, high = np.full(8, 0.3), np.full(8, 0.8)
-        result = parallel_window_query(store, low, high)
+        result = PagedEngine(store).window(low, high)
         expected = {
             i
             for i, p in enumerate(medium_uniform)
@@ -32,19 +30,18 @@ class TestParallelWindowQuery:
 
     def test_accounting(self, store):
         low, high = np.full(8, 0.2), np.full(8, 0.9)
-        result = parallel_window_query(store, low, high)
+        result = PagedEngine(store).window(low, high)
         assert result.pages_per_disk.shape == (8,)
         assert result.total_pages >= result.max_pages > 0
         assert result.parallel_time_ms > 0
 
     def test_empty_window(self, store):
-        result = parallel_window_query(store, np.full(8, 2.0),
-                                       np.full(8, 3.0))
+        result = PagedEngine(store).window(np.full(8, 2.0), np.full(8, 3.0))
         assert result.entries == []
         assert result.total_pages == 0
 
     def test_full_window_reads_all_data_pages(self, store):
-        result = parallel_window_query(store, np.zeros(8), np.ones(8))
+        result = PagedEngine(store).window(np.zeros(8), np.ones(8))
         assert len(result.entries) == len(store)
         assert result.total_pages == len(store.leaves)
 
@@ -53,8 +50,35 @@ class TestParallelWindowQuery:
             points=np.zeros((0, 4)),
             declusterer=NearOptimalDeclusterer(4, 4),
         )
-        result = parallel_window_query(empty, np.zeros(4), np.ones(4))
+        result = PagedEngine(empty).window(np.zeros(4), np.ones(4))
         assert result.entries == []
+
+    @pytest.mark.parametrize("cache", (None, 16))
+    def test_traced_pages_equal_pages_per_disk(self, store, cache):
+        """The shell's charge site serves windows too: ``page_read``
+        totals equal ``pages_per_disk``, with or without a pool."""
+        tracer = RecordingTracer()
+        engine = PagedEngine(store, cache=cache, tracer=tracer)
+        totals = np.zeros(8, dtype=np.int64)
+        for center in np.random.default_rng(0).random((4, 8)):
+            totals += engine.window(
+                np.maximum(center - 0.3, 0.0), np.minimum(center + 0.3, 1.0)
+            ).pages_per_disk
+        assert totals.sum() > 0
+        assert tracer.pages_per_disk(8) == totals.tolist()
+
+    def test_repeated_window_on_warm_pool_charges_nothing(self, store):
+        engine = PagedEngine(store, cache=len(store.leaves))
+        low, high = np.full(8, 0.2), np.full(8, 0.9)
+        first = engine.window(low, high)
+        second = engine.window(low, high)
+        assert first.cache_stats.misses == first.total_pages > 0
+        assert second.total_pages == 0
+        assert second.cache_stats.hits == first.total_pages
+        assert second.cache_stats.misses == 0
+        assert [e.oid for e in second.entries] == [
+            e.oid for e in first.entries
+        ]
 
 
 class TestPartialMatchWindow:
@@ -87,7 +111,7 @@ class TestPartialMatchWindow:
         ):
             store = PagedStore(points=medium_uniform,
                                declusterer=declusterer)
-            result = parallel_window_query(store, low, high)
+            result = PagedEngine(store).window(low, high)
             oids = sorted(e.oid for e in result.entries)
             if reference is None:
                 reference = oids
