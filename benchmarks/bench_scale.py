@@ -15,15 +15,15 @@ end:
   the "bounded-RAM construction" claim, enforced, not asserted
   (``build_rss_ok``: a gate on the build-phase *delta*, which is why it
   can read ``true`` beside an absolute ``peak_rss_mb`` above the bound).
-* **Query** — the built store is served, in a second fresh child, by the
-  pipelined :class:`~repro.parallel.process.ProcessParallelEngine`: cold
-  and warm ms/query for the per-call dispatch path, then the same pass
-  through the ``query_batch`` fast path (the same shared-memory query
-  ring with two queries in flight, and every page's disk service time
-  paid once per batch).  Batch results are re-checked
-  bit-for-bit against the per-call results at every rung, and the run
-  **fails** unless batch pages/sec strictly beats per-call pages/sec on
-  every 4-disk rung — the throughput claim the pipelining exists for.
+* **Query** — the built store is served, in a second fresh child, by
+  :class:`~repro.parallel.process.ProcessParallelEngine`: cold and warm
+  ms/query for the per-call dispatch path, then the same pass through
+  ``query_batch`` (the same shared-memory query ring, one post per 16
+  queries: each worker gathers a page, and pays its disk service time,
+  once per post).  Batch results are re-checked bit-for-bit against the
+  per-call results at every rung, and the run **fails** unless batch
+  pages/sec strictly beats per-call pages/sec on every 4-disk rung —
+  the throughput claim batch dispatch exists for.
   The child also reports the query phase's own high-water marks — the
   coordinator's and the largest disk worker's, interpreter, mapped
   page-file pages and chunk gathers included — and the run **fails** if
@@ -33,7 +33,7 @@ end:
 Timed passes run with ``REPRO_SIMULATED_DISK_MS`` switched on (see
 ``bench_wallclock.py`` for why: the page files sit in the OS page
 cache, so without a simulated per-block service time there is no I/O
-for the pipeline to overlap).
+for the disks to overlap).
 
 Usage::
 
@@ -459,10 +459,9 @@ def run(
     )
     table.add_note(
         "per-call = one post/collect through the shared-memory query "
-        "ring per query; batch = pipelined query_batch (the same ring "
-        "with depth-2 banks in flight, and batch-scoped page reuse: a "
-        "page visited by several of the batch's queries pays its disk "
-        "service time once per worker, not once per query)."
+        "ring per query; batch = query_batch, one post per 16 queries "
+        "(each worker gathers a page several of a post's queries owe, "
+        "and pays its disk service time, once, not once per query)."
     )
 
     for comparison in comparisons:

@@ -17,9 +17,7 @@ arrays*:
 * :func:`offer_leaf` — fused leaf kernel: ranking keys, bound filtering,
   and bulk candidate insertion without a per-entry Python loop;
 * :func:`child_intersects` / :func:`leaf_window_mask` — batched window
-  predicates for range/partial-match queries;
-* :func:`block_keys` — Euclidean keys of a gathered ``(n, W, d)`` page
-  block, computed in the block itself.
+  predicates for range/partial-match queries.
 
 **Exactness contract.**  Every kernel reproduces the per-entry loop
 its docstring names bit-for-bit: same neighbor sets, same pruning
@@ -34,6 +32,13 @@ swapped in for the kernels — and asserts equality with no
 float-tolerance waivers.  Callers therefore reach the kernels through
 the module (``kernels.offer_leaf(...)``), never by importing the
 functions; see ``docs/performance.md``.
+
+A BLAS product appears in one place only, and only as a *filter*: the
+process engine's disk workers (:mod:`repro.parallel.process`) rank a
+gathered page block for a batch of queries with one matrix product
+against the rows' squared norms, and refine every surviving row with
+``Metric.point_keys``.  No BLAS value becomes a key, a bound or a
+result.
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ __all__ = [
     "leaf_window_mask",
     "offer_leaf",
     "offer_payload",
-    "block_keys",
 ]
 
 _EUCLIDEAN = Euclidean()
@@ -202,23 +206,3 @@ def offer_payload(
     stats.distance_computations += len(oids)
     candidates.offer_many(keys, oids, points)
 
-
-def block_keys(block: np.ndarray, tiled: np.ndarray) -> np.ndarray:
-    """Squared Euclidean keys of every row of a C-contiguous ``(n, W,
-    d)`` page block, **overwriting the block** with its deltas.
-
-    ``tiled`` is the query repeated once per row of a page,
-    ``np.tile(query, W)`` — a scan computes it once for all its chunks.
-    One ``np.subtract`` of it over the ``(n, W·d)`` rows is elementwise
-    the same ``p - q`` as
-    :meth:`~repro.index.metrics.Euclidean.point_keys`, with no second
-    block allocated; its ``einsum`` then runs over the same contiguous
-    ``(n·W, d)`` array, so every key is bit-identical to
-    ``point_keys(block.reshape(-1, d), query)``, ``+inf`` padding rows
-    included (they score ``inf`` and raise no floating-point flag).
-    """
-    pages, width, dimension = block.shape
-    flat = block.reshape(pages, width * dimension)
-    np.subtract(flat, tiled, out=flat)
-    deltas = flat.reshape(pages * width, dimension)
-    return np.einsum("ij,ij->i", deltas, deltas)

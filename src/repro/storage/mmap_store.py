@@ -623,25 +623,20 @@ class MmapStore:
             )
         return table
 
-    def read_pages(
-        self, disk: int, pages: np.ndarray, owed: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def read_pages(self, disk: int, pages: np.ndarray) -> np.ndarray:
         """Fetch several of one disk's data pages with a single gather.
 
         ``pages`` indexes rows of :meth:`disk_table`; the result is
         :meth:`PageFile.gather` of their slots — the ``(n, W, d)`` point
         block, ``+inf`` past each page's count, an owned copy.  The
-        simulated service time of the pages the caller owes it for
-        (``owed``, a mask over ``pages``; all of them by default) is
-        slept once, by the caller that issued the gather.
-        :meth:`page_rows` reads the oids of the rows the caller keeps.
+        pages' simulated service time is slept once, by the caller that
+        issued the gather.  :meth:`page_rows` reads the oids of the rows
+        the caller keeps.
         """
         _, _, slots, _, blocks = self.disk_table(disk)
         block = self._page_file(disk).gather(slots[pages])
-        if self.simulated_disk_ms:
-            paid = blocks[pages] if owed is None else blocks[pages][owed]
-            if paid.size:
-                time.sleep(self.simulated_disk_ms * int(paid.sum()) / 1000.0)
+        if self.simulated_disk_ms and len(pages):
+            time.sleep(self.simulated_disk_ms * int(blocks[pages].sum()) / 1000.0)
         return block
 
     def page_rows(

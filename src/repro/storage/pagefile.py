@@ -361,11 +361,14 @@ class PageFile:
         return self._counts[self._checked(slots)]
 
     def _checked(self, slots: np.ndarray) -> np.ndarray:
-        """``slots`` as indices; refused on a closed file or out of range."""
+        """``slots`` as indices; refused on a closed file or out of range
+        (read unsigned, a negative slot is huge, so one maximum checks
+        both ends of every gather)."""
         if self._mmap is None:
             raise PageFormatError(f"page file {self.path!r} already closed")
         slots = np.asarray(slots, dtype=np.intp)
-        if slots.size and not 0 <= slots.min() <= slots.max() < self.num_slots:
+        top = np.maximum.reduce(slots.view(np.uintp), axis=None, initial=0)
+        if top >= self.num_slots and slots.size:
             raise ValueError(f"slots outside [0, {self.num_slots}) in {self.path!r}")
         return slots
 

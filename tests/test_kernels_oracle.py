@@ -251,14 +251,13 @@ def test_point_keys_of_a_block_match_per_page_calls(
 def test_point_keys_of_a_padded_block_match_per_page_calls(
     counts, slack, dimension, misaligned, seed
 ):
-    """The process workers score a gathered ``(n, W, d)`` page block,
-    short pages padded with ``+inf`` points — through ``point_keys``
-    over its ``(n·W, d)`` rows, and through ``kernels.block_keys``,
-    which overwrites the block with its deltas.  Both must give the
-    real rows bit for bit as their pages score alone, every padding row
-    must score ``inf`` (never ``nan``: it may not pass ``key < bound``),
-    and a finite query must raise no floating-point flag on the way —
-    for every ``W`` (0 included) and either buffer alignment."""
+    """The process workers refine rows of a gathered ``(n, W, d)`` page
+    block, short pages padded with ``+inf`` points, through
+    ``point_keys`` over its ``(n·W, d)`` rows.  That must give the real
+    rows bit for bit as their pages score alone, every padding row must
+    score ``inf`` (never ``nan``: it may not pass ``key < bound``), and a
+    finite query must raise no floating-point flag on the way — for
+    every ``W`` (0 included) and either buffer alignment."""
     rng = np.random.default_rng(seed)
     stride = max(counts) + slack
     pages = [rng.random((count, dimension)) * 4.0 - 2.0 for count in counts]
@@ -279,11 +278,6 @@ def test_point_keys_of_a_padded_block_match_per_page_calls(
     block = padded_block()
     with np.errstate(all="raise"):
         keys = metric.point_keys(block.reshape(-1, dimension), query)
-        in_place = kernels.block_keys(block, np.tile(query, stride))
-    assert in_place.tobytes() == keys.tobytes()
-    assert block.reshape(-1, dimension).tobytes() == (
-        padded_block().reshape(-1, dimension) - query
-    ).tobytes()
     keys = keys.reshape(len(pages), stride)
     for row, page in zip(keys, pages):
         alone = metric.point_keys(page.copy(), query)

@@ -522,10 +522,10 @@ class TestAcceptanceMetaTests:
         self, tmp_path, capsys
     ):
         """The rule covers the query ring's arrays: the live worker
-        with its arena / ledger / tally deposit moved out of the bank
+        with its arena / ledger / tally deposit moved out of the ring's
         lock is caught, each array by name."""
         source = (REPO_SRC / "parallel" / "process.py").read_text()
-        locked = "            with lock:\n                _pack_candidates("
+        locked = "            with lock:\n                cell = arena_view[:]"
         assert source.count(locked) == 1
         write_snippet(
             tmp_path, "src/repro/parallel/process.py",
@@ -534,7 +534,7 @@ class TestAcceptanceMetaTests:
         assert main([str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert out.count("shared-state-without-lock") == 3
-        for shared in ("'arena'", "'ledgers'", "'tallies_view'"):
+        for shared in ("'arena_view'", "'ledgers_view'", "'tallies_view'"):
             assert shared in out
 
 

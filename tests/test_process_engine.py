@@ -35,14 +35,15 @@ from repro.index.node import DEFAULT_PAGE_BYTES
 from repro.parallel.engine import ParallelEngine, SequentialEngine
 from repro.parallel.paged import PagedEngine, PagedStore
 from repro.parallel.process import (
-    _PIPELINE_DEPTH,
+    _LIVENESS_SLICE_S,
+    _MAX_BATCH,
     ProcessParallelEngine,
     _DiskPages,
     _exact_counts,
+    _Filter,
+    _scan,
     _top_k,
-    _visit_order,
     _worker_main,
-    _worker_query,
 )
 from repro.parallel.store import DeclusteredStore
 from repro.serve import QueryRequest
@@ -173,7 +174,8 @@ class TestParity:
         bound = result.neighbors[-1].distance ** 2
         with MmapStore(tmp_path / "ties") as store:
             for disk in range(store.num_disks):
-                _, mindists = _visit_order(store.disk_table(disk), queries[-1])
+                lows, highs = store.disk_table(disk)[:2]
+                mindists = Euclidean().mindist_many(lows, highs, queries[-1])
                 charged = mindists[mindists <= bound]
                 assert len(np.unique(charged)) < len(charged)
 
@@ -183,6 +185,63 @@ class TestParity:
         result = engine.query(np.full(6, 0.5), 5)
         assert engine.last_speculative_pages >= result.pages_per_disk.sum()
         assert result.pages_per_disk.sum() > 0
+
+    def test_batches_split_at_every_size_match_per_call(
+        self, engine, reference
+    ):
+        """Twelve queries batched in posts of every size from 1 to 12,
+        and one batch of more queries than a post carries: every answer
+        equals the per-call answer and ``PagedEngine``'s bit for bit."""
+        rng = np.random.default_rng(37)
+        queries = rng.random((_MAX_BATCH + 5, 6))
+        want = [reference.query(query, 5) for query in queries]
+        for query, expected in zip(queries[:12], want):
+            _assert_bit_identical(engine.query(query, 5), expected)
+        for size in range(1, 13):
+            for first in range(0, 12, size):
+                batch = engine.query_batch(queries[first : first + size], 5)
+                for result, expected in zip(batch.results, want[first:]):
+                    _assert_bit_identical(result, expected)
+        batch = engine.query_batch(queries, 5)
+        assert len(batch.results) == len(queries)
+        for result, expected in zip(batch.results, want):
+            _assert_bit_identical(result, expected)
+
+    def test_a_batch_gathers_no_page_twice(self, engine, mmap_store):
+        """A post gathers each page at most once for all its queries:
+        the batch's count is at most the store's page count and at most
+        the per-call counts summed, and the speculative count still
+        covers the charged pages."""
+        rng = np.random.default_rng(41)
+        queries = 0.3 + 0.4 * rng.random((_MAX_BATCH, 6))
+        per_call = charged = 0
+        for query in queries:
+            charged += int(engine.query(query, 8).pages_per_disk.sum())
+            per_call += engine.last_gathered_pages
+        engine.query_batch(queries, 8)
+        assert 0 < engine.last_gathered_pages <= mmap_store.disk_loads().sum()
+        assert engine.last_gathered_pages <= per_call
+        assert engine.last_speculative_pages >= charged
+
+    def test_workers_run_blas_on_one_thread(self, mmap_store, monkeypatch):
+        """Every worker is spawned with ``OPENBLAS_NUM_THREADS=1``, so
+        its BLAS starts no threads of its own (a worker runs one), even
+        where the coordinator asks for more; the coordinator's own
+        setting is left as it was."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        with ProcessParallelEngine(mmap_store) as engine:
+            engine.query(np.full(6, 0.5), 1)
+            assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+            for proc in engine._procs:
+                with open(f"/proc/{proc.pid}/environ", "rb") as environ:
+                    variables = environ.read().split(b"\0")
+                assert b"OPENBLAS_NUM_THREADS=1" in variables
+                with open(f"/proc/{proc.pid}/status") as status:
+                    threads = [
+                        line.split()[1] for line in status
+                        if line.startswith("Threads:")
+                    ]
+                assert threads == ["1"]
 
 
 def _assert_parity(paged_store, directory, queries, ks, max_k=64):
@@ -264,23 +323,22 @@ class TestFlatTableShapes:
 
 
 class _CountingStore:
-    """Store facade over ``read_pages``: ``pages_read`` counts the pages
-    it was told are owed service time, ``owed_blocks`` their blocks
-    (``page_rows`` owes nothing)."""
+    """Store facade over ``read_pages``: ``fetched`` lists the table rows
+    of every gather (``page_rows`` owes no service time), ``owed_blocks``
+    their blocks."""
 
     def __init__(self, inner):
         self._inner = inner
         self.disk_table = inner.disk_table
         self.page_rows = inner.page_rows
         self.dimension = inner.dimension
-        self.pages_read = 0
+        self.fetched = []
         self.owed_blocks = 0
 
-    def read_pages(self, disk, pages, owed=None):
-        charged = pages if owed is None else pages[owed]
-        self.pages_read += len(charged)
-        self.owed_blocks += int(self.disk_table(disk)[4][charged].sum())
-        return self._inner.read_pages(disk, pages, owed)
+    def read_pages(self, disk, pages):
+        self.fetched.extend(int(page) for page in pages)
+        self.owed_blocks += int(self.disk_table(disk)[4][pages].sum())
+        return self._inner.read_pages(disk, pages)
 
 
 def _assert_chunk(store, disk, pages, block):
@@ -301,67 +359,19 @@ def _assert_chunk(store, disk, pages, block):
     assert np.array_equal(points[real][order], want_points[want_order])
 
 
-class TestBatchPageMemo:
-    """The worker's page source behind ``query_batch``'s worker loop:
-    every chunk is one gather of the page file's scan rows, and the
-    batch scope decides only which pages owe service time."""
-
-    def test_repeat_visits_served_from_memo(self, mmap_store):
-        counting = _CountingStore(mmap_store)
-        source = _DiskPages(counting, 1)
-        source.scope(3)
-        first = source.chunk(np.array([2, 0]))
-        assert counting.pages_read == 2
-        # A step mixing held and new pages owes only for the new one.
-        second = source.chunk(np.array([0, 3, 2]))
-        assert counting.pages_read == 3
-        third = source.chunk(np.array([3, 0]))
-        assert counting.pages_read == 3
-        _assert_chunk(mmap_store, 1, [2, 0], first)
-        _assert_chunk(mmap_store, 1, [0, 3, 2], second)
-        _assert_chunk(mmap_store, 1, [3, 0], third)
-        # Every chunk is whole slot rows: W of them a page.
-        width = int(mmap_store.disk_table(1)[3].max())
-        assert third.shape == (2, width, mmap_store.dimension)
-
-    def test_cap_disables_insertion_not_reads(self, mmap_store, monkeypatch):
-        """No page count caps what a scope holds: with the decoded
-        buffer's old cap (``_CAP``) set to one page, the pages past it
-        still owe service time once per scope."""
-        monkeypatch.setattr(_DiskPages, "_CAP", 1, raising=False)
-        counting = _CountingStore(mmap_store)
-        source = _DiskPages(counting, 0)
-        source.scope(1)
-        source.chunk(np.array([0]))
-        source.chunk(np.array([1]))
-        source.chunk(np.array([1]))  # past the old cap: held all the same
-        source.chunk(np.array([0]))
-        assert counting.pages_read == 2
-        chunk = source.chunk(np.array([1, 0, 2]))
-        assert counting.pages_read == 3
-        _assert_chunk(mmap_store, 0, [1, 0, 2], chunk)
-
-    def test_scopes_hold_nothing_across_serials(self, mmap_store):
-        """Per-call (serial 0) holds nothing: every chunk owes for all
-        its pages; a new serial starts empty.  Rows are the same either
-        way."""
-        counting = _CountingStore(mmap_store)
-        source = _DiskPages(counting, 1)
-        pages = np.array([1, 3, 0])
-        width = int(mmap_store.disk_table(1)[3].max())
-        for serial, reads in ((0, 3), (0, 6), (5, 9), (5, 9), (6, 12), (0, 15)):
-            source.scope(serial)
-            chunk = source.chunk(pages)
-            assert counting.pages_read == reads
-            _assert_chunk(mmap_store, 1, pages, chunk)
-            assert chunk.shape[:2] == (len(pages), width)
+class TestDiskPages:
+    """The worker's page source: every chunk is one gather of the page
+    file's scan rows that owes its service time, and a page's row norms
+    are computed on its first gather and kept."""
 
     def test_padding_shapes(self, tmp_path):
         """All-empty pages (``W`` 0), a zero-page disk, and a multi-block
         supernode page beside one-block pages: rows are as wide as the
         disk's fullest page (the supernode), a chunk holds
-        ``sum(counts)`` real points, and the supernode owes its blocks
-        once per batch scope."""
+        ``sum(counts)`` real points and owes the supernode's blocks on
+        every gather, the norms are the real rows' squared norms, NaN
+        past each page's count, whichever gather computed them, and
+        ``largest`` bounds every row norm by its MBR's farthest corner."""
         rng = np.random.default_rng(12)
         paged = PagedStore(
             points=rng.random((400, 3)),
@@ -383,39 +393,41 @@ class TestBatchPageMemo:
             counts, blocks = store.disk_table(0)[3:]
             assert blocks[0] == 4 and counts[0] > counts[1:].max()
             source = _DiskPages(counting, 0)
-            pages = np.arange(6)
-            every = int(blocks[pages].sum())
-            # (serial, pages owed, blocks owed): a held supernode owes
-            # nothing more in its scope.
-            for serial, fetched, owed in ((4, 6, every), (4, 0, 0), (0, 6, every)):
-                source.scope(serial)
-                before = counting.pages_read, counting.owed_blocks
-                chunk = source.chunk(pages)
-                assert counting.pages_read - before[0] == fetched
-                assert counting.owed_blocks - before[1] == owed
+            assert counting.fetched == [] and counting.owed_blocks == 0
+            # Pages 2 and 3 are known before the second gather, the
+            # others are new to it.
+            for pages in (np.array([3, 2]), np.arange(6), np.arange(6)):
+                before = len(counting.fetched)
+                spent = counting.owed_blocks
+                chunk, norms = source.chunk(pages)
+                assert counting.fetched[before:] == pages.tolist()
+                assert counting.owed_blocks - spent == int(blocks[pages].sum())
                 _assert_chunk(store, 0, pages, chunk)
                 real = np.isfinite(chunk).all(axis=2)
                 assert real.sum() == counts[pages].sum()
                 assert chunk.shape == (len(pages), counts[0], 3)
+                assert np.array_equal(np.isnan(norms), ~real)
+                assert np.allclose(
+                    norms[real], np.einsum("ij,ij->i", chunk[real], chunk[real])
+                )
+                assert source.largest >= math.sqrt(np.nanmax(norms))
 
             idle = _DiskPages(counting, 1)
-            chunk = idle.chunk(np.zeros(0, dtype=np.intp))
+            chunk, norms = idle.chunk(np.zeros(0, dtype=np.intp))
             assert chunk.shape[::2] == (0, 3) and chunk.size == 0
+            assert norms.size == 0 and idle.largest == 0.0
             empty = _DiskPages(counting, 2)
-            empty.scope(2)
             for _ in range(2):
-                chunk = empty.chunk(np.array([1, 0]))
+                chunk, norms = empty.chunk(np.array([1, 0]))
                 assert chunk.shape == (2, 0, 3)
+                assert norms.shape == (2, 0) and empty.largest == 0.0
                 oids, points = empty.rows(np.array([1, 0]), [])
                 assert oids.shape == (0,) and points.shape == (0, 3)
 
-    @pytest.mark.parametrize("serial", [0, 1])
-    def test_file_count_above_directory_count_is_refused(
-        self, tmp_path, serial
-    ):
+    def test_file_count_above_directory_count_is_refused(self, tmp_path):
         """A slot claiming more entries than its page's directory row is
-        ``PageFormatError`` before any row is served or any page held,
-        per-call (serial 0) as in a batch scope."""
+        ``PageFormatError`` before any row is served: opening the page
+        source opens its page file."""
         rng = np.random.default_rng(4)
         paged = PagedStore(
             points=rng.random((80, 3)),
@@ -424,30 +436,28 @@ class TestBatchPageMemo:
         save_paged_store(paged, tmp_path / "skew")
         with MmapStore(tmp_path / "skew") as store:
             store._counts[np.flatnonzero(store.page_disks == 0)[0]] -= 1
-            source = _DiskPages(store, 0)
-            source.scope(serial)
             with pytest.raises(PageFormatError, match="more entries"):
-                source.chunk(np.array([0]))
-            assert not source._held.any()
+                _DiskPages(store, 0)
             # The per-leaf read of the in-process engines refuses it too.
             with pytest.raises(PageFormatError, match="more entries"):
                 store.read_page(store.leaves[0])
 
 
 class TestServiceTimeCharging:
-    """Simulated service time: once per page per batch scope, and on
-    every fetch per call — supernodes and large disks included."""
+    """Simulated service time: once per gathered page per post, so once
+    per page per batch and on every gather per call — supernodes and
+    large disks included."""
 
     @pytest.mark.parametrize("serial", [0, 1])
     def test_service_time_once_per_page_per_batch_scope(
         self, tmp_path, monkeypatch, serial
     ):
-        """Six overlapping kNN scans per disk, serially: in one batch
-        scope every distinct page touched owes its ``blocks`` exactly
-        once; per call every fetch owes them.  Supernode pages (three
-        blocks) and pages past the old decoded-buffer cap (``_CAP``, set
-        to four pages) follow the same rule."""
-        monkeypatch.setattr(_DiskPages, "_CAP", 4, raising=False)
+        """Six overlapping kNN scans per disk, per call (0) or as one
+        post (1): a post gathers each page at most once and every
+        gathered page owes its ``blocks`` exactly once, so in one post
+        every distinct page owes them once and per call every gather
+        owes them.  Supernode pages (three blocks) follow the same rule,
+        and opening the page source owes nothing."""
         slept = []
         monkeypatch.setattr(
             "repro.storage.mmap_store.time.sleep", slept.append
@@ -462,30 +472,160 @@ class TestServiceTimeCharging:
         save_paged_store(paged, tmp_path / "store")
         queries = 0.45 + 0.1 * rng.random((6, 4))
         fetched = collections.Counter()
+        owed = 0
         with MmapStore(tmp_path / "store", simulated_disk_ms=1.0) as store:
             for disk in range(store.num_disks):
                 table = store.disk_table(disk)
                 assert len(table[4]) > 4
-                source = _DiskPages(store, disk)
-                source.scope(serial)
-                for query in queries:
-                    _, ledger = _worker_query(
-                        source, table, query, 8, np.full(8, np.inf),
-                        threading.Lock(),
+                counting = _CountingStore(store)
+                asleep = len(slept)
+                source = _DiskPages(counting, disk)
+                assert len(slept) == asleep and counting.fetched == []
+                posts = [queries] if serial else [[query] for query in queries]
+                for post in posts:
+                    before = len(counting.fetched)
+                    _, _, gathered = _scan(
+                        source, np.array(post), 8,
+                        np.full((len(post), 8), np.inf), threading.Lock(),
                     )
-                    # Every page the scan visited was fetched: the
-                    # ascending-mindist prefix the ledger covers.
-                    order, _ = _visit_order(table, query)
+                    pages = counting.fetched[before:]
+                    assert gathered == len(pages) == len(set(pages))
                     fetched.update(
-                        (disk, int(page), int(table[4][page]))
-                        for page in order[: ledger.shape[1]]
+                        (disk, page, int(table[4][page])) for page in pages
                     )
+                owed += counting.owed_blocks
         again = [key for key, times in fetched.items() if times > 1]
-        assert any(blocks == 3 for _, _, blocks in again)
-        assert any(page >= 4 for _, page, _ in again)
-        times = (lambda n: n) if not serial else (lambda n: 1)
-        owed = sum(blocks * times(n) for (_, _, blocks), n in fetched.items())
-        assert round(sum(slept) * 1000.0) == owed
+        assert bool(again) != bool(serial)
+        assert any(blocks == 3 for _, _, blocks in fetched)
+        assert any(blocks == 3 for _, _, blocks in again) or serial
+        assert round(sum(slept) * 1000.0) == owed == sum(
+            blocks * times for (_, _, blocks), times in fetched.items()
+        )
+
+
+class TestFilter:
+    """The BLAS filter (``_Filter``) only decides which rows are refined:
+    it never drops a row the exact scan keeps, and a filter that drops
+    nothing changes no answer."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dimension=st.integers(1, 8),
+        magnitude=st.sampled_from(
+            (1e-150, 1e-3, 1.0, 1e150, 1e153, 1e154)
+        ),
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 6)),
+        count=st.integers(1, 3),
+        k=st.integers(1, 6),
+        tie=st.sampled_from((-1, 0, 1)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_no_row_the_exact_scan_keeps_is_dropped(
+        self, dimension, magnitude, shape, count, k, tie, seed
+    ):
+        """Coordinates of either sign at magnitudes 1e-150 to 1e154 (where
+        products near overflow), ``+inf`` padding rows, rows one ulp apart and repeated rows, and
+        bounds at, one ulp below or one ulp above a query's k-th exact
+        key: every real row whose exact key is below its query's bound
+        survives, and for a query short of k candidates every row as
+        near as the chunk's k-th real row survives too."""
+        rng = np.random.default_rng(seed)
+        pages, width = shape
+        block = rng.standard_normal((pages, width, dimension)) * magnitude
+        flat = block.reshape(-1, dimension)
+        flat[1::3] = np.nextafter(flat[::3][: len(flat[1::3])], np.inf)
+        flat[2::5] = flat[0]
+        filled = rng.integers(0, width + 1, pages)
+        padding = np.arange(width) >= filled[:, None]
+        block[padding] = np.inf
+        real = ~padding.ravel()
+        queries = rng.standard_normal((count, dimension)) * magnitude
+        metric = Euclidean()
+        with np.errstate(over="ignore"):
+            norms = np.einsum("ijk,ijk->ij", block, block)
+            exact = np.array([
+                np.where(real, metric.point_keys(flat, query), np.inf)
+                for query in queries
+            ])
+        norms[padding] = np.nan
+        largest = math.sqrt(norms[~padding].max()) if real.any() else 0.0
+        ranked = np.sort(exact, axis=1)
+        kth = ranked[:, min(k, ranked.shape[1]) - 1]
+        bounds = np.where(
+            np.isfinite(kth), np.nextafter(kth, tie * np.inf), np.inf
+        ) if tie else kth.copy()
+        short = np.flatnonzero(rng.random(count) < 0.5)
+        with np.errstate(invalid="ignore", over="ignore"):
+            rows, which = _Filter(queries, largest).survivors(
+                block.copy(), norms, bounds, short, k
+            )
+        survived = set(zip(rows.tolist(), which.tolist()))
+        for query in range(count):
+            kept = exact[query] < bounds[query]
+            if query in short:
+                kept |= exact[query] <= kth[query]
+            for row in np.flatnonzero(kept & real):
+                assert (int(row), query) in survived
+        assert all(real[row] for row, _ in survived)
+
+    def test_a_product_that_overflows_drops_nothing(self):
+        """Finite rows and a query near 1e154 whose products overflow:
+        k rows at 1.3e154 have ``â = −inf``, so the chunk's k-th
+        approximate key is ``−inf``; the nearer row at 0.85e154 must
+        still survive for a query short of k candidates."""
+        k = 3
+        block = np.array([[1.3e154]] * k + [[0.85e154]])[None]
+        norms = np.einsum("ijk,ijk->ij", block, block)
+        rows, which = _Filter(np.array([[1e154]]), 1.3e154).survivors(
+            block, norms, np.array([np.inf]), np.array([0]), k
+        )
+        assert k in rows.tolist() and which.tolist() == [0] * len(rows)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_a_filter_that_drops_nothing_changes_no_answer(
+        self, tmp_path, monkeypatch, batched
+    ):
+        """With every real row refined for every query, each disk's scan
+        of the same posts gives the same merged neighbours, charged
+        pages and distance computations — and ``PagedEngine``'s."""
+        rng = np.random.default_rng(43)
+        paged = PagedStore(
+            points=rng.random((2500, 5)),
+            declusterer=NearOptimalDeclusterer(5, 3),
+        )
+        save_paged_store(paged, tmp_path / "store")
+        queries = rng.random((7, 5))
+
+        def outcomes(store):
+            posts = [queries] if batched else [q[None] for q in queries]
+            found = []
+            for post in posts:
+                for candidates, ledgers, bound in _scan_post(store, post, 6):
+                    merged = _top_k(candidates, 6)
+                    found.append((merged, _exact_counts(ledgers, bound)))
+            return found
+
+        def every_row(self, block, norms, bounds, short, k):
+            rows = np.flatnonzero(~np.isnan(norms.ravel()))
+            which = np.tile(np.arange(len(bounds)), len(rows))
+            return np.repeat(rows, len(bounds)), which
+
+        with MmapStore(tmp_path / "store") as store:
+            filtered = outcomes(store)
+            monkeypatch.setattr(_Filter, "survivors", every_row)
+            unfiltered = outcomes(store)
+            reference = PagedEngine(store, cache=None)
+            for query, got, want in zip(queries, filtered, unfiltered):
+                (keys, oids, points), (counts, computations) = got
+                assert keys.tobytes() == want[0][0].tobytes()
+                assert oids.tobytes() == want[0][1].tobytes()
+                assert points.tobytes() == want[0][2].tobytes()
+                assert np.array_equal(counts, want[1][0])
+                assert computations == want[1][1]
+                expected = reference.query(query, 6)
+                assert [n.oid for n in expected.neighbors] == oids.tolist()
+                assert np.array_equal(counts, expected.pages_per_disk)
+                assert computations == expected.distance_computations
 
 
 def _corrupt_disk1(directory, fault):
@@ -546,21 +686,21 @@ class TestBadPageFile:
 
 
 class TestRing:
-    """The shared-memory query ring: bank alternation, serial
-    alignment, the page memo's batch scope."""
+    """The shared-memory query ring: post / collect alignment, posts of
+    up to ``_MAX_BATCH`` queries, a bounded wait for its lock."""
 
     def test_mixed_sequences_keep_banks_and_serials_aligned(
         self, engine, reference
     ):
-        """One engine, per-call and batched queries interleaved: every
-        post lands in the bank its collect reads, whatever the parity
-        the previous call left the ring in."""
+        """One engine, per-call and batched queries interleaved, batches
+        of one, of several and of more than one post: every post's
+        collect reads that post's deposits."""
         rng = np.random.default_rng(21)
         steps = [
             ("one", 3), ("batch", 1, 3), ("one", 5), ("batch", 2, 5),
             ("batch", 3, 1), ("one", 1), ("batch", 0, 4), ("one", 4),
-            ("batch", 2 * _PIPELINE_DEPTH + 3, 7), ("one", 7),
-            ("batch", _PIPELINE_DEPTH + 1, 2), ("batch", 1, 64),
+            ("batch", 2 * _MAX_BATCH + 3, 7), ("one", 7),
+            ("batch", _MAX_BATCH + 1, 2), ("batch", 1, 64),
         ]
         for kind, *sizes in steps:
             if kind == "one":
@@ -583,9 +723,9 @@ class TestRing:
         query = np.full(6, 0.3)
         with ProcessParallelEngine(mmap_store) as engine:
             engine.query(query, 2)
-            # Same bank parity, wrong serial: the workers echo what was
-            # posted, the collect expects its own count.
-            engine._posted += _PIPELINE_DEPTH
+            # A wrong serial: the workers echo what was posted, the
+            # collect expects its own count.
+            engine._posted += 1
             with pytest.raises(RuntimeError, match="out of step"):
                 engine.query(query, 2)
             assert engine._procs == []
@@ -613,43 +753,6 @@ class TestRing:
         _assert_bit_identical(
             engine.query(query, 2), reference.query(query, 2)
         )
-
-    def test_memo_scope_follows_the_batch_serial(
-        self, store_dir, mmap_store, monkeypatch
-    ):
-        """``_worker_main`` on a thread over plain arrays: a page wanted
-        twice in one batch owes service time once, the per-call query
-        after the batch owes it again, a new batch starts empty."""
-        fetched = []
-        real_read_pages = MmapStore.read_pages
-
-        def counting_read_pages(self, disk, pages, owed=None):
-            fetched.append(len(pages) if owed is None else int(owed.sum()))
-            return real_read_pages(self, disk, pages, owed)
-
-        monkeypatch.setattr(MmapStore, "read_pages", counting_read_pages)
-        worker = _ThreadWorker(store_dir, mmap_store, disk=1)
-        query = np.full(6, 0.5)
-
-        def ask(k, batch):
-            """Pages the worker fetched from the store for one query."""
-            before = sum(fetched)
-            worker.ask(query, k, batch)
-            return sum(fetched) - before
-
-        try:
-            first = ask(3, batch=7)
-            assert first > 0
-            assert ask(3, batch=7) == 0
-            assert ask(3, batch=7) == 0
-            # Per-call straight after the batch: direct reads again.
-            assert ask(3, batch=0) == first
-            assert ask(3, batch=0) == first
-            # A new batch starts with an empty memo.
-            assert ask(3, batch=11) == first
-            assert ask(3, batch=11) == 0
-        finally:
-            worker.stop()
 
 
 def _non_finite_calls(engine, reference):
@@ -701,53 +804,55 @@ class _ThreadWorker:
     ``threading`` primitives instead of the engine's shared ring."""
 
     def __init__(self, store_dir, store, disk, max_k=4):
-        self.depth, self.max_k, self.disk = _PIPELINE_DEPTH, max_k, disk
+        self.max_k, self.disk = max_k, disk
         self.num_disks = store.num_disks
-        self.width = 3 + store.dimension
-        cells = self.depth * self.num_disks
+        self.dimension = store.dimension
+        cells = _MAX_BATCH * self.num_disks
         max_pages = int(store.disk_loads().max())
-        self.board = np.zeros(self.depth * self.width)
-        self.bounds = np.zeros(self.depth * max_k)
+        self.board = np.zeros(3 + _MAX_BATCH * store.dimension)
+        self.bounds = np.zeros(_MAX_BATCH * max_k)
         arena = np.zeros(cells * max_k * (2 + store.dimension))
-        self.tallies = np.zeros(cells * 3)
+        self.tallies = np.zeros(cells * 4)
         ledgers = np.zeros(cells * 3 * max_pages)
-        self.locks = [threading.Lock() for _ in range(self.depth)]
+        self.lock = threading.Lock()
         self.go = threading.Semaphore(0)
-        self.done = [threading.Semaphore(0) for _ in range(self.depth)]
+        self.done = threading.Semaphore(0)
         self.posts = 0
         self.thread = threading.Thread(
             target=_worker_main,
             args=(
-                os.fspath(store_dir), disk, 0.0, max_k, self.depth,
-                self.board, self.bounds, arena, self.tallies, ledgers,
-                self.locks, self.go, self.done,
+                os.fspath(store_dir), disk, 0.0, max_k, self.board,
+                self.bounds, arena, self.tallies, ledgers, self.lock,
+                self.go, self.done,
             ),
             daemon=True,
         )
         self.thread.start()
 
-    def ask(self, query, k, batch):
-        """Post one query (``k = 0``: stop) and wait for the deposit;
-        returns the tally ``(candidates, ledger pages)``."""
-        bank = self.posts % self.depth
+    def ask(self, queries, k):
+        """Post ``(Q, d)`` queries (``k = 0``: stop) and wait for the
+        deposit; returns per query the tally ``(candidates, ledger
+        pages, pages gathered)``."""
         self.posts += 1
-        with self.locks[bank]:
-            self.bounds[bank * self.max_k : (bank + 1) * self.max_k] = np.inf
-            row = self.board[bank * self.width : (bank + 1) * self.width]
-            row[:3] = self.posts, k, batch
-            row[3:] = query
+        with self.lock:
+            self.bounds[: len(queries) * self.max_k] = np.inf
+            self.board[:3] = self.posts, k, len(queries)
+            self.board[3 : 3 + queries.size] = queries.ravel()
         self.go.release()
         if not k:
             return None
-        assert self.done[bank].acquire(timeout=30.0)
-        cell = bank * self.num_disks + self.disk
-        with self.locks[bank]:
-            echo, count, pages = self.tallies[cell * 3 : (cell + 1) * 3]
-        assert echo == self.posts
-        return int(count), int(pages)
+        assert self.done.acquire(timeout=30.0)
+        tallies = []
+        with self.lock:
+            for query in range(len(queries)):
+                cell = query * self.num_disks + self.disk
+                echo, *tally = self.tallies[cell * 4 : (cell + 1) * 4]
+                assert echo == self.posts
+                tallies.append(tuple(int(x) for x in tally))
+        return tallies
 
     def stop(self):
-        self.ask(np.zeros(self.width - 3), 0, 0)
+        self.ask(np.zeros((0, self.dimension)), 0)
         self.thread.join(timeout=30.0)
         assert not self.thread.is_alive()
 
@@ -773,9 +878,10 @@ class TestTreeFree:
     def test_worker_builds_no_node(self, store_dir, mmap_store, counted_nodes):
         worker = _ThreadWorker(store_dir, mmap_store, disk=1)
         try:
-            for batch in (0, 5, 5, 0):
-                count, pages = worker.ask(np.full(6, 0.5), 3, batch)
-                assert count == 3 and pages > 0
+            for size in (1, 3, 1):
+                tallies = worker.ask(np.full((size, 6), 0.5), 3)
+                for count, pages, gathered in tallies:
+                    assert count == 3 and 0 < gathered and 0 < pages
         finally:
             worker.stop()
         assert counted_nodes == []
@@ -813,30 +919,58 @@ class TestDeadWorker:
     def test_close_with_a_bank_lock_held_by_a_killed_process(
         self, mmap_store, reference
     ):
-        """A process SIGKILLed while it holds the lock of the bank the
-        stop message goes to never releases it: ``close()`` gives up on
-        the lock within a liveness slice and terminates the workers,
-        and the engine answers the next query bit for bit."""
+        """A process SIGKILLed while it holds the ring's lock never
+        releases it: ``close()`` gives up on the lock within a liveness
+        slice and terminates the workers, and the engine answers the
+        next query bit for bit."""
         query = np.full(6, 0.4)
         want = reference.query(query, 3)
         with ProcessParallelEngine(mmap_store) as engine:
             _assert_bit_identical(engine.query(query, 3), want)
             workers = list(engine._procs)
-            bank = engine._posted % _PIPELINE_DEPTH
-            held = engine._ctx.Event()
-            holder = engine._ctx.Process(
-                target=_hold_lock, args=(engine._locks[bank], held),
-                daemon=True,
-            )
-            holder.start()
-            assert held.wait(timeout=60.0)
-            os.kill(holder.pid, signal.SIGKILL)
-            holder.join(timeout=10.0)
+            _leave_the_lock_held(engine)
             started = time.monotonic()
             engine.close()
             assert time.monotonic() - started < 5.0
             assert not any(worker.is_alive() for worker in workers)
             _assert_bit_identical(engine.query(query, 3), want)
+
+    def test_query_batch_with_the_lock_held_by_a_killed_process(
+        self, mmap_store, reference
+    ):
+        """The coordinator waits for the ring's lock at most a liveness
+        slice: a batch posted while a dead process holds it raises the
+        dead-worker ``RuntimeError`` in about a slice (plus ``close()``'s
+        own slice) instead of hanging, the engine is closed, and the
+        next call respawns and answers bit for bit."""
+        queries = np.random.default_rng(29).random((5, 6))
+        want = [reference.query(query, 3) for query in queries]
+        with ProcessParallelEngine(mmap_store) as engine:
+            _assert_bit_identical(engine.query(queries[0], 3), want[0])
+            workers = list(engine._procs)
+            _leave_the_lock_held(engine)
+            started = time.monotonic()
+            with pytest.raises(RuntimeError, match="likely died"):
+                engine.query_batch(queries, 3)
+            assert time.monotonic() - started < 2 * _LIVENESS_SLICE_S + 3.0
+            assert engine._procs == [] and engine._lock is None
+            assert not any(worker.is_alive() for worker in workers)
+            batch = engine.query_batch(queries, 3)
+            for result, expected in zip(batch.results, want):
+                _assert_bit_identical(result, expected)
+
+
+def _leave_the_lock_held(engine):
+    """Have a helper process take the engine's ring lock and be
+    SIGKILLed while it holds it."""
+    held = engine._ctx.Event()
+    holder = engine._ctx.Process(
+        target=_hold_lock, args=(engine._lock, held), daemon=True
+    )
+    holder.start()
+    assert held.wait(timeout=60.0)
+    os.kill(holder.pid, signal.SIGKILL)
+    holder.join(timeout=10.0)
 
 
 def _hold_lock(lock, held):
@@ -929,23 +1063,30 @@ def _sweep_counts(store, query, bound):
     return counts, int(entries[charged].sum())
 
 
-def _ledgers_and_bound(store, query, k, sources=None):
-    """Each disk's ``_worker_query`` in turn over one shared bound (a
-    serial run of what the workers do; page sources fresh unless given),
-    then the coordinator's merge: ``(candidates per disk, ledgers, B*)``."""
+def _scan_post(store, queries, k, sources=None):
+    """Each disk's ``_scan`` of ``queries`` as one post, in turn, over
+    shared bound rows (a serial run of what the workers do; page sources
+    fresh unless given), then the coordinator's merge: per query
+    ``(candidates per disk, ledgers per disk, B*)``."""
     if sources is None:
         sources = [_DiskPages(store, disk) for disk in range(store.num_disks)]
-    view = np.full(k, np.inf)
+    view = np.full((len(queries), k), np.inf)
     lock = threading.Lock()
-    found, ledgers = [], []
-    for disk, source in enumerate(sources):
-        candidates, ledger = _worker_query(
-            source, store.disk_table(disk), query, k, view, lock
-        )
-        found.append(candidates)
-        ledgers.append(ledger)
-    keys = _top_k(found, k)[0]
-    return found, ledgers, float(keys[-1]) if len(keys) == k else math.inf
+    scans = [_scan(source, queries, k, view, lock) for source in sources]
+    outcomes = []
+    for query in range(len(queries)):
+        found = [candidates[query] for candidates, _, _ in scans]
+        ledgers = [pages[query] for _, pages, _ in scans]
+        keys = _top_k(found, k)[0]
+        bound = float(keys[-1]) if len(keys) == k else math.inf
+        outcomes.append((found, ledgers, bound))
+    return outcomes
+
+
+def _ledgers_and_bound(store, query, k, sources=None):
+    """:func:`_scan_post` of one query: ``(candidates per disk, ledgers,
+    B*)``."""
+    return _scan_post(store, np.asarray(query)[None], k, sources)[0]
 
 
 @st.composite
@@ -1084,8 +1225,8 @@ class TestChunkCapIndependence:
     @example(case=_LONG_SCAN, serial=1)
     def test_any_cap_gives_the_same_candidates_and_counts(self, case, serial):
         """Caps 1, 2, 32, 128 and one above every disk's page count, per
-        call (0) or two queries in one batch scope (1), on stores of up
-        to hundreds of 192-byte pages a disk: every disk's candidates
+        call (0) or two queries in one post (1), on stores of up to
+        hundreds of 192-byte pages a disk: every disk's candidates
         within B*, the merged top-k and ``_exact_counts`` at B* are
         identical, and equal ``PagedEngine``'s."""
         k = case["k"]
@@ -1099,16 +1240,9 @@ class TestChunkCapIndependence:
                         patch.setattr(
                             "repro.parallel.process._MAX_CHUNK_PAGES", cap
                         )
-                        sources = [
-                            _DiskPages(store, disk)
-                            for disk in range(store.num_disks)
-                        ]
-                        for source in sources:
-                            source.scope(serial)
-                        seen.append([
-                            _cap_outcome(store, query, k, sources)
-                            for query in case["queries"]
-                        ])
+                        seen.append(
+                            _cap_outcomes(store, case["queries"], k, serial)
+                        )
                 for outcomes in seen[1:]:
                     for got, want in zip(outcomes, seen[0]):
                         assert got.keys() == want.keys()
@@ -1134,20 +1268,30 @@ class TestChunkCapIndependence:
                         )
 
 
-def _cap_outcome(store, query, k, sources):
-    """What one serial scan of ``query`` must give at any chunk cap, by
-    name: per disk the keys, oids and points found within B*, the merged
+def _cap_outcomes(store, queries, k, batched):
+    """What serial scans of ``queries`` (one post each, or one post for
+    all when ``batched``) must give at any chunk cap, per query by name:
+    per disk the keys, oids and points found within B*, the merged
     top-k, the charged counts and the distance computations."""
-    found, ledgers, bound = _ledgers_and_bound(store, query, k, sources)
-    outcome = {}
-    for disk, candidates in enumerate(found):
-        inside = candidates[0] <= bound
-        for name, column in zip(("keys", "oids", "points"), candidates):
-            outcome[f"disk {disk} {name}"] = column[inside]
-    for name, column in zip(("keys", "oids", "points"), _top_k(found, k)):
-        outcome[f"merged {name}"] = column
-    outcome["counts"], outcome["computations"] = _exact_counts(ledgers, bound)
-    return outcome
+    sources = [_DiskPages(store, disk) for disk in range(store.num_disks)]
+    if batched:
+        scans = _scan_post(store, queries, k, sources)
+    else:
+        scans = [_ledgers_and_bound(store, q, k, sources) for q in queries]
+    outcomes = []
+    for found, ledgers, bound in scans:
+        outcome = {}
+        for disk, candidates in enumerate(found):
+            inside = candidates[0] <= bound
+            for name, column in zip(("keys", "oids", "points"), candidates):
+                outcome[f"disk {disk} {name}"] = column[inside]
+        for name, column in zip(("keys", "oids", "points"), _top_k(found, k)):
+            outcome[f"merged {name}"] = column
+        outcome["counts"], outcome["computations"] = _exact_counts(
+            ledgers, bound
+        )
+        outcomes.append(outcome)
+    return outcomes
 
 
 _LEAK_SCRIPT = """
@@ -1262,9 +1406,9 @@ class TestStartupFailure:
                 assert engine._go == []
                 assert engine._board is None
                 assert engine._bounds is None
-                assert engine._locks == []
+                assert engine._lock is None
                 assert engine._arena is None
-                assert engine._done == []
+                assert engine._done is None
                 # The engine recovers once spawning works again.
                 engine._ctx = real_ctx
                 result = engine.query(np.full(6, 0.5), 2)

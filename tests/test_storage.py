@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.core import NearOptimalDeclusterer
-from repro.index import kernels
 from repro.index.metrics import Euclidean
 from repro.index.node import Node
 from repro.index.rstar import RStarTree
@@ -368,13 +367,11 @@ class TestPageFile:
             with np.errstate(all="raise"):
                 keys = metric.point_keys(block.reshape(-1, 3), query)
                 real = keys < np.inf
-                in_place = kernels.block_keys(block, np.tile(query, 12))
         want = np.concatenate(
             [metric.point_keys(points_, query) for _, points_ in payloads]
         )
         assert keys[real].tobytes() == want.tobytes()
         assert np.isposinf(keys[~real]).all() and real.sum() == 18
-        assert in_place.tobytes() == keys.tobytes()
 
     @_SLOT_SIZES
     def test_rows_of_hits_match_read_slot_after_close(
@@ -392,7 +389,9 @@ class TestPageFile:
         slots = np.array([4, 2, 0, 1, 2])
         query = rng.random(3)
         handle = PageFile(tmp_path / "disk.pages")
-        keys = kernels.block_keys(handle.gather(slots), np.tile(query, 12))
+        keys = Euclidean().point_keys(
+            handle.gather(slots).reshape(-1, 3), query
+        )
         hits = np.flatnonzero(keys < np.median(keys[keys < np.inf]))
         assert 0 < len(hits) < 20
         oids, points = handle.rows(slots, hits)
@@ -491,8 +490,8 @@ class TestMmapStoreRoundTrip:
     ):
         """``read_pages`` is the allocating ``read_page`` per page, padded
         to the disk's widest page — for random page lists with repeats —
-        with one sleep per gather for the pages the caller owes (all of
-        them by default); a refused read sleeps nothing."""
+        with one sleep per gather; a gather of no page and a refused read
+        sleep nothing."""
         slept = []
         monkeypatch.setattr(
             "repro.storage.mmap_store.time.sleep", slept.append
@@ -512,12 +511,12 @@ class TestMmapStoreRoundTrip:
                     _assert_rows(
                         points, oids, row, width, *store.read_page(leaves[page])
                     )
-                owed = np.arange(len(pages)) % 3 == 0
-                again = store.read_pages(disk, pages, owed)
-                assert slept[-1] == owed.sum() / 1000.0
+                again = store.read_pages(disk, pages)
+                assert slept[-1] == 2 * loads / 1000.0
                 assert again.reshape(points.shape).tobytes() == points.tobytes()
                 before = len(slept)
-                store.read_pages(disk, pages, np.zeros(len(pages), dtype=bool))
+                none = store.read_pages(disk, pages[:0])
+                assert none.shape == (0, width, store.dimension)
                 with pytest.raises((ValueError, IndexError)):
                     store.read_pages(disk, np.array([loads]))
                 assert len(slept) == before

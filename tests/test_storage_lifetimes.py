@@ -26,7 +26,7 @@ import pytest
 from repro.core import NearOptimalDeclusterer
 from repro.index.node import Node
 from repro.parallel.paged import PagedStore
-from repro.parallel.process import _DiskPages, _worker_query
+from repro.parallel.process import _DiskPages, _scan
 from repro.storage import MmapStore, save_paged_store
 from repro.storage.pagefile import (
     PageFile,
@@ -219,10 +219,10 @@ class TestExceptionPathLifetimes:
         assert _live_mmaps() == before_maps
 
     def test_worker_decodes_leave_no_mapping_behind(self, rng, tmp_path):
-        """A disk worker's per-call, first-touch and held-page gathers
-        return copies: ``MmapStore.close()`` unmaps with them alive,
-        leaks nothing, and the candidates (and chunks) they returned
-        stay valid."""
+        """A disk worker's per-call and batched scans and its gathers
+        return copies: ``MmapStore.close()`` unmaps with them alive, leaks
+        nothing, and the candidates (and chunks) they returned stay
+        valid."""
         paged = PagedStore(
             points=rng.random((300, 6)),
             declusterer=NearOptimalDeclusterer(6, 4),
@@ -239,16 +239,16 @@ class TestExceptionPathLifetimes:
             for disk in range(store.num_disks):
                 table = store.disk_table(disk)
                 source = _DiskPages(store, disk)
-                # Per-call, then a batch's first touch, then held pages.
-                for serial in (0, 1, 1):
-                    source.scope(serial)
-                    found, _ = _worker_query(
-                        source, table, query, 5, np.full(5, np.inf),
+                # Per call, then a post of three, then per call again.
+                nearby = np.stack([query, query + 0.1, query - 0.1])
+                for post in (query[None], nearby, query[None]):
+                    found, _, _ = _scan(
+                        source, post, 5, np.full((len(post), 5), np.inf),
                         threading.Lock(),
                     )
-                    kept.append((disk, found, [a.copy() for a in found]))
+                    kept.append((disk, found[0], [a.copy() for a in found[0]]))
                 pages = np.arange(len(table[2]))
-                chunk = [source.chunk(pages), *source.rows(pages, [0])]
+                chunk = [source.chunk(pages)[0], *source.rows(pages, [0])]
                 kept.append((disk, chunk, [a.copy() for a in chunk]))
         finally:
             store.close()
