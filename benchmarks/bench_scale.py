@@ -201,7 +201,7 @@ def query_child(store_dir: str, disk_ms: float) -> int:
     """
     queries = _queries()
     with MmapStore(store_dir) as store:
-        with ProcessParallelEngine(store, max_k=K) as engine:
+        with ProcessParallelEngine(store) as engine:
             # Exactness first: the batch fast path must return exactly
             # the per-call answers (and page counts) it is replacing.
             percall = [engine.query(query, K) for query in queries]
@@ -229,8 +229,8 @@ def query_child(store_dir: str, disk_ms: float) -> int:
     # equally.
     os.environ[SIMULATED_DISK_MS_ENV] = str(disk_ms)
     with MmapStore(store_dir) as cold_store:
-        with ProcessParallelEngine(cold_store, max_k=K) as engine:
-            engine.query(queries[0], 1)  # spawn warm-up
+        with ProcessParallelEngine(cold_store) as engine:
+            engine.query(queries[0], K)  # spawn warm-up, at the timed k
             cold_s = _time_per_call(engine, queries, K)
             warm_s = batch_warm_s = math.inf
             for _ in range(REPEATS):

@@ -142,7 +142,7 @@ def measure_disk_count(
         charged_pages = sum(
             int(result.pages_per_disk.sum()) for result in expected
         )
-        with ProcessParallelEngine(store, max_k=workload.k) as engine:
+        with ProcessParallelEngine(store) as engine:
             # Parity first: answers, page counts, and counters must be
             # bit-for-bit identical to the in-process engine.
             for query, want in zip(queries, expected):
@@ -165,10 +165,10 @@ def measure_disk_count(
         os.environ[SIMULATED_DISK_MS_ENV] = str(workload.disk_ms)
         try:
             with MmapStore(directory) as cold_store:
-                with ProcessParallelEngine(
-                    cold_store, max_k=workload.k
-                ) as engine:
-                    engine.query(queries[0], 1)  # spawn + import warm-up
+                with ProcessParallelEngine(cold_store) as engine:
+                    # Spawn + import warm-up, at the timed k (a
+                    # larger k would respawn the workers).
+                    engine.query(queries[0], workload.k)
                     cold_s = _time_pass(engine, queries, workload.k)
                     warm_s = min(
                         _time_pass(engine, queries, workload.k)

@@ -239,9 +239,7 @@ def _make_paged_engine(args, store, tracer):
                 "--engine process is cacheless (the OS page cache "
                 "serves warm mmap reads); drop --cache-pages"
             )
-        return ProcessParallelEngine(
-            store, tracer=tracer, max_k=max(64, args.k)
-        )
+        return ProcessParallelEngine(store, tracer=tracer)
     from repro.parallel.paged import PagedEngine
 
     return PagedEngine(store, cache=args.cache_pages, tracer=tracer)
@@ -383,6 +381,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     try:
+        if args.arrivals == "closed" and args.clients < 1:
+            raise ValueError("--clients must be >= 1 with --arrivals closed")
         spec, policy = _serve_spec_and_policy(args)
         tracer = (
             RecordingTracer(metrics=MetricsRegistry())

@@ -139,28 +139,40 @@ def _shared_origin(
     ctx_names: Set[str],
     ctx_attrs: Set[str],
 ) -> Optional[str]:
-    """Description of the shared object this call constructs, if any."""
+    """Description of the shared object this call constructs, if any:
+    a raw array (``Raw*`` or ``lock=False``) from any receiver, a context
+    handed in as an argument included."""
     local = dotted_name(call.func)
     if local is None:
         return None
     final = _final(local)
-    if final in _MP_SHARED_FACTORIES and _mp_receiver(
+    raw = final.startswith("Raw") or any(
+        kw.arg == "lock" and getattr(kw.value, "value", None) is False
+        for kw in call.keywords
+    )
+    if final in _MP_SHARED_FACTORIES and (raw or _mp_receiver(
         local, resolve_alias(aliases, local), ctx_names, ctx_attrs
-    ):
+    )):
         return f"multiprocessing shared {final}"
     if final == "SharedMemory":
         return "shared-memory segment"
     return None
 
 
-def _is_frombuffer(call: ast.Call, aliases: Dict[str, str]) -> bool:
-    """True for ``np.frombuffer(source, ...)``: a view sharing memory."""
-    local = dotted_name(call.func)
-    return (
-        local is not None
-        and resolve_alias(aliases, local) == "numpy.frombuffer"
-        and bool(call.args)
-    )
+def _frombuffer_source(
+    expr: ast.AST, aliases: Dict[str, str]
+) -> Optional[ast.expr]:
+    """The buffer of ``np.frombuffer(buffer, ...)``, reshaped or not:
+    ``expr`` is then a view sharing its memory."""
+    func = getattr(expr, "func", None)
+    if isinstance(func, ast.Attribute) and func.attr == "reshape":
+        expr = func.value
+    if not isinstance(expr, ast.Call) or not expr.args:
+        return None
+    local = dotted_name(expr.func)
+    if local is None or resolve_alias(aliases, local) != "numpy.frombuffer":
+        return None
+    return expr.args[0]
 
 
 def _closeable_origin(
@@ -332,6 +344,10 @@ def _scan_method_facts(
             facts.ctx_attrs.add(attr)
             continue
         shared = _shared_origin(value, aliases, local_ctx, facts.ctx_attrs)
+        buffer = _frombuffer_source(value, aliases)
+        if shared is None and buffer is not None:  # a view attribute
+            source = _shared_ref(buffer, {}, facts.shared_attrs)
+            shared = source and f"{source} (via np.frombuffer)"
         if shared is not None:
             facts.shared_attrs.setdefault(attr, shared)
 
@@ -383,10 +399,9 @@ def _scan_function(
                 if shared is not None:
                     scan.shared[name] = shared
                     continue
-                if _is_frombuffer(value, aliases):
-                    source = _shared_ref(
-                        value.args[0], scan.shared, shared_attrs
-                    )
+                buffer = _frombuffer_source(value, aliases)
+                if buffer is not None:
+                    source = _shared_ref(buffer, scan.shared, shared_attrs)
                     if source is not None:
                         scan.shared[name] = f"{source} (via np.frombuffer)"
             elif isinstance(value, ast.Name):
@@ -776,10 +791,10 @@ class SharedStateWithoutLock(Rule):
     paper's bit-for-bit determinism claim into a data race: torn 8-byte
     reads are rare enough to pass every test and wrong enough to corrupt
     a benchmark.  Taint starts at ``Value``/``Array``/``SharedMemory``
-    construction, flows through ``np.frombuffer`` views, locals, and
-    call arguments (including ``Process(target=..., args=...)`` into
-    worker entry points), and every element access outside a lock-held
-    ``with`` block is flagged.  Escapes: ``_SINGLE_WRITER`` class
+    construction, flows through ``np.frombuffer`` views (reshaped, or
+    held by ``self`` attributes), locals, and call arguments (including
+    ``Process(target=..., args=...)`` into worker entry points), and
+    every element access outside a lock-held ``with`` block is flagged.  Escapes: ``_SINGLE_WRITER`` class
     annotations, and callees invoked *only* with the lock already held."""
 
     name = "shared-state-without-lock"
@@ -956,8 +971,9 @@ def _worker(shared, lock):
             if isinstance(value, ast.Name) and value.id in func_taint:
                 func_taint.setdefault(target.id, func_taint[value.id])
             elif isinstance(value, ast.Call):
-                if _is_frombuffer(value, info.module.aliases):
-                    desc = _shared_ref(value.args[0], func_taint, shared_attrs)
+                buffer = _frombuffer_source(value, info.module.aliases)
+                if buffer is not None:
+                    desc = _shared_ref(buffer, func_taint, shared_attrs)
                     if desc is not None:
                         func_taint.setdefault(
                             target.id, f"{desc} (via np.frombuffer)"

@@ -22,14 +22,14 @@ the query's final bound in ascending ``mindist``, with running block
 and entry totals — at ``B*``.  Every key that reaches a top-k list, a
 shared bound or the arena is an exact ``point_keys`` key.
 
-Coordinator and workers meet in one **shared-memory query ring** (no
-queues, nothing pickled): a board for a post's queries, a bound row per
-query, and per (query, disk) an arena cell (candidates), a tally cell
-and a ledger; a ``go`` semaphore per worker and one ``done`` semaphore
-carry the wake-ups.  Every shared access holds the ring's lock, which
-the coordinator waits for at most :data:`_LIVENESS_SLICE_S`.  The engine
-is cacheless: the OS page cache plays the buffer pool's role.  Boundary
-ties (two points at exactly ``B*``) are outside the contract.
+Coordinator and workers meet in one **shared-memory query ring**, a
+:class:`_Ring` that owns its layout (no queues, nothing pickled per
+query).  It is as wide as the largest k asked since the workers
+started, at most the store's point count; a new largest k respawns the
+workers on a wider ring: one spawn, ~0.7 s for four workers on two
+vCPUs.  The engine is cacheless: the OS page cache plays the buffer
+pool's role.  Boundary ties (two points at exactly ``B*``) are outside
+the contract.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import contextlib
 import math
 import multiprocessing
 import os
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,16 +79,9 @@ _REPLY_TIMEOUT_S = 120.0
 #: :data:`_REPLY_TIMEOUT_S`), and an idle worker that its parent is.
 _LIVENESS_SLICE_S = 1.0
 
-#: Board header ``[serial, k, queries]``, then coordinates; ``k == 0`` stops.
-_SLOT_HEADER = 3
-
-#: Tally cell: ``[serial echo, candidates, ledger pages, pages gathered
-#: by the post]``.  Cell ``query * num_disks + disk`` of the arena, the
-#: tallies and the ledgers is that query's on that disk's worker.
-_TALLY = 4
-
-#: Ledger rows: ``mindist``, running blocks, running entries.
-_LEDGER_ROWS = 3
+#: Lengths of the ring's board header, tally cell and ledger (their
+#: fields: :class:`_Ring`).
+_SLOT_HEADER, _TALLY, _LEDGER_ROWS = 3, 4, 3
 
 #: The filter's rounding slack, in units of ``d·2⁻⁵²·(max‖p‖+max‖q‖)²``,
 #: and its floor below the normal range (see :class:`_Filter`).
@@ -105,14 +98,11 @@ _STUCK_LOCK = "the ring's lock was not released; its holder likely died"
 _Candidates = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _merge_shared(
-    view: np.ndarray, row: int, k: int, keys: np.ndarray
-) -> None:
-    """Fold keys into query ``row``'s shared top-k (lock held).  Workers
+def _merge_shared(shared: np.ndarray, keys: np.ndarray) -> None:
+    """Fold keys into a query's shared top-k row (lock held).  Workers
     publish each key once (:func:`_scan`), so the k-th shared value stays
     >= the true k-th distance ``B*``: the invariant pruning relies on."""
-    shared = view[row]
-    shared[:k] = np.sort(np.concatenate((shared[:k], keys)))[:k]
+    shared[:] = np.sort(np.concatenate((shared, keys)))[: len(shared)]
 
 
 @contextlib.contextmanager
@@ -282,7 +272,9 @@ def _scan(
 ) -> Tuple[List[_Candidates], List[np.ndarray], int]:
     """One post on one disk's worker: a page-major frontier scan.
 
-    Row ``j`` of ``view`` is query ``j``'s shared top-k.  Pages come in
+    Row ``j`` of ``view`` is query ``j``'s shared top-k, k wide (for a
+    k beyond the store's points it may be narrower: no list then fills,
+    nothing is published and the bound stays infinite).  Pages come in
     ascending minimum ``mindist`` over the queries (for one query,
     best-first order) in chunks that double from one page per query:
     the next pages within the largest ``min(local k-th key, shared
@@ -317,7 +309,7 @@ def _scan(
     with np.errstate(invalid="ignore", over="ignore"):
         while start < len(order):
             with lock:
-                bounds = np.minimum(kth, view[:, k - 1])
+                bounds = np.minimum(kth, view[:, -1])
             chunk = nearest[start : start + size]
             reach = bounds[0] if count == 1 else bounds.max()
             take = int(chunk.searchsorted(reach, "right"))
@@ -353,7 +345,7 @@ def _scan(
                     if len(keys) == k and keys[-1] < kth[0]:
                         new = keys if kth[0] == np.inf else keys[best >= old]
                         with lock:
-                            _merge_shared(view, 0, k, new)
+                            _merge_shared(view[0], new)
                         kth, short = keys[-1:], short[:0]
                 else:
                     owner = np.concatenate((owner, which))
@@ -375,12 +367,12 @@ def _scan(
                         for row, values in zip(
                             np.flatnonzero(fell), published.reshape(-1, k)
                         ):
-                            _merge_shared(view, row, k, values)
+                            _merge_shared(view[row], values)
                     kth, short = fallen, np.flatnonzero(fallen == np.inf)
             if take < len(chunk):
                 break
     with lock:
-        bounds = np.minimum(kth, view[:, k - 1])
+        bounds = np.minimum(kth, view[:, -1])
     if count == 1:
         found = [(keys, oids, points)]
         owed = [order[: nearest.searchsorted(bounds[0], "right")]]
@@ -396,24 +388,139 @@ def _scan(
     return found, ledgers, gathered
 
 
+class _Ring:
+    """The shared-memory query ring of ``store``'s workers, ``capacity``
+    k wide: every cell coordinator and workers exchange, the lock each
+    method holds while it touches one (the coordinator's wait at most
+    :data:`_LIVENESS_SLICE_S` for it) and the semaphores (``go[disk]``
+    wakes a worker, ``done`` takes a deposit).  ``ctx`` allocates them:
+    a ``multiprocessing`` context, or anything with its ``Array``,
+    ``Lock`` and ``Semaphore``.  A spawned worker's copy rebuilds the
+    float64 views:
+
+    * ``header`` ``[serial, k, queries]`` and ``queries`` ``(_MAX_BATCH,
+      d)``: the board of the current post (``k == 0`` stops a worker);
+    * ``bounds`` ``(_MAX_BATCH, capacity)``: per query its shared top-k;
+    * per (query, disk) cell: ``arena`` ``(capacity, 2 + d)`` candidates
+      (key, oid bits, point), ``tallies`` ``[serial echo, candidates,
+      ledger pages, pages gathered by the post]`` and ``ledgers`` ``(3,
+      pages)``: ``mindist``, running blocks, running entries.
+    """
+
+    _VIEWS = ("header", "queries", "bounds", "arena", "tallies", "ledgers")
+
+    def __init__(self, ctx: Any, store: Any, capacity: int):
+        disks, d = store.num_disks, store.dimension
+        cells, pages = _MAX_BATCH * disks, int(store.disk_loads().max())
+        self.capacity, self._shape = capacity, (disks, d, pages)
+        self._board = ctx.Array("d", _SLOT_HEADER + _MAX_BATCH * d, lock=False)
+        self._bounds = ctx.Array("d", _MAX_BATCH * capacity, lock=False)
+        self._arena = ctx.Array("d", cells * capacity * (2 + d), lock=False)
+        self._tallies = ctx.Array("d", cells * _TALLY, lock=False)
+        self._ledgers = ctx.Array(
+            "d", cells * _LEDGER_ROWS * pages, lock=False
+        )
+        self.lock, self.done = ctx.Lock(), ctx.Semaphore(0)
+        self.go = [ctx.Semaphore(0) for _ in range(disks)]
+        self._view()
+
+    def _view(self) -> None:
+        (disks, d, pages), wide = self._shape, self.capacity
+        cells = (_MAX_BATCH, disks)
+        self.header = np.frombuffer(self._board, count=_SLOT_HEADER)
+        self.queries = np.frombuffer(
+            self._board, offset=8 * _SLOT_HEADER
+        ).reshape(_MAX_BATCH, d)
+        self.bounds = np.frombuffer(self._bounds).reshape(_MAX_BATCH, wide)
+        self.arena = np.frombuffer(self._arena).reshape(*cells, wide, 2 + d)
+        self.tallies = np.frombuffer(self._tallies).reshape(*cells, _TALLY)
+        self.ledgers = np.frombuffer(self._ledgers).reshape(
+            *cells, _LEDGER_ROWS, pages
+        )
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {k: v for k, v in vars(self).items() if k not in self._VIEWS}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        vars(self).update(state)
+        self._view()
+
+    def post(self, serial: int, queries: np.ndarray, k: int) -> bool:
+        """Put a post on the board, reset its bound rows and wake every
+        worker; ``k = 0`` with no queries is the stop message.  False,
+        posting nothing, when the lock stays taken."""
+        with _lock_within(self.lock, _LIVENESS_SLICE_S) as held:
+            if held:
+                self.bounds[: len(queries)] = np.inf
+                self.header[:] = serial, k, len(queries)
+                self.queries[: len(queries)] = queries
+        if held:
+            for go in self.go:
+                go.release()
+        return held
+
+    def read(self) -> Tuple[int, int, np.ndarray, np.ndarray]:
+        """A worker's view of the post: serial, k, a copy of the queries
+        and their bound rows (at most k wide)."""
+        with self.lock:
+            serial, k, count = (int(x) for x in self.header)
+            queries = self.queries[:count].copy()
+            return serial, k, queries, self.bounds[:count, :k]
+
+    def deposit(
+        self, disk: int, serial: int, found: Sequence[_Candidates],
+        ledgers: Sequence[np.ndarray], gathered: int,
+    ) -> None:
+        """Write one disk's answer to a post."""
+        with self.lock:
+            for query, ((keys, oids, points), ledger) in enumerate(
+                zip(found, ledgers)
+            ):
+                size, width = len(keys), ledger.shape[1]
+                cell = self.arena[query, disk, :size]
+                cell[:, 0], cell[:, 2:] = keys, points
+                cell[:, 1] = oids.view(np.float64)
+                self.ledgers[query, disk, :, :width] = ledger
+                self.tallies[query, disk] = serial, size, width, gathered
+
+    def reduce(
+        self, serial: int, count: int, k: int
+    ) -> Tuple[List[Tuple[_Candidates, np.ndarray, int]], int, int]:
+        """Post ``serial``'s answers, read in place (every tally must echo
+        ``serial``): per query the top-k (:func:`_top_k`), charged pages
+        per disk and distance computations (:func:`_exact_counts`); the
+        pages its ledgers held and its workers gathered."""
+        merged, speculative = [], 0
+        with _lock_within(self.lock, _LIVENESS_SLICE_S) as held:
+            if not held:
+                raise RuntimeError(_STUCK_LOCK)
+            tallies = self.tallies[:count].tolist()
+            for query, row in enumerate(tallies):
+                found, ledgers = [], []
+                for disk, (echo, size, length, _) in enumerate(row):
+                    if echo != serial:
+                        raise RuntimeError(
+                            f"ring out of step: disk {disk} answered post "
+                            f"{int(echo)} in place of post {serial}"
+                        )
+                    cell = self.arena[query, disk, : int(size)]
+                    oids = cell[:, 1].view(np.int64)
+                    found.append((cell[:, 0], oids, cell[:, 2:]))
+                    ledgers.append(self.ledgers[query, disk, :, : int(length)])
+                    speculative += int(ledgers[-1][1, -1]) if length else 0
+                best = _top_k(found, k)
+                bound = float(best[0][-1]) if len(best[0]) == k else math.inf
+                merged.append((best, *_exact_counts(ledgers, bound)))
+        gathered = int(sum(row[3] for row in tallies[0]))
+        return merged, speculative, gathered
+
+
 def _worker_main(
-    directory: str,
-    disk: int,
-    simulated_disk_ms: float,
-    max_k: int,
-    board: Any,
-    bounds: Any,
-    arena: Any,
-    tallies: Any,
-    ledgers: Any,
-    lock: Any,
-    go: Any,
-    done: Any,
+    directory: str, disk: int, simulated_disk_ms: float, ring: _Ring
 ) -> None:
     """Worker process entry point (spawn-safe, module level): open the
-    store (only this disk's page file, no tree) and the page source, then
-    per post wait on ``go``, read the board, scan, deposit per query the
-    top-k, ledger and tally, release ``done``.  ``k == 0`` stops it."""
+    store (only this disk's page file, no tree), then per post wait on
+    ``go[disk]``, read, scan, deposit, release ``done``; ``k == 0`` stops."""
     from repro.storage.mmap_store import MmapStore
 
     parent = os.getppid()
@@ -424,39 +531,19 @@ def _worker_main(
     np.empty(1 << 24, dtype=np.uint8)
     store = MmapStore(directory, simulated_disk_ms=simulated_disk_ms)
     try:
-        dimension = store.dimension
-        cells = (_MAX_BATCH, store.num_disks)
-        max_pages = int(store.disk_loads().max())
-        board_view = np.frombuffer(board, dtype=np.float64)
-        bounds_view = np.frombuffer(bounds, dtype=np.float64)
-        arena_view = np.frombuffer(arena, dtype=np.float64)
-        tallies_view = np.frombuffer(tallies, dtype=np.float64)
-        ledgers_view = np.frombuffer(ledgers, dtype=np.float64)
         source = _DiskPages(store, disk)
         while True:
-            while not go.acquire(timeout=_LIVENESS_SLICE_S):
+            while not ring.go[disk].acquire(timeout=_LIVENESS_SLICE_S):
                 if os.getppid() != parent:
                     return
-            with lock:
-                serial, k, count = (int(x) for x in board_view[:_SLOT_HEADER])
-                queries = board_view[_SLOT_HEADER:][: count * dimension]
-                queries = queries.reshape(count, dimension).copy()
-                view = bounds_view[: count * max_k].reshape(count, max_k)
+            serial, k, queries, view = ring.read()
             if k == 0:
                 return
-            found, pages, gathered = _scan(source, queries, k, view, lock)
-            with lock:
-                cell = arena_view[:].reshape(*cells, max_k, 2 + dimension)
-                tally = tallies_view[:].reshape(*cells, _TALLY)
-                ledger = ledgers_view[:].reshape(*cells, _LEDGER_ROWS, max_pages)
-                for query, (keys, oids, points) in enumerate(found):
-                    size = pages[query].shape[1]
-                    cell[query, disk, : len(keys), 0] = keys
-                    cell[query, disk, : len(keys), 1] = oids.view(np.float64)
-                    cell[query, disk, : len(keys), 2:] = points
-                    ledger[query, disk, :, :size] = pages[query]
-                    tally[query, disk] = serial, len(keys), size, gathered
-            done.release()
+            found, ledgers, gathered = _scan(
+                source, queries, k, view, ring.lock
+            )
+            ring.deposit(disk, serial, found, ledgers, gathered)
+            ring.done.release()
     finally:
         store.close()
 
@@ -474,14 +561,12 @@ class ProcessParallelEngine:
     parameters:
         Disk service-time model for the simulated ``parallel_time_ms``
         (page *counts* are exact; times are derived, as everywhere).
-    max_k:
-        Capacity of the shared bound rows; queries may use any
-        ``k <= max_k``.
 
     Workers start lazily on the first query and persist until
-    :meth:`close`; the engine is a context manager.  Every query is
-    fanned out to every disk in parallel — the paper's execution model —
-    and a batch's queries share each disk's scan.
+    :meth:`close`; the engine is a context manager, and takes any k (a
+    new largest k respawns the workers once, on a wider ring).  Every
+    query is fanned out to every disk in parallel — the paper's
+    execution model — and a batch's queries share each disk's scan.
     """
 
     def __init__(
@@ -489,7 +574,6 @@ class ProcessParallelEngine:
         store: Any,
         parameters: Optional[DiskParameters] = None,
         tracer: Optional[Tracer] = None,
-        max_k: int = 64,
     ):
         if getattr(store, "read_page", None) is None or not hasattr(
             store, "directory"
@@ -499,29 +583,19 @@ class ProcessParallelEngine:
                 "(repro.storage.MmapStore); build one with "
                 "save_paged_store or bulk_load_mmap"
             )
-        if max_k < 1:
-            raise ValueError(f"max_k must be >= 1, got {max_k}")
         self.store = store
         self.parameters = parameters or DiskParameters(
             page_bytes=store.page_bytes
         )
         self.cache = None
         self.tracer = tracer
-        self.max_k = max_k
         self._ctx = multiprocessing.get_context(_START_METHOD)
         self._procs: List[Any] = []
-        #: The ring (module docstring); ``None`` while no workers run.
-        self._board: Optional[Any] = None
-        self._bounds: Optional[Any] = None
-        self._arena: Optional[Any] = None
-        self._tallies: Optional[Any] = None
-        self._ledgers: Optional[Any] = None
-        self._lock: Optional[Any] = None
-        self._done: Optional[Any] = None
-        self._go: List[Any] = []
+        #: The ring (:class:`_Ring`); ``None`` while no workers run.
+        self._ring: Optional[_Ring] = None
         #: Posts made / collected since the workers started (a post's
-        #: serial is its 1-based number), and the ledger capacity.
-        self._posted = self._collected = self._max_pages = 0
+        #: serial is its 1-based number).
+        self._posted = self._collected = 0
         #: Diagnostics of the last call: pages the workers' ledgers held,
         #: summed over its queries (>= the charged pages, varying run to
         #: run), and pages they gathered (each at most once per post).
@@ -530,93 +604,61 @@ class ProcessParallelEngine:
 
     # --------------------------------------------------------- lifecycle
 
-    def _ensure_workers(self) -> None:
-        if self._procs:
-            return
+    def _ensure_workers(self, capacity: int) -> _Ring:
+        """The workers' ring, at least ``capacity`` k wide: (re)spawned
+        on a fresh ring when there is none or it is narrower."""
+        if self._ring is not None and self._ring.capacity >= capacity:
+            return self._ring
+        self._stop()
+        store = self.store
         # A bad page file raises its PageFormatError here, before a
         # worker could die of it where only its stderr would say why.
-        self.store.check_page_files()
-        ctx = self._ctx
-        num_disks = self.store.num_disks
-        dimension = self.store.dimension
-        cells = _MAX_BATCH * num_disks
-        self._max_pages = int(self.store.disk_loads().max())
-        self._board = ctx.Array(
-            "d", _SLOT_HEADER + _MAX_BATCH * dimension, lock=False
-        )
-        self._bounds = ctx.Array("d", _MAX_BATCH * self.max_k, lock=False)
-        self._arena = ctx.Array(
-            "d", cells * self.max_k * (2 + dimension), lock=False
-        )
-        self._tallies = ctx.Array("d", cells * _TALLY, lock=False)
-        self._ledgers = ctx.Array(
-            "d", cells * _LEDGER_ROWS * self._max_pages, lock=False
-        )
-        self._lock = ctx.Lock()
-        self._done = ctx.Semaphore(0)
-        self._go = [ctx.Semaphore(0) for _ in range(num_disks)]
-        self._procs = []
-        directory = os.fspath(self.store.directory)
+        store.check_page_files()
+        ring = self._ring = _Ring(self._ctx, store, capacity)
+        directory = os.fspath(store.directory)
         # A spawned worker's BLAS reads its thread count once, at start:
         # one thread each, or four workers on two cores would run eight.
         blas_threads = os.environ.get(_BLAS_THREADS)
         os.environ[_BLAS_THREADS] = "1"
         try:
-            for disk in range(num_disks):
-                proc = ctx.Process(
+            for disk in range(store.num_disks):
+                proc = self._ctx.Process(
                     target=_worker_main,
-                    args=(
-                        directory, disk, self.store.simulated_disk_ms,
-                        self.max_k, self._board, self._bounds, self._arena,
-                        self._tallies, self._ledgers, self._lock,
-                        self._go[disk], self._done,
-                    ),
+                    args=(directory, disk, store.simulated_disk_ms, ring),
                     daemon=True,
                 )
                 proc.start()
                 self._procs.append(proc)
         except (OSError, RuntimeError, ValueError):
-            # A worker failed to spawn mid-start: tear down the workers
-            # that did start (close() handles partial state) so nothing
-            # leaks into the caller's error path.
-            self.close()
+            # A worker failed to spawn: stop those that did.
+            self._stop()
             raise
         finally:
             if blas_threads is None:
                 del os.environ[_BLAS_THREADS]
             else:
                 os.environ[_BLAS_THREADS] = blas_threads
+        return ring
 
-    def close(self) -> None:
-        """Stop the worker processes (idempotent).
-
-        Posts the stop message (``k = 0``), which a worker reads after
-        whatever is still posted ahead of it.  The ring's lock is waited
-        for at most :data:`_LIVENESS_SLICE_S`: a process killed while
-        holding it never releases it, and then the workers are
-        terminated without a stop message.
-        """
-        posted = False
-        if self._procs:
-            assert self._board is not None
-            board = np.frombuffer(self._board, dtype=np.float64)
-            with _lock_within(self._lock, _LIVENESS_SLICE_S) as posted:
-                if posted:
-                    board[1] = 0
-            if posted:
-                for go in self._go:
-                    go.release()
+    def _stop(self) -> None:
+        """Stop the workers and drop the ring: :meth:`close` and every
+        internal reset (a wider ring, a post left without its collect, a
+        failed spawn).  Workers the stop message (``k = 0``) cannot reach
+        — a dead process holds the ring's lock — are terminated."""
+        ring, self._ring = self._ring, None
+        stop = np.empty((0, self.store.dimension))
+        posted = bool(ring and self._procs and ring.post(0, stop, 0))
         for proc in self._procs:
             proc.join(timeout=10.0 if posted else 0.0)
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5.0)
         self._procs = []
-        self._board = self._bounds = self._arena = None
-        self._tallies = self._ledgers = None
-        self._lock = self._done = None
-        self._go = []
         self._posted = self._collected = 0
+
+    def close(self) -> None:
+        """Stop the worker processes (idempotent)."""
+        self._stop()
 
     def __enter__(self) -> "ProcessParallelEngine":
         return self
@@ -634,121 +676,64 @@ class ProcessParallelEngine:
 
     # ----------------------------------------------------------- queries
 
-    def _check_k(self, k: int) -> None:
+    @staticmethod
+    def _check_k(k: int) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if k > self.max_k:
-            raise ValueError(
-                f"k={k} exceeds this engine's max_k={self.max_k}; "
-                f"construct the engine with a larger max_k"
-            )
 
-    def _post(self, queries: np.ndarray, k: int) -> None:
-        """Put a post's queries on the board and wake every worker."""
-        assert self._board is not None and self._bounds is not None
-        board = np.frombuffer(self._board, dtype=np.float64)
-        bounds = np.frombuffer(self._bounds, dtype=np.float64)
-        self._posted += 1
-        with _lock_within(self._lock, _LIVENESS_SLICE_S) as held:
-            if not held:
-                raise RuntimeError(_STUCK_LOCK)
-            bounds[: len(queries) * self.max_k] = np.inf
-            board[:_SLOT_HEADER] = self._posted, k, len(queries)
-            board[_SLOT_HEADER : _SLOT_HEADER + queries.size] = queries.ravel()
-        for go in self._go:
-            go.release()
+    def _answer(
+        self, tracer: Tracer, k: int, found: _Candidates,
+        counts: np.ndarray, computations: int,
+    ) -> ParallelQueryResult:
+        """One query's result; a tracer gets its ``query_start``, a
+        ``page_read`` per charged disk and ``query_end``."""
+        keys, oids, points = found
+        disks = DiskArray.from_counts(counts, self.parameters)
+        if tracer.enabled:
+            span = tracer.begin_query(
+                "process", k=k, num_disks=len(counts),
+                service_ms=self.parameters.page_service_time_ms,
+            )
+            for disk in np.flatnonzero(counts).tolist():
+                tracer.page_read(span, disk, int(counts[disk]))
+            tracer.end_query(
+                span, time_ms=disks.parallel_time_ms,
+                distance_computations=computations,
+            )
+        return ParallelQueryResult(
+            neighbors=[
+                Neighbor(_EUCLIDEAN.key_to_distance(key), oid, point)
+                for key, oid, point in zip(
+                    keys.tolist(), oids.tolist(), points
+                )
+            ],
+            pages_per_disk=disks.pages_per_disk,
+            parallel_time_ms=disks.parallel_time_ms,
+            distance_computations=computations,
+            cache_stats=None,
+        )
 
     def _collect(
-        self, count: int, k: int, tracer: Tracer
+        self, ring: _Ring, count: int, k: int, tracer: Tracer
     ) -> Tuple[List[ParallelQueryResult], int, int]:
-        """The last post's results, the pages its ledgers held and the
-        pages its workers gathered.
-
-        Waits on ``done`` once per disk, in slices: a worker that died
-        (even idle) raises within about :data:`_LIVENESS_SLICE_S`, a
-        hung one after :data:`_REPLY_TIMEOUT_S`.  Tallies must echo the
-        post's serial.  Per query, the merge (squared keys, ``(key,
-        oid)`` order) and the ledger cut at B* (:func:`_exact_counts`)
-        read the cells in place — one path for per-call and batched
-        queries.  A tracer gets ``query_start``, one ``page_read`` per
-        disk and ``query_end`` per query.
-        """
-        assert self._arena is not None and self._tallies is not None
-        assert self._ledgers is not None and self._done is not None
-        num_disks = self.store.num_disks
+        """The last post's :meth:`_Ring.reduce`, as results.  Waits on
+        ``done`` once per disk, in slices: a worker that died (even idle)
+        raises within about :data:`_LIVENESS_SLICE_S`, a hung one after
+        :data:`_REPLY_TIMEOUT_S`."""
         slices = math.ceil(_REPLY_TIMEOUT_S / _LIVENESS_SLICE_S)
-        for _ in range(num_disks):
-            while not self._done.acquire(timeout=_LIVENESS_SLICE_S):
+        for _ in self._procs:
+            while not ring.done.acquire(timeout=_LIVENESS_SLICE_S):
                 slices -= 1
                 if slices <= 0 or not all(p.is_alive() for p in self._procs):
                     raise RuntimeError(
                         "a disk worker did not reply; the worker process "
                         "likely died (see stderr)"
                     )
-        arena_view = np.frombuffer(self._arena, dtype=np.float64)
-        tallies_view = np.frombuffer(self._tallies, dtype=np.float64)
-        ledgers_view = np.frombuffer(self._ledgers, dtype=np.float64)
-        cells = (_MAX_BATCH, num_disks)
-        serial = self._collected + 1
-        results = []
-        speculative = gathered = 0
-        with _lock_within(self._lock, _LIVENESS_SLICE_S) as held:
-            if not held:
-                raise RuntimeError(_STUCK_LOCK)
-            arena = arena_view[:].reshape(
-                *cells, self.max_k, 2 + self.store.dimension
-            )
-            ledgers = ledgers_view[:].reshape(
-                *cells, _LEDGER_ROWS, self._max_pages
-            )
-            tallies = tallies_view[: count * num_disks * _TALLY].tolist()
-            for query in range(count):
-                found, pages = [], []
-                for disk in range(num_disks):
-                    first = (query * num_disks + disk) * _TALLY
-                    echo, size, length, fetched = (
-                        int(x) for x in tallies[first : first + _TALLY]
-                    )
-                    if echo != serial:
-                        raise RuntimeError(
-                            f"ring out of step: disk {disk} answered post "
-                            f"{echo} in place of post {serial}"
-                        )
-                    cell = arena[query, disk, :size]
-                    found.append(
-                        (cell[:, 0], cell[:, 1].view(np.int64), cell[:, 2:])
-                    )
-                    pages.append(ledgers[query, disk, :, :length])
-                    speculative += int(pages[-1][1, -1]) if length else 0
-                    gathered += 0 if query else fetched
-                keys, oids, points = _top_k(found, k)
-                bound = float(keys[-1]) if len(keys) == k else math.inf
-                counts, computations = _exact_counts(pages, bound)
-                disks = DiskArray.from_counts(counts, self.parameters)
-                if tracer.enabled:
-                    span = tracer.begin_query(
-                        "process", k=k, num_disks=num_disks,
-                        service_ms=self.parameters.page_service_time_ms,
-                    )
-                    for disk in np.flatnonzero(counts).tolist():
-                        tracer.page_read(span, disk, int(counts[disk]))
-                    tracer.end_query(
-                        span, time_ms=disks.parallel_time_ms,
-                        distance_computations=computations,
-                    )
-                results.append(ParallelQueryResult(
-                    neighbors=[
-                        Neighbor(_EUCLIDEAN.key_to_distance(key), oid, point)
-                        for key, oid, point in zip(
-                            keys.tolist(), oids.tolist(), points
-                        )
-                    ],
-                    pages_per_disk=disks.pages_per_disk,
-                    parallel_time_ms=disks.parallel_time_ms,
-                    distance_computations=computations,
-                    cache_stats=None,
-                ))
+        merged, speculative, gathered = ring.reduce(
+            self._collected + 1, count, k
+        )
         self._collected += 1
+        results = [self._answer(tracer, k, *answer) for answer in merged]
         return results, speculative, gathered
 
     def _run(self, queries: np.ndarray, k: int) -> List[ParallelQueryResult]:
@@ -756,7 +741,6 @@ class ProcessParallelEngine:
         :data:`_MAX_BATCH` of them (per-page order inside a worker is
         not deterministic and is not traced)."""
         store = self.store
-        num_disks = store.num_disks
         if queries.shape[1:] != (store.dimension,):
             raise ValueError(
                 f"query shape {queries.shape[1:]} does not match the "
@@ -765,35 +749,30 @@ class ProcessParallelEngine:
         if not np.isfinite(queries).all():
             raise ValueError("query coordinates must be finite")
         tracer = current_tracer(self.tracer)
-        results: List[ParallelQueryResult] = []
         if not len(store):
-            for _ in range(len(queries)):
-                if tracer.enabled:
-                    tracer.end_query(tracer.begin_query(
-                        "process", k=k, num_disks=num_disks,
-                        service_ms=self.parameters.page_service_time_ms,
-                    ))
-                results.append(ParallelQueryResult(
-                    [], np.zeros(num_disks, dtype=np.int64), 0.0, 0,
-                    cache_stats=None,
-                ))
-            return results
-        self._ensure_workers()
+            empty, counts = np.empty(0), np.zeros(store.num_disks, np.int64)
+            none = (empty, empty, empty)
+            return [self._answer(tracer, k, none, counts, 0) for _ in queries]
+        ring = self._ensure_workers(min(k, len(store)))
+        results: List[ParallelQueryResult] = []
         speculative = gathered = 0
         try:
             for first in range(0, len(queries), _MAX_BATCH):
                 post = queries[first : first + _MAX_BATCH]
-                self._post(post, k)
-                answers, held, fetched = self._collect(len(post), k, tracer)
+                self._posted += 1
+                if not ring.post(self._posted, post, k):
+                    raise RuntimeError(_STUCK_LOCK)
+                answers, pages, fetched = self._collect(
+                    ring, len(post), k, tracer
+                )
                 results += answers
-                speculative += held
+                speculative += pages
                 gathered += fetched
         finally:
             if self._posted != self._collected:
                 # A post without its collect would leave the ring out
-                # of step: reset it (workers respawn lazily, as after
-                # any close()).
-                self.close()
+                # of step: reset it (workers respawn lazily).
+                self._stop()
         self.last_speculative_pages = speculative
         self.last_gathered_pages = gathered
         return results
@@ -830,5 +809,5 @@ class ProcessParallelEngine:
         state = "running" if self._procs else "idle"
         return (
             f"ProcessParallelEngine(disks={self.store.num_disks}, "
-            f"workers={state}, max_k={self.max_k})"
+            f"workers={state})"
         )

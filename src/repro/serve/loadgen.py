@@ -99,6 +99,8 @@ class WorkloadSpec:
             raise ValueError(
                 f"engine must be one of {ENGINE_KINDS}, got {self.engine!r}"
             )
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
         if self.engine == "process" and self.cache_pages is not None:
             raise ValueError(
                 "the process engine is cacheless (warm mmap reads are "

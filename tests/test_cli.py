@@ -151,3 +151,35 @@ class TestObservabilityCommands:
                      "--trace-out", str(out)]) == 0
         assert out.exists()
         assert "trace events written" in capsys.readouterr().out
+
+
+class TestServeArguments:
+    """``serve`` and ``loadgen`` take any k >= 1 with the process engine
+    and refuse bad arguments with ``error:`` and exit 2."""
+
+    PROCESS = ["--engine", "process", "--d", "4", "--disks", "2",
+               "--n", "300", "--requests", "4"]
+
+    def test_serve_process_engine_past_k_64(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(["serve", *self.PROCESS, "--k", "100"]) == 0
+        assert "4 requests" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_loadgen_process_engine_past_k_64(self, capsys):
+        assert main(["loadgen", *self.PROCESS, "--k", "100",
+                     "--schemes", "col", "--rates", "200"]) == 0
+        assert "p99_ms" in capsys.readouterr().out
+
+    def test_serve_refuses_k_0(self, capsys):
+        assert main(["serve", "--n", "64", "--k", "0"]) == 2
+        assert "error: k must be >= 1" in capsys.readouterr().err
+
+    def test_serve_refuses_no_closed_loop_clients(self, capsys):
+        assert main(["serve", "--n", "64", "--arrivals", "closed",
+                     "--clients", "0"]) == 2
+        assert "error: --clients must be >= 1" in capsys.readouterr().err

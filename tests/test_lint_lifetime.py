@@ -15,6 +15,8 @@ import json
 import pathlib
 import textwrap
 
+import pytest
+
 import repro
 from repro.lint import run_lint
 from repro.lint.cli import RULE_GROUPS, main
@@ -264,6 +266,42 @@ class TestSharedStateWithoutLock:
             def bump(self):
                 self._shared[0] = 1.0
     """
+
+    RING = """\
+        import numpy as np
+
+
+        class Ring:
+            def __init__(self, ctx, size):
+                self.lock = ctx.Lock()
+                self._raw = ctx.Array("d", 2 * size, lock=False)
+                self._view()
+
+            def _view(self):
+                self.rows = np.frombuffer(self._raw).reshape(2, -1)
+
+            def put(self, value):
+                with self.lock:
+                    self.rows[0] = value
+    """
+
+    @pytest.mark.parametrize("locked", [True, False])
+    def test_ring_object_views(self, tmp_path, locked):
+        """A ``lock=False`` array from a context handed in as an
+        argument is shared memory, and so is a ``self`` attribute
+        holding a reshaped ``np.frombuffer`` view of it."""
+        source = self.RING
+        if not locked:
+            source = source.replace("with self.lock", "if self.lock")
+        findings = lint_rule(
+            tmp_path, "src/repro/parallel/fixture.py", source,
+            "shared-state-without-lock",
+        )
+        if locked:
+            assert findings == []
+        else:
+            assert rules_of(findings) == ["shared-state-without-lock"]
+            assert "(self.rows)" in findings[0].message
 
     def test_fires_through_process_target(self, tmp_path):
         """Taint flows from the parent's ctx.Array through the
@@ -521,20 +559,23 @@ class TestAcceptanceMetaTests:
     def test_ring_deposit_outside_bank_lock_fails_the_run(
         self, tmp_path, capsys
     ):
-        """The rule covers the query ring's arrays: the live worker
-        with its arena / ledger / tally deposit moved out of the ring's
-        lock is caught, each array by name."""
+        """The rule covers the query ring's arrays: the live ring with
+        its arena / ledger / tally deposit moved out of its lock is
+        caught, each array by name."""
         source = (REPO_SRC / "parallel" / "process.py").read_text()
-        locked = "            with lock:\n                cell = arena_view[:]"
+        locked = (
+            '        """Write one disk\'s answer to a post."""\n'
+            "        with self.lock:\n"
+        )
         assert source.count(locked) == 1
         write_snippet(
             tmp_path, "src/repro/parallel/process.py",
-            source.replace(locked, locked.replace("with lock", "if lock")),
+            source.replace(locked, locked.replace("with self", "if self")),
         )
         assert main([str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert out.count("shared-state-without-lock") == 3
-        for shared in ("'arena_view'", "'ledgers_view'", "'tallies_view'"):
+        for shared in ("(self.arena)", "(self.ledgers)", "(self.tallies)"):
             assert shared in out
 
 

@@ -41,12 +41,13 @@ from repro.parallel.process import (
     _DiskPages,
     _exact_counts,
     _Filter,
+    _Ring,
     _scan,
     _top_k,
     _worker_main,
 )
 from repro.parallel.store import DeclusteredStore
-from repro.serve import QueryRequest
+from repro.serve import QueryRequest, WorkloadSpec, build_engine
 from repro.storage import SIMULATED_DISK_MS_ENV, MmapStore, save_paged_store
 from repro.storage.pagefile import PageFormatError
 from tests.scalar_oracle import scalar_kernels
@@ -244,14 +245,14 @@ class TestParity:
                 assert threads == ["1"]
 
 
-def _assert_parity(paged_store, directory, queries, ks, max_k=64):
+def _assert_parity(paged_store, directory, queries, ks):
     """``query`` and ``query_batch`` of a process engine over
     ``paged_store`` (saved to ``directory``) match ``PagedEngine``;
     returns the last per-call result and its speculative page count."""
     save_paged_store(paged_store, directory)
     with MmapStore(directory) as store:
         reference = PagedEngine(store, cache=None)
-        with ProcessParallelEngine(store, max_k=max_k) as engine:
+        with ProcessParallelEngine(store) as engine:
             for k in ks:
                 batch = engine.query_batch(queries, k)
                 for query, batched in zip(queries, batch.results):
@@ -268,8 +269,8 @@ class TestFlatTableShapes:
 
     def test_supernode_pages_and_k_beyond_n(self, tmp_path):
         """Leaf supernodes are charged — and counted as faults — by
-        ``blocks``; ``k > N`` (here also ``k = max_k``) returns every
-        point and reads every page."""
+        ``blocks``; ``k > N`` returns every point and reads every
+        page."""
         rng = np.random.default_rng(5)
         store = PagedStore(
             points=rng.random((150, 5)),
@@ -280,8 +281,7 @@ class TestFlatTableShapes:
         total_blocks = sum(leaf.blocks for leaf in store.leaves)
         assert total_blocks > len(store.leaves)
         result, speculative = _assert_parity(
-            store, tmp_path / "super", rng.random((3, 5)), (3, 160),
-            max_k=160,
+            store, tmp_path / "super", rng.random((3, 5)), (3, 160)
         )
         assert len(result.neighbors) == 150
         assert result.pages_per_disk.sum() == speculative == total_blocks
@@ -678,7 +678,7 @@ class TestBadPageFile:
                 else:
                     engine.query_batch(queries, 3)
             assert time.monotonic() - started < 1.0
-            assert engine._procs == [] and engine._board is None
+            assert engine._procs == [] and engine._ring is None
             assert engine._posted == engine._collected == 0
             engine.close()
         assert multiprocessing.active_children() == children
@@ -800,31 +800,16 @@ def test_non_finite_query_is_refused(engine, reference, target, value):
 
 
 class _ThreadWorker:
-    """``_worker_main`` for one disk on a thread, over plain arrays and
-    ``threading`` primitives instead of the engine's shared ring."""
+    """``_worker_main`` for one disk on a thread, over a :class:`_Ring`
+    of numpy buffers and ``threading`` primitives."""
 
-    def __init__(self, store_dir, store, disk, max_k=4):
-        self.max_k, self.disk = max_k, disk
-        self.num_disks = store.num_disks
-        self.dimension = store.dimension
-        cells = _MAX_BATCH * self.num_disks
-        max_pages = int(store.disk_loads().max())
-        self.board = np.zeros(3 + _MAX_BATCH * store.dimension)
-        self.bounds = np.zeros(_MAX_BATCH * max_k)
-        arena = np.zeros(cells * max_k * (2 + store.dimension))
-        self.tallies = np.zeros(cells * 4)
-        ledgers = np.zeros(cells * 3 * max_pages)
-        self.lock = threading.Lock()
-        self.go = threading.Semaphore(0)
-        self.done = threading.Semaphore(0)
+    def __init__(self, store_dir, store, disk, capacity=4):
+        self.disk = disk
+        self.ring = _Ring(_ThreadCtx, store, capacity)
         self.posts = 0
         self.thread = threading.Thread(
             target=_worker_main,
-            args=(
-                os.fspath(store_dir), disk, 0.0, max_k, self.board,
-                self.bounds, arena, self.tallies, ledgers, self.lock,
-                self.go, self.done,
-            ),
+            args=(os.fspath(store_dir), disk, 0.0, self.ring),
             daemon=True,
         )
         self.thread.start()
@@ -834,27 +819,30 @@ class _ThreadWorker:
         deposit; returns per query the tally ``(candidates, ledger
         pages, pages gathered)``."""
         self.posts += 1
-        with self.lock:
-            self.bounds[: len(queries) * self.max_k] = np.inf
-            self.board[:3] = self.posts, k, len(queries)
-            self.board[3 : 3 + queries.size] = queries.ravel()
-        self.go.release()
+        assert self.ring.post(self.posts, queries, k)
         if not k:
             return None
-        assert self.done.acquire(timeout=30.0)
-        tallies = []
-        with self.lock:
-            for query in range(len(queries)):
-                cell = query * self.num_disks + self.disk
-                echo, *tally = self.tallies[cell * 4 : (cell + 1) * 4]
-                assert echo == self.posts
-                tallies.append(tuple(int(x) for x in tally))
-        return tallies
+        assert self.ring.done.acquire(timeout=30.0)
+        with self.ring.lock:
+            echo, *tallies = self.ring.tallies[: len(queries), self.disk].T
+            assert (echo == self.posts).all()
+            return [tuple(int(x) for x in tally) for tally in zip(*tallies)]
 
     def stop(self):
-        self.ask(np.zeros((0, self.dimension)), 0)
+        self.ask(np.zeros((0, self.ring.queries.shape[1])), 0)
         self.thread.join(timeout=30.0)
         assert not self.thread.is_alive()
+
+
+class _ThreadCtx:
+    """What a :class:`_Ring` allocates with, for threads: numpy buffers
+    and ``threading`` primitives."""
+
+    Lock, Semaphore = threading.Lock, threading.Semaphore
+
+    @staticmethod
+    def Array(typecode, size, lock):
+        return np.zeros(size)
 
 
 class TestTreeFree:
@@ -916,6 +904,34 @@ class TestDeadWorker:
                 _assert_bit_identical(engine.query(queries[0], 3), want[0])
 
 
+    def test_a_reset_keeps_a_served_engines_store(self):
+        """A ``build_engine`` process engine owns a temporary store that
+        only ``close()`` removes: after a killed worker and after a
+        larger k (two internal resets) it answers bit for bit from the
+        same files, and ``close()`` then removes them."""
+        spec = WorkloadSpec(n=300, d=4, num_disks=2, engine="process")
+        queries = np.random.default_rng(41).random((3, 4))
+        engine = build_engine(spec)
+        directory = engine.store.directory
+        try:
+            reference = PagedEngine(engine.store, cache=None)
+            _assert_bit_identical(
+                engine.query(queries[0], 3), reference.query(queries[0], 3)
+            )
+            engine._procs[1].kill()
+            engine._procs[1].join(timeout=10.0)
+            with pytest.raises(RuntimeError, match="did not reply"):
+                engine.query(queries[0], 3)
+            for k in (3, 40):
+                for query in queries:
+                    _assert_bit_identical(
+                        engine.query(query, k), reference.query(query, k)
+                    )
+            assert directory.exists()
+        finally:
+            engine.close()
+        assert not directory.exists()
+
     def test_close_with_a_bank_lock_held_by_a_killed_process(
         self, mmap_store, reference
     ):
@@ -953,7 +969,7 @@ class TestDeadWorker:
             with pytest.raises(RuntimeError, match="likely died"):
                 engine.query_batch(queries, 3)
             assert time.monotonic() - started < 2 * _LIVENESS_SLICE_S + 3.0
-            assert engine._procs == [] and engine._lock is None
+            assert engine._procs == [] and engine._ring is None
             assert not any(worker.is_alive() for worker in workers)
             batch = engine.query_batch(queries, 3)
             for result, expected in zip(batch.results, want):
@@ -965,7 +981,7 @@ def _leave_the_lock_held(engine):
     SIGKILLed while it holds it."""
     held = engine._ctx.Event()
     holder = engine._ctx.Process(
-        target=_hold_lock, args=(engine._lock, held), daemon=True
+        target=_hold_lock, args=(engine._ring.lock, held), daemon=True
     )
     holder.start()
     assert held.wait(timeout=60.0)
@@ -1110,7 +1126,7 @@ def _ledger_cases(
         "emptied": draw(st.sampled_from(("none", "some", "all"))),
         "idle_disk": draw(st.booleans()),
         "queries": rng.random((2, dimension)) * 1.4 - 0.2,
-        # Even beyond-N and at-N values of k; max_k is k itself.
+        # Even beyond-N and at-N values of k.
         "k": draw(st.sampled_from((1, 2, 4, len(points), 2 * len(points)))),
         "page_bytes": page_bytes,
     }
@@ -1401,14 +1417,9 @@ class TestStartupFailure:
             try:
                 with pytest.raises(OSError, match="simulated spawn"):
                     engine.query(np.full(6, 0.5), 2)
-                # close() ran: partial worker/queue state is fully reset.
+                # The engine stopped: no worker and no ring is left.
                 assert engine._procs == []
-                assert engine._go == []
-                assert engine._board is None
-                assert engine._bounds is None
-                assert engine._lock is None
-                assert engine._arena is None
-                assert engine._done is None
+                assert engine._ring is None
                 # The engine recovers once spawning works again.
                 engine._ctx = real_ctx
                 result = engine.query(np.full(6, 0.5), 2)
@@ -1418,15 +1429,42 @@ class TestStartupFailure:
                 engine.close()
 
 
-class TestArgumentValidation:
-    def test_k_beyond_max_k_raises(self, mmap_store):
-        engine = ProcessParallelEngine(mmap_store, max_k=4)
-        try:
-            with pytest.raises(ValueError, match="max_k"):
-                engine.query(np.full(6, 0.5), 5)
-        finally:
-            engine.close()
+class TestCapacity:
+    def test_one_respawn_per_new_largest_k(self, tmp_path):
+        """The ring is as wide as the largest k asked, at most N: a new
+        largest k respawns the workers once, a smaller k or one past N
+        reuses them, and every answer matches ``PagedEngine``."""
+        rng = np.random.default_rng(37)
+        paged = PagedStore(
+            points=rng.random((150, 4)),
+            declusterer=NearOptimalDeclusterer(4, 2),
+        )
+        save_paged_store(paged, tmp_path / "store")
+        queries = rng.random((3, 4))
+        n = len(paged)
+        steps = [
+            # (k, respawns, capacity)
+            (1, 0, 1), (10, 1, 10), (100, 1, 100), (10, 0, 100),
+            (n - 1, 1, n - 1), (n, 1, n), (n + 1, 0, n), (2 * n, 0, n),
+        ]
+        with MmapStore(tmp_path / "store") as store:
+            reference = PagedEngine(store, cache=None)
+            with ProcessParallelEngine(store) as engine:
+                pids = None
+                for k, respawns, capacity in steps:
+                    want = [reference.query(query, k) for query in queries]
+                    _assert_bit_identical(engine.query(queries[0], k), want[0])
+                    now = [proc.pid for proc in engine._procs]
+                    assert (pids is not None and now != pids) == respawns
+                    assert engine._ring.capacity == capacity
+                    batch = engine.query_batch(queries, k)
+                    for result, expected in zip(batch.results, want):
+                        _assert_bit_identical(result, expected)
+                    assert [proc.pid for proc in engine._procs] == now
+                    pids = now
 
+
+class TestArgumentValidation:
     def test_in_memory_store_is_rejected(self, small_uniform):
         store = PagedStore(
             points=small_uniform,
@@ -1434,10 +1472,6 @@ class TestArgumentValidation:
         )
         with pytest.raises(TypeError, match="out-of-core"):
             ProcessParallelEngine(store)
-
-    def test_max_k_must_be_positive(self, mmap_store):
-        with pytest.raises(ValueError, match="max_k"):
-            ProcessParallelEngine(mmap_store, max_k=0)
 
     def test_repr_names_the_store(self, engine):
         assert "ProcessParallelEngine" in repr(engine)

@@ -47,7 +47,7 @@ class TestPublicAPI:
                 "points oids tree_cls page_bytes parameters tree "
                 "cache tracer",
             repro.PagedEngine: "store parameters cache tracer",
-            process.ProcessParallelEngine: "store parameters tracer max_k",
+            process.ProcessParallelEngine: "store parameters tracer",
             events.EventDrivenSimulator: "store parameters cache tracer",
             repro.PagedEngine.window: "self low high",
         }
