@@ -373,6 +373,77 @@ def _shared_ref(
     return None
 
 
+def _view_ref(
+    expr: ast.AST, shared: Dict[str, str], shared_attrs: Dict[str, str]
+) -> Optional[str]:
+    """Description when ``expr`` evaluates to shared memory itself: a
+    shared name or ``self`` attribute, sliced or not.  A call on it
+    (``.copy()``, ``int(...)``) gives an owned value and is clean."""
+    while isinstance(expr, ast.Subscript):
+        expr = expr.value
+    if isinstance(expr, ast.Name):
+        return shared.get(expr.id)
+    attr = _self_attr(expr)
+    return shared_attrs.get(attr) if attr is not None else None
+
+
+def _returned_views(
+    func: ast.AST, shared: Dict[str, str], shared_attrs: Dict[str, str]
+) -> Dict[Optional[int], str]:
+    """The shared memory a function returns: by position for a returned
+    tuple's elements, under ``None`` for a whole returned value."""
+    views: Dict[Optional[int], str] = {}
+    for node in own_nodes(func):
+        if not isinstance(node, ast.Return) or node.value is None:
+            continue
+        value = node.value
+        if isinstance(value, ast.Tuple):
+            elements: List[Tuple[Optional[int], ast.expr]] = list(
+                enumerate(value.elts)
+            )
+        else:
+            elements = [(None, value)]
+        for position, element in elements:
+            desc = _view_ref(element, shared, shared_attrs)
+            if desc is not None:
+                views.setdefault(position, desc)
+    return views
+
+
+def _callee(
+    index: ProjectIndex, info: FunctionInfo, call: ast.Call
+) -> Optional[str]:
+    """:meth:`ProjectIndex.resolve_call`, plus ``param.method(...)`` on a
+    parameter annotated with a project class: that class's method."""
+    resolved = index.resolve_call(info, call)
+    if resolved is not None:
+        return resolved
+    func = call.func
+    if not isinstance(func, ast.Attribute):
+        return None
+    receiver = func.value
+    if not isinstance(receiver, ast.Name):
+        return None
+    arguments = info.node.args  # type: ignore[attr-defined]
+    for arg in arguments.posonlyargs + arguments.args + arguments.kwonlyargs:
+        if arg.arg != receiver.id or arg.annotation is None:
+            continue
+        annotation = arg.annotation
+        local = (
+            annotation.value
+            if isinstance(annotation, ast.Constant)
+            and isinstance(annotation.value, str)
+            else dotted_name(annotation)
+        )
+        if local is None:
+            return None
+        owner = index.resolve(info.module.name, local)
+        if owner not in index.classes:
+            return None
+        return index.resolve_method(owner, func.attr)
+    return None
+
+
 def _scan_function(
     func: ast.AST,
     aliases: Dict[str, str],
@@ -792,9 +863,13 @@ class SharedStateWithoutLock(Rule):
     reads are rare enough to pass every test and wrong enough to corrupt
     a benchmark.  Taint starts at ``Value``/``Array``/``SharedMemory``
     construction, flows through ``np.frombuffer`` views (reshaped, or
-    held by ``self`` attributes), locals, and call arguments (including
-    ``Process(target=..., args=...)`` into worker entry points), and
-    every element access outside a lock-held ``with`` block is flagged.  Escapes: ``_SINGLE_WRITER`` class
+    held by ``self`` attributes), locals, call arguments (including
+    ``Process(target=..., args=...)`` into worker entry points) and
+    return values (a returned tuple's elements by position, through
+    tuple unpacking; an owned ``.copy()`` stays clean), and every
+    element access outside a lock-held ``with`` block is flagged.  A
+    method call on a parameter annotated with a project class resolves
+    to that class's method.  Escapes: ``_SINGLE_WRITER`` class
     annotations, and callees invoked *only* with the lock already held."""
 
     name = "shared-state-without-lock"
@@ -853,7 +928,8 @@ def _worker(shared, lock):
         facts_by_func: Dict[str, Optional[_ClassFacts]],
         taint: Dict[str, Dict[str, str]],
     ) -> Dict[str, List[Tuple[str, int]]]:
-        """Push taint through call arguments until a fixpoint (bounded)."""
+        """Push taint through call arguments and return values until a
+        fixpoint (bounded)."""
         call_sites: Dict[str, List[Tuple[str, int]]] = {}
         for _ in range(self._MAX_ROUNDS):
             changed = False
@@ -868,7 +944,7 @@ def _worker(shared, lock):
                     callee = (
                         spawned
                         if spawned is not None
-                        else index.resolve_call(info, call)
+                        else _callee(index, info, call)
                     )
                     if callee is None or callee not in taint:
                         continue
@@ -879,9 +955,61 @@ def _worker(shared, lock):
                         index, call, callee, qualname, facts, taint,
                         spawned is not None,
                     )
+                changed |= self._bind_returns(
+                    index, info, functions, facts_by_func, taint
+                )
             if not changed:
                 break
         return call_sites
+
+    @staticmethod
+    def _bind_returns(
+        index: ProjectIndex,
+        info: FunctionInfo,
+        functions: Dict[str, FunctionInfo],
+        facts_by_func: Dict[str, Optional[_ClassFacts]],
+        taint: Dict[str, Dict[str, str]],
+    ) -> bool:
+        """Taint the names ``info`` assigns shared memory returned by a
+        project callee: ``a, b = f()`` by position, ``a = f()`` whole."""
+        caller_taint = taint[info.qualname]
+        changed = False
+        for node in own_nodes(info.node):
+            if not (
+                isinstance(node, ast.Assign)
+                and len(node.targets) == 1
+                and isinstance(node.value, ast.Call)
+            ):
+                continue
+            callee = _callee(index, info, node.value)
+            if callee is None or callee not in functions:
+                continue
+            facts, source = facts_by_func[callee], functions[callee]
+            views = _returned_views(
+                source.node, taint[callee],
+                facts.shared_attrs if facts is not None else {},
+            )
+            origin = ".".join(filter(None, (source.class_name, source.name)))
+            target = node.targets[0]
+            if isinstance(target, ast.Tuple):
+                bound: List[Tuple[ast.expr, Optional[int]]] = []
+                for position, element in enumerate(target.elts):
+                    if isinstance(element, ast.Starred):
+                        break  # later positions count from the end
+                    bound.append((element, position))
+            else:
+                bound = [(target, None)]
+            for element, position in bound:
+                if (
+                    isinstance(element, ast.Name)
+                    and position in views
+                    and element.id not in caller_taint
+                ):
+                    caller_taint[element.id] = (
+                        f"{views[position]} (returned by {origin})"
+                    )
+                    changed = True
+        return changed
 
     @staticmethod
     def _process_target(

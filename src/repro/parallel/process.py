@@ -57,11 +57,14 @@ _EUCLIDEAN = Euclidean()
 #: everywhere (workers re-import, nothing is forked mid-state).
 _START_METHOD = "spawn"
 
-#: Most pages in one chunk of a worker's scan.  Chunks start at one page
-#: per query (its nearest almost always yields its k candidates) and
-#: double up to this; the cap trades per-chunk overhead against
-#: speculative reads (``docs/performance.md``: 96 ... 256 within a few
-#: per cent).
+#: Most pages in one chunk of a worker's scan.  Where a page read owes a
+#: simulated service time, chunks start at one page per query (its
+#: nearest almost always yields its k candidates) and double up to this,
+#: so few pages are read past the final bound.  Where a read owes none,
+#: such a page costs only its filter rows while every chunk has a fixed
+#: cost, so the scan starts at this many pages.  The cap trades that
+#: fixed cost against speculative reads (``docs/performance.md``, *The
+#: cap, re-derived*).
 _MAX_CHUNK_PAGES = 128
 
 #: Most queries one post carries; a larger batch is several posts.  The
@@ -154,12 +157,14 @@ class _DiskPages:
     its first gather and kept, so a worker maps only the pages its
     queries reach.  ``largest`` bounds every row's norm by the farthest
     corner of the non-empty pages' MBRs (a row lies in its page's MBR).
-    :meth:`rows` reads back the rows kept.
+    ``free`` says that a gather owes no service time (the store's
+    ``simulated_disk_ms`` is 0).  :meth:`rows` reads back the rows kept.
     """
 
     def __init__(self, store: Any, disk: int):
         self._store, self._disk = store, disk
         self.table = store.disk_table(disk)
+        self.free = not store.simulated_disk_ms
         pages = len(self.table[2])
         # A gather of no page opens (and checks) the page file, owes
         # nothing and gives the rows per page W.
@@ -276,11 +281,16 @@ def _scan(
     k beyond the store's points it may be narrower: no list then fills,
     nothing is published and the bound stays infinite).  Pages come in
     ascending minimum ``mindist`` over the queries (for one query,
-    best-first order) in chunks that double from one page per query:
-    the next pages within the largest ``min(local k-th key, shared
-    bound)``, less those no query owes (nobody owes them later either:
-    bounds only tighten).  A chunk is gathered once and filtered for
-    every query (:class:`_Filter`);
+    best-first order) in chunks: the next pages within the largest
+    ``min(local k-th key, shared bound)``, less those no query owes
+    (nobody owes them later either: bounds only tighten).  Where a page
+    read owes service time the chunks double from one page per query to
+    :data:`_MAX_CHUNK_PAGES`, so few pages are read past ``B*``; where it
+    owes none (``source.free``) a page past ``B*`` costs only its filter
+    rows, so the first chunk is already the cap and the scan pays its
+    fixed per-chunk cost a few times, not once per doubling.  Which pages
+    are read never changes what is found within ``B*``.  A chunk is
+    gathered once and filtered for every query (:class:`_Filter`);
     survivors are refined with ``point_keys`` (``einsum`` rows are
     bit-identical whatever rows they are scored with) and folded into
     the local top-k lists with one ``lexsort``.  The scan ends at the
@@ -305,7 +315,8 @@ def _scan(
     owner = np.empty(0, dtype=np.intp)
     keys, oids = np.empty(0), np.empty(0, dtype=np.int64)
     points = np.empty((0, queries.shape[1]))
-    gathered, start, size = 0, 0, count
+    gathered, start = 0, 0
+    size = _MAX_CHUNK_PAGES if source.free else count
     with np.errstate(invalid="ignore", over="ignore"):
         while start < len(order):
             with lock:

@@ -303,6 +303,56 @@ class TestSharedStateWithoutLock:
             assert rules_of(findings) == ["shared-state-without-lock"]
             assert "(self.rows)" in findings[0].message
 
+    RING_READ = """\
+        import numpy as np
+
+
+        class Ring:
+            def __init__(self, ctx, size):
+                self.lock = ctx.Lock()
+                self._raw = ctx.Array("d", 2 * size, lock=False)
+                self.rows = np.frombuffer(self._raw).reshape(2, -1)
+
+            def read(self):
+                with self.lock:
+                    return 2, self.rows[:1].copy(), self.rows[1:]
+
+
+        def scan(owned, view, lock):
+            first = owned[0, 0]
+            with lock:
+                bound = view[0, -1]
+            return first, bound
+
+
+        def work(ring: Ring):
+            count, owned, view = ring.read()
+            return count, scan(owned, view, ring.lock)
+    """
+
+    @pytest.mark.parametrize("locked", [True, False])
+    def test_a_returned_view_is_followed_into_a_callee(
+        self, tmp_path, locked
+    ):
+        """A returned tuple's view element taints the name it unpacks to
+        (the call resolves through the parameter's annotation) and the
+        callee parameter it is handed to; the owned ``.copy()`` beside
+        it stays clean."""
+        source = self.RING_READ
+        if not locked:
+            source = source.replace("with lock", "if lock")
+        findings = lint_rule(
+            tmp_path, "src/repro/parallel/fixture.py", source,
+            "shared-state-without-lock",
+        )
+        if locked:
+            assert findings == []
+        else:
+            assert rules_of(findings) == ["shared-state-without-lock"]
+            message = findings[0].message
+            assert "returned by Ring.read" in message
+            assert "('view')" in message and "fixture.scan" in message
+
     def test_fires_through_process_target(self, tmp_path):
         """Taint flows from the parent's ctx.Array through the
         Process(target=..., args=...) binding into the worker."""
@@ -577,6 +627,28 @@ class TestAcceptanceMetaTests:
         assert out.count("shared-state-without-lock") == 3
         for shared in ("(self.arena)", "(self.ledgers)", "(self.tallies)"):
             assert shared in out
+
+
+    def test_scan_bound_read_outside_lock_fails_the_run(
+        self, tmp_path, capsys
+    ):
+        """The bound rows a worker's scan reads come from the ring's
+        ``read``: the live ``_scan`` with its first bound read moved out
+        of its lock is caught."""
+        source = (REPO_SRC / "parallel" / "process.py").read_text()
+        locked = (
+            "            with lock:\n"
+            "                bounds = np.minimum(kth, view[:, -1])\n"
+        )
+        assert source.count(locked) == 1
+        write_snippet(
+            tmp_path, "src/repro/parallel/process.py",
+            source.replace(locked, locked.replace("with lock", "if lock")),
+        )
+        assert main([str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert out.count("shared-state-without-lock") == 1
+        assert "('view') in repro.parallel.process._scan" in out
 
 
 def test_live_tree_is_clean_under_lifetime_rules():

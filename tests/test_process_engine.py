@@ -37,6 +37,7 @@ from repro.parallel.paged import PagedEngine, PagedStore
 from repro.parallel.process import (
     _LIVENESS_SLICE_S,
     _MAX_BATCH,
+    _MAX_CHUNK_PAGES,
     ProcessParallelEngine,
     _DiskPages,
     _exact_counts,
@@ -324,19 +325,23 @@ class TestFlatTableShapes:
 
 class _CountingStore:
     """Store facade over ``read_pages``: ``fetched`` lists the table rows
-    of every gather (``page_rows`` owes no service time), ``owed_blocks``
-    their blocks."""
+    of every gather (``page_rows`` owes no service time), ``sizes`` the
+    pages of each non-empty one, ``owed_blocks`` their blocks."""
 
     def __init__(self, inner):
         self._inner = inner
         self.disk_table = inner.disk_table
         self.page_rows = inner.page_rows
         self.dimension = inner.dimension
+        self.simulated_disk_ms = inner.simulated_disk_ms
         self.fetched = []
+        self.sizes = []
         self.owed_blocks = 0
 
     def read_pages(self, disk, pages):
         self.fetched.extend(int(page) for page in pages)
+        if len(pages):
+            self.sizes.append(len(pages))
         self.owed_blocks += int(self.disk_table(disk)[4][pages].sum())
         return self._inner.read_pages(disk, pages)
 
@@ -501,6 +506,65 @@ class TestServiceTimeCharging:
         assert round(sum(slept) * 1000.0) == owed == sum(
             blocks * times for (_, _, blocks), times in fetched.items()
         )
+
+
+class TestChunkSchedule:
+    """How far a worker reads ahead follows what a page read costs: with
+    a service time its chunks start at one page per query and double,
+    without one the first chunk is already :data:`_MAX_CHUNK_PAGES`."""
+
+    @pytest.fixture(scope="class")
+    def schedule_dir(self, tmp_path_factory):
+        """One store of ~160 256-byte pages a disk: more than the cap."""
+        rng = np.random.default_rng(19)
+        paged = PagedStore(
+            points=rng.random((1500, 4)),
+            declusterer=NearOptimalDeclusterer(4, 2), page_bytes=256,
+        )
+        directory = tmp_path_factory.mktemp("schedule") / "store"
+        save_paged_store(paged, directory)
+        return directory
+
+    @staticmethod
+    def _gathers(directory, disk_ms):
+        """Per disk and per post (six per-call posts, then one post of
+        the same six queries): ``(queries in the post, pages on the
+        disk, sizes of the post's gathers)``."""
+        queries = 0.3 + 0.4 * np.random.default_rng(5).random((6, 4))
+        posts = [queries[i : i + 1] for i in range(6)] + [queries]
+        scans = []
+        with MmapStore(directory, simulated_disk_ms=disk_ms) as store:
+            for disk in range(store.num_disks):
+                counting = _CountingStore(store)
+                source = _DiskPages(counting, disk)
+                pages = len(store.disk_table(disk)[2])
+                assert pages > _MAX_CHUNK_PAGES
+                for post in posts:
+                    before = len(counting.sizes)
+                    _scan(
+                        source, post, 40, np.full((len(post), 40), np.inf),
+                        threading.Lock(),
+                    )
+                    scans.append((len(post), pages, counting.sizes[before:]))
+        return scans
+
+    def test_a_service_time_starts_at_one_page_per_query_and_doubles(
+        self, schedule_dir, monkeypatch
+    ):
+        monkeypatch.setattr("repro.storage.mmap_store.time.sleep", lambda _: 0)
+        scans = self._gathers(schedule_dir, 1.0)
+        for count, _, sizes in scans:
+            assert sizes[0] <= count
+            for before, after in zip(sizes, sizes[1:]):
+                assert after <= min(2 * before, _MAX_CHUNK_PAGES)
+        assert max(len(sizes) for _, _, sizes in scans) > 2
+
+    def test_no_service_time_starts_at_the_cap(self, schedule_dir):
+        """A fresh bound row reaches every page of the disk, so the first
+        gather is as many as the cap allows."""
+        for _, pages, sizes in self._gathers(schedule_dir, 0.0):
+            assert sizes[0] == min(_MAX_CHUNK_PAGES, pages)
+            assert max(sizes) <= _MAX_CHUNK_PAGES
 
 
 class TestFilter:
@@ -1229,26 +1293,39 @@ _LONG_SCAN = {
 
 
 class TestChunkCapIndependence:
-    """``_MAX_CHUNK_PAGES`` decides how far a worker reads ahead of its
-    bound, never what it finds within B* or what is charged."""
+    """``_MAX_CHUNK_PAGES`` and the chunk start rule decide how far a
+    worker reads ahead of its bound, never what it finds within B* or
+    what is charged."""
 
     @settings(max_examples=25, deadline=None)
     @given(
         case=_ledger_cases(duplicates=False, most=1200, page_bytes=192),
         serial=st.sampled_from((0, 1)),
+        disk_ms=st.sampled_from((0.0, 1.0)),
     )
-    @example(case=_LONG_SCAN, serial=0)
-    @example(case=_LONG_SCAN, serial=1)
-    def test_any_cap_gives_the_same_candidates_and_counts(self, case, serial):
+    @example(case=_LONG_SCAN, serial=0, disk_ms=0.0)
+    @example(case=_LONG_SCAN, serial=1, disk_ms=0.0)
+    @example(case=_LONG_SCAN, serial=0, disk_ms=1.0)
+    @example(case=_LONG_SCAN, serial=1, disk_ms=1.0)
+    def test_any_cap_gives_the_same_candidates_and_counts(
+        self, case, serial, disk_ms
+    ):
         """Caps 1, 2, 32, 128 and one above every disk's page count, per
         call (0) or two queries in one post (1), on stores of up to
-        hundreds of 192-byte pages a disk: every disk's candidates
-        within B*, the merged top-k and ``_exact_counts`` at B* are
-        identical, and equal ``PagedEngine``'s."""
+        hundreds of 192-byte pages a disk, with no service time (chunks
+        start at the cap) or 1 ms a page (chunks start at one page per
+        query and double; the sleep is patched out): every disk's
+        candidates within B*, the merged top-k and ``_exact_counts`` at
+        B* are identical, and equal ``PagedEngine``'s."""
         k = case["k"]
-        with tempfile.TemporaryDirectory() as scratch:
+        with tempfile.TemporaryDirectory() as scratch, \
+                pytest.MonkeyPatch.context() as asleep:
+            asleep.setattr(
+                "repro.storage.mmap_store.time.sleep", lambda _: None
+            )
             save_paged_store(_case_store(case), os.path.join(scratch, "store"))
-            with MmapStore(os.path.join(scratch, "store")) as store:
+            path = os.path.join(scratch, "store")
+            with MmapStore(path, simulated_disk_ms=disk_ms) as store:
                 seen = []
                 widest = int(store.disk_loads().max())
                 for cap in (1, 2, 32, 128, widest + 1):
