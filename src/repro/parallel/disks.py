@@ -88,22 +88,6 @@ class DiskArray:
         self.parameters = parameters or DiskParameters()
         self._pages = np.zeros(num_disks, dtype=np.int64)
 
-    @classmethod
-    def from_counts(
-        cls, counts: np.ndarray, parameters: DiskParameters = None
-    ) -> "DiskArray":
-        """A disk array pre-charged with the given per-disk page counts.
-
-        Used by engines that derive exact per-disk counts analytically
-        (e.g. the process-parallel engine's post-hoc accounting) rather
-        than charging page by page during traversal.
-        """
-        array = cls(len(counts), parameters)
-        for disk, pages in enumerate(counts):
-            if pages:
-                array.charge(disk, int(pages))
-        return array
-
     def charge(self, disk: int, pages: int = 1) -> None:
         """Record ``pages`` page reads on the given disk."""
         if not 0 <= disk < self.num_disks:

@@ -17,9 +17,11 @@ best-first search reads exactly the pages whose ``mindist`` does not
 exceed the final k-th distance ``B*``, whatever the visit order, so the
 coordinator lets the workers race (a stale bound never drops below
 ``B*``), merges their candidates into the exact top-k (squared keys),
-and cuts each worker's **page ledger** for the query — its pages within
-the query's final bound in ascending ``mindist``, with running block
-and entry totals — at ``B*``.  Every key that reaches a top-k list, a
+and cuts each worker's **page ledger** for the query — the ``mindist``
+of every page of its disk within the query's final bound, NaN past it
+— at ``B*``.  The hand-off is post-major: a worker deposits a whole
+post with one write per field, the coordinator reduces it with one
+``lexsort`` and one masked sum.  Every key that reaches a top-k list, a
 shared bound or the arena is an exact ``point_keys`` key.
 
 Coordinator and workers meet in one **shared-memory query ring**, a
@@ -38,6 +40,7 @@ import contextlib
 import math
 import multiprocessing
 import os
+import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,7 +49,7 @@ from repro.index.knn import Neighbor
 from repro.index.metrics import Euclidean
 from repro.obs.context import current_tracer
 from repro.obs.tracer import Tracer
-from repro.parallel.disks import DiskArray, DiskParameters
+from repro.parallel.disks import DiskParameters
 from repro.parallel.engine import BatchQueryResult, ParallelQueryResult
 
 __all__ = ["ProcessParallelEngine"]
@@ -69,8 +72,8 @@ _MAX_CHUNK_PAGES = 128
 
 #: Most queries one post carries; a larger batch is several posts.  The
 #: ring's per-query cells are allocated (and zeroed) when the workers
-#: start: the ledgers alone take ``16 x disks x 3 x most pages x 8``
-#: bytes, 1.5 MB for two disks of 2 048 pages.
+#: start: the ledgers alone take ``16 x disks x most pages x 8`` bytes,
+#: 0.5 MB for two disks of 2 048 pages.
 _MAX_BATCH = 16
 
 #: Seconds the coordinator waits for a worker deposit before giving up.
@@ -82,9 +85,9 @@ _REPLY_TIMEOUT_S = 120.0
 #: :data:`_REPLY_TIMEOUT_S`), and an idle worker that its parent is.
 _LIVENESS_SLICE_S = 1.0
 
-#: Lengths of the ring's board header, tally cell and ledger (their
+#: Lengths of the ring's board header and of a disk's tally (their
 #: fields: :class:`_Ring`).
-_SLOT_HEADER, _TALLY, _LEDGER_ROWS = 3, 4, 3
+_SLOT_HEADER, _TALLY = 3, 4
 
 #: The filter's rounding slack, in units of ``d·2⁻⁵²·(max‖p‖+max‖q‖)²``,
 #: and its floor below the normal range (see :class:`_Filter`).
@@ -97,15 +100,28 @@ _BLAS_THREADS = "OPENBLAS_NUM_THREADS"
 #: What the coordinator raises when the ring's lock stays taken.
 _STUCK_LOCK = "the ring's lock was not released; its holder likely died"
 
-#: A candidate set as arrays: ``(keys, oids, points)``, squared keys.
+#: One disk's candidates for a post: ``(rows, owner, rank)``, each row
+#: ``[squared key, oid bits, point]`` (the arena's format), its query and
+#: its rank among that query's rows in ``(key, oid)`` order.
 _Candidates = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
+#: A reduced post: the top-k rows ``(Q, m, 2 + d)`` (key, oid bits,
+#: point; empty rows, NaN keys, last), charged pages per disk ``(Q,
+#: disks)`` and distance computations ``(Q,)``.
+_Post = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
-def _merge_shared(shared: np.ndarray, keys: np.ndarray) -> None:
-    """Fold keys into a query's shared top-k row (lock held).  Workers
-    publish each key once (:func:`_scan`), so the k-th shared value stays
-    >= the true k-th distance ``B*``: the invariant pruning relies on."""
-    shared[:] = np.sort(np.concatenate((shared, keys)))[: len(shared)]
+
+def _charge(
+    ledgers: np.ndarray, weights: np.ndarray, bound: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Charged pages per disk and distance computations of a post's
+    ledgers ``(Q, disks, pages)`` cut at ``bound`` ``(Q,)``: the pages'
+    ``weights`` (blocks, entries) summed over ``mindist <= bound`` (ties
+    charged, as ``PagedEngine`` breaks on strictly greater; NaN, not
+    owed, never).  Float64 sums of integer counts are exact."""
+    charged = ledgers <= bound[:, None, None]
+    spent = (charged[:, :, None] @ weights)[:, :, 0].astype(np.int64)
+    return spent[..., 0], spent[..., 1].sum(1)
 
 
 @contextlib.contextmanager
@@ -117,33 +133,6 @@ def _lock_within(lock: Any, seconds: float) -> Iterator[bool]:
     finally:
         if held:
             lock.release()
-
-
-def _top_k(found: Sequence[_Candidates], k: int) -> _Candidates:
-    """The k best of several candidate sets, in ``(key, oid)`` order."""
-    keys, oids, points = (np.concatenate(column) for column in zip(*found))
-    best = np.lexsort((oids, keys))[:k]
-    return keys[best], oids[best], points[best]
-
-
-def _exact_counts(
-    ledgers: Sequence[np.ndarray], bound: float
-) -> Tuple[np.ndarray, int]:
-    """Per-disk pages + distance computations of the charged set: every
-    page with ``mindist <= bound`` (ties included, as the single-process
-    engine breaks on strictly greater).  Each ledger is its disk's pages
-    in ascending ``mindist`` up to some ``bound' >= B*``, so the charged
-    pages are a prefix: one ``searchsorted`` per disk, then the running
-    totals at the cut.  ``mindist_many`` rows are bit-identical to the
-    scalar ``MBR.mindist``, so the set matches ``PagedEngine``'s."""
-    counts = np.zeros(len(ledgers), dtype=np.int64)
-    computations = 0
-    for disk, ledger in enumerate(ledgers):
-        charged = int(ledger[0].searchsorted(bound, "right"))
-        if charged:
-            counts[disk] = int(ledger[1, charged - 1])
-            computations += int(ledger[2, charged - 1])
-    return counts, computations
 
 
 class _DiskPages:
@@ -274,7 +263,7 @@ def _scan(
     k: int,
     view: np.ndarray,
     lock: Any,
-) -> Tuple[List[_Candidates], List[np.ndarray], int]:
+) -> Tuple[_Candidates, np.ndarray, Tuple[int, int]]:
     """One post on one disk's worker: a page-major frontier scan.
 
     Row ``j`` of ``view`` is query ``j``'s shared top-k, k wide (for a
@@ -296,12 +285,13 @@ def _scan(
     the local top-k lists with one ``lexsort``.  The scan ends at the
     first chunk the bounds cut short.
 
-    Returns per query its local top-k (``(key, oid)`` order) and its
-    ledger — ``mindist`` (ascending), running blocks and running entries
-    of its pages within its final ``min(local, shared)`` — and the
-    number of pages gathered.
+    Returns the post's local top-k lists as one block of rows
+    (:data:`_Candidates`), its ledger — a ``(Q, P)`` block, the
+    ``mindist`` of each page a query owes within its final ``min(local,
+    shared)`` and NaN elsewhere, from one comparison — and its tally:
+    the blocks of the ledger's pages and the number of pages gathered.
     """
-    lows, highs, _, entries, blocks = source.table
+    lows, highs = source.table[:2]
     count = len(queries)
     mindists = np.array(
         [_EUCLIDEAN.mindist_many(lows, highs, q) for q in queries]
@@ -312,9 +302,8 @@ def _scan(
     where = _Filter(queries, source.largest)
     kth = np.array([np.inf] * count)
     short = np.arange(count)
-    owner = np.empty(0, dtype=np.intp)
-    keys, oids = np.empty(0), np.empty(0, dtype=np.int64)
-    points = np.empty((0, queries.shape[1]))
+    owner = rank = np.empty(0, dtype=np.intp)
+    found = np.empty((0, 2 + queries.shape[1]))
     gathered, start = 0, 0
     size = _MAX_CHUNK_PAGES if source.free else count
     with np.errstate(invalid="ignore", over="ignore"):
@@ -342,30 +331,34 @@ def _scan(
                 fresh_oids, fresh_points = source.rows(pages, rows)
                 against = queries[0] if count == 1 else queries[which]
                 fresh = _EUCLIDEAN.point_keys(fresh_points, against)
-                old = len(keys)
-                keys = np.concatenate((keys, fresh))
-                oids = np.concatenate((oids, fresh_oids))
-                points = np.concatenate((points, fresh_points))
+                old = len(found)
+                fresh = (fresh[:, None], fresh_oids.view(np.float64)[:, None])
+                fresh = np.concatenate((*fresh, fresh_points), 1)
+                found = np.concatenate((found, fresh))
+                keys, oids = found[:, 0], found[:, 1].view(np.int64)
                 # Publish when a list's k-th key fell: its keys new since
                 # the last fold, or all of them when it just filled, so
-                # each key enters its shared row once.  A post of one skips
-                # the owner bookkeeping (30-50 % of a per-call query).
+                # each key enters its shared row once and the row's k-th
+                # key stays >= B*.  A post of one skips the owner
+                # bookkeeping (30-50 % of a per-call query).
                 if count == 1:
                     best = np.lexsort((oids, keys))[:k]
-                    keys, oids, points = keys[best], oids[best], points[best]
+                    found = found[best]
+                    keys = found[:, 0]
                     if len(keys) == k and keys[-1] < kth[0]:
                         new = keys if kth[0] == np.inf else keys[best >= old]
                         with lock:
-                            _merge_shared(view[0], new)
+                            view[0] = np.sort(np.concatenate((view[0], new)))[:k]
                         kth, short = keys[-1:], short[:0]
                 else:
                     owner = np.concatenate((owner, which))
                     best = np.lexsort((oids, keys, owner))
                     ranked = owner[best]
-                    first = np.searchsorted(ranked, ranked)
-                    best = best[np.arange(len(best)) - first < k]
-                    keys, oids, points = keys[best], oids[best], points[best]
-                    owner = owner[best]
+                    rank = np.arange(len(best)) - np.searchsorted(ranked, ranked)
+                    kept = rank < k
+                    best, rank = best[kept], rank[kept]
+                    found, owner = found[best], owner[best]
+                    keys = found[:, 0]
                     counts = np.bincount(owner, minlength=count)
                     fallen = np.where(
                         counts == k, keys[np.cumsum(counts) - 1], np.inf
@@ -374,29 +367,23 @@ def _scan(
                     mine = fell[owner]
                     new = (best[mine] >= old) | (kth[owner[mine]] == np.inf)
                     published = np.where(new, keys[mine], np.inf)
-                    with lock:
-                        for row, values in zip(
-                            np.flatnonzero(fell), published.reshape(-1, k)
-                        ):
-                            _merge_shared(view[row], values)
+                    lists = np.flatnonzero(fell)
+                    if len(lists):
+                        published = published.reshape(-1, k)
+                        with lock:
+                            merged = np.concatenate((view[lists], published), 1)
+                            view[lists] = np.sort(merged)[:, :k]
                     kth, short = fallen, np.flatnonzero(fallen == np.inf)
             if take < len(chunk):
                 break
     with lock:
         bounds = np.minimum(kth, view[:, -1])
     if count == 1:
-        found = [(keys, oids, points)]
-        owed = [order[: nearest.searchsorted(bounds[0], "right")]]
-    else:
-        masks = [owner == query for query in range(count)]
-        found = [(keys[m], oids[m], points[m]) for m in masks]
-        owed = [(row <= b).nonzero()[0] for row, b in zip(mindists, bounds)]
-        owed = [m[np.argsort(row[m])] for row, m in zip(mindists, owed)]
-    ledgers = [
-        np.array((row[m], blocks[m].cumsum(), entries[m].cumsum()))
-        for row, m in zip(mindists, owed)
-    ]
-    return found, ledgers, gathered
+        owner, rank = np.zeros(len(found), dtype=np.intp), np.arange(len(found))
+    owed = mindists <= bounds[:, None]
+    ledger = np.where(owed, mindists, np.nan)
+    spent = int(source.table[4] @ owed.sum(0))
+    return (found, owner, rank), ledger, (spent, gathered)
 
 
 class _Ring:
@@ -412,13 +399,19 @@ class _Ring:
     * ``header`` ``[serial, k, queries]`` and ``queries`` ``(_MAX_BATCH,
       d)``: the board of the current post (``k == 0`` stops a worker);
     * ``bounds`` ``(_MAX_BATCH, capacity)``: per query its shared top-k;
-    * per (query, disk) cell: ``arena`` ``(capacity, 2 + d)`` candidates
-      (key, oid bits, point), ``tallies`` ``[serial echo, candidates,
-      ledger pages, pages gathered by the post]`` and ``ledgers`` ``(3,
-      pages)``: ``mindist``, running blocks, running entries.
+    * per (query, disk) cell: ``arena`` ``(capacity, 2 + d)`` candidate
+      rows (key, oid bits, point; a NaN key is an empty row) and
+      ``ledgers`` ``(pages,)``: the query's ledger, one ``mindist`` per
+      page of the disk (NaN: not owed; 0 past the disk's pages);
+    * per disk: ``tallies`` ``[serial echo, ledger blocks, pages
+      gathered, ms slept]`` of the post.
+
+    ``weights`` ``(disks, pages, 2)``, every page's blocks and entries,
+    is the coordinator's own (not shared).
     """
 
-    _VIEWS = ("header", "queries", "bounds", "arena", "tallies", "ledgers")
+    #: What a spawned worker's copy rebuilds (the views) or does without.
+    _LOCAL = ("header", "queries", "bounds", "arena", "tallies", "ledgers", "weights")
 
     def __init__(self, ctx: Any, store: Any, capacity: int):
         disks, d = store.num_disks, store.dimension
@@ -427,12 +420,14 @@ class _Ring:
         self._board = ctx.Array("d", _SLOT_HEADER + _MAX_BATCH * d, lock=False)
         self._bounds = ctx.Array("d", _MAX_BATCH * capacity, lock=False)
         self._arena = ctx.Array("d", cells * capacity * (2 + d), lock=False)
-        self._tallies = ctx.Array("d", cells * _TALLY, lock=False)
-        self._ledgers = ctx.Array(
-            "d", cells * _LEDGER_ROWS * pages, lock=False
-        )
+        self._tallies = ctx.Array("d", disks * _TALLY, lock=False)
+        self._ledgers = ctx.Array("d", cells * pages, lock=False)
         self.lock, self.done = ctx.Lock(), ctx.Semaphore(0)
         self.go = [ctx.Semaphore(0) for _ in range(disks)]
+        self.weights = np.zeros((disks, pages, 2))
+        for disk, weights in enumerate(self.weights):
+            _, _, _, entries, blocks = store.disk_table(disk)
+            weights[: len(blocks)] = np.column_stack((blocks, entries))
         self._view()
 
     def _view(self) -> None:
@@ -444,13 +439,11 @@ class _Ring:
         ).reshape(_MAX_BATCH, d)
         self.bounds = np.frombuffer(self._bounds).reshape(_MAX_BATCH, wide)
         self.arena = np.frombuffer(self._arena).reshape(*cells, wide, 2 + d)
-        self.tallies = np.frombuffer(self._tallies).reshape(*cells, _TALLY)
-        self.ledgers = np.frombuffer(self._ledgers).reshape(
-            *cells, _LEDGER_ROWS, pages
-        )
+        self.tallies = np.frombuffer(self._tallies).reshape(disks, _TALLY)
+        self.ledgers = np.frombuffer(self._ledgers).reshape(*cells, pages)
 
     def __getstate__(self) -> Dict[str, Any]:
-        return {k: v for k, v in vars(self).items() if k not in self._VIEWS}
+        return {k: v for k, v in vars(self).items() if k not in self._LOCAL}
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         vars(self).update(state)
@@ -479,51 +472,49 @@ class _Ring:
             return serial, k, queries, self.bounds[:count, :k]
 
     def deposit(
-        self, disk: int, serial: int, found: Sequence[_Candidates],
-        ledgers: Sequence[np.ndarray], gathered: int,
+        self, disk: int, serial: int, found: _Candidates,
+        ledger: np.ndarray, tally: Tuple[int, int, float],
     ) -> None:
         """Write one disk's answer to a post."""
         with self.lock:
-            for query, ((keys, oids, points), ledger) in enumerate(
-                zip(found, ledgers)
-            ):
-                size, width = len(keys), ledger.shape[1]
-                cell = self.arena[query, disk, :size]
-                cell[:, 0], cell[:, 2:] = keys, points
-                cell[:, 1] = oids.view(np.float64)
-                self.ledgers[query, disk, :, :width] = ledger
-                self.tallies[query, disk] = serial, size, width, gathered
+            rows, owner, rank = found
+            count, pages = ledger.shape
+            self.arena[:count, disk, :, 0] = np.nan
+            self.arena[owner, disk, rank] = rows
+            self.ledgers[:count, disk, :pages] = ledger
+            self.tallies[disk] = serial, *tally
 
     def reduce(
         self, serial: int, count: int, k: int
-    ) -> Tuple[List[Tuple[_Candidates, np.ndarray, int]], int, int]:
+    ) -> Tuple[_Post, List[List[float]]]:
         """Post ``serial``'s answers, read in place (every tally must echo
-        ``serial``): per query the top-k (:func:`_top_k`), charged pages
-        per disk and distance computations (:func:`_exact_counts`); the
-        pages its ledgers held and its workers gathered."""
-        merged, speculative = [], 0
+        ``serial``): the top-k of every query (:data:`_Post`) from one
+        ``lexsort`` of its ``disks x k`` cells (an empty row's NaN key
+        sorts after every key); its ``B*``, the k-th key; charged pages
+        per disk and distance computations, the ledgers cut at ``B*``
+        (:func:`_charge`); and the tallies."""
         with _lock_within(self.lock, _LIVENESS_SLICE_S) as held:
             if not held:
                 raise RuntimeError(_STUCK_LOCK)
-            tallies = self.tallies[:count].tolist()
-            for query, row in enumerate(tallies):
-                found, ledgers = [], []
-                for disk, (echo, size, length, _) in enumerate(row):
-                    if echo != serial:
-                        raise RuntimeError(
-                            f"ring out of step: disk {disk} answered post "
-                            f"{int(echo)} in place of post {serial}"
-                        )
-                    cell = self.arena[query, disk, : int(size)]
-                    oids = cell[:, 1].view(np.int64)
-                    found.append((cell[:, 0], oids, cell[:, 2:]))
-                    ledgers.append(self.ledgers[query, disk, :, : int(length)])
-                    speculative += int(ledgers[-1][1, -1]) if length else 0
-                best = _top_k(found, k)
-                bound = float(best[0][-1]) if len(best[0]) == k else math.inf
-                merged.append((best, *_exact_counts(ledgers, bound)))
-        gathered = int(sum(row[3] for row in tallies[0]))
-        return merged, speculative, gathered
+            tallies = self.tallies.tolist()
+            for disk, (echo, *_) in enumerate(tallies):
+                if echo != serial:
+                    raise RuntimeError(
+                        f"ring out of step: disk {disk} answered post "
+                        f"{int(echo)} in place of post {serial}"
+                    )
+            cells = self.arena[:count, :, : min(k, self.capacity)]
+            cells = cells.reshape(count, -1, cells.shape[-1])
+            oids = cells[..., 1].view(np.int64)
+            best = np.lexsort((oids, cells[..., 0]))[:, :k]
+            top = cells[np.arange(count)[:, None], best]
+            # B*, the k-th key; fmin turns NaN (short of k keys) to +inf.
+            kth = top[:, k - 1, 0] if top.shape[1] == k else np.full(count, np.nan)
+            bound = np.fmin(kth, np.inf)
+            counts, computations = _charge(
+                self.ledgers[:count], self.weights, bound
+            )
+        return (top, counts, computations), tallies
 
 
 def _worker_main(
@@ -531,7 +522,8 @@ def _worker_main(
 ) -> None:
     """Worker process entry point (spawn-safe, module level): open the
     store (only this disk's page file, no tree), then per post wait on
-    ``go[disk]``, read, scan, deposit, release ``done``; ``k == 0`` stops."""
+    ``go[disk]``, read, scan, deposit (with the service time the store
+    slept for the post), release ``done``; ``k == 0`` stops."""
     from repro.storage.mmap_store import MmapStore
 
     parent = os.getppid()
@@ -540,7 +532,10 @@ def _worker_main(
     # (worker minor faults per query without it: 397 vs 56 on 1024
     # pages of d = 16, 1 099 vs 158 on 4096).
     np.empty(1 << 24, dtype=np.uint8)
-    store = MmapStore(directory, simulated_disk_ms=simulated_disk_ms)
+    # Outside every virtual-time path, the store may time its sleeps.
+    store = MmapStore(
+        directory, simulated_disk_ms=simulated_disk_ms, timer=time.perf_counter
+    )
     try:
         source = _DiskPages(store, disk)
         while True:
@@ -550,10 +545,10 @@ def _worker_main(
             serial, k, queries, view = ring.read()
             if k == 0:
                 return
-            found, ledgers, gathered = _scan(
-                source, queries, k, view, ring.lock
-            )
-            ring.deposit(disk, serial, found, ledgers, gathered)
+            asleep = store.slept_ms
+            found, ledger, tally = _scan(source, queries, k, view, ring.lock)
+            tally += (store.slept_ms - asleep,)
+            ring.deposit(disk, serial, found, ledger, tally)
             ring.done.release()
     finally:
         store.close()
@@ -609,9 +604,12 @@ class ProcessParallelEngine:
         self._posted = self._collected = 0
         #: Diagnostics of the last call: pages the workers' ledgers held,
         #: summed over its queries (>= the charged pages, varying run to
-        #: run), and pages they gathered (each at most once per post).
+        #: run), pages they gathered (each at most once per post) and,
+        #: per disk, the milliseconds of service time its worker slept
+        #: (``time.sleep`` overshoot included; 0 with no service time).
         self.last_speculative_pages = 0
         self.last_gathered_pages = 0
+        self.last_slept_ms = np.zeros(store.num_disks)
 
     # --------------------------------------------------------- lifecycle
 
@@ -692,41 +690,47 @@ class ProcessParallelEngine:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
 
-    def _answer(
-        self, tracer: Tracer, k: int, found: _Candidates,
-        counts: np.ndarray, computations: int,
-    ) -> ParallelQueryResult:
-        """One query's result; a tracer gets its ``query_start``, a
+    def _answers(
+        self, tracer: Tracer, k: int, top: np.ndarray,
+        counts: np.ndarray, computations: np.ndarray,
+    ) -> List[ParallelQueryResult]:
+        """A reduced post's results (:data:`_Post`): distances from one
+        ``np.sqrt`` (bit-identical to ``math.sqrt``), parallel times from
+        one max over the counts, points rows of ``top`` (the post's own
+        copy).  A tracer gets per query its ``query_start``, a
         ``page_read`` per charged disk and ``query_end``."""
-        keys, oids, points = found
-        disks = DiskArray.from_counts(counts, self.parameters)
-        if tracer.enabled:
-            span = tracer.begin_query(
-                "process", k=k, num_disks=len(counts),
-                service_ms=self.parameters.page_service_time_ms,
-            )
-            for disk in np.flatnonzero(counts).tolist():
-                tracer.page_read(span, disk, int(counts[disk]))
-            tracer.end_query(
-                span, time_ms=disks.parallel_time_ms,
-                distance_computations=computations,
-            )
-        return ParallelQueryResult(
-            neighbors=[
-                Neighbor(_EUCLIDEAN.key_to_distance(key), oid, point)
-                for key, oid, point in zip(
-                    keys.tolist(), oids.tolist(), points
+        service = self.parameters.page_service_time_ms
+        distances = np.sqrt(top[..., 0]).tolist()
+        oids = top[..., 1].view(np.int64).tolist()
+        points, spent = top[..., 2:], computations.tolist()
+        results = []
+        for query, (near, pages) in enumerate(zip(distances, counts.tolist())):
+            size = len(near)
+            while size and math.isnan(near[size - 1]):  # an empty row
+                size -= 1
+            neighbors = list(map(Neighbor, near[:size], oids[query], points[query]))
+            # Rounding is monotone: max(c) * s is max(c * s) bit for bit.
+            time_ms = max(pages) * service
+            if tracer.enabled:
+                span = tracer.begin_query(
+                    "process", k=k, num_disks=len(pages), service_ms=service
                 )
-            ],
-            pages_per_disk=disks.pages_per_disk,
-            parallel_time_ms=disks.parallel_time_ms,
-            distance_computations=computations,
-            cache_stats=None,
-        )
+                for disk, charged in enumerate(pages):
+                    if charged:
+                        tracer.page_read(span, disk, charged)
+                tracer.end_query(
+                    span, time_ms=time_ms, distance_computations=spent[query]
+                )
+            results.append(ParallelQueryResult(
+                neighbors=neighbors, pages_per_disk=counts[query],
+                parallel_time_ms=time_ms,
+                distance_computations=spent[query], cache_stats=None,
+            ))
+        return results
 
     def _collect(
         self, ring: _Ring, count: int, k: int, tracer: Tracer
-    ) -> Tuple[List[ParallelQueryResult], int, int]:
+    ) -> Tuple[List[ParallelQueryResult], List[List[float]]]:
         """The last post's :meth:`_Ring.reduce`, as results.  Waits on
         ``done`` once per disk, in slices: a worker that died (even idle)
         raises within about :data:`_LIVENESS_SLICE_S`, a hung one after
@@ -740,12 +744,9 @@ class ProcessParallelEngine:
                         "a disk worker did not reply; the worker process "
                         "likely died (see stderr)"
                     )
-        merged, speculative, gathered = ring.reduce(
-            self._collected + 1, count, k
-        )
+        post, tallies = ring.reduce(self._collected + 1, count, k)
         self._collected += 1
-        results = [self._answer(tracer, k, *answer) for answer in merged]
-        return results, speculative, gathered
+        return self._answers(tracer, k, *post), tallies
 
     def _run(self, queries: np.ndarray, k: int) -> List[ParallelQueryResult]:
         """Answer ``queries`` in order through the ring, one post per
@@ -761,31 +762,32 @@ class ProcessParallelEngine:
             raise ValueError("query coordinates must be finite")
         tracer = current_tracer(self.tracer)
         if not len(store):
-            empty, counts = np.empty(0), np.zeros(store.num_disks, np.int64)
-            none = (empty, empty, empty)
-            return [self._answer(tracer, k, none, counts, 0) for _ in queries]
+            counts = np.zeros((len(queries), store.num_disks), dtype=np.int64)
+            top = np.empty((len(queries), 0, 2 + store.dimension))
+            return self._answers(tracer, k, top, counts, counts[:, 0])
         ring = self._ensure_workers(min(k, len(store)))
         results: List[ParallelQueryResult] = []
         speculative = gathered = 0
+        slept = [0.0] * store.num_disks
         try:
             for first in range(0, len(queries), _MAX_BATCH):
                 post = queries[first : first + _MAX_BATCH]
                 self._posted += 1
                 if not ring.post(self._posted, post, k):
                     raise RuntimeError(_STUCK_LOCK)
-                answers, pages, fetched = self._collect(
-                    ring, len(post), k, tracer
-                )
+                answers, tallies = self._collect(ring, len(post), k, tracer)
                 results += answers
-                speculative += pages
-                gathered += fetched
+                _, owed, fetched, asleep = zip(*tallies)
+                speculative, gathered = speculative + sum(owed), gathered + sum(fetched)
+                slept = [a + b for a, b in zip(slept, asleep)]
         finally:
             if self._posted != self._collected:
                 # A post without its collect would leave the ring out
                 # of step: reset it (workers respawn lazily).
                 self._stop()
-        self.last_speculative_pages = speculative
-        self.last_gathered_pages = gathered
+        self.last_speculative_pages = int(speculative)
+        self.last_gathered_pages = int(gathered)
+        self.last_slept_ms = np.array(slept)
         return results
 
     def query(

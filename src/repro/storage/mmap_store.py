@@ -468,6 +468,7 @@ class MmapStore:
         directory: Union[str, os.PathLike],
         *,
         simulated_disk_ms: Optional[float] = None,
+        timer: Optional[Callable[[], float]] = None,
     ):
         self.directory = Path(directory)
         if simulated_disk_ms is None:
@@ -479,6 +480,11 @@ class MmapStore:
                 f"simulated_disk_ms must be >= 0, got {simulated_disk_ms}"
             )
         self.simulated_disk_ms = simulated_disk_ms
+        #: The wall clock (seconds) that times the sleeps, or None: the
+        #: store reads none of its own (the process workers inject one).
+        self.timer = timer
+        #: Service ms slept so far as ``timer`` measured it, overshoot in.
+        self.slept_ms = 0.0
         meta_path = self.directory / STORE_JSON
         if not meta_path.is_file():
             raise PageFormatError(
@@ -605,7 +611,7 @@ class MmapStore:
             int(self._page_slots[page])
         )
         if self.simulated_disk_ms:
-            time.sleep(self.simulated_disk_ms * leaf.blocks / 1000.0)
+            self._serve(leaf.blocks)
         return payload
 
     def disk_table(self, disk: int) -> Tuple[np.ndarray, ...]:
@@ -636,8 +642,16 @@ class MmapStore:
         _, _, slots, _, blocks = self.disk_table(disk)
         block = self._page_file(disk).gather(slots[pages])
         if self.simulated_disk_ms and len(pages):
-            time.sleep(self.simulated_disk_ms * int(blocks[pages].sum()) / 1000.0)
+            self._serve(int(blocks[pages].sum()))
         return block
+
+    def _serve(self, blocks: int) -> None:
+        """Sleep the service time of ``blocks`` page blocks, adding what
+        :attr:`timer` measured of it, if set, to :attr:`slept_ms`."""
+        started = self.timer() if self.timer else 0.0
+        time.sleep(self.simulated_disk_ms * blocks / 1000.0)
+        if self.timer:
+            self.slept_ms += (self.timer() - started) * 1000.0
 
     def page_rows(
         self, disk: int, pages: np.ndarray, rows: np.ndarray

@@ -611,7 +611,8 @@ class TestAcceptanceMetaTests:
     ):
         """The rule covers the query ring's arrays: the live ring with
         its arena / ledger / tally deposit moved out of its lock is
-        caught, each array by name."""
+        caught, each write by name (the arena's two: the empty marks and
+        the candidate rows)."""
         source = (REPO_SRC / "parallel" / "process.py").read_text()
         locked = (
             '        """Write one disk\'s answer to a post."""\n'
@@ -624,8 +625,9 @@ class TestAcceptanceMetaTests:
         )
         assert main([str(tmp_path)]) == 1
         out = capsys.readouterr().out
-        assert out.count("shared-state-without-lock") == 3
-        for shared in ("(self.arena)", "(self.ledgers)", "(self.tallies)"):
+        assert out.count("shared-state-without-lock") == 4
+        assert out.count("(self.arena)") == 2
+        for shared in ("(self.ledgers)", "(self.tallies)"):
             assert shared in out
 
 

@@ -39,12 +39,11 @@ from repro.parallel.process import (
     _MAX_BATCH,
     _MAX_CHUNK_PAGES,
     ProcessParallelEngine,
+    _charge,
     _DiskPages,
-    _exact_counts,
     _Filter,
     _Ring,
     _scan,
-    _top_k,
     _worker_main,
 )
 from repro.parallel.store import DeclusteredStore
@@ -225,6 +224,32 @@ class TestParity:
         assert engine.last_gathered_pages <= per_call
         assert engine.last_speculative_pages >= charged
 
+    def test_a_posts_answers_outlive_the_next_post(self, engine, reference):
+        """A batch of 17 is two posts on one ring: every answer owns its
+        distances, oids and points, so the second post and later calls,
+        which overwrite the ring, change none of the first post's, and
+        no point is a view of the ring's arena."""
+        rng = np.random.default_rng(53)
+        queries = rng.random((_MAX_BATCH + 1, 6))
+        batch = engine.query_batch(queries, 7)
+        kept = [
+            [(n.distance, n.oid, n.point.tobytes()) for n in r.neighbors]
+            for r in batch.results
+        ]
+        engine.query_batch(rng.random((_MAX_BATCH + 1, 6)), 7)
+        engine.query(rng.random(6), 7)
+        for query, result, before in zip(queries, batch.results, kept):
+            want = reference.query(query, 7)
+            _assert_bit_identical(result, want)
+            assert [
+                (n.distance, n.oid, n.point.tobytes()) for n in result.neighbors
+            ] == before == [
+                (n.distance, n.oid, np.asarray(n.point, float).tobytes())
+                for n in want.neighbors
+            ]
+            for neighbor in result.neighbors:
+                assert not np.shares_memory(neighbor.point, engine._ring.arena)
+
     def test_workers_run_blas_on_one_thread(self, mmap_store, monkeypatch):
         """Every worker is spawned with ``OPENBLAS_NUM_THREADS=1``, so
         its BLAS starts no threads of its own (a worker runs one), even
@@ -302,6 +327,36 @@ class TestFlatTableShapes:
         )
         assert result.neighbors == []
         assert result.pages_per_disk.sum() == len(store.leaves)
+
+    def test_disks_short_of_k(self, tmp_path):
+        """Three disks: every page of disk 1 empty, disk 2 down to one
+        page of five points, so for k past five a disk deposits fewer
+        than k candidates (disk 1 none at all); posts of 1, 16 and 17
+        queries match ``PagedEngine`` bit for bit."""
+        rng = np.random.default_rng(10)
+        paged = PagedStore(
+            points=rng.random((400, 3)), num_disks=3, page_bytes=512,
+            declusterer=lambda centers: np.arange(len(centers)) % 3,
+        )
+        owned = [
+            [leaf for leaf in paged.leaves if paged.disk_of(leaf) == disk]
+            for disk in range(3)
+        ]
+        for leaf in owned[1] + owned[2][1:]:
+            leaf.entries = []
+        owned[2][0].entries = owned[2][0].entries[:5]
+        queries = rng.random((_MAX_BATCH + 1, 3))
+        save_paged_store(paged, tmp_path / "short")
+        with MmapStore(tmp_path / "short") as store:
+            reference = PagedEngine(store, cache=None)
+            with ProcessParallelEngine(store) as engine:
+                for k in (3, 12):
+                    want = [reference.query(query, k) for query in queries]
+                    for size in (1, _MAX_BATCH, _MAX_BATCH + 1):
+                        batch = engine.query_batch(queries[:size], k)
+                        for result, expected in zip(batch.results, want):
+                            _assert_bit_identical(result, expected)
+                    _assert_bit_identical(engine.query(queries[0], k), want[0])
 
     def test_disk_without_pages_and_duplicate_points(self, tmp_path):
         """Disk 1 of 3 owns nothing (its worker answers with no
@@ -489,7 +544,7 @@ class TestServiceTimeCharging:
                 posts = [queries] if serial else [[query] for query in queries]
                 for post in posts:
                     before = len(counting.fetched)
-                    _, _, gathered = _scan(
+                    _, _, (_, gathered) = _scan(
                         source, np.array(post), 8,
                         np.full((len(post), 8), np.inf), threading.Lock(),
                     )
@@ -664,9 +719,7 @@ class TestFilter:
             posts = [queries] if batched else [q[None] for q in queries]
             found = []
             for post in posts:
-                for candidates, ledgers, bound in _scan_post(store, post, 6):
-                    merged = _top_k(candidates, 6)
-                    found.append((merged, _exact_counts(ledgers, bound)))
+                found += _post_outcomes(store, post, 6)
             return found
 
         def every_row(self, block, norms, bounds, short, k):
@@ -680,12 +733,12 @@ class TestFilter:
             unfiltered = outcomes(store)
             reference = PagedEngine(store, cache=None)
             for query, got, want in zip(queries, filtered, unfiltered):
-                (keys, oids, points), (counts, computations) = got
-                assert keys.tobytes() == want[0][0].tobytes()
-                assert oids.tobytes() == want[0][1].tobytes()
-                assert points.tobytes() == want[0][2].tobytes()
-                assert np.array_equal(counts, want[1][0])
-                assert computations == want[1][1]
+                keys, oids, points, counts, computations, _ = got
+                assert keys.tobytes() == want[0].tobytes()
+                assert oids.tobytes() == want[1].tobytes()
+                assert points.tobytes() == want[2].tobytes()
+                assert np.array_equal(counts, want[3])
+                assert computations == want[4]
                 expected = reference.query(query, 6)
                 assert [n.oid for n in expected.neighbors] == oids.tolist()
                 assert np.array_equal(counts, expected.pages_per_disk)
@@ -867,30 +920,31 @@ class _ThreadWorker:
     """``_worker_main`` for one disk on a thread, over a :class:`_Ring`
     of numpy buffers and ``threading`` primitives."""
 
-    def __init__(self, store_dir, store, disk, capacity=4):
+    def __init__(self, store_dir, store, disk, capacity=4, disk_ms=0.0):
         self.disk = disk
         self.ring = _Ring(_ThreadCtx, store, capacity)
         self.posts = 0
         self.thread = threading.Thread(
             target=_worker_main,
-            args=(os.fspath(store_dir), disk, 0.0, self.ring),
+            args=(os.fspath(store_dir), disk, disk_ms, self.ring),
             daemon=True,
         )
         self.thread.start()
 
     def ask(self, queries, k):
         """Post ``(Q, d)`` queries (``k = 0``: stop) and wait for the
-        deposit; returns per query the tally ``(candidates, ledger
-        pages, pages gathered)``."""
+        deposit; returns the candidates each query found on the disk and
+        the disk's tally ``[ledger blocks, pages gathered, ms slept]``."""
         self.posts += 1
         assert self.ring.post(self.posts, queries, k)
         if not k:
             return None
         assert self.ring.done.acquire(timeout=30.0)
         with self.ring.lock:
-            echo, *tallies = self.ring.tallies[: len(queries), self.disk].T
-            assert (echo == self.posts).all()
-            return [tuple(int(x) for x in tally) for tally in zip(*tallies)]
+            echo, *tally = self.ring.tallies[self.disk].tolist()
+            assert echo == self.posts
+            keys = self.ring.arena[: len(queries), self.disk, :, 0]
+            return (~np.isnan(keys)).sum(1).tolist(), tally
 
     def stop(self):
         self.ask(np.zeros((0, self.ring.queries.shape[1])), 0)
@@ -931,9 +985,11 @@ class TestTreeFree:
         worker = _ThreadWorker(store_dir, mmap_store, disk=1)
         try:
             for size in (1, 3, 1):
-                tallies = worker.ask(np.full((size, 6), 0.5), 3)
-                for count, pages, gathered in tallies:
-                    assert count == 3 and 0 < gathered and 0 < pages
+                found, (owed, gathered, slept) = worker.ask(
+                    np.full((size, 6), 0.5), 3
+                )
+                assert found == [3] * size
+                assert 0 < gathered and 0 < owed and slept == 0
         finally:
             worker.stop()
         assert counted_nodes == []
@@ -1080,6 +1136,47 @@ def test_workers_sleep_the_coordinator_stores_disk_time(
     assert elapsed_ms >= busiest * disk_ms
 
 
+class TestSleptTime:
+    """Each worker reports the service time its store slept for a post,
+    measured around the sleep: at least the simulated time of every
+    block it gathered, and none without a service time."""
+
+    def test_each_disk_slept_its_gathered_blocks(self, store_dir, mmap_store):
+        disk_ms = 0.5
+        queries = np.random.default_rng(9).random((5, 6))
+        for disk in range(mmap_store.num_disks):
+            # One block a page: the pages gathered are the blocks owed.
+            assert (mmap_store.disk_table(disk)[4] == 1).all()
+            worker = _ThreadWorker(
+                store_dir, mmap_store, disk, disk_ms=disk_ms
+            )
+            try:
+                for post in (queries[:1], queries):
+                    _, (_, gathered, slept) = worker.ask(post, 3)
+                    assert gathered > 0
+                    assert slept >= disk_ms * gathered
+            finally:
+                worker.stop()
+
+    @pytest.mark.parametrize("disk_ms", [0.0, 0.5])
+    def test_the_engine_reports_slept_ms_per_disk(self, store_dir, disk_ms):
+        queries = np.random.default_rng(11).random((5, 6))
+        with MmapStore(store_dir, simulated_disk_ms=disk_ms) as store:
+            with ProcessParallelEngine(store) as engine:
+                for run in (
+                    lambda: engine.query(queries[0], 3),
+                    lambda: engine.query_batch(queries, 3),
+                ):
+                    run()
+                    slept = engine.last_slept_ms
+                    assert slept.shape == (store.num_disks,)
+                    if disk_ms:
+                        gathered = engine.last_gathered_pages
+                        assert slept.sum() >= disk_ms * gathered > 0
+                    else:
+                        assert not slept.any()
+
+
 _ORPHAN_SCRIPT = """
 import os, signal, sys
 import numpy as np
@@ -1146,27 +1243,40 @@ def _sweep_counts(store, query, bound):
 def _scan_post(store, queries, k, sources=None):
     """Each disk's ``_scan`` of ``queries`` as one post, in turn, over
     shared bound rows (a serial run of what the workers do; page sources
-    fresh unless given), then the coordinator's merge: per query
-    ``(candidates per disk, ledgers per disk, B*)``."""
+    fresh unless given), deposited on a ring of numpy buffers and reduced
+    there as the coordinator does: ``(ring, scans, (top, counts,
+    computations))``, ``scans`` each disk's ``_scan`` result."""
     if sources is None:
         sources = [_DiskPages(store, disk) for disk in range(store.num_disks)]
-    view = np.full((len(queries), k), np.inf)
-    lock = threading.Lock()
-    scans = [_scan(source, queries, k, view, lock) for source in sources]
+    ring = _Ring(_ThreadCtx, store, max(1, min(k, len(store))))
+    assert ring.post(1, queries, k)
+    scans = []
+    for disk, source in enumerate(sources):
+        _, _, mine, view = ring.read()
+        scans.append(_scan(source, mine, k, view, ring.lock))
+        found, ledger, tally = scans[-1]
+        ring.deposit(disk, 1, found, ledger, tally + (0.0,))
+    return ring, scans, ring.reduce(1, len(queries), k)[0]
+
+
+def _merged(top, query):
+    """``(keys, oids, points)`` of a reduced query's real (non-NaN) rows."""
+    rows = top[query][~np.isnan(top[query, :, 0])]
+    return rows[:, 0], rows[:, 1].view(np.int64), rows[:, 2:]
+
+
+def _post_outcomes(store, queries, k, sources=None):
+    """:func:`_scan_post` per query: ``(keys, oids, points, charged
+    pages per disk, distance computations, B*)``."""
+    _, _, (top, counts, computations) = _scan_post(store, queries, k, sources)
     outcomes = []
     for query in range(len(queries)):
-        found = [candidates[query] for candidates, _, _ in scans]
-        ledgers = [pages[query] for _, pages, _ in scans]
-        keys = _top_k(found, k)[0]
+        keys, oids, points = _merged(top, query)
         bound = float(keys[-1]) if len(keys) == k else math.inf
-        outcomes.append((found, ledgers, bound))
+        outcomes.append(
+            (keys, oids, points, counts[query], computations[query], bound)
+        )
     return outcomes
-
-
-def _ledgers_and_bound(store, query, k, sources=None):
-    """:func:`_scan_post` of one query: ``(candidates per disk, ledgers,
-    B*)``."""
-    return _scan_post(store, np.asarray(query)[None], k, sources)[0]
 
 
 @st.composite
@@ -1225,45 +1335,58 @@ def _boundary_tie(mindists, bound):
 
 
 class TestLedgerOracle:
-    """The per-worker page ledgers reproduce the directory sweep (and
+    """The per-worker page ledgers, deposited on the ring and cut there at
+    B* (:func:`_charge`), reproduce the directory sweep (and
     ``PagedEngine``) exactly."""
 
     @settings(max_examples=40, deadline=None)
     @given(case=_ledger_cases())
     def test_ledger_counts_equal_directory_sweep(self, case):
+        """Per call and both queries in one post."""
+        k, queries = case["k"], case["queries"]
         with tempfile.TemporaryDirectory() as scratch:
             save_paged_store(_case_store(case), os.path.join(scratch, "store"))
             with MmapStore(os.path.join(scratch, "store")) as store:
                 reference = PagedEngine(store, cache=None)
-                for query in case["queries"]:
-                    _, ledgers, bound = _ledgers_and_bound(
-                        store, query, case["k"]
+                for post in [queries[:1], queries[1:], queries]:
+                    ring, _, (top, counts, computations) = _scan_post(
+                        store, post, k
                     )
-                    counts, computations = _exact_counts(ledgers, bound)
-                    swept, swept_computations = _sweep_counts(
-                        store, query, bound
-                    )
-                    assert np.array_equal(counts, swept)
-                    assert computations == swept_computations
-                    mindists = _page_mindists(store, query)[0]
-                    inside = mindists[mindists <= bound]
-                    # The sweep comparison needs no boundary-tie
-                    # exemption: it is the same arithmetic.
-                    if not _boundary_tie(mindists, bound):
-                        want = reference.query(query, case["k"])
-                        assert np.array_equal(counts, want.pages_per_disk)
-                        assert computations == want.distance_computations
-                    # A bound that ties a page's mindist exactly: the
-                    # nearest and the farthest charged page's.
-                    ties = {inside.min(), inside.max()} if len(inside) else ()
-                    for tie in ties:
-                        tied, tied_computations = _exact_counts(ledgers, tie)
-                        assert tied.sum() > 0
+                    for row, query in enumerate(post):
+                        keys = _merged(top, row)[0]
+                        bound = float(keys[-1]) if len(keys) == k else math.inf
                         swept, swept_computations = _sweep_counts(
-                            store, query, tie
+                            store, query, bound
                         )
-                        assert np.array_equal(tied, swept)
-                        assert tied_computations == swept_computations
+                        assert np.array_equal(counts[row], swept)
+                        assert computations[row] == swept_computations
+                        mindists = _page_mindists(store, query)[0]
+                        inside = mindists[mindists <= bound]
+                        # The sweep comparison needs no boundary-tie
+                        # exemption: it is the same arithmetic.
+                        if not _boundary_tie(mindists, bound):
+                            want = reference.query(query, k)
+                            assert np.array_equal(
+                                counts[row], want.pages_per_disk
+                            )
+                            assert (
+                                computations[row]
+                                == want.distance_computations
+                            )
+                        # A bound that ties a page's mindist exactly: the
+                        # nearest and the farthest charged page's.
+                        ties = {inside.min(), inside.max()} if len(inside) else ()
+                        for tie in ties:
+                            tied, tied_computations = _charge(
+                                ring.ledgers[row : row + 1], ring.weights,
+                                np.array([tie]),
+                            )
+                            assert tied.sum() > 0
+                            swept, swept_computations = _sweep_counts(
+                                store, query, tie
+                            )
+                            assert np.array_equal(tied[0], swept)
+                            assert tied_computations[0] == swept_computations
 
     def test_single_leaf_root(self, tmp_path):
         store = PagedStore(
@@ -1274,12 +1397,68 @@ class TestLedgerOracle:
         with MmapStore(tmp_path / "leaf") as tiny:
             assert tiny.tree.root.is_leaf
             query = np.full(3, 0.5)
-            _, ledgers, bound = _ledgers_and_bound(tiny, query, 4)
-            counts, computations = _exact_counts(ledgers, bound)
+            _, _, _, counts, computations, bound = _post_outcomes(
+                tiny, query[None], 4
+            )[0]
             assert (counts.sum(), computations) == (1, 20)
-            assert np.array_equal(
-                counts, _sweep_counts(tiny, query, bound)[0]
-            )
+            assert np.array_equal(counts, _sweep_counts(tiny, query, bound)[0])
+
+
+class TestCut:
+    """The coordinator's cut of a deposited post, on a ring of numpy
+    buffers: B* is the k-th merged key, and a page is charged when its
+    ``mindist`` is at most B* — ties included — and not when it is NaN
+    (not owed) or one ulp past B*."""
+
+    def test_a_page_at_exactly_b_star_is_charged(self, mmap_store):
+        store, k = mmap_store, 3
+        ring = _Ring(_ThreadCtx, store, k)
+        ring.post(7, np.full((1, 6), 0.5), k)
+        blocks, entries = ring.weights[..., 0], ring.weights[..., 1]
+
+        def cell(*rows):
+            """Candidate rows ``(key, oid)`` of query 0, points zero."""
+            found = np.zeros((len(rows), 8))
+            found[:, 0] = [key for key, _ in rows]
+            found[:, 1] = np.array([oid for _, oid in rows]).view(np.float64)
+            return found, np.zeros(len(rows), int), np.arange(len(rows))
+
+        ledgers = [np.full((1, int(n)), np.nan) for n in store.disk_loads()]
+        # B* = 1.0, the third key; disk 0's second page and disk 1's
+        # fourth sit exactly on it, disk 0's third one ulp past it.
+        ledgers[0][0, :3] = 0.0, 1.0, np.nextafter(1.0, 2.0)
+        ledgers[1][0, 3] = 1.0
+        found = [cell((0.25, 11), (1.0, 12)), cell((0.5, 13), (4.0, 14))]
+        found += [cell(), cell()]
+        for disk in range(store.num_disks):
+            ring.deposit(disk, 7, found[disk], ledgers[disk], (5, 2, 0.0))
+        (top, counts, computations), tallies = ring.reduce(7, 1, k)
+        assert top[0, :, 0].tolist() == [0.25, 0.5, 1.0]
+        assert top[0, :, 1].view(np.int64).tolist() == [11, 13, 12]
+        want = [blocks[0, :2].sum(), blocks[1, 3], 0, 0]
+        assert counts[0].tolist() == want
+        assert computations[0] == entries[0, :2].sum() + entries[1, 3]
+        assert tallies == [[7, 5, 2, 0.0]] * store.num_disks
+
+    def test_fewer_than_k_candidates_charge_every_owed_page(self, mmap_store):
+        """Three candidates in all for k = 4: B* is +inf, so every page
+        in a ledger is charged, and none outside one."""
+        store, k = mmap_store, 4
+        ring = _Ring(_ThreadCtx, store, k)
+        ring.post(1, np.full((1, 6), 0.5), k)
+        rows = np.zeros((3, 8))
+        rows[:, 0] = 1.0, 2.0, 3.0
+        found = rows, np.zeros(3, int), np.arange(3)
+        empty = np.zeros((0, 8)), np.zeros(0, int), np.zeros(0, int)
+        for disk, pages in enumerate(store.disk_loads()):
+            ledger = np.full((1, int(pages)), np.nan)
+            ledger[0, ::2] = 1e300
+            ring.deposit(disk, 1, empty if disk else found, ledger, (0, 0, 0.0))
+        (top, counts, computations), _ = ring.reduce(1, 1, k)
+        assert np.isnan(top[0, 3, 0]) and top[0, :3, 0].tolist() == [1, 2, 3]
+        blocks, entries = ring.weights[..., 0], ring.weights[..., 1]
+        assert counts[0].tolist() == blocks[:, ::2].sum(1).tolist()
+        assert computations[0] == entries[:, ::2].sum()
 
 
 #: One disk of ~300 six-point pages (192 bytes hold four entries at
@@ -1315,7 +1494,7 @@ class TestChunkCapIndependence:
         hundreds of 192-byte pages a disk, with no service time (chunks
         start at the cap) or 1 ms a page (chunks start at one page per
         query and double; the sleep is patched out): every disk's
-        candidates within B*, the merged top-k and ``_exact_counts`` at
+        candidates within B*, the merged top-k and the cut (``_charge``) at
         B* are identical, and equal ``PagedEngine``'s."""
         k = case["k"]
         with tempfile.TemporaryDirectory() as scratch, \
@@ -1367,23 +1546,27 @@ def _cap_outcomes(store, queries, k, batched):
     per disk the keys, oids and points found within B*, the merged
     top-k, the charged counts and the distance computations."""
     sources = [_DiskPages(store, disk) for disk in range(store.num_disks)]
-    if batched:
-        scans = _scan_post(store, queries, k, sources)
-    else:
-        scans = [_ledgers_and_bound(store, q, k, sources) for q in queries]
+    posts = [queries] if batched else [query[None] for query in queries]
     outcomes = []
-    for found, ledgers, bound in scans:
-        outcome = {}
-        for disk, candidates in enumerate(found):
-            inside = candidates[0] <= bound
-            for name, column in zip(("keys", "oids", "points"), candidates):
-                outcome[f"disk {disk} {name}"] = column[inside]
-        for name, column in zip(("keys", "oids", "points"), _top_k(found, k)):
-            outcome[f"merged {name}"] = column
-        outcome["counts"], outcome["computations"] = _exact_counts(
-            ledgers, bound
+    for post in posts:
+        _, scans, (top, counts, computations) = _scan_post(
+            store, post, k, sources
         )
-        outcomes.append(outcome)
+        for query in range(len(post)):
+            merged = _merged(top, query)
+            bound = float(merged[0][-1]) if len(merged[0]) == k else math.inf
+            outcome = {}
+            for disk, ((rows, owner, _), _, _) in enumerate(scans):
+                mine = rows[owner == query]
+                inside = mine[:, 0] <= bound
+                columns = mine[:, 0], mine[:, 1].view(np.int64), mine[:, 2:]
+                for name, column in zip(("keys", "oids", "points"), columns):
+                    outcome[f"disk {disk} {name}"] = column[inside]
+            for name, column in zip(("keys", "oids", "points"), merged):
+                outcome[f"merged {name}"] = column
+            outcome["counts"] = counts[query]
+            outcome["computations"] = computations[query]
+            outcomes.append(outcome)
     return outcomes
 
 
@@ -1517,7 +1700,8 @@ class TestCapacity:
             declusterer=NearOptimalDeclusterer(4, 2),
         )
         save_paged_store(paged, tmp_path / "store")
-        queries = rng.random((3, 4))
+        # A batch of 17 is a post of 16 and a post of one.
+        queries = rng.random((_MAX_BATCH + 1, 4))
         n = len(paged)
         steps = [
             # (k, respawns, capacity)

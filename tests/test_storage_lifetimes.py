@@ -246,7 +246,7 @@ class TestExceptionPathLifetimes:
                         source, post, 5, np.full((len(post), 5), np.inf),
                         threading.Lock(),
                     )
-                    kept.append((disk, found[0], [a.copy() for a in found[0]]))
+                    kept.append((disk, found, [a.copy() for a in found]))
                 pages = np.arange(len(table[2]))
                 chunk = [source.chunk(pages)[0], *source.rows(pages, [0])]
                 kept.append((disk, chunk, [a.copy() for a in chunk]))
@@ -257,7 +257,8 @@ class TestExceptionPathLifetimes:
         for disk, returned, snapshot in kept:
             for got, want in zip(returned, snapshot):
                 assert np.array_equal(got, want)
-        for disk, (keys, oids, points), _ in kept[::4]:
+        for disk, (rows, _, _), _ in kept[::4]:
+            keys, oids = rows[:, 0], rows[:, 1].view(np.int64)
             mine = [
                 entry for leaf in paged.leaves if paged.disk_of(leaf) == disk
                 for entry in leaf.entries
