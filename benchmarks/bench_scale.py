@@ -64,7 +64,7 @@ import numpy as np
 
 from repro.experiments.harness import ResultTable
 from repro.obs import table_to_json
-from repro.parallel.process import ProcessParallelEngine
+from repro.parallel.process import ProcessParallelEngine, _stop_fork_server
 from repro.storage import SIMULATED_DISK_MS_ENV, MmapStore
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -192,12 +192,13 @@ def query_child(store_dir: str, disk_ms: float) -> int:
 
     Emits the timed passes, the charged page total and the phase's RSS
     high-water marks: ``RUSAGE_SELF`` is the coordinator,
-    ``RUSAGE_CHILDREN`` the largest disk worker (the engines' ``close()``
-    reaps them; nothing else is spawned here).  A spawned worker's mark
-    starts at its parent's at spawn time (the kernel folds the pre-exec
-    image into the child's), so the worker figure can overstate a
-    worker smaller than the coordinator — never the larger of the two,
-    which is what the run gates.
+    ``RUSAGE_CHILDREN`` the largest disk worker.  The workers are the
+    fork server's children, which the server reaps; the server is this
+    process's child, reaped here once the engines are closed, and so
+    folds its own mark and its workers' into ``RUSAGE_CHILDREN``.  The
+    figure is the larger of the server's mark (its imports, about 38 MB
+    on x86-64 Linux) and the largest worker's: it can overstate a worker
+    smaller than the server, never understate one.
     """
     queries = _queries()
     with MmapStore(store_dir) as store:
@@ -238,6 +239,7 @@ def query_child(store_dir: str, disk_ms: float) -> int:
                 batch_warm_s = min(
                     batch_warm_s, _time_batch(engine, queries, K)
                 )
+    _stop_fork_server()
     print(json.dumps({
         "cold_s": cold_s, "warm_s": warm_s, "batch_warm_s": batch_warm_s,
         "charged_pages": charged_pages,

@@ -63,8 +63,8 @@ def disk_assignment_graph(dimension: int) -> nx.Graph:
     """
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
-    # Deferred: networkx costs ~20 MB and ~0.13 s per process, and every
-    # spawned disk worker imports this package.
+    # Deferred: networkx costs ~20 MB and ~0.13 s per process, and the
+    # disk workers' fork server imports this package.
     import networkx as nx
 
     graph = nx.Graph()

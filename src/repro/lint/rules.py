@@ -296,7 +296,7 @@ CONFINED_CALLS: Tuple[ConfinedCall, ...] = (
         name="ctx-required",
         summary=(
             "bare multiprocessing.Process/Queue/Lock; use an explicit "
-            'get_context("spawn") handle'
+            "get_context(...) handle"
         ),
         rationale=(
             "``multiprocessing.Process()`` binds the platform-default "
@@ -305,9 +305,12 @@ CONFINED_CALLS: Tuple[ConfinedCall, ...] = (
             "and tracer state that spawned workers must reconstruct — "
             "so code that only ever ran under fork is routinely broken "
             "under spawn, and results can differ between the two.  The "
-            'engines pin ``get_context("spawn")`` (the strictest, '
-            "portable semantics); this rule bans the bare module-level "
-            "factories so the choice stays explicit everywhere."
+            'process engine pins ``get_context("forkserver")``: each '
+            "worker is forked from a clean interpreter that preloaded "
+            "numpy and the engine, and inherits nothing from the "
+            "coordinator, as under spawn.  This rule bans the bare "
+            "module-level factories so the choice stays explicit "
+            "everywhere."
         ),
         scope=("repro",),
         exempt=(),

@@ -28,19 +28,25 @@ Coordinator and workers meet in one **shared-memory query ring**, a
 :class:`_Ring` that owns its layout (no queues, nothing pickled per
 query).  It is as wide as the largest k asked since the workers
 started, at most the store's point count; a new largest k respawns the
-workers on a wider ring: one spawn, ~0.7 s for four workers on two
-vCPUs.  The engine is cacheless: the OS page cache plays the buffer
-pool's role.  Boundary ties (two points at exactly ``B*``) are outside
-the contract.
+workers on a wider ring.  Workers are forked from ``multiprocessing``'s
+fork server, which imports numpy and this engine once per coordinator
+(:data:`_PRELOAD`): the first start pays that import, a later start or
+a respawn a fork (four workers on two vCPUs: a respawn takes ~50 ms,
+against ~0.7 s spawned).  The engine is cacheless: the OS page cache
+plays the buffer pool's role.  Boundary ties (two points at exactly
+``B*``) are outside the contract.
 """
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import math
 import multiprocessing
+import multiprocessing.forkserver
 import os
 import time
+import weakref
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,9 +62,22 @@ __all__ = ["ProcessParallelEngine"]
 
 _EUCLIDEAN = Euclidean()
 
-#: ``multiprocessing`` start method of the workers: ``"spawn"`` is safe
-#: everywhere (workers re-import, nothing is forked mid-state).
-_START_METHOD = "spawn"
+#: ``multiprocessing`` start method of the workers: the fork server, a
+#: clean interpreter that imports :data:`_PRELOAD` once and forks every
+#: worker from that state.  Nothing is inherited from the coordinator: the
+#: ring is pickled to each worker, as under ``"spawn"``.
+_START_METHOD = "forkserver"
+
+#: What the fork server imports before its first fork, so that a worker
+#: starts without importing numpy or this package.
+_PRELOAD = ["numpy", "repro.parallel.process", "repro.storage.mmap_store"]
+
+#: The directory that holds the ``repro`` package: put on the fork
+#: server's ``PYTHONPATH``, since the server neither takes the
+#: coordinator's ``sys.path`` nor reports a preload it cannot import.
+_PACKAGE_ROOT = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+)
 
 #: Most pages in one chunk of a worker's scan.  Where a page read owes a
 #: simulated service time, chunks start at one page per query (its
@@ -94,8 +113,12 @@ _SLOT_HEADER, _TALLY = 3, 4
 _SLACK_UNITS = 8.0
 _SLACK_FLOOR = 2.0**-1060
 
-#: The variable a spawned worker's BLAS reads its thread count from.
+#: The variable the fork server's BLAS, and so every worker's, reads its
+#: thread count from.
 _BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+
+#: Engines whose workers run: stopped, then the fork server, at exit.
+_RUNNING: "weakref.WeakSet[ProcessParallelEngine]" = weakref.WeakSet()
 
 #: What the coordinator raises when the ring's lock stays taken.
 _STUCK_LOCK = "the ring's lock was not released; its holder likely died"
@@ -133,6 +156,47 @@ def _lock_within(lock: Any, seconds: float) -> Iterator[bool]:
     finally:
         if held:
             lock.release()
+
+
+@contextlib.contextmanager
+def _server_environment() -> Iterator[None]:
+    """The environment of a fork server started inside the block, which
+    every worker it forks inherits: BLAS on one thread (or four workers
+    on two cores would run eight) and :data:`_PACKAGE_ROOT` first on
+    ``PYTHONPATH``.  The coordinator's own settings are restored after."""
+    names = (_BLAS_THREADS, "PYTHONPATH")
+    saved = {name: os.environ.get(name) for name in names}
+    os.environ[_BLAS_THREADS] = "1"
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (_PACKAGE_ROOT, saved["PYTHONPATH"]))
+    )
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+
+
+def _stop_fork_server() -> None:
+    """Stop every running engine's workers, then the fork server, and
+    reap it, which folds the workers' usage into ``RUSAGE_CHILDREN``;
+    it runs at exit, so that no process outlives the coordinator.  The
+    server exits once no process holds its "alive" pipe, which every
+    process it forked does, so the workers go first, and the server is
+    left to multiprocessing's own exit hook while any other child runs.
+    The next engine start starts a new server."""
+    for engine in list(_RUNNING):
+        engine.close()
+    if not multiprocessing.active_children():
+        multiprocessing.forkserver._forkserver._stop()
+
+
+# Registered after multiprocessing's own exit hook (imported above), so it
+# runs first: that hook would no longer see workers whose server is gone.
+atexit.register(_stop_fork_server)
 
 
 class _DiskPages:
@@ -393,7 +457,7 @@ class _Ring:
     :data:`_LIVENESS_SLICE_S` for it) and the semaphores (``go[disk]``
     wakes a worker, ``done`` takes a deposit).  ``ctx`` allocates them:
     a ``multiprocessing`` context, or anything with its ``Array``,
-    ``Lock`` and ``Semaphore``.  A spawned worker's copy rebuilds the
+    ``Lock`` and ``Semaphore``.  A worker's (unpickled) copy rebuilds the
     float64 views:
 
     * ``header`` ``[serial, k, queries]`` and ``queries`` ``(_MAX_BATCH,
@@ -410,7 +474,7 @@ class _Ring:
     is the coordinator's own (not shared).
     """
 
-    #: What a spawned worker's copy rebuilds (the views) or does without.
+    #: What a worker's copy rebuilds (the views) or does without.
     _LOCAL = ("header", "queries", "bounds", "arena", "tallies", "ledgers", "weights")
 
     def __init__(self, ctx: Any, store: Any, capacity: int):
@@ -520,13 +584,22 @@ class _Ring:
 def _worker_main(
     directory: str, disk: int, simulated_disk_ms: float, ring: _Ring
 ) -> None:
-    """Worker process entry point (spawn-safe, module level): open the
-    store (only this disk's page file, no tree), then per post wait on
-    ``go[disk]``, read, scan, deposit (with the service time the store
-    slept for the post), release ``done``; ``k == 0`` stops."""
+    """Worker process entry point (module level, so that it pickles):
+    open the store (only this disk's page file, no tree), then per post
+    wait on ``go[disk]``, read, scan, deposit (with the service time the
+    store slept for the post), release ``done``; ``k == 0`` stops, and so
+    does the coordinator's death (its sentinel, not ``getppid``: a
+    worker's parent is the fork server)."""
     from repro.storage.mmap_store import MmapStore
 
-    parent = os.getppid()
+    parent = multiprocessing.parent_process()
+    if hasattr(os, "sched_setaffinity"):
+        # A forked worker starts on the fork server's CPU, and two
+        # workers that start on one CPU may stay there: worker d moves to
+        # the (d mod n)-th allowed CPU, then may run on any again.
+        allowed = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, [allowed[disk % len(allowed)]])
+        os.sched_setaffinity(0, allowed)
     # One freed large block raises glibc's mmap and trim thresholds for
     # good, so the scan's gathers and temporaries come from a warm heap
     # (worker minor faults per query without it: 397 vs 56 on 1024
@@ -540,7 +613,7 @@ def _worker_main(
         source = _DiskPages(store, disk)
         while True:
             while not ring.go[disk].acquire(timeout=_LIVENESS_SLICE_S):
-                if os.getppid() != parent:
+                if parent is not None and not parent.is_alive():
                     return
             serial, k, queries, view = ring.read()
             if k == 0:
@@ -614,8 +687,9 @@ class ProcessParallelEngine:
     # --------------------------------------------------------- lifecycle
 
     def _ensure_workers(self, capacity: int) -> _Ring:
-        """The workers' ring, at least ``capacity`` k wide: (re)spawned
-        on a fresh ring when there is none or it is narrower."""
+        """The workers' ring, at least ``capacity`` k wide: (re)started
+        on a fresh ring when there is none or it is narrower.  The first
+        start in a process starts the fork server."""
         if self._ring is not None and self._ring.capacity >= capacity:
             return self._ring
         self._stop()
@@ -625,35 +699,30 @@ class ProcessParallelEngine:
         store.check_page_files()
         ring = self._ring = _Ring(self._ctx, store, capacity)
         directory = os.fspath(store.directory)
-        # A spawned worker's BLAS reads its thread count once, at start:
-        # one thread each, or four workers on two cores would run eight.
-        blas_threads = os.environ.get(_BLAS_THREADS)
-        os.environ[_BLAS_THREADS] = "1"
+        self._ctx.set_forkserver_preload(_PRELOAD)
+        _RUNNING.add(self)
         try:
-            for disk in range(store.num_disks):
-                proc = self._ctx.Process(
-                    target=_worker_main,
-                    args=(directory, disk, store.simulated_disk_ms, ring),
-                    daemon=True,
-                )
-                proc.start()
-                self._procs.append(proc)
+            with _server_environment():
+                for disk in range(store.num_disks):
+                    proc = self._ctx.Process(
+                        target=_worker_main,
+                        args=(directory, disk, store.simulated_disk_ms, ring),
+                        daemon=True,
+                    )
+                    proc.start()
+                    self._procs.append(proc)
         except (OSError, RuntimeError, ValueError):
-            # A worker failed to spawn: stop those that did.
+            # A worker failed to start: stop those that did.
             self._stop()
             raise
-        finally:
-            if blas_threads is None:
-                del os.environ[_BLAS_THREADS]
-            else:
-                os.environ[_BLAS_THREADS] = blas_threads
         return ring
 
     def _stop(self) -> None:
         """Stop the workers and drop the ring: :meth:`close` and every
         internal reset (a wider ring, a post left without its collect, a
-        failed spawn).  Workers the stop message (``k = 0``) cannot reach
+        failed start).  Workers the stop message (``k = 0``) cannot reach
         — a dead process holds the ring's lock — are terminated."""
+        _RUNNING.discard(self)
         ring, self._ring = self._ring, None
         stop = np.empty((0, self.store.dimension))
         posted = bool(ring and self._procs and ring.post(0, stop, 0))

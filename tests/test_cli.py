@@ -113,6 +113,7 @@ class TestObservabilityCommands:
         they trace the memory store's page counts and leave nothing
         behind."""
         import json
+        import multiprocessing.util
         import tempfile
 
         def pages_per_disk(extra):
@@ -124,6 +125,10 @@ class TestObservabilityCommands:
                     totals[record["disk"]] += record["pages"]
             return totals
 
+        # The process engine's fork server keeps its socket in
+        # multiprocessing's per-process temporary directory until exit:
+        # made here, outside tmp_path, as the first engine would.
+        multiprocessing.util.get_temp_dir()
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         expected = pages_per_disk([])
         assert sum(expected) > 0

@@ -9,8 +9,9 @@ counts, distance computations, and the simulated parallel time
 changes which pages are read *speculatively*, never which pages are
 *charged*.
 
-Worker startup is the expensive part (spawn + mmap open per disk), so
-the parity tests share one module-scoped store and engine.
+Worker startup is the expensive part (a fork from the fork server and
+an mmap open per disk; the server's own start imports numpy), so the
+parity tests share one module-scoped store and engine.
 """
 
 import collections
@@ -29,6 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import repro
 from repro.core import NearOptimalDeclusterer
 from repro.index.metrics import Euclidean
 from repro.index.node import DEFAULT_PAGE_BYTES
@@ -38,6 +40,7 @@ from repro.parallel.process import (
     _LIVENESS_SLICE_S,
     _MAX_BATCH,
     _MAX_CHUNK_PAGES,
+    _PRELOAD,
     ProcessParallelEngine,
     _charge,
     _DiskPages,
@@ -1214,6 +1217,169 @@ def test_orphaned_workers_exit_when_the_coordinator_is_killed(store_dir):
                 assert stat.read().rpartition(")")[2].split()[0] == "Z"
         except FileNotFoundError:
             pass
+
+
+def _cpu_s(pid):
+    """utime + stime of process ``pid`` so far, in seconds."""
+    with open(f"/proc/{pid}/stat") as stat:
+        fields = stat.read().rpartition(")")[2].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def _status(pid, field):
+    """Field ``field`` of ``/proc/<pid>/status``, as text."""
+    with open(f"/proc/{pid}/status") as status:
+        return next(
+            line.split(":", 1)[1].strip() for line in status
+            if line.startswith(field + ":")
+        )
+
+
+def _gone(pid):
+    """Whether process ``pid`` has exited (gone, or a zombie)."""
+    try:
+        return _status(pid, "State").startswith("Z")
+    except FileNotFoundError:
+        return True
+
+
+@pytest.fixture(scope="module")
+def imports_s():
+    """CPU seconds a fresh interpreter takes to import what the fork
+    server preloads."""
+    fresh = subprocess.run(
+        [
+            sys.executable, "-c",
+            f"import os, {', '.join(_PRELOAD)}; print(sum(os.times()[:2]))",
+        ],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return float(fresh.stdout)
+
+
+class TestForkServer:
+    """Workers are forked from a fork server that imported numpy and the
+    engine once, so a start after the server's own, a respawn and a
+    recovery cost a fork; no process outlives the coordinator."""
+
+    def test_started_and_respawned_workers_import_nothing(
+        self, mmap_store, imports_s
+    ):
+        """By the end of its first post a worker of a second engine, and
+        one respawned for a wider k, has used under half the CPU time a
+        fresh interpreter takes to import what the server preloads."""
+        query = np.full(6, 0.5)
+        with ProcessParallelEngine(mmap_store) as first:
+            first.query(query, 1)  # the server is warm from here on
+            with ProcessParallelEngine(mmap_store) as second:
+                second.query(query, 1)
+                started = [_cpu_s(proc.pid) for proc in second._procs]
+                pids = [proc.pid for proc in second._procs]
+                second.query(query, 5)  # a wider ring: a respawn
+                assert [proc.pid for proc in second._procs] != pids
+                respawned = [_cpu_s(proc.pid) for proc in second._procs]
+        assert max(started + respawned) < imports_s / 2, (
+            started, respawned, imports_s
+        )
+
+    def test_a_warm_servers_workers_run_blas_on_one_thread(
+        self, mmap_store, monkeypatch
+    ):
+        """``test_workers_run_blas_on_one_thread`` for a second engine,
+        whose workers the already running server forks."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        query = np.full(6, 0.5)
+        with ProcessParallelEngine(mmap_store) as first:
+            first.query(query, 1)
+            with ProcessParallelEngine(mmap_store) as second:
+                second.query(query, 1)
+                assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+                for proc in second._procs:
+                    with open(f"/proc/{proc.pid}/environ", "rb") as environ:
+                        variables = environ.read().split(b"\0")
+                    assert b"OPENBLAS_NUM_THREADS=1" in variables
+                    assert _status(proc.pid, "Threads") == "1"
+
+    @pytest.mark.parametrize("ending", ["close", "exit"])
+    def test_no_process_outlives_the_script(
+        self, store_dir, tmp_path, imports_s, ending
+    ):
+        """A script that closes its engine, and one that exits with it
+        open, end under ``-W error`` with neither the fork server nor a
+        worker left: checked the moment the script's own process exits
+        (its output goes to files, so ``run`` waits for nothing else).
+        The script finds ``repro`` on ``sys.path`` only, not on
+        ``PYTHONPATH``, and its respawned workers still import nothing."""
+        package_root = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        out, err = tmp_path / "out", tmp_path / "err"
+        with open(out, "w") as stdout, open(err, "w") as stderr:
+            done = subprocess.run(
+                [
+                    sys.executable, "-W", "error", "-c", _EXIT_SCRIPT,
+                    package_root, os.fspath(store_dir), ending,
+                ],
+                stdout=stdout, stderr=stderr, env=env, timeout=120,
+            )
+        pid_line, cpu_line, _ = out.read_text().split("\n")
+        pids = [int(pid) for pid in pid_line.split()]
+        assert [pid for pid in pids if not _gone(pid)] == []
+        assert done.returncode == 0, err.read_text()
+        assert err.read_text() == ""
+        assert len(pids) == 1 + 4
+        cpu = [float(seconds) for seconds in cpu_line.split()]
+        assert max(cpu) < imports_s / 2, (cpu, imports_s)
+
+    def test_another_forked_child_does_not_hold_up_the_exit(self, store_dir):
+        """A script that leaves a daemon child of its own on the fork
+        server exits at once: the engine's exit hook stops its workers
+        but leaves the server, which that child keeps alive, to
+        multiprocessing's own hook (which terminates the child)."""
+        started = time.monotonic()
+        done = _run_script(_OTHER_CHILD_SCRIPT, store_dir, "-W", "error")
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert time.monotonic() - started < 30.0
+
+
+_OTHER_CHILD_SCRIPT = """
+import multiprocessing, sys, time
+import numpy as np
+from repro.parallel.process import ProcessParallelEngine
+from repro.storage import MmapStore
+
+with MmapStore(sys.argv[1]) as store:
+    engine = ProcessParallelEngine(store)
+    engine.query(np.full(6, 0.5), 1)
+    other = multiprocessing.get_context("forkserver").Process(
+        target=time.sleep, args=(600,), daemon=True
+    )
+    other.start()
+"""
+
+
+_EXIT_SCRIPT = """
+import multiprocessing.forkserver, os, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from repro.parallel.process import ProcessParallelEngine
+from repro.storage import MmapStore
+
+def cpu_s(pid):
+    with open(f"/proc/{pid}/stat") as stat:
+        fields = stat.read().rpartition(")")[2].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+with MmapStore(sys.argv[2]) as store:
+    engine = ProcessParallelEngine(store)
+    engine.query(np.full(6, 0.5), 1)
+    engine.query(np.full(6, 0.5), 3)  # a respawn
+    server = multiprocessing.forkserver._forkserver._forkserver_pid
+    print(server, *(proc.pid for proc in engine._procs))
+    print(*(cpu_s(proc.pid) for proc in engine._procs), flush=True)
+    if sys.argv[3] == "close":
+        engine.close()
+"""
 
 
 def _page_mindists(store, query):

@@ -18,7 +18,7 @@ class TestPublicAPI:
             assert hasattr(repro, name), name
 
     def test_query_path_does_not_import_networkx(self):
-        """Every spawned disk worker imports the package; networkx
+        """The disk workers' fork server imports the package; networkx
         (~20 MB, ~0.13 s per process) may load only where ``G_d`` is
         built or coloured."""
         code = (
