@@ -29,6 +29,13 @@ end:
   page-file pages and chunk gathers included — and the run **fails** if
   the largest process of the phase exceeds the same bound
   (``query_rss_ok``).
+* **Floor** — beside every ms/query column, the pass's floor (the
+  busiest disk's device ms, its served blocks times the service time,
+  per call, over the queries) and the time over it; beside the charged
+  pages, the pages the workers gathered.  The run **fails** if a floor
+  exceeds its pass's time, or if the 1M x 4 service-time rung gathers
+  more than :data:`GATHER_BOUND` times its charged pages per call (the
+  median of the warm passes).
 
 Timed passes run with ``REPRO_SIMULATED_DISK_MS`` switched on (see
 ``bench_wallclock.py`` for why: the page files sit in the OS page
@@ -49,7 +56,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import pathlib
 import resource
@@ -80,14 +86,20 @@ SEED = 42
 #: RAM bound handed to ``stream_bulk_load_mmap`` (and enforced on the
 #: builder child's incremental RSS).
 MAX_RAM_BYTES = 256 * 1024 * 1024
+#: Most pages the 1M x 4 service-time rung may gather per call, as a
+#: multiple of its charged pages (median of the warm passes): a paced
+#: disk serves no page past the bound it holds.
+GATHER_BOUND = 1.03
 
 
 @dataclass(frozen=True)
 class Rung:
-    """One (N, disks) cell of the scale ladder."""
+    """One (N, disks) cell of the scale ladder, timed at ``disk_ms`` of
+    simulated service time per page block."""
 
     num_points: int
     num_disks: int
+    disk_ms: float = DISK_MS
 
 
 SMOKE_LADDER = (Rung(20_000, 1), Rung(20_000, 4))
@@ -96,6 +108,7 @@ FULL_LADDER = (
     Rung(100_000, 2),
     Rung(100_000, 4),
     Rung(1_000_000, 4),
+    Rung(1_000_000, 4, 0.0),
     Rung(4_000_000, 4),
 )
 
@@ -172,25 +185,34 @@ def _queries() -> np.ndarray:
     return np.random.default_rng(SEED + 1).random((NUM_QUERIES, DIMENSION))
 
 
-def _time_per_call(engine, queries: np.ndarray, k: int) -> float:
-    """Wall-clock seconds for one per-call pass over ``queries``."""
+def _time_per_call(engine, queries: np.ndarray, k: int) -> List[float]:
+    """One per-call pass over ``queries``: ``[wall-clock seconds, floor
+    ms, pages gathered]``, the floor summing each call's busiest disk's
+    device ms (time the pass cannot beat)."""
+    floor_ms, gathered = 0.0, 0
     start = time.perf_counter()
     for query in queries:
         engine.query(query, k)
-    return time.perf_counter() - start
+        floor_ms += float(engine.last_device_ms.max())
+        gathered += engine.last_gathered_pages
+    return [time.perf_counter() - start, floor_ms, gathered]
 
 
-def _time_batch(engine, queries: np.ndarray, k: int) -> float:
-    """Wall-clock seconds for one ``query_batch`` pass."""
+def _time_batch(engine, queries: np.ndarray, k: int) -> List[float]:
+    """One ``query_batch`` pass: ``[wall-clock seconds, floor ms, pages
+    gathered]``, the floor the busiest disk's device ms."""
     start = time.perf_counter()
     engine.query_batch(queries, k)
-    return time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    floor_ms = float(engine.last_device_ms.max())
+    return [seconds, floor_ms, engine.last_gathered_pages]
 
 
 def query_child(store_dir: str, disk_ms: float) -> int:
     """Child-process entry: one rung's query phase, reported as JSON.
 
-    Emits the timed passes, the charged page total and the phase's RSS
+    Emits the timed passes (each ``[seconds, floor ms, pages gathered]``,
+    :func:`_time_per_call`), the charged page total and the phase's RSS
     high-water marks: ``RUSAGE_SELF`` is the coordinator,
     ``RUSAGE_CHILDREN`` the largest disk worker.  The workers are the
     fork server's children, which the server reaps; the server is this
@@ -232,16 +254,14 @@ def query_child(store_dir: str, disk_ms: float) -> int:
     with MmapStore(store_dir) as cold_store:
         with ProcessParallelEngine(cold_store) as engine:
             engine.query(queries[0], K)  # spawn warm-up, at the timed k
-            cold_s = _time_per_call(engine, queries, K)
-            warm_s = batch_warm_s = math.inf
+            cold = _time_per_call(engine, queries, K)
+            warm, batch = [], []
             for _ in range(REPEATS):
-                warm_s = min(warm_s, _time_per_call(engine, queries, K))
-                batch_warm_s = min(
-                    batch_warm_s, _time_batch(engine, queries, K)
-                )
+                warm.append(_time_per_call(engine, queries, K))
+                batch.append(_time_batch(engine, queries, K))
     _stop_fork_server()
     print(json.dumps({
-        "cold_s": cold_s, "warm_s": warm_s, "batch_warm_s": batch_warm_s,
+        "cold": cold, "warm": warm, "batch": batch,
         "charged_pages": charged_pages,
         "coordinator_peak_rss_bytes": 1024 * resource.getrusage(
             resource.RUSAGE_SELF
@@ -275,9 +295,24 @@ def measure_rung(
     )
     megabyte = 1024 * 1024
     per_query_ms = 1000.0 / NUM_QUERIES
+    charged = query["charged_pages"]
+    # The best pass of each mode, with its own floor; gathered pages per
+    # call are the median over the warm passes.
+    cold_s, cold_floor, _ = query["cold"]
+    warm_s, warm_floor, _ = min(query["warm"])
+    batch_s, batch_floor, _ = min(query["batch"])
+    gathered = float(np.median([done for *_, done in query["warm"]]))
+
+    def ms(seconds: float) -> float:
+        return round(seconds * per_query_ms, 3)
+
+    def over(seconds: float, floor_ms: float) -> float:
+        return round(seconds * per_query_ms - floor_ms / NUM_QUERIES, 3)
+
     return {
         "num_points": rung.num_points,
         "disks": rung.num_disks,
+        "disk_ms": disk_ms,
         "build_s": round(build["build_s"], 2),
         "build_rss_mb": round(build_rss_bytes / megabyte, 1),
         "peak_rss_mb": round(build["peak_rss_bytes"] / megabyte, 1),
@@ -291,18 +326,22 @@ def measure_rung(
         ),
         "query_peak_rss_mb": round(query_peak_bytes / megabyte, 1),
         "query_rss_ok": query_peak_bytes <= max_ram_bytes,
-        "cold_ms_per_query": round(query["cold_s"] * per_query_ms, 3),
-        "warm_ms_per_query": round(query["warm_s"] * per_query_ms, 3),
-        "batch_ms_per_query": round(
-            query["batch_warm_s"] * per_query_ms, 3
+        "cold_ms_per_query": ms(cold_s),
+        "warm_ms_per_query": ms(warm_s),
+        "batch_ms_per_query": ms(batch_s),
+        "floor_ms_per_query": round(warm_floor / NUM_QUERIES, 3),
+        "cold_over_floor_ms_per_query": over(cold_s, cold_floor),
+        "warm_over_floor_ms_per_query": over(warm_s, warm_floor),
+        "batch_floor_ms_per_query": round(batch_floor / NUM_QUERIES, 3),
+        "batch_over_floor_ms_per_query": over(batch_s, batch_floor),
+        "charged_pages": charged,
+        "gathered_pages": round(gathered),
+        "batch_gathered_pages": round(
+            float(np.median([done for *_, done in query["batch"]]))
         ),
-        "charged_pages": query["charged_pages"],
-        "percall_pages_per_sec": round(
-            query["charged_pages"] / query["warm_s"], 1
-        ),
-        "batch_pages_per_sec": round(
-            query["charged_pages"] / query["batch_warm_s"], 1
-        ),
+        "gathered_over_charged": round(gathered / charged, 4),
+        "percall_pages_per_sec": round(charged / warm_s, 1),
+        "batch_pages_per_sec": round(charged / batch_s, 1),
     }
 
 
@@ -363,8 +402,17 @@ def append_trajectory(
 COMPARED = (
     "build_s", "build_rss_mb", "coordinator_peak_rss_mb",
     "worker_peak_rss_mb", "query_peak_rss_mb", "warm_ms_per_query",
-    "batch_ms_per_query",
+    "batch_ms_per_query", "gathered_pages",
 )
+
+
+def _rung_key(record: dict) -> tuple:
+    """A rung record's ladder cell; runs before 9 timed every rung at
+    :data:`DISK_MS` and did not record it."""
+    return (
+        record["num_points"], record["disks"],
+        record.get("disk_ms", DISK_MS),
+    )
 
 
 def _gate(passed: Optional[bool]) -> str:
@@ -385,8 +433,8 @@ def against_previous(record: dict, earlier: dict) -> str:
         f"{_gate(record['query_rss_ok'])}"
     )
     return (
-        f"N={record['num_points']} disks={record['disks']}, previous run "
-        f"-> this one: {pairs}; {gates}"
+        f"N={record['num_points']} disks={record['disks']} disk_ms="
+        f"{record['disk_ms']}, previous run -> this one: {pairs}; {gates}"
     )
 
 
@@ -397,7 +445,7 @@ def run(
 ) -> int:
     """Execute the N ladder; 0 on success, 1 on a gate failure."""
     before = {
-        (record["num_points"], record["disks"]): record
+        _rung_key(record): record
         for record in previous_ladder(trajectory, mode)
     }
     rungs: List[dict] = []
@@ -405,18 +453,22 @@ def run(
     with tempfile.TemporaryDirectory(prefix="repro-scale-") as tmp:
         workdir = pathlib.Path(tmp)
         for rung in ladder:
-            record = measure_rung(rung, workdir, MAX_RAM_BYTES, DISK_MS)
+            record = measure_rung(rung, workdir, MAX_RAM_BYTES, rung.disk_ms)
             rungs.append(record)
             print(
-                f"  N={rung.num_points} disks={rung.num_disks}: "
-                f"build {record['build_s']}s "
+                f"  N={rung.num_points} disks={rung.num_disks} "
+                f"disk_ms={rung.disk_ms}: build {record['build_s']}s "
                 f"(+{record['build_rss_mb']} MB RSS), query phase peak "
                 f"{record['query_peak_rss_mb']} MB, warm "
-                f"{record['warm_ms_per_query']} ms/query per-call, "
-                f"{record['batch_ms_per_query']} ms/query batch",
+                f"{record['warm_ms_per_query']} ms/query per-call "
+                f"(floor {record['floor_ms_per_query']}), "
+                f"{record['batch_ms_per_query']} ms/query batch (floor "
+                f"{record['batch_floor_ms_per_query']}), "
+                f"{record['gathered_pages']} pages gathered per call for "
+                f"{record['charged_pages']} charged",
                 file=sys.stderr,
             )
-            earlier = before.get((rung.num_points, rung.num_disks))
+            earlier = before.get(_rung_key(record))
             if earlier is not None:
                 comparisons.append(against_previous(record, earlier))
                 print(f"    {comparisons[-1]}", file=sys.stderr)
@@ -432,7 +484,10 @@ def run(
             "build_rss_ok", "query_peak_rss_mb", "query_rss_ok",
             "cold_ms_per_query", "warm_ms_per_query",
             "batch_ms_per_query", "percall_pages_per_sec",
-            "batch_pages_per_sec",
+            "batch_pages_per_sec", "disk_ms", "floor_ms_per_query",
+            "cold_over_floor_ms_per_query", "warm_over_floor_ms_per_query",
+            "batch_floor_ms_per_query", "batch_over_floor_ms_per_query",
+            "charged_pages", "gathered_pages", "batch_gathered_pages",
         ],
     )
     for record in rungs:
@@ -452,12 +507,20 @@ def run(
         "under the same bound (query_rss_ok)."
     )
     table.add_note(
-        f"all timed passes simulate {DISK_MS} ms of disk service time "
-        "per page block (REPRO_SIMULATED_DISK_MS) — the I/O-bound "
-        "regime the engine targets; pages/sec is charged pages over "
-        "the best interleaved pass of each dispatch mode.  Batch "
-        "answers are verified bit-for-bit against per-call dispatch "
-        "at every rung."
+        "timed passes simulate disk_ms of disk service time per page "
+        "block (REPRO_SIMULATED_DISK_MS) — the I/O-bound regime the "
+        "engine targets, one 1M x 4 rung with none; pages/sec is "
+        "charged pages over the best interleaved pass of each dispatch "
+        "mode.  Batch answers are verified bit-for-bit against "
+        "per-call dispatch at every rung."
+    )
+    table.add_note(
+        "floor = the busiest disk's device ms (blocks served x disk_ms) "
+        "per call, summed over the pass, per query; over_floor = the "
+        "pass's ms/query less its own floor (floor_ms_per_query is the "
+        "best warm pass's).  gathered_pages = pages the workers read "
+        "per call pass (median of the warm passes; batch: of the batch "
+        "passes), charged_pages = pages the answers are charged for."
     )
     table.add_note(
         "per-call = one post/collect through the shared-memory query "
@@ -503,6 +566,28 @@ def run(
                 f"disks={record['disks']} batch "
                 f"{record['batch_pages_per_sec']} pages/s is not "
                 f"above per-call {record['percall_pages_per_sec']}"
+            )
+        over_floor = [
+            record[f"{mode}_over_floor_ms_per_query"]
+            for mode in ("cold", "warm", "batch")
+        ]
+        if min(over_floor) < 0:
+            failures.append(
+                f"FLOOR FAILURE: N={record['num_points']} "
+                f"disks={record['disks']} a pass ran below its busiest "
+                f"disk's device time (over floor: {over_floor} ms/query)"
+            )
+        if (
+            (record["num_points"], record["disks"]) == (1_000_000, 4)
+            and record["disk_ms"] > 0
+            and record["gathered_over_charged"] > GATHER_BOUND
+        ):
+            failures.append(
+                f"GATHER FAILURE: N={record['num_points']} "
+                f"disks={record['disks']} gathered "
+                f"{record['gathered_pages']} pages per call for "
+                f"{record['charged_pages']} charged, above "
+                f"{GATHER_BOUND}x"
             )
     for failure in failures:
         print(failure, file=sys.stderr)

@@ -7,7 +7,10 @@ of one) with one page-major scan of its disk's flat leaf table
 (:func:`_scan`): each page is gathered once per post, filtered for
 every query by one BLAS product (:class:`_Filter`) and refined exactly.
 Workers cooperate through a shared, monotonically tightening kNN bound
-per query.
+per query.  Under a simulated service time each worker's disk runs on a
+device clock (:class:`_Device`): it serves the scan's pages back to back,
+drops a page past the bound held when its service would begin, and the
+worker filters the pages served so far while the disk works on the next.
 
 Determinism contract (see ``docs/performance.md``): neighbors and
 per-disk page counts are **bit-for-bit identical** to
@@ -40,6 +43,7 @@ plays the buffer pool's role.  Boundary ties (two points at exactly
 from __future__ import annotations
 
 import atexit
+import bisect
 import contextlib
 import math
 import multiprocessing
@@ -79,14 +83,13 @@ _PACKAGE_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 )
 
-#: Most pages in one chunk of a worker's scan.  Where a page read owes a
-#: simulated service time, chunks start at one page per query (its
-#: nearest almost always yields its k candidates) and double up to this,
-#: so few pages are read past the final bound.  Where a read owes none,
-#: such a page costs only its filter rows while every chunk has a fixed
-#: cost, so the scan starts at this many pages.  The cap trades that
-#: fixed cost against speculative reads (``docs/performance.md``, *The
-#: cap, re-derived*).
+#: Most pages in one chunk of a worker's scan where a page read owes no
+#: simulated service time (a store with one is paced page by page on a
+#: :class:`_Device`).  A page read past the final bound then costs only
+#: its filter rows while every chunk has a fixed cost, so the scan starts
+#: at this many pages.  The cap trades that fixed cost against
+#: speculative reads (``docs/performance.md``, *The cap, re-derived*;
+#: 96 measured against it in *Paced disks*).
 _MAX_CHUNK_PAGES = 128
 
 #: Most queries one post carries; a larger batch is several posts.  The
@@ -106,7 +109,7 @@ _LIVENESS_SLICE_S = 1.0
 
 #: Lengths of the ring's board header and of a disk's tally (their
 #: fields: :class:`_Ring`).
-_SLOT_HEADER, _TALLY = 3, 4
+_SLOT_HEADER, _TALLY = 3, 5
 
 #: The filter's rounding slack, in units of ``d·2⁻⁵²·(max‖p‖+max‖q‖)²``,
 #: and its floor below the normal range (see :class:`_Filter`).
@@ -204,20 +207,23 @@ class _DiskPages:
 
     ``table`` is the disk's :meth:`MmapStore.disk_table`.  A chunk is
     one ``read_pages`` gather of the pages' point rows — an owned ``(n,
-    W, d)`` block, ``+inf`` past each page's count — which owes the
-    pages' simulated service time; it comes with the rows' squared
-    norms, NaN past each page's count.  A page's norms are computed on
-    its first gather and kept, so a worker maps only the pages its
-    queries reach.  ``largest`` bounds every row's norm by the farthest
-    corner of the non-empty pages' MBRs (a row lies in its page's MBR).
-    ``free`` says that a gather owes no service time (the store's
-    ``simulated_disk_ms`` is 0).  :meth:`rows` reads back the rows kept.
+    W, d)`` block, ``+inf`` past each page's count — with the rows'
+    squared norms, NaN past each page's count.  A page's norms are
+    computed on its first gather and kept, so a worker maps only the
+    pages its queries reach.  ``largest`` bounds every row's norm by the
+    farthest corner of the non-empty pages' MBRs (a row lies in its
+    page's MBR).  ``free`` says that a page read owes no service time
+    (``service_ms``, the store's ``simulated_disk_ms`` a block, is 0);
+    else a :class:`_Device` serves it on the store's ``clock`` with its
+    ``sleep_until``.  :meth:`rows` reads back the rows kept.
     """
 
     def __init__(self, store: Any, disk: int):
         self._store, self._disk = store, disk
         self.table = store.disk_table(disk)
-        self.free = not store.simulated_disk_ms
+        self.service_ms = store.simulated_disk_ms
+        self.free = not self.service_ms
+        self.clock, self.sleep_until = store.clock, store.sleep_until
         pages = len(self.table[2])
         # A gather of no page opens (and checks) the page file, owes
         # nothing and gives the rows per page W.
@@ -321,39 +327,102 @@ class _Filter:
         return np.divmod(flat, len(limits))
 
 
+class _Device:
+    """One disk's device clock for a scan under a simulated service time.
+
+    The device serves the scan's pages back to back in ``order``
+    (ascending ``nearest``, the minimum ``mindist`` over the post's
+    queries), ``blocks x source.service_ms`` each, from the clock's
+    reading at the start.  A page is decided when its service begins,
+    against the bounds the scan holds then: past every query's bound
+    (``mindists``) it is dropped, costs no time and is never served —
+    bounds only tighten, so it is never owed later — and once ``nearest``
+    passes the largest bound, so is every page after it.  Due instants
+    are absolute, so a late wake-up never delays the device.
+    """
+
+    def __init__(
+        self, source: _DiskPages, order: np.ndarray,
+        nearest: np.ndarray, mindists: np.ndarray,
+    ):
+        self._source, self._order = source, order
+        self._nearest, self._mindists = nearest, mindists
+        self._seconds = source.table[4] * (source.service_ms / 1000.0)
+        #: The clock's last reading, and the instant the device finishes
+        #: every page it was given.
+        self._now = self._free = source.clock()
+        self._next = 0
+        #: Pages in service or served, not yet gathered, and when each
+        #: one's service ends.
+        self._pages: List[int] = []
+        self._dues: List[float] = []
+        #: Blocks of every page served.
+        self.blocks = 0
+
+    def step(self, bounds: np.ndarray, reach: float) -> Optional[np.ndarray]:
+        """Decide every page whose service begins by the clock's last
+        reading, against ``bounds`` (``reach`` their largest); then sleep
+        until the first page in service is due and return every page
+        whose service has ended, in order (maybe none).  None when
+        nothing is in service and nothing is left to serve."""
+        order, blocks = self._order, self._source.table[4]
+        while self._free <= self._now and self._next < len(order):
+            if self._nearest[self._next] > reach:
+                self._next = len(order)
+                break
+            page = int(order[self._next])
+            self._next += 1
+            if len(bounds) > 1 and not (self._mindists[:, page] <= bounds).any():
+                continue
+            self._free += self._seconds[page]
+            self._pages.append(page)
+            self._dues.append(self._free)
+            self.blocks += int(blocks[page])
+        if not self._pages:
+            return None
+        if self._dues[0] > self._now:
+            self._now = self._source.sleep_until(self._dues[0])
+        ended = bisect.bisect_right(self._dues, self._now)
+        pages = np.array(self._pages[:ended], dtype=np.intp)
+        del self._pages[:ended], self._dues[:ended]
+        return pages
+
+
 def _scan(
     source: _DiskPages,
     queries: np.ndarray,
     k: int,
     view: np.ndarray,
     lock: Any,
-) -> Tuple[_Candidates, np.ndarray, Tuple[int, int]]:
+) -> Tuple[_Candidates, np.ndarray, Tuple[int, int, float]]:
     """One post on one disk's worker: a page-major frontier scan.
 
     Row ``j`` of ``view`` is query ``j``'s shared top-k, k wide (for a
     k beyond the store's points it may be narrower: no list then fills,
     nothing is published and the bound stays infinite).  Pages come in
     ascending minimum ``mindist`` over the queries (for one query,
-    best-first order) in chunks: the next pages within the largest
-    ``min(local k-th key, shared bound)``, less those no query owes
-    (nobody owes them later either: bounds only tighten).  Where a page
-    read owes service time the chunks double from one page per query to
-    :data:`_MAX_CHUNK_PAGES`, so few pages are read past ``B*``; where it
+    best-first order) in chunks, each against the bounds ``min(local
+    k-th key, shared bound)`` read before it; a page no query owes
+    within them is skipped (nobody owes it later either: bounds only
+    tighten).  Where a page read owes service time the chunks come from
+    the disk's :class:`_Device`: each step gathers every page whose
+    service has ended, and sleeps only until the next is due.  Where it
     owes none (``source.free``) a page past ``B*`` costs only its filter
-    rows, so the first chunk is already the cap and the scan pays its
-    fixed per-chunk cost a few times, not once per doubling.  Which pages
-    are read never changes what is found within ``B*``.  A chunk is
-    gathered once and filtered for every query (:class:`_Filter`);
-    survivors are refined with ``point_keys`` (``einsum`` rows are
-    bit-identical whatever rows they are scored with) and folded into
-    the local top-k lists with one ``lexsort``.  The scan ends at the
-    first chunk the bounds cut short.
+    rows, so a chunk is the next :data:`_MAX_CHUNK_PAGES` pages within
+    the largest bound and the scan ends at the first chunk the bounds cut
+    short.  Which pages are read never changes what is found within
+    ``B*``.  A chunk is gathered once and filtered for every query
+    (:class:`_Filter`); survivors are refined with ``point_keys``
+    (``einsum`` rows are bit-identical whatever rows they are scored
+    with) and folded into the local top-k lists with one ``lexsort``;
+    the keys a fold adds to a list are published to its shared row.
 
     Returns the post's local top-k lists as one block of rows
     (:data:`_Candidates`), its ledger — a ``(Q, P)`` block, the
     ``mindist`` of each page a query owes within its final ``min(local,
     shared)`` and NaN elsewhere, from one comparison — and its tally:
-    the blocks of the ledger's pages and the number of pages gathered.
+    the blocks of the ledger's pages, the number of pages gathered and
+    the device's milliseconds (blocks served x service ms; 0 if free).
     """
     lows, highs = source.table[:2]
     count = len(queries)
@@ -369,21 +438,28 @@ def _scan(
     owner = rank = np.empty(0, dtype=np.intp)
     found = np.empty((0, 2 + queries.shape[1]))
     gathered, start = 0, 0
-    size = _MAX_CHUNK_PAGES if source.free else count
+    wide = view.shape[1] == k
+    device = None if source.free else _Device(source, order, nearest, mindists)
     with np.errstate(invalid="ignore", over="ignore"):
-        while start < len(order):
+        while True:
             with lock:
                 bounds = np.minimum(kth, view[:, -1])
-            chunk = nearest[start : start + size]
             reach = bounds[0] if count == 1 else bounds.max()
-            take = int(chunk.searchsorted(reach, "right"))
-            if not take:
-                break
-            pages = order[start : start + take]
-            start += take
-            size = min(2 * size, _MAX_CHUNK_PAGES)
-            if count > 1:
-                pages = pages[(mindists[:, pages] <= bounds[:, None]).any(0)]
+            if device is not None:
+                pages = device.step(bounds, reach)
+                if pages is None:
+                    break
+                cut = False
+            else:
+                chunk = nearest[start : start + _MAX_CHUNK_PAGES]
+                take = int(chunk.searchsorted(reach, "right"))
+                if not take:
+                    break
+                pages = order[start : start + take]
+                start += take
+                if count > 1:
+                    pages = pages[(mindists[:, pages] <= bounds[:, None]).any(0)]
+                cut = take < len(chunk)
             gathered += len(pages)
             block, norms = source.chunk(pages)
             rows, which = where.survivors(block, norms, bounds, short, k)
@@ -400,19 +476,22 @@ def _scan(
                 fresh = np.concatenate((*fresh, fresh_points), 1)
                 found = np.concatenate((found, fresh))
                 keys, oids = found[:, 0], found[:, 1].view(np.int64)
-                # Publish when a list's k-th key fell: its keys new since
-                # the last fold, or all of them when it just filled, so
-                # each key enters its shared row once and the row's k-th
-                # key stays >= B*.  A post of one skips the owner
-                # bookkeeping (30-50 % of a per-call query).
+                # Publish the keys each fold adds to a list, whether or
+                # not the list is full: each key enters its shared row
+                # once, so the row's k-th key stays >= B*, and a disk
+                # whose list stays short (its keys all beat the shared
+                # bound) still tightens the row.  A row narrower than k
+                # (k beyond the store's points) takes none.  A post of one
+                # skips the owner bookkeeping (30-50 % of a per-call query).
                 if count == 1:
                     best = np.lexsort((oids, keys))[:k]
                     found = found[best]
                     keys = found[:, 0]
-                    if len(keys) == k and keys[-1] < kth[0]:
-                        new = keys if kth[0] == np.inf else keys[best >= old]
+                    new = keys[best >= old]
+                    if len(new) and wide:
                         with lock:
                             view[0] = np.sort(np.concatenate((view[0], new)))[:k]
+                    if len(keys) == k:
                         kth, short = keys[-1:], short[:0]
                 else:
                     owner = np.concatenate((owner, which))
@@ -423,22 +502,20 @@ def _scan(
                     best, rank = best[kept], rank[kept]
                     found, owner = found[best], owner[best]
                     keys = found[:, 0]
+                    new = (best >= old) & wide
+                    lists = np.unique(owner[new])
+                    if len(lists):
+                        published = np.full((count, k), np.inf)
+                        published[owner[new], rank[new]] = keys[new]
+                        with lock:
+                            merged = np.concatenate((view[lists], published[lists]), 1)
+                            view[lists] = np.sort(merged)[:, :k]
                     counts = np.bincount(owner, minlength=count)
-                    fallen = np.where(
+                    kth = np.where(
                         counts == k, keys[np.cumsum(counts) - 1], np.inf
                     )
-                    fell = fallen < kth
-                    mine = fell[owner]
-                    new = (best[mine] >= old) | (kth[owner[mine]] == np.inf)
-                    published = np.where(new, keys[mine], np.inf)
-                    lists = np.flatnonzero(fell)
-                    if len(lists):
-                        published = published.reshape(-1, k)
-                        with lock:
-                            merged = np.concatenate((view[lists], published), 1)
-                            view[lists] = np.sort(merged)[:, :k]
-                    kth, short = fallen, np.flatnonzero(fallen == np.inf)
-            if take < len(chunk):
+                    short = np.flatnonzero(kth == np.inf)
+            if cut:
                 break
     with lock:
         bounds = np.minimum(kth, view[:, -1])
@@ -447,7 +524,8 @@ def _scan(
     owed = mindists <= bounds[:, None]
     ledger = np.where(owed, mindists, np.nan)
     spent = int(source.table[4] @ owed.sum(0))
-    return (found, owner, rank), ledger, (spent, gathered)
+    served = device.blocks * source.service_ms if device else 0.0
+    return (found, owner, rank), ledger, (spent, gathered, served)
 
 
 class _Ring:
@@ -468,7 +546,7 @@ class _Ring:
       ``ledgers`` ``(pages,)``: the query's ledger, one ``mindist`` per
       page of the disk (NaN: not owed; 0 past the disk's pages);
     * per disk: ``tallies`` ``[serial echo, ledger blocks, pages
-      gathered, ms slept]`` of the post.
+      gathered, device ms, ms slept]`` of the post.
 
     ``weights`` ``(disks, pages, 2)``, every page's blocks and entries,
     is the coordinator's own (not shared).
@@ -537,7 +615,7 @@ class _Ring:
 
     def deposit(
         self, disk: int, serial: int, found: _Candidates,
-        ledger: np.ndarray, tally: Tuple[int, int, float],
+        ledger: np.ndarray, tally: Tuple[int, int, float, float],
     ) -> None:
         """Write one disk's answer to a post."""
         with self.lock:
@@ -586,10 +664,10 @@ def _worker_main(
 ) -> None:
     """Worker process entry point (module level, so that it pickles):
     open the store (only this disk's page file, no tree), then per post
-    wait on ``go[disk]``, read, scan, deposit (with the service time the
-    store slept for the post), release ``done``; ``k == 0`` stops, and so
-    does the coordinator's death (its sentinel, not ``getppid``: a
-    worker's parent is the fork server)."""
+    wait on ``go[disk]``, read, scan, deposit (with the time the store
+    measured asleep for the post), release ``done``; ``k == 0`` stops,
+    and so does the coordinator's death (its sentinel, not ``getppid``:
+    a worker's parent is the fork server)."""
     from repro.storage.mmap_store import MmapStore
 
     parent = multiprocessing.parent_process()
@@ -605,7 +683,8 @@ def _worker_main(
     # (worker minor faults per query without it: 397 vs 56 on 1024
     # pages of d = 16, 1 099 vs 158 on 4096).
     np.empty(1 << 24, dtype=np.uint8)
-    # Outside every virtual-time path, the store may time its sleeps.
+    # Outside every virtual-time path, the store's clock is the wall
+    # clock: it paces the device and times the sleeps.
     store = MmapStore(
         directory, simulated_disk_ms=simulated_disk_ms, timer=time.perf_counter
     )
@@ -678,10 +757,13 @@ class ProcessParallelEngine:
         #: Diagnostics of the last call: pages the workers' ledgers held,
         #: summed over its queries (>= the charged pages, varying run to
         #: run), pages they gathered (each at most once per post) and,
-        #: per disk, the milliseconds of service time its worker slept
-        #: (``time.sleep`` overshoot included; 0 with no service time).
+        #: per disk, its device's milliseconds (blocks served x service
+        #: ms) and the milliseconds its worker slept (``time.sleep``
+        #: overshoot included; below the device's, as the worker filters
+        #: while its disk works).  Both 0 with no service time.
         self.last_speculative_pages = 0
         self.last_gathered_pages = 0
+        self.last_device_ms = np.zeros(store.num_disks)
         self.last_slept_ms = np.zeros(store.num_disks)
 
     # --------------------------------------------------------- lifecycle
@@ -837,6 +919,7 @@ class ProcessParallelEngine:
         ring = self._ensure_workers(min(k, len(store)))
         results: List[ParallelQueryResult] = []
         speculative = gathered = 0
+        device = [0.0] * store.num_disks
         slept = [0.0] * store.num_disks
         try:
             for first in range(0, len(queries), _MAX_BATCH):
@@ -846,8 +929,9 @@ class ProcessParallelEngine:
                     raise RuntimeError(_STUCK_LOCK)
                 answers, tallies = self._collect(ring, len(post), k, tracer)
                 results += answers
-                _, owed, fetched, asleep = zip(*tallies)
+                _, owed, fetched, served, asleep = zip(*tallies)
                 speculative, gathered = speculative + sum(owed), gathered + sum(fetched)
+                device = [a + b for a, b in zip(device, served)]
                 slept = [a + b for a, b in zip(slept, asleep)]
         finally:
             if self._posted != self._collected:
@@ -856,6 +940,7 @@ class ProcessParallelEngine:
                 self._stop()
         self.last_speculative_pages = int(speculative)
         self.last_gathered_pages = int(gathered)
+        self.last_device_ms = np.array(device)
         self.last_slept_ms = np.array(slept)
         return results
 

@@ -81,7 +81,8 @@ __all__ = [
 STORE_JSON = "store.json"
 
 #: Environment knob: simulated disk service time in milliseconds per
-#: page *block*, slept inside :meth:`MmapStore.read_page`.  The page
+#: page *block*, slept inside :meth:`MmapStore.read_page` (the process
+#: engine's workers serve it on a device clock instead).  The page
 #: files live on media (tmpfs, SSD page cache) many orders of magnitude
 #: faster than the rotating disks whose overlap the paper measures;
 #: this restores a physical service time so wall-clock benchmarks
@@ -485,6 +486,9 @@ class MmapStore:
         self.timer = timer
         #: Service ms slept so far as ``timer`` measured it, overshoot in.
         self.slept_ms = 0.0
+        #: :meth:`clock` without a timer: the instant the last
+        #: :meth:`sleep_until` slept to.
+        self._woke = 0.0
         meta_path = self.directory / STORE_JSON
         if not meta_path.is_file():
             raise PageFormatError(
@@ -634,16 +638,14 @@ class MmapStore:
 
         ``pages`` indexes rows of :meth:`disk_table`; the result is
         :meth:`PageFile.gather` of their slots — the ``(n, W, d)`` point
-        block, ``+inf`` past each page's count, an owned copy.  The
-        pages' simulated service time is slept once, by the caller that
-        issued the gather.  :meth:`page_rows` reads the oids of the rows
-        the caller keeps.
+        block, ``+inf`` past each page's count, an owned copy.  Nothing
+        is slept: the caller serves the pages' simulated service time on
+        its own device clock (:meth:`clock`, :meth:`sleep_until`), page
+        by page.  :meth:`page_rows` reads the oids of the rows the
+        caller keeps.
         """
-        _, _, slots, _, blocks = self.disk_table(disk)
-        block = self._page_file(disk).gather(slots[pages])
-        if self.simulated_disk_ms and len(pages):
-            self._serve(int(blocks[pages].sum()))
-        return block
+        slots = self.disk_table(disk)[2]
+        return self._page_file(disk).gather(slots[pages])
 
     def _serve(self, blocks: int) -> None:
         """Sleep the service time of ``blocks`` page blocks, adding what
@@ -652,6 +654,27 @@ class MmapStore:
         time.sleep(self.simulated_disk_ms * blocks / 1000.0)
         if self.timer:
             self.slept_ms += (self.timer() - started) * 1000.0
+
+    def clock(self) -> float:
+        """Seconds on the store's clock: :attr:`timer`, or without one
+        the last instant :meth:`sleep_until` slept to, so that a
+        timer-less store paces as if no time passed between its sleeps
+        (in-process scans are deterministic)."""
+        return self.timer() if self.timer else self._woke
+
+    def sleep_until(self, due: float) -> float:
+        """Sleep until ``due`` seconds on :meth:`clock` (at once if it
+        has passed), adding what :attr:`timer` measured of the sleep, if
+        set, to :attr:`slept_ms`; returns :meth:`clock` after.  An
+        absolute deadline: a late wake-up shortens the next wait."""
+        started = self.clock()
+        if due > started:
+            time.sleep(due - started)
+            if self.timer:
+                self.slept_ms += (self.timer() - started) * 1000.0
+            else:
+                self._woke = due
+        return self.clock()
 
     def page_rows(
         self, disk: int, pages: np.ndarray, rows: np.ndarray

@@ -383,8 +383,9 @@ class TestFlatTableShapes:
 
 class _CountingStore:
     """Store facade over ``read_pages``: ``fetched`` lists the table rows
-    of every gather (``page_rows`` owes no service time), ``sizes`` the
-    pages of each non-empty one, ``owed_blocks`` their blocks."""
+    of every gather, ``sizes`` the pages of each non-empty one,
+    ``owed_blocks`` their blocks (the device clock, ``clock`` and
+    ``sleep_until``, is the store's)."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -392,6 +393,7 @@ class _CountingStore:
         self.page_rows = inner.page_rows
         self.dimension = inner.dimension
         self.simulated_disk_ms = inner.simulated_disk_ms
+        self.clock, self.sleep_until = inner.clock, inner.sleep_until
         self.fetched = []
         self.sizes = []
         self.owed_blocks = 0
@@ -507,20 +509,22 @@ class TestDiskPages:
 
 
 class TestServiceTimeCharging:
-    """Simulated service time: once per gathered page per post, so once
-    per page per batch and on every gather per call — supernodes and
-    large disks included."""
+    """Simulated service time: the device serves each gathered page once
+    per post, so once per page per batch and on every gather per call —
+    supernodes and large disks included."""
 
     @pytest.mark.parametrize("serial", [0, 1])
     def test_service_time_once_per_page_per_batch_scope(
         self, tmp_path, monkeypatch, serial
     ):
         """Six overlapping kNN scans per disk, per call (0) or as one
-        post (1): a post gathers each page at most once and every
-        gathered page owes its ``blocks`` exactly once, so in one post
-        every distinct page owes them once and per call every gather
-        owes them.  Supernode pages (three blocks) follow the same rule,
-        and opening the page source owes nothing."""
+        post (1): a post gathers each page at most once and its device
+        serves every gathered page's ``blocks`` exactly once (the tally's
+        device ms), so in one post every distinct page owes them once
+        and per call every gather owes them.  Supernode pages (three
+        blocks) follow the same rule, opening the page source owes
+        nothing, and on a timer-less store the sleeps add up to the
+        device's time."""
         slept = []
         monkeypatch.setattr(
             "repro.storage.mmap_store.time.sleep", slept.append
@@ -547,12 +551,13 @@ class TestServiceTimeCharging:
                 posts = [queries] if serial else [[query] for query in queries]
                 for post in posts:
                     before = len(counting.fetched)
-                    _, _, (_, gathered) = _scan(
+                    _, _, (_, gathered, device) = _scan(
                         source, np.array(post), 8,
                         np.full((len(post), 8), np.inf), threading.Lock(),
                     )
                     pages = counting.fetched[before:]
                     assert gathered == len(pages) == len(set(pages))
+                    assert device == 1.0 * int(table[4][pages].sum())
                     fetched.update(
                         (disk, page, int(table[4][page])) for page in pages
                     )
@@ -568,8 +573,9 @@ class TestServiceTimeCharging:
 
 class TestChunkSchedule:
     """How far a worker reads ahead follows what a page read costs: with
-    a service time its chunks start at one page per query and double,
-    without one the first chunk is already :data:`_MAX_CHUNK_PAGES`."""
+    a service time it gathers the pages whose service has ended on its
+    device clock, without one the first chunk is already
+    :data:`_MAX_CHUNK_PAGES`."""
 
     @pytest.fixture(scope="class")
     def schedule_dir(self, tmp_path_factory):
@@ -606,15 +612,16 @@ class TestChunkSchedule:
                     scans.append((len(post), pages, counting.sizes[before:]))
         return scans
 
-    def test_a_service_time_starts_at_one_page_per_query_and_doubles(
+    def test_a_service_time_gathers_each_page_when_served(
         self, schedule_dir, monkeypatch
     ):
+        """A timer-less store's clock moves only when the scan sleeps, so
+        every page's service ends alone: each gather is one page, and the
+        cap plays no part."""
         monkeypatch.setattr("repro.storage.mmap_store.time.sleep", lambda _: 0)
         scans = self._gathers(schedule_dir, 1.0)
-        for count, _, sizes in scans:
-            assert sizes[0] <= count
-            for before, after in zip(sizes, sizes[1:]):
-                assert after <= min(2 * before, _MAX_CHUNK_PAGES)
+        for _, _, sizes in scans:
+            assert set(sizes) == {1}
         assert max(len(sizes) for _, _, sizes in scans) > 2
 
     def test_no_service_time_starts_at_the_cap(self, schedule_dir):
@@ -623,6 +630,219 @@ class TestChunkSchedule:
         for _, pages, sizes in self._gathers(schedule_dir, 0.0):
             assert sizes[0] == min(_MAX_CHUNK_PAGES, pages)
             assert max(sizes) <= _MAX_CHUNK_PAGES
+
+
+#: A service time whose multiples are exact binary fractions of a
+#: second (2**-10 s a block), so the fake clock's arithmetic is exact.
+_PACED_MS = 1000.0 / 1024.0
+_BLOCK_S = _PACED_MS / 1000.0
+
+
+class _FakeClock:
+    """A store's timer and ``time.sleep``: time moves only when slept or
+    when a gather spends ``cpu`` seconds.  A long run of reads that see
+    the same instant is a spin-wait, and fails."""
+
+    def __init__(self, cpu=0.0):
+        self.now, self.cpu, self.slept = 1.0, cpu, []
+        self._same = 0
+
+    def timer(self):
+        self._same += 1
+        assert self._same < 50, "the scan spins on its clock"
+        return self.now
+
+    def sleep(self, seconds):
+        assert seconds > 0
+        self.slept.append(seconds)
+        self.spend(seconds)
+
+    def spend(self, seconds):
+        """Move time on by ``seconds`` (a read after it sees a new
+        instant unless ``seconds`` is 0)."""
+        self.now += seconds
+        if seconds:
+            self._same = 0
+
+
+class _TimedStore(_CountingStore):
+    """A :class:`_CountingStore` whose gathers are stamped on a
+    :class:`_FakeClock` (``gathers``: ``(instant, pages)``) and spend its
+    ``cpu``."""
+
+    def __init__(self, inner, fake):
+        super().__init__(inner)
+        self._fake, self.gathers = fake, []
+
+    def read_pages(self, disk, pages):
+        self.gathers.append((self._fake.now, [int(page) for page in pages]))
+        self._fake.spend(self._fake.cpu)
+        return super().read_pages(disk, pages)
+
+
+@pytest.fixture(scope="module")
+def paced_dir(tmp_path_factory):
+    """Two disks of 1500 four-dimensional points, every fourth page a
+    three-block supernode."""
+    rng = np.random.default_rng(23)
+    paged = PagedStore(
+        points=rng.random((1500, 4)),
+        declusterer=NearOptimalDeclusterer(4, 2),
+    )
+    for leaf in paged.leaves[::4]:
+        leaf.blocks = 3
+    directory = tmp_path_factory.mktemp("paced") / "store"
+    save_paged_store(paged, directory)
+    return directory
+
+
+_PACED_POSTS = (
+    np.array([[0.5, 0.5, 0.5, 0.5]]),
+    0.3 + 0.4 * np.random.default_rng(8).random((3, 4)),
+)
+
+
+class TestDeviceClock:
+    """A disk under a service time, on a fake clock: the device serves
+    the scan's pages back to back, decides each against the bound held
+    when its service begins, and the scan gathers a page only once its
+    service has ended."""
+
+    @staticmethod
+    def _run(directory, monkeypatch, queries, k, cpu=0.0, disk=0, view=None):
+        """``_scan`` of ``queries`` on ``disk`` of a store paced on a
+        :class:`_FakeClock`: ``(store facade, tally, fake, start)``."""
+        fake = _FakeClock(cpu)
+        monkeypatch.setattr("repro.storage.mmap_store.time.sleep", fake.sleep)
+        with MmapStore(
+            directory, simulated_disk_ms=_PACED_MS, timer=fake.timer
+        ) as store:
+            timed = _TimedStore(store, fake)
+            source = _DiskPages(timed, disk)
+            if view is None:
+                view = np.full((len(queries), k), np.inf)
+            start = fake.now
+            _, _, tally = _scan(source, queries, k, view, threading.Lock())
+        return timed, tally, fake, start
+
+    @pytest.mark.parametrize("cpu", [0.0, 0.75 * _BLOCK_S, 5 * _BLOCK_S])
+    @pytest.mark.parametrize("post", [0, 1])
+    def test_no_page_is_gathered_before_its_due_instant(
+        self, paced_dir, monkeypatch, cpu, post
+    ):
+        """The pages, in the order served, end at the start plus their
+        running blocks: no gather takes a page before that, the last
+        gather comes after the device's whole time, and the sleeps come
+        to the device's time less the gathers' (late wake-ups shorten
+        the next wait, and a slow gather takes every page already due)."""
+        timed, (_, gathered, device), fake, start = self._run(
+            paced_dir, monkeypatch, _PACED_POSTS[post], 10, cpu
+        )
+        blocks = timed.disk_table(0)[4]
+        served = [page for _, pages in timed.gathers for page in pages]
+        assert gathered == len(served) == len(set(served)) > 4
+        dues = start + np.cumsum(blocks[served]) * _BLOCK_S
+        instants = [at for at, pages in timed.gathers for _ in pages]
+        assert (np.array(instants) >= dues).all()
+        assert device == _PACED_MS * int(blocks[served].sum())
+        assert timed.gathers[-1][0] == dues[-1] or cpu
+        assert timed.gathers[-1][0] >= start + device / 1000.0
+        spent = cpu * len(timed.gathers)
+        assert sum(fake.slept) <= device / 1000.0
+        assert sum(fake.slept) >= device / 1000.0 - spent
+        sizes = [len(pages) for _, pages in timed.gathers]
+        assert max(sizes) > 1 if cpu > _BLOCK_S * 3 else max(sizes) == 1
+
+    @pytest.mark.parametrize("post, k", [(0, 10), (1, 10), (1, 1), (3, 1)])
+    def test_a_page_past_the_bound_held_when_its_service_begins_is_never_served(
+        self, paced_dir, monkeypatch, post, k
+    ):
+        """With no time spent between sleeps, a page's service begins the
+        instant the page before it is gathered and folded: the pages
+        served are exactly those that some query owes within the k-th
+        key of every page served before them (a replay of that rule).
+        For ``k = 1`` the ``post`` queries sit on stored points, so the
+        first fold that finds one drops its bound from +inf to 0."""
+        with MmapStore(paced_dir) as plain:
+            lows, highs, _, counts, _ = plain.disk_table(0)
+            if k == 1:
+                rows = plain.read_pages(0, np.arange(len(counts)))
+                rows = rows[np.isfinite(rows).all(axis=2)]
+                pick = np.random.default_rng(post).choice(len(rows), post)
+                queries = rows[pick]
+            else:
+                queries = _PACED_POSTS[post]
+        timed, _, _, _ = self._run(paced_dir, monkeypatch, queries, k)
+        metric = Euclidean()
+        mindists = np.array([metric.mindist_many(lows, highs, q) for q in queries])
+        nearest = mindists.min(axis=0)
+        keys = [np.empty(0) for _ in queries]
+        want = []
+        with MmapStore(paced_dir) as plain:
+            for page in np.argsort(nearest):
+                bounds = np.array([
+                    np.sort(mine)[k - 1] if len(mine) >= k else np.inf
+                    for mine in keys
+                ])
+                if nearest[page] > bounds.max():
+                    break
+                if not (mindists[:, page] <= bounds).any():
+                    continue
+                want.append(int(page))
+                points = plain.read_pages(0, np.array([page]))[0]
+                points = points[: counts[page]]
+                keys = [
+                    np.concatenate((mine, metric.point_keys(points, q)))
+                    for mine, q in zip(keys, queries)
+                ]
+        served = [page for _, pages in timed.gathers for page in pages]
+        assert served == want
+
+    @pytest.mark.parametrize("post", [0, 1])
+    def test_every_page_within_b_star_is_served_once(
+        self, paced_dir, monkeypatch, post
+    ):
+        """Every disk serves each page some query owes within its B*
+        exactly once; with the shared rows already at B* (k keys of B*,
+        as if other disks had found them first) it serves those pages and
+        no other, the first one included."""
+        queries, k = _PACED_POSTS[post], 10
+        with MmapStore(paced_dir) as plain:
+            top = _post_outcomes(plain, queries, k)
+            rows = np.array([[bound] * k for *_, bound in top])
+            for disk in range(plain.num_disks):
+                lows, highs = plain.disk_table(disk)[:2]
+                within = set()
+                for query, (*_, bound) in zip(queries, top):
+                    mindists = Euclidean().mindist_many(lows, highs, query)
+                    within |= set(np.flatnonzero(mindists <= bound).tolist())
+                assert within
+                for view in (None, rows.copy()):
+                    timed, _, _, _ = self._run(
+                        paced_dir, monkeypatch, queries, k, disk=disk,
+                        view=view,
+                    )
+                    served = [p for _, pages in timed.gathers for p in pages]
+                    assert len(served) == len(set(served))
+                    assert within <= set(served)
+                    if view is not None:
+                        assert set(served) == within
+
+    def test_the_device_serves_supernodes_for_their_blocks(
+        self, paced_dir, monkeypatch
+    ):
+        """Device ms is the service ms times the blocks served, per call
+        and per post, on both disks, three-block supernodes included."""
+        for disk in (0, 1):
+            for queries in (*(q[None] for q in _PACED_POSTS[1]), _PACED_POSTS[1]):
+                timed, (_, gathered, device), _, _ = self._run(
+                    paced_dir, monkeypatch, queries, 10, disk=disk
+                )
+                blocks = timed.disk_table(disk)[4]
+                assert device == _PACED_MS * timed.owed_blocks
+                assert gathered < timed.owed_blocks == int(
+                    blocks[timed.fetched].sum()
+                )
 
 
 class TestFilter:
@@ -937,7 +1157,8 @@ class _ThreadWorker:
     def ask(self, queries, k):
         """Post ``(Q, d)`` queries (``k = 0``: stop) and wait for the
         deposit; returns the candidates each query found on the disk and
-        the disk's tally ``[ledger blocks, pages gathered, ms slept]``."""
+        the disk's tally ``[ledger blocks, pages gathered, device ms, ms
+        slept]``."""
         self.posts += 1
         assert self.ring.post(self.posts, queries, k)
         if not k:
@@ -988,11 +1209,11 @@ class TestTreeFree:
         worker = _ThreadWorker(store_dir, mmap_store, disk=1)
         try:
             for size in (1, 3, 1):
-                found, (owed, gathered, slept) = worker.ask(
+                found, (owed, gathered, device, slept) = worker.ask(
                     np.full((size, 6), 0.5), 3
                 )
                 assert found == [3] * size
-                assert 0 < gathered and 0 < owed and slept == 0
+                assert 0 < gathered and 0 < owed and device == slept == 0
         finally:
             worker.stop()
         assert counted_nodes == []
@@ -1140,9 +1361,11 @@ def test_workers_sleep_the_coordinator_stores_disk_time(
 
 
 class TestSleptTime:
-    """Each worker reports the service time its store slept for a post,
-    measured around the sleep: at least the simulated time of every
-    block it gathered, and none without a service time."""
+    """Each worker reports its device's time for a post — the simulated
+    time of every block it gathered — and the time its store slept,
+    measured around the sleeps: less than the device's, as the worker
+    filters while its disk works, but the post takes at least the
+    device's time.  Both are 0 without a service time."""
 
     def test_each_disk_slept_its_gathered_blocks(self, store_dir, mmap_store):
         disk_ms = 0.5
@@ -1155,9 +1378,12 @@ class TestSleptTime:
             )
             try:
                 for post in (queries[:1], queries):
-                    _, (_, gathered, slept) = worker.ask(post, 3)
+                    started = time.perf_counter()
+                    _, (_, gathered, device, slept) = worker.ask(post, 3)
+                    wall_ms = (time.perf_counter() - started) * 1e3
                     assert gathered > 0
-                    assert slept >= disk_ms * gathered
+                    assert device == disk_ms * gathered
+                    assert 0 < slept <= wall_ms and wall_ms >= device
             finally:
                 worker.stop()
 
@@ -1170,14 +1396,18 @@ class TestSleptTime:
                     lambda: engine.query(queries[0], 3),
                     lambda: engine.query_batch(queries, 3),
                 ):
+                    started = time.perf_counter()
                     run()
+                    wall_ms = (time.perf_counter() - started) * 1e3
                     slept = engine.last_slept_ms
-                    assert slept.shape == (store.num_disks,)
+                    device = engine.last_device_ms
+                    assert slept.shape == device.shape == (store.num_disks,)
                     if disk_ms:
                         gathered = engine.last_gathered_pages
-                        assert slept.sum() >= disk_ms * gathered > 0
+                        assert device.sum() == disk_ms * gathered > 0
+                        assert (slept > 0).all() and wall_ms >= device.max()
                     else:
-                        assert not slept.any()
+                        assert not slept.any() and not device.any()
 
 
 _ORPHAN_SCRIPT = """
@@ -1508,7 +1738,8 @@ class TestLedgerOracle:
     @settings(max_examples=40, deadline=None)
     @given(case=_ledger_cases())
     def test_ledger_counts_equal_directory_sweep(self, case):
-        """Per call and both queries in one post."""
+        """Per call and both queries in one post; the shared rows end at
+        B*."""
         k, queries = case["k"], case["queries"]
         with tempfile.TemporaryDirectory() as scratch:
             save_paged_store(_case_store(case), os.path.join(scratch, "store"))
@@ -1521,6 +1752,10 @@ class TestLedgerOracle:
                     for row, query in enumerate(post):
                         keys = _merged(top, row)[0]
                         bound = float(keys[-1]) if len(keys) == k else math.inf
+                        # Every disk shares each key it keeps, so after
+                        # the last disk the shared row's k-th key is B*
+                        # (a row narrower than k takes none: +inf).
+                        assert ring.bounds[row, -1] == bound
                         swept, swept_computations = _sweep_counts(
                             store, query, bound
                         )
@@ -1553,6 +1788,17 @@ class TestLedgerOracle:
                             )
                             assert np.array_equal(tied[0], swept)
                             assert tied_computations[0] == swept_computations
+
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_every_disk_shares_the_keys_it_keeps(self, mmap_store, k):
+        """A disk whose few candidates all beat the shared bound still
+        publishes them: after a serial post over four disks (and per
+        call) every shared row's k-th key is B*, so no racing worker
+        reads past B* for want of a key another disk holds."""
+        queries = np.random.default_rng(4).random((16, 6))
+        for post in (queries, *(query[None] for query in queries)):
+            ring, _, (top, _, _) = _scan_post(mmap_store, post, k)
+            assert (ring.bounds[: len(post), -1] == top[:, k - 1, 0]).all()
 
     def test_single_leaf_root(self, tmp_path):
         store = PagedStore(
@@ -1597,14 +1843,14 @@ class TestCut:
         found = [cell((0.25, 11), (1.0, 12)), cell((0.5, 13), (4.0, 14))]
         found += [cell(), cell()]
         for disk in range(store.num_disks):
-            ring.deposit(disk, 7, found[disk], ledgers[disk], (5, 2, 0.0))
+            ring.deposit(disk, 7, found[disk], ledgers[disk], (5, 2, 0.0, 0.0))
         (top, counts, computations), tallies = ring.reduce(7, 1, k)
         assert top[0, :, 0].tolist() == [0.25, 0.5, 1.0]
         assert top[0, :, 1].view(np.int64).tolist() == [11, 13, 12]
         want = [blocks[0, :2].sum(), blocks[1, 3], 0, 0]
         assert counts[0].tolist() == want
         assert computations[0] == entries[0, :2].sum() + entries[1, 3]
-        assert tallies == [[7, 5, 2, 0.0]] * store.num_disks
+        assert tallies == [[7, 5, 2, 0.0, 0.0]] * store.num_disks
 
     def test_fewer_than_k_candidates_charge_every_owed_page(self, mmap_store):
         """Three candidates in all for k = 4: B* is +inf, so every page
@@ -1619,7 +1865,9 @@ class TestCut:
         for disk, pages in enumerate(store.disk_loads()):
             ledger = np.full((1, int(pages)), np.nan)
             ledger[0, ::2] = 1e300
-            ring.deposit(disk, 1, empty if disk else found, ledger, (0, 0, 0.0))
+            ring.deposit(
+                disk, 1, empty if disk else found, ledger, (0, 0, 0.0, 0.0)
+            )
         (top, counts, computations), _ = ring.reduce(1, 1, k)
         assert np.isnan(top[0, 3, 0]) and top[0, :3, 0].tolist() == [1, 2, 3]
         blocks, entries = ring.weights[..., 0], ring.weights[..., 1]
@@ -1658,8 +1906,8 @@ class TestChunkCapIndependence:
         """Caps 1, 2, 32, 128 and one above every disk's page count, per
         call (0) or two queries in one post (1), on stores of up to
         hundreds of 192-byte pages a disk, with no service time (chunks
-        start at the cap) or 1 ms a page (chunks start at one page per
-        query and double; the sleep is patched out): every disk's
+        start at the cap) or 1 ms a page (paced on the device clock,
+        where the cap plays no part; the sleep is patched out): every disk's
         candidates within B*, the merged top-k and the cut (``_charge``) at
         B* are identical, and equal ``PagedEngine``'s."""
         k = case["k"]

@@ -490,12 +490,14 @@ class TestMmapStoreRoundTrip:
     ):
         """``read_pages`` is the allocating ``read_page`` per page, padded
         to the disk's widest page — for random page lists with repeats —
-        with one sleep per gather; a gather of no page and a refused read
-        sleep nothing."""
+        and sleeps nothing, even with a service time (its caller paces
+        the pages on the store's clock); a gather of no page and a
+        refused read sleep nothing either."""
         slept = []
         monkeypatch.setattr(
             "repro.storage.mmap_store.time.sleep", slept.append
         )
+        reads = 0
         with MmapStore(store_dir, simulated_disk_ms=1.0) as store:
             for disk in range(store.num_disks):
                 leaves = [
@@ -506,28 +508,27 @@ class TestMmapStoreRoundTrip:
                 loads = len(leaves)
                 pages = rng.integers(0, loads, size=2 * loads)
                 points, oids = _read_flat(store, disk, pages)
-                assert slept[-1] == 2 * loads / 1000.0
                 for row, page in enumerate(pages):
                     _assert_rows(
                         points, oids, row, width, *store.read_page(leaves[page])
                     )
                 again = store.read_pages(disk, pages)
-                assert slept[-1] == 2 * loads / 1000.0
                 assert again.reshape(points.shape).tobytes() == points.tobytes()
-                before = len(slept)
                 none = store.read_pages(disk, pages[:0])
                 assert none.shape == (0, width, store.dimension)
                 with pytest.raises((ValueError, IndexError)):
                     store.read_pages(disk, np.array([loads]))
-                assert len(slept) == before
+                # Only the per-leaf reads compared against them slept.
+                reads += len(pages)
+                assert slept == [1.0 / 1000.0] * reads
         with pytest.raises(ValueError, match="closed"):
             store.read_pages(0, np.array([0]))
 
-    def test_read_pages_sleeps_once_for_every_block(
+    def test_read_page_sleeps_every_block_and_read_pages_none(
         self, paged_store, tmp_path, monkeypatch
     ):
-        """Service time is per block fetched (supernode pages count
-        ``blocks``) and slept once per gather."""
+        """The per-leaf read sleeps its page's blocks (supernode pages
+        count ``blocks``); the multi-page gather sleeps nothing."""
         for leaf in paged_store.leaves[::3]:
             leaf.blocks = 2
         directory = tmp_path / "supernodes"
@@ -536,15 +537,43 @@ class TestMmapStoreRoundTrip:
         monkeypatch.setattr(
             "repro.storage.mmap_store.time.sleep", slept.append
         )
-        owed = []
         with MmapStore(directory, simulated_disk_ms=2.0) as store:
             for disk in np.flatnonzero(store.disk_loads()):
                 blocks = store.disk_table(disk)[4]
                 store.read_pages(disk, np.arange(len(blocks)))
-                store.read_pages(disk, np.array([0]))
-                owed += [int(blocks.sum()), int(blocks[0])]
-            assert sum(owed[::2]) > len(store.leaves)  # supernodes counted
+            assert slept == []
+            for leaf in store.leaves:
+                store.read_page(leaf)
+            owed = [leaf.blocks for leaf in store.leaves]
+            assert sum(owed) > len(owed)  # supernodes counted
         assert slept == [2.0 * blocks / 1000.0 for blocks in owed]
+
+    def test_sleep_until_paces_on_the_store_clock(self, store_dir, monkeypatch):
+        """``sleep_until`` sleeps to an absolute instant on ``clock``: at
+        once when it has passed.  Without a timer the clock is the last
+        instant slept to and nothing is measured; with one the clock is
+        the timer and ``slept_ms`` adds what it measured."""
+        now = [5.0]
+        slept = []
+
+        def sleep(seconds):
+            slept.append(seconds)
+            now[0] += seconds + 0.25  # a late wake-up, seen with a timer
+
+        monkeypatch.setattr("repro.storage.mmap_store.time.sleep", sleep)
+        with MmapStore(store_dir, simulated_disk_ms=1.0) as store:
+            assert store.clock() == 0.0
+            assert store.sleep_until(0.5) == 0.5 == store.clock()
+            assert store.sleep_until(0.25) == 0.5
+            assert slept == [0.5] and store.slept_ms == 0.0
+        slept.clear()
+        now[0] = 5.0
+        with MmapStore(
+            store_dir, simulated_disk_ms=1.0, timer=lambda: now[0]
+        ) as store:
+            assert store.sleep_until(6.0) == 6.25 == store.clock()
+            assert store.sleep_until(6.125) == 6.25
+            assert slept == [1.0] and store.slept_ms == 1250.0
 
     def test_zero_page_disks_get_valid_files(self, small_uniform,
                                              tmp_path):
