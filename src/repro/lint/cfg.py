@@ -1,6 +1,6 @@
 """Statement-level control-flow graphs for path-sensitive lint rules.
 
-The lifetime rules (:mod:`repro.lint.lifetime`) must answer *path*
+``resource-leak`` (:mod:`repro.lint.lifetime`) must answer *path*
 questions — "is this ``PageFile`` closed on **every** path to function
 exit, including the path where a later call raises?" — which the purely
 lexical walks used elsewhere in the linter cannot express.  This module

@@ -61,9 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
         "invariants (seeded RNG, core-bits usage, buffer-pool charging, "
         "float equality, library prints, spawn contexts, "
         "cross-module dataflow rules over the project call graph, "
-        "async-safety rules for the serving layer, and path-sensitive "
-        "resource-lifetime/shared-memory rules for the out-of-core "
-        "layer).",
+        "async-safety rules for the serving layer, a path-sensitive "
+        "resource-lifetime rule and a structural shared-memory rule for "
+        "the out-of-core layer).",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"],

@@ -72,8 +72,7 @@ _LOOP_TYPES = (ast.For, ast.While, ast.AsyncFor)
 
 
 #: Class-attribute name holding the single-writer annotation that
-#: sanctions attributes for ``async-atomicity-violation`` and
-#: ``shared-state-without-lock``.
+#: sanctions attributes for ``async-atomicity-violation``.
 SINGLE_WRITER_ATTR = "_SINGLE_WRITER"
 
 #: Function qualnames ``no-wall-clock-in-virtual-time`` treats as

@@ -2,27 +2,26 @@
 
 PR 8 made the paper's parallel-disk architecture real: mmap page files
 (:mod:`repro.storage`), spawn-started worker processes and a
-shared-memory pruning bound (:mod:`repro.parallel.process`).  The bug
-classes that silently corrupt that layer — a leaked ``PageFile``, a
-read of the shared bound outside its lock — are *path* properties,
-invisible to the lexical walks used by the other rule groups.  This
-module pairs the per-function control-flow graphs of
-:mod:`repro.lint.cfg` with the import-resolved project index of
-:mod:`repro.lint.callgraph` to check them statically:
+shared-memory pruning bound (:mod:`repro.parallel.process`).  Two bug
+classes silently corrupt that layer: a leaked ``PageFile``, a *path*
+property that the per-function control-flow graphs of
+:mod:`repro.lint.cfg` check, and a read of the shared bound outside its
+lock, which one class's structure rules out:
 
 * :class:`ResourceLeak` — closeable values (``PageFile``, ``MmapStore``,
   ``mmap``, ``open()``, multiprocessing queues / shared memory) must be
   closed on **every** CFG path, including exception paths; escaping by
   ``return`` or into ``self`` on a class with an owning ``close()`` is
   sanctioned;
-* :class:`SharedStateWithoutLock` — element accesses on
-  ``multiprocessing`` ``Value``/``Array``/shared-memory buffers (and
-  ``np.frombuffer`` views over them, tracked interprocedurally through
-  call arguments and ``Process(target=..., args=...)``) outside a
-  lock-held ``with`` block, honoring ``_SINGLE_WRITER`` annotations and
-  callees invoked only with the lock already held.
+* :class:`SharedStateWithoutLock` — a structural check, no flow
+  analysis: ``multiprocessing`` ``Value``/``Array``/``Raw*``/
+  ``SharedMemory`` buffers are allocated only into ``self`` attributes
+  of a class; that class touches them, and the ``np.frombuffer`` views
+  it keeps of them, only inside a lock-held ``with`` block, never
+  returns one or a slice of one, and no code outside it names one.  The
+  lock invariant is then checked by reading one class.
 
-Shared over-approximation philosophy: the CFG has spurious edges but no
+``resource-leak`` over-approximates: the CFG has spurious edges but no
 missing ones, so a leak can be flagged that a human would argue away,
 but a real leak is never hidden.  Sanctioned escapes, in preference
 order: a ``with`` block, ``close()`` in a ``finally``, returning the
@@ -35,42 +34,22 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.callgraph import (
     _FUNC_TYPES,
-    FunctionInfo,
     ProjectIndex,
-    class_qualname,
     dotted_name,
     own_nodes,
     resolve_alias,
 )
 from repro.lint.cfg import CFG, build_cfg
-from repro.lint.concurrency import (
-    SINGLE_WRITER_ATTR,
-    _in_spans,
-    _locked_spans,
-    _single_writer_attrs,
-)
+from repro.lint.concurrency import _in_spans, _locked_spans
 from repro.lint.findings import Finding
 from repro.lint.module import ModuleInfo
 from repro.lint.rules import Rule
 
-__all__ = [
-    "ResourceLeak",
-    "SharedStateWithoutLock",
-    "LIFETIME_RULES",
-]
+__all__ = ["ResourceLeak", "SharedStateWithoutLock", "LIFETIME_RULES"]
 
 #: Class names whose constructor returns a resource that
 #: ``resource-leak`` requires closed on every path (project page stores,
@@ -292,204 +271,44 @@ class _ClassFacts:
 
     has_owning_close: bool = False
     ctx_attrs: Set[str] = field(default_factory=set)
-    shared_attrs: Dict[str, str] = field(default_factory=dict)
 
 
-def _class_facts(
-    classdef: ast.ClassDef, aliases: Dict[str, str]
-) -> _ClassFacts:
-    """Collect shared/context attribute facts for a class."""
-    facts = _ClassFacts()
+def _class_facts(classdef: ast.ClassDef) -> _ClassFacts:
+    """Whether a class owns a ``close()`` and its context attributes."""
     methods = [node for node in classdef.body if isinstance(node, _FUNC_TYPES)]
-    facts.has_owning_close = any(
-        method.name in _OWNING_CLOSERS for method in methods
+    facts = _ClassFacts(
+        has_owning_close=any(method.name in _OWNING_CLOSERS for method in methods)
     )
-    # Two passes so facts established through an intermediate attribute
-    # (``self._ctx = get_context(...)`` in __init__, ``self._ctx.Queue()``
-    # elsewhere) resolve regardless of method order.
-    for _ in range(2):
-        for method in methods:
-            _scan_method_facts(method, aliases, facts)
-    for attr in _single_writer_attrs(classdef):
-        facts.shared_attrs.pop(attr, None)
+    for method in methods:
+        for node in own_nodes(method):
+            if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+                continue
+            attr, value = _self_attr(node.targets[0]), node.value
+            if attr is not None and isinstance(value, ast.Call) and _ctx_origin(value):
+                facts.ctx_attrs.add(attr)
     return facts
 
 
-def _scan_method_facts(
-    method: ast.AST,
-    aliases: Dict[str, str],
-    facts: _ClassFacts,
-) -> None:
-    """One pass of attribute-fact collection over one method body."""
-    nodes = list(own_nodes(method))
-    local_ctx: Set[str] = set()
-    for node in nodes:  # locals first: source order is not guaranteed
-        if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-            continue
-        target, value = node.targets[0], node.value
-        if not isinstance(target, ast.Name):
-            continue
-        if isinstance(value, ast.Call) and _ctx_origin(value):
-            local_ctx.add(target.id)
-        elif _self_attr(value) in facts.ctx_attrs:
-            local_ctx.add(target.id)
-    for node in nodes:
-        if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-            continue
-        attr = _self_attr(node.targets[0])
-        value = node.value
-        if attr is None or not isinstance(value, ast.Call):
-            continue
-        if _ctx_origin(value):
-            facts.ctx_attrs.add(attr)
-            continue
-        shared = _shared_origin(value, aliases, local_ctx, facts.ctx_attrs)
-        buffer = _frombuffer_source(value, aliases)
-        if shared is None and buffer is not None:  # a view attribute
-            source = _shared_ref(buffer, {}, facts.shared_attrs)
-            shared = source and f"{source} (via np.frombuffer)"
-        if shared is not None:
-            facts.shared_attrs.setdefault(attr, shared)
-
-
-@dataclass
-class _FunctionScan:
-    """Flow-insensitive classification of one function's local names."""
-
-    ctx: Set[str] = field(default_factory=set)
-    shared: Dict[str, str] = field(default_factory=dict)
-
-
-def _shared_ref(
-    expr: ast.AST, shared: Dict[str, str], shared_attrs: Dict[str, str]
-) -> Optional[str]:
-    """Description when ``expr`` reads from a known shared object."""
-    for node in ast.walk(expr):
-        if isinstance(node, ast.Name) and node.id in shared:
-            return shared[node.id]
-        attr = _self_attr(node)
-        if attr is not None and attr in shared_attrs:
-            return shared_attrs[attr]
-    return None
-
-
-def _view_ref(
-    expr: ast.AST, shared: Dict[str, str], shared_attrs: Dict[str, str]
-) -> Optional[str]:
-    """Description when ``expr`` evaluates to shared memory itself: a
-    shared name or ``self`` attribute, sliced or not.  A call on it
-    (``.copy()``, ``int(...)``) gives an owned value and is clean."""
-    while isinstance(expr, ast.Subscript):
-        expr = expr.value
-    if isinstance(expr, ast.Name):
-        return shared.get(expr.id)
-    attr = _self_attr(expr)
-    return shared_attrs.get(attr) if attr is not None else None
-
-
-def _returned_views(
-    func: ast.AST, shared: Dict[str, str], shared_attrs: Dict[str, str]
-) -> Dict[Optional[int], str]:
-    """The shared memory a function returns: by position for a returned
-    tuple's elements, under ``None`` for a whole returned value."""
-    views: Dict[Optional[int], str] = {}
+def _ctx_locals(func: ast.AST, ctx_attrs: Set[str]) -> Set[str]:
+    """A function's local names bound to a ``multiprocessing`` context:
+    ``get_context(...)``, a context attribute of ``self``, or another
+    such name."""
+    names: Set[str] = set()
+    assigns: List[Tuple[str, ast.expr]] = []
     for node in own_nodes(func):
-        if not isinstance(node, ast.Return) or node.value is None:
-            continue
-        value = node.value
-        if isinstance(value, ast.Tuple):
-            elements: List[Tuple[Optional[int], ast.expr]] = list(
-                enumerate(value.elts)
-            )
-        else:
-            elements = [(None, value)]
-        for position, element in elements:
-            desc = _view_ref(element, shared, shared_attrs)
-            if desc is not None:
-                views.setdefault(position, desc)
-    return views
-
-
-def _callee(
-    index: ProjectIndex, info: FunctionInfo, call: ast.Call
-) -> Optional[str]:
-    """:meth:`ProjectIndex.resolve_call`, plus ``param.method(...)`` on a
-    parameter annotated with a project class: that class's method."""
-    resolved = index.resolve_call(info, call)
-    if resolved is not None:
-        return resolved
-    func = call.func
-    if not isinstance(func, ast.Attribute):
-        return None
-    receiver = func.value
-    if not isinstance(receiver, ast.Name):
-        return None
-    arguments = info.node.args  # type: ignore[attr-defined]
-    for arg in arguments.posonlyargs + arguments.args + arguments.kwonlyargs:
-        if arg.arg != receiver.id or arg.annotation is None:
-            continue
-        annotation = arg.annotation
-        local = (
-            annotation.value
-            if isinstance(annotation, ast.Constant)
-            and isinstance(annotation.value, str)
-            else dotted_name(annotation)
-        )
-        if local is None:
-            return None
-        owner = index.resolve(info.module.name, local)
-        if owner not in index.classes:
-            return None
-        return index.resolve_method(owner, func.attr)
-    return None
-
-
-def _scan_function(
-    func: ast.AST,
-    aliases: Dict[str, str],
-    facts: Optional[_ClassFacts],
-) -> _FunctionScan:
-    """Classify a function's locals as contexts/shared objects."""
-    scan = _FunctionScan()
-    nodes = list(own_nodes(func))
-    ctx_attrs = facts.ctx_attrs if facts is not None else set()
-    shared_attrs = facts.shared_attrs if facts is not None else {}
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name):
+                assigns.append((target.id, node.value))
     for _ in range(3):  # fixpoint for alias-of-alias chains
-        for node in nodes:
-            if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-                continue
-            target, value = node.targets[0], node.value
-            if not isinstance(target, ast.Name):
-                continue
-            name = target.id
-            if isinstance(value, ast.Call):
-                if _ctx_origin(value):
-                    scan.ctx.add(name)
-                    continue
-                shared = _shared_origin(value, aliases, scan.ctx, ctx_attrs)
-                if shared is not None:
-                    scan.shared[name] = shared
-                    continue
-                buffer = _frombuffer_source(value, aliases)
-                if buffer is not None:
-                    source = _shared_ref(buffer, scan.shared, shared_attrs)
-                    if source is not None:
-                        scan.shared[name] = f"{source} (via np.frombuffer)"
-            elif isinstance(value, ast.Name):
-                other = value.id
-                if other in scan.ctx:
-                    scan.ctx.add(name)
-                if other in scan.shared:
-                    scan.shared.setdefault(name, scan.shared[other])
-            else:
-                attr = _self_attr(value)
-                if attr is None:
-                    continue
-                if attr in ctx_attrs:
-                    scan.ctx.add(name)
-                if attr in shared_attrs:
-                    scan.shared.setdefault(name, shared_attrs[attr])
-    return scan
+        for name, value in assigns:
+            if (
+                (isinstance(value, ast.Call) and _ctx_origin(value))
+                or (isinstance(value, ast.Name) and value.id in names)
+                or _self_attr(value) in ctx_attrs
+            ):
+                names.add(name)
+    return names
 
 
 def _functions_with_facts(
@@ -502,9 +321,7 @@ def _functions_with_facts(
     ) -> Iterator[Tuple[ast.AST, Optional[_ClassFacts]]]:
         for node in body:
             if isinstance(node, ast.ClassDef):
-                yield from visit(
-                    node.body, _class_facts(node, module.aliases)
-                )
+                yield from visit(node.body, _class_facts(node))
             elif isinstance(node, _FUNC_TYPES):
                 yield node, facts
                 yield from visit(node.body, facts)
@@ -575,7 +392,8 @@ def count(path):
         facts: Optional[_ClassFacts],
     ) -> Iterator[Finding]:
         aliases = module.aliases
-        scan = _scan_function(func, aliases, facts)
+        ctx_attrs = facts.ctx_attrs if facts is not None else set()
+        ctx_names = _ctx_locals(func, ctx_attrs)
         owning = facts is not None and facts.has_owning_close
         cfg = build_cfg(func)
         creations: List[_Creation] = []
@@ -588,10 +406,7 @@ def count(path):
                 for call in ast.walk(header):
                     if not isinstance(call, ast.Call):
                         continue
-                    desc = _closeable_origin(
-                        call, aliases, scan.ctx,
-                        facts.ctx_attrs if facts is not None else set(),
-                    )
+                    desc = _closeable_origin(call, aliases, ctx_names, ctx_attrs)
                     if desc is None:
                         continue
                     for line, message in self._classify(
@@ -856,335 +671,213 @@ def _escaping_names_in_call(call: ast.Call) -> Set[str]:
 
 
 class SharedStateWithoutLock(Rule):
-    """The process engine's global pruning bound lives in a
-    ``multiprocessing`` shared array; workers read it to prune and the
-    parent tightens it between batches.  One unlocked access turns the
-    paper's bit-for-bit determinism claim into a data race: torn 8-byte
-    reads are rare enough to pass every test and wrong enough to corrupt
-    a benchmark.  Taint starts at ``Value``/``Array``/``SharedMemory``
-    construction, flows through ``np.frombuffer`` views (reshaped, or
-    held by ``self`` attributes), locals, call arguments (including
-    ``Process(target=..., args=...)`` into worker entry points) and
-    return values (a returned tuple's elements by position, through
-    tuple unpacking; an owned ``.copy()`` stays clean), and every
-    element access outside a lock-held ``with`` block is flagged.  A
-    method call on a parameter annotated with a project class resolves
-    to that class's method.  Escapes: ``_SINGLE_WRITER`` class
-    annotations, and callees invoked *only* with the lock already held."""
+    """The process engine's pruning bounds, candidate arena and page
+    ledgers live in ``multiprocessing`` shared memory that the
+    coordinator and every disk worker touch.  One unlocked access turns
+    the paper's bit-for-bit determinism claim into a data race: torn
+    8-byte reads are rare enough to pass every test and wrong enough to
+    corrupt a benchmark.  The rule keeps that memory where one look can
+    check it, inside one class.  Shared memory (``Array``/``Value``/
+    ``Raw*``/``SharedMemory``) is allocated only into a ``self``
+    attribute of a class.  In that class every access to such an
+    attribute, or to an attribute holding an ``np.frombuffer`` view of
+    one, sits in a lock-held ``with`` block (``with self.lock``,
+    ``with _lock_within(self.lock, ...)``); no method returns one of
+    them or a slice of one; and no code outside the class names one.
+    Callers go through the class's locked methods and get owned arrays
+    back."""
 
     name = "shared-state-without-lock"
     summary = (
-        "read/write of multiprocessing shared memory outside a "
-        "lock-held with block"
+        "multiprocessing shared memory allocated, touched or named outside "
+        "the lock-held methods of the class that holds it"
     )
     default_scope = ("repro",)
     example_bad = """\
-def _worker(shared, lock):
-    view = np.frombuffer(shared, dtype=np.float64)
-    bound = view[0]          # torn read: writer may be mid-store
+class Ring:
+    def __init__(self, ctx):
+        self.lock = ctx.Lock()
+        self._raw = ctx.Array("d", 8, lock=False)
+        self._rows = np.frombuffer(self._raw)
+
+    def rows(self):
+        with self.lock:
+            return self._rows[:4]  # a live view: its caller reads it unlocked
 """
     example_good = """\
-def _worker(shared, lock):
-    view = np.frombuffer(shared, dtype=np.float64)
-    with lock:
-        bound = view[0]      # lock serializes against the writer
+class Ring:
+    def __init__(self, ctx):
+        self.lock = ctx.Lock()
+        self._raw = ctx.Array("d", 8, lock=False)
+        self._rows = np.frombuffer(self._raw)
+
+    def bound(self, local):
+        with self.lock:            # read under the lock, an owned result
+            return min(local, self._rows[3])
 """
 
-    _MAX_ROUNDS = 20
-
     def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
-        """Flag unlocked accesses to interprocedurally tainted buffers.
-
-        Taint is seeded, propagated and reported over in-scope functions
-        only, so a test handing a shared view to a ``repro`` helper
-        cannot taint the helper.
-        """
-        scoped = {module.name for module in self.in_scope(index)}
-        functions = {
-            qualname: info
-            for qualname, info in sorted(index.functions.items())
-            if info.module.name in scoped
-        }
-        class_facts: Dict[str, _ClassFacts] = {}
-        facts_by_func: Dict[str, Optional[_ClassFacts]] = {}
-        taint: Dict[str, Dict[str, str]] = {}
-        for qualname, info in functions.items():
-            owner = class_qualname(info)
-            if owner is not None and owner not in class_facts:
-                class_facts[owner] = _class_facts(
-                    index.classes[owner], info.module.aliases
-                )
-            facts = class_facts.get(owner) if owner is not None else None
-            facts_by_func[qualname] = facts
-            scan = _scan_function(info.node, info.module.aliases, facts)
-            taint[qualname] = dict(scan.shared)
-        call_sites = self._propagate(index, functions, facts_by_func, taint)
-        yield from self._report(functions, facts_by_func, taint, call_sites)
-
-    def _propagate(
-        self,
-        index: ProjectIndex,
-        functions: Dict[str, FunctionInfo],
-        facts_by_func: Dict[str, Optional[_ClassFacts]],
-        taint: Dict[str, Dict[str, str]],
-    ) -> Dict[str, List[Tuple[str, int]]]:
-        """Push taint through call arguments and return values until a
-        fixpoint (bounded)."""
-        call_sites: Dict[str, List[Tuple[str, int]]] = {}
-        for _ in range(self._MAX_ROUNDS):
-            changed = False
-            call_sites = {}
-            for qualname, info in functions.items():
-                facts = facts_by_func[qualname]
-                self._rescan(info, facts, taint[qualname])
-                for call in own_nodes(info.node):
-                    if not isinstance(call, ast.Call):
-                        continue
-                    spawned = self._process_target(index, info, call)
-                    callee = (
-                        spawned
-                        if spawned is not None
-                        else _callee(index, info, call)
-                    )
-                    if callee is None or callee not in taint:
-                        continue
-                    call_sites.setdefault(callee, []).append(
-                        (qualname, call.lineno)
-                    )
-                    changed |= self._bind_args(
-                        index, call, callee, qualname, facts, taint,
-                        spawned is not None,
-                    )
-                changed |= self._bind_returns(
-                    index, info, functions, facts_by_func, taint
-                )
-            if not changed:
-                break
-        return call_sites
-
-    @staticmethod
-    def _bind_returns(
-        index: ProjectIndex,
-        info: FunctionInfo,
-        functions: Dict[str, FunctionInfo],
-        facts_by_func: Dict[str, Optional[_ClassFacts]],
-        taint: Dict[str, Dict[str, str]],
-    ) -> bool:
-        """Taint the names ``info`` assigns shared memory returned by a
-        project callee: ``a, b = f()`` by position, ``a = f()`` whole."""
-        caller_taint = taint[info.qualname]
-        changed = False
-        for node in own_nodes(info.node):
-            if not (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.value, ast.Call)
-            ):
-                continue
-            callee = _callee(index, info, node.value)
-            if callee is None or callee not in functions:
-                continue
-            facts, source = facts_by_func[callee], functions[callee]
-            views = _returned_views(
-                source.node, taint[callee],
-                facts.shared_attrs if facts is not None else {},
-            )
-            origin = ".".join(filter(None, (source.class_name, source.name)))
-            target = node.targets[0]
-            if isinstance(target, ast.Tuple):
-                bound: List[Tuple[ast.expr, Optional[int]]] = []
-                for position, element in enumerate(target.elts):
-                    if isinstance(element, ast.Starred):
-                        break  # later positions count from the end
-                    bound.append((element, position))
-            else:
-                bound = [(target, None)]
-            for element, position in bound:
-                if (
-                    isinstance(element, ast.Name)
-                    and position in views
-                    and element.id not in caller_taint
+        """Check every in-scope class that holds shared memory, every
+        allocation outside one, then every name of its attributes
+        outside it (``self.<attr>`` elsewhere is another class's own)."""
+        owners: Dict[str, Dict[int, str]] = {}
+        named: List[Tuple[ModuleInfo, ast.Attribute, Optional[int]]] = []
+        for module in self.in_scope(index):
+            ctx_names: Set[str] = set()
+            ctx_attrs: Set[str] = set()
+            calls: List[Tuple[ast.Call, Optional[int]]] = []
+            classes: Dict[int, ast.ClassDef] = {}
+            # One walk, each node with its innermost enclosing class.
+            stack: List[Tuple[ast.AST, Optional[int]]] = [(module.tree, None)]
+            while stack:
+                node, inside = stack.pop()
+                if isinstance(node, ast.ClassDef):
+                    inside = id(node)
+                    classes[inside] = node
+                elif isinstance(node, ast.Call):
+                    calls.append((node, inside))
+                elif isinstance(node, ast.Attribute):
+                    named.append((module, node, inside))
+                elif (
+                    isinstance(node, ast.Assign)
+                    and len(node.targets) == 1
+                    and isinstance(node.value, ast.Call)
+                    and _ctx_origin(node.value)
                 ):
-                    caller_taint[element.id] = (
-                        f"{views[position]} (returned by {origin})"
+                    target = node.targets[0]
+                    if isinstance(target, ast.Name):
+                        ctx_names.add(target.id)
+                    elif isinstance(target, ast.Attribute):
+                        ctx_attrs.add(target.attr)
+                stack.extend((child, inside) for child in ast.iter_child_nodes(node))
+            allocations: List[Tuple[ast.Call, str, Optional[int]]] = []
+            for call, inside in calls:
+                desc = _shared_origin(call, module.aliases, ctx_names, ctx_attrs)
+                if desc is not None:
+                    allocations.append((call, desc, inside))
+            sanctioned: Set[int] = set()
+            for owner in dict.fromkeys(inside for *_, inside in allocations):
+                if owner is None:
+                    continue
+                classdef = classes[owner]
+                shared = self._shared_attrs(
+                    module, classdef, ctx_names, ctx_attrs, sanctioned
+                )
+                for attr in shared:
+                    owners.setdefault(attr, {})[owner] = classdef.name
+                yield from self._check_class(module, classdef, shared, sanctioned)
+            for call, desc, _ in allocations:
+                if id(call) not in sanctioned:
+                    yield self.finding(
+                        module, call,
+                        f"{desc} allocated outside a class attribute; "
+                        f"allocate it into `self.<attr>` of one class and "
+                        f"touch it only in that class's lock-held methods",
                     )
-                    changed = True
-        return changed
-
-    @staticmethod
-    def _process_target(
-        index: ProjectIndex, info: FunctionInfo, call: ast.Call
-    ) -> Optional[str]:
-        """The worker entry point of a ``Process(target=...)`` call."""
-        dotted = dotted_name(call.func)
-        if dotted is None or _final(dotted) != "Process":
-            return None
-        target_kw = next(
-            (kw for kw in call.keywords if kw.arg == "target"), None
-        )
-        if target_kw is None:
-            return None
-        local = dotted_name(target_kw.value)
-        if local is None:
-            return None
-        absolute = index.resolve(info.module.name, local)
-        return absolute if absolute in index.functions else None
-
-    def _bind_args(
-        self,
-        index: ProjectIndex,
-        call: ast.Call,
-        callee: str,
-        caller: str,
-        facts: Optional[_ClassFacts],
-        taint: Dict[str, Dict[str, str]],
-        spawned: bool,
-    ) -> bool:
-        """Taint callee parameters bound to tainted caller arguments."""
-        callee_info = index.functions[callee]
-        params = [
-            arg.arg
-            for arg in callee_info.node.args.args  # type: ignore[attr-defined]
-        ]
-        if params and params[0] in ("self", "cls"):
-            params = params[1:]
-        shared_attrs = facts.shared_attrs if facts is not None else {}
-        caller_taint = taint[caller]
-        changed = False
-        bindings: List[Tuple[ast.AST, str, str]] = []
-        if spawned:
-            # Process(target=f, args=(...)) pickles the tuple into the
-            # worker: each element binds positionally to f's parameters.
-            args_kw = next(
-                (kw for kw in call.keywords if kw.arg == "args"), None
-            )
-            if args_kw is not None and isinstance(args_kw.value, ast.Tuple):
-                for position, elt in enumerate(args_kw.value.elts):
-                    if position < len(params):
-                        bindings.append(
-                            (elt, params[position],
-                             " (pickled to Process(target=...))")
-                        )
-        else:
-            for position, arg in enumerate(call.args):
-                if position < len(params):
-                    bindings.append((arg, params[position], ""))
-            for keyword in call.keywords:
-                if keyword.arg is not None and keyword.arg in params:
-                    bindings.append((keyword.value, keyword.arg, ""))
-        for expr, param, note in bindings:
-            desc = _shared_ref(expr, caller_taint, shared_attrs)
-            if desc is None:
+        emitted: Set[Tuple[str, int]] = set()
+        for where, name, inside in named:
+            holders = owners.get(name.attr)
+            if not holders or inside in holders or _self_attr(name) is not None:
                 continue
-            if param not in taint[callee]:
-                taint[callee][param] = f"{desc}{note}"
-                changed = True
-        return changed
-
-    def _rescan(
-        self,
-        info: FunctionInfo,
-        facts: Optional[_ClassFacts],
-        func_taint: Dict[str, str],
-    ) -> None:
-        """Re-run local propagation (frombuffer views, aliases) over the
-        function with its current taint as the seed."""
-        shared_attrs = facts.shared_attrs if facts is not None else {}
-        for node in own_nodes(info.node):
-            if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-                continue
-            target, value = node.targets[0], node.value
-            if not isinstance(target, ast.Name) or value is None:
-                continue
-            if isinstance(value, ast.Name) and value.id in func_taint:
-                func_taint.setdefault(target.id, func_taint[value.id])
-            elif isinstance(value, ast.Call):
-                buffer = _frombuffer_source(value, info.module.aliases)
-                if buffer is not None:
-                    desc = _shared_ref(buffer, func_taint, shared_attrs)
-                    if desc is not None:
-                        func_taint.setdefault(
-                            target.id, f"{desc} (via np.frombuffer)"
-                        )
-
-    def _report(
-        self,
-        functions: Dict[str, FunctionInfo],
-        facts_by_func: Dict[str, Optional[_ClassFacts]],
-        taint: Dict[str, Dict[str, str]],
-        call_sites: Dict[str, List[Tuple[str, int]]],
-    ) -> Iterator[Finding]:
-        """Emit findings for unlocked accesses to tainted buffers."""
-        locked_spans = {
-            qualname: _locked_spans(info.node)
-            for qualname, info in functions.items()
-        }
-        for qualname, info in functions.items():
-            func_taint = taint.get(qualname, {})
-            facts = facts_by_func.get(qualname)
-            shared_attrs = facts.shared_attrs if facts is not None else {}
-            if not func_taint and not shared_attrs:
-                continue
-            if self._lock_held_at_all_sites(
-                qualname, call_sites, locked_spans
-            ):
-                continue
-            spans = locked_spans[qualname]
-            emitted: Set[int] = set()
-            for node in own_nodes(info.node):
-                desc = self._access_desc(node, func_taint, shared_attrs)
-                if desc is None:
-                    continue
-                line = node.lineno
-                if _in_spans(line, spans) or line in emitted:
-                    continue
-                emitted.add(line)
+            if (where.name, name.lineno) not in emitted:
+                emitted.add((where.name, name.lineno))
+                classes_named = "/".join(sorted(set(holders.values())))
                 yield self.finding(
-                    info.module,
-                    node,
-                    f"unlocked access to {desc} in {qualname}; another "
-                    f"process can interleave mid-read/write — wrap the "
-                    f"access in `with <lock>:`, or declare the attribute "
-                    f"in {SINGLE_WRITER_ATTR} if only one process "
-                    f"ever writes it",
+                    where, name,
+                    f"'{dotted_name(name) or name.attr}' names the shared "
+                    f"memory of {classes_named} outside it; go through its "
+                    f"locked methods, which return owned arrays",
                 )
 
     @staticmethod
-    def _lock_held_at_all_sites(
-        qualname: str,
-        call_sites: Dict[str, List[Tuple[str, int]]],
-        locked_spans: Dict[str, List[Tuple[int, int]]],
-    ) -> bool:
-        """True when every project call of ``qualname`` holds a lock —
-        the callee inherits the caller's critical section."""
-        sites = call_sites.get(qualname, [])
-        if not sites:
-            return False
-        return all(
-            _in_spans(line, locked_spans.get(caller, []))
-            for caller, line in sites
-        )
+    def _shared_attrs(
+        module: ModuleInfo,
+        classdef: ast.ClassDef,
+        ctx_names: Set[str],
+        ctx_attrs: Set[str],
+        sanctioned: Set[int],
+    ) -> Dict[str, str]:
+        """The class's shared attributes and what they hold: ``self.X =
+        <shared allocation>`` and ``self.Y = np.frombuffer(self.X, ...)``
+        (reshaped or not).  Adds those allocations and view buffers to
+        ``sanctioned``."""
+        assigns: List[Tuple[str, ast.expr]] = []
+        for method in classdef.body:
+            if not isinstance(method, _FUNC_TYPES):
+                continue
+            for node in own_nodes(method):
+                if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                    attr = _self_attr(node.targets[0])
+                    if attr is not None:
+                        assigns.append((attr, node.value))
+        shared: Dict[str, str] = {}
+        for attr, value in assigns:
+            for call in ast.walk(value):
+                if not isinstance(call, ast.Call):
+                    continue
+                desc = _shared_origin(call, module.aliases, ctx_names, ctx_attrs)
+                if desc is not None:
+                    shared.setdefault(attr, desc)
+                    sanctioned.add(id(call))
+        for attr, value in assigns:  # views, once every buffer is known
+            buffer = _frombuffer_source(value, module.aliases)
+            source = _self_attr(buffer) if buffer is not None else None
+            if source is not None and source in shared:
+                shared.setdefault(attr, f"{shared[source]} (via np.frombuffer)")
+                sanctioned.add(id(buffer))
+        return shared
 
-    @staticmethod
-    def _access_desc(
-        node: ast.AST,
-        func_taint: Dict[str, str],
-        shared_attrs: Dict[str, str],
-    ) -> Optional[str]:
-        """Description when ``node`` is an element access on shared state."""
-        target: Optional[ast.AST] = None
-        if isinstance(node, ast.Subscript):
-            target = node.value
-        elif isinstance(node, ast.Attribute) and node.attr == "value":
-            target = node.value
-        if target is None:
-            return None
-        if isinstance(target, ast.Name) and target.id in func_taint:
-            return f"{func_taint[target.id]} ('{target.id}')"
-        attr = _self_attr(target)
-        if attr is not None and attr in shared_attrs:
-            return f"{shared_attrs[attr]} (self.{attr})"
-        return None
+    def _check_class(
+        self,
+        module: ModuleInfo,
+        classdef: ast.ClassDef,
+        shared: Dict[str, str],
+        sanctioned: Set[int],
+    ) -> Iterator[Finding]:
+        """Unlocked accesses to, and returns of, ``shared`` attributes."""
+        if not shared:
+            return
+        for func in ast.walk(classdef):
+            if not isinstance(func, _FUNC_TYPES):
+                continue
+            where = f"{classdef.name}.{func.name}"
+            spans = _locked_spans(func)
+            emitted: Set[int] = set()
+            for node in own_nodes(func):
+                if isinstance(node, ast.Return) and node.value is not None:
+                    value = node.value
+                    for element in (
+                        value.elts if isinstance(value, ast.Tuple) else [value]
+                    ):
+                        while isinstance(element, ast.Subscript):
+                            element = element.value
+                        attr = _self_attr(element)
+                        if attr is not None and attr in shared:
+                            yield self.finding(
+                                module, node,
+                                f"{where} returns {shared[attr]} "
+                                f"(self.{attr}): its caller reads it without "
+                                f"the lock; return a copy",
+                            )
+                            break
+                if not isinstance(node, ast.Attribute):
+                    continue
+                attr = _self_attr(node)
+                if (
+                    attr is not None
+                    and attr in shared
+                    and isinstance(node.ctx, ast.Load)
+                    and id(node) not in sanctioned
+                    and not _in_spans(node.lineno, spans)
+                    and node.lineno not in emitted
+                ):
+                    emitted.add(node.lineno)
+                    yield self.finding(
+                        module, node,
+                        f"unlocked access to {shared[attr]} (self.{attr}) in "
+                        f"{where}; another process can interleave "
+                        f"mid-read/write: hold `with self.lock:` around it",
+                    )
 
 
 #: The lifetime/process-safety rules, in reporting order.

@@ -51,7 +51,7 @@ import multiprocessing.forkserver
 import os
 import time
 import weakref
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -389,17 +389,15 @@ class _Device:
 
 
 def _scan(
-    source: _DiskPages,
-    queries: np.ndarray,
-    k: int,
-    view: np.ndarray,
-    lock: Any,
+    source: _DiskPages, queries: np.ndarray, k: int, ring: "_Ring"
 ) -> Tuple[_Candidates, np.ndarray, Tuple[int, int, float]]:
     """One post on one disk's worker: a page-major frontier scan.
 
-    Row ``j`` of ``view`` is query ``j``'s shared top-k, k wide (for a
-    k beyond the store's points it may be narrower: no list then fills,
-    nothing is published and the bound stays infinite).  Pages come in
+    Query ``j``'s shared top-k is row ``j`` of ``ring``, which the scan
+    reads and merges into only through the ring's locked methods
+    (:meth:`_Ring.bounds`, :meth:`_Ring.publish`).  For a k beyond the
+    ring's width (the store's points) no list fills, nothing is
+    published and the shared bound stays infinite.  Pages come in
     ascending minimum ``mindist`` over the queries (for one query,
     best-first order) in chunks, each against the bounds ``min(local
     k-th key, shared bound)`` read before it; a page no query owes
@@ -438,12 +436,11 @@ def _scan(
     owner = rank = np.empty(0, dtype=np.intp)
     found = np.empty((0, 2 + queries.shape[1]))
     gathered, start = 0, 0
-    wide = view.shape[1] == k
+    wide = k <= ring.capacity
     device = None if source.free else _Device(source, order, nearest, mindists)
     with np.errstate(invalid="ignore", over="ignore"):
         while True:
-            with lock:
-                bounds = np.minimum(kth, view[:, -1])
+            bounds = ring.bounds(kth, k)
             reach = bounds[0] if count == 1 else bounds.max()
             if device is not None:
                 pages = device.step(bounds, reach)
@@ -489,8 +486,7 @@ def _scan(
                     keys = found[:, 0]
                     new = keys[best >= old]
                     if len(new) and wide:
-                        with lock:
-                            view[0] = np.sort(np.concatenate((view[0], new)))[:k]
+                        ring.publish(0, new, k)
                     if len(keys) == k:
                         kth, short = keys[-1:], short[:0]
                 else:
@@ -507,9 +503,7 @@ def _scan(
                     if len(lists):
                         published = np.full((count, k), np.inf)
                         published[owner[new], rank[new]] = keys[new]
-                        with lock:
-                            merged = np.concatenate((view[lists], published[lists]), 1)
-                            view[lists] = np.sort(merged)[:, :k]
+                        ring.publish(lists, published[lists], k)
                     counts = np.bincount(owner, minlength=count)
                     kth = np.where(
                         counts == k, keys[np.cumsum(counts) - 1], np.inf
@@ -517,8 +511,7 @@ def _scan(
                     short = np.flatnonzero(kth == np.inf)
             if cut:
                 break
-    with lock:
-        bounds = np.minimum(kth, view[:, -1])
+    bounds = ring.bounds(kth, k)
     if count == 1:
         owner, rank = np.zeros(len(found), dtype=np.intp), np.arange(len(found))
     owed = mindists <= bounds[:, None]
@@ -535,17 +528,19 @@ class _Ring:
     :data:`_LIVENESS_SLICE_S` for it) and the semaphores (``go[disk]``
     wakes a worker, ``done`` takes a deposit).  ``ctx`` allocates them:
     a ``multiprocessing`` context, or anything with its ``Array``,
-    ``Lock`` and ``Semaphore``.  A worker's (unpickled) copy rebuilds the
-    float64 views:
+    ``Lock`` and ``Semaphore``.  The shared memory never leaves the
+    class: every method copies what it returns.  A worker's (unpickled)
+    copy rebuilds the private float64 views:
 
-    * ``header`` ``[serial, k, queries]`` and ``queries`` ``(_MAX_BATCH,
-      d)``: the board of the current post (``k == 0`` stops a worker);
-    * ``bounds`` ``(_MAX_BATCH, capacity)``: per query its shared top-k;
-    * per (query, disk) cell: ``arena`` ``(capacity, 2 + d)`` candidate
+    * ``_head`` ``[serial, k, queries]`` and ``_queries``
+      ``(_MAX_BATCH, d)``: the board of the current post (``k == 0``
+      stops a worker);
+    * ``_bounds`` ``(_MAX_BATCH, capacity)``: per query its shared top-k;
+    * per (query, disk) cell: ``_arena`` ``(capacity, 2 + d)`` candidate
       rows (key, oid bits, point; a NaN key is an empty row) and
-      ``ledgers`` ``(pages,)``: the query's ledger, one ``mindist`` per
+      ``_ledgers`` ``(pages,)``: the query's ledger, one ``mindist`` per
       page of the disk (NaN: not owed; 0 past the disk's pages);
-    * per disk: ``tallies`` ``[serial echo, ledger blocks, pages
+    * per disk: ``_tallies`` ``[serial echo, ledger blocks, pages
       gathered, device ms, ms slept]`` of the post.
 
     ``weights`` ``(disks, pages, 2)``, every page's blocks and entries,
@@ -553,17 +548,20 @@ class _Ring:
     """
 
     #: What a worker's copy rebuilds (the views) or does without.
-    _LOCAL = ("header", "queries", "bounds", "arena", "tallies", "ledgers", "weights")
+    _LOCAL = (
+        "_head", "_queries", "_bounds", "_arena", "_tallies", "_ledgers",
+        "weights",
+    )
 
     def __init__(self, ctx: Any, store: Any, capacity: int):
         disks, d = store.num_disks, store.dimension
         cells, pages = _MAX_BATCH * disks, int(store.disk_loads().max())
         self.capacity, self._shape = capacity, (disks, d, pages)
-        self._board = ctx.Array("d", _SLOT_HEADER + _MAX_BATCH * d, lock=False)
-        self._bounds = ctx.Array("d", _MAX_BATCH * capacity, lock=False)
-        self._arena = ctx.Array("d", cells * capacity * (2 + d), lock=False)
-        self._tallies = ctx.Array("d", disks * _TALLY, lock=False)
-        self._ledgers = ctx.Array("d", cells * pages, lock=False)
+        self._raw_board = ctx.Array("d", _SLOT_HEADER + _MAX_BATCH * d, lock=False)
+        self._raw_bounds = ctx.Array("d", _MAX_BATCH * capacity, lock=False)
+        self._raw_arena = ctx.Array("d", cells * capacity * (2 + d), lock=False)
+        self._raw_tallies = ctx.Array("d", disks * _TALLY, lock=False)
+        self._raw_ledgers = ctx.Array("d", cells * pages, lock=False)
         self.lock, self.done = ctx.Lock(), ctx.Semaphore(0)
         self.go = [ctx.Semaphore(0) for _ in range(disks)]
         self.weights = np.zeros((disks, pages, 2))
@@ -575,14 +573,14 @@ class _Ring:
     def _view(self) -> None:
         (disks, d, pages), wide = self._shape, self.capacity
         cells = (_MAX_BATCH, disks)
-        self.header = np.frombuffer(self._board, count=_SLOT_HEADER)
-        self.queries = np.frombuffer(
-            self._board, offset=8 * _SLOT_HEADER
+        self._head = np.frombuffer(self._raw_board, count=_SLOT_HEADER)
+        self._queries = np.frombuffer(
+            self._raw_board, offset=8 * _SLOT_HEADER
         ).reshape(_MAX_BATCH, d)
-        self.bounds = np.frombuffer(self._bounds).reshape(_MAX_BATCH, wide)
-        self.arena = np.frombuffer(self._arena).reshape(*cells, wide, 2 + d)
-        self.tallies = np.frombuffer(self._tallies).reshape(disks, _TALLY)
-        self.ledgers = np.frombuffer(self._ledgers).reshape(*cells, pages)
+        self._bounds = np.frombuffer(self._raw_bounds).reshape(_MAX_BATCH, wide)
+        self._arena = np.frombuffer(self._raw_arena).reshape(*cells, wide, 2 + d)
+        self._tallies = np.frombuffer(self._raw_tallies).reshape(disks, _TALLY)
+        self._ledgers = np.frombuffer(self._raw_ledgers).reshape(*cells, pages)
 
     def __getstate__(self) -> Dict[str, Any]:
         return {k: v for k, v in vars(self).items() if k not in self._LOCAL}
@@ -597,21 +595,34 @@ class _Ring:
         posting nothing, when the lock stays taken."""
         with _lock_within(self.lock, _LIVENESS_SLICE_S) as held:
             if held:
-                self.bounds[: len(queries)] = np.inf
-                self.header[:] = serial, k, len(queries)
-                self.queries[: len(queries)] = queries
+                self._bounds[: len(queries)] = np.inf
+                self._head[:] = serial, k, len(queries)
+                self._queries[: len(queries)] = queries
         if held:
             for go in self.go:
                 go.release()
         return held
 
-    def read(self) -> Tuple[int, int, np.ndarray, np.ndarray]:
-        """A worker's view of the post: serial, k, a copy of the queries
-        and their bound rows (at most k wide)."""
+    def read(self) -> Tuple[int, int, np.ndarray]:
+        """A worker's copy of the post: serial, k and the queries."""
         with self.lock:
-            serial, k, count = (int(x) for x in self.header)
-            queries = self.queries[:count].copy()
-            return serial, k, queries, self.bounds[:count, :k]
+            serial, k, count = (int(x) for x in self._head)
+            return serial, k, self._queries[:count].copy()
+
+    def bounds(self, kth: np.ndarray, k: int) -> np.ndarray:
+        """The bounds of the post's first ``len(kth)`` queries: ``min(kth,
+        each shared row's k-th key)`` (a row narrower than k: its last,
+        +inf), an owned array."""
+        with self.lock:
+            return np.minimum(kth, self._bounds[: len(kth), min(k, self.capacity) - 1])
+
+    def publish(self, lists: Union[int, np.ndarray], keys: np.ndarray, k: int) -> None:
+        """Merge ``keys`` into the shared rows ``lists`` (a row index and
+        its keys, or an index array and one row of keys each), keeping
+        each row's k smallest; only for ``k <= capacity``."""
+        with self.lock:
+            merged = np.concatenate((self._bounds[lists, :k], keys), -1)
+            self._bounds[lists, :k] = np.sort(merged)[..., :k]
 
     def deposit(
         self, disk: int, serial: int, found: _Candidates,
@@ -621,10 +632,10 @@ class _Ring:
         with self.lock:
             rows, owner, rank = found
             count, pages = ledger.shape
-            self.arena[:count, disk, :, 0] = np.nan
-            self.arena[owner, disk, rank] = rows
-            self.ledgers[:count, disk, :pages] = ledger
-            self.tallies[disk] = serial, *tally
+            self._arena[:count, disk, :, 0] = np.nan
+            self._arena[owner, disk, rank] = rows
+            self._ledgers[:count, disk, :pages] = ledger
+            self._tallies[disk] = serial, *tally
 
     def reduce(
         self, serial: int, count: int, k: int
@@ -638,14 +649,14 @@ class _Ring:
         with _lock_within(self.lock, _LIVENESS_SLICE_S) as held:
             if not held:
                 raise RuntimeError(_STUCK_LOCK)
-            tallies = self.tallies.tolist()
+            tallies = self._tallies.tolist()
             for disk, (echo, *_) in enumerate(tallies):
                 if echo != serial:
                     raise RuntimeError(
                         f"ring out of step: disk {disk} answered post "
                         f"{int(echo)} in place of post {serial}"
                     )
-            cells = self.arena[:count, :, : min(k, self.capacity)]
+            cells = self._arena[:count, :, : min(k, self.capacity)]
             cells = cells.reshape(count, -1, cells.shape[-1])
             oids = cells[..., 1].view(np.int64)
             best = np.lexsort((oids, cells[..., 0]))[:, :k]
@@ -654,7 +665,7 @@ class _Ring:
             kth = top[:, k - 1, 0] if top.shape[1] == k else np.full(count, np.nan)
             bound = np.fmin(kth, np.inf)
             counts, computations = _charge(
-                self.ledgers[:count], self.weights, bound
+                self._ledgers[:count], self.weights, bound
             )
         return (top, counts, computations), tallies
 
@@ -694,11 +705,11 @@ def _worker_main(
             while not ring.go[disk].acquire(timeout=_LIVENESS_SLICE_S):
                 if parent is not None and not parent.is_alive():
                     return
-            serial, k, queries, view = ring.read()
+            serial, k, queries = ring.read()
             if k == 0:
                 return
             asleep = store.slept_ms
-            found, ledger, tally = _scan(source, queries, k, view, ring.lock)
+            found, ledger, tally = _scan(source, queries, k, ring)
             tally += (store.slept_ms - asleep,)
             ring.deposit(disk, serial, found, ledger, tally)
             ring.done.release()

@@ -4,9 +4,9 @@
 Every rule gets bad fixtures (must fire) and good fixtures (must stay
 silent), written into tmp trees mirroring the real ``src/repro`` layout
 so the default scopes apply.  The acceptance meta-tests inject the
-headline bugs — a leaked ``PageFile``, an unlocked shared-memory write
-in spawned-worker code, the live worker's ring deposit outside its bank
-lock — and prove the CLI run fails.
+headline bugs — a leaked ``PageFile``, shared memory allocated and
+written in spawned-worker code, the live ring's deposit and bound read
+outside its lock — and prove the CLI run fails.
 """
 
 from __future__ import annotations
@@ -201,26 +201,11 @@ class TestResourceLeak:
 
 
 class TestSharedStateWithoutLock:
-    BAD_SPAWNED = """\
-        import multiprocessing as mp
+    """The structural rule: shared memory lives in ``self`` attributes of
+    one class, which touches it only under a lock, never returns it, and
+    is the only code that names it."""
 
-        import numpy as np
-
-
-        def _worker(shared, lock):
-            view = np.frombuffer(shared, dtype=np.float64)
-            view[0] = 1.0
-
-
-        def launch():
-            ctx = mp.get_context("spawn")
-            shared = ctx.Array("d", 8, lock=False)
-            lock = ctx.Lock()
-            proc = ctx.Process(target=_worker, args=(shared, lock))
-            proc.start()
-            return proc
-    """
-    GOOD_LOCKED = """\
+    BAD_MODULE_ALLOCATION = """\
         import multiprocessing as mp
 
         import numpy as np
@@ -240,19 +225,19 @@ class TestSharedStateWithoutLock:
             proc.start()
             return proc
     """
-    GOOD_SINGLE_WRITER = """\
+    GOOD_LOCKED = """\
         import multiprocessing as mp
 
 
         class Engine:
-            _SINGLE_WRITER = frozenset({"_shared"})
-
             def __init__(self):
                 ctx = mp.get_context("spawn")
-                self._shared = ctx.Array("d", 8, lock=False)
+                self.lock = ctx.Lock()
+                self._shared = ctx.Array("d", 8)
 
             def bump(self):
-                self._shared[0] = 1.0
+                with self.lock:
+                    self._shared[0] = 1.0
     """
     BAD_SELF_ATTR = """\
         import multiprocessing as mp
@@ -289,7 +274,8 @@ class TestSharedStateWithoutLock:
     def test_ring_object_views(self, tmp_path, locked):
         """A ``lock=False`` array from a context handed in as an
         argument is shared memory, and so is a ``self`` attribute
-        holding a reshaped ``np.frombuffer`` view of it."""
+        holding a reshaped ``np.frombuffer`` view of it: an access to
+        the view outside the lock fires in the method."""
         source = self.RING
         if not locked:
             source = source.replace("with self.lock", "if self.lock")
@@ -301,80 +287,88 @@ class TestSharedStateWithoutLock:
             assert findings == []
         else:
             assert rules_of(findings) == ["shared-state-without-lock"]
-            assert "(self.rows)" in findings[0].message
+            assert "(self.rows) in Ring.put" in findings[0].message
 
-    RING_READ = """\
-        import numpy as np
-
-
-        class Ring:
-            def __init__(self, ctx, size):
-                self.lock = ctx.Lock()
-                self._raw = ctx.Array("d", 2 * size, lock=False)
-                self.rows = np.frombuffer(self._raw).reshape(2, -1)
-
-            def read(self):
-                with self.lock:
-                    return 2, self.rows[:1].copy(), self.rows[1:]
-
-
-        def scan(owned, view, lock):
-            first = owned[0, 0]
-            with lock:
-                bound = view[0, -1]
-            return first, bound
-
-
-        def work(ring: Ring):
-            count, owned, view = ring.read()
-            return count, scan(owned, view, ring.lock)
-    """
-
-    @pytest.mark.parametrize("locked", [True, False])
-    def test_a_returned_view_is_followed_into_a_callee(
-        self, tmp_path, locked
+    @pytest.mark.parametrize(
+        "returned, fires",
+        [
+            ("self.rows", True),
+            ("self.rows[1:]", True),
+            ("2, self.rows[:1]", True),
+            ("self._raw", True),
+            ("self.rows[1:].copy()", False),
+            ("float(self.rows[0, -1])", False),
+        ],
+    )
+    def test_a_method_returning_a_view_fires(
+        self, tmp_path, returned, fires
     ):
-        """A returned tuple's view element taints the name it unpacks to
-        (the call resolves through the parameter's annotation) and the
-        callee parameter it is handed to; the owned ``.copy()`` beside
-        it stays clean."""
-        source = self.RING_READ
-        if not locked:
-            source = source.replace("with lock", "if lock")
+        """A method that returns a shared attribute, or a slice of one,
+        alone or in a tuple, fires even under the lock: its caller would
+        read the memory unlocked.  An owned copy or value is clean."""
+        source = self.RING + (
+            "\n"
+            "            def read(self):\n"
+            "                with self.lock:\n"
+            f"                    return {returned}\n"
+        )
         findings = lint_rule(
             tmp_path, "src/repro/parallel/fixture.py", source,
             "shared-state-without-lock",
         )
-        if locked:
-            assert findings == []
-        else:
+        if fires:
             assert rules_of(findings) == ["shared-state-without-lock"]
-            message = findings[0].message
-            assert "returned by Ring.read" in message
-            assert "('view')" in message and "fixture.scan" in message
+            assert "Ring.read returns" in findings[0].message
+        else:
+            assert findings == []
 
-    def test_fires_through_process_target(self, tmp_path):
-        """Taint flows from the parent's ctx.Array through the
-        Process(target=..., args=...) binding into the worker."""
+    OUTSIDE = """\
+
+
+        def peek(ring):
+            with ring.lock:
+                return ring.rows[0, 0]
+
+
+        class Table:
+            def __init__(self):
+                self.rows = []
+
+            def first(self):
+                return self.rows[0]
+    """
+
+    def test_a_function_naming_a_view_fires(self, tmp_path):
+        """Code outside the class that names one of its shared
+        attributes fires, lock or no lock; another class's own
+        ``self.rows`` is its own attribute and stays clean."""
         findings = lint_rule(
-            tmp_path, "src/repro/parallel/fixture.py", self.BAD_SPAWNED,
-            "shared-state-without-lock",
+            tmp_path, "src/repro/parallel/fixture.py",
+            self.RING + self.OUTSIDE, "shared-state-without-lock",
         )
         assert rules_of(findings) == ["shared-state-without-lock"]
-        message = findings[0].message
-        assert "_worker" in message
-        assert "lock" in message.lower()
+        assert "'ring.rows' names the shared memory of Ring" in (
+            findings[0].message
+        )
+
+    def test_a_module_level_allocation_fires(self, tmp_path):
+        """Shared memory allocated in a module-level function fires at
+        the allocation, however its users lock: only a class can keep
+        every access in view."""
+        findings = lint_rule(
+            tmp_path, "src/repro/parallel/fixture.py",
+            self.BAD_MODULE_ALLOCATION, "shared-state-without-lock",
+        )
+        assert rules_of(findings) == ["shared-state-without-lock"]
+        assert "allocated outside a class attribute" in findings[0].message
+        assert findings[0].line == 14
 
     def test_with_lock_is_silent(self, tmp_path):
+        """A class that allocates a (locked) ``Array`` from a context and
+        writes it under its lock is clean."""
         assert lint_rule(
             tmp_path, "src/repro/parallel/fixture.py", self.GOOD_LOCKED,
             "shared-state-without-lock",
-        ) == []
-
-    def test_single_writer_annotation_sanctions(self, tmp_path):
-        assert lint_rule(
-            tmp_path, "src/repro/parallel/fixture.py",
-            self.GOOD_SINGLE_WRITER, "shared-state-without-lock",
         ) == []
 
     def test_unlocked_self_attr_fires(self, tmp_path):
@@ -384,30 +378,21 @@ class TestSharedStateWithoutLock:
         )
         assert rules_of(findings) == ["shared-state-without-lock"]
 
-    def test_tests_caller_does_not_taint_repro_helper(self, tmp_path):
-        """Taint is seeded and propagated over in-scope modules only: a
-        ``tests/`` module handing an unlocked ``np.frombuffer`` view of a
-        shared Array to a ``repro`` helper does not make it report."""
-        write_snippet(
-            tmp_path, "src/repro/parallel/helpers.py", """\
-            def peek(view):
-                return view[0]
-            """,
-        )
+    def test_modules_outside_repro_are_not_checked(self, tmp_path):
+        """A ``tests/`` module may allocate shared memory and read a
+        ring's views: the rule's scope is ``repro``."""
+        write_snippet(tmp_path, "src/repro/parallel/fixture.py", self.RING)
         assert lint_rule(
             tmp_path, "tests/test_fixture.py", """\
             import multiprocessing as mp
 
-            import numpy as np
-
-            from repro.parallel.helpers import peek
+            from repro.parallel.fixture import Ring
 
 
             def test_peek():
-                ctx = mp.get_context("spawn")
-                shared = ctx.Array("d", 8, lock=False)
-                view = np.frombuffer(shared, dtype=np.float64)
-                assert peek(view) == 0.0
+                ring = Ring(mp.get_context("spawn"), 4)
+                shared = mp.Array("d", 8, lock=False)
+                assert ring.rows[0, 0] == shared[0] == 0.0
             """,
             "shared-state-without-lock",
         ) == []
@@ -626,31 +611,30 @@ class TestAcceptanceMetaTests:
         assert main([str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert out.count("shared-state-without-lock") == 4
-        assert out.count("(self.arena)") == 2
-        for shared in ("(self.ledgers)", "(self.tallies)"):
+        assert out.count("(self._arena)") == 2
+        for shared in ("(self._ledgers)", "(self._tallies)"):
             assert shared in out
-
 
     def test_scan_bound_read_outside_lock_fails_the_run(
         self, tmp_path, capsys
     ):
-        """The bound rows a worker's scan reads come from the ring's
-        ``read``: the live ``_scan`` with its first bound read moved out
-        of its lock is caught."""
+        """A worker's scan reads the shared bound rows only through the
+        ring's ``bounds``: the live method with its read moved out of the
+        lock is caught."""
         source = (REPO_SRC / "parallel" / "process.py").read_text()
         locked = (
-            "            with lock:\n"
-            "                bounds = np.minimum(kth, view[:, -1])\n"
+            "        with self.lock:\n"
+            "            return np.minimum(kth, self._bounds["
         )
         assert source.count(locked) == 1
         write_snippet(
             tmp_path, "src/repro/parallel/process.py",
-            source.replace(locked, locked.replace("with lock", "if lock")),
+            source.replace(locked, locked.replace("with self", "if self")),
         )
         assert main([str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert out.count("shared-state-without-lock") == 1
-        assert "('view') in repro.parallel.process._scan" in out
+        assert "(self._bounds) in _Ring.bounds" in out
 
 
 def test_live_tree_is_clean_under_lifetime_rules():

@@ -15,6 +15,7 @@ parity tests share one module-scoped store and engine.
 """
 
 import collections
+import ctypes
 import math
 import multiprocessing
 import os
@@ -251,7 +252,24 @@ class TestParity:
                 for n in want.neighbors
             ]
             for neighbor in result.neighbors:
-                assert not np.shares_memory(neighbor.point, engine._ring.arena)
+                assert not np.shares_memory(neighbor.point, engine._ring._arena)
+
+    def test_a_ring_read_shares_no_memory_with_the_ring(self, engine):
+        """What a worker reads of a post — serial, k and the queries — is
+        its own: none of it is a view of any of the ring's buffers."""
+        engine.query_batch(np.random.default_rng(59).random((3, 6)), 4)
+        ring = engine._ring
+        buffers = [
+            np.frombuffer(value) if isinstance(value, ctypes.Array) else value
+            for value in vars(ring).values()
+            if isinstance(value, (ctypes.Array, np.ndarray))
+        ]
+        assert len(buffers) == 12  # five shared arrays, six views, weights
+        read = ring.read()
+        assert read[:2] == (engine._posted, 4)
+        for value in read:
+            for buffer in buffers:
+                assert not np.shares_memory(value, buffer)
 
     def test_workers_run_blas_on_one_thread(self, mmap_store, monkeypatch):
         """Every worker is spawned with ``OPENBLAS_NUM_THREADS=1``, so
@@ -548,12 +566,11 @@ class TestServiceTimeCharging:
                 asleep = len(slept)
                 source = _DiskPages(counting, disk)
                 assert len(slept) == asleep and counting.fetched == []
-                posts = [queries] if serial else [[query] for query in queries]
+                posts = [queries] if serial else [q[None] for q in queries]
                 for post in posts:
                     before = len(counting.fetched)
                     _, _, (_, gathered, device) = _scan(
-                        source, np.array(post), 8,
-                        np.full((len(post), 8), np.inf), threading.Lock(),
+                        source, post, 8, _posted_ring(store, post, 8)
                     )
                     pages = counting.fetched[before:]
                     assert gathered == len(pages) == len(set(pages))
@@ -605,10 +622,7 @@ class TestChunkSchedule:
                 assert pages > _MAX_CHUNK_PAGES
                 for post in posts:
                     before = len(counting.sizes)
-                    _scan(
-                        source, post, 40, np.full((len(post), 40), np.inf),
-                        threading.Lock(),
-                    )
+                    _scan(source, post, 40, _posted_ring(store, post, 40))
                     scans.append((len(post), pages, counting.sizes[before:]))
         return scans
 
@@ -709,9 +723,10 @@ class TestDeviceClock:
     service has ended."""
 
     @staticmethod
-    def _run(directory, monkeypatch, queries, k, cpu=0.0, disk=0, view=None):
+    def _run(directory, monkeypatch, queries, k, cpu=0.0, disk=0, rows=None):
         """``_scan`` of ``queries`` on ``disk`` of a store paced on a
-        :class:`_FakeClock`: ``(store facade, tally, fake, start)``."""
+        :class:`_FakeClock`, the shared rows fresh or ``rows``: ``(store
+        facade, tally, fake, start)``."""
         fake = _FakeClock(cpu)
         monkeypatch.setattr("repro.storage.mmap_store.time.sleep", fake.sleep)
         with MmapStore(
@@ -719,10 +734,11 @@ class TestDeviceClock:
         ) as store:
             timed = _TimedStore(store, fake)
             source = _DiskPages(timed, disk)
-            if view is None:
-                view = np.full((len(queries), k), np.inf)
+            ring = _posted_ring(store, queries, k)
+            if rows is not None:
+                ring.publish(np.arange(len(queries)), rows, k)
             start = fake.now
-            _, _, tally = _scan(source, queries, k, view, threading.Lock())
+            _, _, tally = _scan(source, queries, k, ring)
         return timed, tally, fake, start
 
     @pytest.mark.parametrize("cpu", [0.0, 0.75 * _BLOCK_S, 5 * _BLOCK_S])
@@ -817,15 +833,15 @@ class TestDeviceClock:
                     mindists = Euclidean().mindist_many(lows, highs, query)
                     within |= set(np.flatnonzero(mindists <= bound).tolist())
                 assert within
-                for view in (None, rows.copy()):
+                for shared in (None, rows):
                     timed, _, _, _ = self._run(
                         paced_dir, monkeypatch, queries, k, disk=disk,
-                        view=view,
+                        rows=shared,
                     )
                     served = [p for _, pages in timed.gathers for p in pages]
                     assert len(served) == len(set(served))
                     assert within <= set(served)
-                    if view is not None:
+                    if shared is not None:
                         assert set(served) == within
 
     def test_the_device_serves_supernodes_for_their_blocks(
@@ -1165,13 +1181,13 @@ class _ThreadWorker:
             return None
         assert self.ring.done.acquire(timeout=30.0)
         with self.ring.lock:
-            echo, *tally = self.ring.tallies[self.disk].tolist()
+            echo, *tally = self.ring._tallies[self.disk].tolist()
             assert echo == self.posts
-            keys = self.ring.arena[: len(queries), self.disk, :, 0]
+            keys = self.ring._arena[: len(queries), self.disk, :, 0]
             return (~np.isnan(keys)).sum(1).tolist(), tally
 
     def stop(self):
-        self.ask(np.zeros((0, self.ring.queries.shape[1])), 0)
+        self.ask(np.zeros((0, self.ring._queries.shape[1])), 0)
         self.thread.join(timeout=30.0)
         assert not self.thread.is_alive()
 
@@ -1185,6 +1201,15 @@ class _ThreadCtx:
     @staticmethod
     def Array(typecode, size, lock):
         return np.zeros(size)
+
+
+def _posted_ring(store, queries, k):
+    """A :class:`_Ring` of numpy buffers over ``store`` as wide as a
+    worker's (k, at most the store's points), ``queries`` posted: their
+    shared rows fresh, for a direct ``_scan``."""
+    ring = _Ring(_ThreadCtx, store, max(1, min(k, len(store))))
+    assert ring.post(1, queries, k)
+    return ring
 
 
 class TestTreeFree:
@@ -1644,12 +1669,11 @@ def _scan_post(store, queries, k, sources=None):
     computations))``, ``scans`` each disk's ``_scan`` result."""
     if sources is None:
         sources = [_DiskPages(store, disk) for disk in range(store.num_disks)]
-    ring = _Ring(_ThreadCtx, store, max(1, min(k, len(store))))
-    assert ring.post(1, queries, k)
+    ring = _posted_ring(store, queries, k)
     scans = []
     for disk, source in enumerate(sources):
-        _, _, mine, view = ring.read()
-        scans.append(_scan(source, mine, k, view, ring.lock))
+        _, _, mine = ring.read()
+        scans.append(_scan(source, mine, k, ring))
         found, ledger, tally = scans[-1]
         ring.deposit(disk, 1, found, ledger, tally + (0.0,))
     return ring, scans, ring.reduce(1, len(queries), k)[0]
@@ -1755,7 +1779,7 @@ class TestLedgerOracle:
                         # Every disk shares each key it keeps, so after
                         # the last disk the shared row's k-th key is B*
                         # (a row narrower than k takes none: +inf).
-                        assert ring.bounds[row, -1] == bound
+                        assert ring._bounds[row, -1] == bound
                         swept, swept_computations = _sweep_counts(
                             store, query, bound
                         )
@@ -1779,7 +1803,7 @@ class TestLedgerOracle:
                         ties = {inside.min(), inside.max()} if len(inside) else ()
                         for tie in ties:
                             tied, tied_computations = _charge(
-                                ring.ledgers[row : row + 1], ring.weights,
+                                ring._ledgers[row : row + 1], ring.weights,
                                 np.array([tie]),
                             )
                             assert tied.sum() > 0
@@ -1798,7 +1822,7 @@ class TestLedgerOracle:
         queries = np.random.default_rng(4).random((16, 6))
         for post in (queries, *(query[None] for query in queries)):
             ring, _, (top, _, _) = _scan_post(mmap_store, post, k)
-            assert (ring.bounds[: len(post), -1] == top[:, k - 1, 0]).all()
+            assert (ring._bounds[: len(post), -1] == top[:, k - 1, 0]).all()
 
     def test_single_leaf_root(self, tmp_path):
         store = PagedStore(

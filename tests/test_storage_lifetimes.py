@@ -18,7 +18,6 @@ import gc
 import json
 import mmap as mmap_module
 import os
-import threading
 
 import numpy as np
 import pytest
@@ -223,6 +222,9 @@ class TestExceptionPathLifetimes:
         return copies: ``MmapStore.close()`` unmaps with them alive, leaks
         nothing, and the candidates (and chunks) they returned stay
         valid."""
+        # Imported here: that module imports this one.
+        from tests.test_process_engine import _posted_ring
+
         paged = PagedStore(
             points=rng.random((300, 6)),
             declusterer=NearOptimalDeclusterer(6, 4),
@@ -243,8 +245,7 @@ class TestExceptionPathLifetimes:
                 nearby = np.stack([query, query + 0.1, query - 0.1])
                 for post in (query[None], nearby, query[None]):
                     found, _, _ = _scan(
-                        source, post, 5, np.full((len(post), 5), np.inf),
-                        threading.Lock(),
+                        source, post, 5, _posted_ring(store, post, 5)
                     )
                     kept.append((disk, found, [a.copy() for a in found]))
                 pages = np.arange(len(table[2]))
