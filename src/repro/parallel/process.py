@@ -35,9 +35,19 @@ workers on a wider ring.  Workers are forked from ``multiprocessing``'s
 fork server, which imports numpy and this engine once per coordinator
 (:data:`_PRELOAD`): the first start pays that import, a later start or
 a respawn a fork (four workers on two vCPUs: a respawn takes ~50 ms,
-against ~0.7 s spawned).  The engine is cacheless: the OS page cache
-plays the buffer pool's role.  Boundary ties (two points at exactly
-``B*``) are outside the contract.
+against ~0.7 s spawned).  A worker starts from its own disk: the
+coordinator hands it the store's
+:class:`~repro.storage.mmap_store.MmapDisk` (that disk's directory rows
+and page-file path), so it maps one page file and never reads
+``tree.npz``; and it does not re-run the coordinator's script
+(:func:`_main_hidden`), so a script without a ``__main__`` guard, or
+one read from standard input, runs the engine too.  (The fork server
+itself never imports ``__main__``: ``ForkServer.ensure_running`` looks
+for a ``main_path`` key that the preparation data, whose key is
+``init_main_from_path``, never has, so ``"__main__"`` in the preload
+list does nothing.)  The engine is cacheless: the OS page cache plays
+the buffer pool's role.  Boundary ties (two points at exactly ``B*``)
+are outside the contract.
 """
 
 from __future__ import annotations
@@ -49,9 +59,12 @@ import math
 import multiprocessing
 import multiprocessing.forkserver
 import os
+import sys
 import time
 import weakref
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -61,6 +74,9 @@ from repro.obs.context import current_tracer
 from repro.obs.tracer import Tracer
 from repro.parallel.disks import DiskParameters
 from repro.parallel.engine import BatchQueryResult, ParallelQueryResult
+
+if TYPE_CHECKING:  # the store imports this package
+    from repro.storage.mmap_store import MmapDisk
 
 __all__ = ["ProcessParallelEngine"]
 
@@ -73,8 +89,14 @@ _EUCLIDEAN = Euclidean()
 _START_METHOD = "forkserver"
 
 #: What the fork server imports before its first fork, so that a worker
-#: starts without importing numpy or this package.
-_PRELOAD = ["numpy", "repro.parallel.process", "repro.storage.mmap_store"]
+#: starts without importing numpy or this package, or the
+#: ``multiprocessing`` modules that unpickling the ring imports (5-10 ms
+#: of a worker's start on two vCPUs when each worker imports them).
+_PRELOAD = [
+    "numpy", "repro.parallel.process", "repro.storage.mmap_store",
+    "multiprocessing.synchronize", "multiprocessing.sharedctypes",
+    "multiprocessing.popen_forkserver",
+]
 
 #: The directory that holds the ``repro`` package: put on the fork
 #: server's ``PYTHONPATH``, since the server neither takes the
@@ -183,6 +205,26 @@ def _server_environment() -> Iterator[None]:
                 os.environ[name] = value
 
 
+@contextlib.contextmanager
+def _main_hidden() -> Iterator[None]:
+    """Workers started inside the block do not re-run the coordinator's
+    ``__main__``: while it lasts ``__main__`` has no ``__file__`` and a
+    ``None`` ``__spec__``, so the preparation data that
+    ``Process.start()`` pickles names no main module, and
+    ``multiprocessing``'s bootstrap in the worker (``spawn.prepare``)
+    runs none.  Neither :func:`_worker_main` nor its arguments reference
+    ``__main__``."""
+    main = vars(sys.modules["__main__"])
+    names = ("__file__", "__spec__")
+    saved = {name: main.pop(name) for name in names if name in main}
+    main["__spec__"] = None
+    try:
+        yield
+    finally:
+        del main["__spec__"]
+        main.update(saved)
+
+
 def _stop_fork_server() -> None:
     """Stop every running engine's workers, then the fork server, and
     reap it, which folds the workers' usage into ``RUSAGE_CHILDREN``;
@@ -205,29 +247,30 @@ atexit.register(_stop_fork_server)
 class _DiskPages:
     """One disk's data pages: the page source of a worker.
 
-    ``table`` is the disk's :meth:`MmapStore.disk_table`.  A chunk is
-    one ``read_pages`` gather of the pages' point rows — an owned ``(n,
-    W, d)`` block, ``+inf`` past each page's count — with the rows'
-    squared norms, NaN past each page's count.  A page's norms are
-    computed on its first gather and kept, so a worker maps only the
-    pages its queries reach.  ``largest`` bounds every row's norm by the
-    farthest corner of the non-empty pages' MBRs (a row lies in its
-    page's MBR).  ``free`` says that a page read owes no service time
-    (``service_ms``, the store's ``simulated_disk_ms`` a block, is 0);
-    else a :class:`_Device` serves it on the store's ``clock`` with its
-    ``sleep_until``.  :meth:`rows` reads back the rows kept.
+    ``disk`` is the disk's :class:`~repro.storage.mmap_store.MmapDisk`
+    and ``table`` its directory rows.  A chunk is one ``read_pages``
+    gather of the pages' point rows — an owned ``(n, W, d)`` block,
+    ``+inf`` past each page's count — with the rows' squared norms, NaN
+    past each page's count.  A page's norms are computed on its first
+    gather and kept, so a worker maps only the pages its queries reach.
+    ``largest`` bounds every row's norm by the farthest corner of the
+    non-empty pages' MBRs (a row lies in its page's MBR).  ``free`` says
+    that a page read owes no service time (``service_ms``, the disk's
+    ``simulated_disk_ms`` a block, is 0); else a :class:`_Device` serves
+    it on the disk's ``clock`` with its ``sleep_until``.  :meth:`rows`
+    reads back the rows kept.
     """
 
-    def __init__(self, store: Any, disk: int):
-        self._store, self._disk = store, disk
-        self.table = store.disk_table(disk)
-        self.service_ms = store.simulated_disk_ms
+    def __init__(self, disk: "MmapDisk"):
+        self._disk = disk
+        self.table = disk.table
+        self.service_ms = disk.simulated_disk_ms
         self.free = not self.service_ms
-        self.clock, self.sleep_until = store.clock, store.sleep_until
+        self.clock, self.sleep_until = disk.clock, disk.sleep_until
         pages = len(self.table[2])
         # A gather of no page opens (and checks) the page file, owes
         # nothing and gives the rows per page W.
-        width = store.read_pages(disk, np.zeros(0, dtype=np.intp)).shape[1]
+        width = disk.read_pages(np.zeros(0, dtype=np.intp)).shape[1]
         self._norms = np.empty((pages, width))
         self._known = np.zeros(pages, dtype=bool)
         self._unknown = pages
@@ -240,7 +283,7 @@ class _DiskPages:
         """``(block, norms)`` of (distinct) table rows ``pages``: the
         ``(n, W, d)`` point block, padding rows included, and its rows'
         squared norms ``(n, W)``."""
-        block = self._store.read_pages(self._disk, pages)
+        block = self._disk.read_pages(pages)
         if self._unknown and not self._known[pages].all():
             fresh = ~self._known[pages]
             new = pages[fresh]
@@ -258,7 +301,7 @@ class _DiskPages:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(oids, points)`` of flat rows ``rows`` of :meth:`chunk`'s
         block for ``pages``, read back from the page file."""
-        return self._store.page_rows(self._disk, pages, rows)
+        return self._disk.page_rows(pages, rows)
 
 
 class _Filter:
@@ -670,17 +713,16 @@ class _Ring:
         return (top, counts, computations), tallies
 
 
-def _worker_main(
-    directory: str, disk: int, simulated_disk_ms: float, ring: _Ring
-) -> None:
+def _worker_main(disk: int, handle: "MmapDisk", ring: _Ring) -> None:
     """Worker process entry point (module level, so that it pickles):
-    open the store (only this disk's page file, no tree), then per post
-    wait on ``go[disk]``, read, scan, deposit (with the time the store
-    measured asleep for the post), release ``done``; ``k == 0`` stops,
-    and so does the coordinator's death (its sentinel, not ``getppid``:
-    a worker's parent is the fork server)."""
-    from repro.storage.mmap_store import MmapStore
-
+    disk ``disk``'s worker maps its page file through ``handle``, a
+    pickled copy of the coordinator's
+    :class:`~repro.storage.mmap_store.MmapDisk` (the store directory is
+    never opened), then per post waits on ``go[disk]``, reads, scans,
+    deposits (with the time its disk measured asleep for the post) and
+    releases ``done``; ``k == 0`` stops, and so does the coordinator's
+    death (its sentinel, not ``getppid``: a worker's parent is the fork
+    server)."""
     parent = multiprocessing.parent_process()
     if hasattr(os, "sched_setaffinity"):
         # A forked worker starts on the fork server's CPU, and two
@@ -694,13 +736,11 @@ def _worker_main(
     # (worker minor faults per query without it: 397 vs 56 on 1024
     # pages of d = 16, 1 099 vs 158 on 4096).
     np.empty(1 << 24, dtype=np.uint8)
-    # Outside every virtual-time path, the store's clock is the wall
+    # Outside every virtual-time path, the disk's clock is the wall
     # clock: it paces the device and times the sleeps.
-    store = MmapStore(
-        directory, simulated_disk_ms=simulated_disk_ms, timer=time.perf_counter
-    )
+    handle.timer = time.perf_counter
     try:
-        source = _DiskPages(store, disk)
+        source = _DiskPages(handle)
         while True:
             while not ring.go[disk].acquire(timeout=_LIVENESS_SLICE_S):
                 if parent is not None and not parent.is_alive():
@@ -708,13 +748,13 @@ def _worker_main(
             serial, k, queries = ring.read()
             if k == 0:
                 return
-            asleep = store.slept_ms
+            asleep = handle.slept_ms
             found, ledger, tally = _scan(source, queries, k, ring)
-            tally += (store.slept_ms - asleep,)
+            tally += (handle.slept_ms - asleep,)
             ring.deposit(disk, serial, found, ledger, tally)
             ring.done.release()
     finally:
-        store.close()
+        handle.close()
 
 
 class ProcessParallelEngine:
@@ -725,8 +765,8 @@ class ProcessParallelEngine:
     store:
         An out-of-core store (must expose ``directory`` and
         ``read_page`` — i.e. an
-        :class:`~repro.storage.mmap_store.MmapStore`); workers reopen
-        it from its directory path.
+        :class:`~repro.storage.mmap_store.MmapStore`); each worker gets
+        one of its disks (:meth:`MmapStore.disk`).
     parameters:
         Disk service-time model for the simulated ``parallel_time_ms``
         (page *counts* are exact; times are derived, as everywhere).
@@ -791,15 +831,14 @@ class ProcessParallelEngine:
         # worker could die of it where only its stderr would say why.
         store.check_page_files()
         ring = self._ring = _Ring(self._ctx, store, capacity)
-        directory = os.fspath(store.directory)
         self._ctx.set_forkserver_preload(_PRELOAD)
         _RUNNING.add(self)
         try:
-            with _server_environment():
+            with _server_environment(), _main_hidden():
                 for disk in range(store.num_disks):
                     proc = self._ctx.Process(
                         target=_worker_main,
-                        args=(directory, disk, store.simulated_disk_ms, ring),
+                        args=(disk, store.disk(disk), ring),
                         daemon=True,
                     )
                     proc.start()
@@ -895,16 +934,24 @@ class ProcessParallelEngine:
     ) -> Tuple[List[ParallelQueryResult], List[List[float]]]:
         """The last post's :meth:`_Ring.reduce`, as results.  Waits on
         ``done`` once per disk, in slices: a worker that died (even idle)
-        raises within about :data:`_LIVENESS_SLICE_S`, a hung one after
-        :data:`_REPLY_TIMEOUT_S`."""
+        raises within about :data:`_LIVENESS_SLICE_S`, naming its disk and
+        exit code, a hung one after :data:`_REPLY_TIMEOUT_S`."""
         slices = math.ceil(_REPLY_TIMEOUT_S / _LIVENESS_SLICE_S)
         for _ in self._procs:
             while not ring.done.acquire(timeout=_LIVENESS_SLICE_S):
                 slices -= 1
-                if slices <= 0 or not all(p.is_alive() for p in self._procs):
+                dead = [
+                    f"disk {disk}'s worker exited with code {proc.exitcode}"
+                    for disk, proc in enumerate(self._procs)
+                    if not proc.is_alive()
+                ]
+                if dead or slices <= 0:
+                    why = "; ".join(dead) or (
+                        f"every worker is alive, but {_REPLY_TIMEOUT_S:g} s "
+                        f"passed"
+                    )
                     raise RuntimeError(
-                        "a disk worker did not reply; the worker process "
-                        "likely died (see stderr)"
+                        f"a disk worker did not reply: {why} (see stderr)"
                     )
         post, tallies = ring.reduce(self._collected + 1, count, k)
         self._collected += 1

@@ -66,6 +66,7 @@ from repro.storage.pagefile import (
 
 __all__ = [
     "MmapStore",
+    "MmapDisk",
     "save_paged_store",
     "load_paged_store",
     "save_tree",
@@ -238,6 +239,12 @@ def _page_file_name(disk: int) -> str:
 _RUN_BYTES = 1 << 18
 
 
+#: zlib level of ``tree.npz``'s members: level 1 compresses a store's
+#: directory in about half the time of the default 6, and the file is
+#: about 0.6 % larger (its float members shrink ~7 % at any level).
+_DEFLATE_LEVEL = 1
+
+
 #: ``gather(leaves)`` returns the stacked ``(points, oids)`` payloads of
 #: the store-order leaves ``leaves``: :func:`_write_store` pulls one run
 #: of a disk's pages at a time, so payloads never all coexist in RAM.
@@ -254,7 +261,8 @@ def _savez_deterministic(
     ourselves with a fixed timestamp (and fixed permission bits) makes
     ``tree.npz`` a pure function of its arrays — the property the
     streaming-vs-in-memory byte-parity tests assert.  ``np.load`` reads
-    the result like any other ``.npz``.
+    the result like any other ``.npz``.  Members are deflated at
+    :data:`_DEFLATE_LEVEL`.
     """
     with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
         for name, value in arrays.items():
@@ -267,7 +275,9 @@ def _savez_deterministic(
             )
             info.compress_type = zipfile.ZIP_DEFLATED
             info.external_attr = 0o600 << 16
-            archive.writestr(info, payload.getvalue())
+            archive.writestr(
+                info, payload.getvalue(), compresslevel=_DEFLATE_LEVEL
+            )
 
 
 def _write_store(
@@ -409,7 +419,7 @@ def load_paged_store(directory: Union[str, os.PathLike]) -> PagedStore:
         for disk, slot in zip(
             mapped.page_disks.tolist(), mapped._page_slots.tolist()
         ):
-            points, oids = mapped._page_file(disk).read_slot(slot)
+            points, oids = mapped.disk(disk).open().read_slot(slot)
             entries.append(
                 [LeafEntry(point, oid) for point, oid in zip(points, oids.tolist())]
             )
@@ -444,21 +454,138 @@ def load_tree(directory: Union[str, os.PathLike]) -> RStarTree:
     return load_paged_store(directory).tree
 
 
+class MmapDisk:
+    """One disk of a store directory: its rows of the directory, its page
+    file and its service-time clock — everything a per-disk worker
+    process reads, and the one reader of a disk's payloads
+    (:class:`MmapStore` serves its per-disk reads through these).
+
+    ``table`` is the disk's data pages as flat directory arrays, in store
+    leaf order: ``(lows, highs, slots, counts, blocks)`` — MBR bounds,
+    page-file slot, directory entry count, blocks per page; rows of it
+    name pages to :meth:`read_pages`.  The page file at ``path`` is
+    mapped on the first read (:meth:`open`).  A pickled copy carries the
+    table, the path and ``simulated_disk_ms`` only — unopened, no timer
+    — so a worker process maps its own page file and never reads
+    ``tree.npz``.
+
+    The clock: :meth:`sleep_until` sleeps to an absolute instant on
+    :meth:`clock`, which is ``timer`` (wall-clock seconds) or, without
+    one, the last instant slept to; ``slept_ms`` adds what ``timer``
+    measured of the sleeps, overshoot in.
+    """
+
+    def __init__(
+        self,
+        path: Union[str, os.PathLike],
+        table: Tuple[np.ndarray, ...],
+        simulated_disk_ms: float = 0.0,
+        timer: Optional[Callable[[], float]] = None,
+    ):
+        self.path = Path(path)
+        self.table = table
+        self.simulated_disk_ms = simulated_disk_ms
+        self.timer = timer
+        self.slept_ms = 0.0
+        #: :meth:`clock` without a timer: the instant the last
+        #: :meth:`sleep_until` slept to.
+        self._woke = 0.0
+        self._file: Optional[PageFile] = None
+        self._closed = False
+
+    def __reduce__(self) -> Tuple[type, Tuple[object, ...]]:
+        return type(self), (self.path, self.table, self.simulated_disk_ms)
+
+    def open(self) -> PageFile:
+        """The mapped page file, opened (and checked) on the first call:
+        a missing, truncated or foreign-version file, or a slot holding
+        more entries than its page's directory row, raises
+        :class:`~repro.storage.pagefile.PageFormatError`."""
+        if self._closed:
+            raise ValueError(
+                f"page file {os.fspath(self.path)!r} is closed; page reads "
+                f"after close() would silently remap it — reopen the store "
+                f"instead"
+            )
+        if self._file is None:
+            self._file = PageFile(self.path)  # close() owns it from here
+            _, _, slots, counts, _ = self.table
+            if (self._file.entry_counts(slots) > counts).any():
+                self._file.close()
+                self._file = None
+                raise PageFormatError(
+                    f"{os.fspath(self.path)!r}: a slot holds more entries "
+                    f"than the store directory records for its page"
+                )
+        return self._file
+
+    def read_pages(self, pages: np.ndarray) -> np.ndarray:
+        """Fetch several of the disk's data pages with a single gather.
+
+        ``pages`` indexes rows of :attr:`table`; the result is
+        :meth:`PageFile.gather` of their slots — the ``(n, W, d)`` point
+        block, ``+inf`` past each page's count, an owned copy.  Nothing
+        is slept: the caller serves the pages' simulated service time on
+        the disk's clock (:meth:`clock`, :meth:`sleep_until`), page by
+        page.  :meth:`page_rows` reads the oids of the rows the caller
+        keeps.
+        """
+        return self.open().gather(self.table[2][pages])
+
+    def page_rows(
+        self, pages: np.ndarray, rows: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(oids, points)`` of flat rows ``rows`` of the block
+        :meth:`read_pages` returned for ``pages`` (:meth:`PageFile.rows`
+        of their slots).  The pages were just fetched, so nothing is
+        slept."""
+        return self.open().rows(self.table[2][pages], rows)
+
+    def clock(self) -> float:
+        """Seconds on the disk's clock: :attr:`timer`, or without one the
+        last instant :meth:`sleep_until` slept to, so that a timer-less
+        disk paces as if no time passed between its sleeps (in-process
+        scans are deterministic)."""
+        return self.timer() if self.timer else self._woke
+
+    def sleep_until(self, due: float) -> float:
+        """Sleep until ``due`` seconds on :meth:`clock` (at once if it
+        has passed), adding what :attr:`timer` measured of the sleep, if
+        set, to :attr:`slept_ms`; returns :meth:`clock` after.  An
+        absolute deadline: a late wake-up shortens the next wait."""
+        started = self.clock()
+        if due > started:
+            time.sleep(due - started)
+            if self.timer:
+                self.slept_ms += (self.timer() - started) * 1000.0
+            else:
+                self._woke = due
+        return self.clock()
+
+    def close(self) -> None:
+        """Unmap the page file (idempotent); reads after it raise
+        :class:`ValueError`."""
+        if self._file is not None:
+            self._file.close()
+            self._file = None
+        self._closed = True
+
+
 class MmapStore:
     """Read-only out-of-core paged store opened from a store directory.
 
     Exposes the :class:`~repro.parallel.paged.PagedStore` query surface
     plus :meth:`read_page` / :meth:`entry_count`; engines detect the
     ``read_page`` hook and score mmap-served payloads instead of
-    in-memory entries.  :meth:`disk_table` / :meth:`read_pages` /
-    :meth:`page_rows` are the same directory and payloads one disk at a
-    time, as flat arrays, multi-page point gathers and the rows kept of
-    them — what the per-disk worker processes use; no
-    :class:`Node` exists until ``tree`` / ``leaves`` is read.  Page
-    files are opened lazily per disk, so a per-disk worker process maps
-    only its own disk's file.  Reopening a directory that another
-    process (or store) currently maps is safe: mappings are read-only
-    and the files are immutable once written.
+    in-memory entries.  :meth:`disk` is one disk as an :class:`MmapDisk`
+    — its directory rows as flat arrays, multi-page point gathers and
+    the rows kept of them, its service-time clock — which a per-disk
+    worker process receives in place of the store; :meth:`disk_table`
+    / :meth:`read_pages` / :meth:`page_rows` are the same reads by disk
+    number.  No :class:`Node` exists until ``tree`` / ``leaves`` is
+    read.  Page files are opened lazily per disk.  Reopening a directory
+    that another process (or store) currently maps is safe: mappings are
+    read-only and the files are immutable once written.
     """
 
     #: Marks stores whose leaf payloads are not held in RAM.
@@ -481,14 +608,10 @@ class MmapStore:
                 f"simulated_disk_ms must be >= 0, got {simulated_disk_ms}"
             )
         self.simulated_disk_ms = simulated_disk_ms
-        #: The wall clock (seconds) that times the sleeps, or None: the
-        #: store reads none of its own (the process workers inject one).
+        #: The wall clock (seconds) of every :meth:`disk`'s clock, or
+        #: None: the store reads none of its own (a process worker sets
+        #: one on its disk).
         self.timer = timer
-        #: Service ms slept so far as ``timer`` measured it, overshoot in.
-        self.slept_ms = 0.0
-        #: :meth:`clock` without a timer: the instant the last
-        #: :meth:`sleep_until` slept to.
-        self._woke = 0.0
         meta_path = self.directory / STORE_JSON
         if not meta_path.is_file():
             raise PageFormatError(
@@ -526,8 +649,7 @@ class MmapStore:
             )
         self.declusterer = FrozenAssignment(self.page_disks, name=self.scheme)
         self._blocks = self._directory["node_blocks"][is_leaf][:pages]
-        self._tables: Dict[int, Tuple[np.ndarray, ...]] = {}
-        self._page_files: Dict[int, PageFile] = {}
+        self._disks: Dict[int, MmapDisk] = {}
         self._closed = False
 
     # ------------------------------------------------------------- tree
@@ -576,27 +698,24 @@ class MmapStore:
         """Data pages stored per disk."""
         return np.bincount(self.page_disks, minlength=self.num_disks)
 
-    def _page_file(self, disk: int) -> PageFile:
-        if self._closed:
-            raise ValueError(
-                f"mmap store {os.fspath(self.directory)!r} is closed; "
-                f"page reads after close() would silently remap the "
-                f"files — reopen the store instead"
-            )
-        handle = self._page_files.get(disk)
+    def disk(self, disk: int) -> MmapDisk:
+        """Disk ``disk`` (:class:`MmapDisk`): its rows of the directory,
+        sliced out on the first call, its page file and its clock on the
+        store's ``timer``.  The store owns it, and its :meth:`close`
+        closes it."""
+        handle = self._disks.get(disk)
         if handle is None:
-            # Not disk_table: check_page_files runs this for every disk,
-            # and a table copies its disk's MBR bounds.
-            own = self.page_disks == disk
-            handle = PageFile(self.directory / _page_file_name(disk))
-            self._page_files[disk] = handle  # close() owns it from here
-            slots, counts = self._page_slots[own], self._counts[own]
-            if (handle.entry_counts(slots) > counts).any():
-                self._page_files.pop(disk).close()
-                raise PageFormatError(
-                    f"{handle.path!r}: a slot holds more entries than the "
-                    f"store directory records for its page"
-                )
+            own = np.flatnonzero(self.page_disks == disk)
+            table = (
+                self._leaf_low[own], self._leaf_high[own],
+                self._page_slots[own], self._counts[own], self._blocks[own],
+            )
+            handle = self._disks[disk] = MmapDisk(
+                self.directory / _page_file_name(disk), table,
+                self.simulated_disk_ms, self.timer,
+            )
+            if self._closed:
+                handle.close()
         return handle
 
     def read_page(self, leaf: Node) -> Tuple[np.ndarray, np.ndarray]:
@@ -611,80 +730,27 @@ class MmapStore:
         the paper overlaps; counters and results are unaffected.
         """
         page = self._page(leaf)
-        payload = self._page_file(int(self.page_disks[page])).read_slot(
+        payload = self.disk(int(self.page_disks[page])).open().read_slot(
             int(self._page_slots[page])
         )
         if self.simulated_disk_ms:
-            self._serve(leaf.blocks)
+            time.sleep(self.simulated_disk_ms * leaf.blocks / 1000.0)
         return payload
 
     def disk_table(self, disk: int) -> Tuple[np.ndarray, ...]:
-        """One disk's data pages as flat directory arrays, store leaf
-        order: ``(lows, highs, slots, counts, blocks)`` — MBR bounds,
-        page-file slot, directory entry count, blocks per page.  No
-        payload is touched; rows of this table name pages to
-        :meth:`read_pages`."""
-        table = self._tables.get(disk)
-        if table is None:
-            own = np.flatnonzero(self.page_disks == disk)
-            table = self._tables[disk] = (
-                self._leaf_low[own], self._leaf_high[own],
-                self._page_slots[own], self._counts[own], self._blocks[own],
-            )
-        return table
+        """:attr:`MmapDisk.table` of disk ``disk``: no payload is
+        touched."""
+        return self.disk(disk).table
 
     def read_pages(self, disk: int, pages: np.ndarray) -> np.ndarray:
-        """Fetch several of one disk's data pages with a single gather.
-
-        ``pages`` indexes rows of :meth:`disk_table`; the result is
-        :meth:`PageFile.gather` of their slots — the ``(n, W, d)`` point
-        block, ``+inf`` past each page's count, an owned copy.  Nothing
-        is slept: the caller serves the pages' simulated service time on
-        its own device clock (:meth:`clock`, :meth:`sleep_until`), page
-        by page.  :meth:`page_rows` reads the oids of the rows the
-        caller keeps.
-        """
-        slots = self.disk_table(disk)[2]
-        return self._page_file(disk).gather(slots[pages])
-
-    def _serve(self, blocks: int) -> None:
-        """Sleep the service time of ``blocks`` page blocks, adding what
-        :attr:`timer` measured of it, if set, to :attr:`slept_ms`."""
-        started = self.timer() if self.timer else 0.0
-        time.sleep(self.simulated_disk_ms * blocks / 1000.0)
-        if self.timer:
-            self.slept_ms += (self.timer() - started) * 1000.0
-
-    def clock(self) -> float:
-        """Seconds on the store's clock: :attr:`timer`, or without one
-        the last instant :meth:`sleep_until` slept to, so that a
-        timer-less store paces as if no time passed between its sleeps
-        (in-process scans are deterministic)."""
-        return self.timer() if self.timer else self._woke
-
-    def sleep_until(self, due: float) -> float:
-        """Sleep until ``due`` seconds on :meth:`clock` (at once if it
-        has passed), adding what :attr:`timer` measured of the sleep, if
-        set, to :attr:`slept_ms`; returns :meth:`clock` after.  An
-        absolute deadline: a late wake-up shortens the next wait."""
-        started = self.clock()
-        if due > started:
-            time.sleep(due - started)
-            if self.timer:
-                self.slept_ms += (self.timer() - started) * 1000.0
-            else:
-                self._woke = due
-        return self.clock()
+        """:meth:`MmapDisk.read_pages` of disk ``disk``."""
+        return self.disk(disk).read_pages(pages)
 
     def page_rows(
         self, disk: int, pages: np.ndarray, rows: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(oids, points)`` of flat rows ``rows`` of the block
-        :meth:`read_pages` returned for ``pages`` (:meth:`PageFile.rows`
-        of their slots).  The pages were just fetched, so nothing is
-        slept."""
-        slots = self.disk_table(disk)[2]
-        return self._page_file(disk).rows(slots[pages], rows)
+        """:meth:`MmapDisk.page_rows` of disk ``disk``."""
+        return self.disk(disk).page_rows(pages, rows)
 
     def check_page_files(self) -> None:
         """Open every disk's page file now: a missing, truncated,
@@ -692,7 +758,7 @@ class MmapStore:
         :class:`~repro.storage.pagefile.PageFormatError` here, not in
         whichever reader (or worker process) touches it first."""
         for disk in range(self.num_disks):
-            self._page_file(disk)
+            self.disk(disk).open()
 
     def __len__(self) -> int:
         return self._size
@@ -704,9 +770,8 @@ class MmapStore:
         reads return owned copies).  Idempotent; after close,
         :meth:`read_page` raises :class:`ValueError` instead of
         silently remapping the page files."""
-        for handle in self._page_files.values():
+        for handle in self._disks.values():
             handle.close()
-        self._page_files = {}
         self._closed = True
 
     def __enter__(self) -> "MmapStore":

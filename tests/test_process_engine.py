@@ -16,9 +16,11 @@ parity tests share one module-scoped store and engine.
 
 import collections
 import ctypes
+import json
 import math
 import multiprocessing
 import os
+import shutil
 import signal
 import struct
 import subprocess
@@ -53,6 +55,7 @@ from repro.parallel.process import (
 from repro.parallel.store import DeclusteredStore
 from repro.serve import QueryRequest, WorkloadSpec, build_engine
 from repro.storage import SIMULATED_DISK_MS_ENV, MmapStore, save_paged_store
+from repro.storage.mmap_store import MmapDisk
 from repro.storage.pagefile import PageFormatError
 from tests.scalar_oracle import scalar_kernels
 from tests.test_storage_lifetimes import _open_fds
@@ -399,29 +402,28 @@ class TestFlatTableShapes:
         assert result.pages_per_disk[1] == 0
 
 
-class _CountingStore:
-    """Store facade over ``read_pages``: ``fetched`` lists the table rows
-    of every gather, ``sizes`` the pages of each non-empty one,
-    ``owed_blocks`` their blocks (the device clock, ``clock`` and
-    ``sleep_until``, is the store's)."""
+class _CountingDisk:
+    """:class:`MmapDisk` facade over ``read_pages``: ``fetched`` lists the
+    table rows of every gather, ``sizes`` the pages of each non-empty
+    one, ``owed_blocks`` their blocks (the device clock, ``clock`` and
+    ``sleep_until``, is the disk's)."""
 
     def __init__(self, inner):
         self._inner = inner
-        self.disk_table = inner.disk_table
+        self.table = inner.table
         self.page_rows = inner.page_rows
-        self.dimension = inner.dimension
         self.simulated_disk_ms = inner.simulated_disk_ms
         self.clock, self.sleep_until = inner.clock, inner.sleep_until
         self.fetched = []
         self.sizes = []
         self.owed_blocks = 0
 
-    def read_pages(self, disk, pages):
+    def read_pages(self, pages):
         self.fetched.extend(int(page) for page in pages)
         if len(pages):
             self.sizes.append(len(pages))
-        self.owed_blocks += int(self.disk_table(disk)[4][pages].sum())
-        return self._inner.read_pages(disk, pages)
+        self.owed_blocks += int(self.table[4][pages].sum())
+        return self._inner.read_pages(pages)
 
 
 def _assert_chunk(store, disk, pages, block):
@@ -472,10 +474,10 @@ class TestDiskPages:
                 leaf.entries = []
         save_paged_store(paged, tmp_path / "shapes")
         with MmapStore(tmp_path / "shapes") as store:
-            counting = _CountingStore(store)
+            counting = _CountingDisk(store.disk(0))
             counts, blocks = store.disk_table(0)[3:]
             assert blocks[0] == 4 and counts[0] > counts[1:].max()
-            source = _DiskPages(counting, 0)
+            source = _DiskPages(counting)
             assert counting.fetched == [] and counting.owed_blocks == 0
             # Pages 2 and 3 are known before the second gather, the
             # others are new to it.
@@ -495,11 +497,11 @@ class TestDiskPages:
                 )
                 assert source.largest >= math.sqrt(np.nanmax(norms))
 
-            idle = _DiskPages(counting, 1)
+            idle = _DiskPages(store.disk(1))
             chunk, norms = idle.chunk(np.zeros(0, dtype=np.intp))
             assert chunk.shape[::2] == (0, 3) and chunk.size == 0
             assert norms.size == 0 and idle.largest == 0.0
-            empty = _DiskPages(counting, 2)
+            empty = _DiskPages(store.disk(2))
             for _ in range(2):
                 chunk, norms = empty.chunk(np.array([1, 0]))
                 assert chunk.shape == (2, 0, 3)
@@ -520,7 +522,7 @@ class TestDiskPages:
         with MmapStore(tmp_path / "skew") as store:
             store._counts[np.flatnonzero(store.page_disks == 0)[0]] -= 1
             with pytest.raises(PageFormatError, match="more entries"):
-                _DiskPages(store, 0)
+                _DiskPages(store.disk(0))
             # The per-leaf read of the in-process engines refuses it too.
             with pytest.raises(PageFormatError, match="more entries"):
                 store.read_page(store.leaves[0])
@@ -562,9 +564,9 @@ class TestServiceTimeCharging:
             for disk in range(store.num_disks):
                 table = store.disk_table(disk)
                 assert len(table[4]) > 4
-                counting = _CountingStore(store)
+                counting = _CountingDisk(store.disk(disk))
                 asleep = len(slept)
-                source = _DiskPages(counting, disk)
+                source = _DiskPages(counting)
                 assert len(slept) == asleep and counting.fetched == []
                 posts = [queries] if serial else [q[None] for q in queries]
                 for post in posts:
@@ -616,8 +618,8 @@ class TestChunkSchedule:
         scans = []
         with MmapStore(directory, simulated_disk_ms=disk_ms) as store:
             for disk in range(store.num_disks):
-                counting = _CountingStore(store)
-                source = _DiskPages(counting, disk)
+                counting = _CountingDisk(store.disk(disk))
+                source = _DiskPages(counting)
                 pages = len(store.disk_table(disk)[2])
                 assert pages > _MAX_CHUNK_PAGES
                 for post in posts:
@@ -679,8 +681,8 @@ class _FakeClock:
             self._same = 0
 
 
-class _TimedStore(_CountingStore):
-    """A :class:`_CountingStore` whose gathers are stamped on a
+class _TimedDisk(_CountingDisk):
+    """A :class:`_CountingDisk` whose gathers are stamped on a
     :class:`_FakeClock` (``gathers``: ``(instant, pages)``) and spend its
     ``cpu``."""
 
@@ -688,10 +690,10 @@ class _TimedStore(_CountingStore):
         super().__init__(inner)
         self._fake, self.gathers = fake, []
 
-    def read_pages(self, disk, pages):
+    def read_pages(self, pages):
         self.gathers.append((self._fake.now, [int(page) for page in pages]))
         self._fake.spend(self._fake.cpu)
-        return super().read_pages(disk, pages)
+        return super().read_pages(pages)
 
 
 @pytest.fixture(scope="module")
@@ -725,15 +727,15 @@ class TestDeviceClock:
     @staticmethod
     def _run(directory, monkeypatch, queries, k, cpu=0.0, disk=0, rows=None):
         """``_scan`` of ``queries`` on ``disk`` of a store paced on a
-        :class:`_FakeClock`, the shared rows fresh or ``rows``: ``(store
+        :class:`_FakeClock`, the shared rows fresh or ``rows``: ``(disk
         facade, tally, fake, start)``."""
         fake = _FakeClock(cpu)
         monkeypatch.setattr("repro.storage.mmap_store.time.sleep", fake.sleep)
         with MmapStore(
             directory, simulated_disk_ms=_PACED_MS, timer=fake.timer
         ) as store:
-            timed = _TimedStore(store, fake)
-            source = _DiskPages(timed, disk)
+            timed = _TimedDisk(store.disk(disk), fake)
+            source = _DiskPages(timed)
             ring = _posted_ring(store, queries, k)
             if rows is not None:
                 ring.publish(np.arange(len(queries)), rows, k)
@@ -754,7 +756,7 @@ class TestDeviceClock:
         timed, (_, gathered, device), fake, start = self._run(
             paced_dir, monkeypatch, _PACED_POSTS[post], 10, cpu
         )
-        blocks = timed.disk_table(0)[4]
+        blocks = timed.table[4]
         served = [page for _, pages in timed.gathers for page in pages]
         assert gathered == len(served) == len(set(served)) > 4
         dues = start + np.cumsum(blocks[served]) * _BLOCK_S
@@ -854,7 +856,7 @@ class TestDeviceClock:
                 timed, (_, gathered, device), _, _ = self._run(
                     paced_dir, monkeypatch, queries, 10, disk=disk
                 )
-                blocks = timed.disk_table(disk)[4]
+                blocks = timed.table[4]
                 assert device == _PACED_MS * timed.owed_blocks
                 assert gathered < timed.owed_blocks == int(
                     blocks[timed.fetched].sum()
@@ -1159,14 +1161,15 @@ class _ThreadWorker:
     """``_worker_main`` for one disk on a thread, over a :class:`_Ring`
     of numpy buffers and ``threading`` primitives."""
 
-    def __init__(self, store_dir, store, disk, capacity=4, disk_ms=0.0):
+    def __init__(self, store, disk, capacity=4, disk_ms=0.0):
         self.disk = disk
         self.ring = _Ring(_ThreadCtx, store, capacity)
         self.posts = 0
+        # What a worker process gets: the store's disk, unopened, at
+        # ``disk_ms``.
+        handle = MmapDisk(store.disk(disk).path, store.disk_table(disk), disk_ms)
         self.thread = threading.Thread(
-            target=_worker_main,
-            args=(os.fspath(store_dir), disk, disk_ms, self.ring),
-            daemon=True,
+            target=_worker_main, args=(disk, handle, self.ring), daemon=True
         )
         self.thread.start()
 
@@ -1230,8 +1233,8 @@ class TestTreeFree:
             _assert_bit_identical(result, expected)
         assert counted_nodes == []
 
-    def test_worker_builds_no_node(self, store_dir, mmap_store, counted_nodes):
-        worker = _ThreadWorker(store_dir, mmap_store, disk=1)
+    def test_worker_builds_no_node(self, mmap_store, counted_nodes):
+        worker = _ThreadWorker(mmap_store, disk=1)
         try:
             for size in (1, 3, 1):
                 found, (owed, gathered, device, slept) = worker.ask(
@@ -1249,8 +1252,9 @@ class TestDeadWorker:
         self, mmap_store, reference
     ):
         """A worker that dies between queries surfaces as the usual
-        ``RuntimeError`` in about a liveness slice, the engine closes,
-        and the next call respawns and answers bit for bit."""
+        ``RuntimeError`` in about a liveness slice, naming its disk and
+        exit code (-9: SIGKILL), the engine closes, and the next call
+        respawns and answers bit for bit."""
         rng = np.random.default_rng(17)
         queries = rng.random((5, 6))
         want = [reference.query(query, 3) for query in queries]
@@ -1263,7 +1267,10 @@ class TestDeadWorker:
                 engine._procs[1].kill()
                 engine._procs[1].join(timeout=10.0)
                 started = time.monotonic()
-                with pytest.raises(RuntimeError, match="did not reply"):
+                with pytest.raises(
+                    RuntimeError,
+                    match="did not reply: disk 1's worker exited with code -9",
+                ):
                     run()
                 assert time.monotonic() - started < 5.0
                 assert engine._procs == []
@@ -1392,15 +1399,13 @@ class TestSleptTime:
     filters while its disk works, but the post takes at least the
     device's time.  Both are 0 without a service time."""
 
-    def test_each_disk_slept_its_gathered_blocks(self, store_dir, mmap_store):
+    def test_each_disk_slept_its_gathered_blocks(self, mmap_store):
         disk_ms = 0.5
         queries = np.random.default_rng(9).random((5, 6))
         for disk in range(mmap_store.num_disks):
             # One block a page: the pages gathered are the blocks owed.
             assert (mmap_store.disk_table(disk)[4] == 1).all()
-            worker = _ThreadWorker(
-                store_dir, mmap_store, disk, disk_ms=disk_ms
-            )
+            worker = _ThreadWorker(mmap_store, disk, disk_ms=disk_ms)
             try:
                 for post in (queries[:1], queries):
                     started = time.perf_counter()
@@ -1637,6 +1642,130 @@ with MmapStore(sys.argv[2]) as store:
 """
 
 
+#: A coordinator script for :class:`TestWorkerStart`: ``argv`` is the
+#: package root, the store, and the directory of ``slow_import``, a
+#: module whose import burns CPU and appends a line to a marker file.
+#: It prints the workers' CPU seconds after the first query, then every
+#: answer (oids, distances as hex, pages per disk) as JSON.
+_START_SCRIPT = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+sys.path.insert(0, sys.argv[3])
+import slow_import
+import numpy as np
+from repro.parallel.process import ProcessParallelEngine
+from repro.storage import MmapStore
+
+def cpu_s(pid):
+    with open(f"/proc/{pid}/stat") as stat:
+        fields = stat.read().rpartition(")")[2].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+def main():
+    queries = np.random.default_rng(3).random((4, 6))
+    with MmapStore(sys.argv[2]) as store, ProcessParallelEngine(store) as engine:
+        first = engine.query(queries[0], 3)
+        cpu = [cpu_s(proc.pid) for proc in engine._procs]
+        batch = engine.query_batch(queries, 5).results
+    answers = [
+        [[(n.oid, n.distance.hex()) for n in result.neighbors],
+         result.pages_per_disk.tolist()]
+        for result in (first, *batch)
+    ]
+    print(json.dumps({"cpu": cpu, "answers": answers}))
+"""
+
+_SLOW_IMPORT = """
+import os, time
+with open({marker!r}, "a") as marker:
+    marker.write(f"{{os.getpid()}}\\n")
+started = time.process_time()
+while time.process_time() - started < {burn!r}:
+    pass
+"""
+
+
+def _worker_files(pid, directory):
+    """Names of the files under ``directory`` that process ``pid`` maps."""
+    with open(f"/proc/{pid}/maps") as maps:
+        paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
+    return {os.path.basename(path) for path in paths
+            if path.startswith(os.fspath(directory))}
+
+
+class TestWorkerStart:
+    """A worker starts from its own disk: it re-runs nothing of the
+    coordinator's script (which may lack a ``__main__`` guard or come
+    from standard input) and maps only its own page file."""
+
+    @pytest.mark.parametrize("kind", ["guarded", "unguarded", "stdin"])
+    def test_scripts_run_the_engine_and_run_once(
+        self, store_dir, reference, imports_s, tmp_path, kind
+    ):
+        """A coordinator whose top-level import is slow and leaves a
+        line in a marker file: as a script file with and without the
+        guard, and read from standard input, it gets ``PagedEngine``'s
+        neighbours and pages per disk bit for bit, the marker holds one
+        line (no worker re-ran the script), and a file script's workers
+        have used under half a fresh interpreter's import CPU by the end
+        of their first post."""
+        marker = tmp_path / "marker"
+        (tmp_path / "slow_import.py").write_text(
+            _SLOW_IMPORT.format(marker=os.fspath(marker), burn=imports_s)
+        )
+        ending = "main()\n" if kind == "unguarded" else (
+            'if __name__ == "__main__":\n    main()\n'
+        )
+        script = _START_SCRIPT + ending
+        package_root = os.path.dirname(os.path.dirname(repro.__file__))
+        argv = [package_root, os.fspath(store_dir), os.fspath(tmp_path)]
+        if kind == "stdin":
+            command, stdin = [sys.executable, "-", *argv], script
+        else:
+            (tmp_path / "coordinator.py").write_text(script)
+            command = [sys.executable, os.fspath(tmp_path / "coordinator.py"), *argv]
+            stdin = None
+        done = subprocess.run(
+            command, input=stdin, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert len(marker.read_text().splitlines()) == 1
+        printed = json.loads(done.stdout.splitlines()[-1])
+        queries = np.random.default_rng(3).random((4, 6))
+        want = [reference.query(queries[0], 3)]
+        want += [reference.query(query, 5) for query in queries]
+        assert printed["answers"] == [
+            [[[n.oid, n.distance.hex()] for n in result.neighbors],
+             result.pages_per_disk.tolist()]
+            for result in want
+        ]
+        if kind != "stdin":
+            assert max(printed["cpu"]) < imports_s / 2, (printed, imports_s)
+
+    def test_a_worker_maps_only_its_own_page_file(
+        self, store_dir, reference, tmp_path
+    ):
+        """Each worker maps its own ``diskNNNN.pages`` and no other file
+        of the store, also after a respawn for a wider k; with
+        ``tree.npz`` and ``store.json`` gone once the coordinator has
+        opened the store, the workers still answer bit for bit."""
+        copy = tmp_path / "store"
+        shutil.copytree(store_dir, copy)
+        query = np.full(6, 0.45)
+        with MmapStore(copy) as store:
+            (copy / "tree.npz").unlink()
+            (copy / "store.json").unlink()
+            with ProcessParallelEngine(store) as engine:
+                for k in (3, 20):  # 20: a wider ring, a respawn
+                    _assert_bit_identical(
+                        engine.query(query, k), reference.query(query, k)
+                    )
+                    for disk, proc in enumerate(engine._procs):
+                        assert _worker_files(proc.pid, copy) == {
+                            f"disk{disk:04d}.pages"
+                        }
+
+
 def _page_mindists(store, query):
     """``(mindists, disks, blocks, entries)`` over every data page of
     every disk: one ``mindist_many`` over the whole directory."""
@@ -1668,7 +1797,7 @@ def _scan_post(store, queries, k, sources=None):
     there as the coordinator does: ``(ring, scans, (top, counts,
     computations))``, ``scans`` each disk's ``_scan`` result."""
     if sources is None:
-        sources = [_DiskPages(store, disk) for disk in range(store.num_disks)]
+        sources = [_DiskPages(store.disk(disk)) for disk in range(store.num_disks)]
     ring = _posted_ring(store, queries, k)
     scans = []
     for disk, source in enumerate(sources):
@@ -1983,7 +2112,7 @@ def _cap_outcomes(store, queries, k, batched):
     all when ``batched``) must give at any chunk cap, per query by name:
     per disk the keys, oids and points found within B*, the merged
     top-k, the charged counts and the distance computations."""
-    sources = [_DiskPages(store, disk) for disk in range(store.num_disks)]
+    sources = [_DiskPages(store.disk(disk)) for disk in range(store.num_disks)]
     posts = [queries] if batched else [query[None] for query in queries]
     outcomes = []
     for post in posts:

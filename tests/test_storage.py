@@ -549,10 +549,11 @@ class TestMmapStoreRoundTrip:
         assert slept == [2.0 * blocks / 1000.0 for blocks in owed]
 
     def test_sleep_until_paces_on_the_store_clock(self, store_dir, monkeypatch):
-        """``sleep_until`` sleeps to an absolute instant on ``clock``: at
-        once when it has passed.  Without a timer the clock is the last
-        instant slept to and nothing is measured; with one the clock is
-        the timer and ``slept_ms`` adds what it measured."""
+        """A disk's ``sleep_until`` sleeps to an absolute instant on its
+        ``clock``: at once when it has passed.  Without a timer the clock
+        is the last instant slept to and nothing is measured; with the
+        store's timer the clock is the timer and ``slept_ms`` adds what
+        it measured."""
         now = [5.0]
         slept = []
 
@@ -562,18 +563,20 @@ class TestMmapStoreRoundTrip:
 
         monkeypatch.setattr("repro.storage.mmap_store.time.sleep", sleep)
         with MmapStore(store_dir, simulated_disk_ms=1.0) as store:
-            assert store.clock() == 0.0
-            assert store.sleep_until(0.5) == 0.5 == store.clock()
-            assert store.sleep_until(0.25) == 0.5
-            assert slept == [0.5] and store.slept_ms == 0.0
+            disk = store.disk(0)
+            assert disk.clock() == 0.0
+            assert disk.sleep_until(0.5) == 0.5 == disk.clock()
+            assert disk.sleep_until(0.25) == 0.5
+            assert slept == [0.5] and disk.slept_ms == 0.0
         slept.clear()
         now[0] = 5.0
         with MmapStore(
             store_dir, simulated_disk_ms=1.0, timer=lambda: now[0]
         ) as store:
-            assert store.sleep_until(6.0) == 6.25 == store.clock()
-            assert store.sleep_until(6.125) == 6.25
-            assert slept == [1.0] and store.slept_ms == 1250.0
+            disk = store.disk(0)
+            assert disk.sleep_until(6.0) == 6.25 == disk.clock()
+            assert disk.sleep_until(6.125) == 6.25
+            assert slept == [1.0] and disk.slept_ms == 1250.0
 
     def test_zero_page_disks_get_valid_files(self, small_uniform,
                                              tmp_path):

@@ -240,7 +240,7 @@ class TestExceptionPathLifetimes:
         try:
             for disk in range(store.num_disks):
                 table = store.disk_table(disk)
-                source = _DiskPages(store, disk)
+                source = _DiskPages(store.disk(disk))
                 # Per call, then a post of three, then per call again.
                 nearby = np.stack([query, query + 0.1, query - 0.1])
                 for post in (query[None], nearby, query[None]):
