@@ -60,6 +60,7 @@ import multiprocessing
 import multiprocessing.forkserver
 import os
 import sys
+import threading
 import time
 import weakref
 from typing import (
@@ -97,6 +98,14 @@ _PRELOAD = [
     "multiprocessing.synchronize", "multiprocessing.sharedctypes",
     "multiprocessing.popen_forkserver",
 ]
+
+#: Held while an engine starts its workers.  A start changes
+#: process-wide state for its duration (:func:`_server_environment`,
+#: :func:`_main_hidden`), and two engines starting on different threads
+#: (the serving layer starts engines off its event loop) would save one
+#: another's changes and restore them out of order, leaving ``__main__``
+#: hidden or the environment changed for good.
+_START_LOCK = threading.Lock()
 
 #: The directory that holds the ``repro`` package: put on the fork
 #: server's ``PYTHONPATH``, since the server neither takes the
@@ -213,7 +222,8 @@ def _main_hidden() -> Iterator[None]:
     ``Process.start()`` pickles names no main module, and
     ``multiprocessing``'s bootstrap in the worker (``spawn.prepare``)
     runs none.  Neither :func:`_worker_main` nor its arguments reference
-    ``__main__``."""
+    ``__main__``.  Entered under :data:`_START_LOCK`; another thread
+    that reads ``__main__.__file__`` meanwhile finds none."""
     main = vars(sys.modules["__main__"])
     names = ("__file__", "__spec__")
     saved = {name: main.pop(name) for name in names if name in main}
@@ -834,7 +844,7 @@ class ProcessParallelEngine:
         self._ctx.set_forkserver_preload(_PRELOAD)
         _RUNNING.add(self)
         try:
-            with _server_environment(), _main_hidden():
+            with _START_LOCK, _server_environment(), _main_hidden():
                 for disk in range(store.num_disks):
                     proc = self._ctx.Process(
                         target=_worker_main,

@@ -470,9 +470,10 @@ class MmapDisk:
     ``tree.npz``.
 
     The clock: :meth:`sleep_until` sleeps to an absolute instant on
-    :meth:`clock`, which is ``timer`` (wall-clock seconds) or, without
-    one, the last instant slept to; ``slept_ms`` adds what ``timer``
-    measured of the sleeps, overshoot in.
+    :meth:`clock`, which is :attr:`timer` (wall-clock seconds; none
+    until a caller sets one, as a process worker does) or, without one,
+    the last instant slept to; ``slept_ms`` adds what ``timer`` measured
+    of the sleeps, overshoot in.
     """
 
     def __init__(
@@ -480,12 +481,12 @@ class MmapDisk:
         path: Union[str, os.PathLike],
         table: Tuple[np.ndarray, ...],
         simulated_disk_ms: float = 0.0,
-        timer: Optional[Callable[[], float]] = None,
     ):
         self.path = Path(path)
         self.table = table
         self.simulated_disk_ms = simulated_disk_ms
-        self.timer = timer
+        #: The disk clock's wall clock (seconds), or None.
+        self.timer: Optional[Callable[[], float]] = None
         self.slept_ms = 0.0
         #: :meth:`clock` without a timer: the instant the last
         #: :meth:`sleep_until` slept to.
@@ -581,8 +582,7 @@ class MmapStore:
     — its directory rows as flat arrays, multi-page point gathers and
     the rows kept of them, its service-time clock — which a per-disk
     worker process receives in place of the store; :meth:`disk_table`
-    / :meth:`read_pages` / :meth:`page_rows` are the same reads by disk
-    number.  No :class:`Node` exists until ``tree`` / ``leaves`` is
+    is its directory rows by disk number.  No :class:`Node` exists until ``tree`` / ``leaves`` is
     read.  Page files are opened lazily per disk.  Reopening a directory
     that another process (or store) currently maps is safe: mappings are
     read-only and the files are immutable once written.
@@ -596,7 +596,6 @@ class MmapStore:
         directory: Union[str, os.PathLike],
         *,
         simulated_disk_ms: Optional[float] = None,
-        timer: Optional[Callable[[], float]] = None,
     ):
         self.directory = Path(directory)
         if simulated_disk_ms is None:
@@ -608,10 +607,6 @@ class MmapStore:
                 f"simulated_disk_ms must be >= 0, got {simulated_disk_ms}"
             )
         self.simulated_disk_ms = simulated_disk_ms
-        #: The wall clock (seconds) of every :meth:`disk`'s clock, or
-        #: None: the store reads none of its own (a process worker sets
-        #: one on its disk).
-        self.timer = timer
         meta_path = self.directory / STORE_JSON
         if not meta_path.is_file():
             raise PageFormatError(
@@ -700,9 +695,8 @@ class MmapStore:
 
     def disk(self, disk: int) -> MmapDisk:
         """Disk ``disk`` (:class:`MmapDisk`): its rows of the directory,
-        sliced out on the first call, its page file and its clock on the
-        store's ``timer``.  The store owns it, and its :meth:`close`
-        closes it."""
+        sliced out on the first call, its page file and its clock.  The
+        store owns it, and its :meth:`close` closes it."""
         handle = self._disks.get(disk)
         if handle is None:
             own = np.flatnonzero(self.page_disks == disk)
@@ -712,7 +706,7 @@ class MmapStore:
             )
             handle = self._disks[disk] = MmapDisk(
                 self.directory / _page_file_name(disk), table,
-                self.simulated_disk_ms, self.timer,
+                self.simulated_disk_ms,
             )
             if self._closed:
                 handle.close()
@@ -741,16 +735,6 @@ class MmapStore:
         """:attr:`MmapDisk.table` of disk ``disk``: no payload is
         touched."""
         return self.disk(disk).table
-
-    def read_pages(self, disk: int, pages: np.ndarray) -> np.ndarray:
-        """:meth:`MmapDisk.read_pages` of disk ``disk``."""
-        return self.disk(disk).read_pages(pages)
-
-    def page_rows(
-        self, disk: int, pages: np.ndarray, rows: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`MmapDisk.page_rows` of disk ``disk``."""
-        return self.disk(disk).page_rows(pages, rows)
 
     def check_page_files(self) -> None:
         """Open every disk's page file now: a missing, truncated,

@@ -431,7 +431,7 @@ def _assert_chunk(store, disk, pages, block):
     them, are exactly ``MmapStore.read_page`` of its pages (in any page
     order); every other row is ``+inf`` padding."""
     points = block.reshape(-1, store.dimension)
-    oids, again = store.page_rows(disk, pages, np.arange(len(points)))
+    oids, again = store.disk(disk).page_rows(pages, np.arange(len(points)))
     assert again.tobytes() == points.tobytes()
     leaves = [leaf for leaf in store.leaves if store.disk_of(leaf) == disk]
     want = [store.read_page(leaves[page]) for page in pages]
@@ -655,7 +655,7 @@ _BLOCK_S = _PACED_MS / 1000.0
 
 
 class _FakeClock:
-    """A store's timer and ``time.sleep``: time moves only when slept or
+    """A disk's timer and ``time.sleep``: time moves only when slept or
     when a gather spends ``cpu`` seconds.  A long run of reads that see
     the same instant is a spin-wait, and fails."""
 
@@ -731,9 +731,8 @@ class TestDeviceClock:
         facade, tally, fake, start)``."""
         fake = _FakeClock(cpu)
         monkeypatch.setattr("repro.storage.mmap_store.time.sleep", fake.sleep)
-        with MmapStore(
-            directory, simulated_disk_ms=_PACED_MS, timer=fake.timer
-        ) as store:
+        with MmapStore(directory, simulated_disk_ms=_PACED_MS) as store:
+            store.disk(disk).timer = fake.timer
             timed = _TimedDisk(store.disk(disk), fake)
             source = _DiskPages(timed)
             ring = _posted_ring(store, queries, k)
@@ -784,7 +783,7 @@ class TestDeviceClock:
         with MmapStore(paced_dir) as plain:
             lows, highs, _, counts, _ = plain.disk_table(0)
             if k == 1:
-                rows = plain.read_pages(0, np.arange(len(counts)))
+                rows = plain.disk(0).read_pages(np.arange(len(counts)))
                 rows = rows[np.isfinite(rows).all(axis=2)]
                 pick = np.random.default_rng(post).choice(len(rows), post)
                 queries = rows[pick]
@@ -807,7 +806,7 @@ class TestDeviceClock:
                 if not (mindists[:, page] <= bounds).any():
                     continue
                 want.append(int(page))
-                points = plain.read_pages(0, np.array([page]))[0]
+                points = plain.disk(0).read_pages(np.array([page]))[0]
                 points = points[: counts[page]]
                 keys = [
                     np.concatenate((mine, metric.point_keys(points, q)))
@@ -1764,6 +1763,63 @@ class TestWorkerStart:
                         assert _worker_files(proc.pid, copy) == {
                             f"disk{disk:04d}.pages"
                         }
+
+    def test_engines_starting_on_two_threads_start_one_at_a_time(
+        self, store_dir, reference, monkeypatch
+    ):
+        """Two engines whose first queries start them at once on two
+        threads, every worker's start slowed down: no two starts
+        overlap, both answer bit for bit, and ``__main__``'s
+        ``__file__`` and ``__spec__`` and the environment are as they
+        were before."""
+        main = vars(sys.modules["__main__"])
+        names = ("__file__", "__spec__")
+        saved_main = {name: main[name] for name in names if name in main}
+        saved_env = dict(os.environ)
+        starting, most, guard = [0], [0], threading.Lock()
+        start = multiprocessing.process.BaseProcess.start
+
+        def slow_start(proc):
+            with guard:
+                starting[0] += 1
+                most[0] = max(most[0], starting[0])
+            try:
+                time.sleep(0.05)
+                start(proc)
+            finally:
+                with guard:
+                    starting[0] -= 1
+
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "start", slow_start
+        )
+        query = np.full(6, 0.55)
+        barrier = threading.Barrier(2)
+        answers, errors = [], []
+
+        def first_query(engine):
+            try:
+                barrier.wait(timeout=30)
+                answers.append(engine.query(query, 4))
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        with MmapStore(store_dir) as one, MmapStore(store_dir) as two:
+            with ProcessParallelEngine(one) as a, ProcessParallelEngine(two) as b:
+                threads = [
+                    threading.Thread(target=first_query, args=(engine,))
+                    for engine in (a, b)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+        assert errors == [] and len(answers) == 2
+        for answer in answers:
+            _assert_bit_identical(answer, reference.query(query, 4))
+        assert most[0] == 1
+        assert {name: main[name] for name in names if name in main} == saved_main
+        assert dict(os.environ) == saved_env
 
 
 def _page_mindists(store, query):

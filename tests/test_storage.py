@@ -417,9 +417,9 @@ def _gathered(handle, slots):
 
 
 def _read_flat(store, disk, pages):
-    """:func:`_gathered` for ``MmapStore.read_pages`` / ``page_rows``."""
-    points = store.read_pages(disk, pages).reshape(-1, store.dimension)
-    oids, again = store.page_rows(disk, pages, np.arange(len(points)))
+    """:func:`_gathered` for ``MmapDisk.read_pages`` / ``page_rows``."""
+    points = store.disk(disk).read_pages(pages).reshape(-1, store.dimension)
+    oids, again = store.disk(disk).page_rows(pages, np.arange(len(points)))
     assert again.tobytes() == points.tobytes()
     return points, oids
 
@@ -483,7 +483,7 @@ class TestMmapStoreRoundTrip:
                     assert blocks[page] == leaf.blocks
                     _assert_rows(points, oids, row, width, *store.read_page(leaf))
         with pytest.raises(ValueError, match="closed"):
-            store.read_pages(0, np.array([0]))
+            store.disk(0).read_pages(np.array([0]))
 
     def test_read_pages_into_out_matches_the_allocating_form(
         self, rng, store_dir, monkeypatch
@@ -512,17 +512,17 @@ class TestMmapStoreRoundTrip:
                     _assert_rows(
                         points, oids, row, width, *store.read_page(leaves[page])
                     )
-                again = store.read_pages(disk, pages)
+                again = store.disk(disk).read_pages(pages)
                 assert again.reshape(points.shape).tobytes() == points.tobytes()
-                none = store.read_pages(disk, pages[:0])
+                none = store.disk(disk).read_pages(pages[:0])
                 assert none.shape == (0, width, store.dimension)
                 with pytest.raises((ValueError, IndexError)):
-                    store.read_pages(disk, np.array([loads]))
+                    store.disk(disk).read_pages(np.array([loads]))
                 # Only the per-leaf reads compared against them slept.
                 reads += len(pages)
                 assert slept == [1.0 / 1000.0] * reads
         with pytest.raises(ValueError, match="closed"):
-            store.read_pages(0, np.array([0]))
+            store.disk(0).read_pages(np.array([0]))
 
     def test_read_page_sleeps_every_block_and_read_pages_none(
         self, paged_store, tmp_path, monkeypatch
@@ -540,7 +540,7 @@ class TestMmapStoreRoundTrip:
         with MmapStore(directory, simulated_disk_ms=2.0) as store:
             for disk in np.flatnonzero(store.disk_loads()):
                 blocks = store.disk_table(disk)[4]
-                store.read_pages(disk, np.arange(len(blocks)))
+                store.disk(disk).read_pages(np.arange(len(blocks)))
             assert slept == []
             for leaf in store.leaves:
                 store.read_page(leaf)
@@ -551,9 +551,9 @@ class TestMmapStoreRoundTrip:
     def test_sleep_until_paces_on_the_store_clock(self, store_dir, monkeypatch):
         """A disk's ``sleep_until`` sleeps to an absolute instant on its
         ``clock``: at once when it has passed.  Without a timer the clock
-        is the last instant slept to and nothing is measured; with the
-        store's timer the clock is the timer and ``slept_ms`` adds what
-        it measured."""
+        is the last instant slept to and nothing is measured; with a
+        timer set on the disk the clock is the timer and ``slept_ms``
+        adds what it measured."""
         now = [5.0]
         slept = []
 
@@ -570,10 +570,9 @@ class TestMmapStoreRoundTrip:
             assert slept == [0.5] and disk.slept_ms == 0.0
         slept.clear()
         now[0] = 5.0
-        with MmapStore(
-            store_dir, simulated_disk_ms=1.0, timer=lambda: now[0]
-        ) as store:
+        with MmapStore(store_dir, simulated_disk_ms=1.0) as store:
             disk = store.disk(0)
+            disk.timer = lambda: now[0]
             assert disk.sleep_until(6.0) == 6.25 == disk.clock()
             assert disk.sleep_until(6.125) == 6.25
             assert slept == [1.0] and disk.slept_ms == 1250.0
@@ -723,7 +722,7 @@ class TestLazyTree:
             for disk in range(store.num_disks):
                 table = store.disk_table(disk)
                 pages = np.arange(len(table[2]))
-                store.read_pages(disk, pages)
+                store.disk(disk).read_pages(pages)
             assert "pages=" in repr(store)
             assert counted_nodes == []
             tree = store.tree

@@ -174,7 +174,7 @@ class TestExceptionPathLifetimes:
             with PageFile(store_dir / "disk0000.pages") as handle:
                 points = handle.gather(np.arange(handle.num_slots))
             with MmapStore(store_dir) as store:
-                store.read_pages(1, np.arange(store.disk_loads()[1]))
+                store.disk(1).read_pages(np.arange(store.disk_loads()[1]))
         assert np.isfinite(points).any()  # owned copy, outlives the mapping
         assert _open_fds() == before_fds
         assert _live_mmaps() == before_maps
@@ -199,11 +199,11 @@ class TestExceptionPathLifetimes:
                 assert got.tobytes() == copy.tobytes()
             with MmapStore(store_dir) as store:
                 pages = np.arange(store.disk_loads()[1])
-                kept = store.read_pages(1, pages)
-                rows = store.page_rows(1, pages, [0, 1])
+                kept = store.disk(1).read_pages(pages)
+                rows = store.disk(1).page_rows(pages, [0, 1])
                 want = kept.copy(), rows[0].copy(), rows[1].copy()
                 with pytest.raises(IndexError):
-                    store.read_pages(1, np.array([len(pages)]))
+                    store.disk(1).read_pages(np.array([len(pages)]))
             for got, copy in zip((kept, *rows), want):
                 assert got.tobytes() == copy.tobytes()
             with pytest.raises(PageFormatError, match="closed"):
@@ -211,9 +211,9 @@ class TestExceptionPathLifetimes:
             with pytest.raises(PageFormatError, match="closed"):
                 handle.rows(slots, [0])
             with pytest.raises(ValueError, match="closed"):
-                store.read_pages(1, pages)
+                store.disk(1).read_pages(pages)
             with pytest.raises(ValueError, match="closed"):
-                store.page_rows(1, pages, [0])
+                store.disk(1).page_rows(pages, [0])
         assert _open_fds() == before_fds
         assert _live_mmaps() == before_maps
 
